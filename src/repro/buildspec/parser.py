@@ -8,10 +8,15 @@ valid spec, which lets the system round-trip build files without loss
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import yaml
 
-from repro.buildspec.spec import RaiBuildSpec, ResourceRequest
+from repro.buildspec.spec import (
+    PARSE_MEMO_SIZE,
+    RaiBuildSpec,
+    ResourceRequest,
+)
 from repro.errors import SpecParseError
 
 #: A trailing backslash folds a command onto the next line, shell-style.
@@ -35,7 +40,19 @@ def parse_build_spec(text: str) -> RaiBuildSpec:
     Raises :class:`~repro.errors.SpecParseError` on malformed input; version
     and whitelist problems are deferred to ``spec.validate()`` so the worker
     can report them with the student-facing wording.
+
+    Parsing is a pure function of the text, and almost every job of a
+    course sends the same one, so the last ``PARSE_MEMO_SIZE`` distinct
+    texts share their (immutable) spec; errors are raised afresh each time.
     """
+    if not isinstance(text, (str, bytes)):
+        raise SpecParseError(f"rai-build.yml must be text, "
+                             f"got {type(text).__name__}")
+    return _parse(text)
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse(text) -> RaiBuildSpec:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SpecValidationError, UnsupportedSpecVersion
 
@@ -31,17 +32,24 @@ class ResourceRequest:
             raise SpecValidationError("resources.cpus must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RaiBuildSpec:
-    """One parsed ``rai-build.yml``."""
+    """One parsed ``rai-build.yml``.
+
+    Immutable (``build_commands`` is stored as a tuple): the parser hands
+    the same instance to every job that sent the same text.
+    """
 
     version: str
     image: str
-    build_commands: List[str] = field(default_factory=list)
+    build_commands: Tuple[str, ...] = ()
     resources: Optional[ResourceRequest] = None
     #: ``rai.cache: false`` opts a spec out of the build-artifact cache
     #: entirely (e.g. benchmarking an intentionally noisy build).
     cache_enabled: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "build_commands", tuple(self.build_commands))
 
     def validate(self, image_whitelist: Optional[Sequence[str]] = None) -> None:
         """Raise a :class:`~repro.errors.BuildSpecError` subclass on any
@@ -81,7 +89,12 @@ CACHEABLE_PROGRAMS = frozenset({"cmake", "make"})
 #: Shell operators that chain sub-commands inside one command line.
 _CHAIN_OPERATORS = ("&&", "||", ";", "|")
 
+#: Distinct command lines / build files whose parse is remembered.  A
+#: course runs a handful of each, byte-identical across submissions.
+PARSE_MEMO_SIZE = 256
 
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def command_cacheable(command: str) -> bool:
     """True when every sub-command of ``command`` is a cacheable program.
 

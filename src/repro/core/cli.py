@@ -307,6 +307,7 @@ class RaiCLI:
             lines = ["build cache: disabled on this deployment"]
         else:
             stats = cache.stats()
+            lookups = stats["hits"] + stats["misses"]
             lines = [
                 f"build cache: {stats['entries']} entries, "
                 f"{stats['blobs']} blobs, "
@@ -319,6 +320,9 @@ class RaiCLI:
                 f"(hit rate {stats['hit_rate'] * 100:.0f}%), "
                 f"{stats['evictions']} evictions, "
                 f"{stats['seen_sources']} sources seen",
+                f"  lookup cost: {stats['observations']} filesystem "
+                f"observations "
+                f"({stats['observations'] / max(1, lookups):.1f} per lookup)",
             ]
             top = cache.top_entries(5)
             if top:

@@ -61,7 +61,10 @@ class StealingConsumer(Consumer):
     # -- post-claim verbs route via the delivering channel ------------------
 
     def _source_channel(self, message: Message):
-        return getattr(message, "_channel", None) or self._channel
+        # ``is None``, not truthiness: a Channel whose queue is empty (the
+        # victim's, right after its last message was stolen) is falsy.
+        source = getattr(message, "_channel", None)
+        return self._channel if source is None else source
 
     def ack(self, message: Message) -> None:
         self._source_channel(message).ack(message)

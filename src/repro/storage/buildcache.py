@@ -12,6 +12,17 @@ some recorded entry's every observation still holds against the live
 container filesystem; the worker then replays the recorded output tree,
 streams, and exit code instead of executing.
 
+A lookup does not visit entries.  Per primary key the cache indexes the
+observation *shapes* present — which paths were observed and how, without
+the values (:func:`shape_of`).  For each shape it observes every path
+once against the live tree (shared between shapes), derives the content
+key those observations would have been stored under, and probes the entry
+table; the candidate must record exactly the live observations, and a
+path whose live state cannot produce the recorded kind of observation (a
+file where a directory was walked, an unknown kind) fails its whole shape.
+Among hits of different shapes the most recently used entry wins.  The
+cost is (shapes x their paths), however many builds are cached.
+
 Three properties matter:
 
 - **Content addressing with sharing.**  Output file payloads live in a
@@ -21,8 +32,9 @@ Three properties matter:
 - **Sound invalidation.**  Reads invalidate on content; probes on
   existence/type; enumerations (``walk``/``iter_files``) on the *name
   listing* — adding a source file misses even though nothing read it.
-- **Soft refcounts.**  Like the chunk store, blob refcounts are derived
-  state: snapshot/restore rebuilds them from the surviving entries.
+- **Soft refcounts and index.**  Like the chunk store, blob refcounts —
+  and the shape index — are derived state: snapshot/restore rebuilds
+  them from the surviving entries.
 
 Entries are bounded by an LRU byte budget and a TTL; hit/miss/evict
 events and counters flow through the obs layer when wired.
@@ -40,8 +52,8 @@ from repro.obs.events import EventType
 from repro.vfs.filesystem import (
     AccessTrace,
     VirtualFileSystem,
+    descriptor_kind,
     file_digest,
-    tree_signature,
 )
 
 #: Default byte budget for unique artifact blobs.
@@ -74,13 +86,20 @@ def content_key(primary: str, inputs: Dict[str, str]) -> str:
     return acc.hexdigest()
 
 
+def shape_of(inputs: Dict[str, str]) -> tuple:
+    """An input set's observation *shape*: which paths were observed and
+    how (``(path, descriptor kind)``, sorted) — everything but the values."""
+    return tuple(sorted((path, descriptor_kind(descriptor))
+                        for path, descriptor in inputs.items()))
+
+
 class CacheEntry:
     """One recorded command execution: inputs observed, outputs produced."""
 
     __slots__ = ("key", "primary", "command", "cwd", "inputs", "outputs",
                  "stdout", "stderr", "exit_code", "charged_seconds",
                  "rng_draws", "source_digest", "bytes",
-                 "created_at", "last_used_at", "hits")
+                 "created_at", "last_used_at", "hits", "shape", "used")
 
     def __init__(self, key: str, primary: str, command: str, cwd: str,
                  inputs: Dict[str, str], outputs: List[dict],
@@ -104,6 +123,9 @@ class CacheEntry:
         self.created_at = float(created_at)
         self.last_used_at = float(created_at)
         self.hits = 0
+        self.shape = shape_of(inputs)
+        #: The cache's use tick at capture/last hit; larger = more recent.
+        self.used = 0
 
     def blob_digests(self) -> List[str]:
         return [out["blob"] for out in self.outputs if out["kind"] == "file"]
@@ -159,8 +181,10 @@ class BuildCache:
         self.events = events
         #: content key → entry, LRU order (oldest first).
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        #: primary key → content keys, MRU first.
-        self._by_primary: Dict[str, List[str]] = {}
+        #: primary key → {observation shape → entries recorded with it}.
+        #: Derived state like the blob refcounts: never snapshotted.
+        self._shapes: Dict[str, Dict[tuple, int]] = {}
+        self._use_tick = 0
         #: blob digest → payload, shared across entries.
         self._blobs: Dict[str, bytes] = {}
         self._blob_refs: Dict[str, int] = {}
@@ -168,6 +192,8 @@ class BuildCache:
         self.hit_count = 0
         self.miss_count = 0
         self.evict_count = 0
+        #: Live filesystem observations lookups have made, in total.
+        self.observation_count = 0
         #: Source-tree digests that completed a cached build — the
         #: scheduler's hit predictor consults this (bounded LRU).
         self._seen_sources: "OrderedDict[str, None]" = OrderedDict()
@@ -178,73 +204,65 @@ class BuildCache:
     def lookup(self, image_key: str, cwd: str, command: str,
                fs: VirtualFileSystem,
                job_id: Optional[str] = None) -> Optional[CacheEntry]:
-        """Return the first recorded entry whose observations all hold.
+        """Return the most recently used entry whose observations all hold.
 
-        Entries under the same primary are tried MRU-first, so a stable
-        resubmission pattern verifies exactly one candidate.
+        Each shape recorded under the primary is observed once against
+        the live tree and probed by content key, so the cost depends on
+        the shapes and their paths, not on how many entries are cached.
         """
         primary = primary_key(image_key, cwd, command)
-        for key in self._by_primary.get(primary, []):
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
-            if self._verify_inputs(entry.inputs, fs):
-                now = self._clock()
-                entry.hits += 1
-                entry.last_used_at = now
-                self._entries.move_to_end(key)
-                keys = self._by_primary[primary]
-                keys.remove(key)
-                keys.insert(0, key)
-                self.hit_count += 1
-                if self.metrics is not None:
-                    self.metrics.counter("buildcache_hits_total").inc()
-                if self.events is not None:
-                    self.events.emit(EventType.BUILDCACHE_HIT,
-                                     job_id=job_id, command=command,
-                                     key=key[:16], artifact_bytes=entry.bytes)
-                return entry
-        self.miss_count += 1
+        observed: Dict[tuple, Optional[str]] = {}
+        best: Optional[CacheEntry] = None
+        for shape in self._shapes.get(primary, ()):
+            live: Dict[str, str] = {}
+            for item in shape:
+                if item not in observed:
+                    observed[item] = fs.observe(*item)
+                descriptor = observed[item]
+                if descriptor is None:  # wrong node type or unknown kind
+                    break
+                live[item[0]] = descriptor
+            else:
+                entry = self._entries.get(content_key(primary, live))
+                if (entry is not None and entry.primary == primary
+                        and entry.inputs == live
+                        and (best is None or entry.used > best.used)):
+                    best = entry
+        self.observation_count += len(observed)
         if self.metrics is not None:
-            self.metrics.counter("buildcache_misses_total").inc()
+            self.metrics.counter(
+                "buildcache_lookup_observations_total").inc(len(observed))
+        if best is None:
+            self.miss_count += 1
+            if self.metrics is not None:
+                self.metrics.counter("buildcache_misses_total").inc()
+            if self.events is not None:
+                self.events.emit(EventType.BUILDCACHE_MISS,
+                                 job_id=job_id, command=command)
+            return None
+        best.hits += 1
+        best.last_used_at = self._clock()
+        self._entries.move_to_end(best.key)
+        self._touch(best)
+        self.hit_count += 1
+        if self.metrics is not None:
+            self.metrics.counter("buildcache_hits_total").inc()
         if self.events is not None:
-            self.events.emit(EventType.BUILDCACHE_MISS,
-                             job_id=job_id, command=command)
-        return None
+            self.events.emit(EventType.BUILDCACHE_HIT,
+                             job_id=job_id, command=command,
+                             key=best.key[:16], artifact_bytes=best.bytes)
+        return best
 
-    @staticmethod
-    def _verify_inputs(inputs: Dict[str, str],
-                       fs: VirtualFileSystem) -> bool:
-        for path, descriptor in inputs.items():
-            if descriptor == "absent":
-                if fs.exists(path):
-                    return False
-            elif descriptor == "dir":
-                if not fs.isdir(path):
-                    return False
-            elif descriptor == "file":
-                if not fs.isfile(path):
-                    return False
-            elif descriptor.startswith("file:"):
-                if not fs.isfile(path):
-                    return False
-                if file_digest(fs.read_file(path)) != descriptor[5:]:
-                    return False
-            elif descriptor.startswith("tree:"):
-                if not fs.isdir(path):
-                    return False
-                node = fs._resolve_dir(path)
-                if tree_signature(path, node) != descriptor[5:]:
-                    return False
-            elif descriptor.startswith("list:"):
-                if not fs.isdir(path):
-                    return False
-                names = "\n".join(sorted(fs._resolve_dir(path).children))
-                if file_digest(names.encode()) != descriptor[5:]:
-                    return False
-            else:  # unknown descriptor kind: fail safe, never hit
-                return False
-        return True
+    def _touch(self, entry: CacheEntry) -> None:
+        self._use_tick += 1
+        entry.used = self._use_tick
+
+    def _link_entry(self, entry: CacheEntry) -> None:
+        """Publish ``entry`` as the most recently used one."""
+        self._entries[entry.key] = entry
+        shapes = self._shapes.setdefault(entry.primary, {})
+        shapes[entry.shape] = shapes.get(entry.shape, 0) + 1
+        self._touch(entry)
 
     # -- capture -------------------------------------------------------------
 
@@ -283,11 +301,7 @@ class BuildCache:
         entry = CacheEntry(key, primary, command, cwd, inputs, outputs,
                            stdout, stderr, exit_code, charged_seconds,
                            rng_draws, source_digest, artifact_bytes, now)
-        self._entries[key] = entry
-        self._by_primary.setdefault(primary, [])
-        if key in self._by_primary[primary]:
-            self._by_primary[primary].remove(key)
-        self._by_primary[primary].insert(0, key)
+        self._link_entry(entry)
         if source_digest:
             self.note_source(source_digest)
         self._evict(job_id=job_id)
@@ -378,12 +392,12 @@ class BuildCache:
     # -- eviction ------------------------------------------------------------
 
     def _unlink_entry(self, entry: CacheEntry) -> None:
-        keys = self._by_primary.get(entry.primary)
-        if keys is not None:
-            if entry.key in keys:
-                keys.remove(entry.key)
-            if not keys:
-                del self._by_primary[entry.primary]
+        shapes = self._shapes[entry.primary]
+        shapes[entry.shape] -= 1
+        if not shapes[entry.shape]:
+            del shapes[entry.shape]
+            if not shapes:
+                del self._shapes[entry.primary]
         for digest in entry.blob_digests():
             count = self._blob_refs.get(digest)
             if count is None:
@@ -464,6 +478,12 @@ class BuildCache:
         orphans = [d for d in self._blobs if d not in expected_refs]
         if orphans:
             problems.append(f"{len(orphans)} orphaned blobs")
+        shapes: Dict[str, Dict[tuple, int]] = {}
+        for entry in self._entries.values():
+            counts = shapes.setdefault(entry.primary, {})
+            counts[entry.shape] = counts.get(entry.shape, 0) + 1
+        if shapes != self._shapes:
+            problems.append("shape index diverges from the entry table")
         return problems
 
     @property
@@ -492,6 +512,7 @@ class BuildCache:
             "misses": self.miss_count,
             "evictions": self.evict_count,
             "hit_rate": round(self.hit_rate(), 4),
+            "observations": self.observation_count,
             "seen_sources": len(self._seen_sources),
         }
 
@@ -520,7 +541,7 @@ class BuildCache:
         blobs = {d: base64.b64decode(b)
                  for d, b in snap.get("blobs", {}).items()}
         self._entries = OrderedDict()
-        self._by_primary = {}
+        self._shapes = {}
         self._blobs = {}
         self._blob_refs = {}
         self.total_blob_bytes = 0
@@ -532,9 +553,7 @@ class BuildCache:
             if missing:  # torn entry: its payload did not survive
                 dropped += 1
                 continue
-            self._entries[entry.key] = entry
-            self._by_primary.setdefault(entry.primary, []).insert(
-                0, entry.key)
+            self._link_entry(entry)
             for digest in entry.blob_digests():
                 if digest not in self._blobs:
                     payload = blobs[digest]
@@ -556,6 +575,6 @@ class BuildCache:
 
 __all__ = [
     "DEFAULT_MAX_BYTES", "DEFAULT_TTL_SECONDS",
-    "image_cache_key", "primary_key", "content_key",
+    "image_cache_key", "primary_key", "content_key", "shape_of",
     "CacheEntry", "BuildCache",
 ]

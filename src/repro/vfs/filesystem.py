@@ -62,6 +62,13 @@ class AccessTrace:
         self.writes.add(path)
 
 
+def descriptor_kind(descriptor: str) -> str:
+    """The kind of an input descriptor: its prefix up to and including
+    the colon (``"file:"``, ``"tree:"``, ``"list:"``), or the whole bare
+    descriptor (``"absent"``, ``"dir"``, ``"file"``)."""
+    return descriptor[:descriptor.find(":") + 1] or descriptor
+
+
 def file_digest(data: bytes) -> str:
     """SHA-256 content digest used by access tracking and build caching."""
     return hashlib.sha256(data).hexdigest()
@@ -196,6 +203,32 @@ class VirtualFileSystem:
         return node
 
     # -- queries -----------------------------------------------------------
+
+    def observe(self, path: str, kind: str) -> Optional[str]:
+        """The descriptor a tracked access of ``kind`` would record for
+        ``path`` right now, or ``None`` when the path's current state
+        cannot produce that kind (or the kind is unknown).
+
+        One resolve, never traced: this is how a cache re-checks a
+        recorded :class:`AccessTrace` input against the live tree.
+        """
+        try:
+            node = self._resolve(path)
+        except (FileNotFound, NotADirectory):
+            return "absent" if kind == "absent" else None
+        if isinstance(node, FileNode):
+            if kind == "file":
+                return "file"
+            if kind == "file:":
+                return "file:" + file_digest(node.data)
+        elif kind == "dir":
+            return "dir"
+        elif kind == "tree:":
+            return "tree:" + tree_signature(path, node)
+        elif kind == "list:":
+            return "list:" + file_digest(
+                "\n".join(sorted(node.children)).encode())
+        return None
 
     def exists(self, path: str) -> bool:
         self._note_probe(path)

@@ -205,6 +205,9 @@ class TestObservabilityCommands:
         assert "make" in out
         # The resubmission's two build commands hit.
         assert "2 hits" in out
+        stats = system.build_cache.stats()
+        assert stats["observations"] > 0
+        assert f"{stats['observations']} filesystem observations" in out
 
     def test_cache_disabled_deployment(self):
         from repro.core.cli import RaiCLI

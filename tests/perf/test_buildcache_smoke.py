@@ -11,6 +11,8 @@ import time
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.storage.buildcache import BuildCache
+from repro.vfs import VirtualFileSystem
 from repro.workload.hotpath import (
     HotpathScale,
     SMOKE_SCALE,
@@ -85,3 +87,40 @@ def test_resubmissions_hit_at_smoke_scale():
     assert bc is not None
     assert bc["resubmission_hit_rate"] >= 0.8
     assert metrics["resubmission_latency_s"]["p50"] < 2.0
+
+
+def test_lookup_observations_do_not_grow_with_cached_builds():
+    """The scaling pin, by count not by clock: however many same-shape
+    entries one primary holds, a lookup observes each path once."""
+    fs = VirtualFileSystem()
+    fs.import_mapping({"/src/main.cu": b"v0", "/src/CMakeLists.txt": b"x"})
+    cache = BuildCache(lambda: 0.0)
+
+    def build(version: int) -> None:
+        fs.write_file("/src/main.cu", b"v%d" % version)
+        trace = fs.start_tracking()
+        fs.read_file("/src/main.cu")
+        list(fs.walk("/src"))
+        fs.exists("/build/Makefile")
+        fs.stop_tracking()
+        cache.capture("img", "/build", "make", trace, fs, "", "", 0, 1.0, 0)
+
+    def observations(expect_hit: bool) -> int:
+        before = cache.stats()["observations"]
+        entry = cache.lookup("img", "/build", "make", fs)
+        assert (entry is not None) == expect_hit
+        return cache.stats()["observations"] - before
+
+    counts = {}
+    for size in (10, 500):
+        for version in range(cache.entry_count, size):
+            build(version)
+        (shapes,) = cache._shapes.values()          # one primary ...
+        assert cache.entry_count == size and list(shapes.values()) == [size]
+        fs.write_file("/src/main.cu", b"v0")        # oldest entry: a hit
+        hit = observations(expect_hit=True)
+        fs.write_file("/src/main.cu", b"never built")
+        miss = observations(expect_hit=False)
+        counts[size] = (hit, miss)
+    assert counts[10] == counts[500]
+    assert all(0 < n <= 3 for n in counts[500])     # 3 paths in the shape
