@@ -40,6 +40,7 @@ from repro.errors import (
     SignatureMismatch,
     StorageError,
     TransientStorageError,
+    VfsError,
 )
 from repro.gpu.device import get_device
 from repro.storage.buildcache import image_cache_key
@@ -424,7 +425,12 @@ class RaiWorker:
             get_span.end()
             self._check_deadline(deadline)
             project_fs = VirtualFileSystem(clock=lambda: self.sim.now)
-            unpack_tree(archive.data, project_fs, "/")
+            try:
+                unpack_tree(archive.data, project_fs, "/")
+            except VfsError as exc:  # truncated or corrupt upload
+                publish_log("stderr", f"✗ cannot unpack project: {exc}\n")
+                status = JobStatus.REJECTED
+                return
             source_digest = self._source_digest(archive, project_fs)
 
             # Step 3 — container (pull missing image layers on a cache

@@ -96,6 +96,18 @@ def tree_signature(top: str, node: DirNode) -> str:
     return file_digest("\n".join(names).encode())
 
 
+def _members(prefix: str, dirnode: DirNode) -> Iterator[Tuple[str, Node]]:
+    subdirs, files = [], []
+    for name in sorted(dirnode.children):
+        child = dirnode.children[name]
+        (subdirs if isinstance(child, DirNode) else files).append(
+            (prefix + "/" + name, child))
+    yield from subdirs
+    yield from files
+    for path, child in subdirs:
+        yield from _members(path, child)
+
+
 class VirtualFileSystem:
     """An in-memory tree of files and directories.
 
@@ -303,6 +315,21 @@ class VirtualFileSystem:
             sub = top.rstrip("/") + "/" + name if top != "/" else "/" + name
             yield from self._walk(sub)
 
+    def iter_members(self, top: str = "/") -> Iterator[Tuple[str, Node]]:
+        """Yield ``(path, node)`` under ``top`` in archive order: a
+        directory's sub-directories, then its files, then each
+        sub-directory's members.  Tracked as the walk + stat + read it
+        stands for: ``top``'s enumeration, each directory, each content.
+        """
+        top = normalize(top)
+        self._note_tree(top)
+        trace = self._trace
+        for path, node in _members(top.rstrip("/"), self._resolve_dir(top)):
+            if trace is not None:
+                trace.note_input(path, "dir" if isinstance(node, DirNode)
+                                 else "file:" + file_digest(node.data))
+            yield path, node
+
     def iter_files(self, top: str = "/") -> Iterator[str]:
         """Yield every file path under ``top`` in sorted order."""
         for dirpath, _dirs, files in self.walk(top):
@@ -355,13 +382,18 @@ class VirtualFileSystem:
         self._check_writable(path)
         if isinstance(data, str):
             data = data.encode("utf-8")
+        if path == "/":
+            raise IsADirectory(path)
         parent = parent_of(path)
-        if create_parents:
+        try:
+            dirnode = self._resolve_dir(parent)
+        except (FileNotFound, NotADirectory):
+            if not create_parents:
+                raise
             self.makedirs(parent)
-        dirnode = self._resolve_dir(parent)
+            dirnode = self._resolve_dir(parent)
         name = split_parts(path)[-1]
-        existing = dirnode.children.get(name)
-        if isinstance(existing, DirNode):
+        if isinstance(dirnode.children.get(name), DirNode):
             raise IsADirectory(path)
         dirnode.children[name] = FileNode(data, mtime=self._clock(),
                                           executable=executable)
@@ -459,7 +491,8 @@ class VirtualFileSystem:
         return out
 
     def graft(self, other: "VirtualFileSystem", src: str, dst: str) -> None:
-        """Deep-copy ``other:src`` under ``self:dst`` (mount-by-copy)."""
+        """Mount ``other:src`` under ``self:dst`` by copy: directories are
+        copied, the immutable file nodes shared."""
         node = other._resolve(normalize(src))
         self._check_writable(normalize(dst))
         self.makedirs(parent_of(normalize(dst)))

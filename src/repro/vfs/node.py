@@ -6,7 +6,12 @@ from typing import Dict, Union
 
 
 class FileNode:
-    """A regular file holding immutable ``bytes`` content."""
+    """A regular file: immutable content, mtime and executable bit.
+
+    A node is never changed after construction (``write_file`` installs a
+    new one), so trees may share it: ``clone`` returns the node itself and
+    a copy, graft or archive-header memo can rely on what it saw.
+    """
 
     __slots__ = ("data", "mtime", "executable")
 
@@ -14,16 +19,22 @@ class FileNode:
                  executable: bool = False):
         if not isinstance(data, (bytes, bytearray)):
             raise TypeError(f"file data must be bytes, got {type(data).__name__}")
-        self.data = bytes(data)
-        self.mtime = float(mtime)
-        self.executable = bool(executable)
+        init = object.__setattr__
+        init(self, "data", bytes(data))
+        init(self, "mtime", float(mtime))
+        init(self, "executable", bool(executable))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FileNode is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def size(self) -> int:
         return len(self.data)
 
     def clone(self) -> "FileNode":
-        return FileNode(self.data, self.mtime, self.executable)
+        return self
 
     def __repr__(self):
         return f"<FileNode {self.size}B>"
@@ -39,6 +50,7 @@ class DirNode:
         self.mtime = float(mtime)
 
     def clone(self) -> "DirNode":
+        """A private copy of the directory structure; file nodes are shared."""
         node = DirNode(self.mtime)
         for name, child in self.children.items():
             node.children[name] = child.clone()

@@ -1,10 +1,17 @@
-"""Pure path algebra for the virtual filesystem (always POSIX-style)."""
+"""Pure path algebra for the virtual filesystem (always POSIX-style).
+
+``normalize`` and ``split_parts`` map a string to an immutable value and a
+job asks about the same few dozen paths hundreds of times, so both carry a
+bounded memo.
+"""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 
+@lru_cache(maxsize=1024)
 def normalize(path: str) -> str:
     """Normalise to an absolute path: collapse ``.``/``..``/``//``.
 
@@ -24,6 +31,7 @@ def normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
+@lru_cache(maxsize=1024)
 def split_parts(path: str) -> Tuple[str, ...]:
     """Normalised path components (empty tuple for the root)."""
     norm = normalize(path)
