@@ -66,8 +66,7 @@ def run_rai(arrivals, autoscale: bool, seed=7):
     if autoscale:
         policy = AutoscalerPolicy(
             min_instances=2, max_instances=24, step=4,
-            check_interval=120.0, scale_out_per_worker=1.5,
-            scale_in_cooldown=1800.0)
+            check_interval=120.0, scale_in_cooldown=1800.0)
         scaler = Autoscaler(system, provisioner, policy)
         system.sim.process(scaler.run())
     else:

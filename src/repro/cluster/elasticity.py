@@ -76,9 +76,6 @@ class AutoscalerPolicy:
 
     min_instances: int = 1
     max_instances: int = 30
-    #: Legacy queue-depth trigger, superseded by utilisation + wait EWMA
-    #: (kept so saved policies keep constructing).
-    scale_out_per_worker: float = 2.0
     #: Scale in when the whole queue is below this and utilisation is low.
     scale_in_queue_depth: int = 0
     scale_in_idle_fraction: float = 0.5
@@ -139,7 +136,6 @@ class Autoscaler:
         healthy = [w for w in workers if w.is_running]
         active = sum(w.active_jobs for w in healthy)
         capacity = sum(w.slot_count for w in healthy)
-        sched = getattr(self.system, "scheduler", None)
         return {
             "now": self.sim.now,
             "n_live": len(live),
@@ -148,7 +144,7 @@ class Autoscaler:
             "active": active,
             "capacity": capacity,
             "occupancy": active / capacity if capacity else 0.0,
-            "wait_ewma": sched.wait_ewma() if sched is not None else 0.0,
+            "wait_ewma": self.system.sched_wait_ewma(),
             "since_scale_in": self.sim.now - self._last_scale_in,
         }
 
@@ -232,10 +228,8 @@ class Autoscaler:
             "occupancy": signals["occupancy"],
             "wait_ewma": signals["wait_ewma"],
         })
-        events = getattr(self.system, "events", None)
-        if events is not None:
-            events.emit("autoscale.decision", action=action, count=count,
-                        queue_depth=signals["depth"],
-                        live_before=signals["n_live"],
-                        occupancy=round(signals["occupancy"], 4),
-                        wait_ewma=round(signals["wait_ewma"], 4))
+        self.system.events.emit(
+            "autoscale.decision", action=action, count=count,
+            queue_depth=signals["depth"], live_before=signals["n_live"],
+            occupancy=round(signals["occupancy"], 4),
+            wait_ewma=round(signals["wait_ewma"], 4))

@@ -63,14 +63,9 @@ class Provisioner:
         self.system = system
         self.sim = system.sim
         self.instances: List[ProvisionedInstance] = []
-        # Register with the system's metering/metrics plane when it has
-        # one (bare harnesses in unit tests may not).
-        fleet = getattr(system, "provisioners", None)
-        if fleet is not None:
-            fleet.append(self)
-        allocator = getattr(system, "cost_allocator", None)
-        if allocator is not None:
-            allocator.attach_provisioner(self)
+        # Register with the system's metering/metrics plane.
+        system.provisioners.append(self)
+        system.cost_allocator.attach_provisioner(self)
 
     # -- scale out ------------------------------------------------------------
 
@@ -159,10 +154,8 @@ class Provisioner:
         provisioner attached to the system so repeated registration
         keeps the first (equivalent) callback.
         """
-        metrics = getattr(self.system, "metrics", None)
-        fleet = getattr(self.system, "provisioners", None)
-        if metrics is None or fleet is None:
-            return
+        metrics = self.system.metrics
+        fleet = self.system.provisioners
         sim = self.sim
 
         def type_cost():

@@ -262,7 +262,7 @@ class RaiCLI:
         from repro.analysis.report import render_table
 
         system = self.system
-        shards = getattr(system, "shards", None)
+        shards = system.shards
         if shards is None:
             return ("This deployment is not sharded (shards=1); "
                     "the control plane is the single rai/tasks queue.\n")
@@ -302,7 +302,7 @@ class RaiCLI:
         from repro.analysis.report import render_table
 
         system = self.system
-        cache = getattr(system, "build_cache", None)
+        cache = system.build_cache
         if cache is None:
             lines = ["build cache: disabled on this deployment"]
         else:

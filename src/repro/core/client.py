@@ -235,14 +235,13 @@ class RaiClient:
         if full_bytes > upload_bytes:
             self.system.monitor.incr("bytes_upload_deduped",
                                      full_bytes - upload_bytes)
-        usage = getattr(self.system, "usage", None)
-        if usage is not None:
-            tenant = self.team or self.username
-            usage.record("storage_bytes_uploaded", float(upload_bytes),
-                         tenant=tenant)
-            if full_bytes > upload_bytes:
-                usage.record("storage_bytes_saved_dedup",
-                             float(full_bytes - upload_bytes), tenant=tenant)
+        usage = self.system.usage
+        tenant = self.team or self.username
+        usage.record("storage_bytes_uploaded", float(upload_bytes),
+                     tenant=tenant)
+        if full_bytes > upload_bytes:
+            usage.record("storage_bytes_saved_dedup",
+                         float(full_bytes - upload_bytes), tenant=tenant)
 
         # Step 4 — create and sign the job request.
         job = Job(
@@ -291,18 +290,17 @@ class RaiClient:
         result.queued_at = self.sim.now
         self.system.monitor.incr("jobs_submitted")
         self.system.monitor.record_submission(self.sim.now, kind)
-        events = getattr(self.system, "events", None)
-        shards = getattr(self.system, "shards", None)
-        if events is not None and shards is not None:
+        events = self.system.events
+        shards = self.system.shards
+        if shards is not None:
             events.emit("shard.route", span=publish_span, job_id=job_id,
                         team=self.team, username=self.username,
                         topic=task_topic,
                         partition=shards.shard_map.partition(
                             self.team or self.username))
-        if events is not None:
-            events.emit("job.state_change", span=span, job_id=job_id,
-                        team=self.team, status="queued",
-                        username=self.username, kind=kind.value)
+        events.emit("job.state_change", span=span, job_id=job_id,
+                    team=self.team, status="queued",
+                    username=self.username, kind=kind.value)
 
         if wait_timeout is None:
             wait_timeout = self.system.config.client_wait_timeout_seconds
@@ -368,12 +366,11 @@ class RaiClient:
             self.system.metrics.histogram("job_turnaround_seconds").observe(
                 (result.finished_at or self.sim.now) - job.submitted_at,
                 trace_id=span.trace_id, at=self.sim.now)
-            events = getattr(self.system, "events", None)
-            if events is not None and result.status in (
-                    JobStatus.TIMEOUT, JobStatus.REJECTED):
-                events.emit("job.state_change", span=span, job_id=job_id,
-                            team=self.team, status=result.status.value,
-                            client_final=True)
+            if result.status in (JobStatus.TIMEOUT, JobStatus.REJECTED):
+                self.system.events.emit(
+                    "job.state_change", span=span, job_id=job_id,
+                    team=self.team, status=result.status.value,
+                    client_final=True)
 
         # Steps 7/8 — the worker already recorded finals in the ranking DB;
         # surface the team's rank on the result for convenience.

@@ -187,7 +187,7 @@ class RaiSystem:
             since="creation"))
 
         # Callback gauges: live deployment signals readable straight off
-        # the registry (and sampled into time series by TelemetrySampler).
+        # the registry (and sampled on the sim clock by the scraper).
         self.metrics.gauge("queue_depth", fn=self.queue_depth)
         self.metrics.gauge("workers_running",
                            fn=lambda: len(self.running_workers))
@@ -200,7 +200,7 @@ class RaiSystem:
             for topic in self.broker.topics.values()
             for channel in topic.channels.values()))
         self.metrics.gauge("dead_letters", fn=self.broker.dead_letter_count)
-        self.metrics.gauge("sched_wait_ewma", fn=self._sched_wait_ewma)
+        self.metrics.gauge("sched_wait_ewma", fn=self.sched_wait_ewma)
         self.metrics.gauge("fleet_slot_utilization",
                            fn=self.fleet_slot_utilization)
         self.metrics.gauge("warm_pool_hit_rate", fn=self.fleet_pool_hit_rate)
@@ -288,8 +288,8 @@ class RaiSystem:
         worker.partition = partition
         self.workers.append(worker)
         self.monitor.incr("workers_started")
-        # Per-worker labelled gauges (`rai top` reads these; the telemetry
-        # sampler skips labelled gauges so they cost nothing per tick).
+        # Per-worker labelled gauges (`rai top` reads these; the scraper
+        # skips labelled callback gauges so they cost nothing per tick).
         self.metrics.gauge("worker_slot_utilization",
                            fn=worker.utilization, worker=worker.id)
         self.metrics.gauge("worker_pool_hit_rate",
@@ -343,9 +343,13 @@ class RaiSystem:
         alert.  Without this, ``rai slo`` / ``rai alerts`` still work by
         scraping on demand — they just lack between-call history.
         """
+        def scraper_beat():
+            # A deliberately stopped scraper owes no heartbeat.
+            return (self.sim.now if self.scraper.stopped
+                    else self.scraper.last_scrape_at)
+
         self.alerts.watch_heartbeat(
-            "metrics-scraper",
-            lambda: self.scraper.last_scrape_at,
+            "metrics-scraper", scraper_beat,
             grace=3 * self.scraper.interval,
             summary="metrics scraper has stopped taking snapshots")
 
@@ -438,13 +442,16 @@ class RaiSystem:
         caretaker: it is a perpetual process)."""
         if interval is None:
             interval = self.config.dead_letter_sweep_seconds
+        return self._every(interval, self.drain_dead_letters)
 
-        def _consumer_loop():
+    def _every(self, interval: float, fn):
+        """Start a perpetual process calling ``fn()`` each ``interval``."""
+        def loop():
             while True:
                 yield self.sim.timeout(interval)
-                self.drain_dead_letters()
+                fn()
 
-        return self.sim.process(_consumer_loop())
+        return self.sim.process(loop())
 
     def start_fault_plan(self, plan):
         """Arm a :class:`~repro.faults.FaultPlan` against this deployment;
@@ -467,14 +474,16 @@ class RaiSystem:
 
         manager = DurabilityManager(self, path)
         self.durability = manager
-        self.db.journal = manager
-        self.broker.journal = manager
-        self.storage.journal = manager
+        self._set_journal(manager)
         for cred in self.keystore.credentials():
             manager.auth_issue(asdict(cred))
         if checkpoint:
             manager.checkpoint()
         return manager
+
+    def _set_journal(self, journal) -> None:
+        """Point every journaled service at ``journal`` (None = stop)."""
+        self.db.journal = self.broker.journal = self.storage.journal = journal
 
     def checkpoint(self) -> dict:
         """Snapshot-and-compact now (requires :meth:`attach_durability`)."""
@@ -486,13 +495,11 @@ class RaiSystem:
         """Periodic checkpointing (opt-in perpetual process, like the
         caretaker)."""
 
-        def _checkpoint_loop():
-            while True:
-                yield self.sim.timeout(interval)
-                if self.durability is not None and self.durability.active:
-                    self.durability.checkpoint()
+        def checkpoint_if_journaling():
+            if self.durability is not None and self.durability.active:
+                self.durability.checkpoint()
 
-        return self.sim.process(_checkpoint_loop())
+        return self._every(interval, checkpoint_if_journaling)
 
     def crash_stop(self) -> None:
         """Die without ceremony: stop journaling, take no final snapshot.
@@ -504,9 +511,7 @@ class RaiSystem:
         """
         if self.durability is not None:
             self.durability.close()
-        self.db.journal = None
-        self.broker.journal = None
-        self.storage.journal = None
+        self._set_journal(None)
 
     @classmethod
     def restore(cls, path: str, num_workers: int = 1, seed: int = 0,
@@ -539,9 +544,7 @@ class RaiSystem:
         counts = manager.recover(snap)
         manager._replaying = False
         system.durability = manager
-        system.db.journal = manager
-        system.broker.journal = manager
-        system.storage.journal = manager
+        system._set_journal(manager)
         manager.checkpoint()
         for _ in range(num_workers):
             system.add_worker(worker_config)
@@ -642,17 +645,14 @@ class RaiSystem:
             raise RuntimeError("deployment is not sharded (shards=1)")
         if interval is None:
             interval = self.config.shard_balance_interval_seconds
-
-        def _balance_loop():
-            while True:
-                yield self.sim.timeout(interval)
-                self.shards.rebalance()
-
-        return self.sim.process(_balance_loop())
+        return self._every(interval, self.shards.rebalance)
 
     # -- observability ------------------------------------------------------
 
-    def _sched_wait_ewma(self) -> float:
+    def sched_wait_ewma(self) -> float:
+        """Queue-wait EWMA of the scheduler(s): the shared instance's, or
+        the worst partition's when sharded (gauge ``sched_wait_ewma``; the
+        autoscaler's wait signal)."""
         if self.scheduler is not None:
             return self.scheduler.wait_ewma()
         if self.shards is not None:
@@ -727,8 +727,7 @@ class RaiSystem:
                 "rejected": self.rate_limiter.total_rejected,
             },
             "events": self.events.stats(),
-            "alerts": (self.alerts.stats() if self.alerts is not None
-                       else {}),
+            "alerts": self.alerts.stats(),
             "usage": self.usage.stats(),
             "cost": self.cost_allocator.stats(),
         }

@@ -3,125 +3,21 @@
 The course staff watched queue depth, worker utilisation, and submission
 bursts to decide when to move from G2 to P2 instances and when to grow
 the fleet ("we found that students worked in bursts, which required RAI
-to be elastic to remain reliable and cost-efficient").  This module
-samples those signals into the system monitor and renders an operator
-health report.
+to be elastic to remain reliable and cost-efficient").  The deployment's
+:class:`~repro.obs.scrape.MetricsScraper` samples those signals on the sim
+clock; this module renders them as an operator health report.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+from typing import List
 
 from repro.analysis.report import format_bytes, render_table
 
 
-class TelemetrySampler:
-    """Periodically samples deployment health into the system monitor.
-
-    Samples (as monitor time series):
-
-    - ``queue_depth`` — jobs waiting (incl. topic backlog);
-    - ``workers_running`` / ``jobs_active`` — fleet state;
-    - ``storage_bytes`` — file-server footprint;
-    - ``in_flight`` — broker messages delivered but unacked;
-    - ``dead_letters`` — poison messages awaiting the dead-letter drain;
-    - ``faults_injected`` / ``storage_retries`` — cumulative chaos and
-      recovery activity (flat at 0 in a clean run).
-
-    Each sample also bumps a ``telemetry_heartbeats`` counter and stamps
-    :attr:`last_heartbeat_at`, so a stuck sampler (or a stuck simulation)
-    is itself observable — :meth:`is_stuck` flags a heartbeat gap of more
-    than twice the sampling interval, and the health report surfaces it.
-    """
-
-    def __init__(self, system, interval: float = 300.0):
-        self.system = system
-        self.interval = interval
-        self._stopped = False
-        #: Simulated time sampling began (set when :meth:`run` starts).
-        self.started_at: Optional[float] = None
-        #: Simulated time of the most recent completed sample.
-        self.last_heartbeat_at: Optional[float] = None
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def is_stuck(self, now: Optional[float] = None) -> bool:
-        """True when the sampler should have heartbeat but has not.
-
-        A deliberately stopped sampler is not stuck; one that has never
-        run (``started_at`` unset) cannot be judged and reports False.
-        """
-        if self._stopped or self.started_at is None:
-            return False
-        if now is None:
-            now = self.system.sim.now
-        last = self.last_heartbeat_at if self.last_heartbeat_at is not None \
-            else self.started_at
-        return now - last > 2 * self.interval
-
-    def notify_alerts(self, alerts=None) -> None:
-        """Route the stuck/recovered state through the alert manager.
-
-        Firing is idempotent per incident: however often this runs (each
-        ``health_report`` call does), a stall opens exactly one
-        ``stuck:telemetry-sampler`` incident, resolved when heartbeats
-        resume — the incident history is the audit trail.
-        """
-        if alerts is None:
-            alerts = getattr(self.system, "alerts", None)
-        if alerts is None:
-            return
-        now = self.system.sim.now
-        if self.is_stuck(now):
-            last = self.last_heartbeat_at if self.last_heartbeat_at \
-                is not None else self.started_at
-            alerts.fire("stuck:telemetry-sampler",
-                        summary=f"no telemetry heartbeat for "
-                                f"{now - last:.0f}s "
-                                f"(interval {self.interval:.0f}s)",
-                        last_beat=last, interval=self.interval)
-        else:
-            alerts.resolve("stuck:telemetry-sampler")
-
-    def run(self):
-        """Kernel process; start with ``sim.process(sampler.run())``.
-
-        The signal list is no longer hand-maintained here: every
-        *callback-backed, unlabelled* gauge in the system's metrics
-        registry (queue depth, fleet state, broker health — registered by
-        :class:`~repro.core.system.RaiSystem`) is sampled into a monitor
-        time series of the same name.
-        """
-        monitor = self.system.monitor
-        metrics = self.system.metrics
-        self.started_at = self.system.sim.now
-        while not self._stopped:
-            yield self.system.sim.timeout(self.interval)
-            for gauge in metrics.gauges():
-                if gauge.labels or gauge.fn is None:
-                    continue
-                monitor.record(gauge.name, gauge.value)
-            monitor.record("faults_injected",
-                           monitor.counters.get("faults_injected"))
-            monitor.record("storage_retries",
-                           monitor.counters.get("storage_retries"))
-            monitor.incr("telemetry_heartbeats")
-            self.last_heartbeat_at = self.system.sim.now
-
-    # -- analysis ------------------------------------------------------------
-
-    def peak(self, name: str) -> float:
-        series = self.system.monitor.series.get(name)
-        return series.maximum() if series is not None else float("nan")
-
-    def average(self, name: str) -> float:
-        series = self.system.monitor.series.get(name)
-        return series.time_average() if series is not None else float("nan")
-
-
-def health_report(system, sampler: Optional[TelemetrySampler] = None) -> str:
-    """An operator-facing snapshot + (if sampled) time-averaged signals."""
+def health_report(system) -> str:
+    """An operator-facing snapshot + (if scraped) averaged signals."""
     stats = system.stats()
     rows: List[list] = [
         ["simulated time", f"{stats['now'] / 3600:.1f} h"],
@@ -148,30 +44,24 @@ def health_report(system, sampler: Optional[TelemetrySampler] = None) -> str:
     for label, value in recovery:
         if value:
             rows.append([label, int(value)])
-    if sampler is not None:
-        for signal in ("queue_depth", "workers_running", "jobs_active"):
-            rows.append([f"{signal} (avg)", f"{sampler.average(signal):.2f}"])
-            rows.append([f"{signal} (peak)", f"{sampler.peak(signal):.0f}"])
-        sampler.notify_alerts()
-    # Active alerts (one row per *incident*, however often this report
-    # runs) — the stuck-sampler warning and every SLO burn land here.
-    alerts = getattr(system, "alerts", None)
-    if alerts is not None:
-        for alert in alerts.active():
-            rows.append([f"⚠ ALERT {alert.name}",
-                         f"{alert.summary} "
-                         f"(firing since t={alert.fired_at:.0f}s)"])
-        resolved = alerts.total_resolved
-        if resolved:
-            rows.append(["alerts resolved", resolved])
-    elif sampler is not None and sampler.is_stuck():
-        # Bare harnesses without an AlertManager keep the legacy row.
-        last = sampler.last_heartbeat_at \
-            if sampler.last_heartbeat_at is not None \
-            else sampler.started_at
-        rows.append(["⚠ ALERT telemetry sampler stuck",
-                     f"no heartbeat for "
-                     f"{system.sim.now - last:.0f}s "
-                     f"(interval {sampler.interval:.0f}s)"])
+    # Every sample the scraper still holds (none unless something scraped:
+    # ``start_observability``, ``rai slo``, ``rai alerts``).
+    for signal in ("queue_depth", "workers_running", "jobs_active"):
+        values = [value for _, value in system.scraper.gauge_samples(
+            signal, system.sim.now, math.inf)]
+        if values:
+            rows.append([f"{signal} (avg)",
+                         f"{sum(values) / len(values):.2f}"])
+            rows.append([f"{signal} (peak)", f"{max(values):.0f}"])
+    # Active alerts, one row per *incident* however often this report
+    # runs: the pass below judges SLO burn on the samples already held and
+    # the heartbeat watchdogs (a wedged scrape loop is itself an alert).
+    for alert in system.alerts.check(scrape=False):
+        rows.append([f"⚠ ALERT {alert.name}",
+                     f"{alert.summary} "
+                     f"(firing since t={alert.fired_at:.0f}s)"])
+    resolved = system.alerts.total_resolved
+    if resolved:
+        rows.append(["alerts resolved", resolved])
     return render_table(["metric", "value"], rows,
                         title="RAI deployment health")

@@ -1,20 +1,27 @@
-"""The RAI worker: §V "Worker Operations", implemented step by step.
+"""The RAI worker: §V "Worker Operations", one node's side of it.
 
-1. subscribe to the ``rai`` topic's task channel;
-2. on a message: parse, check credentials, extract the build spec;
+The paper's six steps, with the :data:`repro.core.pipeline.STAGES` stage
+each became:
+
+1. subscribe to the ``rai`` topic's task channel — ``_executor_loop``;
+2. on a message: parse, check credentials, extract the build spec —
+   ``_process_job`` parses, stage ``admit`` does the rest;
 3. start a Docker container from the job's base image (pulling on a cache
    miss), with limited RAM, no network, the CUDA volume mounted, and all
-   stdout/stderr piped to the ``log_${job_id}`` topic;
+   stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``;
 4. download the client's project archive and mount it at ``/src``
-   (read-only), with a writable ``/build`` working directory;
-5. execute the build-file commands in the container;
+   (read-only), with a writable ``/build`` working directory — ``fetch``
+   (which also unpacks), run before 3 so a bad upload costs no container;
+5. execute the build-file commands in the container — ``build``;
 6. archive ``/build``, upload it to the file server, send its URL and the
-   ``End`` message, and destroy the container.
+   ``End`` message, and destroy the container — ``upload``, ``record``,
+   then ``_finish``.
 
-A worker runs ``max_concurrent_jobs`` executor loops.  Near deadlines the
-course set this to 1 because exclusive use "makes the performance timing
-more accurate and repeatable" — reproduced here as contention jitter that
-scales with the number of co-running jobs.
+This module is the node: slots, executor loops, lifecycle, the chunk
+fetch cache.  A worker runs ``max_concurrent_jobs`` executor loops.  Near
+deadlines the course set this to 1 because exclusive use "makes the
+performance timing more accurate and repeatable" — reproduced here as
+contention jitter that scales with the number of co-running jobs.
 """
 
 from __future__ import annotations
@@ -23,31 +30,16 @@ import itertools
 from collections import OrderedDict
 from typing import List, Optional
 
-from repro.broker.client import Consumer, Producer
-from repro.buildspec.parser import parse_build_spec
-from repro.buildspec.spec import command_cacheable
+from repro.broker.client import Consumer
 from repro.container.pool import WarmContainerPool
 from repro.container.runtime import ContainerRuntime
-from repro.container.volumes import VolumeMount, cuda_volume
 from repro.core.config import WorkerConfig
-from repro.core.job import Job, JobKind, JobStatus, _CORRECTNESS_RE, _ELAPSED_RE, _TIME_RE
-from repro.errors import (
-    BuildSpecError,
-    ContainerError,
-    InvalidCredentials,
-    Interrupt,
-    JobDeadlineExceeded,
-    SignatureMismatch,
-    StorageError,
-    TransientStorageError,
-    VfsError,
-)
+from repro.core.job import Job, JobStatus
+from repro.core.pipeline import (
+    FAILURE_ERRORS, STAGES, JobRun, fail, record_submission)
+from repro.errors import Interrupt
 from repro.gpu.device import get_device
-from repro.storage.buildcache import image_cache_key
-from repro.storage.chunkstore import digest_file_map
-from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
-
-_worker_counter = itertools.count(1)
+from repro.vfs import pack_tree  # noqa: F401  (bench/tests pins this copy)
 
 
 def _defuse_interrupt_failure(process_event) -> None:
@@ -59,12 +51,12 @@ class RaiWorker:
     """One worker node (an "agent that starts a sandboxed environment to
     execute students' code", §IV)."""
 
-    def __init__(self, system, config: Optional[WorkerConfig] = None,
-                 worker_id: Optional[str] = None):
+    def __init__(self, system, config: Optional[WorkerConfig],
+                 worker_id: str):
         self.system = system
         self.sim = system.sim
         self.config = config or WorkerConfig()
-        self.id = worker_id or f"worker-{next(_worker_counter):04d}"
+        self.id = worker_id
         self.gpu = get_device(self.config.gpu_model)
         self.runtime = ContainerRuntime(
             registry=system.registry,
@@ -78,12 +70,10 @@ class RaiWorker:
             ttl_seconds=self.config.warm_pool_ttl_seconds,
             create_seconds=self.config.container_create_seconds,
             reset_seconds=self.config.container_reset_seconds,
-            events=getattr(system, "events", None),
+            events=system.events,
             owner=self.id,
-            usage=getattr(system, "usage", None),
+            usage=system.usage,
         )
-        #: The deployment event log (None for bare test harnesses).
-        self.events = getattr(system, "events", None)
         self._rng = system.rng.stream(f"worker:{self.id}")
         # Backoff jitter draws from its own stream so retries never perturb
         # the timing-noise sequence of a fault-free run with the same seed.
@@ -131,8 +121,7 @@ class RaiWorker:
             self._executors.append(proc)
 
     def _emit(self, type: str, span=None, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(type, span=span, worker=self.id, **fields)
+        self.system.events.emit(type, span=span, worker=self.id, **fields)
 
     def _spawn_slot(self) -> int:
         slot = next(self._slot_counter)
@@ -237,12 +226,11 @@ class RaiWorker:
         Partition-homed workers on a sharded deployment get a
         :class:`~repro.shard.steal.StealingConsumer` (home-channel
         claims with pull-steal fallback); everything else — unsharded
-        systems, bare test harnesses, custom-pinned routes — gets a
-        plain :class:`~repro.broker.client.Consumer`, unchanged.
+        systems, custom-pinned routes — gets a plain
+        :class:`~repro.broker.client.Consumer`.
         """
-        shards = getattr(self.system, "shards", None)
-        if shards is not None and self.partition is not None:
-            return shards.consumer(self.partition)
+        if self.partition is not None:
+            return self.system.shards.consumer(self.partition)
         return Consumer(self.system.broker, self.config.task_route)
 
     def _executor_loop(self, slot: int):
@@ -271,7 +259,6 @@ class RaiWorker:
                 try:
                     outcome = yield from self._process_job(message)
                 except Interrupt:
-                    self.busy_seconds += self.sim.now - start
                     if not self._crashed:
                         # Graceful scale-down: the job was already
                         # consumed and its failure reported; ack it.
@@ -279,7 +266,8 @@ class RaiWorker:
                         # redeliver the message to another worker.
                         consumer.ack(message)
                     break
-                self.busy_seconds += self.sim.now - start
+                finally:
+                    self.busy_seconds += self.sim.now - start
                 if outcome is False:
                     # Unparseable message: requeue it (another worker
                     # generation might understand it) until the attempt
@@ -315,13 +303,17 @@ class RaiWorker:
     # -- job processing ------------------------------------------------------
 
     def _process_job(self, message):
+        """One delivery: the stages in order, then exactly one ``End``.
+
+        False (the executor requeues toward the dead-letter path) for a
+        message that is not a job; otherwise the outcome is the last
+        stage's, a ``FAILURES`` row's, or "worker shutting down".
+        """
         try:
             job = Job.from_message(message.body)
         except (KeyError, TypeError, ValueError) as exc:
-            # A malformed task message (version skew, junk injected onto
-            # the queue) must not crash the worker.  Returning False makes
-            # the executor requeue it toward the dead-letter path; count
-            # and log the parse error once, on first sight.
+            # A malformed task message (version skew, junk on the queue)
+            # must not crash the worker; count it once, on first sight.
             if message.attempts <= 1:
                 self.system.monitor.incr("malformed_job_messages")
                 self.jobs_failed += 1
@@ -330,404 +322,70 @@ class RaiWorker:
                 attempts=message.attempts,
                 error=f"{type(exc).__name__}: {exc}")
             return False
-        deadline = (self.sim.now + self.config.job_deadline_seconds
-                    if self.config.job_deadline_seconds is not None else None)
-        proc_start = self.sim.now
-        pool_hit: Optional[bool] = None
-        # Per-job usage accounting, folded into ONE meter call in the
-        # finally block (metering must stay off the per-command path).
-        # Attribution rides the job document, so a redelivered or
-        # cross-shard-stolen job still bills its originating team.
-        usage = getattr(self.system, "usage", None)
-        usage_exec_seconds = 0.0
-        usage_saved_seconds = 0.0
-        usage_fetch_bytes = 0
-        usage_upload_bytes = 0
+        run = JobRun(self, job, message)
         self.active_jobs += 1
-        tracer = self.system.tracer
-        # Parent on the message headers: the broker.deliver span the
-        # channel minted on claim (or the client's publish span if this
-        # message never carried delivery tracing).
-        wspan = tracer.start_span(
-            "worker.job", parent=message.headers, kind="worker",
-            attributes={"worker": self.id, "attempt": message.attempts},
-            job_id=job.id)
-        self._active_spans.append(wspan)
-        producer = Producer(self.system.broker, f"log_{job.id}")
-        outputs: List[tuple] = []
-
-        def publish(kind: str, _headers=None, **payload) -> None:
-            producer.publish({"type": kind, "t": self.sim.now,
-                              "worker": self.id, **payload},
-                             headers=_headers)
-
-        def publish_log(stream: str, text: str) -> None:
-            outputs.append((stream, text))
-            publish("log", stream=stream, text=text)
-
-        status = JobStatus.FAILED
-        exit_code: Optional[int] = None
-        build_url = None
+        self._active_spans.append(run.span)
         try:
-            publish("status", status="accepted")
-            self._emit("job.state_change", span=wspan, job_id=job.id,
-                       team=job.team, status="accepted",
-                       attempt=message.attempts)
-
-            # Step 2 — credentials and spec.
-            try:
-                with tracer.start_span("buildspec.parse", parent=wspan,
-                                       kind="worker"):
-                    credential = self._verify(job)
-                    spec = parse_build_spec(job.spec_yaml)
-                    spec.validate(
-                        image_whitelist=self.system.registry.whitelist
-                        or None)
-            except (InvalidCredentials, SignatureMismatch,
-                    BuildSpecError, ContainerError) as exc:
-                publish_log("stderr", f"✗ job rejected: {exc}\n")
-                status = JobStatus.REJECTED
-                return
-
-            # Step 4 — fetch and unpack the project.  Transient storage
-            # errors are retried with backoff; permanent ones (NoSuchKey
-            # after lifecycle expiry etc.) reject immediately.
-            get_span = tracer.start_span(
-                "storage.get", parent=wspan, kind="storage",
-                attributes={"bucket": job.upload_bucket,
-                            "key": job.upload_key})
-            try:
-                archive = yield from self._storage_call(
-                    "project fetch",
-                    lambda: self.system.storage.get_object(
-                        job.upload_bucket, job.upload_key),
-                    deadline, publish_log, span=get_span)
-            except TransientStorageError as exc:
-                publish_log("stderr",
-                            f"✗ cannot fetch project after retries: {exc}\n")
-                get_span.end(status="error", message=str(exc))
-                status = JobStatus.FAILED
-                self._record(job, status, exit_code, outputs, build_url,
-                             attempts=message.attempts, span=wspan,
-                             service_seconds=self.sim.now - proc_start)
-                return
-            except StorageError as exc:  # NoSuchKey etc.
-                publish_log("stderr", f"✗ cannot fetch project: {exc}\n")
-                get_span.end(status="error", message=str(exc))
-                status = JobStatus.REJECTED
-                return
-            transfer_bytes = self._fetch_transfer_bytes(archive)
-            usage_fetch_bytes = transfer_bytes
-            get_span.set_attribute("transfer_bytes", transfer_bytes)
-            get_span.set_attribute("object_bytes", archive.size)
-            yield self.sim.timeout(
-                transfer_bytes / self.config.storage_bandwidth_bps)
-            get_span.end()
-            self._check_deadline(deadline)
-            project_fs = VirtualFileSystem(clock=lambda: self.sim.now)
-            try:
-                unpack_tree(archive.data, project_fs, "/")
-            except VfsError as exc:  # truncated or corrupt upload
-                publish_log("stderr", f"✗ cannot unpack project: {exc}\n")
-                status = JobStatus.REJECTED
-                return
-            source_digest = self._source_digest(archive, project_fs)
-
-            # Step 3 — container (pull missing image layers on a cache
-            # miss, then acquire warm from the pool or create cold).
-            pull_cost = self.runtime.pull_cost_seconds(spec.image)
-            if pull_cost > 0:
-                publish_log("stdout", f"Pulling image {spec.image} ...\n")
-                wspan.add_event("image.pull", image=spec.image,
-                                seconds=pull_cost)
-                self.system.monitor.incr(
-                    "image_bytes_pulled",
-                    int(pull_cost * self.config.pull_bandwidth_bps))
-                yield self.sim.timeout(pull_cost)
-                self._check_deadline(deadline)
-            container, pool_hit, acquire_cost = self.pool.acquire(
-                spec.image,
-                limits=self.config.limits,
-                mounts=[
-                    VolumeMount("/src", read_only=True,
-                                source_fs=project_fs),
-                    cuda_volume(),
-                ],
-                gpu_device=self.gpu,
-                on_output=publish_log,
-                usage_key=job.team or job.username,
-            )
-            # Step 5 — run the build commands.
-            try:
-                if acquire_cost > 0:
-                    yield self.sim.timeout(acquire_cost)
-                wspan.add_event("container.acquire", pool_hit=pool_hit,
-                                seconds=acquire_cost,
-                                container=container.id,
-                                generation=container.generation)
-                self.system.metrics.histogram(
-                    "container_acquire_seconds",
-                    outcome="warm" if pool_hit else "cold",
-                ).observe(acquire_cost)
-                self._check_deadline(deadline)
-                # Contention noise flows into the container's measured
-                # times: alone on a worker it is ~solo_jitter; with
-                # co-running jobs it grows — the single-job-mode
-                # ablation's mechanism.
-                container.time_dilation = self._timing_noise
-                container.start()
-                publish("status", status="running", container=container.id)
-                self._emit("job.state_change", span=wspan, job_id=job.id,
-                           team=job.team, status="running",
-                           container=container.id)
-                run_span = tracer.start_span(
-                    "container.run", parent=wspan, kind="container",
-                    attributes={"image": spec.image,
-                                "container": container.id})
-                build_cache = self.system.build_cache
-                cache_image_key = None
-                if build_cache is not None and spec.cache_enabled:
-                    cache_image_key = image_cache_key(
-                        self.runtime.registry.get(spec.image))
-                exit_code = 0
-                for command in spec.build_commands:
-                    self._check_deadline(deadline)
-                    publish("command", command=command)
-                    exec_span = tracer.start_span(
-                        "container.exec", parent=run_span, kind="container",
-                        attributes={"command": command})
-                    cacheable = (cache_image_key is not None
-                                 and command_cacheable(command))
-                    entry = None
-                    if cacheable:
-                        entry = build_cache.lookup(
-                            cache_image_key, container.workdir, command,
-                            container.fs, job_id=job.id)
-                    if entry is not None:
-                        # Cache hit: replay the recorded artifact tree,
-                        # streams, and exit code instead of executing.
-                        # Burn the timing-noise draws the real execution
-                        # would have taken, so every downstream RNG
-                        # consumer sees the exact same sequence and run
-                        # output stays byte-identical cache on or off.
-                        for _ in range(entry.rng_draws):
-                            self._timing_noise()
-                        artifact_bytes = build_cache.apply(
-                            entry, container.fs)
-                        replay_seconds = (
-                            self.system.config.buildcache_replay_seconds
-                            + artifact_bytes
-                            / self.config.storage_bandwidth_bps)
-                        exec_span.set_attribute("cache", "hit")
-                        exec_span.add_event(
-                            "buildcache.replay", key=entry.key[:16],
-                            artifact_bytes=artifact_bytes,
-                            saved_seconds=round(
-                                entry.charged_seconds - replay_seconds, 6))
-                        usage_exec_seconds += replay_seconds
-                        usage_saved_seconds += max(
-                            0.0, entry.charged_seconds - replay_seconds)
-                        yield self.sim.timeout(replay_seconds)
-                        if entry.stdout:
-                            publish_log("stdout", entry.stdout)
-                        if entry.stderr:
-                            publish_log("stderr", entry.stderr)
-                        exec_span.set_attribute("exit_code",
-                                                entry.exit_code)
-                        if entry.exit_code != 0:
-                            publish_log(
-                                "stderr",
-                                f"✗ command exited with status "
-                                f"{entry.exit_code}\n")
-                            exec_span.end(
-                                status="error",
-                                message=f"exit {entry.exit_code}")
-                            exit_code = entry.exit_code
-                            break
-                        exec_span.end()
-                        continue
-                    if cacheable:
-                        # Record what the command observes (reads, stat
-                        # probes, tree walks) and writes, plus how many
-                        # timing-noise draws it consumes.
-                        trace = container.fs.start_tracking()
-                        draws = [0]
-
-                        def counted_noise(_draws=draws):
-                            _draws[0] += 1
-                            return self._timing_noise()
-
-                        container.time_dilation = counted_noise
-                    try:
-                        result = container.exec_line(command)
-                    finally:
-                        if cacheable:
-                            if container.fs is not None:
-                                container.fs.stop_tracking()
-                            container.time_dilation = self._timing_noise
-                    # sim_duration already includes contention dilation
-                    # (applied at charge time inside the container).
-                    usage_exec_seconds += result.sim_duration
-                    yield self.sim.timeout(result.sim_duration)
-                    exec_span.set_attribute("exit_code", result.exit_code)
-                    if result.error is not None:
-                        publish_log("stderr", f"✗ {result.error}\n")
-                        exec_span.add_event("error", error=result.error)
-                        exec_span.end(status="error", message=result.error)
-                        exit_code = result.exit_code
-                        break
-                    if cacheable:
-                        # Publish only after the execution's sim time has
-                        # fully elapsed: an interrupt (crash) inside the
-                        # timeout above unwinds this generator before the
-                        # entry exists, so no partial artifact can ever
-                        # be observed.  Non-zero exits are cached too —
-                        # a deterministic compile error replays as
-                        # cheaply as a success.
-                        build_cache.capture(
-                            cache_image_key, container.workdir, command,
-                            trace, container.fs,
-                            result.stdout, result.stderr,
-                            result.exit_code, result.sim_duration,
-                            draws[0], source_digest=source_digest,
-                            job_id=job.id)
-                        exec_span.set_attribute("cache", "miss")
-                    if result.exit_code != 0:
-                        publish_log(
-                            "stderr",
-                            f"✗ command exited with status "
-                            f"{result.exit_code}\n")
-                        exec_span.end(
-                            status="error",
-                            message=f"exit {result.exit_code}")
-                        exit_code = result.exit_code
-                        break
-                    exec_span.end()
-                status = (JobStatus.SUCCEEDED if exit_code == 0
-                          else JobStatus.FAILED)
-                run_span.set_attribute("exit_code", exit_code)
-                run_span.end(status=None if exit_code == 0 else "error")
-
-                # Step 6 — archive /build and upload it.
-                if container.fs is not None and container.fs.isdir("/build"):
-                    blob = pack_tree(container.fs, "/build")
-                    key = f"{job.id}/build.tar.bz2"
-                    put_span = tracer.start_span(
-                        "storage.put", parent=wspan, kind="storage",
-                        attributes={
-                            "bucket": self.system.config.build_bucket,
-                            "key": key, "bytes": len(blob)})
-                    yield self.sim.timeout(
-                        len(blob) / self.config.storage_bandwidth_bps)
-                    try:
-                        yield from self._storage_call(
-                            "build upload",
-                            lambda: self.system.storage.put_object(
-                                self.system.config.build_bucket, key, blob,
-                                metadata={
-                                    "job_id": job.id,
-                                    "username": job.username,
-                                    "team": job.team or "",
-                                    "kind": job.kind.value,
-                                }),
-                            deadline, publish_log, span=put_span)
-                    except TransientStorageError as exc:
-                        # Degrade rather than fail the whole job: the build
-                        # ran; only its artifact is lost.
-                        publish_log(
-                            "stderr",
-                            f"⚠ build upload failed after retries: {exc}\n")
-                        put_span.end(status="error", message=str(exc))
-                        self.system.monitor.incr("build_upload_failures")
-                    else:
-                        put_span.end()
-                        usage_upload_bytes = len(blob)
-                        build_url = self.system.storage.presign_get(
-                            self.system.config.build_bucket, key,
-                            expires_in=self.system.config
-                            .presign_expiry_seconds)
-                        publish("build", url=build_url, key=key,
-                                bucket=self.system.config.build_bucket,
-                                size=len(blob))
-            finally:
-                self.pool.release(container)
-
-            # Record the submission and, for finals, the ranking.
-            self._record(job, status, exit_code, outputs, build_url,
-                         attempts=message.attempts, span=wspan,
-                         service_seconds=self.sim.now - proc_start,
-                         pool_hit=pool_hit)
-        except JobDeadlineExceeded as exc:
-            # The paper's 1-hour cap, applied wall-clock: kill whatever is
-            # left (the container was destroyed on the way out) and report
-            # a terminal failure so the executor slot frees up.
-            publish_log("stderr", f"✗ {exc}\n")
-            status = JobStatus.FAILED
-            exit_code = 124
-            self.system.monitor.incr("jobs_deadline_exceeded")
-            self.system.monitor.log("job_deadline_exceeded", job_id=job.id,
-                                    worker=self.id)
-            wspan.add_event("deadline_exceeded",
-                            deadline_s=self.config.job_deadline_seconds)
-            self._record(job, status, exit_code, outputs, build_url,
-                         attempts=message.attempts, span=wspan,
-                         service_seconds=self.sim.now - proc_start,
-                         pool_hit=pool_hit)
+            for stage in STAGES:
+                run.stage = stage.__name__
+                yield from stage(run) or ()     # plain function: no waits
         except Interrupt:
+            run.release_container()
             if not self._crashed:
-                publish_log("stderr", "✗ worker shutting down mid-job\n")
-                status = JobStatus.FAILED
-                self._record(job, status, exit_code, outputs, build_url,
-                             attempts=message.attempts, span=wspan,
-                             service_seconds=self.sim.now - proc_start,
-                             pool_hit=pool_hit)
+                run.log("stderr", "✗ worker shutting down mid-job\n")
+                run.status = JobStatus.FAILED
+                record_submission(run)
             raise
+        except FAILURE_ERRORS as exc:
+            if not fail(run, exc):
+                raise
         finally:
-            if status is JobStatus.SUCCEEDED:
-                self.jobs_completed += 1
-            else:
-                self.jobs_failed += 1
-            if not self._crashed:
-                # A crashed worker's job is not *finished* — the broker
-                # redelivers it, and that attempt reports the outcome.
-                # Only real terminations feed the success-ratio SLO.
-                # Same rule for the usage meter: the redelivery attempt
-                # (which re-runs the work) is the one that bills.
-                if usage is not None:
-                    usage.record_job(
-                        job.team or job.username, job_id=job.id,
-                        trace_id=wspan.trace_id,
-                        container_seconds=usage_exec_seconds,
-                        gpu_seconds=(usage_exec_seconds
-                                     if self.gpu is not None else 0.0),
-                        slot_seconds=self.sim.now - proc_start,
-                        bytes_downloaded=usage_fetch_bytes,
-                        bytes_uploaded=usage_upload_bytes,
-                        build_seconds_saved=usage_saved_seconds)
-                self.system.metrics.counter(
-                    "jobs_finished", status=status.value).inc()
-                self._emit("job.state_change", span=wspan, job_id=job.id,
-                           team=job.team, status=status.value,
-                           exit_code=exit_code, worker_final=True)
-                # A crashed worker cannot publish; its client keeps
-                # waiting until redelivery produces a real End.  The End
-                # message carries the publish span's context so the
-                # client-side delivery joins the trace.
-                end_span = tracer.start_span(
-                    "result.publish", parent=wspan, kind="worker",
-                    attributes={"status": status.value})
-                publish("end", status=status.value, exit_code=exit_code,
+            self._finish(run)
+
+    def _finish(self, run: JobRun) -> None:
+        """The one terminal reply, however the stages ended."""
+        run.release_container()
+        job, status, wspan = run.job, run.status, run.span
+        if status is JobStatus.SUCCEEDED:
+            self.jobs_completed += 1
+        else:
+            self.jobs_failed += 1
+        if not self._crashed:
+            # A crashed worker's job is not *finished*: it publishes and
+            # acks nothing, the broker redelivers the message, and that
+            # attempt (which re-runs the work) bills, feeds the success-
+            # ratio SLO and sends End.  Attribution rides the job document,
+            # so a redelivered or stolen job still bills its own team.
+            self.system.usage.record_job(
+                job.team or job.username, job_id=job.id,
+                trace_id=wspan.trace_id, container_seconds=run.exec_seconds,
+                gpu_seconds=run.exec_seconds if self.gpu is not None else 0.0,
+                slot_seconds=self.sim.now - run.started_at,
+                bytes_downloaded=run.fetch_bytes,
+                bytes_uploaded=run.upload_bytes,
+                build_seconds_saved=run.saved_seconds)
+            self.system.metrics.counter(
+                "jobs_finished", status=status.value).inc()
+            self._emit("job.state_change", span=wspan, job_id=job.id,
+                       team=job.team, status=status.value,
+                       exit_code=run.exit_code, worker_final=True)
+            # The End message carries the publish span's context so the
+            # client-side delivery joins the trace.
+            end_span = self.system.tracer.start_span(
+                "result.publish", parent=wspan, kind="worker",
+                attributes={"status": status.value})
+            run.publish("end", status=status.value, exit_code=run.exit_code,
                         _headers=end_span.headers())
-                end_span.end()
-            wspan.set_attribute("status", status.value)
-            # Safety net: ends whatever children an exceptional unwind
-            # (deadline, interrupt) left open, then the job span itself.
-            # A crash already ended the subtree with an error status.
-            tracer.end_subtree(wspan)
-            if wspan in self._active_spans:
-                self._active_spans.remove(wspan)
-            producer.close()
-            self.active_jobs -= 1
+            end_span.end()
+        wspan.set_attribute("status", status.value)
+        # Safety net: ends whatever children an exceptional unwind
+        # (deadline, interrupt) left open, then the job span itself.
+        # A crash already ended the subtree with an error status.
+        self.system.tracer.end_subtree(wspan)
+        if wspan in self._active_spans:
+            self._active_spans.remove(wspan)
+        run.producer.close()
+        self.active_jobs -= 1
 
     # -- helpers ------------------------------------------------------------
 
@@ -783,62 +441,6 @@ class RaiWorker:
             else 0.0,
         }
 
-    def _source_digest(self, archive, project_fs) -> Optional[str]:
-        """Content identity of the fetched source tree.
-
-        Free when the upload's manifest carries per-file digests (the
-        delta-ingest path); otherwise derived by hashing the unpacked
-        tree once — same canonical form either way.
-        """
-        manifest = getattr(archive, "manifest", None)
-        if manifest is not None and manifest.files:
-            return manifest.tree_digest()
-        files = {path: file_digest(project_fs.read_file(path))
-                 for path in project_fs.iter_files("/")}
-        return digest_file_map(files) if files else None
-
-    def _check_deadline(self, deadline) -> None:
-        if deadline is not None and self.sim.now >= deadline:
-            raise JobDeadlineExceeded(
-                f"job exceeded its "
-                f"{self.config.job_deadline_seconds:.0f}s deadline")
-
-    def _storage_call(self, label: str, fn, deadline, publish_log,
-                      span=None):
-        """Run a storage operation under the worker's retry policy.
-
-        Generator (``yield from`` it): backoff sleeps happen in simulated
-        time.  Only :class:`TransientStorageError` is retried; permanent
-        errors and the final transient failure propagate unaltered.
-        ``span`` (if given) gets a ``retry`` event per attempt.
-        """
-        policy = self.config.storage_retry
-
-        def on_retry(attempt, exc):
-            self._check_deadline(deadline)
-            self.system.monitor.incr("storage_retries")
-            if span is not None:
-                span.add_event("retry", attempt=attempt,
-                               error=f"{type(exc).__name__}: {exc}")
-            publish_log(
-                "stderr",
-                f"⚠ {label} failed ({exc}); "
-                f"retry {attempt}/{policy.max_attempts - 1}\n")
-
-        return (yield from policy.call(
-            self.sim, fn, rng=self._retry_rng,
-            retry_on=(TransientStorageError,), on_retry=on_retry))
-
-    def _verify(self, job: Job):
-        credential = self.system.keystore.lookup(job.access_key)
-        from repro.auth.signing import verify_request
-
-        body = job.to_message()
-        signature = body.pop("signature")
-        verify_request(credential.secret_key, body, job.submitted_at,
-                       signature)
-        return credential
-
     def _timing_noise(self) -> float:
         """Runtime multiplier; grows with co-running jobs (contention)."""
         base = 1.0 + self.config.solo_jitter * float(self._rng.random())
@@ -846,89 +448,3 @@ class RaiWorker:
         contention = self.config.contention_jitter * others * \
             float(self._rng.random())
         return base + contention
-
-    def _record(self, job: Job, status: JobStatus, exit_code,
-                outputs: List[tuple], build_url, attempts: int = 1,
-                span=None, service_seconds: Optional[float] = None,
-                pool_hit: Optional[bool] = None) -> bool:
-        # At-least-once delivery means a job can be processed twice (e.g.
-        # a premature stale-sweep redelivered it while the original worker
-        # was still alive).  Recording is made effectively-once: whichever
-        # delivery records first wins; later ones are suppressed so the
-        # submissions collection and the ranking never double-count.
-        # Returns True when this call actually recorded.
-        record_span = self.system.tracer.start_span(
-            "docdb.record", parent=span, kind="docdb",
-            attributes={"collection": "submissions"}) if span is not None \
-            else None
-        submissions = self.system.db.collection("submissions")
-        if submissions.find_one({"job_id": job.id}) is not None:
-            self.system.monitor.incr("duplicate_records_suppressed")
-            self.system.monitor.log("duplicate_record_suppressed",
-                                    job_id=job.id, worker=self.id,
-                                    attempts=attempts)
-            if record_span is not None:
-                record_span.set_attribute("duplicate", True)
-                record_span.end()
-            return False
-        stdout = "".join(t for s, t in outputs if s == "stdout")
-        stderr = "".join(t for s, t in outputs if s == "stderr")
-        elapsed = _ELAPSED_RE.findall(stdout)
-        correctness = _CORRECTNESS_RE.findall(stdout)
-        time_match = _TIME_RE.search(stderr)
-        internal_time = float(elapsed[-1]) if elapsed else None
-        instructor_time = float(time_match.group(1)) if time_match else None
-
-        submissions.insert_one({
-            "job_id": job.id,
-            "attempts": attempts,
-            "kind": job.kind.value,
-            "username": job.username,
-            "team": job.team,
-            "worker": self.id,
-            "status": status.value,
-            "exit_code": exit_code,
-            "submitted_at": job.submitted_at,
-            "finished_at": self.sim.now,
-            # Worker-side service time (fetch + acquire + build + upload):
-            # the scheduler's runtime estimator seeds SJF from this.
-            "service_seconds": service_seconds,
-            "pool_hit": pool_hit,
-            "internal_time": internal_time,
-            "instructor_time": instructor_time,
-            "correctness": float(correctness[-1]) if correctness else None,
-            "build_url": build_url,
-            "log_bytes": sum(len(t) for _, t in outputs),
-            "stdout_tail": stdout[-2000:],
-            "stderr_tail": stderr[-2000:],
-        })
-        self.system.monitor.incr("jobs_recorded")
-        if service_seconds is not None:
-            # Feed the fair-share estimator that owns this job's key: the
-            # shared scheduler, or its partition's instance when sharded.
-            note = getattr(self.system, "note_completion", None)
-            if note is not None:
-                note(job.team or job.username, service_seconds)
-            else:
-                scheduler = getattr(self.system, "scheduler", None)
-                if scheduler is not None:
-                    scheduler.note_completion(job.team or job.username,
-                                              service_seconds)
-
-        if job.kind is JobKind.SUBMIT and status is JobStatus.SUCCEEDED \
-                and internal_time is not None and job.team:
-            self.system.ranking.record_final(
-                team=job.team,
-                internal_time=internal_time,
-                instructor_time=instructor_time or internal_time,
-                correctness=float(correctness[-1]) if correctness else 0.0,
-                username=job.username,
-                job_id=job.id,
-                at=self.sim.now,
-            )
-            if record_span is not None:
-                record_span.add_event("ranking.recorded", team=job.team)
-        if record_span is not None:
-            record_span.set_attribute("duplicate", False)
-            record_span.end()
-        return True

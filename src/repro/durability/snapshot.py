@@ -85,14 +85,9 @@ def capture(system) -> dict:
         "keystore": [asdict(cred) for cred in system.keystore.credentials()],
         "events": _capture_events(system.events),
         "buildcache": (system.build_cache.to_snapshot()
-                       if getattr(system, "build_cache", None) is not None
-                       else None),
-        "usage": (system.usage.to_snapshot()
-                  if getattr(system, "usage", None) is not None
-                  else None),
-        "cost": (system.cost_allocator.to_snapshot()
-                 if getattr(system, "cost_allocator", None) is not None
-                 else None),
+                       if system.build_cache is not None else None),
+        "usage": system.usage.to_snapshot(),
+        "cost": system.cost_allocator.to_snapshot(),
     }
 
 
@@ -220,17 +215,16 @@ def install(system, snap: dict) -> dict:
     # A snapshot from a cache-disabled config (None) or from before the
     # cache existed (key absent) restores to an empty cache.
     bc_snap = snap.get("buildcache")
-    if bc_snap is not None and getattr(system, "build_cache", None) is not None:
+    if bc_snap is not None and system.build_cache is not None:
         counts["buildcache"] = system.build_cache.install_snapshot(bc_snap)
     # Usage meter + cost books: accrued per-tenant usage and settled
     # attribution survive the crash; pre-crash snapshots (key absent)
     # restore to empty books.
     usage_snap = snap.get("usage")
-    if usage_snap is not None and getattr(system, "usage", None) is not None:
+    if usage_snap is not None:
         counts["usage_tenants"] = system.usage.install_snapshot(usage_snap)
     cost_snap = snap.get("cost")
-    if cost_snap is not None and \
-            getattr(system, "cost_allocator", None) is not None:
+    if cost_snap is not None:
         system.cost_allocator.install_snapshot(cost_snap)
     watermarks = snap.get("watermarks", {})
     from repro.broker.message import advance_message_ids

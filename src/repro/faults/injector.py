@@ -91,9 +91,7 @@ class FaultInjector:
         monitor.incr("faults_injected")
         monitor.incr(f"faults_{kind}")
         monitor.log("fault_injected", kind=kind, **fields)
-        events = getattr(self.system, "events", None)
-        if events is not None:
-            events.emit("fault.injected", kind=kind, **fields)
+        self.system.events.emit("fault.injected", kind=kind, **fields)
 
     @staticmethod
     def _in_window(window, now: float) -> bool:

@@ -6,13 +6,13 @@ Two alert sources feed one manager:
   spec that is burning on both windows fires ``slo:<name>``; when the
   burn clears, the alert resolves and re-arms for the next incident.
 - **Heartbeat watchdogs** — components that should make regular
-  progress (the telemetry sampler, the metrics scraper) register a
-  heartbeat; when the last beat is older than ``grace`` the manager
-  fires ``stuck:<name>``, once per stall, resolving when beats resume.
+  progress (the metrics scraper) register a heartbeat; when the last
+  beat is older than ``grace`` the manager fires ``stuck:<name>``, once
+  per stall, resolving when beats resume.
 
-The "once per incident" contract is the satellite fix for the old
-telemetry-sampler behaviour, where every ``health_report`` call
-re-printed the same stuck warning: an :class:`Alert` here transitions
+The "once per incident" contract means a report that runs often (every
+``health_report`` call judges the watchdogs) never re-prints the same
+stuck warning: an :class:`Alert` here transitions
 ``firing → resolved`` exactly once per incident, the full history is
 retained for reports, and each transition is also recorded in the event
 log (``alert.fired`` / ``alert.resolved``) so alerts interleave with the

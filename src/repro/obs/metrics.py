@@ -12,7 +12,7 @@ Three instrument kinds, Prometheus-shaped:
 
 - :class:`Counter` — monotonically increasing (``inc`` only);
 - :class:`Gauge` — settable up/down, optionally *callback-backed* so the
-  telemetry sampler and the operator report read live system state
+  metrics scraper and the operator report read live system state
   (queue depth, in-flight messages) from one definition;
 - :class:`Histogram` — bucketed observations with count/sum/min/max and
   an interpolated percentile estimate (latency distributions).

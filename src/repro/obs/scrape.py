@@ -103,9 +103,8 @@ class MetricsScraper:
                     tuple(metric.bucket_counts), metric.buckets)
             elif isinstance(metric, Gauge):
                 # Labelled callback gauges (per-worker utilisation) are
-                # skipped like the telemetry sampler skips them: they are
-                # fleet-sized, and the SLO layer reads deployment-level
-                # signals.
+                # skipped: they are fleet-sized, and the SLO layer and the
+                # health report read deployment-level signals.
                 if metric.labels and metric.fn is not None:
                     continue
                 snap.gauges[key] = metric.value
@@ -116,6 +115,11 @@ class MetricsScraper:
 
     def stop(self) -> None:
         self._stopped = True
+
+    @property
+    def stopped(self) -> bool:
+        """True once :meth:`stop` was called (no heartbeat is owed)."""
+        return self._stopped
 
     def process(self, sim, on_scrape: Optional[Callable] = None):
         """Kernel process: scrape every ``interval`` simulated seconds.

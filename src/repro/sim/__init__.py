@@ -32,7 +32,7 @@ from repro.sim.events import (
 from repro.sim.kernel import Simulator, Process, PRIORITY_URGENT, PRIORITY_NORMAL
 from repro.sim.resources import Resource, PriorityResource, Store, Container
 from repro.sim.random import RandomStreams
-from repro.sim.monitor import Monitor, TimeSeries, Tally, Counter
+from repro.sim.monitor import Monitor, Counter
 from repro.errors import Interrupt, EmptySchedule, StopSimulation, SimulationError
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "Container",
     "RandomStreams",
     "Monitor",
-    "TimeSeries",
-    "Tally",
     "Counter",
     "Interrupt",
     "EmptySchedule",

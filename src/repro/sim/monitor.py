@@ -3,122 +3,17 @@
 The paper reports aggregate operational data (submissions/hour, storage
 footprint, queue behaviour).  These instruments collect the equivalents:
 
-- :class:`TimeSeries` — (time, value) samples, e.g. queue depth over time;
-- :class:`Tally` — order-free statistics over observations, e.g. job
-  latencies;
 - :class:`Counter` — monotonically increasing named counts;
-- :class:`Monitor` — a namespaced bundle of the above attached to a
-  simulator.
+- :class:`Monitor` — named counters plus a timestamped audit log,
+  attached to a simulator.
+
+Sampled time series and latency distributions live in ``repro.obs``
+(:class:`~repro.obs.scrape.MetricsScraper`, histograms).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
-
-import numpy as np
-
-
-class TimeSeries:
-    """Timestamped samples of one quantity."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("time must be non-decreasing")
-        self.times.append(float(time))
-        self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.values)
-
-    def time_average(self) -> float:
-        """Time-weighted mean, treating samples as a step function."""
-        if len(self.times) < 2:
-            return self.values[0] if self.values else math.nan
-        t = np.asarray(self.times)
-        v = np.asarray(self.values)
-        dt = np.diff(t)
-        total = t[-1] - t[0]
-        if total == 0:
-            return float(v[-1])
-        return float(np.sum(v[:-1] * dt) / total)
-
-    def maximum(self) -> float:
-        return max(self.values) if self.values else math.nan
-
-
-class Tally:
-    """Streaming statistics over unordered observations (Welford)."""
-
-    def __init__(self, name: str, keep_samples: bool = True):
-        self.name = name
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self.samples: List[float] = [] if keep_samples else None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-        if self.samples is not None:
-            self.samples.append(value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        return self._min if self.count else math.nan
-
-    @property
-    def max(self) -> float:
-        return self._max if self.count else math.nan
-
-    def percentile(self, q: float) -> float:
-        if self.samples is None:
-            raise ValueError(f"tally {self.name!r} does not keep samples")
-        if not self.samples:
-            return math.nan
-        return float(np.percentile(np.asarray(self.samples), q))
-
-    def summary(self) -> dict:
-        out = {
-            "name": self.name,
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self.samples:
-            out["p50"] = self.percentile(50)
-            out["p95"] = self.percentile(95)
-            out["p99"] = self.percentile(99)
-        return out
 
 
 class Counter:
@@ -138,34 +33,13 @@ class Counter:
 
 
 class Monitor:
-    """A bundle of instruments bound to one simulator."""
+    """Counters and an audit log bound to one simulator."""
 
     def __init__(self, sim):
         self.sim = sim
-        self.series: Dict[str, TimeSeries] = {}
-        self.tallies: Dict[str, Tally] = {}
         self.counters = Counter()
         #: Structured event log: (time, kind, fields) per :meth:`log` call.
         self.events: List[Tuple[float, str, dict]] = []
-
-    def timeseries(self, name: str) -> TimeSeries:
-        ts = self.series.get(name)
-        if ts is None:
-            ts = self.series[name] = TimeSeries(name)
-        return ts
-
-    def tally(self, name: str) -> Tally:
-        t = self.tallies.get(name)
-        if t is None:
-            t = self.tallies[name] = Tally(name)
-        return t
-
-    def record(self, name: str, value: float) -> None:
-        """Record a timestamped sample at the simulator's current time."""
-        self.timeseries(name).record(self.sim.now, value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.tally(name).observe(value)
 
     def incr(self, name: str, amount: float = 1) -> None:
         self.counters.incr(name, amount)

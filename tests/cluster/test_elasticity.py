@@ -9,9 +9,14 @@ from repro.cluster import (
     Provisioner,
     SchedulePhase,
 )
+from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
 
 DAY = 24 * 3600.0
+FILES = {
+    "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
+    "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
+}
 
 
 @pytest.fixture
@@ -49,8 +54,8 @@ class TestAutoscaler:
     def make(self, system, **kwargs):
         provisioner = Provisioner(system)
         defaults = dict(min_instances=1, max_instances=6,
-                        check_interval=30.0, scale_out_per_worker=1.0,
-                        step=2, scale_in_cooldown=600.0)
+                        check_interval=30.0, step=2,
+                        scale_in_cooldown=600.0)
         defaults.update(kwargs)
         policy = AutoscalerPolicy(**defaults)
         scaler = Autoscaler(system, provisioner, policy)
@@ -95,3 +100,20 @@ class TestAutoscaler:
         count = len(scaler.decisions)
         system.run(until=1000)
         assert len(scaler.decisions) == count
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_wait_signal_is_the_deployments_gauge(self, shards):
+        """Regression: the signal was read off ``system.scheduler``, which
+        a sharded deployment does not have — queue wait read 0.0 there, so
+        scale-out-on-wait could never fire."""
+        system = RaiSystem(seed=3, config=SystemConfig(shards=shards))
+        provisioner = Provisioner(system)
+        provisioner.launch_many(4, instance_type="p2.xlarge")
+        scaler = Autoscaler(system, provisioner)
+        clients = [system.new_client(team=f"team-{i}") for i in range(12)]
+        for client in clients:
+            client.stage_project(FILES)
+        results = system.run_all(client.submit() for client in clients)
+        assert all(result.succeeded for result in results)
+        wait = scaler.signals()["wait_ewma"]
+        assert wait == system.metrics.value("sched_wait_ewma") > 0

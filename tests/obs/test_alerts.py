@@ -189,53 +189,49 @@ class TestSloAlerting:
 
 
 class TestSamplerAlertDedup:
-    """Satellite: the stuck-sampler warning is one incident, not a
-    reprint per health_report call."""
+    """The stuck-scraper warning is one incident, not a reprint per
+    health_report / alerts.check call."""
 
     def _stuck_system(self):
         from repro.core.system import RaiSystem
-        from repro.core.telemetry import TelemetrySampler
 
         system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        sampler.started_at = 0.0  # ran once, then silently wedged
+        system.scraper.interval = 10.0
+        system.start_observability()
+        system.run(until=20.0)
+        system.scraper.interval = 1e9  # scraped twice, then wedged
 
         def advance(sim):
             yield sim.timeout(100.0)
 
         system.run(advance(system.sim))
-        return system, sampler
+        return system
 
     def test_health_report_dedupes_stuck_alert(self):
         from repro.core.telemetry import health_report
 
-        system, sampler = self._stuck_system()
-        assert sampler.is_stuck()
-        first = health_report(system, sampler)
-        assert "ALERT stuck:telemetry-sampler" in first
-        health_report(system, sampler)
-        health_report(system, sampler)
+        system = self._stuck_system()
+        first = health_report(system)
+        assert "ALERT stuck:metrics-scraper" in first
+        health_report(system)
+        system.alerts.check()
+        health_report(system)
         assert system.alerts.total_fired == 1
-        assert len(system.alerts.incidents("stuck:telemetry-sampler")) == 1
+        assert len(system.alerts.incidents("stuck:metrics-scraper")) == 1
 
     def test_recovery_resolves_the_incident(self):
         from repro.core.telemetry import health_report
 
-        system, sampler = self._stuck_system()
-        health_report(system, sampler)
-        sampler.last_heartbeat_at = system.sim.now  # heartbeats resume
-        report = health_report(system, sampler)
-        assert "ALERT stuck:telemetry-sampler" not in report
+        system = self._stuck_system()
+        health_report(system)
+        system.scraper.scrape_now()  # scraping resumes
+        report = health_report(system)
+        assert "ALERT stuck:metrics-scraper" not in report
         assert "alerts resolved" in report
+        assert system.alerts.total_fired == 1
         assert system.alerts.total_resolved == 1
-
-    def test_alert_manager_free_system_keeps_legacy_row(self):
-        from repro.core.telemetry import health_report
-
-        system, sampler = self._stuck_system()
-        system.alerts = None
-        report = health_report(system, sampler)
-        assert "telemetry sampler stuck" in report
+        incident, = system.alerts.incidents("stuck:metrics-scraper")
+        assert incident.resolved_at == system.sim.now
 
 
 @pytest.mark.chaos

@@ -4,7 +4,7 @@ The point of distributed tracing is precisely the run that went wrong,
 so these tests exercise the ugly paths: a worker crash mid-job with
 broker redelivery (the trace must stitch both attempts together), ring
 eviction while a job is still running (its trace must survive), and a
-telemetry sampler that stops heartbeating (the operator report must say
+metrics scraper that stops heartbeating (the operator report must say
 so).
 """
 
@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
-from repro.core.telemetry import TelemetrySampler, health_report
+from repro.core.telemetry import health_report
 from repro.obs.span import SpanStatus
 
 pytestmark = [pytest.mark.obs, pytest.mark.chaos]
@@ -145,44 +145,48 @@ class TestRingEvictionInSystem:
         assert all(not s.is_open for s in trace.spans)
 
 
+def _advance(system, seconds):
+    def idle(sim):
+        yield sim.timeout(seconds)
+
+    system.run(idle(system.sim))
+
+
 class TestStuckSamplerAlert:
-    def test_stalled_sampler_flags_in_report(self):
+    """The sampler is the deployment's metrics scraper; its watchdog is
+    the generic heartbeat ``start_observability`` registers."""
+
+    def _observed(self):
         system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        # Prime the generator so the sampler is "started" — but never
-        # schedule it on the kernel, simulating a wedged process.
-        gen = sampler.run()
-        next(gen)
+        system.scraper.interval = 10.0
+        system.start_observability()
+        return system
 
-        def advance(sim):
-            yield sim.timeout(50.0)
-
-        system.sim.process(advance(system.sim))
-        system.run(until=50.0)
-        assert sampler.is_stuck()
-        report = health_report(system, sampler)
-        assert "stuck" in report
-        assert "ALERT" in report
+    def test_stalled_sampler_flags_in_report(self):
+        system = self._observed()
+        _advance(system, 30.0)
+        assert system.scraper.total_scrapes == 3
+        # Wedge the scrape loop: its next wake-up is far in the future.
+        system.scraper.interval = 1e9
+        _advance(system, 100.0)
+        assert system.scraper.total_scrapes == 4
+        report = health_report(system)
+        assert "ALERT stuck:metrics-scraper" in report
+        assert system.alerts.is_firing("stuck:metrics-scraper")
 
     def test_healthy_sampler_not_flagged(self):
-        system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        system.sim.process(sampler.run())
+        system = self._observed()
         _submit_one(system, "healthy")
-        assert not sampler.is_stuck()
-        report = health_report(system, sampler)
+        _advance(system, 100.0)
+        report = health_report(system)
         assert "stuck" not in report
+        assert system.alerts.total_fired == 0
 
     def test_stopped_sampler_not_stuck(self):
-        system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        system.sim.process(sampler.run())
+        system = self._observed()
         _submit_one(system, "stopping")
-        sampler.stop()
-
-        def advance(sim):
-            yield sim.timeout(500.0)
-
-        system.sim.process(advance(system.sim))
-        system.run(until=system.sim.now + 500.0)
-        assert not sampler.is_stuck()
+        system.scraper.stop()
+        _advance(system, 500.0)
+        assert "stuck" not in health_report(system)
+        assert system.alerts.check() == []
+        assert system.alerts.total_fired == 0

@@ -1,80 +1,16 @@
 """Unit tests for measurement instruments."""
 
-import math
-
-import pytest
-
-from repro.sim import Monitor, Simulator, Tally, TimeSeries
-
-
-class TestTimeSeries:
-    def test_record_and_length(self):
-        ts = TimeSeries("q")
-        ts.record(0, 1)
-        ts.record(1, 2)
-        assert len(ts) == 2
-
-    def test_time_must_not_decrease(self):
-        ts = TimeSeries("q")
-        ts.record(5, 1)
-        with pytest.raises(ValueError):
-            ts.record(4, 1)
-
-    def test_time_average_step_function(self):
-        ts = TimeSeries("q")
-        ts.record(0, 0)    # 0 for 10s
-        ts.record(10, 10)  # 10 for 10s
-        ts.record(20, 0)
-        assert ts.time_average() == pytest.approx(5.0)
-
-    def test_time_average_empty_is_nan(self):
-        assert math.isnan(TimeSeries("q").time_average())
-
-    def test_maximum(self):
-        ts = TimeSeries("q")
-        for t, v in [(0, 3), (1, 7), (2, 5)]:
-            ts.record(t, v)
-        assert ts.maximum() == 7
-
-
-class TestTally:
-    def test_welford_matches_closed_form(self):
-        t = Tally("lat")
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for v in values:
-            t.observe(v)
-        assert t.mean == pytest.approx(5.0)
-        assert t.std == pytest.approx(2.138, abs=1e-3)
-        assert t.min == 2.0 and t.max == 9.0
-
-    def test_percentiles(self):
-        t = Tally("lat")
-        for v in range(101):
-            t.observe(v)
-        assert t.percentile(50) == pytest.approx(50.0)
-        assert t.percentile(95) == pytest.approx(95.0)
-
-    def test_no_samples_mode(self):
-        t = Tally("lat", keep_samples=False)
-        t.observe(1.0)
-        with pytest.raises(ValueError):
-            t.percentile(50)
-
-    def test_summary_keys(self):
-        t = Tally("lat")
-        t.observe(1.0)
-        summary = t.summary()
-        assert {"name", "count", "mean", "std", "min", "max"} <= set(summary)
+from repro.sim import Monitor, Simulator
 
 
 class TestMonitor:
-    def test_record_uses_sim_clock(self):
+    def test_log_uses_sim_clock(self):
         sim = Simulator()
         mon = Monitor(sim)
         sim.timeout(5)
         sim.run()
-        mon.record("depth", 3)
-        assert mon.timeseries("depth").times == [5.0]
+        mon.log("depth_probe", depth=3)
+        assert mon.events_of("depth_probe") == [(5.0, {"depth": 3})]
 
     def test_counters(self):
         mon = Monitor(Simulator())
@@ -82,10 +18,3 @@ class TestMonitor:
         mon.incr("jobs", 2)
         assert mon.counters.get("jobs") == 3
         assert mon.counters.get("missing") == 0
-
-    def test_tally_namespacing(self):
-        mon = Monitor(Simulator())
-        mon.observe("a", 1)
-        mon.observe("b", 2)
-        assert mon.tally("a").count == 1
-        assert mon.tally("b").mean == 2

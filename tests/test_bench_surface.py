@@ -1,11 +1,13 @@
 """The frozen benchmark patches the program by name; keep the names.
 
 ``bench/tracing.py`` swaps every ``module:attr`` row of ``ENTRY_POINTS``
-for a timing wrapper.  A perf change that renames or inlines one of those
-functions would only fail in the pipeline's traced pass — this fails in
-tier-1 instead.
+for a timing wrapper, charges a kernel process to the file its generator
+is defined in, and learns the worker-side job from ``start_span``'s
+keywords.  A change that renames, inlines or moves one of those would
+only fail in the pipeline's traced pass — this fails in tier-1 instead.
 """
 
+import ast
 import importlib
 import os
 import sys
@@ -14,7 +16,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from bench.tracing import ENTRY_POINTS  # noqa: E402
+from bench.tracing import ENTRY_POINTS, _OWNER_RE  # noqa: E402
+
+from repro.core.system import RaiSystem  # noqa: E402
+from repro.core.worker import RaiWorker  # noqa: E402
+from repro.obs.tracer import Tracer  # noqa: E402
 
 
 def test_every_entry_point_resolves_to_a_callable():
@@ -34,3 +40,42 @@ def test_every_entry_point_resolves_to_a_callable():
         if not callable(owner):
             unresolved.append(f"{target}: not callable")
     assert not unresolved, "\n".join(unresolved)
+
+
+def test_executor_loop_is_charged_to_core_worker():
+    filename = RaiWorker._executor_loop.__code__.co_filename
+    assert filename.replace(os.sep, "/").endswith("repro/core/worker.py")
+    assert _OWNER_RE.search(filename).groups() == ("core", "worker")
+
+
+def test_worker_job_span_names_its_job_by_keyword(monkeypatch):
+    seen = []
+    start_span = Tracer.start_span
+
+    def spy(self, name, *args, **kwargs):
+        seen.append((name, args, kwargs))
+        return start_span(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "start_span", spy)
+    system = RaiSystem.standard(num_workers=1, seed=1)
+    client = system.new_client(team="t")
+    client.stage_project({"main.cu": "// @rai-sim quality=0.8\n"})
+    result = system.run(client.submit())
+    (args, kwargs), = [(a, k) for name, a, k in seen if name == "worker.job"]
+    assert args == () and kwargs["job_id"] == result.job_id
+
+
+def test_no_function_in_the_worker_regrows():
+    """``_process_job`` was once a 414-line generator."""
+    too_long = []
+    for module in ("worker", "pipeline"):
+        path = os.path.join(ROOT, "src", "repro", "core", f"{module}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                length = node.end_lineno - node.lineno + 1
+                if length > 80 or \
+                        (node.name == "_process_job" and length > 60):
+                    too_long.append(f"{module}.{node.name}: {length} lines")
+    assert not too_long, too_long
