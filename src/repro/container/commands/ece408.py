@@ -21,6 +21,11 @@ student sources:
 
 The printed ``Elapsed time: ... s`` line is the project's *internal timer*,
 which the paper's ranking records (§V, Student Final Submission).
+
+Every submission of a course runs this against the same ``/data`` files, so
+the parse, the job time and the inference it asks ``repro.gpu`` for are each
+computed once per distinct content; a file that does not parse, or parses
+into something the network cannot read, ends the run with exit 66.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ from typing import List
 from repro.container.commands import register_program
 from repro.container.commands.base import GuestProgram
 from repro.errors import VfsError
-from repro.gpu.cnn import accuracy, generate_model_weights, infer
+from repro.gpu.cnn import (
+    CnnInputError,
+    accuracy,
+    check_ece408_inputs,
+    generate_model_weights,
+    infer,
+)
 from repro.gpu.hdf5sim import H5SimError, read_h5s
 from repro.gpu.kernels import cnn_job_time
 from repro.vfs.path import join as path_join
@@ -63,15 +74,16 @@ class Ece408(GuestProgram):
         try:
             dataset = read_h5s(ctx.fs.read_file(dataset_path))
         except (VfsError, H5SimError) as exc:
-            ctx.charge(0.05)
-            ctx.write_err(f"ece408: cannot load dataset {args[0]}: {exc}\n")
-            return 66
+            return _cannot_load(ctx, "dataset", args[0], exc)
         try:
             weights = read_h5s(ctx.fs.read_file(model_path))
         except (VfsError, H5SimError) as exc:
-            ctx.charge(0.05)
-            ctx.write_err(f"ece408: cannot load model {args[1]}: {exc}\n")
-            return 66
+            return _cannot_load(ctx, "model", args[1], exc)
+        try:
+            check_ece408_inputs(dataset, weights)
+        except CnnInputError as exc:
+            path = {"dataset": args[0], "model": args[1]}[exc.source]
+            return _cannot_load(ctx, exc.source, path, exc)
 
         count = int(dataset.get("count", [len(dataset.get("labels", []))])[0])
         if len(args) >= 3:
@@ -124,6 +136,12 @@ class Ece408(GuestProgram):
         ctx.write_out(f"Correctness: {acc:.4f} Model: ece408\n")
         ctx.write_out(f"Elapsed time: {elapsed:.6f} s\n")
         return 0
+
+
+def _cannot_load(ctx, what: str, path: str, exc: Exception) -> int:
+    ctx.charge(0.05)
+    ctx.write_err(f"ece408: cannot load {what} {path}: {exc}\n")
+    return 66
 
 
 def _has_network_weights(datasets: dict) -> bool:

@@ -35,6 +35,7 @@ from repro.broker.message import Message, advance_message_ids
 from repro.core.job import advance_job_ids
 from repro.durability import snapshot as snapshot_codec
 from repro.durability.wal import WriteAheadLog
+from repro.errors import ReproError
 from repro.obs.events import EventType
 from repro.storage.lifecycle import LifecycleRule
 
@@ -217,7 +218,10 @@ class DurabilityManager:
         for record in records:
             try:
                 self._apply(record)
-            except Exception:
+            except (ReproError, KeyError, TypeError, ValueError):
+                # A record naming a route or collection that is gone, or
+                # missing a field: count it and keep replaying.  Anything
+                # else is a bug in a replay handler; let it out.
                 self.replay_anomalies += 1
             clock_target = max(clock_target, float(record.get("t", 0.0)))
         counts["replayed"] = wal_stats["records"]

@@ -17,6 +17,10 @@ offline, this subpackage supplies the substitution described in DESIGN.md:
 - an **HDF5-like container** (:mod:`repro.gpu.hdf5sim`) for the model
   weights and test datasets (``model.hdf5``, ``test10.hdf5``,
   ``testfull.hdf5``).
+
+Parsing a container, inference, job time and the ``nvprof`` timeline are
+functions of content: each is computed once per distinct input, inside the
+function the guest programs already call, and what is shared is read-only.
 """
 
 from repro.gpu.device import GPUDevice, CPUDevice, DEVICE_CATALOG, get_device

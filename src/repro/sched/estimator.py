@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
+from repro.errors import ReproError
+
 
 class RuntimeEstimator:
     """EWMA of observed per-team service times, seeded from history.
@@ -36,7 +38,9 @@ class RuntimeEstimator:
             return
         try:
             samples = list(self.history_fn(key))[-self.history_limit:]
-        except Exception:
+        except (ReproError, KeyError, TypeError, ValueError):
+            # The store refused the query, or a history row is malformed:
+            # start from the default.  Anything else is a bug; let it out.
             return
         estimate = None
         for sample in samples:

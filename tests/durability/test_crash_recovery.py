@@ -159,3 +159,39 @@ class TestCrashRecoveryChaos:
             per_job[doc["job_id"]] = per_job.get(doc["job_id"], 0) + 1
         assert len(per_job) == 4
         assert all(n == 1 for n in per_job.values())
+
+
+class TestReplayAnomalies:
+    def _crashed(self, tmp_path, *records):
+        system = RaiSystem.standard(num_workers=0, seed=3)
+        system.attach_durability(str(tmp_path / "dur"))
+        system.db.collection("notes").insert_one({"_id": "n1", "text": "a"})
+        for record in records:
+            system.durability.wal.append(record)
+        system.crash_stop()
+        return str(tmp_path / "dur")
+
+    def test_malformed_records_are_counted_and_replay_continues(self,
+                                                                tmp_path):
+        path = self._crashed(
+            tmp_path,
+            {"t": 0.0},                                         # no "op"
+            {"t": 0.0, "op": "db_insert", "c": "notes", "doc": ["_id"]},
+            {"t": 0.0, "op": "db_insert", "c": "notes",
+             "doc": {"_id": "n2", "text": "b"}})
+        restored = RaiSystem.restore(path, num_workers=0)
+        assert restored.durability.replay_anomalies == 2
+        notes = restored.db.collection("notes")
+        assert sorted(d["_id"] for d in notes.find({})) == ["n1", "n2"]
+
+    def test_an_unexpected_error_in_a_handler_is_not_swallowed(
+            self, tmp_path, monkeypatch):
+        from repro.durability.manager import DurabilityManager
+
+        def buggy(self, record):
+            raise RuntimeError("a bug, not a bad record")
+
+        path = self._crashed(tmp_path)
+        monkeypatch.setattr(DurabilityManager, "_replay_db_insert", buggy)
+        with pytest.raises(RuntimeError, match="a bug"):
+            RaiSystem.restore(path, num_workers=0)

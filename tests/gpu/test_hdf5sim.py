@@ -33,9 +33,17 @@ class TestRoundTrip:
     def test_empty_container(self):
         assert read_h5s(write_h5s({})) == {}
 
-    def test_returned_arrays_are_writable(self):
-        back = read_h5s(write_h5s({"x": np.zeros(3, dtype=np.float32)}))
-        back["x"][0] = 1.0  # must not raise (frombuffer views are readonly)
+    def test_returned_arrays_are_read_only(self):
+        """One parse is shared by every caller, so nobody may write to it:
+        neither to a misaligned dataset (a copy) nor an aligned one (a view
+        of the container's bytes)."""
+        back = read_h5s(write_h5s({"x": np.zeros(3, dtype=np.float32),
+                                   "b": np.zeros(3, dtype=np.uint8)}))
+        for name in ("x", "b"):
+            with pytest.raises(ValueError, match="read-only"):
+                back[name][0] = 1
+        with pytest.raises(TypeError):
+            back["x"] = np.ones(3, dtype=np.float32)
 
     def test_unicode_names(self):
         back = read_h5s(write_h5s({"conv1.weight":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broker.message import Message
+from repro.errors import InvalidQuery
 from repro.sched import JobScheduler, RuntimeEstimator, SchedulerPolicy
 
 pytestmark = pytest.mark.sched
@@ -184,12 +185,25 @@ class TestEstimator:
         assert estimator.expected("seeded") == pytest.approx(10.0)
 
     def test_history_errors_fall_back_to_default(self):
-        def explode(key):
-            raise RuntimeError("docdb down")
+        """The store refusing the query, or a malformed history row."""
+        for error in (InvalidQuery("docdb refused the query"),
+                      KeyError("service_seconds"),
+                      TypeError("float() of a list"),
+                      ValueError("could not convert string to float")):
+            def explode(key, error=error):
+                raise error
 
-        estimator = RuntimeEstimator(history_fn=explode,
-                                     default_seconds=42.0)
-        assert estimator.expected("x") == 42.0
+            estimator = RuntimeEstimator(history_fn=explode,
+                                         default_seconds=42.0)
+            assert estimator.expected("x") == 42.0
+
+    def test_an_unexpected_history_error_is_not_swallowed(self):
+        def explode(key):
+            raise RuntimeError("a bug, not a bad row")
+
+        estimator = RuntimeEstimator(history_fn=explode)
+        with pytest.raises(RuntimeError, match="a bug"):
+            estimator.expected("x")
 
     def test_junk_history_samples_skipped(self):
         estimator = RuntimeEstimator(

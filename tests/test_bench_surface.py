@@ -16,8 +16,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from bench.tracing import ENTRY_POINTS, _OWNER_RE  # noqa: E402
+from bench.tracing import (  # noqa: E402
+    ENTRY_POINTS,
+    _OWNER_RE,
+    LayerTracer,
+    entry_name,
+)
 
+from repro.core.job import JobStatus  # noqa: E402
 from repro.core.system import RaiSystem  # noqa: E402
 from repro.core.worker import RaiWorker  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
@@ -63,6 +69,43 @@ def test_worker_job_span_names_its_job_by_keyword(monkeypatch):
     result = system.run(client.submit())
     (args, kwargs), = [(a, k) for name, a, k in seen if name == "worker.job"]
     assert args == () and kwargs["job_id"] == result.job_id
+
+
+def test_gpu_entry_points_are_entered_on_a_fully_warm_job():
+    """``repro.gpu`` computes each distinct input once *inside* its entry
+    points.  A memo moved in front of one (in ``ece408``, say) would leave
+    the traced pass — which runs after a warm-up and a plain repeat in the
+    same process — with ``infer`` never called, and ``bench/tests`` red."""
+    assert set(ENTRY_POINTS["gpu"]) == {
+        "repro.gpu.cnn:infer", "repro.gpu.cnn:accuracy",
+        "repro.gpu.hdf5sim:read_h5s", "repro.gpu.kernels:cnn_job_time",
+        "repro.gpu.kernels:kernel_timeline"}
+    entered = {}
+
+    def counting(name):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                entered[name] = entered.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+        return make
+
+    tracer = LayerTracer()
+    try:
+        for target in ENTRY_POINTS["gpu"]:
+            tracer.patch(target, counting(entry_name(target)))
+        system = RaiSystem.standard(num_workers=1, seed=1)
+        for team in ("cold", "warm"):
+            entered.clear()
+            client = system.new_client(team=team)
+            client.stage_project(
+                {"main.cu": "// @rai-sim quality=0.8 impl=im2col\n"})
+            assert system.run(client.submit()).status is JobStatus.SUCCEEDED
+    finally:
+        tracer.uninstall()
+    # Listing 1: ``./ece408 …`` and the same under ``nvprof``.
+    assert entered == {"read_h5s": 4, "cnn_job_time": 2, "infer": 2,
+                       "accuracy": 2, "kernel_timeline": 1}
 
 
 def test_no_function_in_the_worker_regrows():
