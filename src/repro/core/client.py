@@ -137,155 +137,20 @@ class RaiClient:
                     f"final submission is missing required file(s): "
                     f"{', '.join(missing)}"))
 
-        # Step 2 — verify credentials; also the 30-second rate limit.
         try:
-            self.system.keystore.verify_pair(self.profile.access_key,
-                                             self.profile.secret_key)
-        except InvalidCredentials as exc:
+            self._authorize(self.team or self.username)
+            upload_key, source_digest = yield from self._upload_project(
+                kind, span, result)
+            job_id = result.job_id
+            # Sharded deployments route the publish by fair-share key
+            # (team, else username) to the key's partition topic;
+            # unsharded, this is exactly the legacy "rai" topic.
+            task_topic = self.system.task_topic(self.team or self.username)
+            job, consumer, publish_span = self._publish_job(
+                span, task_topic, id=job_id, kind=kind, spec_yaml=spec_yaml,
+                upload_key=upload_key, source_digest=source_digest)
+        except (InvalidCredentials, RateLimited, SubmissionRejected) as exc:
             return reject(exc)
-        try:
-            self.system.rate_limiter.check(self.team or self.username)
-        except RateLimited as exc:
-            return reject(exc)
-
-        # Step 3 — pack and upload the project.  With dedup enabled the
-        # archive is a plain tar chunked by content: the client computes
-        # the delta against its previously uploaded manifest (plus a
-        # store-side negotiation for chunks other uploads already hold)
-        # and transfers only unseen chunks and the manifest itself.
-        dedup = self.system.config.dedup_uploads
-        file_digests = None
-        if dedup:
-            archive = pack_tree(self.project_fs, "/", compression="none")
-            file_digests = {
-                path: file_digest(self.project_fs.read_file(path))
-                for path in self.project_fs.iter_files("/")}
-            manifest = Manifest.from_bytes(
-                archive, self.system.storage.chunk_store.chunk_size,
-                files=file_digests)
-            # A chunk-size reconfiguration shifts every boundary: a base
-            # chunked at the old size would yield a bogus delta, so it is
-            # stale by definition.
-            if (self._last_manifest is not None
-                    and self._last_manifest.chunk_size
-                    != manifest.chunk_size):
-                self._last_manifest = None
-            # The base the delta is encoded against: this client's last
-            # upload when it has one, else whatever the server still
-            # holds for this user (git-style negotiation — a fresh client
-            # instance or a post-restore session still ships a delta).
-            base = self._last_manifest
-            base_kind = "local"
-            if base is None:
-                base = self.system.storage.negotiate_base(
-                    self.system.config.upload_bucket, self.username)
-                base_kind = "negotiated" if base is not None else "none"
-            if base is not None and base.chunk_size != manifest.chunk_size:
-                base, base_kind = None, "none"
-            # Chunks the delta says changed since the base; the store
-            # negotiation then prunes those some *other* upload already
-            # holds (and re-adds any the server has since expired) — the
-            # negotiation is ground truth for the wire.
-            delta = manifest.delta(base)
-            self.system.monitor.incr("client_delta_chunks", len(delta))
-            wire_bytes = (
-                self.system.storage.chunk_store.missing_bytes(manifest)
-                + manifest.delta_wire_size(base))
-        else:
-            archive = pack_tree(self.project_fs, "/")
-            manifest = None
-            wire_bytes = len(archive)
-        full_bytes = len(archive) + self.project_padding_bytes
-        upload_bytes = wire_bytes + self.project_padding_bytes
-        upload_seconds = upload_bytes / self.system.config.client_bandwidth_bps
-        upload_span = tracer.start_span(
-            "client.upload", parent=span, kind="client",
-            attributes={"bytes": upload_bytes, "bytes_full": full_bytes,
-                        "dedup": dedup})
-        if dedup:
-            upload_span.add_event("chunk.negotiation",
-                                  delta_chunks=len(delta),
-                                  wire_bytes=wire_bytes,
-                                  base=base_kind)
-        yield self.sim.timeout(upload_seconds)
-        job_id = new_job_id()
-        result.job_id = job_id
-        # Binds the whole trace to the job id in the trace store.
-        span.set_attribute("job_id", job_id)
-        suffix = "tar" if dedup else "tar.bz2"
-        upload_key = f"{self.username}/{job_id}.{suffix}"
-        try:
-            self.system.storage.put_object(
-                self.system.config.upload_bucket, upload_key, archive,
-                metadata={"username": self.username, "team": self.team or "",
-                          "kind": kind.value, "job_id": job_id},
-                padding_bytes=self.project_padding_bytes, dedup=dedup,
-                file_digests=file_digests)
-        except StorageError as exc:
-            self.system.monitor.incr("client_upload_failures")
-            upload_span.end(status="error", message=str(exc))
-            return reject(SubmissionRejected(f"project upload failed: {exc}"))
-        upload_span.end()
-        if dedup:
-            self._last_manifest = manifest
-        result.upload_bytes = upload_bytes
-        result.upload_bytes_full = full_bytes
-        self.system.monitor.incr("bytes_uploaded", upload_bytes)
-        self.system.monitor.incr("bytes_uploaded_logical", full_bytes)
-        if full_bytes > upload_bytes:
-            self.system.monitor.incr("bytes_upload_deduped",
-                                     full_bytes - upload_bytes)
-        usage = self.system.usage
-        tenant = self.team or self.username
-        usage.record("storage_bytes_uploaded", float(upload_bytes),
-                     tenant=tenant)
-        if full_bytes > upload_bytes:
-            usage.record("storage_bytes_saved_dedup",
-                         float(full_bytes - upload_bytes), tenant=tenant)
-
-        # Step 4 — create and sign the job request.
-        job = Job(
-            id=job_id,
-            kind=kind,
-            username=self.username,
-            team=self.team,
-            upload_bucket=self.system.config.upload_bucket,
-            upload_key=upload_key,
-            spec_yaml=spec_yaml,
-            access_key=self.profile.access_key,
-            signature="",
-            submitted_at=self.sim.now,
-            source_digest=manifest.tree_digest() if manifest else None,
-        )
-        body = job.to_message()
-        body.pop("signature")
-        job.signature = sign_request(self.profile.secret_key, body,
-                                     job.submitted_at)
-
-        # Step 5 — subscribe to the log topic *before* publishing, so not
-        # even the first worker message can be missed.
-        consumer = Consumer(self.system.broker, f"log_{job_id}/#ch")
-        # Sharded deployments route the publish by fair-share key (team,
-        # else username) to the key's partition topic; unsharded, this is
-        # exactly the legacy "rai" topic.
-        task_topic = self.system.task_topic(self.team or self.username)
-        publish_span = tracer.start_span("client.publish", parent=span,
-                                         kind="client",
-                                         attributes={"topic": task_topic})
-        try:
-            # The publish span's context rides the message headers: the
-            # broker's delivery and the worker's whole job chain onto it.
-            self.system.broker.publish(task_topic, job.to_message(),
-                                       headers=publish_span.headers())
-        except BrokerError as exc:
-            # The job never reached the queue; release the log subscription
-            # (otherwise the ephemeral log topic is pinned forever).
-            consumer.close()
-            self.system.monitor.incr("client_publish_rejected")
-            publish_span.end(status="error", message=str(exc))
-            return reject(SubmissionRejected(
-                f"job request rejected by the broker: {exc}"))
-        publish_span.end()
         result.status = JobStatus.QUEUED
         result.queued_at = self.sim.now
         self.system.monitor.incr("jobs_submitted")
@@ -377,6 +242,149 @@ class RaiClient:
         if kind is JobKind.SUBMIT and result.succeeded and self.team:
             result.rank = self.system.ranking.team_rank(self.team)
         return result
+
+    # -- steps 2-5, shared with ``InteractiveSession.start`` ------------------
+
+    def _authorize(self, rate_key: str) -> None:
+        """Step 2 — verify credentials; also the 30-second rate limit."""
+        self.system.keystore.verify_pair(self.profile.access_key,
+                                         self.profile.secret_key)
+        self.system.rate_limiter.check(rate_key)
+
+    def _upload_project(self, kind: JobKind, span, result):
+        """Step 3 — pack and upload the project (generator); mints the job
+        id once the bytes are across, fills ``result``'s ``job_id`` and
+        upload sizes, returns ``(upload_key, source_digest)``.  With dedup
+        the archive is a plain tar chunked by content: the client computes
+        the delta against its previously uploaded manifest (plus a
+        store-side negotiation for chunks other uploads already hold)
+        and transfers only unseen chunks and the manifest itself."""
+        tracer = self.system.tracer
+        dedup = self.system.config.dedup_uploads
+        file_digests = None
+        if dedup:
+            archive = pack_tree(self.project_fs, "/", compression="none")
+            file_digests = {
+                path: file_digest(self.project_fs.read_file(path))
+                for path in self.project_fs.iter_files("/")}
+            manifest = Manifest.from_bytes(
+                archive, self.system.storage.chunk_store.chunk_size,
+                files=file_digests)
+            # A chunk-size reconfiguration shifts every boundary: a base
+            # chunked at the old size would yield a bogus delta, so it is
+            # stale by definition.
+            if (self._last_manifest is not None
+                    and self._last_manifest.chunk_size
+                    != manifest.chunk_size):
+                self._last_manifest = None
+            # The base the delta is encoded against: this client's last
+            # upload when it has one, else whatever the server still
+            # holds for this user (git-style negotiation — a fresh client
+            # instance or a post-restore session still ships a delta).
+            base = self._last_manifest
+            base_kind = "local"
+            if base is None:
+                base = self.system.storage.negotiate_base(
+                    self.system.config.upload_bucket, self.username)
+                base_kind = "negotiated" if base is not None else "none"
+            if base is not None and base.chunk_size != manifest.chunk_size:
+                base, base_kind = None, "none"
+            # Chunks the delta says changed since the base; the store
+            # negotiation then prunes those some *other* upload already
+            # holds (and re-adds any the server has since expired) — the
+            # negotiation is ground truth for the wire.
+            delta = manifest.delta(base)
+            self.system.monitor.incr("client_delta_chunks", len(delta))
+            wire_bytes = (
+                self.system.storage.chunk_store.missing_bytes(manifest)
+                + manifest.delta_wire_size(base))
+        else:
+            archive = pack_tree(self.project_fs, "/")
+            manifest = None
+            wire_bytes = len(archive)
+        full_bytes = len(archive) + self.project_padding_bytes
+        upload_bytes = wire_bytes + self.project_padding_bytes
+        upload_seconds = upload_bytes / self.system.config.client_bandwidth_bps
+        upload_span = tracer.start_span(
+            "client.upload", parent=span, kind="client",
+            attributes={"bytes": upload_bytes, "bytes_full": full_bytes,
+                        "dedup": dedup})
+        if dedup:
+            upload_span.add_event("chunk.negotiation",
+                                  delta_chunks=len(delta),
+                                  wire_bytes=wire_bytes,
+                                  base=base_kind)
+        yield self.sim.timeout(upload_seconds)
+        job_id = new_job_id()
+        result.job_id = job_id
+        # Binds the whole trace to the job id in the trace store.
+        span.set_attribute("job_id", job_id)
+        suffix = "tar" if dedup else "tar.bz2"
+        upload_key = f"{self.username}/{job_id}.{suffix}"
+        try:
+            self.system.storage.put_object(
+                self.system.config.upload_bucket, upload_key, archive,
+                metadata={"username": self.username, "team": self.team or "",
+                          "kind": kind.value, "job_id": job_id},
+                padding_bytes=self.project_padding_bytes, dedup=dedup,
+                file_digests=file_digests)
+        except StorageError as exc:
+            self.system.monitor.incr("client_upload_failures")
+            upload_span.end(status="error", message=str(exc))
+            raise SubmissionRejected(
+                f"project upload failed: {exc}") from exc
+        upload_span.end()
+        if dedup:
+            self._last_manifest = manifest
+        result.upload_bytes = upload_bytes
+        result.upload_bytes_full = full_bytes
+        self.system.monitor.incr("bytes_uploaded", upload_bytes)
+        self.system.monitor.incr("bytes_uploaded_logical", full_bytes)
+        if full_bytes > upload_bytes:
+            self.system.monitor.incr("bytes_upload_deduped",
+                                     full_bytes - upload_bytes)
+        usage = self.system.usage
+        tenant = self.team or self.username
+        usage.record("storage_bytes_uploaded", float(upload_bytes),
+                     tenant=tenant)
+        if full_bytes > upload_bytes:
+            usage.record("storage_bytes_saved_dedup",
+                         float(full_bytes - upload_bytes), tenant=tenant)
+        return upload_key, manifest.tree_digest() if manifest else None
+
+    def _publish_job(self, span, topic: str, **fields):
+        """Steps 4-5 — create (from ``fields``, what the caller knows of
+        the :class:`Job`) and sign the request, subscribe to its log topic,
+        publish it.  Returns the job, the log consumer, the publish span."""
+        job = Job(username=self.username, team=self.team,
+                  upload_bucket=self.system.config.upload_bucket,
+                  access_key=self.profile.access_key, signature="",
+                  submitted_at=self.sim.now, **fields)
+        body = job.to_message()
+        body.pop("signature")
+        job.signature = sign_request(self.profile.secret_key, body,
+                                     job.submitted_at)
+        # Subscribe *before* publishing, so not even the first worker
+        # message can be missed.
+        consumer = Consumer(self.system.broker, f"log_{job.id}/#ch")
+        publish_span = self.system.tracer.start_span(
+            "client.publish", parent=span, kind="client",
+            attributes={"topic": topic})
+        try:
+            # The publish span's context rides the message headers: the
+            # broker's delivery and the worker's whole job chain onto it.
+            self.system.broker.publish(topic, job.to_message(),
+                                       headers=publish_span.headers())
+        except BrokerError as exc:
+            # The job never reached the queue; release the log subscription
+            # (otherwise the ephemeral log topic is pinned forever).
+            consumer.close()
+            self.system.monitor.incr("client_publish_rejected")
+            publish_span.end(status="error", message=str(exc))
+            raise SubmissionRejected(
+                f"job request rejected by the broker: {exc}") from exc
+        publish_span.end()
+        return job, consumer, publish_span
 
     # -- utilities (§VI) ------------------------------------------------------
 

@@ -10,37 +10,41 @@ a fresh container).  The same sandbox contract applies — whitelisted
 image, no network, memory cap — plus a session deadline and an idle
 timeout so an absent student cannot squat on a GPU.
 
-Wire protocol (all over ordinary broker topics, ephemeral like job logs):
+A session request *is* a job (``JobKind.SESSION``, a generated build file
+that names only the image, the project upload optional), sent the way
+``RaiClient.submit`` sends one and walked by the worker's one pipeline
+(``repro.core.pipeline.SESSION_STAGES``); this module is the student's
+end of it.  On the wire, all over ordinary broker topics:
 
 - requests:  ``rai-interactive/sessions`` (competing consumers = workers
   with ``enable_interactive``);
-- inputs:    ``log_isin_${session_id}/#in`` — ``exec`` / ``detach``;
-- outputs:   ``log_isout_${session_id}/#out`` — ``attached`` / ``log`` /
-  ``result`` / ``end``.
+- outputs:   ``log_${job_id}`` — the job vocabulary (``status`` accepted /
+  running, ``log``, ``end`` with the session's ``reason``) plus one
+  ``result`` per command;
+- inputs:    ``log_${job_id}_in/#in`` — ``exec`` / ``detach``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.auth.signing import sign_request, verify_request
 from repro.broker.client import Consumer, Producer
+from repro.buildspec.parser import render_build_spec
+from repro.buildspec.spec import RaiBuildSpec
+from repro.core.job import JobKind, new_job_id
 from repro.errors import (
-    BuildSpecError,
-    ImageNotFound,
-    ImageNotWhitelisted,
-    Interrupt,
     InvalidCredentials,
     RaiError,
     RateLimited,
-    SignatureMismatch,
+    SubmissionRejected,
 )
-from repro.vfs import VirtualFileSystem, pack_tree, unpack_tree
 
-#: Route interactive-capable workers consume from.
-SESSION_ROUTE = "rai-interactive/sessions"
+#: Topic session requests are published to, and the route
+#: interactive-capable workers consume them from.
+SESSION_TOPIC = "rai-interactive"
+SESSION_ROUTE = f"{SESSION_TOPIC}/sessions"
 
 #: Default wall-clock budget of a session (instructor-configurable).
 DEFAULT_SESSION_SECONDS = 1800.0
@@ -51,8 +55,9 @@ DEFAULT_IDLE_SECONDS = 300.0
 _session_counter = itertools.count(1)
 
 
-def new_session_id() -> str:
-    return f"isess-{next(_session_counter):06d}"
+def input_topic(job_id: str) -> str:
+    """Where a session's ``exec`` / ``detach`` messages go."""
+    return f"log_{job_id}_in"
 
 
 def reset_session_ids() -> None:
@@ -99,11 +104,12 @@ class InteractiveSession:
                  upload_project: bool = True):
         self.client = client
         self.system = client.system
-        self.sim = client.sim
         self.image = image
         self.max_duration = max_duration
         self.upload_project = upload_project
-        self.session_id = new_session_id()
+        self.session_id = f"isess-{next(_session_counter):06d}"
+        #: The request's job id: what ``rai trace`` / ``rai usage`` key on.
+        self.job_id: Optional[str] = None
         self.transcript = SessionTranscript(session_id=self.session_id)
         self._out: Optional[Consumer] = None
         self._in: Optional[Producer] = None
@@ -117,63 +123,52 @@ class InteractiveSession:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self):
-        """Request a session and wait for a worker to attach (generator)."""
-        profile = self.client.profile
+        """Request a session and wait for a worker to attach (generator):
+        ``RaiClient.submit``'s steps 2-5 under the session's own rate-limit
+        key, then the worker's messages until it reports ``running``."""
+        client = self.client
+        tracer = self.system.tracer
+        span = tracer.start_span(
+            "client.session", kind="client",
+            attributes={"user": client.username, "session": self.session_id})
+        upload_key = source_digest = None
         try:
-            self.system.keystore.verify_pair(profile.access_key,
-                                             profile.secret_key)
-            self.system.rate_limiter.check(
-                f"interactive:{self.client.team or profile.username}")
-        except (InvalidCredentials, RateLimited) as exc:
-            self.transcript.status = "rejected"
-            self.transcript.error = str(exc)
-            return self.transcript
-
-        upload_key = None
-        if self.upload_project and self.client.project_fs.file_count("/"):
-            archive = pack_tree(self.client.project_fs, "/")
-            yield self.sim.timeout(
-                len(archive) / self.system.config.client_bandwidth_bps)
-            upload_key = f"{profile.username}/{self.session_id}.tar.bz2"
-            self.system.storage.put_object(
-                self.system.config.upload_bucket, upload_key, archive,
-                metadata={"session": self.session_id})
-
-        body = {
-            "session_id": self.session_id,
-            "username": profile.username,
-            "team": self.client.team,
-            "access_key": profile.access_key,
-            "image": self.image,
-            "max_duration": self.max_duration,
-            "upload_key": upload_key,
-            "requested_at": self.sim.now,
-        }
-        body["signature"] = sign_request(profile.secret_key,
-                                         {k: v for k, v in body.items()
-                                          if k != "signature"},
-                                         self.sim.now)
-        # Subscribe to outputs before publishing the request.
-        self._out = Consumer(self.system.broker,
-                             f"log_isout_{self.session_id}/#out")
-        self._in = Producer(self.system.broker,
-                            f"log_isin_{self.session_id}")
-        self.system.broker.publish("rai-interactive", body)
+            client._authorize(f"interactive:{client.team or client.username}")
+            if self.upload_project and client.project_fs.file_count("/"):
+                upload_key, source_digest = yield from \
+                    client._upload_project(JobKind.SESSION, span, self)
+            else:
+                self.job_id = new_job_id()
+                span.set_attribute("job_id", self.job_id)
+            self._in = Producer(self.system.broker, input_topic(self.job_id))
+            _, self._out, _ = client._publish_job(
+                span, SESSION_TOPIC, id=self.job_id, kind=JobKind.SESSION,
+                # A valid spec lists a command; a session never runs it.
+                spec_yaml=render_build_spec(RaiBuildSpec(
+                    version="0.1", image=self.image,
+                    build_commands=("true",))),
+                upload_key=upload_key, source_digest=source_digest,
+                session={"id": self.session_id,
+                         "max_duration": float(self.max_duration)})
+        except (InvalidCredentials, RateLimited, SubmissionRejected) as exc:
+            return self._rejected(str(exc), span)
         self.system.monitor.incr("interactive_sessions_requested")
 
+        refusal: List[str] = []      # the worker's stderr before any attach
         while True:
-            message = yield self._out.get()
-            self._out.ack(message)
-            payload = message.body
-            if payload["type"] == "attached":
+            payload = yield from self._receive()
+            kind = payload.get("type")
+            if kind == "status" and payload.get("status") == "running":
                 self.transcript.status = "attached"
-                self.transcript.worker_id = payload["worker"]
+                self.transcript.worker_id = payload.get("worker")
+                tracer.end_subtree(span)
                 return self.transcript
-            if payload["type"] in ("rejected", "end"):
-                self.transcript.status = "rejected"
-                self.transcript.error = payload.get("error", "rejected")
-                self._teardown()
-                return self.transcript
+            if kind == "log" and payload["stream"] == "stderr":
+                refusal.append(payload["text"])
+            elif kind == "end":
+                return self._rejected(
+                    "".join(refusal).strip() or payload.get("reason")
+                    or payload.get("status", "rejected"), span)
 
     def run(self, command: str):
         """Execute one command in the live container (generator)."""
@@ -181,46 +176,54 @@ class InteractiveSession:
             raise RaiError("session is not attached")
         seq = next(self._seq)
         self._in.publish({"type": "exec", "command": command, "seq": seq})
-        stdout_parts: List[str] = []
-        stderr_parts: List[str] = []
+        parts = {"stdout": [], "stderr": []}
         while True:
-            message = yield self._out.get()
-            self._out.ack(message)
-            payload = message.body
-            if payload["type"] == "log":
-                (stdout_parts if payload["stream"] == "stdout"
-                 else stderr_parts).append(payload["text"])
+            payload = yield from self._receive()
+            kind = payload.get("type")
+            if kind == "log":
+                parts[payload["stream"]].append(payload["text"])
                 if self.client.on_line is not None:
                     self.client.on_line(payload["stream"], payload["text"])
-            elif payload["type"] == "result" and payload["seq"] == seq:
+            elif kind == "result" and payload.get("seq") == seq:
                 outcome = CommandOutcome(
                     command=command,
                     exit_code=payload["exit_code"],
-                    stdout="".join(stdout_parts),
-                    stderr="".join(stderr_parts),
+                    stdout="".join(parts["stdout"]),
+                    stderr="".join(parts["stderr"]),
                     duration=payload["duration"],
                 )
                 self.transcript.outcomes.append(outcome)
                 return outcome
-            elif payload["type"] == "end":
+            elif kind == "end":
                 self._mark_ended(payload)
                 raise RaiError(
                     f"session ended mid-command: {payload.get('reason')}")
 
     def close(self):
         """Detach cleanly (generator)."""
-        if self._ended:
+        if self._out is None:       # already ended, or never attached
             return self.transcript
-        if self._in is not None:
-            self._in.publish({"type": "detach"})
+        self._in.publish({"type": "detach"})
         while not self._ended:
-            message = yield self._out.get()
-            self._out.ack(message)
-            if message.body["type"] == "end":
-                self._mark_ended(message.body)
+            payload = yield from self._receive()
+            if payload.get("type") == "end":
+                self._mark_ended(payload)
         return self.transcript
 
     # -- internals ----------------------------------------------------------
+
+    def _receive(self):
+        """Next worker message (generator); callers skip unknown kinds."""
+        message = yield self._out.get()
+        self._out.ack(message)
+        return message.body
+
+    def _rejected(self, error: str, span) -> SessionTranscript:
+        self.transcript.status = "rejected"
+        self.transcript.error = error
+        self.system.tracer.end_subtree(span, status="error", message=error)
+        self._teardown()
+        return self.transcript
 
     def _mark_ended(self, payload: dict) -> None:
         self._ended = True
@@ -229,165 +232,7 @@ class InteractiveSession:
         self._teardown()
 
     def _teardown(self) -> None:
-        if self._out is not None:
-            self._out.close()
-            self._out = None
-        if self._in is not None:
-            self._in.close()
-            self._in = None
-
-
-# --------------------------------------------------------------------------
-# Worker side
-# --------------------------------------------------------------------------
-
-
-def serve_sessions(worker):
-    """Worker process: serve interactive sessions one at a time.
-
-    Started by :class:`~repro.core.worker.RaiWorker` when its config has
-    ``enable_interactive``.
-    """
-    consumer = Consumer(worker.system.broker, SESSION_ROUTE)
-    try:
-        while not worker._stopped:
-            get_event = consumer.get()
-            try:
-                message = yield get_event
-            except Interrupt:   # worker stop
-                worker._cancel_get(consumer, get_event)
-                break
-            if worker._stopped:
-                consumer.requeue(message)
-                break
-            yield from _serve_one(worker, message.body)
-            consumer.ack(message)
-    finally:
-        consumer.close()
-
-
-def _serve_one(worker, request: dict):
-    sim = worker.sim
-    system = worker.system
-    session_id = request.get("session_id", "unknown")
-    out = Producer(system.broker, f"log_isout_{session_id}")
-
-    def publish(kind: str, **payload) -> None:
-        out.publish({"type": kind, "t": sim.now, "worker": worker.id,
-                     **payload})
-
-    transcript_rows: List[Tuple[str, int, float]] = []
-    reason = "detached"
-    container = None
-    try:
-        # Authenticate exactly like batch jobs.
-        try:
-            credential = system.keystore.lookup(request["access_key"])
-            body = {k: v for k, v in request.items() if k != "signature"}
-            verify_request(credential.secret_key, body,
-                           request["requested_at"], request["signature"])
-            image = system.registry.get(request["image"])
-        except (KeyError, InvalidCredentials, SignatureMismatch,
-                ImageNotFound, ImageNotWhitelisted, BuildSpecError) as exc:
-            publish("rejected", error=str(exc))
-            return
-
-        # Project mount (optional).
-        from repro.container.volumes import VolumeMount, cuda_volume
-
-        mounts = [cuda_volume()]
-        if request.get("upload_key"):
-            try:
-                archive = system.storage.get_object(
-                    system.config.upload_bucket, request["upload_key"])
-                yield sim.timeout(
-                    archive.size / worker.config.storage_bandwidth_bps)
-                project_fs = VirtualFileSystem(clock=lambda: sim.now)
-                unpack_tree(archive.data, project_fs, "/")
-                mounts.insert(0, VolumeMount("/src", read_only=True,
-                                             source_fs=project_fs))
-            except Exception as exc:
-                publish("rejected", error=f"cannot fetch project: {exc}")
-                return
-
-        pull = worker.runtime.pull_cost_seconds(request["image"])
-        if pull > 0:
-            yield sim.timeout(pull)
-        container = worker.runtime.create_container(
-            request["image"],
-            limits=worker.config.limits,
-            mounts=mounts,
-            gpu_device=worker.gpu,
-            on_output=lambda stream, text: publish("log", stream=stream,
-                                                   text=text),
-        )
-        container.time_dilation = worker._timing_noise
-        container.start()
-        worker.active_jobs += 1
-        publish("attached", container=container.id)
-        system.monitor.incr("interactive_sessions_served")
-
-        deadline = sim.now + min(float(request.get("max_duration",
-                                                   DEFAULT_SESSION_SECONDS)),
-                                 worker.config.limits.max_lifetime_seconds)
-        inbox = Consumer(system.broker, f"log_isin_{session_id}/#in")
-        try:
-            while True:
-                remaining = deadline - sim.now
-                if remaining <= 0:
-                    reason = "session-deadline"
-                    break
-                get_event = inbox.get()
-                idle_timer = sim.timeout(min(remaining,
-                                             DEFAULT_IDLE_SECONDS))
-                yield sim.any_of([get_event, idle_timer])
-                if not get_event.triggered:
-                    get_event.succeed(None)   # cancel the pending get
-                    reason = ("session-deadline" if sim.now >= deadline
-                              else "idle-timeout")
-                    break
-                message = get_event.value
-                if message is None:
-                    continue
-                inbox.ack(message)
-                payload = message.body
-                if payload["type"] == "detach":
-                    reason = "detached"
-                    break
-                if payload["type"] != "exec":
-                    continue
-                result = container.exec_line(payload["command"])
-                yield sim.timeout(result.sim_duration)
-                transcript_rows.append((payload["command"],
-                                        result.exit_code,
-                                        result.sim_duration))
-                publish("result", seq=payload["seq"],
-                        exit_code=result.exit_code,
-                        duration=result.sim_duration,
-                        error=result.error)
-                from repro.container.container import ContainerState
-
-                if container.state is not ContainerState.RUNNING:
-                    # OOM-kill or lifetime cap ends the session; mere
-                    # command failures (incl. network denial) do not —
-                    # debugging failed commands is what sessions are FOR.
-                    reason = f"container-{container.state.value}"
-                    break
-        finally:
-            inbox.close()
-    finally:
-        if container is not None:
-            worker.runtime.destroy_container(container)
-            worker.active_jobs -= 1
-        publish("end", reason=reason)
-        out.close()
-        system.db.collection("interactive_sessions").insert_one({
-            "session_id": session_id,
-            "username": request.get("username"),
-            "team": request.get("team"),
-            "worker": worker.id,
-            "commands": [{"command": c, "exit_code": e, "duration": d}
-                         for c, e, d in transcript_rows],
-            "end_reason": reason,
-            "ended_at": sim.now,
-        })
+        for handle in (self._out, self._in):
+            if handle is not None:
+                handle.close()
+        self._out = self._in = None

@@ -39,10 +39,12 @@ def job_id_watermark() -> int:
 
 
 class JobKind(enum.Enum):
-    """Development run vs graded final submission (§V)."""
+    """Development run vs graded final submission (§V), or an interactive
+    session (§VIII) — the same job with a command loop in the middle."""
 
     RUN = "run"
     SUBMIT = "submit"
+    SESSION = "session"
 
 
 class JobStatus(enum.Enum):
@@ -82,6 +84,9 @@ class Job:
     #: absent the wire body omits the key entirely so signatures over
     #: older messages (WAL replays) still verify.
     source_digest: Optional[str] = None
+    #: ``{"id", "max_duration"}`` of a :attr:`JobKind.SESSION` request —
+    #: present exactly for that kind, omitted from the wire otherwise.
+    session: Optional[dict] = None
 
     def to_message(self) -> dict:
         """The broker message body (JSON-safe)."""
@@ -99,13 +104,21 @@ class Job:
         }
         if self.source_digest is not None:
             body["source_digest"] = self.source_digest
+        if self.session is not None:
+            body["session"] = self.session
         return body
 
     @staticmethod
     def from_message(body: dict) -> "Job":
+        kind, session = JobKind(body["kind"]), body.get("session")
+        if kind is JobKind.SESSION and not (
+                isinstance(session, dict)
+                and isinstance(session.get("id"), str)
+                and isinstance(session.get("max_duration"), (int, float))):
+            raise ValueError(f"malformed session request: {session!r}")
         return Job(
             id=body["job_id"],
-            kind=JobKind(body["kind"]),
+            kind=kind,
             username=body["username"],
             team=body.get("team"),
             upload_bucket=body["upload_bucket"],
@@ -116,7 +129,13 @@ class Job:
             submitted_at=body["submitted_at"],
             status=JobStatus.QUEUED,
             source_digest=body.get("source_digest"),
+            session=session,
         )
+
+
+def log_message(kind: str, t: float, worker, payload: dict) -> dict:
+    """One message on a job's ``log_${job_id}`` topic, whoever sends it."""
+    return {"type": kind, "t": t, "worker": worker, **payload}
 
 
 _ELAPSED_RE = re.compile(r"Elapsed time:\s*([0-9.eE+-]+)\s*s")

@@ -3,6 +3,9 @@
 :data:`STAGES` is the paper's §V sequence (see ``repro.core.worker`` for
 the step-to-stage map); each stage waits in simulated time (a generator,
 or a plain function when it never waits) and raises typed errors.
+:data:`SESSION_STAGES` is the same sequence for an interactive session
+(§VIII): the very same ``admit`` / ``fetch`` / ``acquire`` / ``record``,
+with ``serve`` — the command loop — for ``build`` and ``upload``.
 :data:`FAILURES` is the only place a stage error becomes a terminal
 outcome — *what status does X produce, and is it recorded?* is answered
 there and nowhere else.  ``Interrupt`` (worker stop / crash) is control
@@ -15,14 +18,19 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional
 
 from repro.auth.signing import verify_request
-from repro.broker.client import Producer
+from repro.broker.client import Consumer, Producer
 from repro.buildspec.parser import parse_build_spec
 from repro.buildspec.spec import command_cacheable
+from repro.container.container import ContainerState
 from repro.container.volumes import VolumeMount, cuda_volume
-from repro.core.job import Job, JobKind, JobStatus, _CORRECTNESS_RE, _ELAPSED_RE, _TIME_RE
+from repro.core.interactive import DEFAULT_IDLE_SECONDS, input_topic
+from repro.core.job import (
+    Job, JobKind, JobStatus, log_message, _CORRECTNESS_RE, _ELAPSED_RE,
+    _TIME_RE)
 from repro.errors import (
     BuildSpecError, ContainerError, InvalidCredentials, JobDeadlineExceeded,
-    SignatureMismatch, StorageError, TransientStorageError, VfsError)
+    SessionLost, SignatureMismatch, StorageError, TransientStorageError,
+    VfsError)
 from repro.storage.buildcache import image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
@@ -56,12 +64,20 @@ class JobRun:
         # (metering must stay off the per-command path).
         self.exec_seconds = self.saved_seconds = 0.0
         self.fetch_bytes = self.upload_bytes = 0
+        # Picked here, once: no stage asks what kind of job it serves.
+        self.stages, self.write_record = STAGES, record_submission
+        self.reason: Optional[str] = None   # a session's: rides its End
+        if job.kind is JobKind.SESSION:
+            self.stages = SESSION_STAGES if job.upload_key else tuple(
+                stage for stage in SESSION_STAGES if stage is not fetch)
+            self.write_record = record_session
+            self.commands: List[dict] = []
 
     def publish(self, kind: str, _headers=None, **payload) -> None:
         worker = self.worker
-        self.producer.publish({"type": kind, "t": worker.sim.now,
-                               "worker": worker.id, **payload},
-                              headers=_headers)
+        self.producer.publish(
+            log_message(kind, worker.sim.now, worker.id, payload),
+            headers=_headers)
 
     def log(self, stream: str, text: str) -> None:
         self.outputs.append((stream, text))
@@ -157,11 +173,12 @@ def acquire(run: JobRun):
             int(pull_cost * worker.config.pull_bandwidth_bps))
         yield worker.sim.timeout(pull_cost)
         run.check_deadline()
+    mounts = [cuda_volume()]
+    if run.project_fs is not None:      # a session may bring no project
+        mounts.insert(0, VolumeMount("/src", read_only=True,
+                                     source_fs=run.project_fs))
     run.container, run.pool_hit, cost = worker.pool.acquire(
-        spec.image, limits=worker.config.limits,
-        mounts=[VolumeMount("/src", read_only=True,
-                            source_fs=run.project_fs),
-                cuda_volume()],
+        spec.image, limits=worker.config.limits, mounts=mounts,
         gpu_device=worker.gpu, on_output=run.log,
         usage_key=job.team or job.username)
     if cost > 0:
@@ -180,14 +197,7 @@ def build(run: JobRun):
     replayed from the build cache or executed (and captured)."""
     worker, job, spec, container = run.worker, run.job, run.spec, run.container
     tracer = worker.system.tracer
-    # Contention noise flows into the container's measured times: alone on
-    # a worker it is ~solo_jitter; with co-running jobs it grows — the
-    # single-job-mode ablation's mechanism.
-    container.time_dilation = worker._timing_noise
-    container.start()
-    run.publish("status", status="running", container=container.id)
-    worker._emit("job.state_change", span=run.span, job_id=job.id,
-                 team=job.team, status="running", container=container.id)
+    _start_container(run)
     run_span = tracer.start_span(
         "container.run", parent=run.span, kind="container",
         attributes={"image": spec.image, "container": container.id})
@@ -209,8 +219,9 @@ def build(run: JobRun):
         if entry is not None:
             code, error = yield from _replay(run, entry, span)
         else:
-            code, error = yield from _exec(
+            result = yield from _exec(
                 run, command, span, image_key if cacheable else None)
+            code, error = result.exit_code, result.error
         if error is not None:
             run.log("stderr", f"✗ {error}\n")
             span.add_event("error", error=error)
@@ -227,6 +238,19 @@ def build(run: JobRun):
     run.status = JobStatus.SUCCEEDED if ok else JobStatus.FAILED
     run_span.set_attribute("exit_code", run.exit_code)
     run_span.end(status=None if ok else "error")
+
+
+def _start_container(run: JobRun) -> None:
+    """Start the acquired container and say so."""
+    worker, job, container = run.worker, run.job, run.container
+    # Contention noise flows into the container's measured times: alone on
+    # a worker it is ~solo_jitter; with co-running jobs it grows — the
+    # single-job-mode ablation's mechanism.
+    container.time_dilation = worker._timing_noise
+    container.start()
+    run.publish("status", status="running", container=container.id)
+    worker._emit("job.state_change", span=run.span, job_id=job.id,
+                 team=job.team, status="running", container=container.id)
 
 
 def _replay(run: JobRun, entry, span):
@@ -294,7 +318,7 @@ def _exec(run: JobRun, command: str, span, image_key):
             result.sim_duration, draws, source_digest=run.source_digest,
             job_id=run.job.id)
         span.set_attribute("cache", "miss")
-    return result.exit_code, result.error
+    return result
 
 
 def upload(run: JobRun):
@@ -334,13 +358,84 @@ def upload(run: JobRun):
 
 
 def record(run: JobRun):
-    """Return the container, then write the submission (and ranking)."""
+    """Return the container, then write the terminal document (a job's
+    submission and ranking; a session's transcript)."""
     run.release_container()
-    record_submission(run)
+    run.write_record(run)
+
+
+def resume(run: JobRun):
+    """A session's state lived in its container, which died with the worker
+    that held it: a redelivered request (known only now to be genuine — it
+    follows ``admit``) cannot be resumed, only ended."""
+    if run.attempt > 1:
+        run.reason = "worker-lost"
+        raise SessionLost("worker failed mid-session")
+
+
+def serve(run: JobRun):
+    """A session's middle: run one command per ``exec`` on its input topic
+    until ``detach``, the idle timeout, the session deadline or the death
+    of the container.  Command failures (network denial included) do not
+    end it — debugging failed commands is what sessions are for — and
+    neither does a message that is not a command."""
+    worker, job, container = run.worker, run.job, run.container
+    sim, system = worker.sim, worker.system
+    _start_container(run)
+    system.monitor.incr("interactive_sessions_served")
+    deadline = sim.now + min(job.session["max_duration"],
+                             worker.config.limits.max_lifetime_seconds)
+    inbox = Consumer(system.broker, f"{input_topic(job.id)}/#in")
+    try:
+        while run.reason is None:
+            run.check_deadline()
+            remaining = deadline - sim.now
+            if remaining <= 0:
+                run.reason = "session-deadline"
+                break
+            get_event = inbox.get()
+            yield sim.any_of([get_event, sim.timeout(
+                min(remaining, DEFAULT_IDLE_SECONDS))])
+            if not get_event.triggered:
+                inbox.cancel(get_event)
+                run.reason = ("session-deadline" if sim.now >= deadline
+                              else "idle-timeout")
+                break
+            inbox.ack(get_event.value)
+            body = get_event.value.body
+            kind = body.get("type") if isinstance(body, dict) else None
+            command = body.get("command") if kind == "exec" else None
+            if kind == "detach":
+                run.reason = "detached"
+            elif not isinstance(command, str):
+                system.monitor.incr("malformed_session_messages")
+                run.log("stderr", f"✗ ignored malformed session message "
+                                  f"{str(body)[:80]!r}\n")
+            else:
+                span = system.tracer.start_span(
+                    "container.exec", parent=run.span, kind="container",
+                    attributes={"command": command})
+                result = yield from _exec(run, command, span, None)
+                span.end(status=None if result.exit_code == 0 else "error")
+                run.commands.append({"command": command,
+                                     "exit_code": result.exit_code,
+                                     "duration": result.sim_duration})
+                run.publish("result", seq=body.get("seq"),
+                            error=result.error, **run.commands[-1])
+                if container.state is not ContainerState.RUNNING:
+                    # OOM-killed, or over the container lifetime cap.
+                    run.reason = f"container-{container.state.value}"
+    finally:
+        inbox.close()
+    run.status, run.exit_code = JobStatus.SUCCEEDED, 0
 
 
 #: The job, in order.  No registration hook: adding a stage is an edit here.
 STAGES = (admit, fetch, acquire, build, upload, record)
+
+#: An interactive session, in order (:class:`JobRun` drops ``fetch`` when
+#: the request brings no project): ``serve`` for ``build`` + ``upload``.
+SESSION_STAGES = (admit, resume, fetch, acquire, serve, record)
 
 
 # -- failures ---------------------------------------------------------------
@@ -370,6 +465,8 @@ FAILURES = (
             _REJECTED, None, "✗ cannot unpack project: {exc}\n", False),
     Failure("admit", (InvalidCredentials, SignatureMismatch, BuildSpecError,
                       ContainerError), _REJECTED, None, _REJECT_LINE, False),
+    Failure("resume", (SessionLost,),  # redelivered: its worker died
+            _FAILED, None, "✗ session lost: {exc}\n", True),
     Failure("acquire", (ContainerError,),  # image unknown to the registry
             _REJECTED, None, _REJECT_LINE, False),
 )
@@ -390,7 +487,7 @@ def fail(run: JobRun, exc: Exception) -> bool:
     run.log("stderr", row.line.format(exc=exc))
     run.status, run.exit_code = row.status, row.exit_code
     if row.recorded:
-        record_submission(run)
+        run.write_record(run)
     return True
 
 
@@ -482,3 +579,29 @@ def record_submission(run: JobRun) -> None:
         span.add_event("ranking.recorded", team=job.team)
     span.set_attribute("duplicate", False)
     span.end()
+
+
+def record_session(run: JobRun) -> None:
+    """Write a session's terminal document — its transcript — and nothing
+    else: a session is not graded, so ``submissions``, the ranking and the
+    scheduler's runtime estimator never hear of it.  Effectively-once, as
+    for submissions: the first delivery to record wins."""
+    worker, job = run.worker, run.job
+    if run.reason is None:      # no ``serve`` exit: a FAILURES row, or stop
+        run.reason = ("worker-stopped" if not worker.is_running
+                      else run.status.value)
+    sessions = worker.system.db.collection("interactive_sessions")
+    if sessions.find_one({"job_id": job.id}) is not None:
+        worker.system.monitor.incr("duplicate_records_suppressed")
+        return
+    sessions.insert_one({
+        "session_id": job.session["id"],
+        "job_id": job.id,
+        "username": job.username,
+        "team": job.team,
+        "worker": worker.id,
+        "status": run.status.value,
+        "commands": run.commands,
+        "end_reason": run.reason,
+        "ended_at": worker.sim.now,
+    })

@@ -19,7 +19,7 @@ from repro.broker.broker import MessageBroker
 from repro.container.image import ImageRegistry, default_registry
 from repro.core.client import RaiClient
 from repro.core.config import SystemConfig, WorkerConfig
-from repro.core.job import JobKind, JobStatus
+from repro.core.job import JobKind, JobStatus, log_message
 from repro.core.ranking import RankingService
 from repro.core.ratelimit import RateLimiter
 from repro.core.worker import RaiWorker
@@ -417,12 +417,12 @@ class RaiSystem:
                     "message_id": message.id,
                 })
             if job_id is not None and self.broker.has_topic(f"log_{job_id}"):
-                self.broker.publish(f"log_{job_id}", {
-                    "type": "end", "t": self.sim.now, "worker": None,
-                    "status": JobStatus.DEAD_LETTERED.value,
-                    "exit_code": None,
-                    "reason": f"task message dead-lettered after "
-                              f"{message.attempts} delivery attempts"})
+                self.broker.publish(f"log_{job_id}", log_message(
+                    "end", self.sim.now, None, {
+                        "status": JobStatus.DEAD_LETTERED.value,
+                        "exit_code": None,
+                        "reason": f"task message dead-lettered after "
+                                  f"{message.attempts} delivery attempts"}))
             drained += 1
             self.monitor.incr("dead_letters_drained")
             self.monitor.log("dead_letter_drained", route=route,

@@ -1,21 +1,26 @@
 """The RAI worker: §V "Worker Operations", one node's side of it.
 
 The paper's six steps, with the :data:`repro.core.pipeline.STAGES` stage
-each became:
+each became — and, in brackets, what an interactive session (§VIII,
+:data:`~repro.core.pipeline.SESSION_STAGES`) does there instead:
 
-1. subscribe to the ``rai`` topic's task channel — ``_executor_loop``;
+1. subscribe to the ``rai`` topic's task channel — ``_executor_loop``
+   [the same loop on ``rai-interactive/sessions``, not a slot];
 2. on a message: parse, check credentials, extract the build spec —
-   ``_process_job`` parses, stage ``admit`` does the rest;
+   ``_process_job`` parses, stage ``admit`` does the rest [then ``resume``:
+   a redelivered session died with its worker and is ended, not re-run];
 3. start a Docker container from the job's base image (pulling on a cache
    miss), with limited RAM, no network, the CUDA volume mounted, and all
    stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``;
 4. download the client's project archive and mount it at ``/src``
    (read-only), with a writable ``/build`` working directory — ``fetch``
-   (which also unpacks), run before 3 so a bad upload costs no container;
-5. execute the build-file commands in the container — ``build``;
+   (which also unpacks), run before 3 so a bad upload costs no container
+   [skipped, ``/src`` unmounted, when the session brings no project];
+5. execute the build-file commands in the container — ``build`` [``serve``:
+   the commands the student sends, one ``exec`` at a time];
 6. archive ``/build``, upload it to the file server, send its URL and the
    ``End`` message, and destroy the container — ``upload``, ``record``,
-   then ``_finish``.
+   then ``_finish`` [no archive; ``record`` writes the transcript].
 
 This module is the node: slots, executor loops, lifecycle, the chunk
 fetch cache.  A worker runs ``max_concurrent_jobs`` executor loops.  Near
@@ -34,9 +39,9 @@ from repro.broker.client import Consumer
 from repro.container.pool import WarmContainerPool
 from repro.container.runtime import ContainerRuntime
 from repro.core.config import WorkerConfig
-from repro.core.job import Job, JobStatus
-from repro.core.pipeline import (
-    FAILURE_ERRORS, STAGES, JobRun, fail, record_submission)
+from repro.core.interactive import SESSION_ROUTE
+from repro.core.job import Job, JobKind, JobStatus
+from repro.core.pipeline import FAILURE_ERRORS, JobRun, fail
 from repro.errors import Interrupt
 from repro.gpu.device import get_device
 from repro.vfs import pack_tree  # noqa: F401  (bench/tests pins this copy)
@@ -114,9 +119,9 @@ class RaiWorker:
         for _ in range(self.config.max_concurrent_jobs):
             self._spawn_slot()
         if self.config.enable_interactive:
-            from repro.core.interactive import serve_sessions
-
-            proc = self.sim.process(serve_sessions(self))
+            # Sessions (§VIII) are jobs on their own route, one at a time:
+            # an executor that is not a slot.
+            proc = self.sim.process(self._executor_loop(None, SESSION_ROUTE))
             proc.callbacks.append(_defuse_interrupt_failure)
             self._executors.append(proc)
 
@@ -233,8 +238,10 @@ class RaiWorker:
             return self.system.shards.consumer(self.partition)
         return Consumer(self.system.broker, self.config.task_route)
 
-    def _executor_loop(self, slot: int):
-        consumer = self._make_consumer()
+    def _executor_loop(self, slot: Optional[int], route: Optional[str] = None):
+        # ``route`` is given (and ``slot`` is not) by the session executor.
+        consumer = Consumer(self.system.broker, route) if route \
+            else self._make_consumer()
         try:
             while not self._stopped:
                 # Prefetch: claim an already-queued message synchronously
@@ -250,7 +257,7 @@ class RaiWorker:
                     try:
                         message = yield get_event
                     except Interrupt:
-                        self._cancel_get(consumer, get_event)
+                        consumer.cancel(get_event)
                         break
                 if self._stopped:
                     consumer.requeue(message)
@@ -288,18 +295,6 @@ class RaiWorker:
             consumer.close()
             self._close_slot(slot)
 
-    @staticmethod
-    def _cancel_get(consumer, get_event) -> None:
-        if not get_event.triggered:
-            # Withdraw the pending get so no message is delivered into
-            # the void after this executor exits.
-            get_event.succeed(None)
-        else:
-            # Raced with a delivery: hand the message back to the channel.
-            get_event.callbacks.append(
-                lambda evt: evt.value is not None and
-                consumer.requeue(evt.value))
-
     # -- job processing ------------------------------------------------------
 
     def _process_job(self, message):
@@ -326,7 +321,7 @@ class RaiWorker:
         self.active_jobs += 1
         self._active_spans.append(run.span)
         try:
-            for stage in STAGES:
+            for stage in run.stages:
                 run.stage = stage.__name__
                 yield from stage(run) or ()     # plain function: no waits
         except Interrupt:
@@ -334,7 +329,7 @@ class RaiWorker:
             if not self._crashed:
                 run.log("stderr", "✗ worker shutting down mid-job\n")
                 run.status = JobStatus.FAILED
-                record_submission(run)
+                run.write_record(run)
             raise
         except FAILURE_ERRORS as exc:
             if not fail(run, exc):
@@ -364,8 +359,10 @@ class RaiWorker:
                 bytes_downloaded=run.fetch_bytes,
                 bytes_uploaded=run.upload_bytes,
                 build_seconds_saved=run.saved_seconds)
-            self.system.metrics.counter(
-                "jobs_finished", status=status.value).inc()
+            if job.kind is not JobKind.SESSION:
+                # The success-ratio SLO judges graded work only.
+                self.system.metrics.counter(
+                    "jobs_finished", status=status.value).inc()
             self._emit("job.state_change", span=wspan, job_id=job.id,
                        team=job.team, status=status.value,
                        exit_code=run.exit_code, worker_final=True)
@@ -375,7 +372,9 @@ class RaiWorker:
                 "result.publish", parent=wspan, kind="worker",
                 attributes={"status": status.value})
             run.publish("end", status=status.value, exit_code=run.exit_code,
-                        _headers=end_span.headers())
+                        _headers=end_span.headers(),
+                        **({} if run.reason is None
+                           else {"reason": run.reason}))
             end_span.end()
         wspan.set_attribute("status", status.value)
         # Safety net: ends whatever children an exceptional unwind

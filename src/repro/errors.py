@@ -279,6 +279,11 @@ class JobDeadlineExceeded(RaiError):
     applied to the whole job, not just charged container time)."""
 
 
+class SessionLost(RaiError):
+    """An interactive session's request was redelivered: the worker that
+    held its container is gone, and the container's state with it."""
+
+
 # --------------------------------------------------------------------------
 # Durability
 # --------------------------------------------------------------------------

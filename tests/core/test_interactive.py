@@ -206,3 +206,23 @@ class TestCoexistence:
 
         still_waiting = system.run(attempt(system.sim))
         assert still_waiting   # request queued, no worker took it
+
+
+def test_example_prints_its_transcript(capsys):
+    """``examples/interactive_session.py`` end to end, as a reader runs it."""
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                        "interactive_session.py")
+    spec = importlib.util.spec_from_file_location("example_session", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    example.main()
+    out = capsys.readouterr().out
+    assert "attached to worker-" in out
+    assert "Built target ece408" in out and "Correctness: 1.0000" in out
+    assert "[exit 101 — network stays off, even interactively]" in out
+    assert "session ended: detached; 7 commands, recorded in the DB as " \
+           "isess-000001" in out
+    assert out.endswith("database transcript rows: 7\n")

@@ -117,3 +117,141 @@ class TestSessionVariants:
         assert [o.command for o in transcript.outcomes] == \
             ["pwd", "ls /data", "hostname"]
         assert all(o.exit_code == 0 for o in transcript.outcomes)
+
+
+def one_session(system, client, commands=("pwd",)):
+    session = InteractiveSession(client)
+
+    def student(sim):
+        yield from session.start()
+        assert session.is_attached, session.transcript.error
+        for command in commands:
+            yield from session.run(command)
+        yield from session.close()
+        return session
+
+    return system.run(student(system.sim))
+
+
+class TestSessionIsAJob:
+    """What a session gets by being a job on the stage list — each of these
+    failed when ``interactive._serve_one`` was its own copy of the worker."""
+
+    def test_transient_fetch_fault_is_retried(self, system):
+        from repro.errors import TransientStorageError
+
+        faults = []
+
+        def link_down_once(op, bucket, key):
+            if op == "get" and bucket == system.config.upload_bucket \
+                    and not faults:
+                faults.append(key)
+                raise TransientStorageError("link down")
+
+        system.storage.fault_hook = link_down_once
+        client = system.new_client(team="t")
+        client.stage_project(FILES)
+        session = one_session(system, client)
+        assert len(faults) == 1
+        assert session.transcript.end_reason == "detached"
+        assert system.monitor.counters.get("storage_retries") == 1
+        trace = system.tracer.trace_for_job(session.job_id)
+        fetch, = trace.find("storage.get")
+        assert [name for _, name, _ in fetch.events] == ["retry"]
+
+    def test_second_session_is_a_warm_pool_hit(self, system):
+        client = system.new_client(team="t")
+        client.stage_project(FILES)
+        worker = system.workers[0]
+        first = one_session(system, client)
+        assert (worker.pool.misses, worker.pool.hits) == (1, 0)
+        system.run(until=system.sim.now + system.config.rate_limit_seconds)
+        second = one_session(system, client)
+        assert (worker.pool.misses, worker.pool.hits) == (1, 1)
+        # Same tree, same worker: the second fetch moved no chunk, and the
+        # second upload was a delta against the first.
+        assert worker.fetch_cache_hit_bytes > 0
+        assert second.upload_bytes < first.upload_bytes
+
+    def test_one_trace_one_usage_record_nothing_left_behind(self, system):
+        client = system.new_client(team="debuggers")
+        client.stage_project(FILES)
+        session = one_session(system, client, ("pwd", "ls /data", "hostname"))
+        trace = system.tracer.trace_for_job(session.job_id)
+        assert [s.name for s in trace.spans if s.is_open] == []
+        job_span, = trace.find("worker.job")
+        children = [s.name for s in trace.children_of(job_span)]
+        assert children.count("container.exec") == 3
+        assert children.count("storage.get") == 1
+        assert "container.acquire" in [name for _, name, _ in job_span.events]
+        statuses = [e.fields["status"] for e in system.events.query(
+            type="job.state_change", job_id=session.job_id)]
+        assert statuses == ["accepted", "running", "succeeded"]
+        exemplar, = system.usage.jobs.values()
+        assert (exemplar.job_id, exemplar.tenant) == \
+            (session.job_id, "debuggers")
+        assert exemplar.container_seconds > 0
+        assert exemplar.trace_id == trace.trace_id
+        assert system.usage.tenant_total("debuggers", "slot_seconds") > \
+            system.usage.tenant_total("debuggers", "container_seconds")
+        assert system.usage.tenant_total(
+            "debuggers", "storage_bytes_uploaded") > 0
+        worker = system.workers[0]
+        assert worker.active_jobs == 0 and worker.busy_seconds > 0
+        assert system.metrics.value("in_flight") == 0
+
+    def test_session_is_not_graded(self, system, monkeypatch):
+        """No submission, no ranking entry, no success-SLO sample, and no
+        runtime sample for the scheduler: half an hour at a prompt must
+        not become the team's shortest-job-first estimate."""
+        noted = []
+        monkeypatch.setattr(
+            RaiSystem, "note_completion",
+            lambda self, key, seconds: noted.append((key, seconds)))
+        client = system.new_client(team="t")
+        client.stage_project(FILES)
+        one_session(system, client)
+        assert noted == []
+        assert system.db.collection("submissions").count_documents({}) == 0
+        assert system.ranking.team_rank("t") is None
+        assert system.metrics.total("jobs_finished") == 0
+        assert system.monitor.counters.get("jobs_recorded") == 0
+        row, = system.db.collection("interactive_sessions").find({}).to_list()
+        assert row["status"] == "succeeded" and row["job_id"]
+
+    def test_cost_books_balance_with_jobs_and_sessions_mixed(self):
+        from repro.cluster.provisioner import Provisioner
+        from repro.core.config import SystemConfig
+
+        system = RaiSystem(seed=79, config=SystemConfig(
+            usage_window_seconds=600.0))
+        provisioner = Provisioner(system)
+        provisioner.launch_many(2, instance_type="p2.xlarge", boot_delay=1.0)
+        system.add_worker(WorkerConfig(enable_interactive=True))
+        system.run(until=5)
+        debugger = system.new_client(team="debuggers")
+        debugger.stage_project(FILES)
+        batch = system.new_client(team="batchers")
+        batch.stage_project(FILES)
+        session = InteractiveSession(debugger)
+
+        def student(sim):
+            yield from session.start()
+            yield from session.run("cmake /src && make")
+            for _ in range(3):              # think, across a cost window
+                yield sim.timeout(250.0)
+                yield from session.run("./ece408 /data/test10.hdf5 "
+                                       "/data/model.hdf5")
+            yield from session.close()
+
+        def batcher(sim):
+            for _ in range(3):
+                yield from batch.submit()
+                yield sim.timeout(300.0)
+
+        system.run_all([student(system.sim), batcher(system.sim)])
+        for team in ("debuggers", "batchers"):
+            assert system.usage.tenant_total(team, "container_seconds") > 0
+        view = system.cost_allocator.preview()
+        assert view["attributed_total"] + view["idle_cost"] == \
+            pytest.approx(provisioner.total_cost(), abs=1e-6)

@@ -146,25 +146,93 @@ class TestWorkerCrashRecovery:
         assert result.status is JobStatus.FAILED
         assert "shutting down" in result.stderr_text()
 
-    def test_crash_during_interactive_session_ends_it(self):
+    @staticmethod
+    def _session_on_two_workers(seed):
+        from repro.broker.broker import MessageBroker
         from repro.core.interactive import InteractiveSession
 
-        system = RaiSystem(seed=66)
-        worker = system.add_worker(WorkerConfig(enable_interactive=True))
+        system = RaiSystem(seed=seed)
+        for _ in range(2):
+            system.add_worker(WorkerConfig(enable_interactive=True))
+        system.start_caretaker(interval=30.0, in_flight_timeout=120.0)
         client = system.new_client(team="t")
         client.stage_project(FILES)
         session = InteractiveSession(client)
+        ends = []
+        publish = MessageBroker.publish
+
+        def spy(broker, topic, body, headers=None):
+            if topic == f"log_{session.job_id}" and body["type"] == "end":
+                ends.append((body["worker"], body["status"],
+                             body.get("reason")))
+            return publish(broker, topic, body, headers=headers)
+
+        return system, session, ends, spy
+
+    def _documents(self, system, session):
+        rows = system.db.collection("interactive_sessions").find(
+            {"session_id": session.session_id}).to_list()
+        return [(row["worker"], row["status"], row["end_reason"])
+                for row in rows]
+
+    def test_stop_during_interactive_session_ends_it(self, monkeypatch):
+        """A graceful scale-in ends a session as it fails a job: reported,
+        recorded, acked — nothing left in flight."""
+        from repro.broker.broker import MessageBroker
+
+        system, session, ends, spy = self._session_on_two_workers(seed=65)
+        monkeypatch.setattr(MessageBroker, "publish", spy)
 
         def student(sim):
-            yield from session.start()
-            out = yield from session.run("pwd")
-            return out
+            transcript = yield from session.start()
+            yield from session.run("pwd")
+            host, = [w for w in system.workers
+                     if w.id == transcript.worker_id]
+            host.stop()
+            return host, (yield from session.close())
 
-        proc = system.sim.process(student(system.sim))
-        result = system.run(proc)
-        assert result.exit_code == 0
-        worker.crash()
-        assert not worker.is_running
+        host, transcript = system.run(student(system.sim))
+        system.run(until=system.sim.now + 600.0)
+        assert transcript.end_reason == "worker-stopped"
+        expected = [(host.id, "failed", "worker-stopped")]
+        assert ends == expected
+        assert self._documents(system, session) == expected
+        assert system.metrics.value("in_flight") == 0
+        assert [w.active_jobs for w in system.workers] == [0, 0]
+
+    def test_crash_during_interactive_session_ends_it(self, monkeypatch):
+        """The dead worker says and records nothing; the redelivered
+        request is not resumable (its container died with the worker), so
+        the survivor ends it — once — instead of attaching a ghost session
+        to a student who is gone."""
+        from repro.broker.broker import MessageBroker
+
+        system, session, ends, spy = self._session_on_two_workers(seed=66)
+        monkeypatch.setattr(MessageBroker, "publish", spy)
+
+        def student(sim):
+            transcript = yield from session.start()
+            out = yield from session.run("pwd")
+            assert out.exit_code == 0
+            host, = [w for w in system.workers
+                     if w.id == transcript.worker_id]
+            host.crash()
+            assert not host.is_running
+            assert ends == [] and self._documents(system, session) == []
+            return host, (yield from session.close())
+
+        host, transcript = system.run(student(system.sim))
+        survivor, = [w for w in system.workers if w is not host]
+        # Long enough for a ghost to have idled out and been re-served.
+        system.run(until=system.sim.now + 1500.0)
+        assert transcript.end_reason == "worker-lost"
+        expected = [(survivor.id, "failed", "worker-lost")]
+        assert ends == expected
+        assert self._documents(system, session) == expected
+        assert survivor.pool.misses == survivor.pool.hits == 0  # no ghost
+        assert system.metrics.value("in_flight") == 0
+        assert [w.active_jobs for w in system.workers] == [0, 0]
+        assert system.db.collection("submissions").count_documents({}) == 0
 
 
 TERMINAL = {JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.REJECTED,

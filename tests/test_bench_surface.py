@@ -108,13 +108,19 @@ def test_gpu_entry_points_are_entered_on_a_fully_warm_job():
                        "accuracy": 2, "kernel_timeline": 1}
 
 
+def _core_trees(*modules):
+    core = os.path.join(ROOT, "src", "repro", "core")
+    for name in modules or sorted(
+            f[:-3] for f in os.listdir(core) if f.endswith(".py")):
+        with open(os.path.join(core, f"{name}.py")) as fh:
+            yield name, ast.parse(fh.read())
+
+
 def test_no_function_in_the_worker_regrows():
-    """``_process_job`` was once a 414-line generator."""
+    """``_process_job`` was once a 414-line generator, and
+    ``interactive._serve_one`` a 125-line copy of it."""
     too_long = []
-    for module in ("worker", "pipeline"):
-        path = os.path.join(ROOT, "src", "repro", "core", f"{module}.py")
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in _core_trees("worker", "pipeline", "interactive"):
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 length = node.end_lineno - node.lineno + 1
@@ -122,3 +128,19 @@ def test_no_function_in_the_worker_regrows():
                         (node.name == "_process_job" and length > 60):
                     too_long.append(f"{module}.{node.name}: {length} lines")
     assert not too_long, too_long
+
+
+def test_core_catches_only_what_it_names():
+    """No ``except Exception`` (or bare ``except``) under ``repro/core``:
+    an outcome is a ``FAILURES`` row or a named error; a bug is loud."""
+    broad = []
+    for module, tree in _core_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(t is None or getattr(t, "id", None)
+                   in ("Exception", "BaseException") for t in caught):
+                broad.append(f"{module}.py:{node.lineno}")
+    assert not broad, broad
