@@ -155,9 +155,12 @@ class Container:
     """One sandboxed job environment.
 
     Lifecycle: ``CREATED → RUNNING → EXITED | OOM_KILLED | TIMED_OUT →
-    DESTROYED``.  A new container is created per job and destroyed after
-    (§V): nothing persists between jobs except what was uploaded to the
-    file server.
+    DESTROYED``.  Nothing persists between jobs except what was uploaded
+    to the file server (§V): a job's container is either destroyed after
+    it, or — healthy and returned to a :class:`~repro.container.pool.
+    WarmContainerPool` — :meth:`scrub`-bed, reset, and :meth:`recycle`-d
+    from the image template for the next job (``generation`` counts the
+    reuses).
     """
 
     _id_counter = 0

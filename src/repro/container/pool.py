@@ -3,17 +3,22 @@
 Creating a fresh sandbox for every job charges the engine's create cost
 (namespace setup, mount plumbing, cgroup wiring) on the submission hot
 path.  The pool keeps a bounded number of *scrubbed* containers per image
-and hands them to the next job after a cheap reprovision instead — the
-"warm start" half of the scheduler + pool latency attack.
+and hands them to the next job instead — the "warm start" half of the
+scheduler + pool latency attack.  Warm means ready: the reset runs in the
+background from the moment a job returns its container, off the slot, so
+a job that arrives after it finished waits for nothing and a job that
+arrives sooner waits only for what is left of it.
 
 Safety invariants:
 
 - **Reset on return.**  A container is :meth:`~repro.container.container.
   Container.scrub`-bed the moment its job releases it: filesystem (with
   the job's ``/src`` and ``/build``), environment, and output hooks are
-  dropped before the container is parked.  Acquisition reprovisions from
-  the image template with the new job's mounts, so a container is never
-  reused across teams (or even jobs) without a full reset.
+  dropped before the container is parked, and the entry carries the
+  instant the reset completes (``ready_at``).  Acquisition reprovisions
+  from the image template with the new job's mounts, so a container is
+  never reused across teams (or even jobs) without a full reset, and
+  never before ``ready_at`` without the job waiting out the remainder.
 - **Tainted containers are never pooled.**  OOM-killed, timed-out, or
   already-destroyed containers go straight back to the engine for
   destruction.
@@ -43,6 +48,8 @@ _REUSABLE_STATES = (ContainerState.RUNNING, ContainerState.EXITED,
 class _Parked:
     container: Container
     parked_at: float
+    #: When the background reset started at ``parked_at`` completes.
+    ready_at: float
 
 
 class WarmContainerPool:
@@ -76,6 +83,9 @@ class WarmContainerPool:
         self._closed = False
         self.hits = 0
         self.misses = 0
+        #: Hits handed out before ``ready_at``, and the seconds they waited.
+        self.hits_waited = 0
+        self.hit_wait_seconds = 0.0
         self.evicted_ttl = 0
         self.evicted_overflow = 0
         self.rejected_tainted = 0
@@ -104,9 +114,13 @@ class WarmContainerPool:
         Returns ``(container, pool_hit, cost_seconds)``: the container
         (CREATED state, caller starts it), whether it came warm from the
         pool, and the simulated seconds the caller must charge for the
-        acquisition (engine create cost on a miss, reprovision cost on a
-        hit).  ``usage_key`` is the tenant a warm hit's consumed slot
-        time is metered against.
+        acquisition: the engine create cost on a miss; on a hit whatever
+        is left of the reset started when the container was parked,
+        ``max(0, ready_at - now)`` — zero once it has sat idle longer
+        than a reset, the whole reset (never more) when a saturated slot
+        takes it back at once.  The oldest parked container is handed
+        out, which is also the earliest ready.  ``usage_key`` is the
+        tenant a warm hit's consumed slot time is metered against.
         """
         self.evict_expired()
         queue = self._parked.get(image_name)
@@ -114,17 +128,22 @@ class WarmContainerPool:
             entry = queue.popleft()
             if not queue:
                 del self._parked[image_name]
+            now = self.clock()
             if self.usage is not None:
-                self.usage.record("warm_slot_seconds",
-                                  self.clock() - entry.parked_at,
+                self.usage.record("warm_slot_seconds", now - entry.parked_at,
                                   tenant=usage_key)
             container = entry.container
             container.recycle(limits=limits, mounts=mounts or [],
                               gpu_device=gpu_device, on_output=on_output)
+            # min: ``(parked_at + reset) - now`` can round an ulp above the
+            # reset itself, and a hit must never cost more than one.
+            cost = max(0.0, min(entry.ready_at - now, self.reset_seconds))
             self.hits += 1
-            self._emit("pool.hit", image=image_name,
-                       cost=self.reset_seconds)
-            return container, True, self.reset_seconds
+            if cost > 0:
+                self.hits_waited += 1
+                self.hit_wait_seconds += cost
+            self._emit("pool.hit", image=image_name, cost=cost)
+            return container, True, cost
         container = self.runtime.create_container(
             image_name, limits=limits, mounts=mounts,
             gpu_device=gpu_device, on_output=on_output)
@@ -159,7 +178,9 @@ class WarmContainerPool:
             self.runtime.destroy_container(container)
             return False
         container.scrub()
-        queue.append(_Parked(container=container, parked_at=self.clock()))
+        now = self.clock()
+        queue.append(_Parked(container, parked_at=now,
+                             ready_at=now + self.reset_seconds))
         return True
 
     # -- eviction and shutdown -----------------------------------------
@@ -174,26 +195,31 @@ class WarmContainerPool:
             queue = self._parked[image_name]
             while queue and now - queue[0].parked_at >= self.ttl_seconds:
                 entry = queue.popleft()
-                self.runtime.destroy_container(entry.container)
+                self._destroy_unclaimed(entry, now)
                 self.evicted_ttl += 1
                 evicted += 1
                 self._emit("pool.evict", image=image_name, reason="ttl",
                            idle=now - entry.parked_at)
-                if self.usage is not None:
-                    # Nobody claimed this slot before it expired: the
-                    # idle time is platform overhead, not tenant usage.
-                    self.usage.record("warm_slot_seconds",
-                                      now - entry.parked_at, tenant=None)
             if not queue:
                 del self._parked[image_name]
         return evicted
 
+    def _destroy_unclaimed(self, entry: _Parked, now: float) -> None:
+        """Destroy a parked container no job claimed (TTL, stop, crash):
+        its idle time is platform overhead, not tenant usage."""
+        self.runtime.destroy_container(entry.container)
+        if self.usage is not None:
+            self.usage.record("warm_slot_seconds", now - entry.parked_at,
+                              tenant=None)
+
     def drain(self) -> int:
-        """Destroy every parked container; returns count destroyed."""
+        """Destroy every parked container, ready or mid-reset; returns
+        count destroyed."""
+        now = self.clock()
         drained = 0
         for queue in self._parked.values():
             for entry in queue:
-                self.runtime.destroy_container(entry.container)
+                self._destroy_unclaimed(entry, now)
                 drained += 1
         self._parked.clear()
         return drained
@@ -208,12 +234,20 @@ class WarmContainerPool:
     # -- observability --------------------------------------------------
 
     def stats(self) -> dict:
+        now = self.clock()
+        pooled = self.pooled_count
+        ready = sum(entry.ready_at <= now
+                    for queue in self._parked.values() for entry in queue)
         return {
-            "pooled": self.pooled_count,
+            "pooled": pooled,
+            "ready": ready,
+            "resetting": pooled - ready,
             "max_per_image": self.max_per_image,
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate(), 4),
+            "hits_waited": self.hits_waited,
+            "hit_wait_seconds": round(self.hit_wait_seconds, 6),
             "evicted_ttl": self.evicted_ttl,
             "evicted_overflow": self.evicted_overflow,
             "rejected_tainted": self.rejected_tainted,

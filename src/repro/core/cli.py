@@ -144,7 +144,10 @@ class RaiCLI:
             f"fleet: slots busy "
             f"{system.fleet_slot_utilization() * 100:.0f}%  "
             f"warm-pool hit rate "
-            f"{system.fleet_pool_hit_rate() * 100:.0f}%",
+            f"{system.fleet_pool_hit_rate() * 100:.0f}%  "
+            f"hits waited "
+            f"{sum(w.pool.hits_waited for w in system.workers)}/"
+            f"{sum(w.pool.hits for w in system.workers)}",
         ]
         rows = []
         for worker in system.workers:

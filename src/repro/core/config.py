@@ -61,7 +61,9 @@ class WorkerConfig:
     #: Engine cost of creating a fresh container (namespace + cgroup +
     #: mount setup) — what a pool miss pays at acquire time.
     container_create_seconds: float = 2.0
-    #: Cost of reprovisioning a warm pooled container — what a hit pays.
+    #: How long resetting a returned container takes.  The reset starts
+    #: when the job releases it, so a warm hit pays only what is left of
+    #: it at acquire time (nothing, once idle this long).
     container_reset_seconds: float = 0.2
 
     def __post_init__(self):

@@ -35,6 +35,11 @@ from repro.storage.buildcache import image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
 
+#: ``container_acquire_seconds`` bounds, fine below a second: a warm hit's
+#: charge is 0, part of a reset, or (0.2 s by default) a whole one, and
+#: the three should not share a bucket with each other or a cold create.
+ACQUIRE_BUCKETS = (0.0, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
+
 
 class JobRun:
     """Everything one delivery of one job owns, from claim to ``End``."""
@@ -187,7 +192,7 @@ def acquire(run: JobRun):
                        seconds=cost, container=run.container.id,
                        generation=run.container.generation)
     worker.system.metrics.histogram(
-        "container_acquire_seconds",
+        "container_acquire_seconds", buckets=ACQUIRE_BUCKETS,
         outcome="warm" if run.pool_hit else "cold").observe(cost)
     run.check_deadline()
 

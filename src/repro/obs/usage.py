@@ -42,7 +42,8 @@ consumed and what the platform's caches saved it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventType
 
@@ -90,6 +91,9 @@ class JobExemplar:
     trace_id: Optional[str]
     container_seconds: float = 0.0
     gpu_seconds: float = 0.0
+    #: Order of entry into the meter's table: the tie-break among equally
+    #: cheap exemplars (the earliest entered is evicted first).
+    seq: int = 0
 
 
 class UsageMeter:
@@ -116,6 +120,12 @@ class UsageMeter:
         self.windows: Dict[int, Dict[str, Dict[str, float]]] = {}
         #: job_id -> JobExemplar (bounded; evicts the cheapest job)
         self.jobs: Dict[str, JobExemplar] = {}
+        #: Min-heap of ``(container_seconds, seq, job_id)`` over ``jobs``.
+        #: An exemplar that grew (redelivery) or left leaves its old entry
+        #: behind; such an entry no longer matches its exemplar and is
+        #: skipped when it surfaces.
+        self._cheapest: List[Tuple[float, int, str]] = []
+        self._job_seq = 0
         self.total_records = 0
 
     # -- recording ----------------------------------------------------------
@@ -178,15 +188,39 @@ class UsageMeter:
         if exemplar is not None:
             exemplar.container_seconds += container_seconds
             exemplar.gpu_seconds += gpu_seconds
-            return
-        if len(self.jobs) >= self.max_jobs:
-            cheapest = min(self.jobs.values(),
-                           key=lambda j: j.container_seconds)
-            if cheapest.container_seconds >= container_seconds:
-                return
-            del self.jobs[cheapest.job_id]
-        self.jobs[job_id] = JobExemplar(job_id, tenant, trace_id,
-                                        container_seconds, gpu_seconds)
+        else:
+            if len(self.jobs) >= self.max_jobs:
+                cheapest = self._cheapest_job()
+                if cheapest.container_seconds >= container_seconds:
+                    return
+                del self.jobs[cheapest.job_id]
+                heappop(self._cheapest)
+            self._job_seq += 1
+            exemplar = self.jobs[job_id] = JobExemplar(
+                job_id, tenant, trace_id, container_seconds, gpu_seconds,
+                self._job_seq)
+        heappush(self._cheapest,
+                 (exemplar.container_seconds, exemplar.seq, job_id))
+        if len(self._cheapest) > 2 * self.max_jobs:
+            self._reindex_jobs()    # shed what redeliveries left behind
+
+    def _cheapest_job(self) -> JobExemplar:
+        """The exemplar a full table gives up next: least container
+        seconds, earliest entered among equals.  Heap top, once entries
+        that no longer describe a kept exemplar are popped."""
+        heap = self._cheapest
+        while True:
+            seconds, seq, job_id = heap[0]
+            exemplar = self.jobs.get(job_id)
+            if exemplar is not None and exemplar.seq == seq \
+                    and exemplar.container_seconds == seconds:
+                return exemplar
+            heappop(heap)
+
+    def _reindex_jobs(self) -> None:
+        self._cheapest = [(j.container_seconds, j.seq, j.job_id)
+                          for j in self.jobs.values()]
+        heapify(self._cheapest)
 
     # -- reading ------------------------------------------------------------
 
@@ -253,8 +287,10 @@ class UsageMeter:
                         for k, w in snap["windows"].items()}
         self.jobs = {j["job_id"]: JobExemplar(
             j["job_id"], j["tenant"], j["trace_id"],
-            j["container_seconds"], j["gpu_seconds"])
-            for j in snap["jobs"]}
+            j["container_seconds"], j["gpu_seconds"], seq)
+            for seq, j in enumerate(snap["jobs"], 1)}
+        self._job_seq = len(self.jobs)
+        self._reindex_jobs()
         self.total_records = snap["total_records"]
         return len(self.tenants)
 

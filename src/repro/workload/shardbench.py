@@ -50,12 +50,16 @@ from repro.sim import Simulator
 #: Delivery-order digest of the reference storm.
 #: ``control_plane_digest()`` must still produce this on the default
 #: config and on ``SystemConfig(shards=1)`` — sharding off is not merely
-#: "equivalent", it is the same machine.  Re-captured when the build
-#: artifact cache landed: cached resubmission builds legitimately
-#: re-time and re-place downstream work (the previous pre-cache value
-#: was 71d365bccfb90a486220a01387e56bc3e232418e239018874a34f5d7808d17ed).
+#: "equivalent", it is the same machine.  Re-captured twice, each time
+#: for a model change made on purpose.  When the build artifact cache
+#: landed: cached resubmission builds re-time and re-place downstream
+#: work (before it,
+#: 71d365bccfb90a486220a01387e56bc3e232418e239018874a34f5d7808d17ed).
+#: When the warm pool began resetting containers on return instead of at
+#: acquire: a warm job finishes up to one reset earlier (before it,
+#: 715d5ada1b1addc86826badfc41a8b86ebaae8e3a134f785ee2cd5083ad51653).
 GOLDEN_DIGEST = \
-    "715d5ada1b1addc86826badfc41a8b86ebaae8e3a134f785ee2cd5083ad51653"
+    "2276af4f8bd2f33d5d965140ec41d39b5b03800f42b580f274afcdcc46912933"
 
 
 def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,

@@ -1,10 +1,12 @@
-"""Warm container pool: reuse, sanitization, bounds, TTL, shutdown."""
+"""Warm container pool: reuse, background reset, sanitization, bounds, TTL,
+shutdown."""
 
 import pytest
 
 from repro.container import ContainerRuntime, WarmContainerPool
 from repro.container.container import ContainerState
 from repro.container.volumes import VolumeMount
+from repro.obs.usage import UNATTRIBUTED, UsageMeter
 from repro.vfs import VirtualFileSystem
 
 
@@ -46,15 +48,51 @@ class TestAcquireRelease:
         assert cost == 2.0
         assert pool.misses == 1 and pool.hits == 0
 
-    def test_release_then_acquire_is_a_hit_at_reset_cost(self, pool):
+    def test_release_then_acquire_is_a_hit_at_reset_cost(self, pool, clock):
         container, _, _ = pool.acquire("webgpu/rai:root")
         assert pool.release(container)
         assert pool.pooled_count == 1
+        # Frozen clock: the reset started this instant, all of it is left.
         again, hit, cost = pool.acquire("webgpu/rai:root")
         assert hit
         assert cost == 0.2
         assert again is container
         assert pool.hit_rate() == 0.5
+        # 0.05 s after the release: what is left of the reset.
+        pool.release(again)
+        clock.now += 0.05
+        _, hit, cost = pool.acquire("webgpu/rai:root")
+        assert hit and cost == pytest.approx(0.15)
+        # 1 s after: the reset finished long ago, nothing to wait for.
+        pool.release(again)
+        clock.now += 1.0
+        _, hit, cost = pool.acquire("webgpu/rai:root")
+        assert hit and cost == 0.0
+        assert (pool.hits, pool.hits_waited) == (3, 2)
+        assert pool.hit_wait_seconds == pytest.approx(0.35)
+
+    def test_a_hit_never_costs_more_than_a_reset(self, pool, clock):
+        clock.now = 0.1
+        assert (clock.now + 0.2) - clock.now > 0.2      # float addition
+        container, _, _ = pool.acquire("webgpu/rai:root")
+        pool.release(container)
+        _, hit, cost = pool.acquire("webgpu/rai:root")
+        assert hit and cost == 0.2
+
+    def test_hand_out_is_oldest_parked_hence_earliest_ready(self, pool,
+                                                            clock):
+        first, _, _ = pool.acquire("webgpu/rai:root")
+        second, _, _ = pool.acquire("webgpu/rai:root")
+        pool.release(first)
+        clock.now = 0.15
+        pool.release(second)
+        clock.now = 0.25
+        stats = pool.stats()
+        assert (stats["ready"], stats["resetting"]) == (1, 1)
+        got, _, cost = pool.acquire("webgpu/rai:root")
+        assert got is first and cost == 0.0
+        got, _, cost = pool.acquire("webgpu/rai:root")
+        assert got is second and cost == pytest.approx(0.1)
 
     def test_hit_only_for_the_same_image(self, pool):
         container, _, _ = pool.acquire("webgpu/rai:root")
@@ -164,10 +202,37 @@ class TestShutdown:
         assert runtime.live_count == 0
         assert pool.pooled_count == 0
 
+    def test_close_meters_parked_idle_time_as_overhead(self, runtime, clock):
+        """Stop or crash with one container ready and one mid-reset: both
+        are destroyed and their parked seconds reach the books, once."""
+        usage = UsageMeter(clock)
+        pool = WarmContainerPool(runtime, clock, max_per_image=2,
+                                 reset_seconds=0.2, usage=usage)
+        ready, _, _ = pool.acquire("webgpu/rai:root")
+        resetting, _, _ = pool.acquire("webgpu/rai:root")
+        in_flight, _, _ = pool.acquire("webgpu/rai:root")
+        pool.release(ready)
+        clock.now = 5.0
+        pool.release(resetting)
+        clock.now = 5.1
+        stats = pool.stats()
+        assert (stats["ready"], stats["resetting"]) == (1, 1)
+        assert pool.close() == 2
+        assert usage.tenant_total(UNATTRIBUTED, "warm_slot_seconds") == \
+            pytest.approx(5.1 + 0.1)
+        # The job still running when the worker died destroys its
+        # container; it was never parked, so there is nothing to meter.
+        clock.now = 9.0
+        assert not pool.release(in_flight)
+        assert runtime.live_count == 0
+        assert usage.totals["warm_slot_seconds"] == pytest.approx(5.2)
+
     def test_stats_shape(self, pool):
         container, _, _ = pool.acquire("webgpu/rai:root")
         pool.release(container)
         stats = pool.stats()
         assert stats["pooled"] == 1
+        assert (stats["ready"], stats["resetting"]) == (0, 1)
         assert stats["hits"] == 0 and stats["misses"] == 1
+        assert stats["hits_waited"] == 0 and stats["hit_wait_seconds"] == 0.0
         assert stats["closed"] is False

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.cli import RaiCLI
+from repro.core.config import WorkerConfig
 from repro.core.job import JobKind
+from repro.core.system import RaiSystem
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.9 impl=analytic\n",
@@ -97,6 +99,20 @@ class TestSubcommands:
         assert "p50=-" not in out
         # Pool columns show the cold create and the parked container.
         assert "0/1" in out and "pooled" in out
+        assert "hits waited 0/0" in out
+
+    def test_top_tells_an_undersized_pool_from_a_cold_one(self):
+        """Two teams at once on a one-slot worker: the second job is a
+        warm hit that had to wait out the reset — `hits waited 1/1`."""
+        system = RaiSystem.standard(
+            num_workers=1, seed=7,
+            worker_config=WorkerConfig(max_concurrent_jobs=1))
+        clients = [system.new_client(team=team) for team in ("a", "b")]
+        for client in clients:
+            client.stage_project(FILES)
+        system.run_all(c.submit() for c in clients)
+        out = RaiCLI(system, clients[0]).run_command("rai top")
+        assert "warm-pool hit rate 50%  hits waited 1/1" in out
 
     def test_top_shows_downed_worker(self, cli, system):
         system.workers[0].crash()

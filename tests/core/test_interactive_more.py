@@ -133,6 +133,14 @@ def one_session(system, client, commands=("pwd",)):
     return system.run(student(system.sim))
 
 
+def acquire_seconds(system, session):
+    job_span, = system.tracer.trace_for_job(session.job_id).find("worker.job")
+    fields, = [fields for _, name, fields in job_span.events
+               if name == "container.acquire"]
+    assert fields["pool_hit"] is True
+    return fields["seconds"]
+
+
 class TestSessionIsAJob:
     """What a session gets by being a job on the stage list — each of these
     failed when ``interactive._serve_one`` was its own copy of the worker."""
@@ -168,10 +176,43 @@ class TestSessionIsAJob:
         system.run(until=system.sim.now + system.config.rate_limit_seconds)
         second = one_session(system, client)
         assert (worker.pool.misses, worker.pool.hits) == (1, 1)
+        # The container was reset while the student was away.
+        assert acquire_seconds(system, second) == 0.0
+        assert worker.pool.hits_waited == 0
         # Same tree, same worker: the second fetch moved no chunk, and the
         # second upload was a delta against the first.
         assert worker.fetch_cache_hit_bytes > 0
         assert second.upload_bytes < first.upload_bytes
+
+    def test_session_queued_behind_another_waits_out_the_reset(self, system):
+        """Sessions run one at a time per worker: one requested while
+        another is attached takes the container over the instant it is
+        returned, and pays what is left of its reset — the same
+        ``acquire`` stage, the same pool, as a batch job."""
+        sessions = []
+        for team in ("early", "late"):
+            client = system.new_client(team=team)
+            client.stage_project(FILES)
+            sessions.append(InteractiveSession(client))
+        early, late = sessions
+
+        def first(sim):
+            yield from early.start()
+            yield sim.timeout(5.0)      # ``late`` asks meanwhile
+            yield from early.close()
+
+        def second(sim):
+            yield sim.timeout(1.0)
+            yield from late.start()
+            assert late.is_attached, late.transcript.error
+            yield from late.close()
+
+        system.run_all([first(system.sim), second(system.sim)])
+        worker = system.workers[0]
+        assert (worker.pool.misses, worker.pool.hits) == (1, 1)
+        reset = worker.config.container_reset_seconds
+        assert 0.0 < acquire_seconds(system, late) <= reset
+        assert worker.pool.hits_waited == 1
 
     def test_one_trace_one_usage_record_nothing_left_behind(self, system):
         client = system.new_client(team="debuggers")

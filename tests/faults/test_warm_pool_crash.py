@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
+from repro.obs.usage import UNATTRIBUTED
 
 pytestmark = pytest.mark.chaos
 
@@ -102,3 +103,43 @@ class TestCrashWithPooledContainers:
         assert result.status is JobStatus.SUCCEEDED
         system.workers[0].crash()
         assert 0.0 <= system.fleet_pool_hit_rate() <= 1.0
+
+
+@pytest.mark.parametrize("how", ["stop", "crash"])
+def test_worker_dies_with_one_container_ready_and_one_mid_reset(how):
+    """Both parked containers are destroyed — the reset one and the one
+    still resetting — and the seconds they sat parked reach the books as
+    overhead, once."""
+    system = RaiSystem.standard(num_workers=1, seed=25,
+                                worker_config=warm_config())
+    victim = system.workers[0]
+    clients = [system.new_client(team=team) for team in ("a", "b")]
+    for client in clients:
+        client.stage_project(FILES)
+
+    def late(sim):
+        yield sim.timeout(1.0)
+        return (yield from clients[1].submit())
+
+    def chaos(sim):
+        while victim.pool.pooled_count < 2:
+            yield sim.timeout(0.05)
+        stats = victim.pool.stats()
+        assert (stats["ready"], stats["resetting"]) == (1, 1)
+        parked_seconds = sum(sim.now - entry.parked_at
+                             for queue in victim.pool._parked.values()
+                             for entry in queue)
+        getattr(victim, how)()
+        return parked_seconds
+
+    results = system.run_all([clients[0].submit(), late(system.sim),
+                              chaos(system.sim)])
+    parked_seconds = results[2]
+    assert [r.status for r in results[:2]] == [JobStatus.SUCCEEDED] * 2
+    assert victim.pool.pooled_count == 0
+    assert victim.runtime.live_count == 0
+    assert parked_seconds > 0
+    assert system.usage.tenant_total(UNATTRIBUTED, "warm_slot_seconds") == \
+        pytest.approx(parked_seconds)
+    assert system.usage.totals["warm_slot_seconds"] == \
+        pytest.approx(parked_seconds)

@@ -1,60 +1,97 @@
-"""Tier-1 guard for the metering acceptance bar: usage metering adds
-< 5% CPU overhead to the medium hotpath workload versus metering
-disabled.  Metering is on by default, so this is the cost every
-deployment pays — the meter must stay a handful of dict adds per job.
+"""Tier-1 guards for the metering acceptance bar, by count not by clock:
+metering is on by default, so what it adds to every job — records
+written, and comparisons made to keep the exemplar table — is pinned as
+a number of operations, and turning it off must change no result.
 """
 
-import time
+import math
+import random
 
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.system import RaiSystem
+from repro.obs.usage import UsageMeter
 from repro.workload.hotpath import DEFAULT_SCALES, run_hotpath
 
 pytestmark = [pytest.mark.perf, pytest.mark.usage]
 
-#: The ISSUE pins the bar at the medium tier: 10 students x 6
-#: resubmissions on 4 workers — enough jobs that a per-job metering
-#: regression is visible over interpreter noise.
+#: 10 students x 6 resubmissions on 4 workers.
 MEDIUM_SCALE = next(s for s in DEFAULT_SCALES if s.name == "medium")
 
-
-def _cpu_seconds(metering_enabled: bool) -> float:
-    config = SystemConfig()
-    config.usage_metering_enabled = metering_enabled
-    start = time.process_time()
-    run_hotpath(MEDIUM_SCALE, config=config)
-    return time.process_time() - start
+FILES = {
+    "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
+    "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
+}
 
 
-def _overhead_ratio() -> float:
-    # Same protocol as the build-cache smoke: CPU time not wall clock,
-    # interleaved pairs, judged by whichever of two fair estimators is
-    # smaller — ratio of sums (averages slow machine drift) and ratio
-    # of minimums (quiet-window cost) — since on a loaded box either
-    # one alone can be unlucky by more than the whole 5% budget.
-    samples = [(_cpu_seconds(True), _cpu_seconds(False))
-               for _ in range(4)]
-    sum_on = sum(s for s, _ in samples)
-    sum_off = sum(s for _, s in samples)
-    min_on = min(s for s, _ in samples)
-    min_off = min(s for _, s in samples)
-    if sum_off <= 0 or min_off <= 0:
-        return 1.0
-    return min(sum_on / sum_off, min_on / min_off)
+def test_meter_records_per_job_are_a_fixed_handful():
+    """One record per broker message the job publishes (what a student
+    sees streams as messages), plus a fixed handful for everything else:
+    upload, stored bytes, docdb ops, the warm slot, the per-job roll-up."""
+    system = RaiSystem.standard(num_workers=1, seed=7)
+    client = system.new_client(team="t")
+    client.stage_project(FILES)
+    per_job = []
+
+    def student(sim):
+        for attempt in range(4):
+            if attempt:
+                client.stage_project({"note.txt": f"{attempt}\n"})
+                yield sim.timeout(system.config.rate_limit_seconds + 1.0)
+            records = system.usage.total_records
+            messages = system.usage.totals.get("broker_messages", 0.0)
+            yield from client.submit()
+            per_job.append((
+                system.usage.total_records - records,
+                system.usage.totals["broker_messages"] - messages))
+
+    system.run(student(system.sim))
+    assert len(per_job) == 4
+    for records, messages in per_job:
+        assert 0 < records - messages <= 16
+    # Resubmissions are the steady state: the same count every time.
+    assert len(set(per_job[2:])) == 1
 
 
-def test_metering_overhead_under_five_percent():
-    # One warmup pair absorbs allocator/bytecode cold start.  A true
-    # regression fails both attempts; a one-off noise spike does not.
-    _cpu_seconds(True)
-    _cpu_seconds(False)
-    ratio = _overhead_ratio()
-    if ratio >= 1.05:
-        ratio = min(ratio, _overhead_ratio())
-    assert ratio < 1.05, (
-        f"usage metering overhead {100 * (ratio - 1):.1f}% exceeds "
-        "5% budget")
+class CountedSeconds(float):
+    """A job's container seconds that counts the ordering comparisons
+    made on it (``==`` is left alone: tuple comparison probes with it)."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        CountedSeconds.comparisons += 1
+        return float.__lt__(self, other)
+
+    def __ge__(self, other):
+        CountedSeconds.comparisons += 1
+        return float.__ge__(self, other)
+
+    __hash__ = float.__hash__
+
+
+def test_exemplar_comparisons_per_job_are_logarithmic_with_the_table_full():
+    """Once ``max_jobs`` exemplars are kept, a finished job costs a heap
+    pop and a push — not a scan of the table (256 comparisons a job)."""
+    meter = UsageMeter(lambda: 0.0)
+    rng = random.Random(408)
+    for number in range(meter.max_jobs):
+        meter.record_job("team", job_id=f"kept-{number}",
+                         container_seconds=CountedSeconds(rng.uniform(1, 9)))
+    assert len(meter.jobs) == meter.max_jobs
+    # pop + push + the floor check, each at most one heap height
+    budget = 3 * math.ceil(math.log2(meter.max_jobs)) + 2
+    worst = evicted = 0
+    for number in range(1200):
+        before = CountedSeconds.comparisons
+        meter.record_job("team", job_id=f"new-{number}",
+                         container_seconds=CountedSeconds(rng.uniform(0, 10)))
+        worst = max(worst, CountedSeconds.comparisons - before)
+        evicted += f"new-{number}" in meter.jobs
+    assert 0 < evicted < 1200            # both outcomes were exercised
+    assert len(meter.jobs) == meter.max_jobs
+    assert worst <= budget
 
 
 def test_metering_on_changes_no_results():
