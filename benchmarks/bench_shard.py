@@ -8,8 +8,9 @@ scans ~1/N of both.  The bench drives the same deadline storm — fixed
 executor fleet, fixed arrival process — through 1, 2, 4, and 8
 partitions and reports wall-clock submissions/s, then asserts the
 acceptance floors: >= 3x throughput at 8 partitions, and the two
-determinism contracts (``shards=1`` reproduces the pre-shard golden
-digest byte-for-byte; same-seed sharded runs agree with each other).
+determinism contracts (the default config and ``shards=1`` — one
+one-partition plane — reproduce the golden digest byte-for-byte;
+same-seed sharded runs agree with each other).
 
 Methodology notes:
 
@@ -129,8 +130,8 @@ def test_shard_throughput(benchmark):
         assert run["submissions"] == SHARD_STORM.n_submissions
         if run["partitions"] > 1:
             assert run["steals"] > 0, run["partitions"]
-    # Determinism: sharding *off* is byte-identical to the pre-shard
-    # control plane, and sharding *on* is reproducible run-to-run.
+    # Determinism: the one-partition plane reproduces the golden digest,
+    # and a multi-partition plane is reproducible run-to-run.
     assert digests["default"][0] == GOLDEN_DIGEST
     assert digests["shards_1"][0] == GOLDEN_DIGEST
     assert digests["shards_4_a"] == digests["shards_4_b"]

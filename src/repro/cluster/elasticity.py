@@ -144,7 +144,7 @@ class Autoscaler:
             "active": active,
             "capacity": capacity,
             "occupancy": active / capacity if capacity else 0.0,
-            "wait_ewma": self.system.sched_wait_ewma(),
+            "wait_ewma": self.system.shards.max_wait_ewma(),
             "since_scale_in": self.sim.now - self._last_scale_in,
         }
 

@@ -131,7 +131,6 @@ class RaiCLI:
                                             and math.isnan(value)) \
                 else f"{value:.1f}"
 
-        sched = system.scheduler
         lines = [
             f"t={system.sim.now:.1f}s  "
             f"queue={system.queue_depth()}  "
@@ -139,7 +138,7 @@ class RaiCLI:
             f"dead-letters={system.broker.dead_letter_count()}",
             f"sched wait: p50={fmt(wait.percentile(50) if wait.count else None)}s  "
             f"p95={fmt(wait.percentile(95) if wait.count else None)}s  "
-            f"ewma={fmt(sched.wait_ewma() if sched else None)}s  "
+            f"ewma={fmt(system.shards.max_wait_ewma())}s  "
             f"dispatched={wait.count}",
             f"fleet: slots busy "
             f"{system.fleet_slot_utilization() * 100:.0f}%  "
@@ -265,11 +264,7 @@ class RaiCLI:
         from repro.analysis.report import render_table
 
         system = self.system
-        shards = system.shards
-        if shards is None:
-            return ("This deployment is not sharded (shards=1); "
-                    "the control plane is the single rai/tasks queue.\n")
-        stats = shards.stats()
+        stats = system.shards.stats()
         shard_map = stats["shard_map"]
         rows = []
         for p in stats["partitions"]:
@@ -286,7 +281,8 @@ class RaiCLI:
                 f"{p['pool_hit_rate'] * 100:.0f}%",
                 "-" if wait is None else f"{wait:.1f}s",
             ])
-        header = (f"shard map: {shard_map['n_partitions']} partitions, "
+        n = shard_map["n_partitions"]
+        header = (f"shard map: {n} partition{'s' if n != 1 else ''}, "
                   f"hash seed {shard_map['seed']}, key team→username "
                   f"(steal threshold {stats['steal_threshold']})")
         table = render_table(

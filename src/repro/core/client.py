@@ -142,10 +142,11 @@ class RaiClient:
             upload_key, source_digest = yield from self._upload_project(
                 kind, span, result)
             job_id = result.job_id
-            # Sharded deployments route the publish by fair-share key
-            # (team, else username) to the key's partition topic;
-            # unsharded, this is exactly the legacy "rai" topic.
-            task_topic = self.system.task_topic(self.team or self.username)
+            # The plane routes the publish by fair-share key (team, else
+            # username) to the key's partition topic — "rai" when the
+            # deployment has one partition.
+            partition, task_topic = self.system.shards.route(
+                self.team or self.username)
             job, consumer, publish_span = self._publish_job(
                 span, task_topic, id=job_id, kind=kind, spec_yaml=spec_yaml,
                 upload_key=upload_key, source_digest=source_digest)
@@ -156,13 +157,9 @@ class RaiClient:
         self.system.monitor.incr("jobs_submitted")
         self.system.monitor.record_submission(self.sim.now, kind)
         events = self.system.events
-        shards = self.system.shards
-        if shards is not None:
-            events.emit("shard.route", span=publish_span, job_id=job_id,
-                        team=self.team, username=self.username,
-                        topic=task_topic,
-                        partition=shards.shard_map.partition(
-                            self.team or self.username))
+        events.emit("shard.route", span=publish_span, job_id=job_id,
+                    team=self.team, username=self.username,
+                    topic=task_topic, partition=partition)
         events.emit("job.state_change", span=span, job_id=job_id,
                     team=self.team, status="queued",
                     username=self.username, kind=kind.value)

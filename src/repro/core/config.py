@@ -30,8 +30,6 @@ class WorkerConfig:
     storage_bandwidth_bps: float = 200e6
     #: Registry pull bandwidth for image-cache misses.
     pull_bandwidth_bps: float = 100e6
-    #: Queue route workers consume from.
-    task_route: str = "rai/tasks"
     #: Relative runtime jitter when running alone (measurement noise).
     solo_jitter: float = 0.02
     #: Additional relative jitter per concurrent co-running job
@@ -152,11 +150,12 @@ class SystemConfig:
     slo_queue_wait_p95_seconds: float = 30.0
     #: Default objective: submission success ratio target.
     slo_success_target: float = 0.99
-    #: Control-plane partitions (``repro.shard``).  >1 hash-partitions the
-    #: task topic, the submissions collection, and the scheduler by team
+    #: Control-plane partitions (``repro.shard``): the task topic, the
+    #: submissions collection and the scheduler, hash-partitioned by team
     #: key (``tasks.pK`` / ``submissions.pK`` / one scheduler instance per
     #: partition, with occupancy-driven work-stealing between them).
-    #: 1 — the default — runs the exact unsharded legacy code paths.
+    #: 1 — the default — is the one-partition plane, named as the paper
+    #: names it: topic ``rai``, route ``rai/tasks``, ``submissions``.
     shards: int = 1
     #: Seed of the shard map's keyed hash.  Part of durable state: a
     #: restore must rebuild the same map or every routed document and

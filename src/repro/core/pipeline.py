@@ -571,9 +571,8 @@ def record_submission(run: JobRun) -> None:
         "stderr_tail": stderr[-2000:],
     })
     system.monitor.incr("jobs_recorded")
-    # Feed the fair-share estimator that owns this job's key: the shared
-    # scheduler, or its partition's instance when sharded.
-    system.note_completion(job.team or job.username, service_seconds)
+    # Feed the fair-share estimator of the partition that owns this job's key.
+    system.shards.note_completion(job.team or job.username, service_seconds)
     if job.kind is JobKind.SUBMIT and run.status is JobStatus.SUCCEEDED \
             and internal_time is not None and job.team:
         system.ranking.record_final(

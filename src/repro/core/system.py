@@ -69,6 +69,11 @@ class SystemMonitor(Monitor):
 class RaiSystem:
     """A complete RAI deployment on one simulation kernel."""
 
+    #: Always None: schedulers live on the control plane
+    #: (``self.shards.schedulers``).  Kept only for its last reader,
+    #: bench/harness.py:285, which falls back to the plane when it is None.
+    scheduler = None
+
     def __init__(self, seed: int = 0,
                  config: Optional[SystemConfig] = None,
                  registry: Optional[ImageRegistry] = None):
@@ -131,23 +136,20 @@ class RaiSystem:
         self.db = DocumentDB(self.sim, metrics=self.metrics)
         self.db.usage = self.usage
 
-        #: The sharded control plane (``repro.shard``) when ``shards > 1``;
-        #: None runs the exact unsharded legacy paths (shards=1 is
-        #: behavior-identical to a build without this subsystem).
-        self.shards: Optional[ShardedControlPlane] = None
-        if self.config.shards > 1:
-            self.shards = ShardedControlPlane(
-                self.broker,
-                ShardMap(self.config.shards, seed=self.config.shard_seed),
-                metrics=self.metrics, events=self.events,
-                steal_threshold=self.config.shard_steal_threshold,
-                scheduler_factory=(self._partition_scheduler
-                                   if self.config.scheduler_enabled
-                                   else None),
-                workers_fn=lambda: self.workers)
-            # Submissions shard by the same map as the task topics, so a
-            # team's records and its queue traffic share a partition.
-            self.db.shard_collection("submissions", self.shards.shard_map)
+        #: The control plane (``repro.shard``): task topics, one fair-share
+        #: scheduler per partition, stealing.  ``shards=1`` is its
+        #: one-partition case — the paper's ``rai`` / ``rai/tasks``.
+        self.shards = ShardedControlPlane(
+            self.broker,
+            ShardMap(self.config.shards, seed=self.config.shard_seed),
+            metrics=self.metrics, events=self.events,
+            steal_threshold=self.config.shard_steal_threshold,
+            scheduler_factory=(self._partition_scheduler
+                               if self.config.scheduler_enabled else None),
+            workers_fn=lambda: self.workers)
+        # Submissions shard by the same map as the task topics, so a
+        # team's records and its queue traffic share a partition.
+        self.db.shard_collection("submissions", self.shards.shard_map)
         # The per-job dedup probe (worker._record, dead-letter drain) runs
         # once per submission; an index keeps it O(1) instead of a scan
         # over every submission the course has ever recorded.
@@ -163,16 +165,6 @@ class RaiSystem:
             window_seconds=self.config.rate_limit_seconds)
         self.ranking = RankingService(self.db)
         self.workers: List[RaiWorker] = []
-
-        # Fair-share / deadline-aware dequeue on the shared task channel.
-        # Every worker consumes "rai/tasks"; attaching the scheduler to
-        # that channel reorders dispatch without touching the executors.
-        # Sharded deployments instead run one scheduler per partition
-        # (built by _partition_scheduler above), so this stays None there.
-        self.scheduler: Optional[JobScheduler] = None
-        if self.config.scheduler_enabled and self.shards is None:
-            self.scheduler = self._partition_scheduler(0)
-            self.broker.channel("rai/tasks").scheduler = self.scheduler
 
         # File-server buckets and the paper's lifetime rules (§IV/§V):
         # uploads expire one month after last use; build outputs after
@@ -200,7 +192,8 @@ class RaiSystem:
             for topic in self.broker.topics.values()
             for channel in topic.channels.values()))
         self.metrics.gauge("dead_letters", fn=self.broker.dead_letter_count)
-        self.metrics.gauge("sched_wait_ewma", fn=self.sched_wait_ewma)
+        # The worst partition's queue-wait EWMA: the autoscaler's signal.
+        self.metrics.gauge("sched_wait_ewma", fn=self.shards.max_wait_ewma)
         self.metrics.gauge("fleet_slot_utilization",
                            fn=self.fleet_slot_utilization)
         self.metrics.gauge("warm_pool_hit_rate", fn=self.fleet_pool_hit_rate)
@@ -274,18 +267,12 @@ class RaiSystem:
         # RNG stream names — and thus timing jitter — are reproducible
         # across runs with the same seed.
         worker_id = f"worker-{len(self.workers) + 1:04d}"
-        wconf = WorkerConfig(**vars(config)) if config is not None else None
-        partition = None
-        if self.shards is not None and \
-                (wconf is None or wconf.task_route == WorkerConfig.task_route):
-            # Round-robin home partitions; a caller-specified task_route
-            # wins (it pinned the worker somewhere on purpose).
-            partition = self.shards.assign_partition()
-            if wconf is None:
-                wconf = WorkerConfig()
-            wconf.task_route = self.shards.shard_map.route(partition)
-        worker = RaiWorker(self, config=wconf, worker_id=worker_id)
-        worker.partition = partition
+        # Each worker owns a copy of its config; home partitions go
+        # round-robin.
+        worker = RaiWorker(
+            self, worker_id=worker_id,
+            config=WorkerConfig(**vars(config)) if config is not None else None,
+            partition=self.shards.assign_partition())
         self.workers.append(worker)
         self.monitor.incr("workers_started")
         # Per-worker labelled gauges (`rai top` reads these; the scraper
@@ -582,8 +569,7 @@ class RaiSystem:
     # -- sharding ------------------------------------------------------------
 
     def _partition_scheduler(self, partition: int) -> JobScheduler:
-        """One fair-share scheduler instance (per partition when sharded;
-        partition 0 doubles as the single shared instance otherwise)."""
+        """The fair-share scheduler instance for one plane partition."""
         return JobScheduler(
             clock=lambda: self.sim.now,
             policy=SchedulerPolicy(
@@ -610,28 +596,6 @@ class RaiSystem:
             return False
         return self.build_cache.seen_source(body.get("source_digest"))
 
-    def task_topic(self, key: Optional[str]) -> str:
-        """The topic a submission keyed by ``key`` publishes to.
-
-        The client's publish site: ``"rai"`` unsharded, the key's
-        ``tasks.pK`` partition topic otherwise.
-        """
-        if self.shards is None:
-            return "rai"
-        _, topic = self.shards.route(key or "")
-        return topic
-
-    def note_completion(self, key: Optional[str],
-                        service_seconds: float) -> None:
-        """Feed a completed job's service time to the scheduler that owns
-        ``key`` (the shared instance, or the key's partition scheduler)."""
-        if not key:
-            return
-        if self.scheduler is not None:
-            self.scheduler.note_completion(key, service_seconds)
-        elif self.shards is not None:
-            self.shards.note_completion(key, service_seconds)
-
     def start_shard_balancer(self, interval: Optional[float] = None):
         """Start the periodic shard rebalancer (opt-in, like the
         caretaker: it is a perpetual process).
@@ -639,25 +603,14 @@ class RaiSystem:
         Pull-stealing only helps executors that are cycling; one parked
         on an empty partition's blocking ``get`` sleeps through a storm
         elsewhere.  The balancer migrates queued work to starving
-        partitions, waking them (see ``ShardedControlPlane.rebalance``).
+        partitions, waking them (see ``ShardedControlPlane.rebalance``);
+        with one partition there is nowhere to migrate from.
         """
-        if self.shards is None:
-            raise RuntimeError("deployment is not sharded (shards=1)")
         if interval is None:
             interval = self.config.shard_balance_interval_seconds
         return self._every(interval, self.shards.rebalance)
 
     # -- observability ------------------------------------------------------
-
-    def sched_wait_ewma(self) -> float:
-        """Queue-wait EWMA of the scheduler(s): the shared instance's, or
-        the worst partition's when sharded (gauge ``sched_wait_ewma``; the
-        autoscaler's wait signal)."""
-        if self.scheduler is not None:
-            return self.scheduler.wait_ewma()
-        if self.shards is not None:
-            return self.shards.max_wait_ewma()
-        return 0.0
 
     def _service_history(self, key: str) -> List[float]:
         """Past service times for a fair-share key (team, else username).
@@ -688,12 +641,8 @@ class RaiSystem:
         return hits / total if total else 0.0
 
     def queue_depth(self) -> int:
-        """Jobs waiting in the task queue (incl. topic backlog)."""
-        if self.shards is not None:
-            return self.shards.queue_depth()
-        if not self.broker.has_topic("rai"):
-            return 0
-        return self.broker.topics["rai"].depth
+        """Jobs waiting in the task queues (incl. topic backlog)."""
+        return self.shards.queue_depth()
 
     def stats(self) -> dict:
         submissions = self.db.collection("submissions")
@@ -707,11 +656,8 @@ class RaiSystem:
             },
             "queue_depth": self.queue_depth(),
             "dead_letters": self.broker.dead_letter_count(),
-            "scheduler": (self.scheduler.wait_stats() if self.scheduler
-                          else self.shards.wait_stats()
-                          if self.shards is not None else None),
-            "shards": (self.shards.stats()
-                       if self.shards is not None else None),
+            "scheduler": self.shards.wait_stats(),
+            "shards": self.shards.stats(),
             "warm_pool": {
                 "hit_rate": self.fleet_pool_hit_rate(),
                 "pooled": sum(w.pool.pooled_count for w in self.workers),

@@ -4,7 +4,8 @@ The paper's six steps, with the :data:`repro.core.pipeline.STAGES` stage
 each became — and, in brackets, what an interactive session (§VIII,
 :data:`~repro.core.pipeline.SESSION_STAGES`) does there instead:
 
-1. subscribe to the ``rai`` topic's task channel — ``_executor_loop``
+1. subscribe to the ``rai`` topic's task channel (the worker's home
+   partition's, when the control plane has several) — ``_executor_loop``
    [the same loop on ``rai-interactive/sessions``, not a slot];
 2. on a message: parse, check credentials, extract the build spec —
    ``_process_job`` parses, stage ``admit`` does the rest [then ``resume``:
@@ -57,7 +58,7 @@ class RaiWorker:
     execute students' code", §IV)."""
 
     def __init__(self, system, config: Optional[WorkerConfig],
-                 worker_id: str):
+                 worker_id: str, partition: int = 0):
         self.system = system
         self.sim = system.sim
         self.config = config or WorkerConfig()
@@ -85,9 +86,10 @@ class RaiWorker:
         self._retry_rng = system.rng.stream(f"worker:{self.id}:retry")
         self._stopped = False
         self._crashed = False
-        #: Home partition index on a sharded deployment (set by
-        #: ``RaiSystem.add_worker``); None = consume ``task_route`` as-is.
-        self.partition: Optional[int] = None
+        #: Home partition on the control plane (``RaiSystem.add_worker``
+        #: assigns them round-robin); its slots consume that partition's
+        #: task channel and steal from siblings when it runs dry.
+        self.partition = partition
         # Manifest-aware fetch cache: content digests (chunk hashes, or
         # whole-object etags for non-chunked objects) this worker already
         # transferred, LRU-bounded by fetch_cache_bytes.  A repeat fetch
@@ -225,23 +227,11 @@ class RaiWorker:
 
     # -- the executor loop ------------------------------------------------------
 
-    def _make_consumer(self):
-        """The task consumer an executor slot opens.
-
-        Partition-homed workers on a sharded deployment get a
-        :class:`~repro.shard.steal.StealingConsumer` (home-channel
-        claims with pull-steal fallback); everything else — unsharded
-        systems, custom-pinned routes — gets a plain
-        :class:`~repro.broker.client.Consumer`.
-        """
-        if self.partition is not None:
-            return self.system.shards.consumer(self.partition)
-        return Consumer(self.system.broker, self.config.task_route)
-
     def _executor_loop(self, slot: Optional[int], route: Optional[str] = None):
-        # ``route`` is given (and ``slot`` is not) by the session executor.
+        # ``route`` is given (and ``slot`` is not) by the session executor;
+        # a slot takes the home partition's stealing consumer.
         consumer = Consumer(self.system.broker, route) if route \
-            else self._make_consumer()
+            else self.system.shards.consumer(self.partition)
         try:
             while not self._stopped:
                 # Prefetch: claim an already-queued message synchronously

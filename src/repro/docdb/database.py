@@ -376,10 +376,14 @@ class DocumentDB:
 
         Must happen before any document lands under the plain name — a
         facade cannot adopt an already-populated unsharded collection
-        (that is a data migration, not a registration).
+        (that is a data migration, not a registration).  A one-partition
+        map needs no routing: its only shard *is* the plain collection,
+        which is returned as is.
         """
         from repro.docdb.sharded import ShardedCollection
 
+        if shard_map.n_partitions == 1:
+            return self.collection(name)
         existing = self._collections.get(name)
         if existing is not None and len(existing) > 0:
             raise DocDbError(

@@ -37,6 +37,11 @@ class FaultInjector:
         self._stopped = False
         self._orig_publish = None
         self._orig_add_worker = None
+        #: What ``BrokerFault(topic=None)`` matches: every partition's
+        #: task topic.
+        shard_map = system.shards.shard_map
+        self._task_topics = frozenset(
+            shard_map.topic(p) for p in shard_map.partitions())
         self.injected = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -171,7 +176,8 @@ class FaultInjector:
         if not self._stopped:
             now = self.sim.now
             for fault in self.plan.broker_faults:
-                if fault.topic != topic_name:
+                if topic_name not in (self._task_topics if fault.topic is None
+                                      else (fault.topic,)):
                     continue
                 if not self._in_window(fault.window, now):
                     continue

@@ -82,8 +82,11 @@ class StorageFault:
 class BrokerFault:
     """Broker delivery mischief: delay or drop published messages."""
 
-    #: Topic whose publishes are affected (``"rai"`` = the task queue).
-    topic: str = "rai"
+    #: Topic whose publishes are affected.  ``None`` (the default) means
+    #: the deployment's task topics — every control-plane partition's,
+    #: ``rai`` on one partition, ``tasks.p0`` … on several; a string
+    #: names exactly one topic.
+    topic: Optional[str] = None
     #: Per-publish probability of silently dropping the message.
     drop_rate: float = 0.0
     #: Per-publish probability of delaying delivery...

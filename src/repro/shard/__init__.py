@@ -21,9 +21,12 @@ package applies Ray's sharded-GCS shape to the submission control plane:
   runtime: per-partition channels, schedulers, metrics, steal counters,
   and the opt-in rebalancer loop.
 
-``shards=1`` (the :class:`~repro.core.config.SystemConfig` default)
-disables all of this: the system takes the exact legacy code paths and is
-behavior-identical to an unsharded deployment, byte for byte.
+Every :class:`~repro.core.system.RaiSystem` runs this plane; ``shards=1``
+(the :class:`~repro.core.config.SystemConfig` default) is its
+one-partition case.  The map names a lone partition with the paper's
+unsharded names — topic ``rai``, route ``rai/tasks``, collection
+``submissions`` — so a one-partition deployment's queue names, WAL
+records and snapshots are the paper's.
 """
 
 from repro.shard.plane import ShardedControlPlane

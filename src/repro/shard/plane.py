@@ -1,10 +1,12 @@
-"""The assembled sharded control plane.
+"""The assembled control plane: every deployment runs one.
 
 One :class:`ShardedControlPlane` owns everything partition-scoped: the
 per-partition broker channels, the N independent scheduler instances, the
 steal policy and its counters, and the per-partition observability
-surface (``shard``-labelled gauges, ``shard.steal`` events).  It is
-deliberately decoupled from :class:`~repro.core.core.RaiSystem` — the
+surface (``shard``-labelled gauges, ``shard.steal`` events).  ``shards=1``
+is the one-partition plane — the paper's single ``rai`` topic,
+``rai/tasks`` queue and scheduler — not a different design.  It is
+deliberately decoupled from :class:`~repro.core.system.RaiSystem` — the
 shard bench drives the same plane over a bare broker at kernel scale —
 so its constructor takes plain collaborators, not the system object.
 """
@@ -195,7 +197,10 @@ class ShardedControlPlane:
         return self.schedulers[self.shard_map.partition(key)]
 
     def note_completion(self, key, service_seconds: float) -> None:
-        """Feed a completed job's service time to its partition's scheduler."""
+        """Feed a completed job's service time to its partition's scheduler
+        (a job with no fair-share key feeds none)."""
+        if not key:
+            return
         scheduler = self.scheduler_for(key)
         if scheduler is not None:
             scheduler.note_completion(key, service_seconds)
@@ -210,8 +215,7 @@ class ShardedControlPlane:
     def _partition_workers(self, partition: int) -> list:
         if self.workers_fn is None:
             return []
-        return [w for w in self.workers_fn()
-                if getattr(w, "partition", None) == partition]
+        return [w for w in self.workers_fn() if w.partition == partition]
 
     def occupancy(self, partition: int) -> float:
         """Busy fraction of the partition's live executor slots."""

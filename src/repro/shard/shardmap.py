@@ -2,9 +2,10 @@
 
 Both planes route through the same map — a team's task messages go to
 broker topic ``tasks.p{K}`` and its submission records to docdb collection
-``{base}.p{K}`` for the same ``K`` — so the single-shard fast path holds
-end to end: claim a team's job, record its submission, and query its
-history without ever crossing a partition boundary.
+``{base}.p{K}`` for the same ``K`` (``rai`` and ``{base}`` when the map
+has one partition) — so the single-shard fast path holds end to end:
+claim a team's job, record its submission, and query its history without
+ever crossing a partition boundary.
 
 The hash must be *stable* (the same key maps to the same partition in
 every process, every session, and after every restore — partition
@@ -25,11 +26,13 @@ class ShardMap:
 
     __slots__ = ("n_partitions", "seed", "_hash_key")
 
-    #: Partitioned task topics are ``tasks.p0 .. tasks.p{N-1}``; each has
-    #: one competing-consumer channel of the same name as the legacy
-    #: ``rai/tasks`` route.
+    #: Partitioned task topics are ``tasks.p0 .. tasks.p{N-1}``, each with
+    #: one competing-consumer channel ``tasks``.  A one-partition map names
+    #: its partition as the paper does (§IV): topic ``rai``, route
+    #: ``rai/tasks``, and the plain base collection name.
     TOPIC_PREFIX = "tasks"
     CHANNEL = "tasks"
+    SINGLE_TOPIC = "rai"
 
     def __init__(self, n_partitions: int, seed: int = 0):
         if n_partitions < 1:
@@ -70,8 +73,11 @@ class ShardMap:
     # -- partition → names --------------------------------------------------
 
     def topic(self, partition: int) -> str:
-        """Broker topic name for ``partition`` (``tasks.p3``)."""
+        """Broker topic name for ``partition`` (``tasks.p3``; ``rai`` when
+        there is one partition)."""
         self._check(partition)
+        if self.n_partitions == 1:
+            return self.SINGLE_TOPIC
         return f"{self.TOPIC_PREFIX}.p{partition}"
 
     def route(self, partition: int) -> str:
@@ -79,8 +85,11 @@ class ShardMap:
         return f"{self.topic(partition)}/{self.CHANNEL}"
 
     def collection(self, base: str, partition: int) -> str:
-        """Physical docdb collection name (``submissions.p3``)."""
+        """Physical docdb collection name (``submissions.p3``; ``base``
+        itself when there is one partition)."""
         self._check(partition)
+        if self.n_partitions == 1:
+            return base
         return f"{base}.p{partition}"
 
     def partitions(self) -> range:

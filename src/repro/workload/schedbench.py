@@ -236,6 +236,8 @@ def run_sched(scale: SchedScale, seed: int = 408,
                                 "mean": round(hist.sum / hist.count, 3)}
 
     runtime_stats = [w.runtime.stats() for w in system.workers]
+    # One-partition plane: its p0 scheduler (None in baseline mode).
+    scheduler = system.shards.schedulers[0]
     metrics = {
         "scale": {"name": scale.name, "n_teams": scale.n_teams,
                   "n_resubmissions": scale.n_resubmissions,
@@ -258,8 +260,8 @@ def run_sched(scale: SchedScale, seed: int = 408,
         },
         "pool": pool,
         "container_acquire_s": acquire,
-        "scheduler": (system.scheduler.wait_stats()
-                      if system.scheduler else None),
+        "scheduler": (scheduler.wait_stats()
+                      if scheduler is not None else None),
         "pull": {
             "bytes_pulled": sum(s["bytes_pulled"] for s in runtime_stats),
             "bytes_pull_saved": sum(s["bytes_pull_saved"]

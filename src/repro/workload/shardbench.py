@@ -20,10 +20,9 @@ of the teams.
 Two determinism guards ride along:
 
 - :func:`control_plane_digest` folds a full ``RaiSystem`` storm's results
-  into a SHA-256 digest.  :data:`GOLDEN_DIGEST` was captured on the
-  pre-shard tree; the bench (and the tier-1 smoke) assert that the default
-  config *and* ``shards=1`` still reproduce it byte-for-byte — the
-  "N=1 is byte-identical to today" contract.
+  into a SHA-256 digest.  The bench (and the tier-1 smoke) assert that
+  the default config *and* ``shards=1`` — the same one-partition plane —
+  reproduce :data:`GOLDEN_DIGEST` byte-for-byte.
 - Every :class:`ShardResult` carries a delivery-order trace digest, and
   same-seed sharded runs must agree with each other.
 """
@@ -48,10 +47,12 @@ from repro.shard import ShardMap, ShardedControlPlane
 from repro.sim import Simulator
 
 #: Delivery-order digest of the reference storm.
-#: ``control_plane_digest()`` must still produce this on the default
-#: config and on ``SystemConfig(shards=1)`` — sharding off is not merely
-#: "equivalent", it is the same machine.  Re-captured twice, each time
-#: for a model change made on purpose.  When the build artifact cache
+#: ``control_plane_digest()`` must produce this on the default config and
+#: on ``SystemConfig(shards=1)``: both build the one-partition control
+#: plane.  Captured when the unsharded control plane was a separate code
+#: path and held, without re-capture, when that path was replaced by the
+#: one-partition plane.  Re-captured twice, each time for a model change
+#: made on purpose.  When the build artifact cache
 #: landed: cached resubmission builds re-time and re-place downstream
 #: work (before it,
 #: 71d365bccfb90a486220a01387e56bc3e232418e239018874a34f5d7808d17ed).
@@ -186,9 +187,8 @@ def run_shard_workload(scale: ShardScale, partitions: int,
     """Drive one storm through the sharded plane; returns the metrics.
 
     ``partitions=1`` is the single-queue baseline: one topic, one channel,
-    one scheduler instance scanning the whole backlog — structurally the
-    unsharded control plane with the routing layer's (constant) overhead
-    included, which keeps the comparison honest.
+    one scheduler instance scanning the whole backlog — the same
+    one-partition plane a default deployment runs.
     """
     if partitions < 1:
         raise ValueError("partitions must be >= 1")

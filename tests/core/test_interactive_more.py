@@ -247,7 +247,7 @@ class TestSessionIsAJob:
         not become the team's shortest-job-first estimate."""
         noted = []
         monkeypatch.setattr(
-            RaiSystem, "note_completion",
+            type(system.shards), "note_completion",
             lambda self, key, seconds: noted.append((key, seconds)))
         client = system.new_client(team="t")
         client.stage_project(FILES)

@@ -111,16 +111,6 @@ class TestShutdownRaces:
 
 
 class TestWorkerConfigKnobs:
-    def test_custom_task_route_isolates_queues(self):
-        system = RaiSystem(seed=2)
-        system.add_worker(WorkerConfig(task_route="rai/special"))
-        # Jobs go to rai/tasks by default: the special worker's channel
-        # also receives a copy (fan-out), so it still serves them.
-        client = system.new_client(team="t")
-        client.stage_project(FILES)
-        result = system.run(client.submit())
-        assert result.status is JobStatus.SUCCEEDED
-
     def test_concurrency_validation(self):
         with pytest.raises(ValueError):
             WorkerConfig(max_concurrent_jobs=0)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.config import SystemConfig
+from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
 from repro.errors import TransientStorageError
 from repro.faults import (
@@ -11,6 +13,11 @@ from repro.faults import (
     StorageFault,
     WorkerCrashFault,
 )
+
+FILES = {
+    "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
+    "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
+}
 
 
 class TestPlanValidation:
@@ -116,6 +123,23 @@ class TestBrokerHook:
         system.run(until=11.0)
         assert system.queue_depth() == 1
         assert system.monitor.counters.get("faults_broker_delay") == 1
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_default_topic_is_every_task_topic(self, shards):
+        """Regression: the default meant the literal topic ``rai``, which
+        a multi-partition plane never publishes to — nothing was dropped."""
+        system = RaiSystem.standard(num_workers=2, seed=1,
+                                    config=SystemConfig(shards=shards))
+        system.start_fault_plan(FaultPlan(broker_faults=(
+            BrokerFault(drop_rate=1.0),)))
+        clients = [system.new_client(team=f"team{i:02d}") for i in range(8)]
+        for client in clients:
+            client.stage_project(FILES)
+        results = system.run_all(client.submit(wait_timeout=60.0)
+                                 for client in clients)
+        assert [r.status for r in results] == [JobStatus.TIMEOUT] * 8
+        assert system.monitor.counters.get("faults_broker_drop") == 8
+        assert system.queue_depth() == 0
 
     def test_same_seed_same_drop_decisions(self):
         def decisions(seed):

@@ -1,18 +1,25 @@
-"""Sharding off must cost nothing: N=1 identity and overhead smoke.
+"""One control-plane topology: the one-partition plane, pinned by count.
 
-Tier-1 guard for the shard PR's acceptance bar — ``shards=1`` is not an
-"equivalent mode", it is byte-for-byte the pre-shard control plane: the
-same delivery order (golden digest), and wall clock within noise of the
-default config (the only added work is a config check at construction).
+Every deployment runs the shard plane; ``shards=1`` — the default — is
+its one-partition case.  These tier-1 guards hold that case to the
+reference storm's golden delivery-order digest and count what it does
+per submission (one route to partition 0, no steals, one ``shard.route``
+event), so a change to the one-partition path fails on a count, not on
+a wall-clock ratio.
 """
 
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.workload.hotpath import SMOKE_SCALE, run_hotpath
+from repro.core.system import RaiSystem
 from repro.workload.shardbench import GOLDEN_DIGEST, control_plane_digest
 
 pytestmark = [pytest.mark.perf, pytest.mark.shard]
+
+FILES = {
+    "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
+    "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
+}
 
 
 def test_shards_one_reproduces_the_golden_digest():
@@ -24,34 +31,36 @@ def test_shards_one_reproduces_the_golden_digest():
 
 
 def test_default_config_reproduces_the_golden_digest():
-    digest, _, _ = control_plane_digest()
+    # The default config builds the same one-partition plane as shards=1.
+    digest, statuses, n = control_plane_digest()
     assert digest == GOLDEN_DIGEST
+    assert statuses == ["succeeded"]
+    assert n == 18
 
 
-def _overhead_ratio() -> float:
-    # Interleaved pairs, judged by whichever of two fair estimators is
-    # smaller — ratio of sums (averages slow machine drift) and ratio
-    # of minimums (quiet-window cost) — since on a loaded box either
-    # one alone can be unlucky by more than the whole 5% budget.
-    samples = [
-        (run_hotpath(SMOKE_SCALE,
-                     config=SystemConfig(shards=1))["wall_clock_s"],
-         run_hotpath(SMOKE_SCALE)["wall_clock_s"])
-        for _ in range(4)]
-    sum_on = sum(s for s, _ in samples)
-    sum_off = sum(s for _, s in samples)
-    min_on = min(s for s, _ in samples)
-    min_off = min(s for _, s in samples)
-    if sum_off <= 0 or min_off <= 0:
-        return 1.0
-    return min(sum_on / sum_off, min_on / min_off)
+def test_one_partition_storm_routes_every_job_to_p0():
+    system = RaiSystem.standard(num_workers=3, seed=11)
+    gap = system.config.rate_limit_seconds + 5.0
+    results = []
 
+    def student(index):
+        client = system.new_client(team=f"team{index:02d}")
+        client.stage_project(FILES)
+        yield system.sim.timeout(0.5 * index)
+        for k in range(3):
+            if k:
+                yield system.sim.timeout(gap)
+            results.append((yield from client.submit()))
 
-def test_shards_one_wall_clock_overhead_under_five_percent():
-    # A true regression fails both attempts; a one-off noise spike
-    # does not.
-    ratio = _overhead_ratio()
-    if ratio >= 1.05:
-        ratio = min(ratio, _overhead_ratio())
-    assert ratio < 1.05, (
-        f"shards=1 overhead {100 * (ratio - 1):.1f}% exceeds 5% budget")
+    system.run_all([student(i) for i in range(6)])
+    n = len(results)
+    assert n == 18 and all(r.succeeded for r in results)
+    plane = system.shards
+    assert plane.router.routed == [n]
+    assert plane.steals_in == plane.steals_out == [0]
+    assert plane.rebalanced_in == [0]
+    routed = system.events.query(type="shard.route")
+    assert sorted(e.fields["job_id"] for e in routed) == \
+        sorted(r.job_id for r in results)
+    assert {(e.fields["partition"], e.fields["topic"]) for e in routed} == \
+        {(0, "rai")}

@@ -1,5 +1,7 @@
 """The sharded control plane wired into a full RaiSystem deployment."""
 
+import re
+
 import pytest
 
 from repro.core.cli import RaiCLI
@@ -46,14 +48,26 @@ def sharded_system():
 
 
 class TestWiring:
-    def test_unsharded_system_has_no_plane(self, system):
-        assert system.shards is None
-        assert system.task_topic("anyteam") == "rai"
-        assert system.scheduler is not None
+    def test_one_shard_is_a_one_partition_plane(self, system):
+        plane = system.shards
+        assert plane.shard_map == ShardMap(1)
+        # The lone partition keeps the paper's unsharded names.
+        assert plane.shard_map.topic(0) == "rai"
+        assert plane.shard_map.route(0) == "rai/tasks"
+        assert [c.route for c in plane.channels] == ["rai/tasks"]
+        assert plane.route("anyteam") == (0, "rai")
+        coll = system.db.collection("submissions")
+        assert coll.__class__.__name__ == "Collection"
+        assert coll.name == "submissions"
+        assert "submissions.p0" not in system.db.collection_names()
+        scheduler, = plane.schedulers
+        assert scheduler is not None
+        assert plane.channels[0].scheduler is scheduler
+        assert system.scheduler is None
+        assert [w.partition for w in system.workers] == [0, 0]
 
     def test_sharded_system_builds_the_plane(self, sharded_system):
         plane = sharded_system.shards
-        assert plane is not None
         assert plane.shard_map == ShardMap(4)
         # One independent scheduler per partition; no global scheduler.
         assert sharded_system.scheduler is None
@@ -62,15 +76,17 @@ class TestWiring:
 
     def test_workers_homed_round_robin(self, sharded_system):
         assert [w.partition for w in sharded_system.workers] == [0, 1, 2, 3]
-        for worker in sharded_system.workers:
-            assert worker.config.task_route == \
-                sharded_system.shards.shard_map.route(worker.partition)
+        sharded_system.run(until=1.0)
+        # Each worker's one slot subscribes to its home partition only.
+        assert [c.subscriber_count
+                for c in sharded_system.shards.channels] == [1, 1, 1, 1]
 
     def test_task_topic_routes_by_team_key(self, sharded_system):
         smap = sharded_system.shards.shard_map
         for team in ("alpha", "beta", "gamma"):
-            assert sharded_system.task_topic(team) == \
-                smap.topic(smap.partition(team))
+            partition = smap.partition(team)
+            assert sharded_system.shards.route(team) == \
+                (partition, smap.topic(partition))
 
     def test_submissions_collection_is_sharded(self, sharded_system):
         coll = sharded_system.db.collection("submissions")
@@ -193,17 +209,54 @@ class TestWorkStealing:
         assert [r.status.value for r in results] == ["succeeded"]
         assert system.shards.rebalanced_in[0] > 0
 
-    def test_balancer_requires_sharding(self, system):
-        with pytest.raises(RuntimeError):
-            system.start_shard_balancer()
+    def test_balancer_at_one_partition_moves_nothing(self, system):
+        # Two workers, five teams: jobs queue, but a lone partition has
+        # no sibling to migrate from or to.
+        system.start_shard_balancer(interval=5.0)
+        results = _storm(system, [f"team{i:02d}" for i in range(5)],
+                         jobs_per_team=2)
+        assert all(r.status.value == "succeeded" for r in results)
+        plane = system.shards
+        assert plane.rebalance() == 0
+        assert plane.rebalanced_in == [0]
+        assert plane.steals_in == plane.steals_out == [0]
+        assert system.events.query(type="shard.steal") == []
 
 
 class TestShardsCli:
-    def test_unsharded_message(self, system):
+    @staticmethod
+    def _rows(out):
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("-"))
+        return [line for line in lines[start + 1:] if line.strip()]
+
+    def test_one_partition_table(self, system):
+        _storm(system, [f"team{i:02d}" for i in range(3)])
         client = system.new_client(team="cli-team")
         client.stage_project(FILES)
         out = RaiCLI(system, client).run_command("rai shards")
-        assert "not sharded" in out
+        assert "shard map: 1 partition," in out
+        row, = self._rows(out)
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[:2] == ["rai", "3"]        # topic, routed
+        assert cells[6] == "2"                  # both workers homed here
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_top_prints_the_wait_gauge(self, shards):
+        system = RaiSystem.standard(num_workers=4, seed=7,
+                                    config=SystemConfig(shards=shards))
+        clients = [system.new_client(team=f"team{i:02d}")
+                   for i in range(12)]
+        for client in clients:
+            client.stage_project(FILES)
+        results = system.run_all(client.submit() for client in clients)
+        assert all(r.succeeded for r in results)
+        gauge = system.metrics.value("sched_wait_ewma")
+        assert gauge > 0
+        out = RaiCLI(system, clients[0]).run_command("rai top")
+        printed, = re.findall(r"ewma=(\S+)s", out)
+        assert printed == f"{gauge:.1f}"
 
     def test_sharded_table(self, sharded_system):
         system = sharded_system
