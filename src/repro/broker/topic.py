@@ -21,7 +21,7 @@ class Channel(Store):
     __slots__ = ("topic", "name", "max_attempts", "in_flight",
                  "dead_letters", "subscriber_count", "total_delivered",
                  "total_acked", "total_requeued", "total_dead_lettered",
-                 "total_prefetched", "scheduler")
+                 "total_prefetched", "scheduler", "on_queued")
 
     def __init__(self, sim, topic: "Topic", name: str,
                  max_attempts: int = 5):
@@ -41,6 +41,14 @@ class Channel(Store):
         #: ``select(items) -> index`` reorders the queue on dequeue,
         #: ``note_dispatch(msg)`` observes every claimed message.
         self.scheduler = None
+        #: Optional ``on_queued(channel)``: called when a put leaves a
+        #: message queued with no get parked here to take it.
+        self.on_queued = None
+
+    def _put_fast(self, message: Message) -> None:
+        super()._put_fast(message)
+        if self.on_queued is not None and self.items and not self._gets:
+            self.on_queued(self)
 
     @property
     def depth(self) -> int:

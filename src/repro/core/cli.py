@@ -259,7 +259,7 @@ class RaiCLI:
         One row per partition: routed/queued/dispatched traffic, steal
         traffic in both directions, and the partition's worker fleet
         (count, occupancy, warm-pool hit rate).  Skew between rows is the
-        signal the balancer and the shard gauges exist to surface.
+        signal the steal counters and the shard gauges exist to surface.
         """
         from repro.analysis.report import render_table
 
@@ -275,7 +275,7 @@ class RaiCLI:
                 p["queue_depth"],
                 p["in_flight"],
                 p["dispatched"],
-                f"{p['steals_in'] + p['rebalanced_in']}/{p['steals_out']}",
+                f"{p['steals_in']}/{p['steals_out']}",
                 p["workers"],
                 f"{p['occupancy'] * 100:.0f}%",
                 f"{p['pool_hit_rate'] * 100:.0f}%",
@@ -283,8 +283,7 @@ class RaiCLI:
             ])
         n = shard_map["n_partitions"]
         header = (f"shard map: {n} partition{'s' if n != 1 else ''}, "
-                  f"hash seed {shard_map['seed']}, key team→username "
-                  f"(steal threshold {stats['steal_threshold']})")
+                  f"hash seed {shard_map['seed']}, key team→username")
         table = render_table(
             ["partition", "routed", "queued", "in-flt", "dispatched",
              "steal in/out", "workers", "occ", "pool hit", "wait ewma"],

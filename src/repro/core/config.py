@@ -153,7 +153,7 @@ class SystemConfig:
     #: Control-plane partitions (``repro.shard``): the task topic, the
     #: submissions collection and the scheduler, hash-partitioned by team
     #: key (``tasks.pK`` / ``submissions.pK`` / one scheduler instance per
-    #: partition, with occupancy-driven work-stealing between them).
+    #: partition, with work-conserving stealing between them).
     #: 1 — the default — is the one-partition plane, named as the paper
     #: names it: topic ``rai``, route ``rai/tasks``, ``submissions``.
     shards: int = 1
@@ -161,12 +161,6 @@ class SystemConfig:
     #: restore must rebuild the same map or every routed document and
     #: queue message lands on the wrong partition.
     shard_seed: int = 0
-    #: Minimum queued messages a partition must hold before a dry sibling
-    #: may steal from it (pull steal and balancer both honour it).
-    shard_steal_threshold: int = 2
-    #: Sweep period of the opt-in shard balancer process
-    #: (``RaiSystem.start_shard_balancer``).
-    shard_balance_interval_seconds: float = 30.0
     #: Content-keyed build-artifact cache (``repro.storage.buildcache``):
     #: workers replay recorded ``cmake``/``make`` results instead of
     #: re-executing when the command's observed inputs are unchanged.
@@ -201,11 +195,6 @@ class SystemConfig:
             raise ValueError("shards must be >= 1")
         if self.shard_seed < 0:
             raise ValueError("shard_seed must be >= 0")
-        if self.shard_steal_threshold < 1:
-            raise ValueError("shard_steal_threshold must be >= 1")
-        if self.shard_balance_interval_seconds <= 0:
-            raise ValueError(
-                "shard_balance_interval_seconds must be positive")
         if self.buildcache_max_bytes < 0:
             raise ValueError("buildcache_max_bytes must be >= 0")
         if self.buildcache_ttl_seconds <= 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time as _wallclock
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Generator, List, Optional
 
 from repro.auth.keys import KeyStore
@@ -143,7 +143,6 @@ class RaiSystem:
             self.broker,
             ShardMap(self.config.shards, seed=self.config.shard_seed),
             metrics=self.metrics, events=self.events,
-            steal_threshold=self.config.shard_steal_threshold,
             scheduler_factory=(self._partition_scheduler
                                if self.config.scheduler_enabled else None),
             workers_fn=lambda: self.workers)
@@ -524,8 +523,14 @@ class RaiSystem:
         started = _wallclock.perf_counter()
         snap = load_snapshot(
             os.path.join(path, DurabilityManager.SNAPSHOT_FILE))
+        dropped = []
         if config is None and snap is not None and snap.get("config"):
-            config = SystemConfig(**snap["config"])
+            # A snapshot may name fields this build no longer has (written
+            # before they were retired): drop them, and say so below.
+            known = {f.name for f in fields(SystemConfig)}
+            dropped = sorted(set(snap["config"]) - known)
+            config = SystemConfig(**{k: v for k, v in snap["config"].items()
+                                     if k in known})
         system = cls(seed=seed, config=config)
         manager = DurabilityManager(system, path, replaying=True)
         counts = manager.recover(snap)
@@ -544,7 +549,8 @@ class RaiSystem:
             snapshot=counts.get("snapshot") is not None,
             replayed=counts["replayed"], torn=counts["torn"],
             discarded=counts["discarded"], requeued=counts["requeued"],
-            fenced=counts["fenced"], anomalies=counts["anomalies"])
+            fenced=counts["fenced"], anomalies=counts["anomalies"],
+            dropped_config=dropped)
         system.monitor.incr("restores")
         return system
 
@@ -595,20 +601,6 @@ class RaiSystem:
         if not isinstance(body, dict):
             return False
         return self.build_cache.seen_source(body.get("source_digest"))
-
-    def start_shard_balancer(self, interval: Optional[float] = None):
-        """Start the periodic shard rebalancer (opt-in, like the
-        caretaker: it is a perpetual process).
-
-        Pull-stealing only helps executors that are cycling; one parked
-        on an empty partition's blocking ``get`` sleeps through a storm
-        elsewhere.  The balancer migrates queued work to starving
-        partitions, waking them (see ``ShardedControlPlane.rebalance``);
-        with one partition there is nowhere to migrate from.
-        """
-        if interval is None:
-            interval = self.config.shard_balance_interval_seconds
-        return self._every(interval, self.shards.rebalance)
 
     # -- observability ------------------------------------------------------
 

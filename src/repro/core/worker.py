@@ -249,6 +249,8 @@ class RaiWorker:
                     except Interrupt:
                         consumer.cancel(get_event)
                         break
+                    if message is None:
+                        continue    # woken: work is queued on a sibling
                 if self._stopped:
                     consumer.requeue(message)
                     break

@@ -128,15 +128,6 @@ class DurabilityManager:
         self._append("mb_requeue", route=route, id=message_id,
                      dl=dead_lettered)
 
-    def broker_steal(self, route_from: str, route_to: str,
-                     message_id: str) -> None:
-        """A balancer migration: a queued message re-homed between
-        partition channels (``repro.shard``).  Both routes carry their
-        partition ids (``tasks.pK/tasks``), so replay re-homes the
-        message exactly as the balancer did."""
-        self._append("mb_steal", route=route_from, to=route_to,
-                     id=message_id)
-
     def broker_dl_drain(self, route: str, message_ids) -> None:
         self._append("mb_dl_drain", route=route, ids=list(message_ids))
 
@@ -316,16 +307,6 @@ class DurabilityManager:
         channel = self._channel(record["route"])
         if channel.in_flight.pop(record["id"], None) is not None:
             channel.total_acked += 1
-
-    def _replay_mb_steal(self, record: dict) -> None:
-        source = self._channel(record["route"])
-        target = self._channel(record["to"])
-        for i, msg in enumerate(source.items):
-            if msg.id == record["id"]:
-                del source.items[i]
-                target.items.append(msg)
-                return
-        self.replay_anomalies += 1
 
     def _replay_mb_requeue(self, record: dict) -> None:
         channel = self._channel(record["route"])

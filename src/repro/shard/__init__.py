@@ -14,12 +14,12 @@ package applies Ray's sharded-GCS shape to the submission control plane:
   partition → ``tasks.pK`` topic) so no partition ever sees another's
   traffic;
 - :class:`~repro.shard.steal.StealingConsumer` — a partition-pinned
-  consumer that falls back to occupancy-driven work-stealing when its
-  home queue runs dry, so a storm in one partition cannot idle the rest
-  of the fleet;
+  consumer that steals from the deepest sibling when its home queue runs
+  dry, and is woken from its parked ``get`` when a sibling queues work
+  no one is parked on, so no message waits while an executor idles;
 - :class:`~repro.shard.plane.ShardedControlPlane` — the assembled
-  runtime: per-partition channels, schedulers, metrics, steal counters,
-  and the opt-in rebalancer loop.
+  runtime: per-partition channels, schedulers, metrics, the wake hook
+  and the steal counters.
 
 Every :class:`~repro.core.system.RaiSystem` runs this plane; ``shards=1``
 (the :class:`~repro.core.config.SystemConfig` default) is its

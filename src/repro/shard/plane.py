@@ -2,10 +2,11 @@
 
 One :class:`ShardedControlPlane` owns everything partition-scoped: the
 per-partition broker channels, the N independent scheduler instances, the
-steal policy and its counters, and the per-partition observability
-surface (``shard``-labelled gauges, ``shard.steal`` events).  ``shards=1``
-is the one-partition plane — the paper's single ``rai`` topic,
-``rai/tasks`` queue and scheduler — not a different design.  It is
+one work-conserving steal path and its counters, and the per-partition
+observability surface (``shard``-labelled gauges, ``shard.steal``
+events).  ``shards=1`` is the one-partition plane — the paper's single
+``rai`` topic, ``rai/tasks`` queue and scheduler — not a different
+design; with no sibling there is nothing to wake or steal.  It is
 deliberately decoupled from :class:`~repro.core.system.RaiSystem` — the
 shard bench drives the same plane over a bare broker at kernel scale —
 so its constructor takes plain collaborators, not the system object.
@@ -34,25 +35,19 @@ class ShardedControlPlane:
 
     def __init__(self, broker, shard_map: ShardMap, *,
                  metrics=None, events=None,
-                 steal_threshold: int = 2,
                  scheduler_factory: Optional[Callable[[int], object]] = None,
                  workers_fn: Optional[Callable[[], list]] = None):
-        if steal_threshold < 1:
-            raise ValueError("steal_threshold must be >= 1")
         self.broker = broker
         self.shard_map = shard_map
         self.router = Router(shard_map)
         self.metrics = metrics
         self.events = events
-        self.steal_threshold = steal_threshold
         self.workers_fn = workers_fn
 
         n = shard_map.n_partitions
-        #: Pull-steals by thief partition / losses by victim partition.
+        #: Steals by thief partition / losses by victim partition.
         self.steals_in: List[int] = [0] * n
         self.steals_out: List[int] = [0] * n
-        #: Messages migrated into each partition by the balancer.
-        self.rebalanced_in: List[int] = [0] * n
         self._next_worker_partition = 0
 
         self.channels = []
@@ -63,6 +58,7 @@ class ShardedControlPlane:
                 if scheduler_factory is not None else None
             if scheduler is not None:
                 channel.scheduler = scheduler
+            channel.on_queued = self._wake_sibling
             self.channels.append(channel)
             self.schedulers.append(scheduler)
             if metrics is not None:
@@ -78,8 +74,7 @@ class ShardedControlPlane:
                            fn=lambda p=partition:
                            float(self.router.routed[p]))
         self.metrics.gauge("shard_steals", shard=label,
-                           fn=lambda p=partition:
-                           float(self.steals_in[p] + self.rebalanced_in[p]))
+                           fn=lambda p=partition: float(self.steals_in[p]))
         self.metrics.gauge("shard_pool_hit_rate", shard=label,
                            fn=lambda p=partition: self.pool_hit_rate(p))
         self.metrics.gauge("shard_occupancy", shard=label,
@@ -103,14 +98,31 @@ class ShardedControlPlane:
 
     # -- stealing -----------------------------------------------------------
 
+    def _wake_sibling(self, channel) -> None:
+        """A put left a message queued on ``channel`` and no executor is
+        parked there: resolve one get parked on a sibling with None.
+
+        The woken executor loops back to ``try_get``, whose home queue is
+        empty, so it steals — Ray's spill to an idle node.  ``channel``
+        itself has no parked get, so scanning every channel is safe; gets
+        already resolved (cancelled) are dropped on the way.
+        """
+        for sibling in self.channels:
+            gets = sibling._gets
+            while gets:
+                get = gets.popleft()
+                if not get.triggered:
+                    get.succeed(None)
+                    return
+
     def try_steal(self, thief: int) -> Optional[Message]:
-        """Claim one message from the deepest over-threshold sibling.
+        """Claim one message from the deepest sibling holding any.
 
         The victim channel's own ``try_deliver`` does the claim, so its
         scheduler still picks which message leaves and the delivery is
         journaled/in-flight-tracked against the victim's route.
         """
-        victim, depth = -1, self.steal_threshold - 1
+        victim, depth = -1, 0
         for partition, channel in enumerate(self.channels):
             if partition != thief and channel.ready_count > depth:
                 victim, depth = partition, channel.ready_count
@@ -129,67 +141,6 @@ class ShardedControlPlane:
                              team=body.get("team"),
                              victim_depth=depth)
         return message
-
-    def rebalance(self) -> int:
-        """One balancer sweep: migrate queued work to starving partitions.
-
-        A partition is *starving* when its queue is empty but consumers
-        are parked on (or subscribed to) it — executors asleep on a
-        blocking ``get`` never reach the pull-steal path, so an uneven
-        storm that arrives after they park would otherwise idle them.
-        Messages move from the deepest non-empty queue via the normal
-        put path (waking parked gets), journaled as ``mb_steal`` so
-        recovery replays the migration before re-queueing in-flight.
-
-        Unlike the pull-steal path, the balancer ignores the occupancy
-        threshold: the threshold is a locality heuristic for executors
-        that are *cycling* (home work will arrive; do not chase
-        one-message blips), but a starving partition's executor is idle
-        — leaving any queued message anywhere else violates work
-        conservation.  A deployment with fewer executors than
-        partitions relies on exactly this: a job routed to an unmanned
-        partition must migrate even when it is the only one queued.
-        """
-        moved = 0
-        for thief, channel in enumerate(self.channels):
-            if channel.depth:
-                continue
-            wanted = len(channel._gets) or \
-                (1 if channel.subscriber_count else 0)
-            for _ in range(wanted):
-                victim = self._deepest_victim(thief)
-                if victim < 0:
-                    break
-                moved += self._migrate(victim, thief)
-        return moved
-
-    def _deepest_victim(self, thief: int) -> int:
-        victim, depth = -1, 0
-        for partition, channel in enumerate(self.channels):
-            if partition != thief and channel.depth > depth:
-                victim, depth = partition, channel.depth
-        return victim
-
-    def _migrate(self, victim: int, thief: int) -> int:
-        source, target = self.channels[victim], self.channels[thief]
-        if not source.items:
-            return 0
-        # Steal from the queue tail: the head is what the victim's own
-        # scheduler is about to dispatch, the tail is the newest backlog.
-        message = source.items.pop()
-        journal = self.broker.journal
-        if journal is not None:
-            journal.broker_steal(source.route, target.route, message.id)
-        self.rebalanced_in[thief] += 1
-        self.steals_out[victim] += 1
-        if self.events is not None:
-            body = message.body if isinstance(message.body, dict) else {}
-            self.events.emit(EventType.SHARD_STEAL, mode="rebalance",
-                             victim=victim, thief=thief,
-                             job_id=body.get("job_id") or body.get("j"),
-                             team=body.get("team"))
-        target._put_fast(message)
-        return 1
 
     # -- scheduler plurality ------------------------------------------------
 
@@ -256,7 +207,9 @@ class ShardedControlPlane:
                 "dispatched": channel.total_delivered,
                 "steals_in": self.steals_in[p],
                 "steals_out": self.steals_out[p],
-                "rebalanced_in": self.rebalanced_in[p],
+                # Always 0: the frozen bench/harness.py:299 still adds it
+                # to steals_in.  Delete with that reader.
+                "rebalanced_in": 0,
                 "workers": len(self._partition_workers(p)),
                 "occupancy": self.occupancy(p),
                 "pool_hit_rate": self.pool_hit_rate(p),
@@ -265,6 +218,5 @@ class ShardedControlPlane:
             })
         return {
             "shard_map": self.shard_map.to_dict(),
-            "steal_threshold": self.steal_threshold,
             "partitions": partitions,
         }

@@ -1,25 +1,25 @@
-"""Occupancy-driven work-stealing between partitions.
+"""Work-conserving stealing between partitions.
 
-Each partition's executors consume from their home channel only — that is
-what keeps routing, fair-share accounting, and warm-pool locality
-per-partition.  The failure mode is a skewed deadline storm: one course's
-partition backs up for an hour while the others sit idle.  Stealing fixes
-the skew without giving up locality:
+Each partition's executors consume from their home channel first — that
+is what keeps routing, fair-share accounting, and warm-pool locality
+per-partition.  The failure mode is a skewed deadline storm (one
+partition backs up while the others sit idle), and at its extreme a job
+routed to a partition no executor is homed on.  One path covers both,
+the way Ray's bottom-up scheduler spills to an idle node:
 
-- **pull steal** (:class:`StealingConsumer`): when an executor's home
-  queue is dry at claim time, it claims one message from the deepest
-  sibling queue at or above the occupancy threshold.  The *victim's own
-  scheduler* picks which message leaves (its fair-share/deadline policy
-  still governs its queue), and the delivery is journaled against the
-  victim's route, so crash recovery re-queues a stolen in-flight message
-  on the partition that owns it.
-- **rebalance** (:meth:`~repro.shard.plane.ShardedControlPlane.rebalance`,
-  driven by the opt-in balancer loop): executors parked on a blocking
-  ``get`` never cycle through ``try_get``, so a cold partition whose
-  queue was empty *before* the storm began would otherwise sleep through
-  it.  The balancer migrates queued messages from over-threshold queues
-  to starving partitions (empty queue, parked or subscribed consumers),
-  waking the sleepers.
+- **steal** (:class:`StealingConsumer`): when an executor's home queue is
+  dry at claim time, it claims one message from the deepest sibling
+  queue holding any.  The *victim's own scheduler* picks which message
+  leaves (its fair-share/deadline policy still governs its queue), and
+  the delivery is journaled against the victim's route, so crash
+  recovery re-queues a stolen in-flight message on the partition that
+  owns it.
+- **wake**: an executor parked on its home channel's blocking ``get``
+  never cycles through ``try_get``.  So when a put leaves a message
+  queued on a partition with no get parked on it, the plane resolves
+  one get parked on a sibling with ``None``, and that executor loops
+  back to ``try_get`` and steals.  No message stays queued while any
+  executor is parked.
 
 Ack correctness: :class:`~repro.broker.topic.Channel` stamps each
 delivered message with its source channel, and a stolen message must be
@@ -41,10 +41,11 @@ class StealingConsumer(Consumer):
     """A partition-pinned consumer whose ``try_get`` can steal.
 
     Drop-in for :class:`~repro.broker.client.Consumer` in the worker's
-    executor loop: ``get``/``cancel`` park on the home channel unchanged
-    (blocking steals are the balancer's job), while ``try_get`` falls back
-    to the control plane's steal policy and ``ack``/``ack_release``/
-    ``requeue`` follow the message back to whichever channel delivered it.
+    executor loop, with one contract change: ``get`` parks on the home
+    channel and fires with a message, or with ``None``, meaning "work is
+    queued on a sibling" — call ``try_get`` again.  ``try_get`` falls back
+    to the control plane's steal, and ``ack``/``ack_release``/``requeue``
+    follow the message back to whichever channel delivered it.
     """
 
     def __init__(self, plane, partition: int):

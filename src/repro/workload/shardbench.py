@@ -151,7 +151,6 @@ class ShardResult:
     trace_digest: str
     routed: List[int] = field(default_factory=list)
     steals: int = 0
-    rebalanced: int = 0
     dispatched: int = 0
     peak_queue_depth: int = 0
     docdb_docs: int = 0
@@ -173,7 +172,6 @@ class ShardResult:
             "submissions_per_s": round(self.submissions_per_s),
             "routed": self.routed,
             "steals": self.steals,
-            "rebalanced": self.rebalanced,
             "dispatched": self.dispatched,
             "peak_queue_depth": self.peak_queue_depth,
             "docdb_docs": self.docdb_docs,
@@ -182,8 +180,7 @@ class ShardResult:
 
 
 def run_shard_workload(scale: ShardScale, partitions: int,
-                       seed: int = 408, shard_seed: int = 0,
-                       steal_threshold: int = 4) -> ShardResult:
+                       seed: int = 408, shard_seed: int = 0) -> ShardResult:
     """Drive one storm through the sharded plane; returns the metrics.
 
     ``partitions=1`` is the single-queue baseline: one topic, one channel,
@@ -202,7 +199,6 @@ def run_shard_workload(scale: ShardScale, partitions: int,
     shard_map = ShardMap(partitions, seed=shard_seed)
     plane = ShardedControlPlane(
         broker, shard_map, metrics=metrics,
-        steal_threshold=steal_threshold,
         scheduler_factory=lambda p: JobScheduler(
             lambda: sim.now, SchedulerPolicy(), RuntimeEstimator()))
     submissions = db.shard_collection("submissions", shard_map)
@@ -244,7 +240,7 @@ def run_shard_workload(scale: ShardScale, partitions: int,
             if msg is None:
                 msg = yield consumer.get()
                 if msg is None:
-                    break
+                    continue    # woken: work is queued on a sibling
             yield timeout(next(service))
             body = msg.body
             now = sim.now
@@ -290,7 +286,6 @@ def run_shard_workload(scale: ShardScale, partitions: int,
         trace_digest=digest.hexdigest(),
         routed=list(plane.router.routed),
         steals=sum(plane.steals_in),
-        rebalanced=sum(plane.rebalanced_in),
         dispatched=sum(s.total_dispatched for s in plane.schedulers
                        if s is not None),
         peak_queue_depth=state["peak"],

@@ -1,10 +1,17 @@
 """Snapshot capture/install and full-system restore semantics."""
 
+import os
+
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
-from repro.durability.snapshot import capture, install
+from repro.durability.snapshot import (
+    capture,
+    install,
+    load_snapshot,
+    write_snapshot,
+)
 from repro.errors import InvalidCredentials
 from repro.storage.chunkstore import ChunkStore, Manifest
 
@@ -324,3 +331,33 @@ class TestInFlightFencing:
         assert len(rchannel.in_flight) == 0
         assert rchannel.depth == 0
         assert len(rchannel.dead_letters) == 1
+
+
+class TestRetiredConfigKeys:
+    def test_snapshot_with_retired_config_keys_restores(self, tmp_path):
+        """A snapshot written before two shard fields were retired still
+        restores; the dropped keys are named in the replay event."""
+        path = str(tmp_path / "dur")
+        system = RaiSystem.standard(num_workers=2, seed=3,
+                                    config=SystemConfig(shards=2))
+        system.attach_durability(path)
+        _submit_some(system, n=3)
+        system.checkpoint()
+        live = capture(system)
+        snap_file = os.path.join(path, "snapshot.json")
+        snap = load_snapshot(snap_file)
+        snap["config"].update(shard_steal_threshold=2,
+                              shard_balance_interval_seconds=30.0)
+        write_snapshot(snap_file, snap)
+        system.crash_stop()
+
+        restored = RaiSystem.restore(path, num_workers=0)
+        replay = restored.events.query(type="durability.replay")[-1]
+        assert replay.fields["dropped_config"] == [
+            "shard_balance_interval_seconds", "shard_steal_threshold"]
+        assert restored.config == system.config
+        after = capture(restored)
+        # Restore logs its own replay event and meters its own index
+        # rebuild; every other section equals the live system's.
+        for section in set(live) - {"events", "usage"}:
+            assert after[section] == live[section], section

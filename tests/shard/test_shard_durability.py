@@ -92,34 +92,40 @@ class TestShardedRestore:
         assert sum(restored.shards.router.routed) == 2
 
 
-class TestStealJournal:
-    def test_balancer_migration_replays_on_restore(self, tmp_path):
-        # No workers: queued messages stay queued, so the journaled
-        # migration is the only thing that decides where they live.
+class TestLegacyStealRecord:
+    def test_legacy_mb_steal_replays_as_one_anomaly(self, tmp_path):
+        # A WAL written by a build that ran the retired shard balancer can
+        # hold an ``mb_steal`` migration.  Replay counts it as one anomaly
+        # and leaves the message on the partition it was published to,
+        # where a worker homed on the other partition steals it.
         system = RaiSystem.standard(num_workers=0, seed=3,
                                     config=SystemConfig(shards=2))
         system.attach_durability(str(tmp_path / "dur"))
         smap = system.shards.shard_map
-        for i in range(3):
-            system.broker.publish(smap.topic(0),
-                                  {"job_id": f"job-{i}", "team": "team00"})
-        assert system.shards.channels[0].depth == 3
-        assert system.shards._migrate(0, 1) == 1
-        assert system.shards.channels[0].depth == 2
-        assert system.shards.channels[1].depth == 1
+        teams = [t for t in (f"team{i:02d}" for i in range(8))
+                 if smap.partition(t) == 1]
+        for team in teams:
+            client = system.new_client(team=team, username=f"{team}-user")
+            client.stage_project(FILES)
+            system.sim.process(client.submit())
+        system.run(until=5.0)
+        victim = system.shards.channels[1]
+        job_ids = sorted(m.body["job_id"] for m in victim.items)
+        assert len(job_ids) == len(teams) >= 2
+        system.durability.wal.append({
+            "op": "mb_steal", "t": system.sim.now,
+            "route": smap.route(1), "to": smap.route(0),
+            "id": victim.items[0].id})
         system.crash_stop()
 
-        restored = RaiSystem.restore(str(tmp_path / "dur"), num_workers=0)
-        assert restored.shards.channels[0].depth == 2
-        assert restored.shards.channels[1].depth == 1
-
-    def test_mb_steal_of_missing_message_counts_anomaly(self, tmp_path):
-        system = RaiSystem.standard(num_workers=0, seed=3,
-                                    config=SystemConfig(shards=2))
-        system.attach_durability(str(tmp_path / "dur"))
-        manager = system.durability
-        manager.broker_steal("tasks.p0/tasks", "tasks.p1/tasks",
-                             "msg-999999")
-        system.crash_stop()
-        restored = RaiSystem.restore(str(tmp_path / "dur"), num_workers=0)
-        assert restored.durability.replay_anomalies >= 1
+        restored = RaiSystem.restore(str(tmp_path / "dur"), num_workers=1)
+        assert restored.durability.replay_anomalies == 1
+        assert [c.depth for c in restored.shards.channels] == \
+            [0, len(teams)]
+        assert [w.partition for w in restored.workers] == [0]
+        restored.run(until=restored.sim.now + 600.0)
+        submissions = restored.db.collection("submissions")
+        assert sorted(d["job_id"] for d in submissions.find({})) == job_ids
+        assert restored.shards.steals_in == [len(teams), 0]
+        assert restored.queue_depth() == 0
+        assert all(not c.in_flight for c in restored.shards.channels)

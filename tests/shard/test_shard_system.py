@@ -96,10 +96,6 @@ class TestWiring:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SystemConfig(shards=0)
-        with pytest.raises(ValueError):
-            SystemConfig(shard_steal_threshold=0)
-        with pytest.raises(ValueError):
-            SystemConfig(shard_balance_interval_seconds=0.0)
 
 
 class TestShardedSubmissions:
@@ -180,45 +176,69 @@ class TestWorkStealing:
         assert steal_events
         assert all(e.fields["mode"] == "pull" for e in steal_events)
 
-    def test_balancer_feeds_parked_cold_partition(self):
-        # Partition 1's worker parks before any job reaches its queue;
-        # pull-stealing can never wake it.  The balancer migrates queued
-        # work from the deep partition and the parked get fires.
+    def test_put_wakes_parked_cold_partition(self):
+        # Partition 1's worker parks before any job reaches its queue, so
+        # it never cycles through try_get.  A put on partition 0 that no
+        # executor there is parked for wakes it, and it steals.
         system = RaiSystem.standard(num_workers=2, seed=7,
                                     config=SystemConfig(shards=2))
-        system.start_shard_balancer(interval=10.0)
         results = _storm(system, P0_TEAMS, jobs_per_team=3)
         assert all(r.status.value == "succeeded" for r in results)
         plane = system.shards
-        assert plane.rebalanced_in[1] > 0
-        modes = {e.fields["mode"]
-                 for e in system.events.query(type="shard.steal")}
-        assert "rebalance" in modes
+        assert plane.router.routed == [9, 0]
+        assert plane.steals_in[1] > 0
+        assert plane.steals_in[1] == plane.steals_out[0]
+        steal_events = system.events.query(type="shard.steal")
+        assert len(steal_events) == plane.steals_in[1]
+        assert all(e.fields["mode"] == "pull" for e in steal_events)
 
-    def test_balancer_is_work_conserving_below_threshold(self):
+    def test_lone_job_on_unmanned_partition_runs(self):
         # Fewer executors than partitions: the one worker is homed on
         # partition 0, but the team routes to partition 3.  The single
-        # queued job is below the steal threshold — the balancer must
-        # migrate it anyway (an idle executor plus any queued message
-        # violates work conservation), or the deployment deadlocks.
+        # queued job wakes the parked executor, which steals it.
         system = RaiSystem.standard(num_workers=1, seed=7,
                                     config=SystemConfig(shards=4))
-        assert system.shards.shard_map.partition("ece408-t1") != 0
-        system.start_shard_balancer(interval=5.0)
+        assert system.shards.shard_map.partition("ece408-t1") == 3
         results = _storm(system, ["ece408-t1"])
         assert [r.status.value for r in results] == ["succeeded"]
-        assert system.shards.rebalanced_in[0] > 0
+        plane = system.shards
+        assert plane.steals_in == [1, 0, 0, 0]
+        assert plane.steals_out == [0, 0, 0, 1]
+        event, = system.events.query(type="shard.steal")
+        assert event.fields["mode"] == "pull"
 
-    def test_balancer_at_one_partition_moves_nothing(self, system):
-        # Two workers, five teams: jobs queue, but a lone partition has
-        # no sibling to migrate from or to.
-        system.start_shard_balancer(interval=5.0)
+    def test_stranded_job_regression(self):
+        # The reproduction that used to end in "ran out of events":
+        # partition 2 holds two jobs and no worker is homed on it.
+        system = RaiSystem.standard(num_workers=2, seed=7,
+                                    config=SystemConfig(shards=4))
+        results = _storm(system, [f"team{i:02d}" for i in range(6)])
+        plane = system.shards
+        assert plane.router.routed == [2, 2, 2, 0]
+        assert [w.partition for w in system.workers] == [0, 1]
+        assert len(results) == 6
+        assert all(r.status.value == "succeeded" for r in results)
+        assert plane.steals_out[2] == 2
+        assert system.queue_depth() == 0
+
+    def test_one_partition_neither_steals_nor_wakes(self, system):
+        # Two workers, five teams: jobs queue behind busy executors, but a
+        # lone partition has no sibling to wake or steal from.
+        channel, = system.shards.channels
+        wake = channel.on_queued
+        woke = []
+
+        def spy(ch):
+            parked = sum(not g.triggered for g in ch._gets)
+            wake(ch)
+            woke.append(parked - sum(not g.triggered for g in ch._gets))
+
+        channel.on_queued = spy
         results = _storm(system, [f"team{i:02d}" for i in range(5)],
                          jobs_per_team=2)
         assert all(r.status.value == "succeeded" for r in results)
+        assert woke and not any(woke)   # jobs queued; no get resolved
         plane = system.shards
-        assert plane.rebalance() == 0
-        assert plane.rebalanced_in == [0]
         assert plane.steals_in == plane.steals_out == [0]
         assert system.events.query(type="shard.steal") == []
 

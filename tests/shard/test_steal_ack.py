@@ -20,7 +20,7 @@ pytestmark = pytest.mark.shard
 @pytest.fixture
 def plane():
     broker = MessageBroker(Simulator())
-    return ShardedControlPlane(broker, ShardMap(2), steal_threshold=1)
+    return ShardedControlPlane(broker, ShardMap(2))
 
 
 def _steal_last_message(plane):
