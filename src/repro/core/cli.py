@@ -268,7 +268,6 @@ class RaiCLI:
         shard_map = stats["shard_map"]
         rows = []
         for p in stats["partitions"]:
-            wait = p["wait_ewma"]
             rows.append([
                 p["topic"],
                 p["routed"],
@@ -279,7 +278,7 @@ class RaiCLI:
                 p["workers"],
                 f"{p['occupancy'] * 100:.0f}%",
                 f"{p['pool_hit_rate'] * 100:.0f}%",
-                "-" if wait is None else f"{wait:.1f}s",
+                f"{p['wait_ewma']:.1f}s",
             ])
         n = shard_map["n_partitions"]
         header = (f"shard map: {n} partition{'s' if n != 1 else ''}, "

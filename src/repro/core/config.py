@@ -104,12 +104,8 @@ class SystemConfig:
     client_wait_timeout_seconds: Optional[float] = None
     #: Sweep interval of the system dead-letter consumer (opt-in process).
     dead_letter_sweep_seconds: float = 300.0
-    #: Content-addressed dedup of project uploads (git-style: the client
-    #: chunks the archive, negotiates against its previous manifest, and
-    #: transfers only unseen chunks).  Disable to reproduce the seed's
-    #: full re-upload per submission.
-    dedup_uploads: bool = True
-    #: Fixed chunk size of the content-addressed store.
+    #: Fixed chunk size of the content-addressed store that project
+    #: uploads dedup through.
     chunk_size_bytes: int = 4096
     #: End-to-end distributed tracing (``repro.obs``).  Spans are passive
     #: — they never schedule simulator events — so disabling changes only
@@ -118,9 +114,6 @@ class SystemConfig:
     #: Ring capacity of the in-memory trace store (oldest *finished*
     #: traces are evicted first; live traces are never dropped).
     trace_max_traces: int = 512
-    #: Fair-share / deadline-aware dequeue on the task channel
-    #: (:mod:`repro.sched`).  Disable to reproduce plain FIFO.
-    scheduler_enabled: bool = True
     #: Course deadline on the sim clock; jobs submitted within the boost
     #: window before it jump the queue (§VI deadline policy).  ``None``
     #: disables the boost (fair share still applies).

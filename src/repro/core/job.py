@@ -80,9 +80,10 @@ class Job:
     submitted_at: float
     status: JobStatus = JobStatus.CREATED
     #: Content digest of the uploaded source tree (manifest file map).
-    #: Optional: pre-delta clients and dedup-off uploads omit it; when
-    #: absent the wire body omits the key entirely so signatures over
-    #: older messages (WAL replays) still verify.
+    #: Optional: a session with no project uploads nothing, and job
+    #: messages journaled before every upload was chunked lack it; when
+    #: absent the wire body omits the key entirely so their signatures
+    #: still verify on WAL replay.
     source_digest: Optional[str] = None
     #: ``{"id", "max_duration"}`` of a :attr:`JobKind.SESSION` request —
     #: present exactly for that kind, omitted from the wire otherwise.
@@ -161,7 +162,7 @@ class JobResult:
     #: Team's leaderboard rank after a successful final submission.
     rank: Optional[int] = None
     #: Bytes this submission actually put on the wire (chunk delta +
-    #: manifest under dedup; the full archive otherwise).
+    #: manifest + declared padding).
     upload_bytes: Optional[int] = None
     #: Bytes a full re-upload would have cost (archive + padding).
     upload_bytes_full: Optional[int] = None

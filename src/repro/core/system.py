@@ -143,8 +143,7 @@ class RaiSystem:
             self.broker,
             ShardMap(self.config.shards, seed=self.config.shard_seed),
             metrics=self.metrics, events=self.events,
-            scheduler_factory=(self._partition_scheduler
-                               if self.config.scheduler_enabled else None),
+            scheduler_factory=self._partition_scheduler,
             workers_fn=lambda: self.workers)
         # Submissions shard by the same map as the task topics, so a
         # team's records and its queue traffic share a partition.

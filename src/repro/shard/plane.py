@@ -6,10 +6,10 @@ one work-conserving steal path and its counters, and the per-partition
 observability surface (``shard``-labelled gauges, ``shard.steal``
 events).  ``shards=1`` is the one-partition plane — the paper's single
 ``rai`` topic, ``rai/tasks`` queue and scheduler — not a different
-design; with no sibling there is nothing to wake or steal.  It is
-deliberately decoupled from :class:`~repro.core.system.RaiSystem` — the
-shard bench drives the same plane over a bare broker at kernel scale —
-so its constructor takes plain collaborators, not the system object.
+design; with no sibling there is nothing to wake or steal.  Its
+constructor takes plain collaborators (a broker, a shard map, a
+scheduler factory), not :class:`~repro.core.system.RaiSystem`, so a test
+can drive the plane over a bare broker.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from repro.shard.steal import StealingConsumer
 class ShardedControlPlane:
     """N partitions of queue + scheduler + warm pools, with stealing.
 
-    ``scheduler_factory(partition)`` builds one scheduler per partition
-    (or returns None); each is attached to that partition's channel, so
-    fair-share/deadline policy applies *within* a partition — Ray's
-    "no central state on the hot path" shape.  ``workers_fn`` supplies
-    the live worker list for occupancy and pool-hit reporting; bare
-    harnesses (the bench) leave it None and lose only those gauges.
+    ``scheduler_factory(partition)`` builds one scheduler per partition;
+    each is attached to that partition's channel, so fair-share/deadline
+    policy applies *within* a partition — Ray's "no central state on the
+    hot path" shape.  ``workers_fn`` supplies the live worker list for
+    occupancy and pool-hit reporting; a bare harness leaves it None and
+    loses only those gauges.
     """
 
     def __init__(self, broker, shard_map: ShardMap, *,
+                 scheduler_factory: Callable[[int], object],
                  metrics=None, events=None,
-                 scheduler_factory: Optional[Callable[[int], object]] = None,
                  workers_fn: Optional[Callable[[], list]] = None):
         self.broker = broker
         self.shard_map = shard_map
@@ -51,13 +51,10 @@ class ShardedControlPlane:
         self._next_worker_partition = 0
 
         self.channels = []
-        self.schedulers: List[Optional[object]] = []
+        self.schedulers: List[object] = []
         for partition in shard_map.partitions():
             channel = broker.channel(shard_map.route(partition))
-            scheduler = scheduler_factory(partition) \
-                if scheduler_factory is not None else None
-            if scheduler is not None:
-                channel.scheduler = scheduler
+            scheduler = channel.scheduler = scheduler_factory(partition)
             channel.on_queued = self._wake_sibling
             self.channels.append(channel)
             self.schedulers.append(scheduler)
@@ -150,16 +147,12 @@ class ShardedControlPlane:
     def note_completion(self, key, service_seconds: float) -> None:
         """Feed a completed job's service time to its partition's scheduler
         (a job with no fair-share key feeds none)."""
-        if not key:
-            return
-        scheduler = self.scheduler_for(key)
-        if scheduler is not None:
-            scheduler.note_completion(key, service_seconds)
+        if key:
+            self.scheduler_for(key).note_completion(key, service_seconds)
 
     def max_wait_ewma(self) -> float:
         """Worst per-partition queue-wait EWMA (the autoscaler signal)."""
-        return max((s.wait_ewma() for s in self.schedulers
-                    if s is not None), default=0.0)
+        return max(s.wait_ewma() for s in self.schedulers)
 
     # -- observability ------------------------------------------------------
 
@@ -192,12 +185,11 @@ class ShardedControlPlane:
 
     def wait_stats(self) -> dict:
         return {f"p{p}": s.wait_stats()
-                for p, s in enumerate(self.schedulers) if s is not None}
+                for p, s in enumerate(self.schedulers)}
 
     def stats(self) -> dict:
         partitions = []
         for p, channel in enumerate(self.channels):
-            scheduler = self.schedulers[p]
             partitions.append({
                 "partition": p,
                 "topic": self.shard_map.topic(p),
@@ -213,8 +205,7 @@ class ShardedControlPlane:
                 "workers": len(self._partition_workers(p)),
                 "occupancy": self.occupancy(p),
                 "pool_hit_rate": self.pool_hit_rate(p),
-                "wait_ewma": scheduler.wait_ewma()
-                if scheduler is not None else None,
+                "wait_ewma": self.schedulers[p].wait_ewma(),
             })
         return {
             "shard_map": self.shard_map.to_dict(),

@@ -92,9 +92,9 @@ def unpack_tree(blob: bytes, fs: VirtualFileSystem, dest: str = "/",
 
     Member names are normalised through the VFS path algebra, so ``..``
     components cannot escape ``dest`` (no tar-slip).  ``compression``
-    defaults to auto-detection: the dedup upload path ships plain tars
-    (chunks dedup poorly through bz2's positional coding) while build
-    outputs stay ``.tar.bz2``, and the consumer should not care.
+    defaults to auto-detection: project uploads are plain tars (chunks
+    dedup poorly through bz2's positional coding) while build outputs
+    stay ``.tar.bz2``, and the consumer should not care.
     """
     base = normalize(dest).rstrip("/")
     raw, members = _read_archive(blob, compression)

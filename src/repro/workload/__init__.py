@@ -24,17 +24,6 @@ from repro.workload.behavior import (
     sample_think_time,
 )
 from repro.workload.course import CourseConfig, CourseResult, CourseSimulation
-from repro.workload.kernelbench import (
-    GIANT_TIER,
-    LADDER,
-    LARGE_TIER,
-    MEDIUM_TIER,
-    SMALL_TIER,
-    SMOKE_TIER,
-    KernelResult,
-    KernelScale,
-    run_kernel_workload,
-)
 
 __all__ = [
     "Student",
@@ -49,13 +38,4 @@ __all__ = [
     "CourseConfig",
     "CourseResult",
     "CourseSimulation",
-    "KernelScale",
-    "KernelResult",
-    "run_kernel_workload",
-    "SMOKE_TIER",
-    "SMALL_TIER",
-    "MEDIUM_TIER",
-    "LARGE_TIER",
-    "GIANT_TIER",
-    "LADDER",
 ]

@@ -16,11 +16,7 @@ from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
 from repro.storage.buildcache import BuildCache
 from repro.vfs import VirtualFileSystem
-from repro.workload.hotpath import (
-    SMOKE_SCALE,
-    grading_digest,
-    run_hotpath,
-)
+from tests.golden import grading_digest, resubmission_storm
 
 pytestmark = [pytest.mark.perf, pytest.mark.buildcache]
 
@@ -83,11 +79,16 @@ def test_grading_digest_identical_cache_on_vs_off():
 
 
 def test_resubmissions_hit_at_smoke_scale():
-    metrics = run_hotpath(SMOKE_SCALE)
-    bc = metrics["buildcache"]
-    assert bc is not None
-    assert bc["resubmission_hit_rate"] >= 0.8
-    assert metrics["resubmission_latency_s"]["p50"] < 2.0
+    storm = resubmission_storm()
+    resubmitted = {r.job_id for r in storm.resubmissions}
+    hits, misses = (
+        sum(e.fields.get("job_id") in resubmitted
+            for e in storm.system.events.query(type=f"buildcache.{kind}"))
+        for kind in ("hit", "miss"))
+    assert hits >= 0.8 * (hits + misses) > 0
+    latencies = sorted(r.finished_at - r.queued_at
+                       for r in storm.resubmissions)
+    assert latencies[len(latencies) // 2] < 2.0
 
 
 def test_lookup_observations_do_not_grow_with_cached_builds():

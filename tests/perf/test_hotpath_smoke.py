@@ -1,52 +1,58 @@
-"""Tier-1 smoke of the hot-path bench: dedup wins and indexed probes.
+"""Tier-1 smoke of the submission hot path: dedup wins and indexed probes.
 
-``benchmarks/bench_hotpath.py`` runs the full scale ladder; this runs the
-tiny smoke scale on every test pass so a regression in the dedup upload
-path or the query planner fails fast, not only when someone regenerates
-``BENCH_hotpath.json``.
+Runs the small resubmission storm on every test pass, so a regression in
+the dedup upload path, the query planner or the worker's fetch cache
+fails on a count here, not only in the benchmark's per-layer table.
 """
 
 import pytest
 
-from repro.workload.hotpath import SMOKE_SCALE, run_hotpath
+from tests.golden import resubmission_storm
 
 pytestmark = pytest.mark.perf
 
 
 @pytest.fixture(scope="module")
-def metrics():
-    return run_hotpath(SMOKE_SCALE)
+def storm():
+    return resubmission_storm()
 
 
-def test_all_submissions_complete(metrics):
-    expected = SMOKE_SCALE.n_students * (SMOKE_SCALE.n_resubmissions + 1)
-    assert metrics["submissions_completed"] == expected
+def test_all_submissions_complete(storm):
+    results = storm.first + storm.resubmissions
+    assert len(results) == 3 * (2 + 1)
+    assert all(r.succeeded for r in results)
 
 
-def test_dedup_ratio_beats_full_uploads(metrics):
+def test_dedup_ratio_beats_full_uploads(storm):
     """Resubmissions must actually dedup: logical bytes exceed wire bytes."""
-    assert metrics["upload"]["dedup_ratio"] > 1.0
-    resub = metrics["upload"]["resubmissions"]
-    assert resub["wire_bytes"] < resub["full_bytes"]
-    assert metrics["storage"]["chunk_store"]["dedup_ratio"] > 1.0
+    counters = storm.system.monitor.counters
+    assert counters.get("bytes_uploaded_logical") \
+        > counters.get("bytes_uploaded")
+    wire = sum(r.upload_bytes for r in storm.resubmissions)
+    full = sum(r.upload_bytes_full for r in storm.resubmissions)
+    assert wire < full
+    assert storm.system.storage.chunk_store.dedup_ratio() > 1.0
 
 
-def test_indexed_submission_lookup_beats_scan(metrics):
+def test_indexed_submission_lookup_beats_scan(storm):
     """The per-job probe runs on the submissions.job_id index and
-    examines fewer documents than the scan path would."""
-    probe = metrics["docdb"]["job_id_probe"]
+    examines one document, not the collection."""
+    submissions = storm.system.db.collection("submissions")
+    probe = submissions.find({"job_id": storm.first[0].job_id}).explain()
     assert probe["path"] == "index"
     assert probe["index"] == "job_id"
-    assert probe["docs_examined"] < probe["docs_total"]
-    assert probe["docs_examined"] == 1
-    assert metrics["docdb"]["planner"]["scans"] == 0
+    assert probe["docs_examined"] == 1 < probe["docs_total"]
+    assert storm.system.db.planner_stats()["scans"] == 0
 
 
-def test_time_window_query_runs_on_sorted_index(metrics):
-    window = metrics["docdb"]["finished_at_window"]
+def test_time_window_query_runs_on_sorted_index(storm):
+    submissions = storm.system.db.collection("submissions")
+    submissions.create_index("finished_at", ordered=True)
+    window = submissions.find({"finished_at": {"$gte": 0.0}}).explain()
     assert window["path"] == "index"
     assert window["index_kind"] == "range"
 
 
-def test_worker_fetch_cache_saves_bytes(metrics):
-    assert metrics["worker_fetch"]["bytes_saved"] > 0
+def test_worker_fetch_cache_saves_bytes(storm):
+    counters = storm.system.monitor.counters
+    assert counters.get("worker_fetch_bytes_saved") > 0

@@ -1,73 +1,96 @@
-"""Tier-1 smoke of the warm-start bench: pooled reuse beats cold starts.
+"""Tier-1 smoke of the warm-start layer: pooled reuse beats cold starts.
 
-``benchmarks/bench_sched.py`` runs the full scale ladder; this replays
-the tiny smoke scale every test pass so a regression in the warm pool,
-the fair-share scheduler, or their worker wiring fails fast, not only
-when someone regenerates ``BENCH_sched.json``.
+A deadline-week storm — the course deadline hours away, a loose rate
+limit, and one team flooding the queue — runs once with each worker's
+warm pool and once with ``warm_pool_size=0``, so a regression in the
+warm pool, the fair-share scheduler, or their worker wiring fails fast.
 """
 
 import pytest
 
-from repro.workload.schedbench import SMOKE_SCALE, run_sched
+from repro.core.config import SystemConfig, WorkerConfig
+from tests.golden import resubmission_storm
 
 pytestmark = [pytest.mark.perf, pytest.mark.sched]
 
 
-@pytest.fixture(scope="module")
-def warm_metrics():
-    return run_sched(SMOKE_SCALE, warm=True)
+def _deadline_week(warm_pool_size: int):
+    # Every job rides the deadline boost band, so fairness comes entirely
+    # from DRR within it; arrivals outrun the fleet's service rate.
+    config = SystemConfig(rate_limit_seconds=0.25,
+                          course_deadline_at=6 * 3600.0,
+                          deadline_boost_window_seconds=24 * 3600.0)
+    worker_config = WorkerConfig(max_concurrent_jobs=2,
+                                 warm_pool_size=warm_pool_size,
+                                 container_create_seconds=2.5,
+                                 container_reset_seconds=0.25)
+    return resubmission_storm(config=config, worker_config=worker_config,
+                              flood_clients=3, flood_submissions=2)
 
 
 @pytest.fixture(scope="module")
-def baseline_metrics():
-    return run_sched(SMOKE_SCALE, warm=False)
+def warm():
+    return _deadline_week(warm_pool_size=2)
 
 
-def _mean_acquire_cost(metrics) -> float:
-    acquire = metrics["container_acquire_s"]
-    total = sum(entry["count"] * entry["mean"]
-                for entry in acquire.values())
-    count = sum(entry["count"] for entry in acquire.values())
+@pytest.fixture(scope="module")
+def cold():
+    return _deadline_week(warm_pool_size=0)
+
+
+def _mean_acquire_cost(storm) -> float:
+    total = count = 0.0
+    for outcome in ("warm", "cold"):
+        hist = storm.system.metrics.histogram("container_acquire_seconds",
+                                              outcome=outcome)
+        total += hist.sum
+        count += hist.count
     return total / count
 
 
-def test_warm_reuse_halves_mean_acquire_cost(warm_metrics,
-                                             baseline_metrics):
+def test_warm_reuse_halves_mean_acquire_cost(warm, cold):
     """The acceptance floor: warm-pool reuse makes the mean container
-    acquisition at least 2x cheaper than the cold-start baseline."""
-    warm_cost = _mean_acquire_cost(warm_metrics)
-    cold_cost = _mean_acquire_cost(baseline_metrics)
-    assert cold_cost >= 2.0 * warm_cost
+    acquisition at least 2x cheaper than creating every container."""
+    assert _mean_acquire_cost(cold) >= 2.0 * _mean_acquire_cost(warm)
 
 
-def test_baseline_never_warms(baseline_metrics):
-    assert baseline_metrics["pool"]["hits"] == 0
-    assert baseline_metrics["pool"]["hit_rate"] == 0.0
-    assert "warm" not in baseline_metrics["container_acquire_s"]
+def test_baseline_never_warms(cold):
+    assert sum(w.pool.hits for w in cold.system.workers) == 0
+    assert cold.system.fleet_pool_hit_rate() == 0.0
+    assert cold.system.metrics.histogram("container_acquire_seconds",
+                                         outcome="warm").count == 0
 
 
-def test_resubmissions_mostly_hit_the_pool(warm_metrics):
-    assert warm_metrics["pool"]["resubmission_hit_rate"] >= 0.5
+def test_resubmissions_mostly_hit_the_pool(warm):
+    submissions = warm.system.db.collection("submissions")
+    docs = [submissions.find_one({"job_id": r.job_id})
+            for r in warm.resubmissions]
+    assert sum(bool(d["pool_hit"]) for d in docs) >= 0.5 * len(docs)
 
 
-def test_fairness_under_the_storm(warm_metrics):
+def test_fairness_under_the_storm(warm):
     """No team's mean queue wait exceeds 2x the global mean even with
     one team flooding the queue."""
-    assert warm_metrics["fairness"]["max_over_global"] <= 2.0
+    waits = [w for team in warm.waits.values() for w in team]
+    global_mean = sum(waits) / len(waits)
+    worst = max(sum(team) / len(team) for team in warm.waits.values())
+    assert worst <= 2.0 * global_mean
 
 
-def test_same_work_completes_in_both_modes(warm_metrics,
-                                           baseline_metrics):
-    for key in ("first", "resubmissions", "storm"):
-        assert warm_metrics["latency_s"][key]["count"] \
-            == baseline_metrics["latency_s"][key]["count"]
+def test_same_work_completes_in_both_modes(warm, cold):
+    for storm in (warm, cold):
+        assert [len(storm.first), len(storm.resubmissions),
+                len(storm.flood)] == [3, 6, 6]
+        assert all(status.value == "succeeded"
+                   for status, *_ in storm.outcomes())
 
 
-def test_prefetch_path_exercised(warm_metrics):
-    assert warm_metrics["prefetch_claims"] > 0
+def test_prefetch_path_exercised(warm):
+    assert warm.system.monitor.counters.get("worker_prefetch_claims") > 0
 
 
-def test_shared_base_layer_saves_pull_bytes(warm_metrics):
-    """Teams on webgpu/rai:minimal reuse the CUDA base layer pulled for
-    webgpu/rai:root (and vice versa): every worker saves bytes."""
-    assert warm_metrics["pull"]["bytes_pull_saved"] > 0
+def test_shared_base_layer_saves_pull_bytes(warm):
+    """Students on webgpu/rai:minimal reuse the CUDA base layer pulled for
+    webgpu/rai:root (and vice versa)."""
+    assert sum(w.runtime.stats()["bytes_pull_saved"]
+               for w in warm.system.workers) > 0

@@ -5,14 +5,16 @@ its one-partition case.  These tier-1 guards hold that case to the
 reference storm's golden delivery-order digest and count what it does
 per submission (one route to partition 0, no steals, one ``shard.route``
 event), so a change to the one-partition path fails on a count, not on
-a wall-clock ratio.
+a wall-clock ratio.  The same digest is the determinism oracle: a seed
+fixes it, and the passive observers (tracing, event log, metering) do
+not move it.
 """
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
-from repro.workload.shardbench import GOLDEN_DIGEST, control_plane_digest
+from tests.golden import GOLDEN_DIGEST, control_plane_digest
 
 pytestmark = [pytest.mark.perf, pytest.mark.shard]
 
@@ -33,6 +35,25 @@ def test_shards_one_reproduces_the_golden_digest():
 def test_default_config_reproduces_the_golden_digest():
     # The default config builds the same one-partition plane as shards=1.
     digest, statuses, n = control_plane_digest()
+    assert digest == GOLDEN_DIGEST
+    assert statuses == ["succeeded"]
+    assert n == 18
+
+
+def test_same_seed_same_digest_and_another_seed_another():
+    first, _, n = control_plane_digest(seed=408)
+    again, _, _ = control_plane_digest(seed=408)
+    other, _, _ = control_plane_digest(seed=409)
+    assert n == 18
+    assert first == again
+    assert first != other
+
+
+def test_observers_off_reproduce_the_golden_digest():
+    # Spans, events and usage records never schedule a simulator event.
+    digest, statuses, n = control_plane_digest(config=SystemConfig(
+        tracing_enabled=False, event_log_enabled=False,
+        usage_metering_enabled=False))
     assert digest == GOLDEN_DIGEST
     assert statuses == ["succeeded"]
     assert n == 18

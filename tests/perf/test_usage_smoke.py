@@ -12,12 +12,9 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
 from repro.obs.usage import UsageMeter
-from repro.workload.hotpath import DEFAULT_SCALES, run_hotpath
+from tests.golden import resubmission_storm
 
 pytestmark = [pytest.mark.perf, pytest.mark.usage]
-
-#: 10 students x 6 resubmissions on 4 workers.
-MEDIUM_SCALE = next(s for s in DEFAULT_SCALES if s.name == "medium")
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
@@ -95,9 +92,9 @@ def test_exemplar_comparisons_per_job_are_logarithmic_with_the_table_full():
 
 
 def test_metering_on_changes_no_results():
-    on = run_hotpath(MEDIUM_SCALE, config=SystemConfig())
-    config_off = SystemConfig()
-    config_off.usage_metering_enabled = False
-    off = run_hotpath(MEDIUM_SCALE, config=config_off)
-    assert on["submissions_completed"] == off["submissions_completed"]
-    assert on["latency_s"] == off["latency_s"]
+    on = resubmission_storm(n_students=4, n_resubmissions=3)
+    off = resubmission_storm(n_students=4, n_resubmissions=3,
+                             config=SystemConfig(usage_metering_enabled=False))
+    assert on.system.usage.total_records > 0
+    assert off.system.usage.total_records == 0
+    assert on.outcomes() == off.outcomes()

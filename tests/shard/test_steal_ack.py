@@ -10,6 +10,7 @@ caretaker sweep would have redelivered it — a duplicate execution.
 import pytest
 
 from repro.broker.broker import MessageBroker
+from repro.sched import JobScheduler, RuntimeEstimator, SchedulerPolicy
 from repro.shard import ShardMap
 from repro.shard.plane import ShardedControlPlane
 from repro.sim.kernel import Simulator
@@ -19,8 +20,11 @@ pytestmark = pytest.mark.shard
 
 @pytest.fixture
 def plane():
-    broker = MessageBroker(Simulator())
-    return ShardedControlPlane(broker, ShardMap(2))
+    sim = Simulator()
+    return ShardedControlPlane(
+        MessageBroker(sim), ShardMap(2),
+        scheduler_factory=lambda p: JobScheduler(
+            lambda: sim.now, SchedulerPolicy(), RuntimeEstimator()))
 
 
 def _steal_last_message(plane):

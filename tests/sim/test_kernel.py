@@ -1,5 +1,7 @@
 """Unit tests for the simulator core and processes."""
 
+import random
+
 import pytest
 
 from repro.errors import EmptySchedule, Interrupt, SimulationError
@@ -230,3 +232,21 @@ class TestDeterminism:
             return log
 
         assert trace_run() == trace_run()
+
+
+class TestEventCount:
+    def test_timeout_cascade_schedules_its_structural_count(self, sim):
+        """One bootstrap per process, one timeout per yield and one
+        completion per process: the kernel schedules nothing else."""
+        rng = random.Random(7)
+        n_procs, per_proc = 100, 50
+
+        def cascade(delays):
+            for delay in delays:
+                yield sim.timeout(delay)
+
+        for _ in range(n_procs):
+            sim.process(cascade([rng.expovariate(1.0)
+                                 for _ in range(per_proc)]))
+        sim.run()
+        assert sim.scheduled_events == n_procs * per_proc + 2 * n_procs
