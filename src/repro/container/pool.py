@@ -4,27 +4,40 @@ Creating a fresh sandbox for every job charges the engine's create cost
 (namespace setup, mount plumbing, cgroup wiring) on the submission hot
 path.  The pool keeps a bounded number of *scrubbed* containers per image
 and hands them to the next job instead — the "warm start" half of the
-scheduler + pool latency attack.  Warm means ready: the reset runs in the
-background from the moment a job returns its container, off the slot, so
-a job that arrives after it finished waits for nothing and a job that
-arrives sooner waits only for what is left of it.
+scheduler + pool latency attack.  Warm means ready: every parked entry
+carries the instant it is ready (``ready_at``) and what making it ready
+costs (its charge), and a job that takes it pays ``max(0, ready_at -
+now)``, never more than that charge.  Entries arrive two ways, through
+one park path:
+
+- **Returned.**  A job's container is reset in the background from the
+  moment the job releases it, off the slot (charge: the reset), so a job
+  that arrives after the reset waits for nothing and one that arrives
+  sooner waits only for what is left of it.
+- **Filled.**  A worker starting up parks one container per slot for its
+  course image (:meth:`fill`), ready once the image pull it started and a
+  create are done (charge: the pull remainder plus the create), so no
+  first job on a slot pays them from its own claim.
 
 Safety invariants:
 
 - **Reset on return.**  A container is :meth:`~repro.container.container.
-  Container.scrub`-bed the moment its job releases it: filesystem (with
-  the job's ``/src`` and ``/build``), environment, and output hooks are
-  dropped before the container is parked, and the entry carries the
-  instant the reset completes (``ready_at``).  Acquisition reprovisions
-  from the image template with the new job's mounts, so a container is
-  never reused across teams (or even jobs) without a full reset, and
-  never before ``ready_at`` without the job waiting out the remainder.
+  Container.scrub`-bed the moment it is parked: filesystem (with the
+  job's ``/src`` and ``/build``), environment, and output hooks are
+  dropped.  Acquisition reprovisions from the image template with the new
+  job's mounts, so a container is never reused across teams (or even
+  jobs) without a full reset, and never before ``ready_at`` without the
+  job waiting out the remainder.
 - **Tainted containers are never pooled.**  OOM-killed, timed-out, or
   already-destroyed containers go straight back to the engine for
   destruction.
 - **Bounded and TTL-evicted.**  At most ``max_per_image`` containers park
   per image; entries idle past ``ttl_seconds`` on the simulation clock are
   destroyed at the next pool operation.
+- **Metered once.**  A hit books the seconds an entry sat parked as
+  ``warm_slot_seconds`` against the acquiring tenant — unless the entry
+  was filled, whose wait for its first job is platform overhead, as is
+  every entry's time when TTL, :meth:`drain` or :meth:`close` ends it.
 - **Crash-safe.**  :meth:`close` (wired to worker stop/crash) destroys
   every parked container and makes later releases destroy instead of
   park, so a dying worker leaks nothing into
@@ -38,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.container.container import Container, ContainerState
+from repro.container.runtime import Pull
 
 #: Container states a released container may be parked from.
 _REUSABLE_STATES = (ContainerState.RUNNING, ContainerState.EXITED,
@@ -48,8 +62,14 @@ _REUSABLE_STATES = (ContainerState.RUNNING, ContainerState.EXITED,
 class _Parked:
     container: Container
     parked_at: float
-    #: When the background reset started at ``parked_at`` completes.
+    #: When the work started at ``parked_at`` (a reset, or a pull and a
+    #: create) completes.
     ready_at: float
+    #: The most a hit can cost: ``ready_at - parked_at``, held exactly
+    #: (``(parked_at + reset) - now`` can round an ulp above the reset).
+    charge: float
+    #: Parked by :meth:`WarmContainerPool.fill`, not returned by a job.
+    filled: bool = False
 
 
 class WarmContainerPool:
@@ -76,13 +96,16 @@ class WarmContainerPool:
         self.events = events
         self.owner = owner
         #: Optional :class:`~repro.obs.usage.UsageMeter`: warm-slot
-        #: occupancy is billable — a hit charges the acquiring tenant
-        #: the idle time it consumed; TTL evictions are overhead.
+        #: occupancy is billable — a hit on a returned container charges
+        #: the acquiring tenant the idle time it consumed; a filled one's
+        #: and every evicted or drained one's are overhead.
         self.usage = usage
         self._parked: Dict[str, Deque[_Parked]] = {}
         self._closed = False
         self.hits = 0
         self.misses = 0
+        #: Containers :meth:`fill` parked.
+        self.filled = 0
         #: Hits handed out before ``ready_at``, and the seconds they waited.
         self.hits_waited = 0
         self.hit_wait_seconds = 0.0
@@ -115,12 +138,12 @@ class WarmContainerPool:
         (CREATED state, caller starts it), whether it came warm from the
         pool, and the simulated seconds the caller must charge for the
         acquisition: the engine create cost on a miss; on a hit whatever
-        is left of the reset started when the container was parked,
-        ``max(0, ready_at - now)`` — zero once it has sat idle longer
-        than a reset, the whole reset (never more) when a saturated slot
-        takes it back at once.  The oldest parked container is handed
-        out, which is also the earliest ready.  ``usage_key`` is the
-        tenant a warm hit's consumed slot time is metered against.
+        is left of the work started when the container was parked,
+        ``max(0, ready_at - now)`` — zero once it has sat idle long
+        enough, its whole charge (never more) when taken at once.  The
+        oldest parked container is handed out.  ``usage_key`` is the
+        tenant a returned container's consumed slot time is metered
+        against; a filled one's is the platform's.
         """
         self.evict_expired()
         queue = self._parked.get(image_name)
@@ -131,13 +154,11 @@ class WarmContainerPool:
             now = self.clock()
             if self.usage is not None:
                 self.usage.record("warm_slot_seconds", now - entry.parked_at,
-                                  tenant=usage_key)
+                                  tenant=None if entry.filled else usage_key)
             container = entry.container
             container.recycle(limits=limits, mounts=mounts or [],
                               gpu_device=gpu_device, on_output=on_output)
-            # min: ``(parked_at + reset) - now`` can round an ulp above the
-            # reset itself, and a hit must never cost more than one.
-            cost = max(0.0, min(entry.ready_at - now, self.reset_seconds))
+            cost = max(0.0, min(entry.ready_at - now, entry.charge))
             self.hits += 1
             if cost > 0:
                 self.hits_waited += 1
@@ -165,6 +186,35 @@ class WarmContainerPool:
                 self.rejected_tainted += 1
                 self.runtime.destroy_container(container)
             return False
+        now = self.clock()
+        return self._park(container, now + self.reset_seconds,
+                          self.reset_seconds)
+
+    def fill(self, image_name: str, count: int) -> Pull:
+        """Start pulling ``image_name`` and park up to ``count`` new
+        containers of it (as many as fit), each ready once that pull and a
+        create are done — a starting worker's, so neither is paid from a
+        job's claim.  Returns the runtime's :class:`~repro.container.
+        runtime.Pull` (nothing, on a closed or disabled pool)."""
+        if not self.enabled:
+            return Pull(0.0, 0, False)
+        pull = self.runtime.pull(image_name)
+        charge = pull.seconds + self.create_seconds
+        ready_at = self.clock() + charge
+        room = self.max_per_image - len(self._parked.get(image_name, ()))
+        count = max(0, min(count, room))
+        for _ in range(count):
+            self._park(self.runtime.create_container(image_name), ready_at,
+                       charge, filled=True)
+        self.filled += count
+        self._emit("pool.fill", image=image_name, count=count,
+                   ready_at=ready_at)
+        return pull
+
+    def _park(self, container: Container, ready_at: float, charge: float,
+              filled: bool = False) -> bool:
+        """Scrub and park ``container`` until ``ready_at``; destroy it
+        instead when the pool cannot take it."""
         if not self.enabled:
             self.runtime.destroy_container(container)
             return False
@@ -178,9 +228,8 @@ class WarmContainerPool:
             self.runtime.destroy_container(container)
             return False
         container.scrub()
-        now = self.clock()
-        queue.append(_Parked(container, parked_at=now,
-                             ready_at=now + self.reset_seconds))
+        queue.append(_Parked(container, parked_at=self.clock(),
+                             ready_at=ready_at, charge=charge, filled=filled))
         return True
 
     # -- eviction and shutdown -----------------------------------------
@@ -245,6 +294,7 @@ class WarmContainerPool:
             "max_per_image": self.max_per_image,
             "hits": self.hits,
             "misses": self.misses,
+            "filled": self.filled,
             "hit_rate": round(self.hit_rate(), 4),
             "hits_waited": self.hits_waited,
             "hit_wait_seconds": round(self.hit_wait_seconds, 6),

@@ -146,7 +146,8 @@ class RaiCLI:
             f"{system.fleet_pool_hit_rate() * 100:.0f}%  "
             f"hits waited "
             f"{sum(w.pool.hits_waited for w in system.workers)}/"
-            f"{sum(w.pool.hits for w in system.workers)}",
+            f"{sum(w.pool.hits for w in system.workers)}  "
+            f"filled {sum(w.pool.filled for w in system.workers)}",
         ]
         rows = []
         for worker in system.workers:

@@ -51,8 +51,10 @@ class WorkerConfig:
     #: disables the cache.
     fetch_cache_bytes: int = 1 << 30
     #: Warm container pool: scrubbed containers kept per image for reuse
-    #: across jobs.  0 disables the pool (every job pays the engine's full
-    #: create cost).
+    #: across jobs.  A starting worker pulls the course image and fills
+    #: the pool with ``min(max_concurrent_jobs, warm_pool_size)`` of them,
+    #: ready once that pull and a create are done.  0 disables the pool
+    #: and the fill (every job pays the engine's full create cost).
     warm_pool_size: int = 2
     #: Idle parked containers older than this (sim clock) are destroyed.
     warm_pool_ttl_seconds: float = 900.0

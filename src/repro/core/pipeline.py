@@ -35,9 +35,10 @@ from repro.storage.buildcache import image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
 
-#: ``container_acquire_seconds`` bounds, fine below a second: a warm hit's
-#: charge is 0, part of a reset, or (0.2 s by default) a whole one, and
-#: the three should not share a bucket with each other or a cold create.
+#: ``container_acquire_seconds`` bounds, fine below a second: a returned
+#: container's charge is 0, part of a reset, or (0.2 s by default) a whole
+#: one, and the three should not share a bucket with each other or with a
+#: create (a cold one, or what is left of a filled container's).
 ACQUIRE_BUCKETS = (0.0, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
 
 
@@ -166,17 +167,19 @@ def fetch(run: JobRun):
 
 
 def acquire(run: JobRun):
-    """Pull missing image layers, then take a container warm from the pool
-    or create one cold."""
+    """Wait for the image's layers — pulling those no one is fetching,
+    joining a pull already in flight for the rest — then take a container
+    warm from the pool or create one cold."""
     worker, job, spec = run.worker, run.job, run.spec
-    pull_cost = worker.runtime.pull_cost_seconds(spec.image)
-    if pull_cost > 0:
+    pull = worker.runtime.pull(spec.image)
+    if pull.bytes:
+        worker.system.monitor.incr("image_bytes_pulled", pull.bytes)
+    if pull.seconds > 0:
         run.log("stdout", f"Pulling image {spec.image} ...\n")
-        run.span.add_event("image.pull", image=spec.image, seconds=pull_cost)
-        worker.system.monitor.incr(
-            "image_bytes_pulled",
-            int(pull_cost * worker.config.pull_bandwidth_bps))
-        yield worker.sim.timeout(pull_cost)
+        run.span.add_event("image.pull", image=spec.image,
+                           seconds=pull.seconds, started_bytes=pull.bytes,
+                           joined=pull.joined)
+        yield worker.sim.timeout(pull.seconds)
         run.check_deadline()
     mounts = [cuda_volume()]
     if run.project_fs is not None:      # a session may bring no project

@@ -12,7 +12,10 @@ each became — and, in brackets, what an interactive session (§VIII,
    a redelivered session died with its worker and is ended, not re-run];
 3. start a Docker container from the job's base image (pulling on a cache
    miss), with limited RAM, no network, the CUDA volume mounted, and all
-   stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``;
+   stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``, which
+   waits only for what is still missing: the worker began pulling the
+   course image, and parked a container per slot, when it started
+   (``_fill_pool``);
 4. download the client's project archive and mount it at ``/src``
    (read-only), with a writable ``/build`` working directory — ``fetch``
    (which also unpacks), run before 3 so a bad upload costs no container
@@ -37,15 +40,20 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from repro.broker.client import Consumer
+from repro.buildspec.defaults import default_build_spec
 from repro.container.pool import WarmContainerPool
 from repro.container.runtime import ContainerRuntime
 from repro.core.config import WorkerConfig
 from repro.core.interactive import SESSION_ROUTE
 from repro.core.job import Job, JobKind, JobStatus
 from repro.core.pipeline import FAILURE_ERRORS, JobRun, fail
-from repro.errors import Interrupt
+from repro.errors import ContainerError, Interrupt
 from repro.gpu.device import get_device
 from repro.vfs import pack_tree  # noqa: F401  (bench/tests pins this copy)
+
+#: The image a worker pulls and fills its pool with from boot: the one
+#: Listing 1, the course's default build file, names.
+COURSE_IMAGE = default_build_spec().image
 
 
 def _defuse_interrupt_failure(process_event) -> None:
@@ -118,6 +126,9 @@ class RaiWorker:
         self._slot_open: dict = {}
         self._slot_seconds_closed = 0.0
         self._executors: List = []
+        if self.pool.enabled:
+            # First, so the fill is parked before any slot claims a job.
+            self.sim.process(self._fill_pool())
         for _ in range(self.config.max_concurrent_jobs):
             self._spawn_slot()
         if self.config.enable_interactive:
@@ -129,6 +140,23 @@ class RaiWorker:
 
     def _emit(self, type: str, span=None, **fields) -> None:
         self.system.events.emit(type, span=span, worker=self.id, **fields)
+
+    def _fill_pool(self):
+        """Warm from boot: start pulling the course image and park one
+        container per slot (as many as the pool holds), each ready once
+        the pull and a create are done, so no first job on a slot waits
+        for either from its own claim.  A kernel process, so it runs at
+        the worker's first instant of simulated time: after an operator's
+        pre-pull, which leaves it only the create, and inside the run that
+        counts its bytes."""
+        try:
+            pull = self.pool.fill(COURSE_IMAGE, min(
+                self.config.max_concurrent_jobs, self.config.warm_pool_size))
+        except ContainerError:          # a course that does not offer it
+            return
+        if pull.bytes:
+            self.system.monitor.incr("image_bytes_pulled", pull.bytes)
+        yield from ()       # a process, with nothing of its own to wait for
 
     def _spawn_slot(self) -> int:
         slot = next(self._slot_counter)

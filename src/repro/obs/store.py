@@ -8,15 +8,19 @@ have pushed it toward eviction.  The store therefore:
 - never evicts a *live* trace (one with open spans): eviction skips it,
   so a crash-recovery trace that stays open across redelivery cannot be
   orphaned mid-flight by a resubmission storm (the chaos suite asserts
-  this), and
+  this) — without walking past the live ones: a trace whose last span
+  closes joins a min-heap keyed by creation order, and eviction pops it,
+  skipping entries for traces already evicted or live again, and
 - maintains a ``job_id → trace_id`` index fed by span attributes, the
   query key ``rai trace <job_id>`` uses.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.span import Span
 
@@ -24,13 +28,15 @@ from repro.obs.span import Span
 class Trace:
     """All spans sharing one trace_id, in creation order."""
 
-    __slots__ = ("trace_id", "spans", "job_ids", "_open")
+    __slots__ = ("trace_id", "spans", "job_ids", "_open", "seq")
 
-    def __init__(self, trace_id: str):
+    def __init__(self, trace_id: str, seq: int = 0):
         self.trace_id = trace_id
         self.spans: List[Span] = []
         self.job_ids: List[str] = []
         self._open = 0
+        #: Creation order within its store (the eviction key).
+        self.seq = seq
 
     @property
     def open_spans(self) -> int:
@@ -82,6 +88,10 @@ class TraceStore:
         self.max_traces = max_traces
         self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._job_index: Dict[str, str] = {}
+        self._seq = itertools.count()
+        #: ``(seq, trace_id)`` of traces that went non-live, oldest first;
+        #: an entry may be stale (evicted, or live again) and is skipped.
+        self._idle: List[Tuple[int, str]] = []
         self.total_spans = 0
         self.total_evicted = 0
 
@@ -91,7 +101,8 @@ class TraceStore:
         trace = self._traces.get(span.trace_id)
         is_new = trace is None
         if is_new:
-            trace = self._traces[span.trace_id] = Trace(span.trace_id)
+            trace = self._traces[span.trace_id] = Trace(
+                span.trace_id, next(self._seq))
         trace.spans.append(span)
         trace._open += 1
         self.total_spans += 1
@@ -103,8 +114,10 @@ class TraceStore:
     def note_end(self, span: Span) -> None:
         """Called (once, via ``Span.end``) when a stored span closes."""
         trace = self._traces.get(span.trace_id)
-        if trace is not None:
-            trace._open = max(0, trace._open - 1)
+        if trace is not None and trace._open > 0:
+            trace._open -= 1
+            if not trace._open:
+                heapq.heappush(self._idle, (trace.seq, trace.trace_id))
 
     def bind_job(self, job_id, trace_id: str) -> None:
         if job_id is None:
@@ -115,19 +128,23 @@ class TraceStore:
             trace.job_ids.append(str(job_id))
 
     def _evict_over_capacity(self) -> None:
-        while len(self._traces) > self.max_traces:
-            victim_id = None
-            for trace_id, trace in self._traces.items():
-                if not trace.is_live:
-                    victim_id = trace_id
+        idle, traces = self._idle, self._traces
+        while len(traces) > self.max_traces:
+            while idle:
+                seq, trace_id = heapq.heappop(idle)
+                victim = traces.get(trace_id)
+                # ``seq`` also tells a stale entry from a later trace that
+                # reuses an evicted one's id.
+                if victim is not None and victim.seq == seq \
+                        and not victim.is_live:
                     break
-            if victim_id is None:
+            else:
                 # Every stored trace still has open spans; growing past
                 # capacity is the lesser evil vs. orphaning live jobs.
                 return
-            victim = self._traces.pop(victim_id)
+            del traces[trace_id]
             for job_id in victim.job_ids:
-                if self._job_index.get(job_id) == victim_id:
+                if self._job_index.get(job_id) == trace_id:
                     del self._job_index[job_id]
             self.total_evicted += 1
 

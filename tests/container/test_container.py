@@ -106,6 +106,26 @@ class TestImageCache:
         small = rt.pull_cost_seconds("webgpu/rai:minimal")
         assert big > small
 
+    def test_a_pull_in_flight_is_joined_not_repeated(self):
+        now = [0.0]
+        rt = ContainerRuntime(clock=lambda: now[0])
+        root = rt.registry.get("webgpu/rai:root")
+        first = rt.pull("webgpu/rai:root")
+        assert (first.bytes, first.joined) == (root.size_bytes, False)
+        now[0] = 20.0
+        assert rt.pull_cost_seconds("webgpu/rai:root") == \
+            pytest.approx(first.seconds - 20.0)
+        second = rt.pull("webgpu/rai:root")
+        assert (second.bytes, second.joined) == (0, True)
+        assert second.seconds == pytest.approx(first.seconds - 20.0)
+        # The lean image shares the base layer, which arrived first; only
+        # its own top layer is fetched.
+        lean = rt.pull("webgpu/rai:minimal")
+        top = rt.registry.get("webgpu/rai:minimal").layers[-1].size_bytes
+        assert (lean.bytes, lean.joined) == (top, False)
+        assert rt.stats()["bytes_pulled"] == root.size_bytes + top
+        assert rt.stats()["layers_in_flight"] == 2
+
 
 class TestMemoryLimit:
     def test_oom_kill(self):

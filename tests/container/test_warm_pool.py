@@ -236,3 +236,69 @@ class TestShutdown:
         assert stats["hits"] == 0 and stats["misses"] == 1
         assert stats["hits_waited"] == 0 and stats["hit_wait_seconds"] == 0.0
         assert stats["closed"] is False
+
+
+class TestFill:
+    """A starting worker's fill: one pull, containers parked until that
+    pull and a create are done, their idle time nobody's."""
+
+    def _pool(self, clock, **kwargs):
+        from repro.obs.events import EventLog
+
+        runtime = ContainerRuntime(clock=clock)
+        return WarmContainerPool(runtime, clock, max_per_image=2,
+                                 create_seconds=2.0, reset_seconds=0.2,
+                                 events=EventLog(clock=clock), **kwargs)
+
+    def test_fill_parks_until_the_pull_and_a_create_are_done(self, clock):
+        pool = self._pool(clock)
+        pull = pool.fill("webgpu/rai:root", 3)
+        image = pool.runtime.registry.get("webgpu/rai:root")
+        assert pull.bytes == image.size_bytes and not pull.joined
+        assert pull.seconds == image.pull_seconds()
+        ready_at = pull.seconds + 2.0
+        # As many as fit; the pool's own counters and event say so.
+        stats = pool.stats()
+        assert (stats["pooled"], stats["filled"]) == (2, 2)
+        assert (stats["ready"], stats["resetting"]) == (0, 2)
+        event, = pool.events.query(type="pool.fill")
+        assert event.fields == {"worker": None, "image": "webgpu/rai:root",
+                                "count": 2, "ready_at": ready_at}
+        # A job claiming it mid-pull pays what is left, never more.
+        clock.now = 20.0
+        _, hit, cost = pool.acquire("webgpu/rai:root")
+        assert hit and cost == pytest.approx(ready_at - 20.0)
+        clock.now = ready_at + 1.0
+        _, hit, cost = pool.acquire("webgpu/rai:root")
+        assert hit and cost == 0.0
+
+    def test_after_a_pre_pull_only_the_create_is_left(self, clock):
+        pool = self._pool(clock)
+        pool.runtime.destroy_container(
+            pool.runtime.create_container("webgpu/rai:root"))
+        pull = pool.fill("webgpu/rai:root", 1)
+        assert (pull.seconds, pull.bytes) == (0.0, 0)
+        _, hit, cost = pool.acquire("webgpu/rai:root")
+        assert hit and cost == 2.0
+
+    def test_a_filled_containers_idle_time_is_nobodys(self, clock):
+        usage = UsageMeter(clock)
+        pool = self._pool(clock, usage=usage)
+        pool.fill("webgpu/rai:root", 2)
+        clock.now = 100.0
+        taken, _, _ = pool.acquire("webgpu/rai:root", usage_key="team")
+        clock.now = 150.0
+        pool.close()
+        assert usage.tenant_total("team", "warm_slot_seconds") == 0.0
+        assert usage.tenant_total(UNATTRIBUTED, "warm_slot_seconds") == \
+            100.0 + 150.0
+        assert not pool.release(taken)
+        assert pool.runtime.live_count == 0
+
+    def test_closed_or_disabled_pool_fills_and_pulls_nothing(self, clock):
+        for pool in (self._pool(clock), WarmContainerPool(
+                ContainerRuntime(clock=clock), clock, max_per_image=0)):
+            pool.close()
+            assert pool.fill("webgpu/rai:root", 2) == (0.0, 0, False)
+            assert pool.runtime.stats()["bytes_pulled"] == 0
+            assert pool.pooled_count == 0

@@ -97,13 +97,17 @@ class TestSubcommands:
         # Dispatch histogram populated; percentiles render as numbers.
         assert "dispatched=1" in out
         assert "p50=-" not in out
-        # Pool columns show the cold create and the parked container.
-        assert "0/1" in out and "pooled" in out
-        assert "hits waited 0/0" in out
+        # Each worker filled its pool at boot, so the first job is a warm
+        # hit — one that waited for the image pull and create still under
+        # way when it was claimed — and its container is parked again.
+        assert "1/1" in out and "pooled" in out
+        assert "hits waited 1/1  filled 2" in out
 
     def test_top_tells_an_undersized_pool_from_a_cold_one(self):
-        """Two teams at once on a one-slot worker: the second job is a
-        warm hit that had to wait out the reset — `hits waited 1/1`."""
+        """Two teams at once on a one-slot worker: the first job takes
+        the container filled at boot while its pull is still running, the
+        second waits out the reset of the one the first returned — every
+        hit waited, `hits waited 2/2`, and none was a miss."""
         system = RaiSystem.standard(
             num_workers=1, seed=7,
             worker_config=WorkerConfig(max_concurrent_jobs=1))
@@ -112,7 +116,7 @@ class TestSubcommands:
             client.stage_project(FILES)
         system.run_all(c.submit() for c in clients)
         out = RaiCLI(system, clients[0]).run_command("rai top")
-        assert "warm-pool hit rate 50%  hits waited 1/1" in out
+        assert "warm-pool hit rate 100%  hits waited 2/2  filled 1" in out
 
     def test_top_shows_downed_worker(self, cli, system):
         system.workers[0].crash()

@@ -36,9 +36,11 @@ class TestCrashWithPooledContainers:
         client.stage_project(FILES)
         result = system.run(system.sim.process(client.submit()))
         assert result.status is JobStatus.SUCCEEDED
-        # The finished job parked its container for the next one.
-        assert victim.pool.pooled_count == 1
-        assert victim.runtime.live_count == 1
+        # The finished job parked its container for the next one, beside
+        # the second of the two the worker filled its pool with at boot.
+        assert victim.pool.filled == 2
+        assert victim.pool.pooled_count == 2
+        assert victim.runtime.live_count == 2
         victim.crash()
         assert victim.pool.pooled_count == 0
         assert victim.runtime.live_count == 0
@@ -109,7 +111,10 @@ class TestCrashWithPooledContainers:
 def test_worker_dies_with_one_container_ready_and_one_mid_reset(how):
     """Both parked containers are destroyed — the reset one and the one
     still resetting — and the seconds they sat parked reach the books as
-    overhead, once."""
+    overhead, once.  ``b`` submits once ``a`` is done, so it takes the
+    second container filled at boot and returns it just after ``a``'s
+    reset has finished; the filled containers' waits for their first job
+    are overhead too, and neither team pays for any of it."""
     system = RaiSystem.standard(num_workers=1, seed=25,
                                 worker_config=warm_config())
     victim = system.workers[0]
@@ -118,28 +123,33 @@ def test_worker_dies_with_one_container_ready_and_one_mid_reset(how):
         client.stage_project(FILES)
 
     def late(sim):
-        yield sim.timeout(1.0)
+        while victim.jobs_completed < 1:
+            yield sim.timeout(1.0)
         return (yield from clients[1].submit())
 
     def chaos(sim):
-        while victim.pool.pooled_count < 2:
+        while victim.pool.hits < 2 or victim.pool.pooled_count < 2:
             yield sim.timeout(0.05)
         stats = victim.pool.stats()
         assert (stats["ready"], stats["resetting"]) == (1, 1)
         parked_seconds = sum(sim.now - entry.parked_at
                              for queue in victim.pool._parked.values()
                              for entry in queue)
+        booked = system.usage.totals["warm_slot_seconds"]
+        assert booked > 0           # the two filled containers' waits
+        assert system.usage.tenant_total(
+            UNATTRIBUTED, "warm_slot_seconds") == booked
         getattr(victim, how)()
-        return parked_seconds
+        return parked_seconds, booked
 
     results = system.run_all([clients[0].submit(), late(system.sim),
                               chaos(system.sim)])
-    parked_seconds = results[2]
+    parked_seconds, booked = results[2]
     assert [r.status for r in results[:2]] == [JobStatus.SUCCEEDED] * 2
     assert victim.pool.pooled_count == 0
     assert victim.runtime.live_count == 0
     assert parked_seconds > 0
     assert system.usage.tenant_total(UNATTRIBUTED, "warm_slot_seconds") == \
-        pytest.approx(parked_seconds)
+        pytest.approx(booked + parked_seconds)
     assert system.usage.totals["warm_slot_seconds"] == \
-        pytest.approx(parked_seconds)
+        pytest.approx(booked + parked_seconds)

@@ -30,16 +30,20 @@ from repro.vfs import VirtualFileSystem, file_digest, unpack_tree
 #: on ``SystemConfig(shards=1)``: both build the one-partition control
 #: plane.  Captured when the unsharded control plane was a separate code
 #: path and held, without re-capture, when that path was replaced by the
-#: one-partition plane.  Re-captured twice, each time for a model change
-#: made on purpose.  When the build artifact cache
+#: one-partition plane.  Re-captured three times, each time for a model
+#: change made on purpose.  When the build artifact cache
 #: landed: cached resubmission builds re-time and re-place downstream
 #: work (before it,
 #: 71d365bccfb90a486220a01387e56bc3e232418e239018874a34f5d7808d17ed).
 #: When the warm pool began resetting containers on return instead of at
 #: acquire: a warm job finishes up to one reset earlier (before it,
 #: 715d5ada1b1addc86826badfc41a8b86ebaae8e3a134f785ee2cd5083ad51653).
+#: When workers began pulling the course image and filling their pools
+#: at boot, and a job claimed mid-pull began waiting only for what is
+#: left of it: first jobs finish sooner (before it,
+#: 2276af4f8bd2f33d5d965140ec41d39b5b03800f42b580f274afcdcc46912933).
 GOLDEN_DIGEST = \
-    "2276af4f8bd2f33d5d965140ec41d39b5b03800f42b580f274afcdcc46912933"
+    "7fb5b6a803c430a6c32076aa582ef688efa58feb0d80df5cb53e003be9803dff"
 
 
 def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,

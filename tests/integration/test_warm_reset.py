@@ -1,6 +1,9 @@
 """Warm means ready, end to end: a container is reset when its job returns
 it, so the next job waits only for what is left of the reset — nothing
-after a student's think time, the remainder on a saturated slot."""
+after a student's think time, the remainder on a saturated slot.  A
+worker's very first job takes the container it filled its pool with at
+boot, and waits only for the part of that pull and create still running.
+"""
 
 import pytest
 
@@ -18,6 +21,7 @@ FILES = {
     "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
 }
 RESET = WorkerConfig().container_reset_seconds
+CREATE = WorkerConfig().container_create_seconds
 
 
 def acquire_event(system, result):
@@ -43,8 +47,10 @@ def test_resubmission_after_think_time_waits_for_no_reset():
 
     first, second = system.run(student(system.sim))
     assert second.status is JobStatus.SUCCEEDED
-    _, cold, _ = acquire_event(system, first)
-    assert (cold["pool_hit"], cold["seconds"]) == (False, 2.0)
+    # The first job joined the boot pull, then waited the create out.
+    _, filled, _ = acquire_event(system, first)
+    assert filled["pool_hit"] is True
+    assert filled["seconds"] == pytest.approx(CREATE)
     _, warm, _ = acquire_event(system, second)
     assert (warm["pool_hit"], warm["seconds"]) == (True, 0.0)
     # Nothing on the job's path is the worker's own waiting any more.
@@ -53,7 +59,8 @@ def test_resubmission_after_think_time_waits_for_no_reset():
     assert stage["self_s"] == pytest.approx(0.0, abs=1e-9)
     assert report["dominant"]["name"] != "worker.job"
     pool = system.workers[0].pool
-    assert (pool.hits, pool.hits_waited, pool.hit_wait_seconds) == (1, 0, 0.0)
+    assert (pool.misses, pool.hits, pool.hits_waited) == (0, 2, 1)
+    assert pool.hit_wait_seconds == filled["seconds"]
     warm_hist = system.metrics.histogram("container_acquire_seconds",
                                          outcome="warm")
     assert warm_hist.buckets[0] == 0.0 and warm_hist.bucket_counts[0] == 1
@@ -81,14 +88,18 @@ def test_back_to_back_on_one_slot_pays_the_remainder():
     # The slot took the container back at once, so it came out of the
     # wait exactly when the reset begun at the first job's end was done.
     assert at == pytest.approx(first_span.end_time + RESET)
+    # Both jobs hit and both waited: the first for the container filled
+    # at boot, the second for the one the first returned.
+    _, filled, _ = acquire_event(system, first)
     pool = system.workers[0].pool
-    assert (pool.hits, pool.hits_waited) == (1, 1)
-    assert pool.hit_wait_seconds == warm["seconds"]
-    hit, = system.events.query(type="pool.hit")
-    assert hit.fields["cost"] == warm["seconds"]
+    assert (pool.misses, pool.hits, pool.hits_waited) == (0, 2, 2)
+    assert pool.hit_wait_seconds == filled["seconds"] + warm["seconds"]
+    fill_hit, hit = system.events.query(type="pool.hit")
+    assert (fill_hit.fields["cost"], hit.fields["cost"]) == \
+        (filled["seconds"], warm["seconds"])
     warm_hist = system.metrics.histogram("container_acquire_seconds",
                                          outcome="warm")
-    assert warm_hist.bucket_counts[0] == 0 and warm_hist.count == 1
+    assert warm_hist.bucket_counts[0] == 0 and warm_hist.count == 2
 
 
 def test_same_seed_twice_is_the_same_run():

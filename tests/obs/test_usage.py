@@ -282,6 +282,9 @@ class TestCostAllocator:
 def _submit(system, client):
     result = system.run(client.submit())
     assert result.status is JobStatus.SUCCEEDED
+    # A warm fleet answers well inside the rate limit: wait it out, so the
+    # team's next submission is accepted.
+    system.run(until=system.sim.now + system.config.rate_limit_seconds)
     return result
 
 
@@ -345,10 +348,19 @@ class TestEndToEnd:
         assert system.usage.tenants == {}
 
     def test_warm_pool_hit_bills_acquiring_team(self):
+        """A container filled at boot waits for its first job on the
+        platform's books; a hit on one a job returned bills the team that
+        takes it.  Sequential jobs use up the fill within one job each."""
         system, provisioner, clients = _provisioned_system(seed=14,
                                                            teams=("team-a",))
-        _submit(system, clients[0])
-        _submit(system, clients[0])   # warm hit: consumes parked idle time
+        filled = sum(worker.pool.filled for worker in system.workers)
+        assert filled == 4            # two workers x two slots
+        _submit(system, clients[0])   # takes a filled container
+        assert system.usage.tenant_total("team-a", "warm_slot_seconds") == 0
+        assert system.usage.tenant_total(
+            UNATTRIBUTED, "warm_slot_seconds") > 0
+        for _ in range(filled):
+            _submit(system, clients[0])
         assert system.usage.tenant_total(
             "team-a", "warm_slot_seconds") > 0
 

@@ -1,18 +1,31 @@
-"""The warm pool's background reset against the flat charge it replaced.
+"""The warm pool and the image pull against the rules they replaced.
 
 ``WarmContainerPool`` starts a container's reset when its job returns it
-and charges the next job only what is left of it.  The oracle below is
-the behaviour it replaced, kept here only as a specification: the same
-FIFO / TTL / overflow / taint bookkeeping, but every hit charged the whole
-reset at acquire.  Generated schedules of acquire / release / taint /
-advance-clock / evict / close over one to three images must hand out the
-same containers with the same counters, never charge more than the
-oracle did, and never hand a container out before its reset is done
-without charging the remainder.
+and charges the next job only what is left of it; a worker starting up
+fills it with containers that are ready once the course image's pull and
+a create are done; and ``ContainerRuntime.pull`` waits for layers already
+in flight instead of fetching them again.  The oracles below are kept
+here only as a specification:
 
-Times are multiples of 1/64 s (and the reset 1/4 s), so every sum and
-difference below is exact in binary floating point and the comparisons
-can be ``==`` and ``<=`` rather than approximate.
+- the pool it replaced: the same FIFO / TTL / overflow / taint
+  bookkeeping, every hit on a returned container charged the whole
+  reset, no fill;
+- the pull rule it replaced, for a job's whole acquire stage: every layer
+  not yet here costs its bytes over the bandwidth from now, then a create
+  (miss, or a filled container) or a reset (a returned one);
+- the layer cache, stated directly: a pull starts the layers never asked
+  for, one after another, and is done when every layer is here.
+
+Generated schedules of acquire / release / taint / fill / pull (a job that
+starts pulling and is still waiting) / advance-clock / evict / close over
+one to three images must hand out the same containers with the same
+counters, charge a hit exactly ``max(0, ready_at - now)``, never make a
+job wait longer than the replaced rule, meter every parked second once
+(a filled container's to nobody) and leave nothing live after close.
+
+Times are multiples of 1/64 s — the reset 1/4 s, a layer byte one tick —
+so every sum and difference below is exact in binary floating point and
+the comparisons can be ``==`` and ``<=`` rather than approximate.
 """
 
 from collections import deque
@@ -23,14 +36,24 @@ from hypothesis import strategies as st
 
 from repro.container import ContainerRuntime, WarmContainerPool
 from repro.container.container import ContainerState
-from repro.container.image import Image, ImageRegistry
-from repro.obs.usage import UsageMeter
+from repro.container.image import Image, ImageLayer, ImageRegistry
+from repro.obs.usage import UNATTRIBUTED, UsageMeter
 
 pytestmark = pytest.mark.sched
 
 TICK = 1 / 64
 CREATE, RESET, TTL, PER_IMAGE = 2.0, 0.25, 4.0, 2
-IMAGES = ("img/a", "img/b", "img/c")
+BANDWIDTH = 1 / TICK            # bytes per second: a byte is one tick
+#: Layers are shared as a common base, as Docker's are.  Every image pulls
+#: in well under ``TTL - CREATE``, so a filled container can be taken.
+BASE = ImageLayer("sha256:base", 64)
+MID = ImageLayer("sha256:mid", 32)
+LAYERS = {
+    "img/a": [BASE, ImageLayer("sha256:a", 48)],
+    "img/b": [BASE, MID, ImageLayer("sha256:b", 16)],
+    "img/c": [BASE, MID],
+}
+IMAGES = tuple(LAYERS)
 
 ticks = st.one_of(st.integers(0, 24), st.integers(0, 400))
 ops = st.one_of(
@@ -39,6 +62,8 @@ ops = st.one_of(
     st.tuples(st.just("release"), st.integers(0, 7)),
     st.tuples(st.just("release"), st.integers(0, 7)),
     st.tuples(st.just("taint"), st.integers(0, 7)),
+    st.tuples(st.just("fill"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("pull"), st.integers(0, 2)),
     st.tuples(st.just("advance"), ticks),
     st.tuples(st.just("advance"), ticks),
     st.tuples(st.just("evict")),
@@ -53,15 +78,40 @@ class Clock:
         return self.now
 
 
-class FlatChargePool:
-    """The replaced design: park on release, charge ``RESET`` on any hit."""
+class LayerCache:
+    """When each layer asked for is here."""
 
     def __init__(self):
-        self.parked = {}            # image -> deque of (container, parked_at)
+        self.at = {}
+
+    def pull(self, image, now):
+        """Start what was never asked for, in order; return when every
+        layer of ``image`` is here."""
+        sent = 0
+        for layer in LAYERS[image]:
+            if layer.digest not in self.at:
+                sent += layer.size_bytes
+                self.at[layer.digest] = now + sent / BANDWIDTH
+        return max([now] + [self.at[l.digest] for l in LAYERS[image]])
+
+    def missing_seconds(self, image, now):
+        """The replaced rule: every layer not here yet, fetched from now."""
+        return sum(l.size_bytes for l in LAYERS[image]
+                   if self.at.get(l.digest, now + 1) > now) / BANDWIDTH
+
+
+class FlatChargePool:
+    """The replaced design: park on release, charge ``RESET`` on any hit
+    of a returned container; plus the fill, which it did not have."""
+
+    def __init__(self):
+        self.parked = {}        # image -> deque of [container, parked_at,
+        #                         ready_at (filled) or None (returned)]
         self.closed = False
         self.hits = self.misses = 0
         self.evicted_ttl = self.evicted_overflow = self.rejected_tainted = 0
         self.idle_seconds = 0.0     # parked time of every entry that left
+        self.team_seconds = 0.0     # ... of returned entries a hit took
 
     def evict_expired(self, now):
         for image in list(self.parked):
@@ -73,18 +123,20 @@ class FlatChargePool:
                 del self.parked[image]
 
     def acquire(self, image, now):
-        """``(container or None for a fresh one, parked_at, flat charge)``."""
+        """``(entry or None for a fresh container, replaced charge)``."""
         self.evict_expired(now)
         queue = self.parked.get(image)
         if queue and not self.closed:
-            container, parked_at = queue.popleft()
+            entry = queue.popleft()
             if not queue:
                 del self.parked[image]
-            self.idle_seconds += now - parked_at
+            self.idle_seconds += now - entry[1]
+            if entry[2] is None:
+                self.team_seconds += now - entry[1]
             self.hits += 1
-            return container, parked_at, RESET
+            return entry, RESET if entry[2] is None else CREATE
         self.misses += 1
-        return None, None, CREATE
+        return None, CREATE
 
     def release(self, container, image, tainted, now):
         if tainted:
@@ -94,57 +146,77 @@ class FlatChargePool:
         elif len(self.parked.get(image, ())) >= PER_IMAGE:
             self.evicted_overflow += 1
         else:
-            self.parked.setdefault(image, deque()).append((container, now))
+            self.parked.setdefault(image, deque()).append(
+                [container, now, None])
             return True
         return False
+
+    def fill(self, image, count, now, ready_at):
+        """Park up to ``count`` placeholders; return how many."""
+        if self.closed:
+            return 0
+        queue = self.parked.setdefault(image, deque())
+        count = max(0, min(count, PER_IMAGE - len(queue)))
+        queue.extend([None, now, ready_at] for _ in range(count))
+        if not queue:
+            del self.parked[image]
+        return count
 
     def close(self, now):
         self.closed = True
         for queue in self.parked.values():
-            for _, parked_at in queue:
-                self.idle_seconds += now - parked_at
+            for entry in queue:
+                self.idle_seconds += now - entry[1]
         self.parked.clear()
 
 
 def registry_of(n_images):
     registry = ImageRegistry()
     for name in IMAGES[:n_images]:
-        registry.add(Image(name=name, size_bytes=1024, packages=[]))
+        registry.add(Image(name=name, packages=[], layers=LAYERS[name],
+                           size_bytes=sum(l.size_bytes
+                                          for l in LAYERS[name])))
     return registry
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(n_images=st.integers(1, 3), schedule=st.lists(ops, max_size=60))
 def test_background_reset_against_the_flat_charge(n_images, schedule):
     clock = Clock()
-    runtime = ContainerRuntime(registry=registry_of(n_images))
+    runtime = ContainerRuntime(registry=registry_of(n_images),
+                               pull_bandwidth_bps=BANDWIDTH, clock=clock)
     usage = UsageMeter(clock)
     pool = WarmContainerPool(runtime, clock, max_per_image=PER_IMAGE,
                              ttl_seconds=TTL, create_seconds=CREATE,
                              reset_seconds=RESET, usage=usage)
-    oracle = FlatChargePool()
+    oracle, layers = FlatChargePool(), LayerCache()
     held = []                       # (container, image) a job is using
-    waited = wait_seconds = 0
+    waited = wait_seconds = filled = pulled = 0
 
     for op, *args in schedule:
         now = clock.now
         if op == "acquire":
             image = IMAGES[args[0] % n_images]
-            expected, parked_at, flat = oracle.acquire(image, now)
+            # The job's whole acquire stage: the pull, then the pool.
+            replaced = layers.missing_seconds(image, now)
+            pull = runtime.pull(image)
+            assert pull.seconds == layers.pull(image, now) - now
+            pulled += pull.bytes
+            clock.now = now + pull.seconds
+            entry, flat = oracle.acquire(image, clock.now)
             container, hit, cost = pool.acquire(image, usage_key="team")
-            assert hit == (expected is not None)
+            assert hit == (entry is not None)
             if hit:
-                # FIFO hand-out; the head is also the earliest ready.
-                assert container is expected
-                assert all(entry.ready_at >= parked_at + RESET for entry
-                           in pool._parked.get(image, ()))
-                assert cost == max(0.0, parked_at + RESET - now)
-                assert now + cost >= parked_at + RESET
+                # FIFO hand-out.
+                assert container is entry[0]
+                ready_at = entry[1] + RESET if entry[2] is None else entry[2]
+                assert cost == max(0.0, ready_at - clock.now)
                 waited += cost > 0
                 wait_seconds += cost
             else:
                 assert cost == CREATE
             assert cost <= flat
+            assert pull.seconds + cost <= replaced + flat
             held.append((container, image))
         elif op in ("release", "taint") and held:
             container, image = held.pop(args[0] % len(held))
@@ -154,6 +226,28 @@ def test_background_reset_against_the_flat_charge(n_images, schedule):
             assert pool.release(container) == parked
             if not parked:
                 assert container.state is ContainerState.DESTROYED
+        elif op == "fill":
+            image = IMAGES[args[0] % n_images]
+            if oracle.closed:
+                assert pool.fill(image, args[1]) == (0.0, 0, False)
+            else:
+                done = layers.pull(image, now)
+                count = oracle.fill(image, args[1], now, done + CREATE)
+                pull = pool.fill(image, args[1])
+                assert pull.seconds == done - now
+                pulled += pull.bytes
+                filled += count
+                # Name the oracle's new entries after the pool's.
+                if count:
+                    for mine, theirs in zip(
+                            list(oracle.parked[image])[-count:],
+                            list(pool._parked[image])[-count:]):
+                        mine[0] = theirs.container
+        elif op == "pull":
+            image = IMAGES[args[0] % n_images]
+            pull = runtime.pull(image)
+            assert pull.seconds == layers.pull(image, now) - now
+            pulled += pull.bytes
         elif op == "advance":
             clock.now += args[0] * TICK
         elif op == "evict":
@@ -172,10 +266,20 @@ def test_background_reset_against_the_flat_charge(n_images, schedule):
     for container, _ in held:
         assert not pool.release(container)
     assert runtime.live_count == 0
-    assert (pool.hits, pool.misses) == (oracle.hits, oracle.misses)
+    assert (pool.hits, pool.misses, pool.filled) == \
+        (oracle.hits, oracle.misses, filled)
     assert (pool.evicted_ttl, pool.evicted_overflow, pool.rejected_tainted) \
         == (oracle.evicted_ttl, oracle.evicted_overflow,
             oracle.rejected_tainted)
     assert (pool.hits_waited, pool.hit_wait_seconds) == (waited, wait_seconds)
-    # Every parked second is metered exactly once, however it ended.
+    # Every layer byte is counted once, by the request that started it.
+    sizes = {l.digest: l.size_bytes for name in IMAGES for l in LAYERS[name]}
+    assert runtime.stats()["bytes_pulled"] == pulled == \
+        sum(sizes[digest] for digest in layers.at)
+    # Every parked second is metered exactly once, however it ended; a
+    # filled container's wait for its first job is nobody's.
     assert usage.totals.get("warm_slot_seconds", 0.0) == oracle.idle_seconds
+    assert usage.tenant_total("team", "warm_slot_seconds") == \
+        oracle.team_seconds
+    assert usage.tenant_total(UNATTRIBUTED, "warm_slot_seconds") == \
+        oracle.idle_seconds - oracle.team_seconds
