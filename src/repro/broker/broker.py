@@ -189,9 +189,15 @@ class MessageBroker:
         The default timeout sits above the 1-hour container lifetime cap,
         so only genuinely dead consumers trigger redelivery.
         """
-        while True:
-            yield self.sim.timeout(interval)
-            self.requeue_stale(in_flight_timeout)
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+
+        def loop():
+            while True:
+                yield self.sim.timeout(interval)
+                self.requeue_stale(in_flight_timeout)
+
+        return loop()
 
     # -- observability ------------------------------------------------------------
 

@@ -106,9 +106,11 @@ class Autoscaler:
 
     def __init__(self, system, provisioner: Provisioner,
                  policy: Optional[AutoscalerPolicy] = None):
+        self.policy = policy or AutoscalerPolicy()
+        if self.policy.check_interval <= 0:
+            raise ValueError("interval must be positive")
         self.system = system
         self.provisioner = provisioner
-        self.policy = policy or AutoscalerPolicy()
         self.sim = system.sim
         self.decisions: List[dict] = []
         self._last_scale_in = -float("inf")

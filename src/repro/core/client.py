@@ -41,6 +41,9 @@ from repro.vfs import VirtualFileSystem, file_digest, pack_tree
 #: USAGE (how to reproduce the profile results) and report.pdf.
 REQUIRED_SUBMISSION_FILES = ("USAGE", "report.pdf")
 
+#: Upload bandwidth of the student's connection (20 MB/s).
+CLIENT_BANDWIDTH_BPS = 20e6
+
 
 class RaiClient:
     """The student-side command-line tool."""
@@ -293,7 +296,7 @@ class RaiClient:
                       + manifest.delta_wire_size(base))
         full_bytes = len(archive) + self.project_padding_bytes
         upload_bytes = wire_bytes + self.project_padding_bytes
-        upload_seconds = upload_bytes / self.system.config.client_bandwidth_bps
+        upload_seconds = upload_bytes / CLIENT_BANDWIDTH_BPS
         upload_span = tracer.start_span(
             "client.upload", parent=span, kind="client",
             attributes={"bytes": upload_bytes, "bytes_full": full_bytes})

@@ -1,8 +1,15 @@
 """Worker and system configuration.
 
-"These limits can be changed using the RAI worker configuration file"
-(§V); "the worker can be configured to have multiple jobs in flight"
-(§V, Worker Operations).
+The paper's worker configuration file held a handful of knobs: the
+sandbox limits ("These limits can be changed using the RAI worker
+configuration file", §V), the number of jobs in flight ("the worker can
+be configured to have multiple jobs in flight", §V, Worker Operations)
+and the GPU the CUDA volume mounts.  Those are ``limits``,
+``max_concurrent_jobs`` and ``gpu_model`` below.  The other fields are
+the deployment settings (bucket names, course, deadline) and the knobs
+a bench, example or test varies.  A number nothing varies is not a
+field: it is its component's constructor default, or a named constant
+beside its one reader.
 """
 
 from __future__ import annotations
@@ -30,11 +37,6 @@ class WorkerConfig:
     storage_bandwidth_bps: float = 200e6
     #: Registry pull bandwidth for image-cache misses.
     pull_bandwidth_bps: float = 100e6
-    #: Relative runtime jitter when running alone (measurement noise).
-    solo_jitter: float = 0.02
-    #: Additional relative jitter per concurrent co-running job
-    #: (contention; drives the single-vs-multi timing-accuracy ablation).
-    contention_jitter: float = 0.35
     #: Serve interactive sessions (§VIII future work) alongside batch jobs.
     enable_interactive: bool = False
     #: Whole-job wall-clock deadline (fetch + pull + build + upload).  The
@@ -56,8 +58,6 @@ class WorkerConfig:
     #: ready once that pull and a create are done.  0 disables the pool
     #: and the fill (every job pays the engine's full create cost).
     warm_pool_size: int = 2
-    #: Idle parked containers older than this (sim clock) are destroyed.
-    warm_pool_ttl_seconds: float = 900.0
     #: Engine cost of creating a fresh container (namespace + cgroup +
     #: mount setup) — what a pool miss pays at acquire time.
     container_create_seconds: float = 2.0
@@ -76,8 +76,6 @@ class WorkerConfig:
             raise ValueError("job_deadline_seconds must be positive")
         if self.warm_pool_size < 0:
             raise ValueError("warm_pool_size must be >= 0")
-        if self.warm_pool_ttl_seconds <= 0:
-            raise ValueError("warm_pool_ttl_seconds must be positive")
         if self.container_create_seconds < 0 \
                 or self.container_reset_seconds < 0:
             raise ValueError("container create/reset seconds must be >= 0")
@@ -89,26 +87,13 @@ class SystemConfig:
 
     upload_bucket: str = "rai-uploads"
     build_bucket: str = "rai-builds"
-    #: Client-side upload bandwidth (student's connection).
-    client_bandwidth_bps: float = 20e6
     #: Submission rate-limit window (30 s in the course).
     rate_limit_seconds: float = 30.0
-    #: Lifetime of uploaded project archives ("between 1 and 3 months").
-    upload_lifetime_seconds: float = 30 * 24 * 3600.0
-    #: Lifetime of build outputs.
-    build_lifetime_seconds: float = 90 * 24 * 3600.0
-    #: Presigned build-URL validity.
-    presign_expiry_seconds: float = 7 * 24 * 3600.0
     #: Default client-side End-wait timeout.  ``None`` keeps the paper's
     #: behaviour (the client blocks until End arrives — possibly forever
     #: if nothing redelivers a crashed worker's job); a finite value makes
     #: ``submit()`` return a terminal TIMEOUT result instead.
     client_wait_timeout_seconds: Optional[float] = None
-    #: Sweep interval of the system dead-letter consumer (opt-in process).
-    dead_letter_sweep_seconds: float = 300.0
-    #: Fixed chunk size of the content-addressed store that project
-    #: uploads dedup through.
-    chunk_size_bytes: int = 4096
     #: End-to-end distributed tracing (``repro.obs``).  Spans are passive
     #: — they never schedule simulator events — so disabling changes only
     #: bookkeeping, never the simulated timeline.
@@ -122,29 +107,16 @@ class SystemConfig:
     course_deadline_at: Optional[float] = None
     #: Width of the pre-deadline boost window.
     deadline_boost_window_seconds: float = 24 * 3600.0
-    #: Executor-seconds each queued team accrues per fair-share round.
-    sched_quantum_seconds: float = 5.0
     #: Structured event log (``repro.obs.events``).  Like tracing it is
     #: passive bookkeeping — disabling changes no simulated timing.
     event_log_enabled: bool = True
-    #: Ring capacity of the event log (oldest records drop first).
-    event_log_max_events: int = 4096
     #: Metrics-scraper snapshot cadence on the sim clock (the SLO
     #: engine's time-series resolution when ``start_observability`` runs).
     scrape_interval_seconds: float = 60.0
-    #: Ring capacity of scraper snapshots (256 × 60 s ≈ 4 h of history).
-    scrape_max_samples: int = 256
     #: SLO burn-rate windows: the standard fast (page on a spike) and
     #: slow (confirm it is sustained) pair.
     slo_fast_window_seconds: float = 300.0
     slo_slow_window_seconds: float = 3600.0
-    #: Burn rate at/over which *both* windows must sit to fire an alert.
-    #: 1.0 = eating the error budget exactly as fast as allowed.
-    slo_burn_rate_threshold: float = 1.0
-    #: Default objective: p95 queue wait stays under this bound.
-    slo_queue_wait_p95_seconds: float = 30.0
-    #: Default objective: submission success ratio target.
-    slo_success_target: float = 0.99
     #: Control-plane partitions (``repro.shard``): the task topic, the
     #: submissions collection and the scheduler, hash-partitioned by team
     #: key (``tasks.pK`` / ``submissions.pK`` / one scheduler instance per
@@ -161,17 +133,6 @@ class SystemConfig:
     #: re-executing when the command's observed inputs are unchanged.
     #: Disable to reproduce the always-rebuild path.
     buildcache_enabled: bool = True
-    #: Byte budget for unique cached artifact blobs (LRU beyond it).
-    buildcache_max_bytes: int = 256 << 20
-    #: Idle TTL of a cache entry before eviction.
-    buildcache_ttl_seconds: float = 14 * 24 * 3600.0
-    #: Fixed per-hit replay latency (cache probe + bookkeeping); the
-    #: artifact transfer itself is charged from bytes over the worker's
-    #: storage bandwidth.
-    buildcache_replay_seconds: float = 0.05
-    #: SJF cost multiplier for jobs whose source tree already completed a
-    #: cached build (< 1.0 — the scheduler expects mostly cache hits).
-    buildcache_hit_cost_factor: float = 0.35
     #: Per-tenant usage metering (``repro.obs.usage``).  Disable to
     #: measure the metering overhead itself or reproduce pre-metering
     #: behaviour; the meter object still exists, every record call
@@ -179,9 +140,6 @@ class SystemConfig:
     usage_metering_enabled: bool = True
     #: Billing window the CostAllocator settles (cloud billing granularity).
     usage_window_seconds: float = 3600.0
-    #: Budget-burn period for per-team budget SLOs (the paper's weekly
-    #: AWS budget cadence).
-    usage_budget_window_seconds: float = 7 * 24 * 3600.0
     #: Course every tenant in this deployment is metered under.
     course_name: str = "ece408"
 
@@ -190,16 +148,5 @@ class SystemConfig:
             raise ValueError("shards must be >= 1")
         if self.shard_seed < 0:
             raise ValueError("shard_seed must be >= 0")
-        if self.buildcache_max_bytes < 0:
-            raise ValueError("buildcache_max_bytes must be >= 0")
-        if self.buildcache_ttl_seconds <= 0:
-            raise ValueError("buildcache_ttl_seconds must be positive")
-        if self.buildcache_replay_seconds < 0:
-            raise ValueError("buildcache_replay_seconds must be >= 0")
-        if not 0.0 < self.buildcache_hit_cost_factor <= 1.0:
-            raise ValueError(
-                "buildcache_hit_cost_factor must be in (0, 1]")
         if self.usage_window_seconds <= 0:
             raise ValueError("usage_window_seconds must be positive")
-        if self.usage_budget_window_seconds <= 0:
-            raise ValueError("usage_budget_window_seconds must be positive")

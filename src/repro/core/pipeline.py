@@ -41,6 +41,13 @@ from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
 #: create (a cold one, or what is left of a filled container's).
 ACQUIRE_BUCKETS = (0.0, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
 
+#: Validity of the presigned build-output URL a job publishes.
+BUILD_URL_EXPIRY_SECONDS = 7 * 24 * 3600.0
+#: Fixed per-hit build-cache replay latency (cache probe + bookkeeping);
+#: the artifact transfer itself is charged from bytes over the worker's
+#: storage bandwidth.
+BUILDCACHE_REPLAY_SECONDS = 0.05
+
 
 class JobRun:
     """Everything one delivery of one job owns, from claim to ``End``."""
@@ -252,7 +259,7 @@ def _start_container(run: JobRun) -> None:
     """Start the acquired container and say so."""
     worker, job, container = run.worker, run.job, run.container
     # Contention noise flows into the container's measured times: alone on
-    # a worker it is ~solo_jitter; with co-running jobs it grows — the
+    # a worker it is ~SOLO_JITTER; with co-running jobs it grows — the
     # single-job-mode ablation's mechanism.
     container.time_dilation = worker._timing_noise
     container.start()
@@ -270,7 +277,7 @@ def _replay(run: JobRun, entry, span):
     for _ in range(entry.rng_draws):
         worker._timing_noise()
     artifact_bytes = worker.system.build_cache.apply(entry, run.container.fs)
-    seconds = (worker.system.config.buildcache_replay_seconds
+    seconds = (BUILDCACHE_REPLAY_SECONDS
                + artifact_bytes / worker.config.storage_bandwidth_bps)
     span.set_attribute("cache", "hit")
     span.add_event("buildcache.replay", key=entry.key[:16],
@@ -360,7 +367,7 @@ def upload(run: JobRun):
     span.end()
     run.upload_bytes = len(blob)
     run.build_url = system.storage.presign_get(
-        bucket, key, expires_in=system.config.presign_expiry_seconds)
+        bucket, key, expires_in=BUILD_URL_EXPIRY_SECONDS)
     run.publish("build", url=run.build_url, key=key, bucket=bucket,
                 size=len(blob))
 

@@ -41,6 +41,11 @@ from repro.storage.buildcache import BuildCache
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.object_store import ObjectStore
 
+#: Uploaded project archives expire one month after last use, build
+#: outputs three months after creation ("between 1 and 3 months", §V).
+UPLOAD_LIFETIME_SECONDS = 30 * 24 * 3600.0
+BUILD_LIFETIME_SECONDS = 90 * 24 * 3600.0
+
 
 class SystemMonitor(Monitor):
     """Deployment monitor: adds the submission event log Figure 4 uses.
@@ -97,7 +102,6 @@ class RaiSystem:
         #: alert transitions — one queryable, trace-linked stream.
         self.events = EventLog(
             clock=lambda: self.sim.now,
-            max_events=self.config.event_log_max_events,
             enabled=self.config.event_log_enabled)
         #: Per-tenant usage metering + fleet-cost attribution
         #: (``repro.obs.usage``).  Every layer below meters into
@@ -111,7 +115,6 @@ class RaiSystem:
         self.cost_allocator = CostAllocator(
             self.usage, clock=lambda: self.sim.now,
             window_seconds=self.config.usage_window_seconds,
-            budget_window_seconds=self.config.usage_budget_window_seconds,
             metrics=self.metrics, events=self.events)
         #: Provisioners currently attached (``repro.cluster``); the
         #: cluster_* gauges below sum over this list.
@@ -120,8 +123,7 @@ class RaiSystem:
         self.broker = MessageBroker(self.sim, metrics=self.metrics,
                                     tracer=self.tracer, events=self.events)
         self.broker.usage = self.usage
-        self.storage = ObjectStore(self.sim,
-                                   chunk_size=self.config.chunk_size_bytes)
+        self.storage = ObjectStore(self.sim)
         self.storage.usage = self.usage
         #: Content-keyed build-artifact cache shared by every worker
         #: (``repro.storage.buildcache``); None reproduces the
@@ -130,8 +132,6 @@ class RaiSystem:
         if self.config.buildcache_enabled:
             self.build_cache = BuildCache(
                 clock=lambda: self.sim.now,
-                max_bytes=self.config.buildcache_max_bytes,
-                ttl_seconds=self.config.buildcache_ttl_seconds,
                 metrics=self.metrics, events=self.events)
         self.db = DocumentDB(self.sim, metrics=self.metrics)
         self.db.usage = self.usage
@@ -164,17 +164,13 @@ class RaiSystem:
         self.ranking = RankingService(self.db)
         self.workers: List[RaiWorker] = []
 
-        # File-server buckets and the paper's lifetime rules (§IV/§V):
-        # uploads expire one month after last use; build outputs after
-        # three months.
+        # File-server buckets and the paper's lifetime rules (§IV/§V).
         uploads = self.storage.create_bucket(self.config.upload_bucket)
         uploads.add_lifecycle_rule(LifecycleRule(
-            expire_after=self.config.upload_lifetime_seconds,
-            since="last_use"))
+            expire_after=UPLOAD_LIFETIME_SECONDS, since="last_use"))
         builds = self.storage.create_bucket(self.config.build_bucket)
         builds.add_lifecycle_rule(LifecycleRule(
-            expire_after=self.config.build_lifetime_seconds,
-            since="creation"))
+            expire_after=BUILD_LIFETIME_SECONDS, since="creation"))
 
         # Callback gauges: live deployment signals readable straight off
         # the registry (and sampled on the sim clock by the scraper).
@@ -228,17 +224,11 @@ class RaiSystem:
         # on demand; :meth:`start_observability` adds the periodic loop.
         self.scraper = MetricsScraper(
             self.metrics, clock=lambda: self.sim.now,
-            interval=self.config.scrape_interval_seconds,
-            max_samples=self.config.scrape_max_samples)
+            interval=self.config.scrape_interval_seconds)
         self.slo_engine = SloEngine(
-            self.scraper,
-            specs=default_slos(
-                queue_wait_p95_seconds=self.config
-                .slo_queue_wait_p95_seconds,
-                success_target=self.config.slo_success_target),
+            self.scraper, specs=default_slos(),
             fast_window=self.config.slo_fast_window_seconds,
-            slow_window=self.config.slo_slow_window_seconds,
-            burn_rate_threshold=self.config.slo_burn_rate_threshold)
+            slow_window=self.config.slo_slow_window_seconds)
         self.alerts = AlertManager(clock=lambda: self.sim.now,
                                    events=self.events)
         self.alerts.attach_slo_engine(self.slo_engine)
@@ -422,15 +412,16 @@ class RaiSystem:
                              route=route, attempts=message.attempts)
         return drained
 
-    def start_dead_letter_consumer(self, interval: Optional[float] = None):
+    def start_dead_letter_consumer(self, interval: float = 300.0):
         """Start the periodic dead-letter drain (opt-in, like the
         caretaker: it is a perpetual process)."""
-        if interval is None:
-            interval = self.config.dead_letter_sweep_seconds
         return self._every(interval, self.drain_dead_letters)
 
     def _every(self, interval: float, fn):
         """Start a perpetual process calling ``fn()`` each ``interval``."""
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+
         def loop():
             while True:
                 yield self.sim.timeout(interval)
@@ -578,15 +569,13 @@ class RaiSystem:
         return JobScheduler(
             clock=lambda: self.sim.now,
             policy=SchedulerPolicy(
-                quantum_seconds=self.config.sched_quantum_seconds,
                 deadline_at=self.config.course_deadline_at,
                 deadline_window_seconds=self.config
                 .deadline_boost_window_seconds),
             estimator=RuntimeEstimator(history_fn=self._service_history),
             metrics=self.metrics, events=self.events,
             hit_predictor=(self._predict_build_hit
-                           if self.build_cache is not None else None),
-            hit_cost_factor=self.config.buildcache_hit_cost_factor)
+                           if self.build_cache is not None else None))
 
     def _predict_build_hit(self, msg) -> bool:
         """SJF hint: has this message's source tree built here before?

@@ -55,6 +55,12 @@ from repro.vfs import pack_tree  # noqa: F401  (bench/tests pins this copy)
 #: Listing 1, the course's default build file, names.
 COURSE_IMAGE = default_build_spec().image
 
+#: Relative runtime jitter of a job running alone (measurement noise).
+SOLO_JITTER = 0.02
+#: Additional relative jitter per concurrent co-running job (contention;
+#: drives the single-vs-multi timing-accuracy ablation).
+CONTENTION_JITTER = 0.35
+
 
 def _defuse_interrupt_failure(process_event) -> None:
     if not process_event._ok and isinstance(process_event._value, Interrupt):
@@ -81,7 +87,6 @@ class RaiWorker:
             self.runtime,
             clock=lambda: self.sim.now,
             max_per_image=self.config.warm_pool_size,
-            ttl_seconds=self.config.warm_pool_ttl_seconds,
             create_seconds=self.config.container_create_seconds,
             reset_seconds=self.config.container_reset_seconds,
             events=system.events,
@@ -462,8 +467,7 @@ class RaiWorker:
 
     def _timing_noise(self) -> float:
         """Runtime multiplier; grows with co-running jobs (contention)."""
-        base = 1.0 + self.config.solo_jitter * float(self._rng.random())
+        base = 1.0 + SOLO_JITTER * float(self._rng.random())
         others = max(0, self.active_jobs - 1)
-        contention = self.config.contention_jitter * others * \
-            float(self._rng.random())
+        contention = CONTENTION_JITTER * others * float(self._rng.random())
         return base + contention

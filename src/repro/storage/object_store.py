@@ -322,9 +322,15 @@ class ObjectStore:
 
     def lifecycle_sweeper(self, interval: float = 24 * 3600.0):
         """A kernel process running sweeps every ``interval`` seconds."""
-        while True:
-            yield self.sim.timeout(interval)
-            self.run_lifecycle_sweep()
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+
+        def loop():
+            while True:
+                yield self.sim.timeout(interval)
+                self.run_lifecycle_sweep()
+
+        return loop()
 
     # -- recovery ------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import Autoscaler, AutoscalerPolicy, Provisioner
 from repro.core.config import SystemConfig, WorkerConfig
 from repro.core.system import RaiSystem
 
@@ -94,3 +95,23 @@ class TestDeterminism:
             return system.run(client.submit()).turnaround
 
         assert run_once(1) != run_once(2)
+
+
+class TestPeriodicStarters:
+    """A zero period would loop forever at one sim instant: every
+    perpetual-process starter refuses it when called, before the
+    simulator ever runs."""
+
+    @pytest.mark.parametrize("start", [
+        lambda s: s.start_dead_letter_consumer(interval=0),
+        lambda s: s.start_checkpointer(interval=0),
+        lambda s: s.start_caretaker(interval=0),
+        lambda s: s.storage.lifecycle_sweeper(interval=-1.0),
+        lambda s: Autoscaler(s, Provisioner(s),
+                             AutoscalerPolicy(check_interval=0)),
+    ], ids=["dead_letter_consumer", "checkpointer", "caretaker",
+            "lifecycle_sweeper", "autoscaler"])
+    def test_non_positive_interval_rejected(self, start):
+        system = RaiSystem.standard(num_workers=1)
+        with pytest.raises(ValueError, match="interval must be positive"):
+            start(system)

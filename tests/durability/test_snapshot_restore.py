@@ -333,9 +333,41 @@ class TestInFlightFencing:
         assert len(rchannel.dead_letters) == 1
 
 
+#: Config fields retired by later builds, with the values a snapshot
+#: written before their retirement carries.
+SHARD_BALANCER_KEYS = {"shard_steal_threshold": 2,
+                       "shard_balance_interval_seconds": 30.0}
+UNSET_KNOB_KEYS = {
+    "client_bandwidth_bps": 20e6,
+    "upload_lifetime_seconds": 30 * 24 * 3600.0,
+    "build_lifetime_seconds": 90 * 24 * 3600.0,
+    "presign_expiry_seconds": 7 * 24 * 3600.0,
+    "dead_letter_sweep_seconds": 300.0,
+    "chunk_size_bytes": 4096,
+    "sched_quantum_seconds": 5.0,
+    "event_log_max_events": 4096,
+    "scrape_max_samples": 256,
+    "slo_burn_rate_threshold": 1.0,
+    "slo_queue_wait_p95_seconds": 30.0,
+    "slo_success_target": 0.99,
+    "buildcache_max_bytes": 256 << 20,
+    "buildcache_ttl_seconds": 14 * 24 * 3600.0,
+    "buildcache_replay_seconds": 0.05,
+    "buildcache_hit_cost_factor": 0.35,
+    "usage_budget_window_seconds": 7 * 24 * 3600.0,
+    "solo_jitter": 0.02,
+    "contention_jitter": 0.35,
+    "warm_pool_ttl_seconds": 900.0,
+}
+
+
 class TestRetiredConfigKeys:
-    def test_snapshot_with_retired_config_keys_restores(self, tmp_path):
-        """A snapshot written before two shard fields were retired still
+    @pytest.mark.parametrize("retired", [SHARD_BALANCER_KEYS,
+                                         UNSET_KNOB_KEYS],
+                             ids=["shard_balancer", "unset_knobs"])
+    def test_snapshot_with_retired_config_keys_restores(self, tmp_path,
+                                                        retired):
+        """A snapshot written before config fields were retired still
         restores; the dropped keys are named in the replay event."""
         path = str(tmp_path / "dur")
         system = RaiSystem.standard(num_workers=2, seed=3,
@@ -346,15 +378,13 @@ class TestRetiredConfigKeys:
         live = capture(system)
         snap_file = os.path.join(path, "snapshot.json")
         snap = load_snapshot(snap_file)
-        snap["config"].update(shard_steal_threshold=2,
-                              shard_balance_interval_seconds=30.0)
+        snap["config"].update(retired)
         write_snapshot(snap_file, snap)
         system.crash_stop()
 
         restored = RaiSystem.restore(path, num_workers=0)
         replay = restored.events.query(type="durability.replay")[-1]
-        assert replay.fields["dropped_config"] == [
-            "shard_balance_interval_seconds", "shard_steal_threshold"]
+        assert replay.fields["dropped_config"] == sorted(retired)
         assert restored.config == system.config
         after = capture(restored)
         # Restore logs its own replay event and meters its own index
