@@ -14,10 +14,15 @@ one park path:
   moment the job releases it, off the slot (charge: the reset), so a job
   that arrives after the reset waits for nothing and one that arrives
   sooner waits only for what is left of it.
-- **Filled.**  A worker starting up parks one container per slot for its
-  course image (:meth:`fill`), ready once the image pull it started and a
-  create are done (charge: the pull remainder plus the create), so no
-  first job on a slot pays them from its own claim.
+- **Filled.**  A worker starting up, or growing a slot, parks its share
+  of the bound for its course image (:meth:`fill`), ready once the image
+  pull it started and a create are done (charge: the pull remainder plus
+  the create), so no first job on a slot pays them from its own claim.
+
+A hit takes the parked entry that is ready soonest (the oldest on a tie):
+with returned entries alone that is the oldest, but a fresh fill, ready
+only a create after it was parked, waits behind containers returned
+after it that are ready sooner.
 
 Safety invariants:
 
@@ -32,7 +37,9 @@ Safety invariants:
   already-destroyed containers go straight back to the engine for
   destruction.
 - **Bounded and TTL-evicted.**  At most ``max_per_image`` containers park
-  per image; entries idle past ``ttl_seconds`` on the simulation clock are
+  per image — a worker sets it to its per-slot depth times its live slots,
+  so each busy slot has one container resetting while its job runs on
+  another; entries idle past ``ttl_seconds`` on the simulation clock are
   destroyed at the next pool operation.
 - **Metered once.**  A hit books the seconds an entry sat parked as
   ``warm_slot_seconds`` against the acquiring tenant — unless the entry
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.container.container import Container, ContainerState
@@ -58,7 +66,7 @@ _REUSABLE_STATES = (ContainerState.RUNNING, ContainerState.EXITED,
                     ContainerState.CREATED)
 
 
-@dataclass
+@dataclass(eq=False)        # entries are told apart by identity
 class _Parked:
     container: Container
     parked_at: float
@@ -70,6 +78,9 @@ class _Parked:
     charge: float
     #: Parked by :meth:`WarmContainerPool.fill`, not returned by a job.
     filled: bool = False
+
+
+_ready_at = attrgetter("ready_at")
 
 
 class WarmContainerPool:
@@ -141,14 +152,18 @@ class WarmContainerPool:
         is left of the work started when the container was parked,
         ``max(0, ready_at - now)`` — zero once it has sat idle long
         enough, its whole charge (never more) when taken at once.  The
-        oldest parked container is handed out.  ``usage_key`` is the
-        tenant a returned container's consumed slot time is metered
-        against; a filled one's is the platform's.
+        parked container ready soonest is handed out, the oldest of those
+        on a tie.  ``usage_key`` is the tenant a returned container's
+        consumed slot time is metered against; a filled one's is the
+        platform's.
         """
         self.evict_expired()
         queue = self._parked.get(image_name)
         if self.enabled and queue:
-            entry = queue.popleft()
+            # Parked order is ``parked_at`` order, and ``min`` keeps the
+            # first of equals: the soonest ready, the oldest on a tie.
+            entry = min(queue, key=_ready_at)
+            queue.remove(entry)
             if not queue:
                 del self._parked[image_name]
             now = self.clock()

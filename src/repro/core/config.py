@@ -52,11 +52,14 @@ class WorkerConfig:
     #: redelivery — only move the chunks the worker has not seen.  0
     #: disables the cache.
     fetch_cache_bytes: int = 1 << 30
-    #: Warm container pool: scrubbed containers kept per image for reuse
-    #: across jobs.  A starting worker pulls the course image and fills
-    #: the pool with ``min(max_concurrent_jobs, warm_pool_size)`` of them,
-    #: ready once that pull and a create are done.  0 disables the pool
-    #: and the fill (every job pays the engine's full create cost).
+    #: Warm container pool depth: scrubbed containers kept per image *per
+    #: slot* for reuse across jobs — two lets a busy slot run its job on
+    #: one while the one it returned a job ago resets.  A starting worker
+    #: pulls the course image and fills the pool with
+    #: ``warm_pool_size * max_concurrent_jobs`` of them, ready once that
+    #: pull and a create are done; ``add_slots`` fills its slots' share.
+    #: 0 disables the pool and the fill (every job pays the engine's full
+    #: create cost).
     warm_pool_size: int = 2
     #: Engine cost of creating a fresh container (namespace + cgroup +
     #: mount setup) — what a pool miss pays at acquire time.

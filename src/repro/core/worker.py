@@ -14,8 +14,8 @@ each became — and, in brackets, what an interactive session (§VIII,
    miss), with limited RAM, no network, the CUDA volume mounted, and all
    stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``, which
    waits only for what is still missing: the worker began pulling the
-   course image, and parked a container per slot, when it started
-   (``_fill_pool``);
+   course image, and parked ``warm_pool_size`` containers per slot, when
+   it started (``_fill_pool``);
 4. download the client's project archive and mount it at ``/src``
    (read-only), with a writable ``/build`` working directory — ``fetch``
    (which also unpacks), run before 3 so a bad upload costs no container
@@ -86,7 +86,11 @@ class RaiWorker:
         self.pool = WarmContainerPool(
             self.runtime,
             clock=lambda: self.sim.now,
-            max_per_image=self.config.warm_pool_size,
+            # Per slot: one container runs the slot's job while the one it
+            # returned a job ago resets, so a busy slot's next job takes
+            # that one, not the one it just gave back.
+            max_per_image=(self.config.warm_pool_size
+                           * self.config.max_concurrent_jobs),
             create_seconds=self.config.container_create_seconds,
             reset_seconds=self.config.container_reset_seconds,
             events=system.events,
@@ -133,7 +137,7 @@ class RaiWorker:
         self._executors: List = []
         if self.pool.enabled:
             # First, so the fill is parked before any slot claims a job.
-            self.sim.process(self._fill_pool())
+            self.sim.process(self._fill_pool(self.config.max_concurrent_jobs))
         for _ in range(self.config.max_concurrent_jobs):
             self._spawn_slot()
         if self.config.enable_interactive:
@@ -146,17 +150,18 @@ class RaiWorker:
     def _emit(self, type: str, span=None, **fields) -> None:
         self.system.events.emit(type, span=span, worker=self.id, **fields)
 
-    def _fill_pool(self):
-        """Warm from boot: start pulling the course image and park one
-        container per slot (as many as the pool holds), each ready once
-        the pull and a create are done, so no first job on a slot waits
-        for either from its own claim.  A kernel process, so it runs at
-        the worker's first instant of simulated time: after an operator's
-        pre-pull, which leaves it only the create, and inside the run that
-        counts its bytes."""
+    def _fill_pool(self, slots: int):
+        """Warm from boot: start pulling the course image and park
+        ``warm_pool_size`` containers for each of ``slots`` new slots, each
+        ready once the pull and a create are done, so no first job on a
+        slot waits for either from its own claim.  A kernel process, so it
+        runs at the worker's first instant of simulated time: after an
+        operator's pre-pull, which leaves it only the create, and inside
+        the run that counts its bytes.  :meth:`add_slots` fills its slots'
+        share the same way."""
         try:
-            pull = self.pool.fill(COURSE_IMAGE, min(
-                self.config.max_concurrent_jobs, self.config.warm_pool_size))
+            pull = self.pool.fill(COURSE_IMAGE,
+                                  self.config.warm_pool_size * slots)
         except ContainerError:          # a course that does not offer it
             return
         if pull.bytes:
@@ -176,11 +181,15 @@ class RaiWorker:
         return slot
 
     def add_slots(self, count: int = 1) -> None:
-        """Grow concurrency mid-run (each new slot starts an executor)."""
+        """Grow concurrency mid-run: each new slot starts an executor and
+        brings its ``warm_pool_size`` share of the pool, filled."""
         if self._stopped:
             raise RuntimeError("cannot add slots to a stopped worker")
         if count < 1:
             raise ValueError("count must be >= 1")
+        if self.pool.enabled:
+            self.pool.max_per_image += self.config.warm_pool_size * count
+            self.sim.process(self._fill_pool(count))
         for _ in range(count):
             self._spawn_slot()
 

@@ -13,6 +13,14 @@ FILES = {
     "USAGE": "usage",
     "report.pdf": b"%PDF-1.4",
 }
+ECHO = """\
+rai:
+  version: '0.1'
+  image: webgpu/rai:root
+commands:
+  build:
+    - echo ok
+"""
 
 
 @pytest.fixture
@@ -100,23 +108,28 @@ class TestSubcommands:
         # Each worker filled its pool at boot, so the first job is a warm
         # hit — one that waited for the image pull and create still under
         # way when it was claimed — and its container is parked again.
+        # The pool holds two containers per slot, so the two one-slot
+        # workers filled four.
         assert "1/1" in out and "pooled" in out
-        assert "hits waited 1/1  filled 2" in out
+        assert "hits waited 1/1  filled 4" in out
 
     def test_top_tells_an_undersized_pool_from_a_cold_one(self):
-        """Two teams at once on a one-slot worker: the first job takes
-        the container filled at boot while its pull is still running, the
-        second waits out the reset of the one the first returned — every
-        hit waited, `hits waited 2/2`, and none was a miss."""
+        """Three teams at once on a one-slot worker, each job a single
+        ``echo`` — shorter than a reset.  The slot's two containers are
+        filled at boot: the first job takes one while the pull is still
+        running, the second takes the other, ready by then, and the third
+        waits out what is left of the reset of the one the first returned.
+        A pool two deep per slot waits only on jobs shorter than a reset,
+        so these are: `hits waited 2/3`, and none was a miss."""
         system = RaiSystem.standard(
             num_workers=1, seed=7,
             worker_config=WorkerConfig(max_concurrent_jobs=1))
-        clients = [system.new_client(team=team) for team in ("a", "b")]
+        clients = [system.new_client(team=team) for team in ("a", "b", "c")]
         for client in clients:
-            client.stage_project(FILES)
+            client.stage_project(dict(FILES, **{"rai-build.yml": ECHO}))
         system.run_all(c.submit() for c in clients)
         out = RaiCLI(system, clients[0]).run_command("rai top")
-        assert "warm-pool hit rate 100%  hits waited 2/2  filled 1" in out
+        assert "warm-pool hit rate 100%  hits waited 2/3  filled 2" in out
 
     def test_top_shows_downed_worker(self, cli, system):
         system.workers[0].crash()

@@ -51,7 +51,7 @@ KEPT = {
     "job_deadline_seconds": "set only by tests",
     "storage_retry": "set only by tests",
     "fetch_cache_bytes": "set only by tests",
-    "warm_pool_size": "set only by tests",
+    "warm_pool_size": "per-slot depth; tests set 0 to turn the pool off",
     "container_create_seconds": "set only by tests",
 }
 

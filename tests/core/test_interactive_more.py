@@ -189,32 +189,38 @@ class TestSessionIsAJob:
 
     def test_session_queued_behind_another_waits_out_the_reset(self, system):
         """Sessions run one at a time per worker: one requested while
-        another is attached takes the container over the instant it is
-        returned, and pays what is left of its reset — the same
-        ``acquire`` stage, the same pool, as a batch job."""
+        another is attached takes a container over the instant the other
+        is returned, and pays what is left of its reset — the same
+        ``acquire`` stage, the same pool, as a batch job.  The pool holds
+        two containers per slot, so only a session queued behind one that
+        returned its container sooner than a reset can still see a reset
+        in flight: ``middle`` attaches and closes at once."""
         sessions = []
-        for team in ("early", "late"):
+        for team in ("early", "middle", "late"):
             client = system.new_client(team=team)
             client.stage_project(FILES)
             sessions.append(InteractiveSession(client))
-        early, late = sessions
+        early, middle, late = sessions
 
         def first(sim):
             yield from early.start()
-            yield sim.timeout(5.0)      # ``late`` asks meanwhile
+            yield sim.timeout(5.0)      # the others ask meanwhile
             yield from early.close()
 
-        def second(sim):
-            yield sim.timeout(1.0)
-            yield from late.start()
-            assert late.is_attached, late.transcript.error
-            yield from late.close()
+        def queued(sim, session, after):
+            yield sim.timeout(after)
+            yield from session.start()
+            assert session.is_attached, session.transcript.error
+            yield from session.close()
 
-        system.run_all([first(system.sim), second(system.sim)])
+        system.run_all([first(system.sim), queued(system.sim, middle, 1.0),
+                        queued(system.sim, late, 2.0)])
         worker = system.workers[0]
-        # ``early`` took the container filled at boot (waiting for its pull
-        # and create), ``late`` the one ``early`` returned: both hits.
-        assert (worker.pool.misses, worker.pool.hits) == (0, 2)
+        # ``early`` took a container filled at boot (waiting for its pull
+        # and create), ``middle`` the other, long ready, and ``late`` the
+        # one ``early`` returned, still resetting: all hits.
+        assert (worker.pool.misses, worker.pool.hits) == (0, 3)
+        assert acquire_seconds(system, middle) == 0.0
         reset = worker.config.container_reset_seconds
         assert 0.0 < acquire_seconds(system, late) <= reset
         assert worker.pool.hits_waited == 2

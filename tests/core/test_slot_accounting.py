@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import WorkerConfig
 from repro.core.system import RaiSystem
+from repro.core.worker import COURSE_IMAGE
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
@@ -60,6 +61,27 @@ class TestSlotSeconds:
         advance(system, 500.0)
         assert worker.slot_seconds() == frozen
         assert worker.slot_count == 0
+
+    def test_added_slot_brings_its_share_of_the_warm_pool(self):
+        """A slot added once the boot pull is done raises the pool's bound
+        by ``warm_pool_size`` and parks that many filled containers, each
+        ready one create later; its slot time accrues as any slot's."""
+        system = make_system(slots=1)
+        worker = system.workers[0]
+        pool, depth = worker.pool, worker.config.warm_pool_size
+        advance(system, 100.0)
+        assert (pool.max_per_image, pool.filled) == (depth, depth)
+        worker.add_slots(1)
+        assert pool.max_per_image == 2 * depth
+        advance(system, 0.5)
+        assert pool.filled == pool.pooled_count == 2 * depth
+        fresh = [entry for entry in pool._parked[COURSE_IMAGE]
+                 if entry.parked_at == 100.0]
+        create = worker.config.container_create_seconds
+        assert [entry.ready_at for entry in fresh] == [100.0 + create] * depth
+        assert pool.stats()["resetting"] == depth
+        assert worker.slot_seconds() == pytest.approx(100.5 + 0.5)
+        assert worker.utilization() == 0.0
 
     def test_add_slots_validation(self):
         system = make_system()

@@ -37,10 +37,12 @@ class TestCrashWithPooledContainers:
         result = system.run(system.sim.process(client.submit()))
         assert result.status is JobStatus.SUCCEEDED
         # The finished job parked its container for the next one, beside
-        # the second of the two the worker filled its pool with at boot.
-        assert victim.pool.filled == 2
-        assert victim.pool.pooled_count == 2
-        assert victim.runtime.live_count == 2
+        # the other three of the four the worker filled its pool with at
+        # boot: two per slot, so a busy slot never waits out the reset of
+        # the container it just returned.
+        assert victim.pool.filled == 4
+        assert victim.pool.pooled_count == 4
+        assert victim.runtime.live_count == 4
         victim.crash()
         assert victim.pool.pooled_count == 0
         assert victim.runtime.live_count == 0
@@ -114,9 +116,12 @@ def test_worker_dies_with_one_container_ready_and_one_mid_reset(how):
     overhead, once.  ``b`` submits once ``a`` is done, so it takes the
     second container filled at boot and returns it just after ``a``'s
     reset has finished; the filled containers' waits for their first job
-    are overhead too, and neither team pays for any of it."""
-    system = RaiSystem.standard(num_workers=1, seed=25,
-                                worker_config=warm_config())
+    are overhead too, and neither team pays for any of it.  One slot, so
+    the pool holds just those two: a two-slot worker fills four, and the
+    two left over would be ready too."""
+    system = RaiSystem.standard(
+        num_workers=1, seed=25,
+        worker_config=WorkerConfig(max_concurrent_jobs=1, warm_pool_size=2))
     victim = system.workers[0]
     clients = [system.new_client(team=team) for team in ("a", "b")]
     for client in clients:

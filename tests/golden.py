@@ -30,7 +30,7 @@ from repro.vfs import VirtualFileSystem, file_digest, unpack_tree
 #: on ``SystemConfig(shards=1)``: both build the one-partition control
 #: plane.  Captured when the unsharded control plane was a separate code
 #: path and held, without re-capture, when that path was replaced by the
-#: one-partition plane.  Re-captured three times, each time for a model
+#: one-partition plane.  Re-captured four times, each time for a model
 #: change made on purpose.  When the build artifact cache
 #: landed: cached resubmission builds re-time and re-place downstream
 #: work (before it,
@@ -42,8 +42,12 @@ from repro.vfs import VirtualFileSystem, file_digest, unpack_tree
 #: at boot, and a job claimed mid-pull began waiting only for what is
 #: left of it: first jobs finish sooner (before it,
 #: 2276af4f8bd2f33d5d965140ec41d39b5b03800f42b580f274afcdcc46912933).
+#: When the pool began holding two containers per slot, so a busy slot
+#: takes the one it returned a job ago instead of waiting out the reset
+#: of the one it just returned: queued jobs start sooner (before it,
+#: 7fb5b6a803c430a6c32076aa582ef688efa58feb0d80df5cb53e003be9803dff).
 GOLDEN_DIGEST = \
-    "7fb5b6a803c430a6c32076aa582ef688efa58feb0d80df5cb53e003be9803dff"
+    "434e099d2298b20043ad97d9abd43cc83eebdfa2374ae568d1ce6de7f51d0ad1"
 
 
 def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,

@@ -130,7 +130,11 @@ class TestWholePipeline:
             # A long enough burst that new (cold, image-pulling) workers
             # pay for themselves — mirroring §VII where extra instances
             # were provisioned for sustained deadline load, not blips.
-            for i in range(20):
+            # They join at 30 s and need ~45 s to pull and create; with
+            # two warm containers per slot, the one warm worker clears a
+            # 20-team burst about as soon (76.4 s either way), so the
+            # burst is 30 teams: 79.4 s with the scale-out, 91.0 s without.
+            for i in range(30):
                 c = system.new_client(team=f"t{i}")
                 # Distinct sources per team: identical trees would let
                 # the build cache collapse the burst into replays, and

@@ -1,8 +1,10 @@
 """Warm means ready, end to end: a container is reset when its job returns
 it, so the next job waits only for what is left of the reset — nothing
-after a student's think time, the remainder on a saturated slot.  A
-worker's very first job takes the container it filled its pool with at
-boot, and waits only for the part of that pull and create still running.
+after a student's think time.  A saturated slot has two containers, so it
+takes the one returned a job ago and pays the remainder only when that
+job was shorter than a reset.  A worker's very first job takes a
+container it filled its pool with at boot, and waits only for the part of
+that pull and create still running.
 """
 
 import pytest
@@ -20,6 +22,14 @@ FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
     "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
 }
+ECHO = {"rai-build.yml": """\
+rai:
+  version: '0.1'
+  image: webgpu/rai:root
+commands:
+  build:
+    - echo ok
+"""}
 RESET = WorkerConfig().container_reset_seconds
 CREATE = WorkerConfig().container_create_seconds
 
@@ -66,40 +76,59 @@ def test_resubmission_after_think_time_waits_for_no_reset():
     assert warm_hist.buckets[0] == 0.0 and warm_hist.bucket_counts[0] == 1
 
 
-def back_to_back(seed=7):
-    """Two teams submit at once to a one-slot worker."""
+def back_to_back(seed=7, teams=("a", "b"), files=FILES):
+    """``teams`` submit at once to a one-slot worker."""
     system = RaiSystem.standard(
         num_workers=1, seed=seed,
         worker_config=WorkerConfig(max_concurrent_jobs=1))
-    clients = [system.new_client(team=team) for team in ("a", "b")]
+    clients = [system.new_client(team=team) for team in teams]
     for client in clients:
-        client.stage_project(FILES)
+        client.stage_project(files)
     results = system.run_all(c.submit() for c in clients)
     return system, sorted(results, key=lambda r: r.finished_at)
 
 
 def test_back_to_back_on_one_slot_pays_the_remainder():
-    system, (first, second) = back_to_back()
-    assert second.status is JobStatus.SUCCEEDED
-    _, _, first_span = acquire_event(system, first)
-    at, warm, _ = acquire_event(system, second)
-    assert warm["pool_hit"] is True
-    assert 0.0 < warm["seconds"] <= RESET
-    # The slot took the container back at once, so it came out of the
-    # wait exactly when the reset begun at the first job's end was done.
-    assert at == pytest.approx(first_span.end_time + RESET)
-    # Both jobs hit and both waited: the first for the container filled
-    # at boot, the second for the one the first returned.
-    _, filled, _ = acquire_event(system, first)
+    """The slot's third job takes the container its first returned: a
+    build outlasts the reset, so it waits for nothing; an ``echo`` does
+    not, so it waits out ``RESET - d``, ``d`` the second job's length.
+    The pool used to hold one container per slot, and every queued job
+    waited out the whole reset of the one just returned."""
+    system, (first, second, third) = back_to_back(teams=("a", "b", "c"))
+    assert third.status is JobStatus.SUCCEEDED
+    _, filled, first_span = acquire_event(system, first)
+    _, _, second_span = acquire_event(system, second)
+    assert second_span.end_time - first_span.end_time > RESET
+    _, warm, _ = acquire_event(system, third)
+    assert (warm["pool_hit"], warm["seconds"]) == (True, 0.0)
     pool = system.workers[0].pool
-    assert (pool.misses, pool.hits, pool.hits_waited) == (0, 2, 2)
+    # Three hits, and only the first waited: for the boot fill.
+    assert (pool.misses, pool.hits, pool.hits_waited) == (0, 3, 1)
+    assert pool.hit_wait_seconds == filled["seconds"]
+
+    system, (first, second, third) = back_to_back(teams=("a", "b", "c"),
+                                                  files=dict(FILES, **ECHO))
+    assert third.status is JobStatus.SUCCEEDED
+    _, filled, first_span = acquire_event(system, first)
+    _, spare, second_span = acquire_event(system, second)
+    at, warm, _ = acquire_event(system, third)
+    length = second_span.end_time - first_span.end_time
+    assert 0.0 < length < RESET
+    assert spare["seconds"] == 0.0          # the other container filled
+    assert warm["pool_hit"] is True
+    assert warm["seconds"] == pytest.approx(RESET - length)
+    # The slot came out of the wait exactly when the reset begun at the
+    # first job's end was done.
+    assert at == pytest.approx(first_span.end_time + RESET)
+    pool = system.workers[0].pool
+    assert (pool.misses, pool.hits, pool.hits_waited) == (0, 3, 2)
     assert pool.hit_wait_seconds == filled["seconds"] + warm["seconds"]
-    fill_hit, hit = system.events.query(type="pool.hit")
-    assert (fill_hit.fields["cost"], hit.fields["cost"]) == \
-        (filled["seconds"], warm["seconds"])
+    fill_hit, spare_hit, hit = system.events.query(type="pool.hit")
+    assert (fill_hit.fields["cost"], spare_hit.fields["cost"],
+            hit.fields["cost"]) == (filled["seconds"], 0.0, warm["seconds"])
     warm_hist = system.metrics.histogram("container_acquire_seconds",
                                          outcome="warm")
-    assert warm_hist.bucket_counts[0] == 0 and warm_hist.count == 2
+    assert warm_hist.bucket_counts[0] == 1 and warm_hist.count == 3
 
 
 def test_same_seed_twice_is_the_same_run():

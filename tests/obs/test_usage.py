@@ -354,7 +354,9 @@ class TestEndToEnd:
         system, provisioner, clients = _provisioned_system(seed=14,
                                                            teams=("team-a",))
         filled = sum(worker.pool.filled for worker in system.workers)
-        assert filled == 4            # two workers x two slots
+        # Two workers x two slots x two containers a slot: one to run a
+        # job on while the one returned a job ago resets.
+        assert filled == 8
         _submit(system, clients[0])   # takes a filled container
         assert system.usage.tenant_total("team-a", "warm_slot_seconds") == 0
         assert system.usage.tenant_total(

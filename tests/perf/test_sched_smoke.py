@@ -54,11 +54,12 @@ def test_warm_reuse_halves_mean_acquire_cost(warm, cold):
     first job on each slot no longer creates cold: it takes the container
     its worker filled at boot and waits out the rest of that create as a
     warm hit, so the warm run's only misses are on the lean image, which
-    no worker fills."""
+    no worker fills.  Each worker fills two containers per slot — its
+    two slots' jobs run on one each while the other resets."""
     assert _mean_acquire_cost(cold) >= 2.0 * _mean_acquire_cost(warm)
     system = warm.system
     assert sum(w.pool.filled for w in system.workers) == \
-        2 * len(system.workers)
+        2 * 2 * len(system.workers)
     assert {e.fields["image"] for e in system.events.query(
         type="pool.miss")} == {"webgpu/rai:minimal"}
 

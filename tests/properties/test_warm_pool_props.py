@@ -1,15 +1,16 @@
 """The warm pool and the image pull against the rules they replaced.
 
-``WarmContainerPool`` starts a container's reset when its job returns it
-and charges the next job only what is left of it; a worker starting up
-fills it with containers that are ready once the course image's pull and
-a create are done; and ``ContainerRuntime.pull`` waits for layers already
+``WarmContainerPool`` starts a container's reset when its job returns it,
+hands out the parked container ready soonest and charges the next job
+only what is left of its reset; a worker starting up fills it with two
+containers a slot that are ready once the course image's pull and a
+create are done; and ``ContainerRuntime.pull`` waits for layers already
 in flight instead of fetching them again.  The oracles below are kept
 here only as a specification:
 
-- the pool it replaced: the same FIFO / TTL / overflow / taint
-  bookkeeping, every hit on a returned container charged the whole
-  reset, no fill;
+- the pool it replaced: the same TTL / overflow / taint bookkeeping,
+  every hit on a returned container charged the whole reset, no fill,
+  and the soonest-ready hand-out (the oldest on a tie);
 - the pull rule it replaced, for a job's whole acquire stage: every layer
   not yet here costs its bytes over the bandwidth from now, then a create
   (miss, or a filled container) or a reset (a returned one);
@@ -22,6 +23,14 @@ one to three images must hand out the same containers with the same
 counters, charge a hit exactly ``max(0, ready_at - now)``, never make a
 job wait longer than the replaced rule, meter every parked second once
 (a filled container's to nobody) and leave nothing live after close.
+
+A worker's pool is then driven as its slots drive it — generated slots,
+arrival gaps, job lengths either side of the reset and an ``add_slots``
+during or after the boot pull — against a model of its parked entries:
+every hit is the one ready soonest and costs the least wait any parked
+entry could, the pool never holds more than two containers a slot, and a
+one-slot worker running back to back waits for a reset only when its
+jobs are shorter than one.
 
 Times are multiples of 1/64 s — the reset 1/4 s, a layer byte one tick —
 so every sum and difference below is exact in binary floating point and
@@ -37,6 +46,9 @@ from hypothesis import strategies as st
 from repro.container import ContainerRuntime, WarmContainerPool
 from repro.container.container import ContainerState
 from repro.container.image import Image, ImageLayer, ImageRegistry
+from repro.core.config import WorkerConfig
+from repro.core.system import RaiSystem
+from repro.core.worker import COURSE_IMAGE
 from repro.obs.usage import UNATTRIBUTED, UsageMeter
 
 pytestmark = pytest.mark.sched
@@ -127,7 +139,8 @@ class FlatChargePool:
         self.evict_expired(now)
         queue = self.parked.get(image)
         if queue and not self.closed:
-            entry = queue.popleft()
+            entry = min(queue, key=ready_of)    # the first of equals
+            queue.remove(entry)
             if not queue:
                 del self.parked[image]
             self.idle_seconds += now - entry[1]
@@ -170,6 +183,10 @@ class FlatChargePool:
         self.parked.clear()
 
 
+def ready_of(entry):
+    return entry[1] + RESET if entry[2] is None else entry[2]
+
+
 def registry_of(n_images):
     registry = ImageRegistry()
     for name in IMAGES[:n_images]:
@@ -207,10 +224,9 @@ def test_background_reset_against_the_flat_charge(n_images, schedule):
             container, hit, cost = pool.acquire(image, usage_key="team")
             assert hit == (entry is not None)
             if hit:
-                # FIFO hand-out.
+                # The soonest-ready hand-out.
                 assert container is entry[0]
-                ready_at = entry[1] + RESET if entry[2] is None else entry[2]
-                assert cost == max(0.0, ready_at - clock.now)
+                assert cost == max(0.0, ready_of(entry) - clock.now)
                 waited += cost > 0
                 wait_seconds += cost
             else:
@@ -283,3 +299,124 @@ def test_background_reset_against_the_flat_charge(n_images, schedule):
         oracle.team_seconds
     assert usage.tenant_total(UNATTRIBUTED, "warm_slot_seconds") == \
         oracle.idle_seconds - oracle.team_seconds
+
+
+# -- a worker's pool, driven as its slots drive it ---------------------------
+
+#: The course image is 2**32 bytes: pulled at 2**26 B/s it takes 64 s, so
+#: every instant below stays a multiple of ``TICK`` too.
+PULL_BPS = 2 ** 26
+PULLED = 64.0
+#: Containers a slot: one its job runs on, one resetting.
+DEPTH = WorkerConfig().warm_pool_size
+
+gaps = st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 3000))
+lengths = st.one_of(st.integers(0, 15), st.integers(16, 400))  # vs RESET
+slot_jobs = st.lists(st.tuples(gaps, lengths), min_size=1, max_size=6)
+grows = st.none() | st.tuples(
+    # During the 64 s boot pull, or after it.
+    st.one_of(st.integers(0, 4095), st.integers(4096, 6000)),
+    st.lists(slot_jobs, min_size=1, max_size=2))
+
+
+def run_slots(jobs, grow=None):
+    """Boot a worker with a slot for each list in ``jobs`` and drive its
+    pool as its slots do: each ``(gap, length)`` (ticks) waits out its
+    gap, acquires, waits out the cost, holds the container for its length
+    and returns it.  ``grow`` is ``(at, [jobs, ...])``: at tick ``at``,
+    ``add_slots`` one slot a list, each running its jobs from then.
+
+    Every hit is checked against a model of the parked entries; returns
+    ``(slot, cost, filled)`` per hit."""
+    system = RaiSystem(seed=5)
+    worker = system.add_worker(WorkerConfig(
+        max_concurrent_jobs=len(jobs), pull_bandwidth_bps=PULL_BPS,
+        container_create_seconds=CREATE, container_reset_seconds=RESET))
+    sim, pool = system.sim, worker.pool
+    model = []          # [container, ready_at, filled], in parked order
+    fills = [PULLED + CREATE] * (DEPTH * len(jobs))  # ready_at, not parked
+    held, log = set(), []
+
+    def adopt():
+        """Model the containers a fill parked since the last look."""
+        known = held | {id(c) for c, _, _ in model}
+        for entry in pool._parked.get(COURSE_IMAGE, ()):
+            if id(entry.container) not in known:
+                model.append([entry.container, fills.pop(0), True])
+        assert pool.pooled_count == len(model) <= DEPTH * worker.slot_count
+
+    def slot(name, jobs):
+        for gap, length in jobs:
+            yield sim.timeout(gap * TICK)
+            adopt()
+            now = sim.now
+            soonest = min(model, key=lambda m: m[1])    # oldest on a tie
+            container, hit, cost = pool.acquire(COURSE_IMAGE)
+            assert hit and container is soonest[0]
+            assert cost == max(0.0, soonest[1] - now) == \
+                min(max(0.0, ready - now) for _, ready, _ in model)
+            model.remove(soonest)
+            held.add(id(container))
+            log.append((name, cost, soonest[2]))
+            yield sim.timeout(cost + length * TICK)
+            adopt()
+            held.remove(id(container))
+            assert pool.release(container)
+            model.append([container, sim.now + RESET, False])
+            adopt()
+
+    def add_slots(at, new_jobs):
+        yield sim.timeout(at * TICK)
+        adopt()
+        ready = max(PULLED, sim.now) + CREATE
+        fills.extend([ready] * (DEPTH * len(new_jobs)))
+        worker.add_slots(len(new_jobs))
+        assert pool.max_per_image == DEPTH * worker.slot_count
+        yield sim.all_of([sim.process(slot(f"added-{i}", more))
+                          for i, more in enumerate(new_jobs)])
+
+    procs = [slot(i, mine) for i, mine in enumerate(jobs)]
+    if grow is not None:
+        procs.append(add_slots(*grow))
+    system.run_all(procs)
+    adopt()
+    assert fills == []
+    assert pool.filled == DEPTH * worker.slot_count
+    assert (pool.hits, pool.misses, pool.evicted_overflow) == (len(log), 0, 0)
+    worker.stop()
+    assert pool.pooled_count == 0 and worker.runtime.live_count == 0
+    return log
+
+
+@settings(max_examples=100, deadline=None)
+@given(jobs=st.lists(slot_jobs, min_size=1, max_size=4), grow=grows)
+def test_every_hit_is_the_soonest_ready_and_the_pool_two_a_slot(jobs, grow):
+    run_slots(jobs, grow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(0, 48), n_jobs=st.integers(3, 8))
+def test_one_slot_back_to_back_waits_only_on_jobs_shorter_than_a_reset(
+        length, n_jobs):
+    """The first job waits out the boot pull and create, the second takes
+    the other filled container.  From then on the slot takes the container
+    it returned a job ago: after a job of ``d >= RESET`` its reset is done;
+    after a shorter one the hit waits exactly ``RESET - d``, which lines
+    the next job up with the end of the other container's reset, so the
+    waits alternate with hits that wait for nothing."""
+    log = run_slots([[(0, length)] * n_jobs])
+    d = length * TICK
+    short = max(0.0, RESET - d)
+    assert [cost for _, cost, _ in log] == [PULLED + CREATE, 0.0] + \
+        [short if k % 2 == 0 else 0.0 for k in range(n_jobs - 2)]
+
+
+def test_a_fresh_fill_waits_behind_a_returned_container():
+    """The boot slot's job runs 70-71.5 s.  At 71 s ``add_slots`` parks
+    two fresh containers, ready a create later (73 s); the new slot takes
+    the boot fill's second one.  At 71.5 s the boot slot's next job takes
+    back the container it just returned — ready in a reset — and not the
+    older fill that FIFO would hand out, ready only at 73 s."""
+    log = run_slots([[(70 * 64, 96), (0, 0)]], grow=(71 * 64, [[(16, 640)]]))
+    assert log == [(0, 0.0, True), ("added-0", 0.0, True),
+                   (0, RESET, False)]
