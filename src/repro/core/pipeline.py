@@ -542,7 +542,11 @@ def record_submission(run: JobRun) -> None:
         "docdb.record", parent=run.span, kind="docdb",
         attributes={"collection": "submissions"})
     submissions = system.db.collection("submissions")
-    if submissions.find_one({"job_id": job.id}) is not None:
+    # A job's record carries the job's own team and username, so naming
+    # them matches the same document and lets a sharded collection route
+    # the probe to one partition instead of scattering it.
+    if submissions.find_one({"job_id": job.id, "team": job.team,
+                             "username": job.username}) is not None:
         system.monitor.incr("duplicate_records_suppressed")
         system.monitor.log("duplicate_record_suppressed", job_id=job.id,
                            worker=worker.id, attempts=run.attempt)

@@ -425,9 +425,12 @@ class BuildCache:
     def _evict(self, job_id: Optional[str] = None) -> None:
         now = self._clock()
         if self.ttl_seconds > 0:
-            expired = [k for k, e in self._entries.items()
-                       if now - e.last_used_at > self.ttl_seconds]
-            for key in expired:
+            # Entries sit in last-use order (a hit moves its entry to the
+            # end, a capture appends), so the expired ones are a prefix.
+            while self._entries:
+                key, entry = next(iter(self._entries.items()))
+                if now - entry.last_used_at <= self.ttl_seconds:
+                    break
                 self._evict_one(key, "ttl", job_id=job_id)
         while self.total_blob_bytes > self.max_bytes and self._entries:
             key = next(iter(self._entries))

@@ -195,3 +195,67 @@ def test_unknown_descriptor_kind_never_hits():
     cache.capture(IMG, CWD, "make", trace, fs, "", "", 0, 1.0, 0)
     assert cache.lookup(IMG, CWD, "make", fs) is None
     assert cache.miss_count == 1
+
+
+class Recorder:
+    def __init__(self):
+        self.log = []
+
+    def emit(self, kind, **fields):
+        self.log.append((kind, fields))
+
+
+class LinearTtlCache(BuildCache):
+    """The eviction pass the prefix walk replaced, kept only as the
+    oracle: the TTL sweep checks every entry."""
+
+    def _evict(self, job_id=None):
+        now = self._clock()
+        if self.ttl_seconds > 0:
+            expired = [k for k, e in self._entries.items()
+                       if now - e.last_used_at > self.ttl_seconds]
+            for key in expired:
+                self._evict_one(key, "ttl", job_id=job_id)
+        while self.total_blob_bytes > self.max_bytes and self._entries:
+            self._evict_one(next(iter(self._entries)), "lru", job_id=job_id)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=st.lists(ops, min_size=20, max_size=60))
+def test_ttl_sweep_stopping_at_the_first_live_entry_equals_linear_scan(
+        history):
+    """Entries sit in last-use order, so the expired ones are a prefix:
+    the same evictions, in the same order, with the same events."""
+    clock = Clock()
+    sides = []
+    for cls in (BuildCache, LinearTtlCache):
+        events = Recorder()
+        cache = cls(clock, max_bytes=200, ttl_seconds=100.0, events=events)
+        fs = VirtualFileSystem()
+        fs.import_mapping({"/src/a.cu": b"0", "/src/sub/c.h": b"0"})
+        fs.makedirs(CWD)
+        sides.append((cache, fs, events))
+    for op in history:
+        if op[0] == "advance":
+            clock.now += op[1]
+            continue
+        for cache, fs, _events in sides:
+            if op[0] == "edit":
+                fs.write_file(op[1], op[2])
+            elif op[0] == "remove":
+                if fs.isfile(op[1]):
+                    fs.remove(op[1])
+            elif op[0] == "run":
+                traced_run(cache, fs, *op[1:])
+            elif op[0] == "lookup":
+                cache.lookup(IMG, CWD, op[1], fs)
+            elif op[0] == "sweep":
+                cache.sweep()
+            else:
+                cache.install_snapshot(json.loads(json.dumps(
+                    cache.to_snapshot())))
+        (fast, _, fast_events), (linear, _, linear_events) = sides
+        assert list(fast._entries) == list(linear._entries)
+        assert fast.evict_count == linear.evict_count
+        assert fast_events.log == linear_events.log
+        check_invariants(fast)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import repro.core.pipeline as pipeline
 from repro.core.cli import RaiCLI
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
@@ -133,6 +134,33 @@ class TestShardedSubmissions:
             assert doc is not None
             physical = coll.shards[smap.partition(team)]
             assert physical.find_one({"team": team}) is not None
+
+    def test_duplicate_probe_reads_one_shard(self, sharded_system,
+                                             monkeypatch):
+        """The effectively-once probe names the job's team and username,
+        so it routes to the team's partition instead of scattering; a
+        redelivered job's second record is still suppressed."""
+        system = sharded_system
+        coll = system.db.collection("submissions")
+        probes = []
+        for index, shard in enumerate(coll.shards):
+            def planned(filter, _index=index, _plan=shard._candidates):
+                if "job_id" in filter:
+                    probes.append(_index)
+                return _plan(filter)
+            monkeypatch.setattr(shard, "_candidates", planned)
+        record = pipeline.record_submission
+
+        def recorded_twice(run):
+            record(run)
+            record(run)     # what a redelivery of the same job writes
+        monkeypatch.setattr(pipeline, "record_submission", recorded_twice)
+
+        result, = _storm(system, ["team02"])
+        home = system.shards.shard_map.partition("team02")
+        assert probes == [home, home]
+        assert coll.count_documents({"job_id": result.job_id}) == 1
+        assert system.monitor.counters.get("duplicate_records_suppressed") == 1
 
     def test_completions_feed_the_partition_estimator(self, sharded_system):
         system = sharded_system
