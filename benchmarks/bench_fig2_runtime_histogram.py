@@ -20,13 +20,13 @@ def test_fig2_top30_runtime_histogram(benchmark, course_result):
 
     def regenerate():
         times = result.top_runtimes(30)
-        return times, runtime_histogram(times, bin_width=0.1)
+        return times, runtime_histogram(times)
 
     times, rows = benchmark.pedantic(regenerate, rounds=1, iterations=1)
 
     print_banner("Figure 2 — top-30 team final runtimes "
                  "(0.1 s bins)")
-    print(ascii_histogram(times, bin_width=0.1, collapse_after=2.0))
+    print(ascii_histogram(times))
     print("\nbins (lo, hi, teams):")
     for row in rows[:15]:
         print(f"  {row['lo']:5.1f}-{row['hi']:4.1f}s : {row['teams']}")

@@ -126,7 +126,7 @@ class TestArchive:
             blob = pack_tree(fs, "/")
             out = VirtualFileSystem()
             unpack_tree(blob, out, "/")
-            return out.file_count("/")
+            return out.file_count()
 
         assert benchmark(roundtrip) == 20
 

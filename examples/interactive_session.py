@@ -29,7 +29,7 @@ def main() -> None:
         "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
     })
 
-    session = InteractiveSession(client, max_duration=1800.0)
+    session = InteractiveSession(client)
 
     def student(sim):
         print("=== requesting an interactive session ===")

@@ -36,8 +36,7 @@ def main() -> None:
           f"fleet cost: ${totals['cost_usd']:.0f}")
 
     print("\n=== Figure 2 (mini): top team final runtimes, 0.1s bins ===")
-    print(ascii_histogram(result.top_runtimes(config.n_teams),
-                          bin_width=0.1, collapse_after=2.0))
+    print(ascii_histogram(result.top_runtimes(config.n_teams)))
 
     window = min(7.0, config.duration_days)
     start = (config.duration_days - window) * DAY

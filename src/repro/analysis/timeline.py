@@ -35,17 +35,16 @@ def peak_hour(times: Sequence[float], start: float, end: float) -> dict:
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
-def ascii_timeline(times: Sequence[float], start: float, end: float,
-                   row_seconds: float = 24 * HOUR) -> str:
+def ascii_timeline(times: Sequence[float], start: float,
+                   end: float) -> str:
     """One text row per day, one character per hour (Figure 4 as a
     day × hour heat strip)."""
     starts, counts = hourly_counts(times, start, end)
     peak = max(int(counts.max()) if counts.size else 1, 1)
     lines = []
-    per_row = int(row_seconds // HOUR)
-    for row_start in range(0, len(counts), per_row):
-        row = counts[row_start:row_start + per_row]
-        day = int((starts[row_start] - start) // row_seconds)
+    for row_start in range(0, len(counts), 24):
+        row = counts[row_start:row_start + 24]
+        day = int((starts[row_start] - start) // (24 * HOUR))
         cells = "".join(
             _BLOCKS[min(len(_BLOCKS) - 1,
                         int(round((len(_BLOCKS) - 1) * c / peak)))]

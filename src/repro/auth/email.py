@@ -17,6 +17,9 @@ from repro.auth.keys import KeyStore
 from repro.auth.roster import RosterEntry
 
 #: The body of Listing 3, verbatim in structure.
+#: Subject line of every credential email.
+SUBJECT = "ECE408 project: your RAI credentials"
+
 AUTH_EMAIL_TEMPLATE = Template("""\
 Hello $first_name $last_name,
 
@@ -63,11 +66,9 @@ class Outbox:
 class KeyMailer:
     """Generates keys from a roster and emails them out."""
 
-    def __init__(self, keystore: KeyStore, outbox: Optional[Outbox] = None,
-                 subject: str = "ECE408 project: your RAI credentials"):
+    def __init__(self, keystore: KeyStore):
         self.keystore = keystore
-        self.outbox = outbox if outbox is not None else Outbox()
-        self.subject = subject
+        self.outbox = Outbox()
 
     def send_keys(self, roster: List[RosterEntry],
                   teams: Optional[Dict[str, str]] = None) -> List[EmailMessage]:
@@ -87,8 +88,7 @@ class KeyMailer:
                 access_key=cred.access_key,
                 secret_key=cred.secret_key,
             )
-            message = EmailMessage(to=entry.email, subject=self.subject,
-                                   body=body)
+            message = EmailMessage(to=entry.email, subject=SUBJECT, body=body)
             self.outbox.send(message)
             sent.append(message)
         return sent

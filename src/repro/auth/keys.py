@@ -15,9 +15,9 @@ _KEY_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 KEY_LENGTH = 26
 
 
-def generate_key(rng: np.random.Generator, length: int = KEY_LENGTH) -> str:
+def generate_key(rng: np.random.Generator) -> str:
     """One random key string (deterministic under a seeded generator)."""
-    idx = rng.integers(0, len(_KEY_ALPHABET), size=length)
+    idx = rng.integers(0, len(_KEY_ALPHABET), size=KEY_LENGTH)
     return "".join(_KEY_ALPHABET[i] for i in idx)
 
 
@@ -42,9 +42,8 @@ class KeyStore:
         self._by_access: Dict[str, Credential] = {}
         self._by_user: Dict[str, Credential] = {}
 
-    def issue(self, username: str, team: Optional[str] = None,
-              role: str = "student") -> Credential:
-        """Create and register a new credential for ``username``.
+    def issue(self, username: str, team: Optional[str] = None) -> Credential:
+        """Create and register a new student credential for ``username``.
 
         Re-issuing for an existing username revokes the old credential
         (lost-key recovery).
@@ -57,7 +56,6 @@ class KeyStore:
             access_key=generate_key(self._rng),
             secret_key=generate_key(self._rng),
             team=team,
-            role=role,
         )
         self._by_access[cred.access_key] = cred
         self._by_user[username] = cred

@@ -6,6 +6,9 @@ from typing import Dict, List
 
 from repro.baselines.base import BaselineJob, SubmissionSystem
 
+#: Jobs the scalability probe asks an operator to absorb.
+BURST = 20
+
 FEATURES = ("Configurability", "Isolation", "Scalability",
             "Accessibility", "Testing Uniformity")
 
@@ -59,12 +62,12 @@ def probe_isolation(system: SubmissionSystem) -> bool:
     return True
 
 
-def probe_scalability(system: SubmissionSystem,
-                      burst: int = 20) -> bool:
-    """Can the operator add meaningful capacity against a burst?"""
+def probe_scalability(system: SubmissionSystem) -> bool:
+    """Can the operator add meaningful capacity against a burst of
+    :data:`BURST` jobs?"""
     before = system.capacity()
-    added = system.add_capacity(burst)
-    return added >= burst or before >= burst
+    added = system.add_capacity(BURST)
+    return added >= BURST or before >= BURST
 
 
 def probe_accessibility(system: SubmissionSystem) -> bool:

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineJob, SubmissionOutcome, SubmissionSystem
 
+#: Build executors the Jenkins master starts with.
+EXECUTORS = 8
+
 
 class JenkinsCI(SubmissionSystem):
     name = "Jenkins"
     remote_accessible_without_hardware = False  # needs repo/instance access
 
-    def __init__(self, executors: int = 8):
-        self._executors = executors
+    def __init__(self):
+        self._executors = EXECUTORS
         self.builds = 0
 
     def submit(self, job: BaselineJob) -> SubmissionOutcome:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineJob, SubmissionOutcome, SubmissionSystem
 
+#: Lab sessions the provider runs at once.
+CONCURRENT_SESSIONS = 1000
+
 #: The canned environments students may launch.
 _CATALOG = ("aws-console-101", "ec2-basics", "s3-basics")
 
@@ -18,8 +21,8 @@ class QwikLabsSystem(SubmissionSystem):
     name = "QwikLabs"
     remote_accessible_without_hardware = True
 
-    def __init__(self, concurrent_sessions: int = 1000):
-        self._capacity = concurrent_sessions
+    def __init__(self):
+        self._capacity = CONCURRENT_SESSIONS
 
     def submit(self, job: BaselineJob) -> SubmissionOutcome:
         in_catalog = job.image in _CATALOG

@@ -7,8 +7,6 @@ probes exercise the same code paths students do, so Table I's RAI row is
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.baselines.base import BaselineJob, SubmissionOutcome, SubmissionSystem
 from repro.buildspec.parser import render_build_spec
 from repro.buildspec.spec import RaiBuildSpec
@@ -27,8 +25,8 @@ class RaiFacade(SubmissionSystem):
     name = "RAI"
     remote_accessible_without_hardware = True
 
-    def __init__(self, system: Optional[RaiSystem] = None):
-        self.system = system or RaiSystem.standard(num_workers=2, seed=1234)
+    def __init__(self):
+        self.system = RaiSystem.standard(num_workers=2, seed=1234)
         self._client_counter = 0
 
     def _client(self, owner: str):

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineJob, SubmissionOutcome, SubmissionSystem
 
+#: §II: "70% of the 176 students ... did not have access to a
+#: CUDA-programmable GPU."
+GPU_OWNERSHIP_RATE = 0.30
+
 
 class StudentProvidedSystem(SubmissionSystem):
     name = "Student-Provided"
     remote_accessible_without_hardware = False
 
-    def __init__(self, gpu_ownership_rate: float = 0.30):
-        #: §II: "70% of the 176 students ... did not have access to a
-        #: CUDA-programmable GPU."
-        self.gpu_ownership_rate = gpu_ownership_rate
+    def __init__(self):
         self._machines = 0
 
     def submit(self, job: BaselineJob) -> SubmissionOutcome:
         self._machines += 1
         # Deterministic "does this student own a GPU" from the owner name.
-        owns_gpu = (hash_fraction(job.owner) < self.gpu_ownership_rate)
+        owns_gpu = (hash_fraction(job.owner) < GPU_OWNERSHIP_RATE)
         if job.needs_gpu and not owns_gpu:
             return SubmissionOutcome(
                 accepted=False, had_gpu=False,

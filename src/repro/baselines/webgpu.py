@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineJob, SubmissionOutcome, SubmissionSystem
 
+#: Backend GPU slots behind the web front end.
+BACKEND_CAPACITY = 16
+
 #: What the lab environment lets students run: their kernel is compiled and
 #: invoked by a fixed harness; no shell, no profilers.
 _ALLOWED_VERBS = ("compile", "run-dataset")
@@ -22,8 +25,8 @@ class WebGPUSystem(SubmissionSystem):
     name = "WebGPU"
     remote_accessible_without_hardware = True
 
-    def __init__(self, backend_capacity: int = 16):
-        self._capacity = backend_capacity
+    def __init__(self):
+        self._capacity = BACKEND_CAPACITY
 
     def submit(self, job: BaselineJob) -> SubmissionOutcome:
         # The student's commands are ignored; the harness runs a fixed

@@ -11,6 +11,10 @@ from repro.broker.topic import Channel, Topic
 from repro.errors import MessageTooLarge
 from repro.obs.metrics import CounterGroup, MetricsRegistry
 
+#: Publish-size limit: project archives do not travel through the broker
+#: (they go to the file server), so job messages stay small.
+MAX_MESSAGE_BYTES = 1 << 20
+
 
 class MessageBroker:
     """Arbitrates communication between clients and workers (paper §IV).
@@ -19,11 +23,6 @@ class MessageBroker:
     ----------
     sim:
         The simulation kernel the broker lives on.
-    max_message_bytes:
-        Publish-size limit; project archives do NOT travel through the
-        broker (they go to the file server), so job messages stay small.
-    default_max_attempts:
-        Redelivery budget before a message is dead-lettered.
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`.  The broker's
         tallies live there under a ``broker_`` prefix; :attr:`counters`
@@ -38,13 +37,9 @@ class MessageBroker:
     #: (``log_${job_id}`` in the paper).
     EPHEMERAL_PREFIX = "log_"
 
-    def __init__(self, sim, max_message_bytes: int = 1 << 20,
-                 default_max_attempts: int = 5,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, sim, metrics: Optional[MetricsRegistry] = None,
                  tracer=None, events=None):
         self.sim = sim
-        self.max_message_bytes = max_message_bytes
-        self.default_max_attempts = default_max_attempts
         self.topics: Dict[str, Topic] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.counters = CounterGroup(self.metrics, prefix="broker_")
@@ -75,7 +70,6 @@ class MessageBroker:
             if ephemeral is None:
                 ephemeral = name.startswith(self.EPHEMERAL_PREFIX)
             t = Topic(self.sim, name, ephemeral=ephemeral,
-                      max_attempts=self.default_max_attempts,
                       on_empty=self._reap_topic)
             t.broker = self
             self.topics[name] = t
@@ -109,9 +103,9 @@ class MessageBroker:
         except (TypeError, ValueError) as exc:
             raise TypeError(f"message body is not JSON-serialisable: {exc}") from exc
         size = len(payload)
-        if size > self.max_message_bytes:
+        if size > MAX_MESSAGE_BYTES:
             raise MessageTooLarge(
-                f"{size} bytes exceeds limit of {self.max_message_bytes}")
+                f"{size} bytes exceeds limit of {MAX_MESSAGE_BYTES}")
         msg = Message(topic_name, body, timestamp=self.sim.now,
                       headers=headers)
         topic = self.topic(topic_name)

@@ -8,7 +8,7 @@ broker's garbage collector will not reap it mid-stream.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.broker.broker import MessageBroker
 from repro.broker.message import Message
@@ -47,13 +47,11 @@ class Producer:
 class Consumer:
     """A subscribing handle over one ``topic/channel`` route."""
 
-    def __init__(self, broker: MessageBroker, route: str,
-                 filter: Optional[Callable[[Message], bool]] = None):
+    def __init__(self, broker: MessageBroker, route: str):
         self.broker = broker
         self.route = parse_route(route)
         self._channel = broker.channel(route)
         self._channel.subscriber_count += 1
-        self._filter = filter
         self._closed = False
 
     def get(self):
@@ -63,24 +61,17 @@ class Consumer:
         """
         if self._closed:
             raise RuntimeError("consumer is closed")
-        if self._filter is None:
-            return self._channel.deliver()
-        evt = self._channel.get(filter=lambda m: self._filter(m))
-        evt.callbacks.insert(0, self._channel._on_deliver)
-        return evt
+        return self._channel.deliver()
 
     def try_get(self) -> Optional[Message]:
         """Claim an already-queued message without blocking, or None.
 
         The worker prefetch path: after finishing a job, a consumer drains
         ``ready_count`` messages synchronously before parking on
-        :meth:`get` again.  Filtered consumers always return None (the
-        filter needs the event machinery's matching path).
+        :meth:`get` again.
         """
         if self._closed:
             raise RuntimeError("consumer is closed")
-        if self._filter is not None:
-            return None
         return self._channel.try_deliver()
 
     def cancel(self, get_event) -> None:

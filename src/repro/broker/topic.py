@@ -8,6 +8,9 @@ from typing import Deque, Dict, List, Optional
 from repro.broker.message import Message
 from repro.sim.resources import Store
 
+#: Deliveries a message gets before it is dead-lettered.
+MAX_ATTEMPTS = 5
+
 
 class Channel(Store):
     """A competing-consumers queue inside a topic.
@@ -18,17 +21,15 @@ class Channel(Store):
     lost — resilience is one of the broker's two stated jobs, §IV).
     """
 
-    __slots__ = ("topic", "name", "max_attempts", "in_flight",
+    __slots__ = ("topic", "name", "in_flight",
                  "dead_letters", "subscriber_count", "total_delivered",
                  "total_acked", "total_requeued", "total_dead_lettered",
                  "total_prefetched", "scheduler", "on_queued")
 
-    def __init__(self, sim, topic: "Topic", name: str,
-                 max_attempts: int = 5):
+    def __init__(self, sim, topic: "Topic", name: str):
         super().__init__(sim)
         self.topic = topic
         self.name = name
-        self.max_attempts = max_attempts
         self.in_flight: Dict[str, Message] = {}
         self.dead_letters: List[Message] = []
         self.subscriber_count = 0
@@ -200,7 +201,7 @@ class Channel(Store):
         """
         self.in_flight.pop(message.id, None)
         journal = self._journal()
-        if message.attempts >= self.max_attempts:
+        if message.attempts >= MAX_ATTEMPTS:
             self.dead_letters.append(message)
             self.total_dead_lettered += 1
             if journal is not None:
@@ -256,16 +257,15 @@ class Topic:
     worker creates ``log_${job_id}`` then immediately starts streaming).
     """
 
-    __slots__ = ("sim", "name", "ephemeral", "max_attempts", "channels",
+    __slots__ = ("sim", "name", "ephemeral", "channels",
                  "backlog", "producer_count", "total_published", "broker",
                  "_on_empty")
 
     def __init__(self, sim, name: str, ephemeral: bool = False,
-                 max_attempts: int = 5, on_empty=None):
+                 on_empty=None):
         self.sim = sim
         self.name = name
         self.ephemeral = ephemeral
-        self.max_attempts = max_attempts
         self.channels: Dict[str, Channel] = {}
         self.backlog: Deque[Message] = deque()
         self.producer_count = 0
@@ -280,7 +280,7 @@ class Topic:
     def channel(self, name: str) -> Channel:
         ch = self.channels.get(name)
         if ch is None:
-            ch = Channel(self.sim, self, name, max_attempts=self.max_attempts)
+            ch = Channel(self.sim, self, name)
             self.channels[name] = ch
             if not self.ephemeral:
                 journal = getattr(self.broker, "journal", None)

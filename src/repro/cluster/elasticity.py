@@ -32,8 +32,8 @@ class ManualSchedule:
     """
 
     @staticmethod
-    def course_default(day: float = 24 * 3600.0,
-                       final_week_count: int = 25) -> List[SchedulePhase]:
+    def course_default(final_week_count: int = 25) -> List[SchedulePhase]:
+        day = 24 * 3600.0
         return [
             SchedulePhase(0.0, "g2.2xlarge", 4, max_concurrent_jobs=1,
                           label="baseline experimentation (G2/K40)"),

@@ -131,8 +131,8 @@ class Provisioner:
         now = self.sim.now if now is None else now
         return sum(i.cost_until(now) for i in self.instances)
 
-    def total_instance_hours(self, now: Optional[float] = None) -> float:
-        now = self.sim.now if now is None else now
+    def total_instance_hours(self) -> float:
+        now = self.sim.now
         seconds = sum(
             max(0.0, (i.terminated_at if i.terminated_at is not None
                       else now) - i.launched_at)

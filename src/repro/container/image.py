@@ -78,9 +78,8 @@ class ImageRegistry:
     def whitelist(self) -> List[str]:
         return list(self._whitelist or [])
 
-    def get(self, name: str, enforce_whitelist: bool = True) -> Image:
-        if enforce_whitelist and self._whitelist is not None and \
-                name not in self._whitelist:
+    def get(self, name: str) -> Image:
+        if self._whitelist is not None and name not in self._whitelist:
             raise ImageNotWhitelisted(
                 f"image {name!r} is not on the course whitelist "
                 f"{self._whitelist}")
@@ -94,33 +93,32 @@ class ImageRegistry:
 _COURSE_DATA_CACHE: Dict[str, bytes] = {}
 
 
-def course_data_files(full_size: int = FULL_DATASET_SIZE,
-                      small_size: int = SMALL_DATASET_SIZE) -> Dict[str, bytes]:
+def course_data_files() -> Dict[str, bytes]:
     """The /data files baked into the course image.
 
     ``testfull.hdf5`` carries only its labels plus a recorded size (not
     10,000 raster images) to keep simulated containers light; the ``ece408``
     guest program understands both representations.
     """
-    key = f"{full_size}:{small_size}"
-    if key not in _COURSE_DATA_CACHE:
+    if not _COURSE_DATA_CACHE:
         import numpy as np
 
-        small_images, small_labels = generate_dataset(small_size)
+        small_images, small_labels = generate_dataset(SMALL_DATASET_SIZE)
         weights = generate_model_weights()
         full = write_h5s({
             "labels": np.zeros(0, dtype=np.int64),
-            "count": np.asarray([full_size], dtype=np.int64),
+            "count": np.asarray([FULL_DATASET_SIZE], dtype=np.int64),
         })
         small = write_h5s({"images": small_images, "labels": small_labels,
-                           "count": np.asarray([small_size], dtype=np.int64)})
+                           "count": np.asarray([SMALL_DATASET_SIZE],
+                                               dtype=np.int64)})
         model = write_h5s(weights)
-        _COURSE_DATA_CACHE[key] = {
+        _COURSE_DATA_CACHE.update({
             "data/test10.hdf5": small,
             "data/testfull.hdf5": full,
             "data/model.hdf5": model,
-        }
-    return dict(_COURSE_DATA_CACHE[key])
+        })
+    return dict(_COURSE_DATA_CACHE)
 
 
 #: The CUDA runtime + toolkit base shared by every whitelisted course

@@ -40,8 +40,8 @@ Safety invariants:
 - **Bounded and TTL-evicted.**  At most ``max_per_image`` containers park
   per image — a worker sets it to its per-slot depth times its live slots,
   so each busy slot has one container resetting while its job runs on
-  another; entries idle past ``ttl_seconds`` on the simulation clock are
-  destroyed at the next pool operation.
+  another; entries idle past :data:`TTL_SECONDS` on the simulation clock
+  are destroyed at the next pool operation.
 - **Metered once.**  A hit books the seconds an entry sat parked as
   ``warm_slot_seconds`` against the acquiring tenant — unless the entry
   was filled, whose wait for its first job is platform overhead, as is
@@ -60,6 +60,12 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.container.container import Container, ContainerState
 from repro.container.runtime import Pull
+
+#: Engine cost of creating a fresh container (namespace + cgroup + mount
+#: setup): what a pool miss pays at acquire time.
+CREATE_SECONDS = 2.0
+#: Idle time after which a parked container is destroyed.
+TTL_SECONDS = 900.0
 
 #: Container states a released container may be parked from.
 _REUSABLE_STATES = (ContainerState.RUNNING, ContainerState.EXITED,
@@ -85,19 +91,15 @@ class WarmContainerPool:
 
     def __init__(self, runtime, clock: Callable[[], float],
                  max_per_image: int = 2,
-                 ttl_seconds: float = 900.0,
-                 create_seconds: float = 2.0,
                  reset_seconds: float = 0.2,
                  events=None, owner: Optional[str] = None, usage=None):
         if max_per_image < 0:
             raise ValueError("max_per_image must be >= 0")
-        if create_seconds < 0 or reset_seconds < 0:
-            raise ValueError("create/reset seconds must be >= 0")
+        if reset_seconds < 0:
+            raise ValueError("reset seconds must be >= 0")
         self.runtime = runtime
         self.clock = clock
         self.max_per_image = max_per_image
-        self.ttl_seconds = ttl_seconds
-        self.create_seconds = create_seconds
         self.reset_seconds = reset_seconds
         #: Optional :class:`~repro.obs.events.EventLog` + the owning
         #: worker's id, so fleet-wide pool churn reads as one stream.
@@ -177,8 +179,8 @@ class WarmContainerPool:
             image_name, limits=limits, mounts=mounts,
             gpu_device=gpu_device, on_output=on_output)
         self.misses += 1
-        self._emit("pool.miss", image=image_name, cost=self.create_seconds)
-        return container, False, self.create_seconds
+        self._emit("pool.miss", image=image_name, cost=CREATE_SECONDS)
+        return container, False, CREATE_SECONDS
 
     def _emit(self, type: str, **fields) -> None:
         if self.events is not None:
@@ -207,7 +209,7 @@ class WarmContainerPool:
         if not self.enabled:
             return Pull(0.0, 0, False)
         pull = self.runtime.pull(image_name)
-        charge = pull.seconds + self.create_seconds
+        charge = pull.seconds + CREATE_SECONDS
         ready_at = self.clock() + charge
         room = self.max_per_image - len(self._parked.get(image_name, ()))
         count = max(0, min(count, room))
@@ -244,13 +246,11 @@ class WarmContainerPool:
 
     def evict_expired(self) -> int:
         """Destroy parked containers idle past the TTL; returns count."""
-        if self.ttl_seconds is None:
-            return 0
         now = self.clock()
         evicted = 0
         for image_name in list(self._parked):
             queue = self._parked[image_name]
-            while queue and now - queue[0].parked_at >= self.ttl_seconds:
+            while queue and now - queue[0].parked_at >= TTL_SECONDS:
                 entry = queue.popleft()
                 self._destroy_unclaimed(entry, now)
                 self.evicted_ttl += 1

@@ -117,8 +117,9 @@ class RaiCLI:
 
     def _cmd_top(self, args: List[str]) -> str:
         """``rai top`` — one-screen scheduler/executor snapshot: queue
-        depth, scheduler wait percentiles, and per-worker slot occupancy
-        plus warm-pool hit rates, all read off the metrics registry."""
+        depth and scheduler wait percentiles off the metrics registry, and
+        per-worker slot occupancy plus warm-pool hit rates read off the
+        workers themselves."""
         import math
 
         from repro.analysis.report import render_table
@@ -283,7 +284,7 @@ class RaiCLI:
             ])
         n = shard_map["n_partitions"]
         header = (f"shard map: {n} partition{'s' if n != 1 else ''}, "
-                  f"hash seed {shard_map['seed']}, key team→username")
+                  f"key team→username")
         table = render_table(
             ["partition", "routed", "queued", "in-flt", "dispatched",
              "steal in/out", "workers", "occ", "pool hit", "wait ewma"],
@@ -322,7 +323,7 @@ class RaiCLI:
                 f"observations "
                 f"({stats['observations'] / max(1, lookups):.1f} per lookup)",
             ]
-            top = cache.top_entries(5)
+            top = cache.top_entries()
             if top:
                 rows = [[entry["key"], entry["command"][:40], entry["hits"],
                          entry["bytes"], entry["exit_code"]]
@@ -424,7 +425,7 @@ class RaiCLI:
         lines.append(render_table(
             ["team", "cont s", "gpu s", "cost", "share"],
             rows, title="cost by team"))
-        exemplars = self.system.usage.top_jobs(5)
+        exemplars = self.system.usage.top_jobs()
         if exemplars:
             rows = [[job.job_id, job.tenant,
                      f"{job.container_seconds:.1f}",

@@ -93,17 +93,15 @@ class RaiClient:
     # -- the submission process ------------------------------------------------
 
     def submit(self, kind: JobKind = JobKind.RUN,
-               raise_on_reject: bool = False,
                wait_timeout: Optional[float] = None):
         """Generator implementing the eight client steps.
 
         Returns (via the process value) a :class:`JobResult`.  Local
         rejections (rate limit, bad credentials, missing final-submission
-        files) produce a ``REJECTED`` result unless ``raise_on_reject``.
+        files) produce a ``REJECTED`` result.
 
-        ``wait_timeout`` bounds the End wait (step 6); it defaults to
-        ``SystemConfig.client_wait_timeout_seconds`` (``None`` = wait
-        forever, the paper's behaviour).  On expiry the result is terminal
+        ``wait_timeout`` bounds the End wait (step 6); ``None`` waits
+        forever, the paper's behaviour.  On expiry the result is terminal
         with ``JobStatus.TIMEOUT`` — the job may still complete server-side,
         but this client has stopped listening.
         """
@@ -119,12 +117,10 @@ class RaiClient:
             result.error = str(exc)
             result.finished_at = self.sim.now
             tracer.end_subtree(span, status="error", message=str(exc))
-            if raise_on_reject:
-                raise exc
             return result
 
         # Step 1 — locate the build file (or fall back to the default).
-        if self.project_fs.file_count("/") == 0:
+        if self.project_fs.file_count() == 0:
             return reject(SubmissionRejected("project directory is empty"))
         spec_yaml = self.build_file_text()
         if spec_yaml is None:
@@ -168,8 +164,6 @@ class RaiClient:
                     team=self.team, status="queued",
                     username=self.username, kind=kind.value)
 
-        if wait_timeout is None:
-            wait_timeout = self.system.config.client_wait_timeout_seconds
         wait_deadline = (self.sim.now + wait_timeout
                          if wait_timeout is not None else None)
 
@@ -265,15 +259,7 @@ class RaiClient:
         file_digests = {
             path: file_digest(self.project_fs.read_file(path))
             for path in self.project_fs.iter_files("/")}
-        manifest = Manifest.from_bytes(
-            archive, self.system.storage.chunk_store.chunk_size,
-            files=file_digests)
-        # A chunk-size reconfiguration shifts every boundary: a base
-        # chunked at the old size would yield a bogus delta, so it is
-        # stale by definition.
-        if (self._last_manifest is not None
-                and self._last_manifest.chunk_size != manifest.chunk_size):
-            self._last_manifest = None
+        manifest = Manifest.from_bytes(archive, files=file_digests)
         # The base the delta is encoded against: this client's last
         # upload when it has one, else whatever the server still holds
         # for this user (git-style negotiation — a fresh client instance
@@ -284,8 +270,6 @@ class RaiClient:
             base = self.system.storage.negotiate_base(
                 self.system.config.upload_bucket, self.username)
             base_kind = "negotiated" if base is not None else "none"
-        if base is not None and base.chunk_size != manifest.chunk_size:
-            base, base_kind = None, "none"
         # Chunks the delta says changed since the base; the store
         # negotiation then prunes those some *other* upload already holds
         # (and re-adds any the server has since expired) — the

@@ -46,8 +46,10 @@ from repro.errors import (
 SESSION_TOPIC = "rai-interactive"
 SESSION_ROUTE = f"{SESSION_TOPIC}/sessions"
 
-#: Default wall-clock budget of a session (instructor-configurable).
-DEFAULT_SESSION_SECONDS = 1800.0
+#: Wall-clock budget of a session.
+SESSION_SECONDS = 1800.0
+#: The image a session's container runs.
+SESSION_IMAGE = "webgpu/rai:root"
 
 #: A session with no commands for this long is reclaimed.
 DEFAULT_IDLE_SECONDS = 300.0
@@ -94,14 +96,9 @@ class InteractiveSession:
         yield from session.close()
     """
 
-    def __init__(self, client, image: str = "webgpu/rai:root",
-                 max_duration: float = DEFAULT_SESSION_SECONDS,
-                 upload_project: bool = True):
+    def __init__(self, client):
         self.client = client
         self.system = client.system
-        self.image = image
-        self.max_duration = max_duration
-        self.upload_project = upload_project
         self.session_id = f"isess-{next(_session_counter):06d}"
         #: The request's job id: what ``rai trace`` / ``rai usage`` key on.
         self.job_id: Optional[str] = None
@@ -129,7 +126,7 @@ class InteractiveSession:
         upload_key = source_digest = None
         try:
             client._authorize(f"interactive:{client.team or client.username}")
-            if self.upload_project and client.project_fs.file_count("/"):
+            if client.project_fs.file_count():
                 upload_key, source_digest = yield from \
                     client._upload_project(JobKind.SESSION, span, self)
             else:
@@ -140,11 +137,11 @@ class InteractiveSession:
                 span, SESSION_TOPIC, id=self.job_id, kind=JobKind.SESSION,
                 # A valid spec lists a command; a session never runs it.
                 spec_yaml=render_build_spec(RaiBuildSpec(
-                    version="0.1", image=self.image,
+                    version="0.1", image=SESSION_IMAGE,
                     build_commands=("true",))),
                 upload_key=upload_key, source_digest=source_digest,
                 session={"id": self.session_id,
-                         "max_duration": float(self.max_duration)})
+                         "max_duration": SESSION_SECONDS})
         except (InvalidCredentials, RateLimited, SubmissionRejected) as exc:
             return self._rejected(str(exc), span)
         self.system.monitor.incr("interactive_sessions_requested")

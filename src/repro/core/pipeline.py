@@ -31,6 +31,7 @@ from repro.errors import (
     BuildSpecError, ContainerError, InvalidCredentials, JobDeadlineExceeded,
     SessionLost, SignatureMismatch, StorageError, TransientStorageError,
     VfsError)
+from repro.faults.retry import RetryPolicy
 from repro.storage.buildcache import image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
@@ -40,6 +41,13 @@ from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
 #: one, and the three should not share a bucket with each other or with a
 #: create (a cold one, or what is left of a filled container's).
 ACQUIRE_BUCKETS = (0.0, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
+
+#: Whole-job wall-clock deadline (fetch + pull + build + upload).  The
+#: container lifetime cap only meters *charged* guest time; this closes
+#: the gap so a job can never hold an executor slot forever.
+JOB_DEADLINE_SECONDS = 3600.0
+#: Retry budget for storage fetch/upload (transient errors only).
+STORAGE_RETRY = RetryPolicy()
 
 #: Validity of the presigned build-output URL a job publishes.
 BUILD_URL_EXPIRY_SECONDS = 7 * 24 * 3600.0
@@ -53,12 +61,11 @@ class JobRun:
     """Everything one delivery of one job owns, from claim to ``End``."""
 
     def __init__(self, worker, job: Job, message):
-        limit = worker.config.job_deadline_seconds
         self.worker = worker
         self.job = job
         self.attempt = message.attempts
         self.started_at = worker.sim.now
-        self.deadline = self.started_at + limit if limit is not None else None
+        self.deadline = self.started_at + JOB_DEADLINE_SECONDS
         # Parent on the message headers: the broker.deliver span the
         # channel minted on claim (or the client's publish span if this
         # message never carried delivery tracing).
@@ -100,14 +107,15 @@ class JobRun:
         """Raise once the paper's 1-hour cap, applied wall-clock, has
         passed; the overrun is noted here, where it is detected."""
         worker = self.worker
-        if self.deadline is None or worker.sim.now < self.deadline:
+        if worker.sim.now < self.deadline:
             return
-        limit = worker.config.job_deadline_seconds
         worker.system.monitor.incr("jobs_deadline_exceeded")
-        worker.system.monitor.log("job_deadline_exceeded",
+        worker.system.events.emit("job.deadline_exceeded", span=self.span,
                                   job_id=self.job.id, worker=worker.id)
-        self.span.add_event("deadline_exceeded", deadline_s=limit)
-        raise JobDeadlineExceeded(f"job exceeded its {limit:.0f}s deadline")
+        self.span.add_event("deadline_exceeded",
+                            deadline_s=JOB_DEADLINE_SECONDS)
+        raise JobDeadlineExceeded(
+            f"job exceeded its {JOB_DEADLINE_SECONDS:.0f}s deadline")
 
     def release_container(self) -> None:
         """Hand the container (if one is held) back to the pool, once."""
@@ -512,7 +520,7 @@ def _storage_call(label: str, fn, run: JobRun, span):
     Only :class:`TransientStorageError` is retried; permanent errors and
     the final transient failure propagate unaltered."""
     worker = run.worker
-    policy = worker.config.storage_retry
+    policy = STORAGE_RETRY
 
     def on_retry(attempt, exc):
         run.check_deadline()
@@ -548,8 +556,9 @@ def record_submission(run: JobRun) -> None:
     if submissions.find_one({"job_id": job.id, "team": job.team,
                              "username": job.username}) is not None:
         system.monitor.incr("duplicate_records_suppressed")
-        system.monitor.log("duplicate_record_suppressed", job_id=job.id,
-                           worker=worker.id, attempts=run.attempt)
+        system.events.emit("job.duplicate_suppressed", span=span,
+                           job_id=job.id, worker=worker.id,
+                           attempts=run.attempt)
         span.set_attribute("duplicate", True)
         span.end()
         return

@@ -27,6 +27,7 @@ from repro.docdb.database import DocumentDB
 from repro.obs.alerts import AlertManager
 from repro.obs.events import EventLog
 from repro.obs.metrics import CounterGroup, MetricsRegistry
+from repro.obs.scrape import INTERVAL_SECONDS as SCRAPE_INTERVAL_SECONDS
 from repro.obs.scrape import MetricsScraper
 from repro.obs.slo import SloEngine, default_slos
 from repro.obs.usage import CostAllocator, UsageMeter
@@ -94,7 +95,7 @@ class RaiSystem:
         #: client → broker → worker → container → storage → docdb.
         self.tracer = Tracer(
             clock=lambda: self.sim.now,
-            store=TraceStore(max_traces=self.config.trace_max_traces),
+            store=TraceStore(),
             enabled=self.config.tracing_enabled,
             metrics=self.metrics)
         #: The deployment-wide structured event log: state changes, slot
@@ -110,11 +111,9 @@ class RaiSystem:
         self.usage = UsageMeter(
             clock=lambda: self.sim.now,
             course=self.config.course_name,
-            window_seconds=self.config.usage_window_seconds,
             enabled=self.config.usage_metering_enabled)
         self.cost_allocator = CostAllocator(
             self.usage, clock=lambda: self.sim.now,
-            window_seconds=self.config.usage_window_seconds,
             metrics=self.metrics, events=self.events)
         #: Provisioners currently attached (``repro.cluster``); the
         #: cluster_* gauges below sum over this list.
@@ -141,8 +140,7 @@ class RaiSystem:
         #: one-partition case — the paper's ``rai`` / ``rai/tasks``.
         self.shards = ShardedControlPlane(
             self.broker,
-            ShardMap(self.config.shards, seed=self.config.shard_seed),
-            metrics=self.metrics, events=self.events,
+            ShardMap(self.config.shards), events=self.events,
             scheduler_factory=self._partition_scheduler,
             workers_fn=lambda: self.workers)
         # Submissions shard by the same map as the task topics, so a
@@ -222,13 +220,9 @@ class RaiSystem:
         # alert manager (fire/resolve, recorded back into the event log).
         # All three are always constructed — `rai slo`/`rai alerts` work
         # on demand; :meth:`start_observability` adds the periodic loop.
-        self.scraper = MetricsScraper(
-            self.metrics, clock=lambda: self.sim.now,
-            interval=self.config.scrape_interval_seconds)
-        self.slo_engine = SloEngine(
-            self.scraper, specs=default_slos(),
-            fast_window=self.config.slo_fast_window_seconds,
-            slow_window=self.config.slo_slow_window_seconds)
+        self.scraper = MetricsScraper(self.metrics,
+                                      clock=lambda: self.sim.now)
+        self.slo_engine = SloEngine(self.scraper, specs=default_slos())
         self.alerts = AlertManager(clock=lambda: self.sim.now,
                                    events=self.events)
         self.alerts.attach_slo_engine(self.slo_engine)
@@ -242,12 +236,11 @@ class RaiSystem:
 
     @classmethod
     def standard(cls, num_workers: int = 1, seed: int = 0,
-                 worker_config: Optional[WorkerConfig] = None,
                  config: Optional[SystemConfig] = None) -> "RaiSystem":
-        """A ready-to-use deployment with ``num_workers`` identical workers."""
+        """A ready-to-use deployment with ``num_workers`` default workers."""
         system = cls(seed=seed, config=config)
         for _ in range(num_workers):
-            system.add_worker(worker_config)
+            system.add_worker()
         return system
 
     def add_worker(self, config: Optional[WorkerConfig] = None) -> RaiWorker:
@@ -263,12 +256,6 @@ class RaiSystem:
             partition=self.shards.assign_partition())
         self.workers.append(worker)
         self.monitor.incr("workers_started")
-        # Per-worker labelled gauges (`rai top` reads these; the scraper
-        # skips labelled callback gauges so they cost nothing per tick).
-        self.metrics.gauge("worker_slot_utilization",
-                           fn=worker.utilization, worker=worker.id)
-        self.metrics.gauge("worker_pool_hit_rate",
-                           fn=worker.pool.hit_rate, worker=worker.id)
         return worker
 
     def remove_worker(self, worker: Optional[RaiWorker] = None) -> None:
@@ -320,7 +307,7 @@ class RaiSystem:
         """
         self.alerts.watch_heartbeat(
             "metrics-scraper", lambda: self.scraper.last_scrape_at,
-            grace=3 * self.scraper.interval,
+            grace=3 * SCRAPE_INTERVAL_SECONDS,
             summary="metrics scraper has stopped taking snapshots")
 
         def _on_scrape(snapshot):
@@ -372,9 +359,6 @@ class RaiSystem:
                                   f"{message.attempts} delivery attempts"}))
             drained += 1
             self.monitor.incr("dead_letters_drained")
-            self.monitor.log("dead_letter_drained", route=route,
-                             message_id=message.id, job_id=job_id,
-                             attempts=message.attempts)
             headers = message.headers or {}
             self.events.emit("job.state_change",
                              trace_id=headers.get("trace_id"),
@@ -452,17 +436,15 @@ class RaiSystem:
         self._set_journal(None)
 
     @classmethod
-    def restore(cls, path: str, num_workers: int = 1, seed: int = 0,
-                worker_config: Optional[WorkerConfig] = None,
-                config: Optional[SystemConfig] = None) -> "RaiSystem":
+    def restore(cls, path: str, num_workers: int = 1) -> "RaiSystem":
         """Cold-start a deployment from a durability directory.
 
-        Builds a fresh system (configured from the snapshot unless
-        ``config`` overrides), installs the last checkpoint, replays the
-        WAL suffix, requeues orphaned in-flight deliveries (skipping jobs
-        whose terminal record survived — exactly-once), rebuilds chunk
-        refcounts, advances id watermarks, fast-forwards the clock, and
-        finally re-arms journaling with a fresh compacting checkpoint.
+        Builds a fresh system (configured from the snapshot), installs the
+        last checkpoint, replays the WAL suffix, requeues orphaned
+        in-flight deliveries (skipping jobs whose terminal record survived
+        — exactly-once), rebuilds chunk refcounts, advances id watermarks,
+        fast-forwards the clock, and finally re-arms journaling with a
+        fresh compacting checkpoint.
         Workers are added last, so recovery itself executes nothing.
         """
         from repro.durability.manager import (
@@ -475,15 +457,15 @@ class RaiSystem:
         started = _wallclock.perf_counter()
         snap = load_snapshot(
             os.path.join(path, DurabilityManager.SNAPSHOT_FILE))
-        dropped = []
-        if config is None and snap is not None and snap.get("config"):
+        config, dropped = None, []
+        if snap is not None and snap.get("config"):
             # A snapshot may name fields this build no longer has (written
             # before they were retired): drop them, and say so below.
             known = {f.name for f in fields(SystemConfig)}
             dropped = sorted(set(snap["config"]) - known)
             config = SystemConfig(**{k: v for k, v in snap["config"].items()
                                      if k in known})
-        system = cls(seed=seed, config=config)
+        system = cls(config=config)
         manager = DurabilityManager(system, path, replaying=True)
         counts = manager.recover(snap)
         manager._replaying = False
@@ -491,7 +473,7 @@ class RaiSystem:
         system._set_journal(manager)
         manager.checkpoint()
         for _ in range(num_workers):
-            system.add_worker(worker_config)
+            system.add_worker()
         elapsed = _wallclock.perf_counter() - started
         system.metrics.histogram(
             "recovery.time", buckets=RECOVERY_TIME_BUCKETS).observe(elapsed)
@@ -531,9 +513,7 @@ class RaiSystem:
         return JobScheduler(
             clock=lambda: self.sim.now,
             policy=SchedulerPolicy(
-                deadline_at=self.config.course_deadline_at,
-                deadline_window_seconds=self.config
-                .deadline_boost_window_seconds),
+                deadline_at=self.config.course_deadline_at),
             estimator=RuntimeEstimator(history_fn=self._service_history),
             metrics=self.metrics, events=self.events,
             hit_predictor=(self._predict_build_hit

@@ -14,7 +14,7 @@ each became — and, in brackets, what an interactive session (§VIII,
    miss), with limited RAM, no network, the CUDA volume mounted, and all
    stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``, which
    waits only for what is still missing: the worker began pulling the
-   course image, and parked ``warm_pool_size`` containers per slot, when
+   course image, and parked :data:`WARM_POOL_SIZE` containers per slot, when
    it started (``_fill_pool``);
 4. download the client's project archive and mount it at ``/src``
    (read-only), with a writable ``/build`` working directory — ``fetch``
@@ -61,6 +61,18 @@ SOLO_JITTER = 0.02
 #: drives the single-vs-multi timing-accuracy ablation).
 CONTENTION_JITTER = 0.35
 
+#: Warm pool depth: scrubbed containers kept per image *per slot* — two
+#: lets a busy slot run its job on one while the one it returned a job
+#: ago resets.  A starting worker pulls the course image and fills the
+#: pool with ``WARM_POOL_SIZE * max_concurrent_jobs`` of them, ready once
+#: that pull and a create are done.
+WARM_POOL_SIZE = 2
+#: Budget of the manifest-aware project-fetch cache (bytes of cached
+#: content the worker can skip re-transferring): repeat fetches of
+#: identical or near-identical archives — resubmission storms, job
+#: redelivery — only move the chunks the worker has not seen.
+FETCH_CACHE_BYTES = 1 << 30
+
 
 def _defuse_interrupt_failure(process_event) -> None:
     if not process_event._ok and isinstance(process_event._value, Interrupt):
@@ -89,9 +101,7 @@ class RaiWorker:
             # Per slot: one container runs the slot's job while the one it
             # returned a job ago resets, so a busy slot's next job takes
             # that one, not the one it just gave back.
-            max_per_image=(self.config.warm_pool_size
-                           * self.config.max_concurrent_jobs),
-            create_seconds=self.config.container_create_seconds,
+            max_per_image=WARM_POOL_SIZE * self.config.max_concurrent_jobs,
             reset_seconds=self.config.container_reset_seconds,
             events=system.events,
             owner=self.id,
@@ -109,7 +119,7 @@ class RaiWorker:
         self.partition = partition
         # Manifest-aware fetch cache: content digests (chunk hashes, or
         # whole-object etags for non-chunked objects) this worker already
-        # transferred, LRU-bounded by fetch_cache_bytes.  A repeat fetch
+        # transferred, LRU-bounded by FETCH_CACHE_BYTES.  A repeat fetch
         # of identical content is near-free; a resubmission with small
         # edits transfers only its changed chunks.
         self._fetch_cache: "OrderedDict[str, int]" = OrderedDict()
@@ -152,7 +162,7 @@ class RaiWorker:
 
     def _fill_pool(self):
         """Warm from boot: start pulling the course image and park
-        ``warm_pool_size`` containers for each slot, each ready once the
+        :data:`WARM_POOL_SIZE` containers for each slot, each ready once the
         pull and a create are done, so no first job on a slot waits for
         either from its own claim.  A kernel process, so it runs at the
         worker's first instant of simulated time: after an operator's
@@ -290,13 +300,10 @@ class RaiWorker:
                     # generation might understand it) until the attempt
                     # budget routes it to the dead-letter list, where the
                     # system dead-letter consumer picks it up.
+                    # Its broker.dead_letter event is the audit record.
                     if not consumer.requeue(message):
                         self.system.monitor.incr(
                             "task_messages_dead_lettered")
-                        self.system.monitor.log(
-                            "task_message_dead_lettered",
-                            message_id=message.id,
-                            attempts=message.attempts)
                 else:
                     # The job was parsed out of the body long ago and the
                     # envelope is never touched again: recycle it.
@@ -322,10 +329,9 @@ class RaiWorker:
             if message.attempts <= 1:
                 self.system.monitor.incr("malformed_job_messages")
                 self.jobs_failed += 1
-            self.system.monitor.log(
-                "malformed_job_message", message_id=message.id,
-                attempts=message.attempts,
-                error=f"{type(exc).__name__}: {exc}")
+            self._emit("worker.malformed_message", message_id=message.id,
+                       attempts=message.attempts,
+                       error=f"{type(exc).__name__}: {exc}")
             return False
         run = JobRun(self, job, message)
         self.active_jobs += 1
@@ -413,19 +419,17 @@ class RaiWorker:
                 refs.append((f"{obj.etag}:padding", obj.padding_bytes))
         else:
             refs = [(obj.etag, obj.size)]
-        budget = self.config.fetch_cache_bytes
         transferred = 0
         saved = 0
         for digest, size in refs:
-            if budget and digest in self._fetch_cache:
+            if digest in self._fetch_cache:
                 self._fetch_cache.move_to_end(digest)
                 saved += size
                 continue
             transferred += size
-            if budget:
-                self._fetch_cache[digest] = size
-                self._fetch_cache_bytes += size
-        while self._fetch_cache_bytes > budget:
+            self._fetch_cache[digest] = size
+            self._fetch_cache_bytes += size
+        while self._fetch_cache_bytes > FETCH_CACHE_BYTES:
             _, evicted = self._fetch_cache.popitem(last=False)
             self._fetch_cache_bytes -= evicted
             self.fetch_cache_evictions += 1
@@ -442,7 +446,7 @@ class RaiWorker:
         return {
             "entries": len(self._fetch_cache),
             "bytes": self._fetch_cache_bytes,
-            "budget_bytes": self.config.fetch_cache_bytes,
+            "budget_bytes": FETCH_CACHE_BYTES,
             "hit_bytes": self.fetch_cache_hit_bytes,
             "miss_bytes": self.fetch_cache_miss_bytes,
             "evictions": self.fetch_cache_evictions,

@@ -232,9 +232,8 @@ class Collection:
         plan = dict(plan, docs_matched=len(matched))
         return Cursor(matched, projection=projection, plan=plan)
 
-    def find_one(self, filter: Optional[dict] = None,
-                 projection: Optional[dict] = None) -> Optional[dict]:
-        return self.find(filter, projection).first()
+    def find_one(self, filter: Optional[dict] = None) -> Optional[dict]:
+        return self.find(filter).first()
 
     def aggregate(self, pipeline: List[dict]) -> List[dict]:
         docs = [copy.deepcopy(d) for d in self._docs.values()]
@@ -252,10 +251,8 @@ class Collection:
 class DocumentDB:
     """The database: a namespace of collections (paper's MongoDB role)."""
 
-    def __init__(self, sim=None, name: str = "rai",
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim=None, metrics: Optional[MetricsRegistry] = None):
         self.sim = sim
-        self.name = name
         #: Registry backing the planner gauges (private when standalone,
         #: the deployment-wide one when created by :class:`RaiSystem`).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -283,8 +280,7 @@ class DocumentDB:
             coll = self._collections[name] = Collection(self, name)
         return coll
 
-    def shard_collection(self, name: str, shard_map,
-                         key_fields=("team", "username")):
+    def shard_collection(self, name: str, shard_map):
         """Register ``name`` as a sharded base routed by ``shard_map``.
 
         Must happen before any document lands under the plain name — a
@@ -302,8 +298,7 @@ class DocumentDB:
             raise DocDbError(
                 f"cannot shard non-empty collection {name!r}")
         self._collections.pop(name, None)
-        sharded = ShardedCollection(self, name, shard_map,
-                                    key_fields=key_fields)
+        sharded = ShardedCollection(self, name, shard_map)
         self._sharded[name] = sharded
         return sharded
 

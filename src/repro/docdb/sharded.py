@@ -36,12 +36,15 @@ order-identical to an unsharded collection up to cross-shard ties).
 from __future__ import annotations
 
 import copy
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.docdb.aggregate import run_pipeline
 from repro.docdb.cursor import Cursor, _SortKey
 from repro.docdb.query import get_path
 from repro.errors import DocDbError
+
+#: Routing-key precedence: a document routes by its first truthy field.
+KEY_FIELDS = ("team", "username")
 
 
 class ShardedCursor(Cursor):
@@ -55,8 +58,7 @@ class ShardedCursor(Cursor):
     """
 
     def __init__(self, chunks: List[List[dict]],
-                 projection: Optional[dict] = None,
-                 plan: Optional[dict] = None):
+                 projection: Optional[dict], plan: dict):
         super().__init__([], projection=projection, plan=plan)
         self._chunks = chunks
 
@@ -82,14 +84,10 @@ class ShardedCursor(Cursor):
 class ShardedCollection:
     """Routing facade over N physical collection shards."""
 
-    def __init__(self, db, name: str, shard_map,
-                 key_fields: Tuple[str, ...] = ("team", "username")):
-        if not key_fields:
-            raise DocDbError("sharded collections need at least one key field")
+    def __init__(self, db, name: str, shard_map):
         self.db = db
         self.name = name
         self.shard_map = shard_map
-        self.key_fields = tuple(key_fields)
         self.shards = [db.collection(shard_map.collection(name, p))
                        for p in shard_map.partitions()]
         self.last_plan: Optional[dict] = None
@@ -97,7 +95,7 @@ class ShardedCollection:
     # -- routing ------------------------------------------------------------
 
     def shard_key(self, doc: dict):
-        for field in self.key_fields:
+        for field in KEY_FIELDS:
             value = doc.get(field)
             if value:
                 return value
@@ -122,7 +120,7 @@ class ShardedCollection:
         """
         if not filter:
             return None
-        for field in self.key_fields:
+        for field in KEY_FIELDS:
             if field not in filter:
                 return None
             value = filter[field]
@@ -134,15 +132,9 @@ class ShardedCollection:
 
     # -- indexes ------------------------------------------------------------
 
-    def create_index(self, field: str, unique: bool = False) -> list:
-        """Create the index on every shard (returns the per-shard indexes).
-
-        ``unique=True`` is enforced per shard; it is a global guarantee
-        only when ``field`` is the shard key (same-key documents share a
-        shard).
-        """
-        return [shard.create_index(field, unique=unique)
-                for shard in self.shards]
+    def create_index(self, field: str) -> list:
+        """Create the index on every shard (returns the per-shard indexes)."""
+        return [shard.create_index(field) for shard in self.shards]
 
     # -- writes ------------------------------------------------------------
 
@@ -178,11 +170,10 @@ class ShardedCollection:
                 "docs_examined": examined, "docs_total": total,
                 "docs_matched": matched}
         self.last_plan = dict(plan)
-        return ShardedCursor(chunks, projection=projection, plan=plan)
+        return ShardedCursor(chunks, projection, plan)
 
-    def find_one(self, filter: Optional[dict] = None,
-                 projection: Optional[dict] = None) -> Optional[dict]:
-        return self.find(filter, projection).first()
+    def find_one(self, filter: Optional[dict] = None) -> Optional[dict]:
+        return self.find(filter).first()
 
     def aggregate(self, pipeline: List[dict]) -> List[dict]:
         docs = [copy.deepcopy(doc) for shard in self.shards

@@ -32,6 +32,7 @@ import time
 from typing import Optional
 
 from repro.broker.message import Message, advance_message_ids
+from repro.broker.topic import MAX_ATTEMPTS
 from repro.core.job import advance_job_ids
 from repro.durability import snapshot as snapshot_codec
 from repro.durability.wal import WriteAheadLog
@@ -361,7 +362,7 @@ class DurabilityManager:
                         fenced += 1
                         continue
                     msg.delivered_at = None
-                    if msg.attempts >= channel.max_attempts:
+                    if msg.attempts >= MAX_ATTEMPTS:
                         channel.dead_letters.append(msg)
                         channel.total_dead_lettered += 1
                     else:

@@ -106,7 +106,6 @@ def _capture_db(db) -> dict:
 def _capture_channel(channel) -> dict:
     return {
         "name": channel.name,
-        "max_attempts": channel.max_attempts,
         "items": [message_to_doc(m) for m in channel.items],
         "in_flight": [message_to_doc(m) for m in channel.in_flight.values()],
         "dead_letters": [message_to_doc(m) for m in channel.dead_letters],
@@ -128,7 +127,6 @@ def _capture_broker(broker) -> dict:
         topics.append({
             "name": topic.name,
             "total_published": topic.total_published,
-            "max_attempts": topic.max_attempts,
             "backlog": [message_to_doc(m) for m in topic.backlog],
             "channels": [_capture_channel(c)
                          for c in topic.channels.values()],
@@ -157,7 +155,6 @@ def _object_to_doc(obj) -> dict:
 def _capture_storage(storage) -> dict:
     chunk_store = storage.chunk_store
     return {
-        "chunk_size": chunk_store.chunk_size,
         "chunks": {digest: _b64(blob)
                    for digest, blob in chunk_store._chunks.items()},
         "chunk_totals": {
@@ -258,12 +255,8 @@ def _install_broker(broker, broker_snap: dict) -> int:
     for topic_snap in broker_snap.get("topics", []):
         topic = broker.topic(topic_snap["name"], ephemeral=False)
         topic.total_published = int(topic_snap.get("total_published", 0))
-        topic.max_attempts = int(topic_snap.get("max_attempts",
-                                                topic.max_attempts))
         for chan_snap in topic_snap.get("channels", []):
             channel = topic.channel(chan_snap["name"])
-            channel.max_attempts = int(chan_snap.get("max_attempts",
-                                                     channel.max_attempts))
             channel.items.clear()
             channel.items.extend(message_from_doc(d)
                                  for d in chan_snap.get("items", []))
@@ -321,8 +314,7 @@ def _install_storage(storage, storage_snap: dict) -> int:
                 obj = StoredObject(doc["key"], _unb64(doc["data"]),
                                    created_at=doc["created_at"],
                                    metadata=doc.get("metadata"),
-                                   etag=doc.get("etag"),
-                                   padding_bytes=doc.get("padding_bytes", 0))
+                                   etag=doc.get("etag"))
             obj.last_used_at = float(doc.get("last_used_at",
                                              doc["created_at"]))
             bucket.objects[obj.key] = obj

@@ -102,9 +102,9 @@ class WriteAheadLog:
         """Frame and append one record; flushed before returning.
 
         Flush-per-record means a crash loses at most the final record
-        (the torn tail replay tolerates); fsync is deferred to
-        :meth:`sync` / checkpoints so the steady-state cost stays at one
-        buffered write per mutation.
+        (the torn tail replay tolerates); fsync is deferred to the next
+        checkpoint so the steady-state cost stays at one buffered write
+        per mutation.
         """
         if self._fh is None:
             raise DurabilityError("write-ahead log is closed")
@@ -123,7 +123,8 @@ class WriteAheadLog:
         self.records_appended += 1
 
     def sync(self) -> None:
-        """Flush and fsync — the durability barrier checkpoints use."""
+        """Flush and fsync on demand.  Checkpoints fsync through the
+        snapshot write and :meth:`reset` instead."""
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())

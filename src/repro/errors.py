@@ -102,10 +102,6 @@ class BucketAlreadyExists(StorageError):
     pass
 
 
-class PreconditionFailed(StorageError):
-    pass
-
-
 class ExpiredToken(StorageError):
     """A presigned URL was used after its expiry time."""
 

@@ -95,7 +95,6 @@ class FaultInjector:
         monitor = self.system.monitor
         monitor.incr("faults_injected")
         monitor.incr(f"faults_{kind}")
-        monitor.log("fault_injected", kind=kind, **fields)
         self.system.events.emit("fault.injected", kind=kind, **fields)
 
     @staticmethod
@@ -123,7 +122,7 @@ class FaultInjector:
             yield self.sim.timeout(fault.restart_after)
             if not self._stopped:
                 replacement = self.system.add_worker()
-                self.system.monitor.log("fault_replacement_worker",
+                self.system.events.emit("fault.replacement_worker",
                                         worker=replacement.id)
 
     def _pick_victim(self, fault, rng) -> Optional[object]:

@@ -272,9 +272,14 @@ def build_ece408_network() -> Network:
     )
 
 
-def generate_model_weights(seed: int = 408) -> Dict[str, np.ndarray]:
+#: Seeds of the course's "pre-trained" weights and synthetic dataset.
+WEIGHTS_SEED = 408
+DATASET_SEED = 10
+
+
+def generate_model_weights() -> Dict[str, np.ndarray]:
     """Deterministic "pre-trained" weights for the fixed network."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(WEIGHTS_SEED)
     net = build_ece408_network()
     weights: Dict[str, np.ndarray] = {}
     for layer in net.layers:
@@ -296,7 +301,7 @@ def generate_model_weights(seed: int = 408) -> Dict[str, np.ndarray]:
     return weights
 
 
-def generate_dataset(n: int, seed: int = 10) -> Tuple[np.ndarray, np.ndarray]:
+def generate_dataset(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Synthetic digit images plus labels.
 
     Labels are defined as the argmax of the *reference network itself* on
@@ -304,7 +309,7 @@ def generate_dataset(n: int, seed: int = 10) -> Tuple[np.ndarray, np.ndarray]:
     accuracy and any numerical deviation shows up as accuracy loss —
     mirroring the course's "maintain a target accuracy" rule.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DATASET_SEED)
     c, h, w = ECE408_INPUT_SHAPE
     # Low-frequency random fields (a coarse 7×7 grid upsampled 4×), not
     # iid noise: digit-like spatial structure is what makes different
@@ -389,11 +394,12 @@ def _content_key(arr: np.ndarray) -> tuple:
 
 
 def infer(images: np.ndarray, weights: Mapping[str, np.ndarray],
-          impl: str = "im2col", network: Network = None) -> np.ndarray:
-    """Run the forward pass; returns logits of shape (n, 10), read-only.
+          impl: str = "im2col") -> np.ndarray:
+    """Run the course network's forward pass; returns logits of shape
+    (n, 10), read-only.
 
-    The logits are a function of ``(impl, network, content of images,
-    content of weights)``; the last ``INFER_MEMO_SIZE`` distinct inputs
+    The logits are a function of ``(impl, content of images, content of
+    weights)``; the last ``INFER_MEMO_SIZE`` distinct inputs
     keep theirs.  Weights parsed by ``read_h5s`` bring their content key
     with them, so a hit hashes the images and nothing else; any other
     mapping is hashed array by array.  An input that raises is not kept.
@@ -403,13 +409,12 @@ def infer(images: np.ndarray, weights: Mapping[str, np.ndarray],
     else:
         weights_key = tuple((name, _content_key(weights[name]))
                             for name in sorted(weights))
-    key = (impl, network and (network.input_shape, tuple(network.layers)),
-           _content_key(images), weights_key)
+    key = (impl, _content_key(images), weights_key)
     logits = _logits_memo.get(key)
     if logits is not None:
         _logits_memo.move_to_end(key)
         return logits
-    net = network or build_ece408_network()
+    net = build_ece408_network()
     x = images.astype(np.float32, copy=False)
     for layer in net.layers:
         x = layer.forward(x, weights, impl)

@@ -44,7 +44,7 @@ BASELINE_CPU_EFFICIENCY = 0.015
 SERIAL_COEF = 0.07
 
 
-def job_overhead(batch: int, on_gpu: bool = True) -> float:
+def job_overhead(batch: int, on_gpu: bool) -> float:
     """Startup + dataset-read (+ PCIe staging) seconds for a run."""
     data = batch * IMAGE_BYTES
     t = STARTUP_SECONDS + data / DISK_BANDWIDTH_BPS
@@ -86,8 +86,10 @@ def estimate_kernel_time(device: GPUDevice, flops: float, bytes_moved: float,
                            bandwidth_efficiency=profile.bandwidth_efficiency)
 
 
-#: Distinct (device, batch, quality, mini_batch) inputs kept per function.
+#: Distinct (device, batch, quality) inputs kept per function.
 TIMING_MEMO_SIZE = 1024
+#: Images the course harness issues per kernel launch.
+MINI_BATCH = 256
 
 
 class _KernelRow(NamedTuple):
@@ -114,8 +116,9 @@ def _kernel_rows(device: GPUDevice, batch: int, quality: float,
     return tuple(rows)
 
 
-def _job_time(device, batch: int, quality: float, network: Network,
-              mini_batch: int) -> float:
+@lru_cache(maxsize=TIMING_MEMO_SIZE)
+def _job_time(device, batch: int, quality: float) -> float:
+    network = build_ece408_network()
     if isinstance(device, CPUDevice):
         compute = device.time_for(network.total_flops(batch),
                                   network.total_bytes(batch),
@@ -124,7 +127,7 @@ def _job_time(device, batch: int, quality: float, network: Network,
     q = max(0.0, min(1.0, quality if quality is not None else 0.5))
     # Work is issued mini-batch by mini-batch; better implementations fuse
     # layers and stream batches, reducing per-launch overhead.
-    n_batches = max(1, -(-batch // mini_batch))
+    n_batches = max(1, -(-batch // MINI_BATCH))
     # Launch overhead repeats per mini-batch, discounted by fusion.
     extra_launches = (n_batches - 1) * \
         (1.0 - KernelProfile.from_quality(q).launch_batching)
@@ -142,20 +145,12 @@ def _job_time(device, batch: int, quality: float, network: Network,
 
 
 @lru_cache(maxsize=TIMING_MEMO_SIZE)
-def _default_job_time(device, batch: int, quality: float,
-                      mini_batch: int) -> float:
-    return _job_time(device, batch, quality, build_ece408_network(),
-                     mini_batch)
-
-
-@lru_cache(maxsize=TIMING_MEMO_SIZE)
 def _default_kernel_rows(device: GPUDevice, batch: int,
                          quality: float) -> Tuple[_KernelRow, ...]:
     return _kernel_rows(device, batch, quality, build_ece408_network())
 
 
-def cnn_job_time(device, batch: int, quality: float = None,
-                 network: Network = None, mini_batch: int = 256) -> float:
+def cnn_job_time(device, batch: int, quality: float = None) -> float:
     """Total simulated runtime for inferring ``batch`` images.
 
     For a :class:`GPUDevice`, ``quality`` shapes efficiency and how many
@@ -163,22 +158,19 @@ def cnn_job_time(device, batch: int, quality: float = None,
     (the serial baseline) quality is ignored and a fixed low scalar
     efficiency applies.
 
-    For the course network (``network=None``) the result is kept per
-    ``(device, batch, quality, mini_batch)``: both devices are frozen, so
-    a job's second run and its ``nvprof`` run cost a dictionary probe.
+    The result is kept per ``(device, batch, quality)``: both devices are
+    frozen, so a job's second run and its ``nvprof`` run cost a
+    dictionary probe.
     """
-    if network is None:
-        return _default_job_time(device, batch, quality, mini_batch)
-    return _job_time(device, batch, quality, network, mini_batch)
+    return _job_time(device, batch, quality)
 
 
 def kernel_timeline(device: GPUDevice, batch: int,
-                    quality: float, network: Network = None) -> List[dict]:
+                    quality: float) -> List[dict]:
     """Per-kernel rows as an ``nvprof``-style timeline table.
 
-    Kept per ``(device, batch, quality)`` for the course network; every
-    call returns fresh row dictionaries, so a caller may edit its own.
+    Kept per ``(device, batch, quality)``; every call returns fresh row
+    dictionaries, so a caller may edit its own.
     """
-    rows = _default_kernel_rows(device, batch, quality) if network is None \
-        else _kernel_rows(device, batch, quality, network)
-    return [row._asdict() for row in rows]
+    return [row._asdict()
+            for row in _default_kernel_rows(device, batch, quality)]

@@ -8,10 +8,14 @@ the document database's aggregation pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.report import render_table
 from repro.docdb import DocumentDB
+
+#: Rows of the most-improved ranking and of the summary's activity table.
+MOST_IMPROVED_ROWS = 5
+SUMMARY_ROWS = 10
 
 
 class CourseworkAuditor:
@@ -68,19 +72,16 @@ class CourseworkAuditor:
 
     # -- improvement curves ------------------------------------------------
 
-    def improvement_curve(self, team: str,
-                          kind: Optional[str] = None) -> List[dict]:
+    def improvement_curve(self, team: str) -> List[dict]:
         """A team's successful timings in submission order."""
         query = {"team": team, "status": "succeeded",
                  "internal_time": {"$exists": True, "$ne": None}}
-        if kind is not None:
-            query["kind"] = kind
         cursor = self.submissions.find(
             query, projection={"submitted_at": 1, "internal_time": 1,
                                "kind": 1, "_id": 0})
         return cursor.sort([("submitted_at", 1)]).to_list()
 
-    def most_improved(self, top: int = 5) -> List[dict]:
+    def most_improved(self) -> List[dict]:
         """Teams ranked by (first successful time / best time)."""
         out = []
         teams = dict.fromkeys(doc.get("team")
@@ -97,12 +98,12 @@ class CourseworkAuditor:
                 out.append({"team": team, "first": first, "best": best,
                             "speedup": first / best})
         out.sort(key=lambda row: row["speedup"], reverse=True)
-        return out[:top]
+        return out[:MOST_IMPROVED_ROWS]
 
     # -- rendering ------------------------------------------------------------
 
-    def render_summary(self, top: int = 10) -> str:
-        activity = self.team_activity()[:top]
+    def render_summary(self) -> str:
+        activity = self.team_activity()[:SUMMARY_ROWS]
         table = render_table(
             ["team", "subs", "ok%", "best (s)"],
             [[row["_id"], row["submissions"],
@@ -110,7 +111,7 @@ class CourseworkAuditor:
               f"{row['best_time']:.3f}" if row["best_time"] is not None
               else "-"]
              for row in activity],
-            title=f"Most active teams (top {top})")
+            title=f"Most active teams (top {SUMMARY_ROWS})")
         failures = self.failure_breakdown()
         lines = [table, "", "job outcomes: " + ", ".join(
             f"{status}={count}" for status, count in failures.items())]

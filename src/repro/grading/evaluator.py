@@ -23,6 +23,13 @@ from repro.gpu.device import get_device
 from repro.grading.download import DownloadedSubmission
 from repro.vfs import VirtualFileSystem
 
+#: The instructor-controlled device and image grading re-runs use.
+GPU_MODEL = "K80"
+IMAGE = "webgpu/rai:root"
+#: Relative run-to-run timing noise of a re-run, and its seed.
+MEASUREMENT_NOISE = 0.03
+NOISE_SEED = 42
+
 
 @dataclass
 class EvaluationRun:
@@ -59,15 +66,10 @@ class EvaluationResult:
 class GradingEvaluator:
     """Re-runs a downloaded submission k times, takes the minimum."""
 
-    def __init__(self, gpu_model: str = "K80",
-                 image: str = "webgpu/rai:root",
-                 measurement_noise: float = 0.03,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self):
         self.runtime = ContainerRuntime()
-        self.gpu = get_device(gpu_model)
-        self.image = image
-        self.measurement_noise = measurement_noise
-        self._rng = rng if rng is not None else np.random.default_rng(42)
+        self.gpu = get_device(GPU_MODEL)
+        self._rng = np.random.default_rng(NOISE_SEED)
 
     def evaluate(self, submission: DownloadedSubmission,
                  repetitions: int = 3) -> EvaluationResult:
@@ -82,7 +84,7 @@ class GradingEvaluator:
 
     def _run_once(self, project: VirtualFileSystem, spec) -> EvaluationRun:
         container = self.runtime.create_container(
-            self.image,
+            IMAGE,
             mounts=[VolumeMount("/src", read_only=True, source_fs=project),
                     cuda_volume()],
             gpu_device=self.gpu,
@@ -106,7 +108,7 @@ class GradingEvaluator:
         if elapsed is not None:
             # Run-to-run measurement noise — the reason k-run-take-min
             # exists at all.
-            elapsed *= 1.0 + self.measurement_noise * \
+            elapsed *= 1.0 + MEASUREMENT_NOISE * \
                 float(abs(self._rng.normal()))
         return EvaluationRun(
             elapsed=elapsed,

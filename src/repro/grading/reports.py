@@ -11,11 +11,11 @@ simple default heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.grading.download import DownloadedSubmission
 from repro.grading.evaluator import EvaluationResult
-from repro.grading.rubric import GradeBreakdown, Rubric
+from repro.grading.rubric import ACCURACY_TARGET, GradeBreakdown, Rubric
 
 
 @dataclass
@@ -78,12 +78,9 @@ def generate_grade_reports(
     submissions: List[DownloadedSubmission],
     evaluations: Dict[str, EvaluationResult],
     ranks: Dict[str, int],
-    rubric: Optional[Rubric] = None,
-    code_quality_fn: Callable[[DownloadedSubmission], float] = default_code_quality,
-    report_fn: Callable[[DownloadedSubmission], float] = default_report_score,
 ) -> List[GradeReport]:
     """Combine automated (①②) and manual (③) feedback per team."""
-    rubric = rubric or Rubric()
+    rubric = Rubric()
     reports = []
     for submission in submissions:
         evaluation = evaluations.get(submission.team)
@@ -93,8 +90,8 @@ def generate_grade_reports(
             team=submission.team,
             best_time=best_time,
             accuracy=accuracy,
-            code_quality=code_quality_fn(submission),
-            report=report_fn(submission),
+            code_quality=default_code_quality(submission),
+            report=default_report_score(submission),
             rank=ranks.get(submission.team),
         )
         comments = []
@@ -102,10 +99,10 @@ def generate_grade_reports(
             comments.append(
                 f"{len(evaluation.runs) - evaluation.successful_runs} of "
                 f"{len(evaluation.runs)} grading re-runs failed")
-        if accuracy is not None and accuracy < rubric.accuracy_target:
+        if accuracy is not None and accuracy < ACCURACY_TARGET:
             comments.append(
                 f"accuracy {accuracy:.2f} below target "
-                f"{rubric.accuracy_target:.2f}")
+                f"{ACCURACY_TARGET:.2f}")
         if not submission.has_required_files():
             comments.append("missing USAGE and/or report.pdf")
         reports.append(GradeReport(

@@ -35,6 +35,14 @@ class GradeBreakdown:
     best_time: Optional[float] = None
 
 
+#: Performance endpoints, seconds: the fastest achievable time scores 1,
+#: the serial baseline 0.
+BEST_TIME = 0.25
+BASELINE_TIME = 30 * 60.0
+#: Accuracy earning full correctness credit.
+ACCURACY_TARGET = 0.80
+
+
 class Rubric:
     """Scores a team's evaluation results.
 
@@ -44,29 +52,23 @@ class Rubric:
     appropriate for a contest spanning 4 orders of magnitude.
     """
 
-    def __init__(self, weights: Optional[RubricWeights] = None,
-                 best_time: float = 0.25,
-                 baseline_time: float = 30 * 60.0,
-                 accuracy_target: float = 0.80):
-        self.weights = weights or RubricWeights()
-        self.best_time = best_time
-        self.baseline_time = baseline_time
-        self.accuracy_target = accuracy_target
+    def __init__(self):
+        self.weights = RubricWeights()
 
     def performance_score(self, best_time: Optional[float]) -> float:
         if best_time is None or best_time <= 0:
             return 0.0
-        t = min(max(best_time, self.best_time), self.baseline_time)
-        span = math.log(self.baseline_time / self.best_time)
-        return (math.log(self.baseline_time / t) / span) if span > 0 else 1.0
+        t = min(max(best_time, BEST_TIME), BASELINE_TIME)
+        return (math.log(BASELINE_TIME / t)
+                / math.log(BASELINE_TIME / BEST_TIME))
 
     def correctness_score(self, accuracy: Optional[float]) -> float:
         """Full credit at/above the target accuracy, linear below."""
         if accuracy is None:
             return 0.0
-        if accuracy >= self.accuracy_target:
+        if accuracy >= ACCURACY_TARGET:
             return 1.0
-        return max(0.0, accuracy / self.accuracy_target)
+        return max(0.0, accuracy / ACCURACY_TARGET)
 
     def grade(self, team: str, best_time: Optional[float],
               accuracy: Optional[float], code_quality: float,

@@ -27,6 +27,8 @@ from repro.obs.events import EventLog, EventType
 
 #: Alert severities (informational ordering only).
 SEVERITIES = ("info", "warning", "critical")
+#: Incidents the history keeps, oldest dropped first.
+MAX_HISTORY = 256
 
 
 class Alert:
@@ -60,14 +62,13 @@ class Alert:
 class _Heartbeat:
     """One registered liveness watchdog."""
 
-    __slots__ = ("name", "last_beat", "grace", "severity", "summary")
+    __slots__ = ("name", "last_beat", "grace", "summary")
 
     def __init__(self, name: str, last_beat: Callable[[], Optional[float]],
-                 grace: float, severity: str, summary: str):
+                 grace: float, summary: str):
         self.name = name
         self.last_beat = last_beat
         self.grace = grace
-        self.severity = severity
         self.summary = summary
 
 
@@ -75,11 +76,9 @@ class AlertManager:
     """Fires and resolves alerts; deduplicates within an incident."""
 
     def __init__(self, clock: Callable[[], float],
-                 events: Optional[EventLog] = None,
-                 max_history: int = 256):
+                 events: Optional[EventLog] = None):
         self.clock = clock
         self.events = events
-        self.max_history = max_history
         #: Currently-firing alerts by name (one active incident max).
         self._active: Dict[str, Alert] = {}
         #: Full incident history, oldest first (bounded).
@@ -107,8 +106,8 @@ class AlertManager:
                       self.clock() if at is None else at, fields=dict(fields))
         self._active[name] = alert
         self.history.append(alert)
-        if len(self.history) > self.max_history:
-            del self.history[:len(self.history) - self.max_history]
+        if len(self.history) > MAX_HISTORY:
+            del self.history[:len(self.history) - MAX_HISTORY]
         self.total_fired += 1
         if self.events is not None:
             self.events.emit(EventType.ALERT_FIRED, at=alert.fired_at,
@@ -138,9 +137,9 @@ class AlertManager:
 
     def watch_heartbeat(self, name: str,
                         last_beat: Callable[[], Optional[float]],
-                        grace: float, severity: str = "warning",
-                        summary: Optional[str] = None) -> None:
-        """Fire ``stuck:<name>`` when the beat is older than ``grace``.
+                        grace: float, summary: Optional[str] = None) -> None:
+        """Fire a ``stuck:<name>`` warning when the beat is older than
+        ``grace``.
 
         ``last_beat`` returns the sim time of the component's most
         recent sign of life, or None before its first beat (never-beat
@@ -150,7 +149,7 @@ class AlertManager:
         if grace <= 0:
             raise ValueError("grace must be positive")
         self._heartbeats.append(_Heartbeat(
-            name, last_beat, grace, severity,
+            name, last_beat, grace,
             summary or f"{name} has stopped making progress"))
 
     # -- evaluation ----------------------------------------------------------
@@ -188,8 +187,7 @@ class AlertManager:
             stalled = ((last is None and now > hb.grace)
                        or (last is not None and now - last > hb.grace))
             if stalled:
-                self.fire(name, summary=hb.summary, severity=hb.severity,
-                          at=now, component=hb.name,
+                self.fire(name, summary=hb.summary, at=now, component=hb.name,
                           last_beat=last, grace=hb.grace)
             else:
                 self.resolve(name, at=now)
@@ -200,11 +198,9 @@ class AlertManager:
     def active(self) -> List[Alert]:
         return sorted(self._active.values(), key=lambda a: a.fired_at)
 
-    def incidents(self, name: Optional[str] = None) -> List[Alert]:
-        """Incident history (optionally one alert name), oldest first."""
-        if name is None:
-            return list(self.history)
-        return [a for a in self.history if a.name == name]
+    def incidents(self) -> List[Alert]:
+        """Incident history, oldest first."""
+        return list(self.history)
 
     def stats(self) -> dict:
         return {

@@ -11,7 +11,7 @@ so any log line links straight to its waterfall (``rai trace``).
 
 The log is a ring buffer: a course-length run emits far more events than
 an operator will ever page through, so only the most recent
-``max_events`` are kept (drop count is tracked).  Emission is cheap and
+:data:`MAX_EVENTS` are kept (drop count is tracked).  Emission is cheap and
 allocation-light — one ``Event`` and a deque append — and a disabled log
 costs a single attribute check, so the hot path can emit unconditionally.
 """
@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional
+
+#: Ring capacity: the most recent events an operator can page through.
+MAX_EVENTS = 4096
 
 
 class EventType:
@@ -92,39 +95,16 @@ class Event:
 class EventLog:
     """Ring-buffered, queryable stream of :class:`Event` records."""
 
-    __slots__ = ("clock", "max_events", "enabled", "_events",
-                 "total_emitted", "counts", "_sample", "_skips")
+    __slots__ = ("clock", "enabled", "_events", "total_emitted", "counts")
 
-    def __init__(self, clock: Callable[[], float],
-                 max_events: int = 4096,
-                 enabled: bool = True,
-                 sample: Optional[Dict[str, int]] = None):
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
+    def __init__(self, clock: Callable[[], float], enabled: bool = True):
         self.clock = clock
-        self.max_events = max_events
         self.enabled = enabled
-        self._events: Deque[Event] = deque(maxlen=max_events)
+        self._events: Deque[Event] = deque(maxlen=MAX_EVENTS)
         self.total_emitted = 0
         #: Emission tallies per event type (never truncated, unlike the
         #: ring itself) — ``rai alerts``/reports read rates off these.
         self.counts: Dict[str, int] = {}
-        #: Per-type ring sampling: ``{"job.state_change": 16}`` retains
-        #: one in 16 of that type in the ring.  ``total_emitted`` and
-        #: :attr:`counts` stay exact — sampling thins only the debugging
-        #: window, never the rates the SLO/alerting plane reads.  Types
-        #: not listed are always retained, so rare-but-critical records
-        #: (alerts, dead-letters) survive any sampling policy.  At a
-        #: million events the ring keeps the last ``max_events`` — well
-        #: under 1% — so materializing a record per emission buys
-        #: nothing; high-volume homogeneous streams should sample.
-        if sample:
-            for type_, rate in sample.items():
-                if rate < 1:
-                    raise ValueError(
-                        f"sample rate for {type_!r} must be >= 1")
-        self._sample: Dict[str, int] = dict(sample) if sample else {}
-        self._skips: Dict[str, int] = {}
 
     # -- ingest ------------------------------------------------------------
 
@@ -147,15 +127,6 @@ class EventLog:
             counts[type] += 1
         except KeyError:
             counts[type] = 1
-        # Ring sampling: tallies above are already exact, so a sampled-out
-        # emission ends here without materializing a record.
-        rate = self._sample.get(type)
-        if rate is not None:
-            left = self._skips.get(type, 1) - 1
-            if left:
-                self._skips[type] = left
-                return None
-            self._skips[type] = rate
         if span is not None:
             if trace_id is None:
                 trace_id = span.trace_id
@@ -168,7 +139,7 @@ class EventLog:
         # by definition outside the retained window, and emit's return
         # value is only ever inspected immediately.
         ring = self._events
-        if len(ring) == self.max_events:
+        if len(ring) == ring.maxlen:
             event = ring.popleft()
             event.time = self.clock() if at is None else at
             event.type = type
@@ -190,16 +161,11 @@ class EventLog:
 
     def query(self, type: Optional[str] = None,
               prefix: Optional[str] = None,
-              job_id=None,
-              trace_id: Optional[str] = None,
-              since: Optional[float] = None,
-              until: Optional[float] = None,
-              limit: Optional[int] = None) -> List[Event]:
+              job_id=None) -> List[Event]:
         """Filter the retained window; all criteria AND together.
 
         ``type`` matches exactly; ``prefix`` matches a dotted namespace
-        (``"pool."`` catches hits, misses, and evictions).  ``limit``
-        keeps the *most recent* N matches.
+        (``"pool."`` catches hits, misses, and evictions).
         """
         job_id = str(job_id) if job_id is not None else None
         out: List[Event] = []
@@ -210,15 +176,7 @@ class EventLog:
                 continue
             if job_id is not None and event.job_id != job_id:
                 continue
-            if trace_id is not None and event.trace_id != trace_id:
-                continue
-            if since is not None and event.time < since:
-                continue
-            if until is not None and event.time > until:
-                continue
             out.append(event)
-        if limit is not None and len(out) > limit:
-            out = out[-limit:]
         return out
 
     def events_for_job(self, job_id) -> List[Event]:
@@ -233,7 +191,7 @@ class EventLog:
 
     @property
     def dropped(self) -> int:
-        """Events emitted but not retained (ring overflow or sampling)."""
+        """Events emitted but not retained (ring overflow)."""
         return self.total_emitted - len(self._events)
 
     def __len__(self) -> int:
@@ -250,6 +208,6 @@ class EventLog:
             "retained": len(self._events),
             "emitted": self.total_emitted,
             "dropped": self.dropped,
-            "max_events": self.max_events,
+            "max_events": MAX_EVENTS,
             "by_type": dict(sorted(self.counts.items())),
         }

@@ -24,6 +24,12 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 SeriesKey = Tuple[str, str]        # (metric name, label text)
 
+#: Snapshot cadence on the sim clock (the SLO engine's time-series
+#: resolution once ``RaiSystem.start_observability`` runs the loop).
+INTERVAL_SECONDS = 60.0
+#: Snapshots retained.
+MAX_SAMPLES = 256
+
 
 def _label_text(labels: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
@@ -60,29 +66,23 @@ class MetricsSnapshot:
     def counter_total(self, name: str) -> float:
         return sum(v for (n, _), v in self.counters.items() if n == name)
 
-    def gauge(self, name: str, label: str = "") -> Optional[float]:
-        return self.gauges.get((name, label))
+    def gauge(self, name: str) -> Optional[float]:
+        """The unlabelled gauge ``name``'s value, if sampled."""
+        return self.gauges.get((name, ""))
 
-    def histogram(self, name: str,
-                  label: str = "") -> Optional[HistogramState]:
-        return self.histograms.get((name, label))
+    def histogram(self, name: str) -> Optional[HistogramState]:
+        """The unlabelled histogram ``name``'s state, if sampled."""
+        return self.histograms.get((name, ""))
 
 
 class MetricsScraper:
     """Bounded history of :class:`MetricsSnapshot`\\ s on the sim clock."""
 
     def __init__(self, registry: MetricsRegistry,
-                 clock: Callable[[], float],
-                 interval: float = 60.0,
-                 max_samples: int = 256):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if max_samples < 2:
-            raise ValueError("max_samples must be >= 2 (need a baseline)")
+                 clock: Callable[[], float]):
         self.registry = registry
         self.clock = clock
-        self.interval = interval
-        self._samples: Deque[MetricsSnapshot] = deque(maxlen=max_samples)
+        self._samples: Deque[MetricsSnapshot] = deque(maxlen=MAX_SAMPLES)
         self.total_scrapes = 0
         #: Sim time of the most recent scrape (heartbeat for watchdogs).
         self.last_scrape_at: Optional[float] = None
@@ -113,7 +113,7 @@ class MetricsScraper:
         return snap
 
     def process(self, sim, on_scrape: Optional[Callable] = None):
-        """Kernel process: scrape every ``interval`` simulated seconds.
+        """Kernel process: scrape every :data:`INTERVAL_SECONDS`.
 
         Start with ``sim.process(scraper.process(sim))``.  It is a
         perpetual process (like the broker caretaker), so drive the
@@ -123,7 +123,7 @@ class MetricsScraper:
         judged on every fresh sample.
         """
         while True:
-            yield sim.timeout(self.interval)
+            yield sim.timeout(INTERVAL_SECONDS)
             snap = self.scrape_now()
             if on_scrape is not None:
                 on_scrape(snap)
@@ -163,10 +163,10 @@ class MetricsScraper:
     # -- window deltas -------------------------------------------------------
 
     def counter_delta(self, name: str, now: float, window: float,
-                      label: str = "",
-                      latest: Optional[MetricsSnapshot] = None) -> float:
-        """Counter increase between the window baseline and ``latest``."""
-        latest = latest if latest is not None else self.latest()
+                      label: str = "") -> float:
+        """Counter increase between the window baseline and the latest
+        snapshot."""
+        latest = self.latest()
         base = self.baseline_for(now, window)
         if latest is None:
             return 0.0
@@ -174,19 +174,18 @@ class MetricsScraper:
         start = base.counter(name, label) if base is not None else 0.0
         return max(0.0, end - start)
 
-    def histogram_delta(self, name: str, now: float, window: float,
-                        label: str = "",
-                        latest: Optional[MetricsSnapshot] = None
+    def histogram_delta(self, name: str, now: float, window: float
                         ) -> Optional[HistogramState]:
-        """Bucketed observations that landed inside the window."""
-        latest = latest if latest is not None else self.latest()
+        """Bucketed observations of the unlabelled histogram ``name`` that
+        landed inside the window."""
+        latest = self.latest()
         if latest is None:
             return None
-        end = latest.histogram(name, label)
+        end = latest.histogram(name)
         if end is None:
             return None
         base = self.baseline_for(now, window)
-        start = base.histogram(name, label) if base is not None else None
+        start = base.histogram(name) if base is not None else None
         if start is None:
             return HistogramState(end.count, end.sum,
                                   end.bucket_counts, end.bounds)
@@ -195,12 +194,13 @@ class MetricsScraper:
         return HistogramState(end.count - start.count, end.sum - start.sum,
                               counts, end.bounds)
 
-    def gauge_samples(self, name: str, now: float, window: float,
-                      label: str = "") -> List[Tuple[float, float]]:
-        """(time, value) gauge samples inside the window."""
+    def gauge_samples(self, name: str, now: float, window: float
+                      ) -> List[Tuple[float, float]]:
+        """(time, value) samples of the unlabelled gauge ``name`` inside
+        the window."""
         out = []
         for snap in self.in_window(now, window):
-            value = snap.gauge(name, label)
+            value = snap.gauge(name)
             if value is not None:
                 out.append((snap.time, value))
         return out

@@ -9,9 +9,7 @@ become declarative :class:`SloSpec`\\ s judged automatically over
   a good-fraction target: the share of windowed observations at or
   under T must reach ``target`` (0.95 for a p95 objective);
 - **ratio** — "good events / (good + bad) >= target" over counters,
-  e.g. submission success ratio >= 99%;
-- **gauge** — "the gauge satisfies a bound" as a fraction of scrape
-  samples, e.g. at least N workers running 99% of the time.
+  e.g. submission success ratio >= 99%.
 
 Each evaluation computes the **burn rate** on two sliding windows (fast
 and slow — the standard multi-window error-budget method): burn rate =
@@ -35,7 +33,22 @@ from repro.obs.metrics import Exemplar, Histogram
 from repro.obs.scrape import HistogramState, MetricsScraper
 
 #: Kinds a spec may declare.
-KINDS = ("latency", "ratio", "gauge")
+KINDS = ("latency", "ratio")
+
+#: The burn-rate windows: the standard fast (page on a spike) and slow
+#: (confirm it is sustained) pair.
+FAST_WINDOW_SECONDS = 300.0
+SLOW_WINDOW_SECONDS = 3600.0
+#: Burn rate both windows must reach for a spec to count as burning.
+BURN_RATE_THRESHOLD = 1.0
+#: Exemplar trace ids a burning latency objective surfaces.
+MAX_EXEMPLARS = 5
+
+#: The stock queue-wait objective: p95 under 30 s.
+QUEUE_WAIT_P95_SECONDS = 30.0
+QUEUE_WAIT_TARGET = 0.95
+#: The stock submission-success objective.
+SUCCESS_TARGET = 0.99
 
 
 @dataclass(frozen=True)
@@ -44,21 +57,16 @@ class SloSpec:
 
     #: Stable identifier (alert names derive from it).
     name: str
-    #: "latency" | "ratio" | "gauge".
+    #: "latency" | "ratio".
     kind: str
     #: Good-outcome target in (0, 1), e.g. 0.95 → 5% error budget.
     target: float
     #: Human description for reports.
     description: str = ""
-    #: latency/gauge kinds: the metric (histogram / gauge) name.
+    #: latency: the (unlabelled) histogram's name.
     metric: Optional[str] = None
-    #: Label text selector for ``metric`` ("" = the unlabelled series).
-    label: str = ""
     #: latency: seconds bound an observation must stay at/under.
-    #: gauge: the bound the sampled value is compared against.
     threshold: Optional[float] = None
-    #: gauge: comparison that makes a sample *good* ("<=", ">=", "<", ">").
-    op: str = "<="
     #: ratio: counter selectors summed as good / bad events.  Each entry
     #: is ``"name"`` or ``"name{label_text}"``.
     good: Tuple[str, ...] = ()
@@ -69,12 +77,10 @@ class SloSpec:
             raise ValueError(f"unknown SLO kind {self.kind!r}")
         if not 0.0 < self.target < 1.0:
             raise ValueError("target must be in (0, 1)")
-        if self.kind in ("latency", "gauge"):
+        if self.kind == "latency":
             if self.metric is None or self.threshold is None:
                 raise ValueError(
                     f"{self.kind} SLO {self.name!r} needs metric + threshold")
-        if self.kind == "gauge" and self.op not in ("<=", ">=", "<", ">"):
-            raise ValueError(f"unsupported gauge op {self.op!r}")
         if self.kind == "ratio" and not (self.good and self.bad):
             raise ValueError(
                 f"ratio SLO {self.name!r} needs good and bad counters")
@@ -148,21 +154,9 @@ class SloEngine:
     """Evaluates a set of :class:`SloSpec` against scraper history."""
 
     def __init__(self, scraper: MetricsScraper,
-                 specs: Sequence[SloSpec] = (),
-                 fast_window: float = 300.0,
-                 slow_window: float = 3600.0,
-                 burn_rate_threshold: float = 1.0,
-                 max_exemplars: int = 5):
-        if fast_window <= 0 or slow_window < fast_window:
-            raise ValueError("need 0 < fast_window <= slow_window")
-        if burn_rate_threshold <= 0:
-            raise ValueError("burn_rate_threshold must be positive")
+                 specs: Sequence[SloSpec] = ()):
         self.scraper = scraper
         self.specs: List[SloSpec] = list(specs)
-        self.fast_window = fast_window
-        self.slow_window = slow_window
-        self.burn_rate_threshold = burn_rate_threshold
-        self.max_exemplars = max_exemplars
 
     # -- evaluation ----------------------------------------------------------
 
@@ -181,16 +175,13 @@ class SloEngine:
         return [self._evaluate_spec(spec, now) for spec in self.specs]
 
     def _evaluate_spec(self, spec: SloSpec, now: float) -> SloStatus:
-        measure = {
-            "latency": self._latency_window,
-            "ratio": self._ratio_window,
-            "gauge": self._gauge_window,
-        }[spec.kind]
-        fast = self._burn(spec, now, self.fast_window, measure)
-        slow = self._burn(spec, now, self.slow_window, measure)
+        measure = (self._latency_window if spec.kind == "latency"
+                   else self._ratio_window)
+        fast = self._burn(spec, now, FAST_WINDOW_SECONDS, measure)
+        slow = self._burn(spec, now, SLOW_WINDOW_SECONDS, measure)
         burning = (fast.has_data and slow.has_data
-                   and fast.burn_rate >= self.burn_rate_threshold
-                   and slow.burn_rate >= self.burn_rate_threshold)
+                   and fast.burn_rate >= BURN_RATE_THRESHOLD
+                   and slow.burn_rate >= BURN_RATE_THRESHOLD)
         exemplars: List[Exemplar] = []
         if spec.kind == "latency" and burning:
             exemplars = self._exemplars(spec, now)
@@ -214,8 +205,7 @@ class SloEngine:
 
     def _latency_window(self, spec: SloSpec, now: float,
                         window: float) -> Tuple[float, float, float]:
-        delta = self.scraper.histogram_delta(spec.metric, now, window,
-                                             label=spec.label)
+        delta = self.scraper.histogram_delta(spec.metric, now, window)
         actual = self._window_span(now, window)
         if delta is None or delta.count <= 0:
             return 0.0, 0.0, actual
@@ -260,49 +250,19 @@ class SloEngine:
         start = base.counter_total(name) if base is not None else 0.0
         return max(0.0, end - start)
 
-    def _gauge_window(self, spec: SloSpec, now: float,
-                      window: float) -> Tuple[float, float, float]:
-        samples = self.scraper.gauge_samples(spec.metric, now, window,
-                                             label=spec.label)
-        actual = self._window_span(now, window)
-        if not samples:
-            return 0.0, 0.0, actual
-        compare = {
-            "<=": lambda v: v <= spec.threshold,
-            ">=": lambda v: v >= spec.threshold,
-            "<": lambda v: v < spec.threshold,
-            ">": lambda v: v > spec.threshold,
-        }[spec.op]
-        good = sum(1 for _, v in samples if compare(v))
-        return float(good), float(len(samples) - good), actual
-
     # -- exemplars ------------------------------------------------------------
 
     def _exemplars(self, spec: SloSpec, now: float) -> List[Exemplar]:
-        metric = self.scraper.registry.get(
-            spec.metric, **_labels_from_text(spec.label))
+        metric = self.scraper.registry.get(spec.metric)
         if not isinstance(metric, Histogram):
             return []
-        since = now - self.slow_window
+        since = now - SLOW_WINDOW_SECONDS
         exemplars = metric.exemplars_above(spec.threshold, since=since)
         exemplars.sort(key=lambda e: e.time, reverse=True)
-        return exemplars[:self.max_exemplars]
+        return exemplars[:MAX_EXEMPLARS]
 
 
-def _labels_from_text(label_text: str) -> dict:
-    """Inverse of the scraper's label flattening ("k=v,k2=v2")."""
-    if not label_text:
-        return {}
-    out = {}
-    for part in label_text.split(","):
-        key, _, value = part.partition("=")
-        out[key] = value
-    return out
-
-
-def default_slos(queue_wait_p95_seconds: float = 30.0,
-                 success_target: float = 0.99,
-                 queue_wait_target: float = 0.95) -> List[SloSpec]:
+def default_slos() -> List[SloSpec]:
     """The stock objectives every deployment starts with.
 
     Mirrors the paper's operational pain points: queue responsiveness
@@ -315,18 +275,16 @@ def default_slos(queue_wait_p95_seconds: float = 30.0,
             name="queue-wait-p95",
             kind="latency",
             metric="sched_queue_wait_seconds",
-            threshold=queue_wait_p95_seconds,
-            target=queue_wait_target,
-            description=(f"p95 queue wait < "
-                         f"{queue_wait_p95_seconds:g}s"),
+            threshold=QUEUE_WAIT_P95_SECONDS,
+            target=QUEUE_WAIT_TARGET,
+            description=f"p95 queue wait < {QUEUE_WAIT_P95_SECONDS:g}s",
         ),
         SloSpec(
             name="submission-success",
             kind="ratio",
             good=("jobs_finished{status=succeeded}",),
             bad=("jobs_finished{status=failed}", "dead_letters_drained"),
-            target=success_target,
-            description=(f"submission success ratio >= "
-                         f"{success_target:.0%}"),
+            target=SUCCESS_TARGET,
+            description=f"submission success ratio >= {SUCCESS_TARGET:.0%}",
         ),
     ]

@@ -4,7 +4,7 @@ A course deployment traces every submission; an operator debugging one
 job needs *that* job's spans long after thousands of later submissions
 have pushed it toward eviction.  The store therefore:
 
-- keeps at most ``max_traces`` traces, evicting oldest-first, but
+- keeps at most :data:`MAX_TRACES` traces, evicting oldest-first, but
 - never evicts a *live* trace (one with open spans): eviction skips it,
   so a crash-recovery trace that stays open across redelivery cannot be
   orphaned mid-flight by a resubmission storm (the chaos suite asserts
@@ -23,6 +23,9 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.span import Span
+
+#: Ring capacity: finished traces beyond it are evicted oldest-first.
+MAX_TRACES = 512
 
 
 class Trace:
@@ -69,10 +72,7 @@ class Trace:
 class TraceStore:
     """Ring buffer of traces with a job-id index."""
 
-    def __init__(self, max_traces: int = 512):
-        if max_traces < 1:
-            raise ValueError("max_traces must be >= 1")
-        self.max_traces = max_traces
+    def __init__(self):
         self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._job_index: Dict[str, str] = {}
         self._seq = itertools.count()
@@ -116,7 +116,7 @@ class TraceStore:
 
     def _evict_over_capacity(self) -> None:
         idle, traces = self._idle, self._traces
-        while len(traces) > self.max_traces:
+        while len(traces) > MAX_TRACES:
             while idle:
                 seq, trace_id = heapq.heappop(idle)
                 victim = traces.get(trace_id)
@@ -154,5 +154,5 @@ class TraceStore:
             "spans_stored": sum(len(t) for t in self._traces.values()),
             "spans_total": self.total_spans,
             "evicted": self.total_evicted,
-            "max_traces": self.max_traces,
+            "max_traces": MAX_TRACES,
         }

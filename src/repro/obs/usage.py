@@ -68,6 +68,12 @@ USAGE_RESOURCES = (
 #: idle/overhead slice, never on a team.
 UNATTRIBUTED = "(unattributed)"
 
+#: Billing window the meter buckets usage by and the allocator settles
+#: (cloud billing granularity).
+WINDOW_SECONDS = 3600.0
+#: Job exemplars the meter keeps (the most expensive).
+MAX_JOBS = 256
+
 
 @dataclass
 class JobExemplar:
@@ -92,13 +98,10 @@ class UsageMeter:
     """
 
     def __init__(self, clock: Callable[[], float], course: str = "ece408",
-                 window_seconds: float = 3600.0, enabled: bool = True,
-                 max_jobs: int = 256):
+                 enabled: bool = True):
         self.clock = clock
         self.course = course
-        self.window_seconds = float(window_seconds)
         self.enabled = enabled
-        self.max_jobs = max_jobs
         #: resource -> cumulative amount
         self.totals: Dict[str, float] = {}
         #: tenant -> resource -> cumulative amount
@@ -133,7 +136,7 @@ class UsageMeter:
         if per_tenant is None:
             per_tenant = self.tenants[tenant] = {}
         per_tenant[resource] = per_tenant.get(resource, 0.0) + amount
-        window = self.windows.setdefault(int(at // self.window_seconds), {})
+        window = self.windows.setdefault(int(at // WINDOW_SECONDS), {})
         bucket = window.get(tenant)
         if bucket is None:
             bucket = window[tenant] = {}
@@ -144,8 +147,7 @@ class UsageMeter:
                    container_seconds: float = 0.0, gpu_seconds: float = 0.0,
                    slot_seconds: float = 0.0, bytes_downloaded: float = 0.0,
                    bytes_uploaded: float = 0.0,
-                   build_seconds_saved: float = 0.0,
-                   at: Optional[float] = None) -> None:
+                   build_seconds_saved: float = 0.0) -> None:
         """One aggregated entry per completed job (the worker's hook).
 
         A single call per job keeps metering off the per-command hot
@@ -154,8 +156,7 @@ class UsageMeter:
         """
         if not self.enabled:
             return
-        if at is None:
-            at = self.clock()
+        at = self.clock()
         for resource, amount in (
                 ("container_seconds", container_seconds),
                 ("gpu_seconds", gpu_seconds),
@@ -176,7 +177,7 @@ class UsageMeter:
             exemplar.container_seconds += container_seconds
             exemplar.gpu_seconds += gpu_seconds
         else:
-            if len(self.jobs) >= self.max_jobs:
+            if len(self.jobs) >= MAX_JOBS:
                 cheapest = self._cheapest_job()
                 if cheapest.container_seconds >= container_seconds:
                     return
@@ -188,7 +189,7 @@ class UsageMeter:
                 self._job_seq)
         heappush(self._cheapest,
                  (exemplar.container_seconds, exemplar.seq, job_id))
-        if len(self._cheapest) > 2 * self.max_jobs:
+        if len(self._cheapest) > 2 * MAX_JOBS:
             self._reindex_jobs()    # shed what redeliveries left behind
 
     def _cheapest_job(self) -> JobExemplar:
@@ -229,9 +230,10 @@ class UsageMeter:
                     out[resource] = out.get(resource, 0.0) + amount
         return merged
 
-    def top_jobs(self, n: int = 5) -> List[JobExemplar]:
+    def top_jobs(self) -> List[JobExemplar]:
+        """The five most expensive jobs kept."""
         return sorted(self.jobs.values(),
-                      key=lambda j: -j.container_seconds)[:n]
+                      key=lambda j: -j.container_seconds)[:5]
 
     def stats(self) -> dict:
         return {
@@ -249,7 +251,6 @@ class UsageMeter:
     def to_snapshot(self) -> dict:
         return {
             "course": self.course,
-            "window_seconds": self.window_seconds,
             "totals": dict(self.totals),
             "tenants": {t: dict(r) for t, r in self.tenants.items()},
             "windows": {str(k): {t: dict(r) for t, r in w.items()}
@@ -264,7 +265,6 @@ class UsageMeter:
 
     def install_snapshot(self, snap: dict) -> int:
         self.course = snap["course"]
-        self.window_seconds = snap["window_seconds"]
         self.totals = dict(snap["totals"])
         self.tenants = {t: dict(r) for t, r in snap["tenants"].items()}
         self.windows = {int(k): {t: dict(r) for t, r in w.items()}
@@ -305,11 +305,9 @@ class CostAllocator:
     """
 
     def __init__(self, meter: UsageMeter, clock: Callable[[], float],
-                 window_seconds: float = 3600.0,
                  metrics=None, events=None):
         self.meter = meter
         self.clock = clock
-        self.window_seconds = float(window_seconds)
         self.metrics = metrics
         self.events = events
         self.providers: List[object] = []
@@ -378,8 +376,8 @@ class CostAllocator:
         return tenant_costs, idle, utilization
 
     def _close_window(self, index: int) -> CostWindow:
-        start = index * self.window_seconds
-        end = start + self.window_seconds
+        start = index * WINDOW_SECONDS
+        end = start + WINDOW_SECONDS
         fleet = self._fleet_delta(end, settle=True)
         usage = self.meter.window(index)
         tenant_costs, idle, utilization = self._allocate(
@@ -417,7 +415,7 @@ class CostAllocator:
         """Close every complete window and push the per-team gauges."""
         if now is None:
             now = self.clock()
-        last = int(now // self.window_seconds)
+        last = int(now // WINDOW_SECONDS)
         while self.next_window < last:
             self._close_window(self.next_window)
             self.next_window += 1
@@ -429,7 +427,7 @@ class CostAllocator:
             now = self.clock()
         fleet_open = self._fleet_delta(now, settle=False)
         usage = self.meter.usage_since_window(self.next_window)
-        start = self.next_window * self.window_seconds
+        start = self.next_window * WINDOW_SECONDS
         tenant_costs, idle_open, utilization = self._allocate(
             usage, fleet_open, start, max(now, start))
         attributed = dict(self.attributed)
@@ -445,10 +443,9 @@ class CostAllocator:
             "windows_closed": self.windows_closed,
         }
 
-    def report(self, now: Optional[float] = None) -> dict:
+    def report(self) -> dict:
         """The `rai cost` payload: ranked tenants and conservation."""
-        if now is None:
-            now = self.clock()
+        now = self.clock()
         view = self.preview(now)
         tenants = []
         attributed = view["attributed"]

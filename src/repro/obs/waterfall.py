@@ -16,6 +16,9 @@ from repro.analysis.report import format_duration, render_table
 from repro.obs.span import Span
 from repro.obs.store import Trace
 
+#: Width of a waterfall's bar column, characters.
+BAR_WIDTH = 40
+
 
 def sorted_spans(trace: Trace) -> List[Span]:
     """Spans in (start, creation) order — creation order breaks ties so
@@ -147,7 +150,7 @@ def critical_path_report(trace: Trace) -> dict:
 # -- rendering ----------------------------------------------------------
 
 
-def render_waterfall(trace: Trace, width: int = 40) -> str:
+def render_waterfall(trace: Trace) -> str:
     """ASCII waterfall: one row per span, bars on the trace time axis.
 
     Spans on the critical path are marked ``*``; span events appear as
@@ -156,6 +159,7 @@ def render_waterfall(trace: Trace, width: int = 40) -> str:
     spans = sorted_spans(trace)
     if not spans:
         return f"trace {trace.trace_id}: no spans"
+    width = BAR_WIDTH
     start = trace.start_time()
     end = trace.end_time()
     total = max(end - start, 1e-9)

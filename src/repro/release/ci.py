@@ -9,6 +9,9 @@ from typing import Dict, List, Optional
 from repro.errors import ReleaseError
 from repro.release.buildmatrix import BUILD_MATRIX, Artifact, BuildTarget
 
+#: The client version every build is stamped with.
+VERSION = "0.2.0"
+
 
 @dataclass(frozen=True)
 class Commit:
@@ -32,12 +35,10 @@ class Branch:
     def head(self) -> Optional[Commit]:
         return self.commits[-1] if self.commits else None
 
-    def commit(self, message: str, author: str = "staff",
-               introduces_bug: bool = False) -> Commit:
+    def commit(self, message: str) -> Commit:
         payload = f"{self.name}:{len(self.commits)}:{message}"
         sha = hashlib.sha1(payload.encode()).hexdigest()[:7]
-        c = Commit(sha=sha, message=message, author=author,
-                   introduces_bug=introduces_bug)
+        c = Commit(sha=sha, message=message)
         self.commits.append(c)
         return c
 
@@ -63,14 +64,11 @@ class ContinuousBuilder:
 
     RELEASE_BUCKET = "rai-releases"
 
-    def __init__(self, storage=None, version: str = "0.2.0",
-                 targets=BUILD_MATRIX):
+    def __init__(self, storage=None):
         #: Optional ObjectStore; without one, URLs are synthesised.
         self.storage = storage
         if self.storage is not None:
             self.storage.create_bucket(self.RELEASE_BUCKET, exist_ok=True)
-        self.version = version
-        self.targets = tuple(targets)
         self.master = Branch("master")
         self.devel = Branch("devel")
         #: branch name → target key → artifact (latest build).
@@ -93,7 +91,7 @@ class ContinuousBuilder:
         if head is None:
             raise ReleaseError(f"branch {name!r} has no commits to build")
         artifacts = []
-        for target in self.targets:
+        for target in BUILD_MATRIX:
             artifact = self._build_one(branch, head, target, build_date)
             artifacts.append(artifact)
             self.published.setdefault(name, {})[target.key] = artifact
@@ -114,7 +112,7 @@ class ContinuousBuilder:
         # the same mechanism the real Go builds used (ldflags stamping).
         blob = (
             f"RAI-CLIENT\x00os={target.os}\x00arch={target.arch}\x00"
-            f"version={self.version}\x00branch={branch.name}\x00"
+            f"version={VERSION}\x00branch={branch.name}\x00"
             f"commit={head.sha}\x00date={build_date}\x00"
             f"buggy={int(head.introduces_bug)}\x00"
         ).encode() + bytes(1024)
@@ -129,7 +127,7 @@ class ContinuousBuilder:
             url = f"https://files.rai-project.com/{key}"
         return Artifact(
             target=target, branch=branch.name, commit=head.sha,
-            version=self.version, build_date=build_date, url=url,
+            version=VERSION, build_date=build_date, url=url,
             size_bytes=len(blob),
         )
 

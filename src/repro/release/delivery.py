@@ -19,7 +19,7 @@ class DownloadPage:
 
     def rows(self) -> List[dict]:
         out = []
-        for target in self.builder.targets:
+        for target in BUILD_MATRIX:
             row = {"os": target.os, "arch": target.arch}
             for column, branch in (("stable", "master"),
                                    ("development", "devel")):

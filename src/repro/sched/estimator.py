@@ -6,6 +6,13 @@ from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import ReproError
 
+#: Expected service seconds of a team with no history.
+DEFAULT_SECONDS = 30.0
+#: EWMA blend weight of a new observation.
+ALPHA = 0.3
+#: Newest history samples a first sighting is seeded from.
+HISTORY_LIMIT = 20
+
 
 class RuntimeEstimator:
     """EWMA of observed per-team service times, seeded from history.
@@ -16,19 +23,9 @@ class RuntimeEstimator:
     minutes while another's take ten seconds.
     """
 
-    def __init__(self,
-                 history_fn: Optional[Callable[[str], Iterable[float]]] = None,
-                 default_seconds: float = 30.0,
-                 alpha: float = 0.3,
-                 history_limit: int = 20):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if default_seconds <= 0:
-            raise ValueError("default_seconds must be > 0")
+    def __init__(self, history_fn: Optional[
+            Callable[[str], Iterable[float]]] = None):
         self.history_fn = history_fn
-        self.default_seconds = default_seconds
-        self.alpha = alpha
-        self.history_limit = history_limit
         self._estimates: Dict[str, float] = {}
         self._seeded: set = set()
 
@@ -37,7 +34,7 @@ class RuntimeEstimator:
         if self.history_fn is None:
             return
         try:
-            samples = list(self.history_fn(key))[-self.history_limit:]
+            samples = list(self.history_fn(key))[-HISTORY_LIMIT:]
         except (ReproError, KeyError, TypeError, ValueError):
             # The store refused the query, or a history row is malformed:
             # start from the default.  Anything else is a bug; let it out.
@@ -51,7 +48,7 @@ class RuntimeEstimator:
             if value <= 0:
                 continue
             estimate = value if estimate is None else \
-                (1 - self.alpha) * estimate + self.alpha * value
+                (1 - ALPHA) * estimate + ALPHA * value
         if estimate is not None:
             self._estimates[key] = estimate
 
@@ -59,7 +56,7 @@ class RuntimeEstimator:
         """Expected service seconds for ``key``'s next job."""
         if key not in self._seeded:
             self._seed(key)
-        return self._estimates.get(key, self.default_seconds)
+        return self._estimates.get(key, DEFAULT_SECONDS)
 
     def observe(self, key: str, seconds: float) -> None:
         """Fold one completed job's service time into the estimate."""
@@ -72,4 +69,4 @@ class RuntimeEstimator:
             self._estimates[key] = seconds
         else:
             self._estimates[key] = \
-                (1 - self.alpha) * current + self.alpha * seconds
+                (1 - ALPHA) * current + ALPHA * seconds

@@ -7,6 +7,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.sched.estimator import RuntimeEstimator
 
+#: SJF cost multiplier of a job expected to hit the build cache.
+HIT_COST_FACTOR = 0.35
+
 
 @dataclass
 class SchedulerPolicy:
@@ -64,7 +67,7 @@ class JobScheduler:
     def __init__(self, clock, policy: Optional[SchedulerPolicy] = None,
                  estimator: Optional[RuntimeEstimator] = None,
                  metrics=None, events=None,
-                 hit_predictor=None, hit_cost_factor: float = 0.35):
+                 hit_predictor=None):
         self.clock = clock
         self.policy = policy or SchedulerPolicy()
         self.estimator = estimator or RuntimeEstimator()
@@ -73,9 +76,8 @@ class JobScheduler:
         self.events = events
         #: Optional ``predictor(msg) -> bool``: True when the job is
         #: expected to hit the build-artifact cache (its source tree has
-        #: built before), shrinking its SJF cost by ``hit_cost_factor``.
+        #: built before), shrinking its SJF cost by :data:`HIT_COST_FACTOR`.
         self.hit_predictor = hit_predictor
-        self.hit_cost_factor = float(hit_cost_factor)
         self._deficits: Dict[str, float] = {}
         self.total_dispatched = 0
         self.total_boosted = 0
@@ -113,7 +115,7 @@ class JobScheduler:
         expected = self.estimator.expected(key)
         if msg is not None and self.hit_predictor is not None \
                 and self.hit_predictor(msg):
-            expected *= self.hit_cost_factor
+            expected *= HIT_COST_FACTOR
         return min(expected, self.policy.deficit_cap_seconds)
 
     # -- the channel-facing policy --------------------------------------

@@ -30,17 +30,16 @@ class ShardedControlPlane:
     policy applies *within* a partition — Ray's "no central state on the
     hot path" shape.  ``workers_fn`` supplies the live worker list for
     occupancy and pool-hit reporting; a bare harness leaves it None and
-    loses only those gauges.
+    loses only those figures.
     """
 
     def __init__(self, broker, shard_map: ShardMap, *,
                  scheduler_factory: Callable[[int], object],
-                 metrics=None, events=None,
+                 events=None,
                  workers_fn: Optional[Callable[[], list]] = None):
         self.broker = broker
         self.shard_map = shard_map
         self.router = Router(shard_map)
-        self.metrics = metrics
         self.events = events
         self.workers_fn = workers_fn
 
@@ -58,24 +57,6 @@ class ShardedControlPlane:
             channel.on_queued = self._wake_sibling
             self.channels.append(channel)
             self.schedulers.append(scheduler)
-            if metrics is not None:
-                self._register_gauges(partition, channel)
-
-    def _register_gauges(self, partition: int, channel) -> None:
-        label = f"p{partition}"
-        self.metrics.gauge("shard_queue_depth", shard=label,
-                           fn=lambda c=channel: float(c.depth))
-        self.metrics.gauge("shard_dispatched", shard=label,
-                           fn=lambda c=channel: float(c.total_delivered))
-        self.metrics.gauge("shard_routed", shard=label,
-                           fn=lambda p=partition:
-                           float(self.router.routed[p]))
-        self.metrics.gauge("shard_steals", shard=label,
-                           fn=lambda p=partition: float(self.steals_in[p]))
-        self.metrics.gauge("shard_pool_hit_rate", shard=label,
-                           fn=lambda p=partition: self.pool_hit_rate(p))
-        self.metrics.gauge("shard_occupancy", shard=label,
-                           fn=lambda p=partition: self.occupancy(p))
 
     # -- routing ------------------------------------------------------------
 

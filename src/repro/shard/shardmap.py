@@ -1,4 +1,4 @@
-"""The shard map: stable, seeded hash partitioning of team keys.
+"""The shard map: stable, keyed hash partitioning of team keys.
 
 Both planes route through the same map — a team's task messages go to
 broker topic ``tasks.p{K}`` and its submission records to docdb collection
@@ -7,12 +7,10 @@ has one partition) — so the single-shard fast path holds end to end:
 claim a team's job, record its submission, and query its history without
 ever crossing a partition boundary.
 
-The hash must be *stable* (the same key maps to the same partition in
+The hash must be *stable*: the same key maps to the same partition in
 every process, every session, and after every restore — partition
-placement is durable state) and *seeded* (a deployment can re-key the map
-to break an adversarial or accidentally skewed key population without
-code changes).  Python's builtin ``hash`` is neither (``PYTHONHASHSEED``),
-so the map uses keyed blake2b.
+placement is durable state.  Python's builtin ``hash`` is not
+(``PYTHONHASHSEED``), so the map uses blake2b under a fixed key.
 """
 
 from __future__ import annotations
@@ -20,11 +18,14 @@ from __future__ import annotations
 import hashlib
 from typing import List, Tuple
 
+#: The blake2b key every map hashes under.
+_HASH_KEY = bytes(8)
+
 
 class ShardMap:
     """Hash-partitions routing keys into ``n_partitions`` stable buckets."""
 
-    __slots__ = ("n_partitions", "seed", "_hash_key")
+    __slots__ = ("n_partitions",)
 
     #: Partitioned task topics are ``tasks.p0 .. tasks.p{N-1}``, each with
     #: one competing-consumer channel ``tasks``.  A one-partition map names
@@ -34,14 +35,10 @@ class ShardMap:
     CHANNEL = "tasks"
     SINGLE_TOPIC = "rai"
 
-    def __init__(self, n_partitions: int, seed: int = 0):
+    def __init__(self, n_partitions: int):
         if n_partitions < 1:
             raise ValueError("n_partitions must be >= 1")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
         self.n_partitions = n_partitions
-        self.seed = seed
-        self._hash_key = seed.to_bytes(8, "big")
 
     # -- key → partition ----------------------------------------------------
 
@@ -50,7 +47,7 @@ class ShardMap:
         if not isinstance(key, str):
             key = "" if key is None else str(key)
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8,
-                                 key=self._hash_key).digest()
+                                 key=_HASH_KEY).digest()
         return int.from_bytes(digest, "big") % self.n_partitions
 
     # -- partition → names --------------------------------------------------
@@ -86,18 +83,17 @@ class ShardMap:
     # -- identity -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"n_partitions": self.n_partitions, "seed": self.seed}
+        return {"n_partitions": self.n_partitions}
 
     def __eq__(self, other):
         return (isinstance(other, ShardMap)
-                and self.n_partitions == other.n_partitions
-                and self.seed == other.seed)
+                and self.n_partitions == other.n_partitions)
 
     def __hash__(self):
-        return hash((self.n_partitions, self.seed))
+        return hash(self.n_partitions)
 
     def __repr__(self):
-        return f"ShardMap(n_partitions={self.n_partitions}, seed={self.seed})"
+        return f"ShardMap(n_partitions={self.n_partitions})"
 
 
 class Router:

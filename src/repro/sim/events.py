@@ -112,7 +112,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim, delay: float, value: Any = None):
+    def __init__(self, sim, delay: float):
         # Timeouts are the single most-allocated event type (every think
         # time, service time, and caretaker tick is one), so this inlines
         # ``Event.__init__`` + ``Simulator._schedule`` into one flat body:
@@ -122,7 +122,7 @@ class Timeout(Event):
             raise ValueError(f"negative timeout delay: {delay!r}")
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._scheduled = True
         self._defused = False

@@ -17,25 +17,21 @@ class Simulator:
 
     Events are totally ordered by ``(time, priority, sequence_number)``, so
     two runs with identical inputs produce identical traces — the property
-    all benchmark reproducibility in this package rests on.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of :attr:`now` (simulated seconds).
+    all benchmark reproducibility in this package rests on.  The clock
+    starts at 0 (simulated seconds).
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "timeout")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []  # heap of (time, priority, seq, event)
         #: Monotonic tiebreak sequence — a plain int, incremented inline on
         #: the scheduling hot paths (an ``itertools.count`` costs a C call
         #: per event and cannot be read back for throughput accounting).
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: ``sim.timeout(delay, value=None)`` — the most-called factory, so
+        #: ``sim.timeout(delay)`` — the most-called factory, so
         #: it is a C-level ``partial`` rather than a Python method wrapper.
         self.timeout = partial(Timeout, self)
 
@@ -190,14 +186,14 @@ class Process(Event):
 
     __slots__ = ("_generator", "_target", "name", "_resume_cb")
 
-    def __init__(self, sim: Simulator, generator: Generator, name: str = None):
+    def __init__(self, sim: Simulator, generator: Generator):
         if not isinstance(generator, GeneratorType):
             raise TypeError(
                 f"process() requires a generator, got {type(generator).__name__}")
         super().__init__(sim)
         self._generator = generator
         self._target: Optional[Event] = None
-        self.name = name or generator.__name__
+        self.name = generator.__name__
         #: The bound resume callback, created exactly once.  ``self._resume``
         #: mints a fresh bound-method object per access, which costs an
         #: allocation per yield *and* defeats ``list.remove``'s identity

@@ -4,8 +4,7 @@ The paper reports aggregate operational data (submissions/hour, storage
 footprint, queue behaviour).  These instruments collect the equivalents:
 
 - :class:`Counter` — monotonically increasing named counts;
-- :class:`Monitor` — named counters plus a timestamped audit log,
-  attached to a simulator.
+- :class:`Monitor` — named counters attached to a simulator.
 
 Sampled time series and latency distributions live in ``repro.obs``
 (:class:`~repro.obs.scrape.MetricsScraper`, histograms).
@@ -13,7 +12,7 @@ Sampled time series and latency distributions live in ``repro.obs``
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 class Counter:
@@ -30,20 +29,11 @@ class Counter:
 
 
 class Monitor:
-    """Counters and an audit log bound to one simulator."""
+    """Counters bound to one simulator."""
 
     def __init__(self, sim):
         self.sim = sim
         self.counters = Counter()
-        #: Structured event log: (time, kind, fields) per :meth:`log` call.
-        self.events: List[Tuple[float, str, dict]] = []
 
     def incr(self, name: str, amount: float = 1) -> None:
         self.counters.incr(name, amount)
-
-    def log(self, __event_kind: str, **fields) -> None:
-        """Append a timestamped structured event (fault injections,
-        malformed messages, dead-letterings — anything an operator would
-        want in an audit trail).  The first argument is positional-only
-        so ``fields`` may itself contain a ``kind`` key."""
-        self.events.append((self.sim.now, __event_kind, fields))

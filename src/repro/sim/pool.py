@@ -16,6 +16,10 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+#: Carcasses a pool retains; releases beyond this are dropped to the
+#: garbage collector so a burst can't pin memory forever.
+FREE_LIMIT = 4096
+
 
 class FreeList:
     """A bounded LIFO cache of reusable objects.
@@ -27,13 +31,10 @@ class FreeList:
     hand out a half-initialised instance.
     """
 
-    __slots__ = ("_free", "limit", "allocated", "reused", "recycled")
+    __slots__ = ("_free", "allocated", "reused", "recycled")
 
-    def __init__(self, limit: int = 4096):
+    def __init__(self):
         self._free: List[Any] = []
-        #: Maximum carcasses retained; releases beyond this are dropped to
-        #: the garbage collector so a burst can't pin memory forever.
-        self.limit = limit
         #: Fresh constructions (acquire misses).
         self.allocated = 0
         #: Acquire hits served from the freelist.
@@ -53,6 +54,6 @@ class FreeList:
     def release(self, obj: Any) -> None:
         """Return an object to the pool (dropped if the pool is full)."""
         free = self._free
-        if len(free) < self.limit:
+        if len(free) < FREE_LIMIT:
             free.append(obj)
             self.recycled += 1

@@ -75,22 +75,16 @@ class Resource:
 
 
 class StoreGet(Event):
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store", filter=None):
+    def __init__(self, store: "Store"):
         super().__init__(store.sim)
-        self.filter = filter
         store._gets.append(self)
         store._dispatch()
 
 
 class Store:
-    """FIFO store of items with blocking ``get``.
-
-    ``get(filter=...)`` takes the first item satisfying the predicate,
-    which the broker uses to implement per-route matching without busy
-    waiting.
-    """
+    """FIFO store of items with blocking ``get``."""
 
     __slots__ = ("sim", "items", "_gets")
 
@@ -108,12 +102,12 @@ class Store:
         if self._gets:
             self._dispatch()
 
-    def get(self, filter=None) -> StoreGet:
-        """Return an event that fires with the next (matching) item."""
-        return StoreGet(self, filter)
+    def get(self) -> StoreGet:
+        """Return an event that fires with the next item."""
+        return StoreGet(self)
 
     def _pop_next(self) -> Any:
-        """Remove and return the next item for an unfiltered get.
+        """Remove and return the next item for a get.
 
         FIFO by default; subclasses (e.g. a scheduler-backed broker
         channel) may override to reorder dequeue without touching the
@@ -124,11 +118,8 @@ class Store:
     def _dispatch(self) -> None:
         # ``succeed`` only schedules kernel events — callbacks run later,
         # from the kernel loop — so no new puts or gets can arrive while
-        # this method runs.  That licenses a single rotation pass over
-        # the waiting gets instead of the old rebuild-the-deque scan
-        # per call, which at broker scale was the single largest cost in
-        # the whole stack (O(waiting gets) per put, plus a full re-scan
-        # whenever anything progressed).
+        # this method runs.  That licenses a single pass that pairs the
+        # oldest waiting gets with the oldest items.
         items = self.items
         gets = self._gets
         sim = self.sim
@@ -137,32 +128,11 @@ class Store:
         # un-triggered moments ago and are only ever triggered here, so
         # the already-triggered guard, the re-schedule guard, and two
         # Python calls per delivery are pure overhead at broker volume.
-        # Unserved gets are re-appended behind the not-yet-examined ones,
-        # and a final rotate restores original order when items run out.
-        n = len(gets)
-        while n:
-            if not items:
-                # Nothing can match an empty store (filtered or not): put
-                # the n unexamined gets back behind the re-appended
-                # unserved ones in original order.
-                gets.rotate(-n)
-                return
-            n -= 1
+        while gets and items:
             get = gets.popleft()
             if get._value is not PENDING:  # cancelled/raced
                 continue
-            filt = get.filter
-            if filt is None:
-                matched = self._pop_next()
-            else:
-                for i, item in enumerate(items):
-                    if filt(item):
-                        del items[i]
-                        matched = item
-                        break
-                else:
-                    gets.append(get)
-                    continue
+            matched = self._pop_next()
             get._ok = True
             get._value = matched
             get._scheduled = True

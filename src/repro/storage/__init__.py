@@ -14,7 +14,7 @@ rules with an expiry sweeper.
 
 from repro.storage.objects import StoredObject, compute_etag
 from repro.storage.chunkstore import (
-    DEFAULT_CHUNK_BYTES,
+    CHUNK_BYTES,
     ChunkRef,
     ChunkStore,
     ChunkedObject,
@@ -29,7 +29,7 @@ from repro.storage.presign import PresignedToken
 __all__ = [
     "StoredObject",
     "compute_etag",
-    "DEFAULT_CHUNK_BYTES",
+    "CHUNK_BYTES",
     "ChunkRef",
     "ChunkStore",
     "ChunkedObject",

@@ -56,11 +56,13 @@ from repro.vfs.filesystem import (
     file_digest,
 )
 
-#: Default byte budget for unique artifact blobs.
-DEFAULT_MAX_BYTES = 256 << 20
-#: Default entry TTL (idle time before eviction) — two weeks of sim time,
+#: Byte budget for unique artifact blobs.
+MAX_BYTES = 256 << 20
+#: Entry TTL (idle time before eviction) — two weeks of sim time,
 #: comfortably past any one project deadline cycle.
-DEFAULT_TTL_SECONDS = 14 * 24 * 3600.0
+TTL_SECONDS = 14 * 24 * 3600.0
+#: Source-tree digests the hit predictor remembers (LRU).
+SEEN_SOURCES_LIMIT = 4096
 
 
 def image_cache_key(image) -> str:
@@ -169,14 +171,8 @@ class CacheEntry:
 class BuildCache:
     """Refcounted, LRU/TTL-evicted store of cached build commands."""
 
-    def __init__(self, clock: Callable[[], float],
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 ttl_seconds: float = DEFAULT_TTL_SECONDS,
-                 metrics=None, events=None,
-                 seen_sources_limit: int = 4096):
+    def __init__(self, clock: Callable[[], float], metrics=None, events=None):
         self._clock = clock
-        self.max_bytes = int(max_bytes)
-        self.ttl_seconds = float(ttl_seconds)
         self.metrics = metrics
         self.events = events
         #: content key → entry, LRU order (oldest first).
@@ -197,7 +193,6 @@ class BuildCache:
         #: Source-tree digests that completed a cached build — the
         #: scheduler's hit predictor consults this (bounded LRU).
         self._seen_sources: "OrderedDict[str, None]" = OrderedDict()
-        self._seen_sources_limit = int(seen_sources_limit)
 
     # -- lookup --------------------------------------------------------------
 
@@ -424,15 +419,14 @@ class BuildCache:
 
     def _evict(self, job_id: Optional[str] = None) -> None:
         now = self._clock()
-        if self.ttl_seconds > 0:
-            # Entries sit in last-use order (a hit moves its entry to the
-            # end, a capture appends), so the expired ones are a prefix.
-            while self._entries:
-                key, entry = next(iter(self._entries.items()))
-                if now - entry.last_used_at <= self.ttl_seconds:
-                    break
-                self._evict_one(key, "ttl", job_id=job_id)
-        while self.total_blob_bytes > self.max_bytes and self._entries:
+        # Entries sit in last-use order (a hit moves its entry to the end,
+        # a capture appends), so the expired ones are a prefix.
+        while self._entries:
+            key, entry = next(iter(self._entries.items()))
+            if now - entry.last_used_at <= TTL_SECONDS:
+                break
+            self._evict_one(key, "ttl", job_id=job_id)
+        while self.total_blob_bytes > MAX_BYTES and self._entries:
             key = next(iter(self._entries))
             self._evict_one(key, "lru", job_id=job_id)
 
@@ -441,7 +435,7 @@ class BuildCache:
     def note_source(self, source_digest: str) -> None:
         self._seen_sources.pop(source_digest, None)
         self._seen_sources[source_digest] = None
-        while len(self._seen_sources) > self._seen_sources_limit:
+        while len(self._seen_sources) > SEEN_SOURCES_LIMIT:
             self._seen_sources.popitem(last=False)
 
     def seen_source(self, source_digest: Optional[str]) -> bool:
@@ -487,20 +481,21 @@ class BuildCache:
         total = self.hit_count + self.miss_count
         return self.hit_count / total if total else 0.0
 
-    def top_entries(self, n: int = 5) -> List[dict]:
+    def top_entries(self) -> List[dict]:
+        """The five most-hit entries."""
         ranked = sorted(self._entries.values(),
                         key=lambda e: (-e.hits, e.key))
         return [{"key": e.key[:16], "command": e.command, "hits": e.hits,
                  "bytes": e.bytes, "exit_code": e.exit_code}
-                for e in ranked[:n]]
+                for e in ranked[:5]]
 
     def stats(self) -> dict:
         return {
             "entries": len(self._entries),
             "blobs": len(self._blobs),
             "blob_bytes": self.total_blob_bytes,
-            "max_bytes": self.max_bytes,
-            "ttl_seconds": self.ttl_seconds,
+            "max_bytes": MAX_BYTES,
+            "ttl_seconds": TTL_SECONDS,
             "hits": self.hit_count,
             "misses": self.miss_count,
             "evictions": self.evict_count,
@@ -518,8 +513,6 @@ class BuildCache:
         are soft state — the restore path rebuilds or resets them.
         """
         return {
-            "max_bytes": self.max_bytes,
-            "ttl_seconds": self.ttl_seconds,
             "entries": [e.to_doc() for e in self._entries.values()],
             "blobs": {d: base64.b64encode(b).decode("ascii")
                       for d, b in self._blobs.items()},
@@ -567,7 +560,7 @@ class BuildCache:
 
 
 __all__ = [
-    "DEFAULT_MAX_BYTES", "DEFAULT_TTL_SECONDS",
+    "MAX_BYTES", "TTL_SECONDS",
     "image_cache_key", "primary_key", "content_key", "shape_of",
     "CacheEntry", "BuildCache",
 ]

@@ -31,7 +31,7 @@ from repro.storage.objects import StoredObject
 #: Default chunk size.  Real systems use megabytes; simulated projects are
 #: kilobytes, so the default keeps several chunks per archive (dedup has
 #: nothing to share when every payload is a single chunk).
-DEFAULT_CHUNK_BYTES = 4096
+CHUNK_BYTES = 4096
 
 
 def hash_chunk(chunk: bytes) -> str:
@@ -100,12 +100,11 @@ class Manifest:
 
     @classmethod
     def from_bytes(cls, data: bytes,
-                   chunk_size: int = DEFAULT_CHUNK_BYTES,
                    files: Optional[Dict[str, str]] = None) -> "Manifest":
         """Chunk ``data`` locally (no store needed — a pure function)."""
         refs = [ChunkRef(hash_chunk(c), len(c))
-                for c in split_chunks(data, chunk_size)]
-        return cls(chunk_size, refs, files=files)
+                for c in split_chunks(data, CHUNK_BYTES)]
+        return cls(CHUNK_BYTES, refs, files=files)
 
     def to_doc(self) -> dict:
         doc = {
@@ -199,8 +198,7 @@ class ChunkStore:
     upload can never corrupt another that happens to share content.
     """
 
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_BYTES):
-        self.chunk_size = int(chunk_size)
+    def __init__(self):
         self._chunks: Dict[str, bytes] = {}
         self._refs: Dict[str, int] = {}
         self.total_logical_bytes = 0   # live manifest bytes (pre-dedup)
@@ -225,14 +223,13 @@ class ChunkStore:
 
     # -- ingest / release ----------------------------------------------------
 
-    def store(self, data: bytes,
-              chunk_size: Optional[int] = None) -> Tuple[Manifest, int]:
+    def store(self, data: bytes) -> Tuple[Manifest, int]:
         """Ingest a payload; returns ``(manifest, new_unique_bytes)``.
 
         Only chunks the store has never seen cost memory; every chunk of
         the manifest (new or shared) gains a reference.
         """
-        manifest = Manifest.from_bytes(data, chunk_size or self.chunk_size)
+        manifest = Manifest.from_bytes(data)
         new_bytes = 0
         offset = 0
         for ref in manifest.chunks:
@@ -324,7 +321,6 @@ class ChunkStore:
 
     def stats(self) -> dict:
         return {
-            "chunk_size": self.chunk_size,
             "unique_chunks": self.unique_chunks,
             "unique_bytes": self.unique_bytes,
             "logical_bytes": self.total_logical_bytes,
@@ -356,6 +352,11 @@ class ChunkedObject(StoredObject):
         self.metadata = dict(metadata or {})
         self.created_at = float(created_at)
         self.last_used_at = float(created_at)
+        #: Declared sparse size: synthetic projects are tiny compared to
+        #: real student uploads (datasets, checkpoints), so workloads may
+        #: declare the bytes a real project would have carried.  Padding
+        #: counts toward sizes/transfer accounting but holds no content.
+        #: (DESIGN.md substitution for the paper's 100 GB file server.)
         self.padding_bytes = int(padding_bytes)
 
     @property

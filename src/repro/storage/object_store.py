@@ -8,17 +8,15 @@ from repro.errors import (
     BucketAlreadyExists,
     NoSuchBucket,
     NoSuchKey,
-    PreconditionFailed,
 )
 from repro.sim.monitor import Counter
-from repro.storage.chunkstore import (
-    DEFAULT_CHUNK_BYTES,
-    ChunkedObject,
-    ChunkStore,
-)
+from repro.storage.chunkstore import ChunkedObject, ChunkStore
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.objects import StoredObject, compute_etag
 from repro.storage.presign import PresignSigner
+
+#: The key presigned URLs are signed with.
+SECRET = b"repro-object-store"
 
 
 class Bucket:
@@ -53,15 +51,14 @@ class ObjectStore:
     plain unit tests.
     """
 
-    def __init__(self, sim, secret: bytes = b"repro-object-store",
-                 chunk_size: int = DEFAULT_CHUNK_BYTES):
+    def __init__(self, sim):
         self.sim = sim
         self.buckets: Dict[str, Bucket] = {}
         self.counters = Counter()
         #: Content-addressed dedup backing for ``put_object(dedup=True)``.
         #: Shared across all buckets: identical chunks are held once.
-        self.chunk_store = ChunkStore(chunk_size=chunk_size)
-        self._signer = PresignSigner(secret, clock=lambda: self.sim.now)
+        self.chunk_store = ChunkStore()
+        self._signer = PresignSigner(SECRET, clock=lambda: self.sim.now)
         #: Optional :class:`~repro.obs.usage.UsageMeter`; wired by
         #: RaiSystem so stored bytes bill the owning tenant (attribution
         #: from the object metadata's team/username).
@@ -103,11 +100,10 @@ class ObjectStore:
 
     def put_object(self, bucket_name: str, key: str, data: bytes,
                    metadata: Optional[dict] = None,
-                   if_none_match: bool = False,
                    padding_bytes: int = 0,
                    dedup: bool = False,
                    file_digests: Optional[Dict[str, str]] = None) -> StoredObject:
-        """Store an object; ``if_none_match`` makes the put create-only.
+        """Store an object.
 
         With ``dedup=True`` the payload is content-addressed through the
         chunk store: only chunks never seen before cost memory, and the
@@ -115,13 +111,12 @@ class ObjectStore:
         Sizes, etags, and bucket accounting are identical either way.
         ``file_digests`` (path → sha256 of the archived tree) rides on
         the dedup manifest so downstream readers can address the
-        *content* without unpacking the archive.
+        *content* without unpacking the archive.  ``padding_bytes`` (the
+        declared size a real upload would carry) applies to dedup puts.
         """
         if self.fault_hook is not None:
             self.fault_hook("put", bucket_name, key)
         bucket = self.bucket(bucket_name)
-        if if_none_match and key in bucket.objects:
-            raise PreconditionFailed(f"{bucket_name}/{key} already exists")
         if dedup:
             manifest, new_bytes = self.chunk_store.store(data)
             if file_digests:
@@ -138,7 +133,7 @@ class ObjectStore:
             self.counters.incr("bytes_deduped", len(data) - new_bytes)
         else:
             obj = StoredObject(key, data, created_at=self.sim.now,
-                               metadata=metadata, padding_bytes=padding_bytes)
+                               metadata=metadata)
         self._drop_object(bucket, key)  # release chunks of any overwrite
         bucket.objects[key] = obj
         self.counters.incr("puts")

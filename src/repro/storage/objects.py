@@ -19,11 +19,9 @@ class StoredObject:
 
     def __init__(self, key: str, data: bytes, created_at: float,
                  metadata: Optional[Dict[str, str]] = None,
-                 etag: Optional[str] = None, padding_bytes: int = 0):
+                 etag: Optional[str] = None):
         if not isinstance(data, (bytes, bytearray)):
             raise TypeError("object data must be bytes")
-        if padding_bytes < 0:
-            raise ValueError("padding_bytes must be >= 0")
         self.key = key
         self.data = bytes(data)
         self.etag = etag or compute_etag(self.data)
@@ -32,16 +30,12 @@ class StoredObject:
         #: Updated on every GET; lifecycle rules may expire on this clock
         #: (the course deleted uploads "one month after the last use", §V).
         self.last_used_at = float(created_at)
-        #: Declared sparse size: synthetic projects are tiny compared to
-        #: real student uploads (datasets, checkpoints), so workloads may
-        #: declare the bytes a real project would have carried.  Padding
-        #: counts toward sizes/transfer accounting but holds no content.
-        #: (DESIGN.md substitution for the paper's 100 GB file server.)
-        self.padding_bytes = int(padding_bytes)
+        #: Declared sparse size (a dedup upload's; see ChunkedObject).
+        self.padding_bytes = 0
 
     @property
     def size(self) -> int:
-        return len(self.data) + self.padding_bytes
+        return len(self.data)
 
     def head(self) -> dict:
         """Metadata-only view (no body), like an S3 HEAD response."""

@@ -356,12 +356,11 @@ class _Walk:
                 member.size = 0
 
 
-def _read_archive(blob: bytes,
-                  compression: str) -> Tuple[bytes, List[_Member]]:
-    """The uncompressed tar and its members."""
+def _read_archive(blob: bytes) -> Tuple[bytes, List[_Member]]:
+    """The uncompressed tar (bz2 detected by its stream header) and its
+    members."""
     try:
-        if compression == "bz2" or (compression == "auto"
-                                    and _BZ2_STREAM.match(blob)):
+        if _BZ2_STREAM.match(blob):
             blob = bz2.decompress(blob)
         blob = bytes(blob)      # a no-op on bytes; header slices are keys
         return blob, _Walk(blob).members()
@@ -369,18 +368,18 @@ def _read_archive(blob: bytes,
         raise VfsError(f"invalid archive: {exc}") from exc
 
 
-def unpack_tree(blob: bytes, fs: VirtualFileSystem, dest: str = "/",
-                compression: str = "auto") -> List[str]:
+def unpack_tree(blob: bytes, fs: VirtualFileSystem,
+                dest: str = "/") -> List[str]:
     """Extract an archive into ``fs`` under ``dest``; returns written paths.
 
     Member names are normalised through the VFS path algebra, so ``..``
-    components cannot escape ``dest`` (no tar-slip).  ``compression``
-    defaults to auto-detection: project uploads are plain tars (chunks
-    dedup poorly through bz2's positional coding) while build outputs
-    stay ``.tar.bz2``, and the consumer should not care.
+    components cannot escape ``dest`` (no tar-slip).  Compression is
+    detected: project uploads are plain tars (chunks dedup poorly through
+    bz2's positional coding) while build outputs stay ``.tar.bz2``, and
+    the consumer should not care.
     """
     base = normalize(dest).rstrip("/")
-    raw, members = _read_archive(blob, compression)
+    raw, members = _read_archive(blob)
     written: List[str] = []
     for member in members:
         target = base + "/" + "/".join(split_parts(member.name))
@@ -398,6 +397,6 @@ def unpack_tree(blob: bytes, fs: VirtualFileSystem, dest: str = "/",
     return written
 
 
-def archive_member_names(blob: bytes, compression: str = "auto") -> List[str]:
+def archive_member_names(blob: bytes) -> List[str]:
     """List member names without extracting (used by submission checks)."""
-    return [member.name for member in _read_archive(blob, compression)[1]]
+    return [member.name for member in _read_archive(blob)[1]]

@@ -284,8 +284,8 @@ class VirtualFileSystem:
         self._trace.note_input(npath, "file:" + file_digest(data))
         return data
 
-    def read_text(self, path: str, encoding: str = "utf-8") -> str:
-        return self.read_file(path).decode(encoding)
+    def read_text(self, path: str) -> str:
+        return self.read_file(path).decode("utf-8")
 
     def stat(self, path: str) -> dict:
         self._note_probe(path)
@@ -337,8 +337,8 @@ class VirtualFileSystem:
         """Total bytes of all files under ``top``."""
         return sum(self._resolve_file(p).size for p in self.iter_files(top))
 
-    def file_count(self, top: str = "/") -> int:
-        return sum(1 for _ in self.iter_files(top))
+    def file_count(self) -> int:
+        return sum(1 for _ in self.iter_files("/"))
 
     # -- mutation ------------------------------------------------------------
 
@@ -374,7 +374,7 @@ class VirtualFileSystem:
         self.mkdir(path, parents=True, exist_ok=True)
 
     def write_file(self, path: str, data: Union[bytes, str],
-                   create_parents: bool = True, executable: bool = False) -> None:
+                   executable: bool = False) -> None:
         path = normalize(path)
         self._check_writable(path)
         if isinstance(data, str):
@@ -385,8 +385,6 @@ class VirtualFileSystem:
         try:
             dirnode = self._resolve_dir(parent)
         except (FileNotFound, NotADirectory):
-            if not create_parents:
-                raise
             self.makedirs(parent)
             dirnode = self._resolve_dir(parent)
         name = split_parts(path)[-1]

@@ -36,18 +36,26 @@ def circadian_weight(sim_time: float) -> float:
     return float(CIRCADIAN_WEIGHTS[hour] / _MEAN_CIRCADIAN)
 
 
-def deadline_boost(sim_time: float, deadline: float,
-                   tau: float = 4.0 * DAY, max_boost: float = 6.0) -> float:
+#: The deadline ramp's time constant, and the boost it saturates at
+#: (students cannot iterate faster than their build/run cycle).
+BOOST_TAU = 4.0 * DAY
+MAX_BOOST = 6.0
+#: Think-time bounds: just above the 30-second rate limit, and short
+#: enough that idle teams check in at least a couple of times a day.
+MIN_THINK = 35.0
+MAX_THINK = 8.0 * HOUR
+
+
+def deadline_boost(sim_time: float, deadline: float) -> float:
     """Exponential ramp approaching the deadline.
 
-    Roughly doubles every ``tau·ln2`` seconds; saturates at ``max_boost``
-    (students cannot iterate faster than their build/run cycle).  After the
-    deadline the boost collapses.
+    Roughly doubles every ``BOOST_TAU·ln2`` seconds; saturates at
+    :data:`MAX_BOOST`.  After the deadline the boost collapses.
     """
     if sim_time > deadline:
         return 0.05
     remaining = deadline - sim_time
-    return min(max_boost, math.exp(-remaining / tau) * max_boost + 0.35)
+    return min(MAX_BOOST, math.exp(-remaining / BOOST_TAU) * MAX_BOOST + 0.35)
 
 
 def submission_rate(sim_time: float, deadline: float,
@@ -61,17 +69,12 @@ def submission_rate(sim_time: float, deadline: float,
 def sample_think_time(rng: np.random.Generator, sim_time: float,
                       deadline: float,
                       base_rate_per_hour: float = 0.55,
-                      team_activity: float = 1.0,
-                      minimum: float = 35.0,
-                      maximum: float = 8.0 * HOUR) -> float:
-    """Seconds until the team's next submission attempt.
-
-    The minimum sits just above the 30-second rate limit; the maximum
-    keeps idle teams checking in at least a couple of times a day.
-    """
+                      team_activity: float = 1.0) -> float:
+    """Seconds until the team's next submission attempt, between
+    :data:`MIN_THINK` and :data:`MAX_THINK`."""
     rate = submission_rate(sim_time, deadline, base_rate_per_hour,
                            team_activity)
     if rate <= 1e-9:
-        return maximum
+        return MAX_THINK
     think = float(rng.exponential(HOUR / rate))
-    return float(min(max(think, minimum), maximum))
+    return float(min(max(think, MIN_THINK), MAX_THINK))

@@ -51,7 +51,6 @@ class CourseConfig:
     #: workers/autoscaling themselves).
     use_manual_schedule: bool = True
     final_week_instances: int = 25
-    struggling_fraction: float = 0.35
 
     @property
     def duration_seconds(self) -> float:
@@ -120,8 +119,7 @@ class CourseSimulation:
         self.rng = self.system.rng
         self.students, self.teams = make_class(
             self.config.n_students, self.config.n_teams,
-            rng=self.rng.stream("class"),
-            struggling_fraction=self.config.struggling_fraction)
+            rng=self.rng.stream("class"))
         self.trajectories = {
             team.name: TeamTrajectory.for_team(
                 team, self.rng.stream(f"traj:{team.name}"))
@@ -224,7 +222,7 @@ class CourseSimulation:
 
     # -- run ------------------------------------------------------------
 
-    def run(self, until_days: Optional[float] = None) -> CourseResult:
+    def run(self) -> CourseResult:
         sim = self.system.sim
         config = self.config
 
@@ -240,8 +238,7 @@ class CourseSimulation:
         team_procs = [sim.process(self._team_process(team))
                       for team in self.teams]
 
-        horizon = (until_days if until_days is not None
-                   else config.duration_days + 1.0) * DAY
+        horizon = (config.duration_days + 1.0) * DAY
         done = sim.all_of(team_procs)
 
         # Run until every team has finished (or the horizon, whichever is

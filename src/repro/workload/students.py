@@ -12,6 +12,9 @@ import numpy as np
 
 from repro.auth.roster import RosterEntry
 
+#: Share of teams whose skill lands in Figure 2's slow tail.
+STRUGGLING_FRACTION = 0.35
+
 _FIRST_NAMES = [
     "Alex", "Bailey", "Casey", "Devon", "Emery", "Finley", "Gray",
     "Harper", "Indigo", "Jordan", "Kai", "Logan", "Morgan", "Noel",
@@ -49,13 +52,12 @@ class Team:
 
 
 def make_class(n_students: int = 176, n_teams: int = 58,
-               rng: np.random.Generator = None,
-               struggling_fraction: float = 0.35):
+               rng: np.random.Generator = None):
     """Generate the class: students, teams of 2-4, and team skills.
 
     Skills are a mixture: most teams reach high optimisation quality (the
-    sub-second cluster of Figure 2), a ``struggling_fraction`` lands much
-    lower (the histogram's multi-second-to-2-minute tail).
+    sub-second cluster of Figure 2), a :data:`STRUGGLING_FRACTION` lands
+    much lower (the histogram's multi-second-to-2-minute tail).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -88,7 +90,7 @@ def make_class(n_students: int = 176, n_teams: int = 58,
     teams: List[Team] = []
     cursor = 0
     for i, size in enumerate(sizes):
-        if rng.random() < struggling_fraction:
+        if rng.random() < STRUGGLING_FRACTION:
             skill = float(rng.uniform(0.08, 0.65))
         else:
             skill = float(0.62 + 0.33 * rng.beta(2.0, 1.2))

@@ -20,28 +20,26 @@ HOUR = 3600.0
 
 class TestHistogram:
     def test_fixed_width_bins(self):
-        edges, counts = bin_runtimes([0.05, 0.15, 0.17, 0.45], 0.1)
+        edges, counts = bin_runtimes([0.05, 0.15, 0.17, 0.45])
         assert edges[1] == pytest.approx(0.1)
         assert counts[0] == 1 and counts[1] == 2 and counts[4] == 1
 
     def test_figure2_style_rows(self):
-        rows = runtime_histogram([0.45, 0.41, 0.48, 0.44, 0.49, 1.2], 0.1)
+        rows = runtime_histogram([0.45, 0.41, 0.48, 0.44, 0.49, 1.2])
         first = rows[0]
         assert first["lo"] == pytest.approx(0.4)
         assert first["teams"] == 5   # "5 teams between 0.4 and 0.5"
 
     def test_empty_input(self):
-        edges, counts = bin_runtimes([], 0.1)
+        edges, counts = bin_runtimes([])
         assert counts.sum() == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bin_runtimes([-1.0])
-        with pytest.raises(ValueError):
-            bin_runtimes([1.0], bin_width=0)
 
     def test_ascii_collapses_tail(self):
-        text = ascii_histogram([0.3, 0.4, 125.0], collapse_after=2.0)
+        text = ascii_histogram([0.3, 0.4, 125.0])
         assert "slowest 125.0s" in text
         assert text.count("\n") < 30
 

@@ -50,7 +50,7 @@ class TestIndividualProbes:
 
     def test_student_provided_gpu_gap(self):
         """§II: 70% of students had no CUDA GPU → not accessible."""
-        row = evaluate_system(StudentProvidedSystem(gpu_ownership_rate=0.3))
+        row = evaluate_system(StudentProvidedSystem())
         assert not row["Accessibility"]
 
     def test_torque_no_uniformity(self):

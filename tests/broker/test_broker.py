@@ -3,6 +3,8 @@
 import pytest
 
 from repro.broker import Consumer, MessageBroker, Producer
+from repro.broker.broker import MAX_MESSAGE_BYTES
+from repro.broker.topic import MAX_ATTEMPTS
 from repro.errors import MessageTooLarge
 
 
@@ -23,9 +25,9 @@ class TestPublish:
             broker.publish("rai", {"bad": object()})
 
     def test_size_limit(self, sim):
-        broker = MessageBroker(sim, max_message_bytes=64)
         with pytest.raises(MessageTooLarge):
-            broker.publish("rai", {"blob": "x" * 100})
+            MessageBroker(sim).publish("rai",
+                                       {"blob": "x" * MAX_MESSAGE_BYTES})
 
     def test_publish_before_channel_is_buffered(self, sim, broker):
         broker.publish("rai", {"n": 1})
@@ -103,13 +105,14 @@ class TestAckRequeue:
         assert sim.run(until=sim.process(proc(sim))) == 2
 
     def test_exhausted_attempts_dead_letter(self, sim):
-        broker = MessageBroker(sim, default_max_attempts=2)
+        broker = MessageBroker(sim)
         consumer = Consumer(broker, "rai/tasks")
         broker.publish("rai", {"n": 1})
 
         def proc(sim):
-            msg = yield consumer.get()
-            assert consumer.requeue(msg) is True
+            for _ in range(MAX_ATTEMPTS - 1):
+                msg = yield consumer.get()
+                assert consumer.requeue(msg) is True
             msg = yield consumer.get()
             assert consumer.requeue(msg) is False  # dead-lettered
             return len(broker.channel("rai/tasks").dead_letters)

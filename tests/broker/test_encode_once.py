@@ -53,7 +53,9 @@ class TestEncodeOnce:
         assert counting_encoder["n"] == 5
 
     def test_size_limit_checked_against_encoded_payload(self, sim):
-        broker = MessageBroker(sim, max_message_bytes=64)
+        from repro.broker.broker import MAX_MESSAGE_BYTES
         from repro.errors import MessageTooLarge
+        # The JSON quotes and key push the encoding past the limit.
         with pytest.raises(MessageTooLarge):
-            broker.publish("rai", {"blob": "x" * 100})
+            MessageBroker(sim).publish("rai",
+                                       {"blob": "x" * MAX_MESSAGE_BYTES})

@@ -1,4 +1,4 @@
-"""Filtered consumers and remaining broker corners."""
+"""Remaining broker corners."""
 
 import pytest
 
@@ -8,38 +8,6 @@ from repro.broker import Consumer, MessageBroker
 @pytest.fixture
 def broker(sim):
     return MessageBroker(sim)
-
-
-class TestFilteredConsumer:
-    def test_filter_selects_matching_messages(self, sim, broker):
-        consumer = Consumer(broker, "rai/tasks",
-                            filter=lambda m: m.body.get("gpu") == "K80")
-        for body in ({"gpu": "K40", "n": 1}, {"gpu": "K80", "n": 2},
-                     {"gpu": "K40", "n": 3}):
-            broker.publish("rai", body)
-
-        def drain(sim):
-            msg = yield consumer.get()
-            consumer.ack(msg)
-            return msg.body["n"]
-
-        assert sim.run(until=sim.process(drain(sim))) == 2
-        # Unmatched messages remain queued for other consumers.
-        assert broker.channel("rai/tasks").depth == 2
-
-    def test_filtered_delivery_tracked_in_flight(self, sim, broker):
-        consumer = Consumer(broker, "rai/tasks",
-                            filter=lambda m: True)
-        broker.publish("rai", {"n": 1})
-
-        def drain(sim):
-            msg = yield consumer.get()
-            assert msg.attempts == 1
-            assert msg.id in broker.channel("rai/tasks").in_flight
-            consumer.ack(msg)
-
-        sim.run(until=sim.process(drain(sim)))
-        assert not broker.channel("rai/tasks").in_flight
 
 
 class TestTopicStats:

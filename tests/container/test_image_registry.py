@@ -9,7 +9,7 @@ from repro.container.image import (
     course_data_files,
     default_registry,
 )
-from repro.errors import ImageNotFound, ImageNotWhitelisted
+from repro.errors import ImageNotFound
 from repro.gpu.hdf5sim import read_h5s
 
 
@@ -19,14 +19,6 @@ class TestRegistry:
         assert "webgpu/rai:root" in registry.whitelist
         assert "sketchy/custom:latest" not in registry.whitelist
         assert "sketchy/custom:latest" in registry._images
-
-    def test_whitelist_bypass_flag(self):
-        registry = default_registry()
-        image = registry.get("sketchy/custom:latest",
-                             enforce_whitelist=False)
-        assert image.name == "sketchy/custom:latest"
-        with pytest.raises(ImageNotWhitelisted):
-            registry.get("sketchy/custom:latest")
 
     def test_unknown_image(self):
         registry = ImageRegistry()

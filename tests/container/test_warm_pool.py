@@ -4,6 +4,7 @@ shutdown."""
 import pytest
 
 from repro.container import ContainerRuntime, WarmContainerPool
+from repro.container.pool import CREATE_SECONDS, TTL_SECONDS
 from repro.container.container import ContainerState
 from repro.container.volumes import VolumeMount
 from repro.obs.usage import UNATTRIBUTED, UsageMeter
@@ -39,8 +40,7 @@ def runtime():
 @pytest.fixture
 def pool(runtime, clock):
     return WarmContainerPool(runtime, clock, max_per_image=2,
-                             ttl_seconds=100.0,
-                             create_seconds=2.0, reset_seconds=0.2)
+                             reset_seconds=0.2)
 
 
 def _mounts(label: str):
@@ -53,7 +53,7 @@ class TestAcquireRelease:
     def test_first_acquire_is_a_miss_at_create_cost(self, pool):
         container, hit, cost = pool.acquire("webgpu/rai:root")
         assert not hit
-        assert cost == 2.0
+        assert cost == CREATE_SECONDS
         assert pool.misses == 1 and pool.hits == 0
 
     def test_release_then_acquire_is_a_hit_at_reset_cost(self, pool, clock):
@@ -173,9 +173,9 @@ class TestBoundsAndTTL:
     def test_ttl_evicts_idle_containers(self, pool, runtime, clock):
         container, _, _ = pool.acquire("webgpu/rai:root")
         pool.release(container)
-        clock.now = 99.0
+        clock.now = TTL_SECONDS - 1.0
         assert pool.evict_expired() == 0
-        clock.now = 100.0
+        clock.now = TTL_SECONDS
         assert pool.evict_expired() == 1
         assert pool.pooled_count == 0
         assert pool.evicted_ttl == 1
@@ -184,7 +184,7 @@ class TestBoundsAndTTL:
     def test_acquire_runs_eviction_first(self, pool, clock):
         container, _, _ = pool.acquire("webgpu/rai:root")
         pool.release(container)
-        clock.now = 500.0
+        clock.now = 5 * TTL_SECONDS
         _, hit, _ = pool.acquire("webgpu/rai:root")
         assert not hit             # the parked one expired, not reused
         assert pool.evicted_ttl == 1
@@ -251,7 +251,7 @@ class TestFill:
 
         runtime = ContainerRuntime(clock=clock)
         return WarmContainerPool(runtime, clock, max_per_image=2,
-                                 create_seconds=2.0, reset_seconds=0.2,
+                                 reset_seconds=0.2,
                                  events=EventLog(clock=clock), **kwargs)
 
     def test_fill_parks_until_the_pull_and_a_create_are_done(self, clock):
@@ -260,7 +260,7 @@ class TestFill:
         image = pool.runtime.registry.get("webgpu/rai:root")
         assert pull.bytes == image.size_bytes and not pull.joined
         assert pull.seconds == image.size_bytes / 100e6
-        ready_at = pull.seconds + 2.0
+        ready_at = pull.seconds + CREATE_SECONDS
         # As many as fit; the pool's own counters and event say so.
         assert (pool.pooled_count, pool.filled) == (2, 2)
         assert ready_and_resetting(pool) == (0, 2)
@@ -282,7 +282,7 @@ class TestFill:
         pull = pool.fill("webgpu/rai:root", 1)
         assert (pull.seconds, pull.bytes) == (0.0, 0)
         _, hit, cost = pool.acquire("webgpu/rai:root")
-        assert hit and cost == 2.0
+        assert hit and cost == CREATE_SECONDS
 
     def test_a_filled_containers_idle_time_is_nobodys(self, clock):
         usage = UsageMeter(clock)

@@ -6,6 +6,7 @@ from repro.core.cli import RaiCLI
 from repro.core.config import WorkerConfig
 from repro.core.job import JobKind
 from repro.core.system import RaiSystem
+from tests.golden import deployment
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.9 impl=analytic\n",
@@ -121,7 +122,7 @@ class TestSubcommands:
         waits out what is left of the reset of the one the first returned.
         A pool two deep per slot waits only on jobs shorter than a reset,
         so these are: `hits waited 2/3`, and none was a miss."""
-        system = RaiSystem.standard(
+        system = deployment(
             num_workers=1, seed=7,
             worker_config=WorkerConfig(max_concurrent_jobs=1))
         clients = [system.new_client(team=team) for team in ("a", "b", "c")]

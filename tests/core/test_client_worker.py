@@ -5,7 +5,7 @@ import pytest
 from repro.buildspec import FINAL_SUBMISSION_YAML
 from repro.core.job import JobKind, JobStatus
 from repro.core.system import RaiSystem
-from repro.errors import RateLimited, SubmissionRejected
+from repro.errors import SubmissionRejected
 
 GOOD_FILES = {
     "main.cu": "// @rai-sim quality=0.85 impl=analytic\nint main(){}\n",
@@ -175,16 +175,6 @@ commands:
         second = system.run(client.submit())
         assert second.status is JobStatus.REJECTED
         assert "rate limited" in second.error
-
-    def test_rate_limit_raises_when_asked(self, system, client):
-        system.run(client.submit())
-        system.rate_limiter._last_accepted[client.team] = system.sim.now
-
-        def proc(sim):
-            yield from client.submit(raise_on_reject=True)
-
-        with pytest.raises(RateLimited):
-            system.run(proc(system.sim))
 
 
 class TestFinalSubmission:

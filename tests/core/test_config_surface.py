@@ -5,8 +5,8 @@ the code, and must either be set by name by a non-test caller (a
 ``SystemConfig(...)`` / ``WorkerConfig(...)`` keyword under ``src/``,
 ``bench/``, ``benchmarks/`` or ``examples/``, or a ``--set name=value``
 knob string) or sit in :data:`KEPT` with its reason.  A number nothing
-varies belongs beside its one reader, as its component's constructor
-default or a named module constant.
+varies is a named module constant beside its one reader (a defaulted
+constructor parameter nothing varies fails ``test_reachability``).
 """
 
 import ast
@@ -39,24 +39,10 @@ KEPT = {
     "event_log_enabled": "invariant: observers off => GOLDEN_DIGEST",
     "usage_metering_enabled": "invariant: observers off => GOLDEN_DIGEST",
     "buildcache_enabled": "invariant: cache on/off => byte-identical grading",
-    # Set only by tests; each is a candidate for a constant.
-    "client_wait_timeout_seconds": "set only by tests",
-    "trace_max_traces": "set only by tests",
-    "deadline_boost_window_seconds": "set only by tests",
-    "scrape_interval_seconds": "set only by tests",
-    "slo_fast_window_seconds": "set only by tests",
-    "slo_slow_window_seconds": "set only by tests",
-    "shard_seed": "set only by tests",
-    "usage_window_seconds": "set only by tests",
-    "job_deadline_seconds": "set only by tests",
-    "storage_retry": "set only by tests",
-    "fetch_cache_bytes": "set only by tests",
-    "warm_pool_size": "per-slot depth; tests set 0 to turn the pool off",
-    "container_create_seconds": "set only by tests",
 }
 
-#: Fields retired because nothing set them; their values live beside
-#: their readers now.  Re-adding one is a decision, not an accident.
+#: Fields retired because nothing but a test set them; their values live
+#: beside their readers now.  Re-adding one is a decision, not an accident.
 RETIRED = (
     "client_bandwidth_bps", "upload_lifetime_seconds",
     "build_lifetime_seconds", "presign_expiry_seconds",
@@ -66,7 +52,12 @@ RETIRED = (
     "buildcache_max_bytes", "buildcache_ttl_seconds",
     "buildcache_replay_seconds", "buildcache_hit_cost_factor",
     "usage_budget_window_seconds", "solo_jitter", "contention_jitter",
-    "warm_pool_ttl_seconds",
+    "warm_pool_ttl_seconds", "client_wait_timeout_seconds",
+    "trace_max_traces", "deadline_boost_window_seconds",
+    "scrape_interval_seconds", "slo_fast_window_seconds",
+    "slo_slow_window_seconds", "shard_seed", "usage_window_seconds",
+    "job_deadline_seconds", "storage_retry", "fetch_cache_bytes",
+    "warm_pool_size", "container_create_seconds",
 )
 
 
@@ -114,7 +105,7 @@ def test_field_is_read(name):
 def test_field_is_set_or_kept(name):
     assert name in SETS or name in KEPT, (
         f"config field {name!r} is set by no bench, example or caller: "
-        "make it its component's default or a constant beside its reader")
+        "make it a constant beside its reader")
 
 
 def test_kept_names_only_fields():
@@ -123,4 +114,4 @@ def test_kept_names_only_fields():
 
 def test_retired_fields_stay_retired():
     assert not set(RETIRED) & set(FIELDS)
-    assert len(FIELDS) <= 30, "the surface only shrinks"
+    assert len(FIELDS) <= 17, "the surface only shrinks"

@@ -41,16 +41,23 @@ from repro.errors import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.storage.object_store import ObjectStore
+from tests.golden import deployment
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
     "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
 }
+#: Deadline cases run under a job deadline shorter than the caretaker's
+#: in-flight timeout, and the second upload attempt comes a full
+#: deadline later.
 DEADLINE = 600.0
-#: Deadline cases: the second upload attempt comes a full deadline later.
-SLOW_RETRY = WorkerConfig(
-    job_deadline_seconds=DEADLINE,
-    storage_retry=RetryPolicy(base_delay=DEADLINE, max_delay=DEADLINE))
+SLOW_RETRY = RetryPolicy(base_delay=DEADLINE, max_delay=DEADLINE)
+
+
+def short_deadline(patch) -> None:
+    """Patch the deadline cases' job deadline and storage retry in."""
+    patch.setattr(pipeline, "JOB_DEADLINE_SECONDS", DEADLINE)
+    patch.setattr(pipeline, "STORAGE_RETRY", SLOW_RETRY)
 
 
 def raiser(exc):
@@ -92,7 +99,7 @@ class Case:
     exit_code: object = None
     recorded: bool = False
     holds_container: bool = False
-    config: object = None         # WorkerConfig; None = defaults
+    deadline: bool = False        # runs under short_deadline
     shape: str = ""               # key into SHAPES
     session: bool = False         # an interactive session, not a batch job
     reason: object = None         # a recorded session's end_reason
@@ -156,14 +163,14 @@ CASES = {
         (None, ("JobDeadlineExceeded",)), (Container, "exec_line"),
         slow_exec, f"✗ job exceeded its {DEADLINE:.0f}s deadline\n",
         status=JobStatus.FAILED, exit_code=124, recorded=True,
-        holds_container=True, config=SLOW_RETRY, shape="deadline-build"),
+        holds_container=True, deadline=True, shape="deadline-build"),
     "deadline-upload": Case(
         (None, ("JobDeadlineExceeded",)), (ObjectStore, "put_object"),
         only_bucket(ObjectStore.put_object, builds,
                     TransientStorageError("disk full")),
         f"✗ job exceeded its {DEADLINE:.0f}s deadline\n",
         status=JobStatus.FAILED, exit_code=124, recorded=True,
-        holds_container=True, config=SLOW_RETRY, shape="deadline-upload"),
+        holds_container=True, deadline=True, shape="deadline-upload"),
     # Not a row: a lost artifact degrades the job, it does not fail it.
     "upload-degraded": Case(
         None, (ObjectStore, "put_object"),
@@ -399,9 +406,11 @@ def test_row_ends_the_job_as_the_table_says(monkeypatch, name):
         row, = [r for r in pipeline.FAILURES if row_key(r) == case.row]
         assert (row.status, row.exit_code, row.recorded) == \
             (case.status, case.exit_code, case.recorded)
-    system = RaiSystem.standard(
-        num_workers=1, seed=5, worker_config=case.config
-        or WorkerConfig(enable_interactive=case.session))
+    if case.deadline:
+        short_deadline(monkeypatch)
+    system = deployment(
+        num_workers=1, seed=5,
+        worker_config=WorkerConfig(enable_interactive=case.session))
     worker = system.workers[0]
     with monkeypatch.context() as patch:
         probe = Probe(patch)      # outermost: sees what the job asked for
@@ -492,9 +501,8 @@ def test_one_task_in_one_terminal_reply_out(name, stage, disruption, delay):
     lost."""
     case = CASES.get(name)
     session = case.session if case else name == "session-clean"
-    config = (case.config if case else None) or \
-        WorkerConfig(enable_interactive=session)
-    system = RaiSystem.standard(num_workers=1, seed=11, worker_config=config)
+    config = WorkerConfig(enable_interactive=session)
+    system = deployment(num_workers=1, seed=11, worker_config=config)
     system.start_caretaker(interval=50.0, in_flight_timeout=3000.0)
     victim = system.workers[0]
     hit = {}
@@ -526,6 +534,8 @@ def test_one_task_in_one_terminal_reply_out(name, stage, disruption, delay):
         probe = Probe(patch)
         if case:
             patch.setattr(*case.target, case.patch(system))
+            if case.deadline:
+                short_deadline(patch)
         patch.setattr(pipeline, "fetch", wired[pipeline.fetch])
         for stages in ("STAGES", "SESSION_STAGES"):
             patch.setattr(pipeline, stages, tuple(

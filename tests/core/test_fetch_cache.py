@@ -4,17 +4,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import WorkerConfig
+from repro.core import worker as worker_module
 from repro.core.system import RaiSystem
 
 pytestmark = pytest.mark.buildcache
 
 
-def _worker(budget):
-    system = RaiSystem.standard(
-        num_workers=1, seed=51,
-        worker_config=WorkerConfig(fetch_cache_bytes=budget))
-    return system.workers[0]
+@pytest.fixture
+def worker_with(monkeypatch):
+    """A worker whose fetch cache holds ``budget`` bytes."""
+    def make(budget):
+        monkeypatch.setattr(worker_module, "FETCH_CACHE_BYTES", budget)
+        return RaiSystem.standard(num_workers=1, seed=51).workers[0]
+    return make
 
 
 def _chunked(etag, chunks, padding=0):
@@ -31,8 +33,8 @@ def _plain(etag, size):
 
 
 class TestSharedChunkAccounting:
-    def test_shared_chunks_counted_once(self):
-        worker = _worker(budget=10_000)
+    def test_shared_chunks_counted_once(self, worker_with):
+        worker = worker_with(budget=10_000)
         a = _chunked("etag-a", [("c1", 100), ("c2", 200)])
         b = _chunked("etag-b", [("c1", 100), ("c3", 300)])
         assert worker._fetch_transfer_bytes(a) == 300
@@ -45,8 +47,8 @@ class TestSharedChunkAccounting:
         assert stats["miss_bytes"] == 600
         assert stats["evictions"] == 0
 
-    def test_padding_tracked_as_pseudo_entry(self):
-        worker = _worker(budget=10_000)
+    def test_padding_tracked_as_pseudo_entry(self, worker_with):
+        worker = worker_with(budget=10_000)
         obj = _chunked("etag-p", [("c1", 100)], padding=50)
         assert worker._fetch_transfer_bytes(obj) == 150
         assert "etag-p:padding" in worker._fetch_cache
@@ -54,8 +56,8 @@ class TestSharedChunkAccounting:
         assert worker._fetch_transfer_bytes(obj) == 0
         assert worker.fetch_cache_stats()["hit_bytes"] == 150
 
-    def test_eviction_keeps_byte_accounting_exact(self):
-        worker = _worker(budget=500)
+    def test_eviction_keeps_byte_accounting_exact(self, worker_with):
+        worker = worker_with(budget=500)
         worker._fetch_transfer_bytes(
             _chunked("e1", [("c1", 200), ("c2", 200)]))
         assert worker.fetch_cache_stats()["bytes"] == 400
@@ -68,8 +70,8 @@ class TestSharedChunkAccounting:
         assert stats["evictions"] == 1
         assert set(worker._fetch_cache) == {"c2", "c3"}
 
-    def test_evicted_chunk_refetches_and_recounts(self):
-        worker = _worker(budget=250)
+    def test_evicted_chunk_refetches_and_recounts(self, worker_with):
+        worker = worker_with(budget=250)
         worker._fetch_transfer_bytes(_chunked("e1", [("c1", 200)]))
         worker._fetch_transfer_bytes(_chunked("e2", [("c2", 200)]))  # evicts c1
         assert "c1" not in worker._fetch_cache
@@ -81,10 +83,10 @@ class TestSharedChunkAccounting:
         assert stats["miss_bytes"] == 600
         assert stats["evictions"] == 2
 
-    def test_shared_chunk_eviction_affects_both_objects(self):
+    def test_shared_chunk_eviction_affects_both_objects(self, worker_with):
         """A chunk shared by two manifests is one LRU entry: evicting it
         makes *both* objects pay transfer again."""
-        worker = _worker(budget=400)
+        worker = worker_with(budget=400)
         a = _chunked("ea", [("shared", 300)])
         b = _chunked("eb", [("shared", 300), ("own", 50)])
         worker._fetch_transfer_bytes(a)
@@ -96,18 +98,8 @@ class TestSharedChunkAccounting:
         assert worker.fetch_cache_stats()["bytes"] == \
             sum(worker._fetch_cache.values())
 
-    def test_zero_budget_disables_caching(self):
-        worker = _worker(budget=0)
-        obj = _chunked("e1", [("c1", 100)])
-        assert worker._fetch_transfer_bytes(obj) == 100
-        assert worker._fetch_transfer_bytes(obj) == 100
-        stats = worker.fetch_cache_stats()
-        assert stats["entries"] == 0
-        assert stats["hit_bytes"] == 0
-        assert stats["evictions"] == 0
-
-    def test_plain_object_keyed_by_etag(self):
-        worker = _worker(budget=1_000)
+    def test_plain_object_keyed_by_etag(self, worker_with):
+        worker = worker_with(budget=1_000)
         assert worker._fetch_transfer_bytes(_plain("pe", 400)) == 400
         assert worker._fetch_transfer_bytes(_plain("pe", 400)) == 0
         assert worker.fetch_cache_stats()["hit_rate"] == 0.5

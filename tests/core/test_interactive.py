@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import interactive
 from repro.core.config import WorkerConfig
+from repro.core import interactive
 from repro.core.interactive import DEFAULT_IDLE_SECONDS, InteractiveSession
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
@@ -112,8 +113,9 @@ class TestSessionLimits:
         row = system.db.collection("interactive_sessions").find_one({})
         assert row["end_reason"] == "idle-timeout"
 
-    def test_session_deadline(self, system, client):
-        session = InteractiveSession(client, max_duration=100.0)
+    def test_session_deadline(self, system, client, monkeypatch):
+        monkeypatch.setattr(interactive, "SESSION_SECONDS", 100.0)
+        session = InteractiveSession(client)
 
         def student(sim):
             yield from session.start()
@@ -160,8 +162,10 @@ class TestSessionLimits:
         transcript = drive(system, attempt(system.sim))
         assert transcript.status == "rejected"
 
-    def test_unwhitelisted_image_rejected(self, system, client):
-        session = InteractiveSession(client, image="sketchy/custom:latest")
+    def test_unwhitelisted_image_rejected(self, system, client, monkeypatch):
+        monkeypatch.setattr(interactive, "SESSION_IMAGE",
+                            "sketchy/custom:latest")
+        session = InteractiveSession(client)
 
         def attempt(sim):
             return (yield from session.start())

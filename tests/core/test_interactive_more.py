@@ -30,7 +30,7 @@ def system():
 class TestSessionVariants:
     def test_session_without_project_upload(self, system):
         client = system.new_client(team="t")
-        session = InteractiveSession(client, upload_project=False)
+        session = InteractiveSession(client)   # nothing staged
 
         def student(sim):
             yield from session.start()
@@ -277,10 +277,8 @@ class TestSessionIsAJob:
 
     def test_cost_books_balance_with_jobs_and_sessions_mixed(self):
         from repro.cluster.provisioner import Provisioner
-        from repro.core.config import SystemConfig
 
-        system = RaiSystem(seed=79, config=SystemConfig(
-            usage_window_seconds=600.0))
+        system = RaiSystem(seed=79)
         provisioner = Provisioner(system)
         provisioner.launch_many(2, instance_type="p2.xlarge", boot_delay=1.0)
         system.add_worker(WorkerConfig(enable_interactive=True))

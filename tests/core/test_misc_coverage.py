@@ -93,7 +93,7 @@ class TestStudentProvidedDeterminism:
         from repro.baselines import StudentProvidedSystem
         from repro.baselines.base import BaselineJob
 
-        system = StudentProvidedSystem(gpu_ownership_rate=0.3)
+        system = StudentProvidedSystem()
         first = system.submit(BaselineJob(owner="alice"))
         second = system.submit(BaselineJob(owner="alice"))
         assert first.accepted == second.accepted

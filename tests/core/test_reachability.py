@@ -1,4 +1,4 @@
-"""The public surface stays reached: every def earns its place.
+"""The public surface stays reached: every def and parameter earns its place.
 
 A public def under ``src/repro`` (a module function, class or method whose
 qualified name has no ``_``-prefixed part) must be reached by one of the
@@ -9,15 +9,22 @@ and the instructor's audit of a sharded deployment.
 Otherwise it sits in :data:`KEPT` with a reason from a closed set; a kept
 class keeps its methods.  "Only a test calls it" is not a reason: delete
 the def, and the test with it.
+
+Likewise every defaulted parameter of a reached def (``__init__``
+included) must be passed a value other than its default by some root, or
+sit in :data:`KEPT_PARAMS` with a reason.  A value nothing varies is a
+constant beside its reader, not a parameter.
 """
 
 import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+from repro.core.config import SystemConfig, WorkerConfig
 from tests.reachability_roots import ROOT, public_defs
 
 #: Defs no root reaches, and why each stays.  Reasons come from a closed
@@ -91,8 +98,6 @@ KEPT = {
         "safety: recovery, an unparseable message goes back to its queue",
     "repro.shard.steal:StealingConsumer.ack":
         "safety: a worker stopped mid-job acks the job it reported failed",
-    "repro.sim.monitor:Monitor.log":
-        "safety: the audit log of a malformed or dead-lettered message",
     "repro.sim.events:Event.fail":
         "safety: a failed child event fails the condition waiting on it",
     "repro.obs.span:NoopSpan":
@@ -115,7 +120,8 @@ KEPT = {
     "repro.durability.manager:DurabilityManager.storage_rule":
         "safety: WAL record of a lifecycle rule",
     "repro.durability.wal:WriteAheadLog.sync":
-        "safety: the WAL's fsync barrier",
+        "safety: the WAL's fsync barrier; DESIGN.md §3h: each WAL record "
+        "is flushed on append, and fsync happens at checkpoint",
     "repro.storage.object_store:ObjectStore.delete_object":
         "safety: WAL replay of an object's deletion",
     "repro.durability.snapshot:message_to_doc":
@@ -141,21 +147,75 @@ KEPT = {
 }
 
 #: The kept surface only shrinks.
-KEPT_CEILING = 61
+KEPT_CEILING = 60
 
 REASON = re.compile(r"(safety|chaos|guest command|paper §[IVX]+): \S.*"
                     r"|frozen reader: bench/[\w/]+\.py:\d+")
 
+#: Defaulted parameters no root varies, and why each stays one.  Reasons
+#: come from :data:`KEPT`'s closed set (``paper §N`` only where the paper
+#: says the value is configurable) plus three: ``invariant`` (an observer's
+#: or the cache's off switch, what a promise is stated over), ``config:
+#: <field>`` (it carries a ``SystemConfig`` / ``WorkerConfig`` field) and
+#: ``seam: <collaborator>`` (an object a test substitutes: never a
+#: number, string or bool).
+KEPT_PARAMS = {
+    "repro.obs.events:EventLog.__init__(enabled)":
+        "invariant: observers off => GOLDEN_DIGEST",
+    "repro.obs.tracer:Tracer.__init__(enabled)":
+        "invariant: observers off => GOLDEN_DIGEST",
+    "repro.obs.usage:UsageMeter.__init__(enabled)":
+        "invariant: observers off => GOLDEN_DIGEST",
+    "repro.obs.usage:UsageMeter.__init__(course)": "config: course_name",
+    "repro.container.pool:WarmContainerPool.__init__(reset_seconds)":
+        "config: container_reset_seconds",
+    "repro.container.runtime:ContainerRuntime.__init__(pull_bandwidth_bps)":
+        "config: pull_bandwidth_bps",
+    "repro.core.system:RaiSystem.__init__(registry)":
+        "seam: the image registry (a course's own, or a broken one)",
+    "repro.core.client:RaiClient.submit(wait_timeout)":
+        "chaos: a client stops waiting for a job its crashed worker held",
+    "repro.gpu.cnn:infer(impl)":
+        "guest command: ece408 runs a source marker's impl=reference",
+    "repro.grading.evaluator:GradingEvaluator.evaluate(repetitions)":
+        "paper §VI: the tool can be instructed to rerun submissions "
+        "multiple times",
+    "repro.cluster.provisioner:Provisioner.launch(max_concurrent_jobs)":
+        "frozen reader: bench/workloads.py:180",
+}
+
+#: The kept parameters only shrink.
+KEPT_PARAMS_CEILING = 11
+
+PARAM_REASON = re.compile(r"(safety|chaos|guest command|paper §[IVX]+"
+                          r"|invariant|seam): \S.*|config: (\w+)"
+                          r"|frozen reader: bench/[\w/]+\.py:\d+")
+
+#: Default types a ``seam`` may not have, and the one ``invariant`` has.
+VALUES = {"int", "float", "str", "bool"}
+SWITCH = "bool"
+
 DEFS = public_defs()
+#: Every config field (``test_config_surface`` holds each set or kept).
+CONFIG_FIELDS = {f.name for config in (SystemConfig, WorkerConfig)
+                 for f in fields(config)}
 
 
 @pytest.fixture(scope="module")
-def reached():
-    """Names of the public defs the roots reach (one subprocess run)."""
+def census():
+    """What the roots reach and vary (one subprocess run): ``reached``
+    def names; ``unvaried``, defaulted parameters no call varied, each
+    with its default's type name; ``varied``, the rest."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "reachability_roots.py")],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def reached(census):
+    """Names of the public defs the roots reach."""
+    return set(census["reached"])
 
 
 def _kept(name: str) -> bool:
@@ -185,11 +245,13 @@ def test_kept_is_not_reached(reached):
 
 
 def _cites_its_reader(name: str, reason: str) -> bool:
-    """A ``frozen reader`` reason's benchmark line names the kept def."""
+    """A ``frozen reader`` reason's benchmark line names the kept def (or,
+    for a parameter, the parameter)."""
     path, _, line = reason.split(": ", 1)[1].rpartition(":")
     lines = (ROOT / path).read_text().splitlines()
-    return int(line) <= len(lines) and \
-        name.rpartition(":")[2].rpartition(".")[2] in lines[int(line) - 1]
+    word = name[name.index("(") + 1:-1] if name.endswith(")") else \
+        name.rpartition(":")[2].rpartition(".")[2]
+    return int(line) <= len(lines) and word in lines[int(line) - 1]
 
 
 def test_kept_reasons_are_from_the_closed_set():
@@ -202,3 +264,50 @@ def test_kept_reasons_are_from_the_closed_set():
 
 def test_kept_only_shrinks():
     assert len(KEPT) <= KEPT_CEILING, "the surface only shrinks"
+
+
+# -- parameters --------------------------------------------------------------
+
+def test_every_defaulted_parameter_is_varied_or_kept(census):
+    missing = sorted(set(census["unvaried"]) - set(KEPT_PARAMS))
+    assert not missing, (
+        "defaulted parameters no root varies: make each a constant beside "
+        "its reader (or delete it with the branch it selects), or keep it "
+        "with a reason (tests/core/test_reachability.py KEPT_PARAMS):\n  "
+        + "\n  ".join(missing))
+
+
+def test_kept_params_name_a_parameter(census):
+    known = set(census["unvaried"]) | set(census["varied"])
+    assert not set(KEPT_PARAMS) - known, set(KEPT_PARAMS) - known
+
+
+def test_kept_params_are_not_varied(census):
+    stale = sorted(set(KEPT_PARAMS) & set(census["varied"]))
+    assert not stale, f"kept parameters a root now varies: {stale}"
+
+
+def _param_reason_holds(name: str, reason: str, default: str) -> bool:
+    match = PARAM_REASON.fullmatch(reason)
+    if match is None:
+        return False
+    kind = reason.partition(":")[0]
+    if kind == "config":
+        return match.group(2) in CONFIG_FIELDS
+    if kind == "seam":
+        return default not in VALUES
+    if kind == "invariant":
+        return default == SWITCH
+    return kind != "frozen reader" or _cites_its_reader(name, reason)
+
+
+def test_kept_param_reasons_are_from_the_closed_set(census):
+    defaults = census["unvaried"]
+    bad = {name: reason for name, reason in KEPT_PARAMS.items()
+           if not _param_reason_holds(name, reason,
+                                      defaults.get(name, "NoneType"))}
+    assert not bad, bad
+
+
+def test_kept_params_only_shrink():
+    assert len(KEPT_PARAMS) <= KEPT_PARAMS_CEILING, "the surface only shrinks"

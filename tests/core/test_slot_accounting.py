@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import WorkerConfig
 from repro.core.system import RaiSystem
+from tests.golden import deployment
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
@@ -19,7 +20,7 @@ FILES = {
 
 
 def make_system(slots: int = 1) -> RaiSystem:
-    return RaiSystem.standard(
+    return deployment(
         num_workers=1, seed=31,
         worker_config=WorkerConfig(max_concurrent_jobs=slots,
                                    enable_interactive=False))
@@ -73,7 +74,7 @@ class TestUtilization:
         assert worker.slot_seconds() == pytest.approx(2 * system.sim.now)
 
     def test_interactive_executor_not_a_slot(self):
-        system = RaiSystem.standard(
+        system = deployment(
             num_workers=1, seed=31,
             worker_config=WorkerConfig(max_concurrent_jobs=2,
                                        enable_interactive=True))

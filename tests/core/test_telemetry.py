@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.system import RaiSystem
 from repro.core.telemetry import health_report
+from repro.obs import scrape
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.7 impl=analytic\n",
@@ -24,8 +25,8 @@ def samples(system, signal):
 
 
 class TestSampler:
-    def test_samples_signals_over_time(self, system):
-        system.scraper.interval = 10.0
+    def test_samples_signals_over_time(self, system, monkeypatch):
+        monkeypatch.setattr(scrape, "INTERVAL_SECONDS", 10.0)
         system.start_observability()
         clients = []
         for i in range(4):
@@ -57,10 +58,10 @@ class TestHealthReport:
         report = health_report(system)
         assert "(peak)" not in report and "(avg)" not in report
 
-    def test_with_sampler_includes_averages(self, system):
+    def test_with_sampler_includes_averages(self, system, monkeypatch):
         """`rai stats` on a deployment that ran start_observability()
         reads its average / peak rows from the scraper's samples."""
-        system.scraper.interval = 5.0
+        monkeypatch.setattr(scrape, "INTERVAL_SECONDS", 5.0)
         system.start_observability()
         client = system.new_client(team="t")
         client.stage_project(FILES)

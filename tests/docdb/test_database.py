@@ -72,12 +72,12 @@ class TestFind:
         assert times == [2.5, 1.1, 0.8]
 
     def test_projection_include(self, runs):
-        doc = runs.find_one({"team": "t1"}, projection={"time": 1})
+        doc = runs.find({"team": "t1"}, projection={"time": 1}).first()
         assert set(doc) == {"_id", "time"}
 
     def test_projection_exclude(self, runs):
-        doc = runs.find_one({"team": "t1"},
-                            projection={"time": 0, "_id": 0})
+        doc = runs.find({"team": "t1"},
+                        projection={"time": 0, "_id": 0}).first()
         assert set(doc) == {"team", "kind"}
 
     def test_results_are_isolated_copies(self, runs):

@@ -11,7 +11,6 @@ results survived).
 
 import pytest
 
-from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
 
 pytestmark = [pytest.mark.durability, pytest.mark.chaos]
@@ -33,8 +32,7 @@ def _worker_final_events(system):
 class TestCrashRecoveryChaos:
     def test_storm_survives_full_restart_exactly_once(self, tmp_path):
         # -- epoch 1: one slow worker, six clients, checkpoint mid-storm --
-        cfg = SystemConfig(client_wait_timeout_seconds=4 * 3600.0)
-        system = RaiSystem.standard(num_workers=1, seed=11, config=cfg)
+        system = RaiSystem.standard(num_workers=1, seed=11)
         system.attach_durability(str(tmp_path / "dur"))
         clients = []
         for i in range(N_CLIENTS):
@@ -46,7 +44,7 @@ class TestCrashRecoveryChaos:
                 "main.cu": FILES["main.cu"] + f"// team {i}\n"}))
             clients.append(c)
         for c in clients:
-            system.sim.process(c.submit())
+            system.sim.process(c.submit(wait_timeout=4 * 3600.0))
 
         submissions = system.db.collection("submissions")
         t = 0.0
@@ -121,8 +119,7 @@ class TestCrashRecoveryChaos:
 
     def test_double_crash_double_restore(self, tmp_path):
         """Recovery is re-enterable: crash the restored deployment too."""
-        cfg = SystemConfig(client_wait_timeout_seconds=4 * 3600.0)
-        system = RaiSystem.standard(num_workers=1, seed=21, config=cfg)
+        system = RaiSystem.standard(num_workers=1, seed=21)
         system.attach_durability(str(tmp_path / "dur"))
         clients = []
         for i in range(4):
@@ -130,7 +127,7 @@ class TestCrashRecoveryChaos:
             c.stage_project(FILES)
             clients.append(c)
         for c in clients:
-            system.sim.process(c.submit())
+            system.sim.process(c.submit(wait_timeout=4 * 3600.0))
         submissions = system.db.collection("submissions")
         t = 0.0
         while len(submissions) < 1:

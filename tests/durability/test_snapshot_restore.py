@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.broker.topic import MAX_ATTEMPTS
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
 from repro.durability.snapshot import (
@@ -13,7 +14,7 @@ from repro.durability.snapshot import (
     write_snapshot,
 )
 from repro.errors import InvalidCredentials
-from repro.storage.chunkstore import ChunkStore, Manifest
+from repro.storage.chunkstore import CHUNK_BYTES as C, ChunkStore, Manifest
 
 pytestmark = pytest.mark.durability
 
@@ -60,7 +61,7 @@ class TestSnapshotCodec:
         for i in range(3):
             system.broker.publish("rai", {"n": i})
         poison = channel.try_deliver()
-        poison.attempts = channel.max_attempts
+        poison.attempts = MAX_ATTEMPTS
         channel.requeue(poison)  # straight to dead letters
         snap = capture(system)
 
@@ -93,10 +94,10 @@ class TestSnapshotCodec:
 
 class TestChunkRefcountRebuild:
     def test_rebuild_counts_shared_chunks(self):
-        store = ChunkStore(chunk_size=4)
-        shared = b"AAAABBBB"
-        m1, _ = store.store(shared + b"CCCC")
-        m2, _ = store.store(shared + b"DDDD")
+        store = ChunkStore()
+        shared = b"A" * C + b"B" * C
+        m1, _ = store.store(shared + b"C" * C)
+        m2, _ = store.store(shared + b"D" * C)
         # Simulate restore: refs wiped, rebuilt from live manifests.
         store._refs = {}
         stats = store.rebuild_refcounts([m1, m2])
@@ -106,20 +107,20 @@ class TestChunkRefcountRebuild:
         # Shared chunks counted once per referencing manifest.
         for ref in m1.chunks[:2]:
             assert store._refs[ref.digest] == 2
-        assert store.assemble(m1) == shared + b"CCCC"
+        assert store.assemble(m1) == shared + b"C" * C
         # Releasing one manifest keeps the shared chunks alive.
         store.release(m1)
-        assert store.assemble(m2) == shared + b"DDDD"
+        assert store.assemble(m2) == shared + b"D" * C
 
     def test_rebuild_drops_orphaned_chunks(self):
-        store = ChunkStore(chunk_size=4)
-        m1, _ = store.store(b"AAAABBBB")
-        m2, _ = store.store(b"CCCCDDDD")
+        store = ChunkStore()
+        m1, _ = store.store(b"A" * C + b"B" * C)
+        m2, _ = store.store(b"C" * C + b"D" * C)
         store._refs = {}
         stats = store.rebuild_refcounts([m2])  # m1's object was deleted
         assert stats["orphaned_chunks"] == 2
-        assert stats["orphaned_bytes"] == 8
-        assert store.assemble(m2) == b"CCCCDDDD"
+        assert stats["orphaned_bytes"] == 2 * C
+        assert store.assemble(m2) == b"C" * C + b"D" * C
 
     def test_restore_rebuilds_refcounts_from_manifests(self, tmp_path):
         system = RaiSystem.standard(num_workers=1, seed=8)
@@ -186,15 +187,15 @@ class TestRestore:
     def test_snapshot_during_active_writes_is_consistent(self, tmp_path):
         """Checkpointing mid-storm must neither disturb the live run nor
         capture a state that cannot finish the storm after restore."""
-        cfg = SystemConfig(client_wait_timeout_seconds=4 * 3600.0)
-        system = RaiSystem.standard(num_workers=1, seed=11, config=cfg)
+        system = RaiSystem.standard(num_workers=1, seed=11)
         system.attach_durability(str(tmp_path / "dur"))
         clients = []
         for i in range(4):
             c = system.new_client(team=f"mid{i}")
             c.stage_project(FILES)
             clients.append(c)
-        procs = [system.sim.process(c.submit()) for c in clients]
+        procs = [system.sim.process(c.submit(wait_timeout=4 * 3600.0))
+                 for c in clients]
         submissions = system.db.collection("submissions")
         t = 0.0
         while len(submissions) < 1:
@@ -236,7 +237,7 @@ class TestDeadLetterIdempotence:
         system.broker.publish("rai", {"job_id": "job-000001", "kind": "run",
                                       "team": "poison"})
         msg = channel.try_deliver()
-        msg.attempts = channel.max_attempts
+        msg.attempts = MAX_ATTEMPTS
         assert channel.requeue(msg) is False  # dead-lettered
         assert system.drain_dead_letters() == 1
         submissions = system.db.collection("submissions")
@@ -262,7 +263,7 @@ class TestDeadLetterIdempotence:
         channel = system.broker.channel("rai/tasks")
         system.broker.publish("rai", {"job_id": "job-000002", "kind": "run"})
         msg = channel.try_deliver()
-        msg.attempts = channel.max_attempts
+        msg.attempts = MAX_ATTEMPTS
         channel.requeue(msg)
         system.crash_stop()
 
@@ -319,10 +320,10 @@ class TestInFlightFencing:
         msg = channel.try_deliver()
         # Burn the whole budget through real (journaled) delivery cycles,
         # ending in flight on the final attempt.
-        for _ in range(channel.max_attempts - 1):
+        for _ in range(MAX_ATTEMPTS - 1):
             assert channel.requeue(msg) is True
             msg = channel.try_deliver()
-        assert msg.attempts == channel.max_attempts
+        assert msg.attempts == MAX_ATTEMPTS
         assert msg.id in channel.in_flight
         system.crash_stop()
 
@@ -359,12 +360,24 @@ UNSET_KNOB_KEYS = {
     "contention_jitter": 0.35,
     "warm_pool_ttl_seconds": 900.0,
 }
+#: Fields retired because only tests set them.
+TEST_ONLY_KEYS = {
+    "client_wait_timeout_seconds": None,
+    "trace_max_traces": 512,
+    "deadline_boost_window_seconds": 24 * 3600.0,
+    "scrape_interval_seconds": 60.0,
+    "slo_fast_window_seconds": 300.0,
+    "slo_slow_window_seconds": 3600.0,
+    "shard_seed": 0,
+    "usage_window_seconds": 3600.0,
+}
 
 
 class TestRetiredConfigKeys:
     @pytest.mark.parametrize("retired", [SHARD_BALANCER_KEYS,
-                                         UNSET_KNOB_KEYS],
-                             ids=["shard_balancer", "unset_knobs"])
+                                         UNSET_KNOB_KEYS, TEST_ONLY_KEYS],
+                             ids=["shard_balancer", "unset_knobs",
+                                  "test_only_knobs"])
     def test_snapshot_with_retired_config_keys_restores(self, tmp_path,
                                                         retired):
         """A snapshot written before config fields were retired still

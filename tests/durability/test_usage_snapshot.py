@@ -8,12 +8,18 @@ within 1e-6, and per-team ledgers and job exemplars survive.
 import pytest
 
 from repro.cluster import Provisioner
-from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
 from repro.durability.snapshot import capture, install
+from repro.obs import usage
 
 pytestmark = [pytest.mark.durability, pytest.mark.usage]
+
+
+@pytest.fixture(autouse=True)
+def short_windows(monkeypatch):
+    """300 s billing windows, so a run settles several before the crash."""
+    monkeypatch.setattr(usage, "WINDOW_SECONDS", 300.0)
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\nint main(){}\n",
@@ -22,8 +28,7 @@ FILES = {
 
 
 def _metered_run(seed=81, teams=("team-a", "team-b")):
-    system = RaiSystem(seed=seed,
-                       config=SystemConfig(usage_window_seconds=300.0))
+    system = RaiSystem(seed=seed)
     provisioner = Provisioner(system)
     provisioner.launch_many(2, instance_type="p2.xlarge",
                             max_concurrent_jobs=2, boot_delay=1.0)
@@ -49,8 +54,7 @@ class TestUsageSnapshot:
         assert snap["usage"] is not None
         assert snap["cost"] is not None
 
-        target = RaiSystem(seed=81,
-                           config=SystemConfig(usage_window_seconds=300.0))
+        target = RaiSystem(seed=81)
         counts = install(target, snap)
         assert counts["usage_tenants"] >= 2
         assert {t: dict(r) for t, r in target.usage.tenants.items()} == \
@@ -64,8 +68,7 @@ class TestUsageSnapshot:
         system, _ = _metered_run(seed=82)
         snap = capture(system)
 
-        target = RaiSystem(seed=82,
-                           config=SystemConfig(usage_window_seconds=300.0))
+        target = RaiSystem(seed=82)
         install(target, snap)
         target.storage.rebuild_chunk_refcounts()
         target.storage.rebuild_upload_bases()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
-from repro.core.system import RaiSystem
+from tests.golden import deployment
 
 pytestmark = [pytest.mark.chaos, pytest.mark.buildcache]
 
@@ -24,7 +24,7 @@ FILES = {
 
 class TestCrashMidBuild:
     def _crash_at(self, crash_time, seed):
-        system = RaiSystem.standard(
+        system = deployment(
             num_workers=1, seed=seed,
             worker_config=WorkerConfig(max_concurrent_jobs=1))
         system.start_caretaker(interval=30.0, in_flight_timeout=120.0)

@@ -163,12 +163,11 @@ class TestWorkerCrashProcess:
         assert not victim.is_running
         assert victim._crashed
         assert system.workers[1].is_running
-        events = [(t, f) for t, kind, f in system.monitor.events
-                  if kind == "fault_injected"]
-        assert any(f["kind"] == "worker_crash" and f["worker"] == victim.id
-                   for _, f in events)
-        (t, _), = events
-        assert 5.0 <= t <= 10.0
+        events = system.events.query(type="fault.injected")
+        assert any(e.fields["kind"] == "worker_crash"
+                   and e.fields["worker"] == victim.id for e in events)
+        event, = events
+        assert 5.0 <= event.time <= 10.0
 
     def test_restart_after_adds_replacement(self):
         system = RaiSystem.standard(num_workers=1, seed=5)

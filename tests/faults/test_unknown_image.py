@@ -30,9 +30,8 @@ def listed_but_never_added() -> ImageRegistry:
 
 def no_whitelist_at_all() -> ImageRegistry:
     registry, course = ImageRegistry(), default_registry()
-    for name in course._images:
-        registry.add(course.get(name, enforce_whitelist=False),
-                     whitelisted=False)
+    for image in course._images.values():
+        registry.add(image, whitelisted=False)
     assert registry.whitelist == []
     return registry
 

@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
-from repro.core.system import RaiSystem
 from repro.obs.usage import UNATTRIBUTED
+from tests.golden import deployment
 
 pytestmark = pytest.mark.chaos
 
@@ -22,14 +22,14 @@ FILES = {
 
 
 def warm_config() -> WorkerConfig:
-    return WorkerConfig(max_concurrent_jobs=2, warm_pool_size=2)
+    return WorkerConfig(max_concurrent_jobs=2)
 
 
 class TestCrashWithPooledContainers:
     def test_pooled_containers_destroyed_on_crash(self):
         """After a job parks its container and the worker crashes, the
         engine's live count drops to zero — nothing leaks."""
-        system = RaiSystem.standard(num_workers=1, seed=21,
+        system = deployment(num_workers=1, seed=21,
                                     worker_config=warm_config())
         victim = system.workers[0]
         client = system.new_client(team="t")
@@ -51,7 +51,7 @@ class TestCrashWithPooledContainers:
     def test_in_flight_release_after_crash_destroys(self):
         """A job still executing when its worker crashes must not park
         its container into the dead worker's pool."""
-        system = RaiSystem.standard(num_workers=1, seed=22,
+        system = deployment(num_workers=1, seed=22,
                                     worker_config=warm_config())
         victim = system.workers[0]
         client = system.new_client(team="t")
@@ -71,7 +71,7 @@ class TestCrashWithPooledContainers:
     def test_queued_jobs_redelivered_to_survivor(self):
         """Jobs queued behind the crashed worker's un-acked message are
         redelivered via the caretaker and finish on the replacement."""
-        system = RaiSystem.standard(num_workers=1, seed=23,
+        system = deployment(num_workers=1, seed=23,
                                     worker_config=warm_config())
         system.start_caretaker(interval=30.0, in_flight_timeout=600.0)
         victim = system.workers[0]
@@ -99,7 +99,7 @@ class TestCrashWithPooledContainers:
     def test_fleet_hit_rate_survives_a_crash(self):
         """fleet_pool_hit_rate stays computable (no ZeroDivision, no
         dead-worker skew) after one of two workers crashes."""
-        system = RaiSystem.standard(num_workers=2, seed=24,
+        system = deployment(num_workers=2, seed=24,
                                     worker_config=warm_config())
         client = system.new_client(team="t")
         client.stage_project(FILES)
@@ -119,9 +119,9 @@ def test_worker_dies_with_one_container_ready_and_one_mid_reset(how):
     are overhead too, and neither team pays for any of it.  One slot, so
     the pool holds just those two: a two-slot worker fills four, and the
     two left over would be ready too."""
-    system = RaiSystem.standard(
+    system = deployment(
         num_workers=1, seed=25,
-        worker_config=WorkerConfig(max_concurrent_jobs=1, warm_pool_size=2))
+        worker_config=WorkerConfig(max_concurrent_jobs=1))
     victim = system.workers[0]
     clients = [system.new_client(team=team) for team in ("a", "b")]
     for client in clients:

@@ -10,6 +10,8 @@
   Figure 4: the same teams pushing near-identical projects dozens of
   times against shared workers) and hands back the system and every
   result, for the dedup, docdb, build-cache, warm-pool and fairness pins.
+- :func:`deployment` builds a system whose workers share one
+  ``WorkerConfig``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ from repro.core.job import JobResult, JobStatus, reset_job_ids
 from repro.core.system import RaiSystem
 from repro.obs.context import reset_obs_ids
 from repro.vfs import VirtualFileSystem, file_digest, unpack_tree
+
+
+def deployment(num_workers: int = 1, seed: int = 0,
+               worker_config: Optional[WorkerConfig] = None,
+               config: Optional[SystemConfig] = None) -> RaiSystem:
+    """``num_workers`` workers, each built from ``worker_config``."""
+    system = RaiSystem(seed=seed, config=config)
+    for _ in range(num_workers):
+        system.add_worker(worker_config)
+    return system
+
 
 #: Delivery-order digest of the reference storm.
 #: ``control_plane_digest()`` must produce this on the default config and
@@ -233,7 +246,7 @@ def resubmission_storm(n_students: int = 3, n_resubmissions: int = 2,
     unchanged.  ``flood_clients`` more clients share :data:`FLOOD_TEAM`
     and resubmit as fast as the team's rate limit lets them.
     """
-    system = RaiSystem.standard(
+    system = deployment(
         num_workers=n_workers, seed=seed, config=config or SystemConfig(),
         worker_config=worker_config or WorkerConfig(max_concurrent_jobs=2))
     storm = Storm(system)

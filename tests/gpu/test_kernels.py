@@ -89,7 +89,8 @@ class TestPaperAnchors:
         # modelled in the cluster layer, not raw kernel speed.
 
     def test_overhead_floor(self):
-        assert job_overhead(10) < job_overhead(FULL_DATASET_SIZE)
+        assert job_overhead(10, on_gpu=True) < \
+            job_overhead(FULL_DATASET_SIZE, on_gpu=True)
         assert job_overhead(FULL_DATASET_SIZE, on_gpu=True) > \
             job_overhead(FULL_DATASET_SIZE, on_gpu=False)
 

@@ -82,10 +82,6 @@ class TestImprovement:
         curve = auditor.improvement_curve("team-a")
         assert [row["internal_time"] for row in curve] == [10.0, 2.0, 0.5]
 
-    def test_curve_kind_filter(self, auditor):
-        finals = auditor.improvement_curve("team-a", kind="submit")
-        assert len(finals) == 1
-
     def test_most_improved(self, auditor):
         ranked = auditor.most_improved()
         assert ranked[0]["team"] == "team-a"

@@ -57,7 +57,7 @@ class TestEvaluator:
         downloader = SubmissionDownloader(graded_system)
         sub = [s for s in downloader.download_all()
                if s.team == "fast-team"][0]
-        evaluator = GradingEvaluator(measurement_noise=0.2)
+        evaluator = GradingEvaluator()
         result = evaluator.evaluate(sub, repetitions=5)
         assert len(result.runs) == 5
         assert result.successful_runs == 5

@@ -9,9 +9,11 @@ the pull in flight is the one the worker began at boot.
 
 import pytest
 
+from repro.container.pool import CREATE_SECONDS
+from repro.core import worker
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
-from repro.core.system import RaiSystem
+from tests.golden import deployment
 
 pytestmark = pytest.mark.sched
 
@@ -31,10 +33,11 @@ def tiny_project(owner):
 
 
 @pytest.mark.parametrize("warm_pool_size", [0, 2])
-def test_a_job_claimed_mid_pull_waits_only_for_the_rest(warm_pool_size):
-    config = WorkerConfig(max_concurrent_jobs=2,
-                          warm_pool_size=warm_pool_size)
-    system = RaiSystem.standard(num_workers=1, seed=7, worker_config=config)
+def test_a_job_claimed_mid_pull_waits_only_for_the_rest(warm_pool_size,
+                                                       monkeypatch):
+    monkeypatch.setattr(worker, "WARM_POOL_SIZE", warm_pool_size)
+    config = WorkerConfig(max_concurrent_jobs=2)
+    system = deployment(num_workers=1, seed=7, worker_config=config)
     clients = [system.new_client(team=team) for team in ("a", "b")]
     for client in clients:
         client.stage_project(tiny_project(client.team))
@@ -48,7 +51,7 @@ def test_a_job_claimed_mid_pull_waits_only_for_the_rest(warm_pool_size):
     assert [first.status, second.status] == [JobStatus.SUCCEEDED] * 2
     # Claimed 20 s into the 42.9 s pull, B is ready when A is.
     assert second.finished_at <= \
-        first.finished_at + config.container_create_seconds + 0.1
+        first.finished_at + CREATE_SECONDS + 0.1
     image = system.registry.get("webgpu/rai:root").size_bytes
     assert system.monitor.counters.get("image_bytes_pulled") == image
     assert system.workers[0].runtime.stats()["bytes_pulled"] == image

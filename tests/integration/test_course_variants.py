@@ -3,20 +3,22 @@
 import pytest
 
 from repro.cluster import Autoscaler, AutoscalerPolicy, Provisioner
+from repro.workload import students
 from repro.workload.course import CourseConfig, CourseSimulation
 
 
 class TestAutoscaledCourse:
-    def test_course_on_autoscaler_instead_of_manual_schedule(self):
+    def test_course_on_autoscaler_instead_of_manual_schedule(self,
+                                                             monkeypatch):
         """The §IV claim that RAI 'can be configured to scale out ... as
         local resources [are] exhausted' — the whole course on reactive
         scaling only."""
+        # Slow teams: full-dataset finals take minutes, so the deadline
+        # builds a queue.
+        monkeypatch.setattr(students, "STRUGGLING_FRACTION", 1.0)
         config = CourseConfig(n_students=24, n_teams=8,
                               duration_days=3.0, seed=9,
-                              use_manual_schedule=False,
-                              # slow teams: full-dataset finals take
-                              # minutes, so the deadline builds a queue
-                              struggling_fraction=1.0)
+                              use_manual_schedule=False)
         simulation = CourseSimulation(config)
         provisioner = Provisioner(simulation.system)
         simulation.provisioner = provisioner

@@ -9,9 +9,12 @@ gets its End.
 
 import pytest
 
+from repro.broker import broker as broker_module
+from repro.core import pipeline
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
+from tests.golden import deployment
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
@@ -258,13 +261,10 @@ class TestChaosRecovery:
     """
 
     def _run_once(self, seed: int):
-        from repro.core.config import SystemConfig
         from repro.faults import FaultPlan, StorageFault, WorkerCrashFault
 
         _fresh_ids()
-        system = RaiSystem.standard(
-            num_workers=2, seed=seed,
-            config=SystemConfig(client_wait_timeout_seconds=4 * 3600.0))
+        system = RaiSystem.standard(num_workers=2, seed=seed)
         system.start_caretaker(interval=30.0, in_flight_timeout=600.0)
         system.start_dead_letter_consumer(interval=300.0)
         system.start_fault_plan(FaultPlan(
@@ -279,7 +279,8 @@ class TestChaosRecovery:
             client = system.new_client(team=f"team-{i:02d}")
             client.stage_project(FILES)
             clients.append(client)
-        results = system.run_all(c.submit() for c in clients)
+        results = system.run_all(c.submit(wait_timeout=4 * 3600.0)
+                                 for c in clients)
         return system, results
 
     def _timeline(self, results):
@@ -449,18 +450,6 @@ class TestClientWaitTimeout:
         # topic once the worker-side producer is gone too.
         assert f"log_{result.job_id}" not in system.broker.topics
 
-    def test_system_default_timeout_applies(self):
-        from repro.core.config import SystemConfig
-
-        system = RaiSystem.standard(
-            num_workers=1, seed=66,
-            config=SystemConfig(client_wait_timeout_seconds=120.0))
-        system.workers[0].stop()   # nobody will ever serve the job
-        client = system.new_client(team="t")
-        client.stage_project(FILES)
-        result = system.run(client.submit())
-        assert result.status is JobStatus.TIMEOUT
-
     def test_fast_job_unaffected_by_timeout(self):
         system = RaiSystem.standard(num_workers=1, seed=66)
         client = system.new_client(team="t")
@@ -471,9 +460,10 @@ class TestClientWaitTimeout:
 
 
 class TestPublishFailureCleanup:
-    def test_rejected_publish_releases_log_subscription(self):
+    def test_rejected_publish_releases_log_subscription(self, monkeypatch):
         system = RaiSystem.standard(num_workers=1, seed=5)
-        system.broker.max_message_bytes = 64   # any job request is too big
+        # Any job request is too big.
+        monkeypatch.setattr(broker_module, "MAX_MESSAGE_BYTES", 64)
         client = system.new_client(team="t")
         client.stage_project(FILES)
         result = system.run(client.submit())
@@ -488,11 +478,11 @@ class TestPublishFailureCleanup:
 
 
 class TestJobDeadline:
-    def test_slow_transfer_exceeds_wall_clock_deadline(self):
-        system = RaiSystem.standard(
+    def test_slow_transfer_exceeds_wall_clock_deadline(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "JOB_DEADLINE_SECONDS", 10.0)
+        system = deployment(
             num_workers=1, seed=7,
-            worker_config=WorkerConfig(job_deadline_seconds=10.0,
-                                       storage_bandwidth_bps=1e6))
+            worker_config=WorkerConfig(storage_bandwidth_bps=1e6))
         client = system.new_client(team="t")
         client.stage_project(FILES)
         client.project_padding_bytes = 50_000_000   # 50 s at 1 MB/s
@@ -504,14 +494,3 @@ class TestJobDeadline:
         submissions = system.db.collection("submissions")
         assert submissions.find({"job_id": result.job_id,
                                  "status": "failed"}).count() == 1
-
-    def test_deadline_disabled_allows_slow_jobs(self):
-        system = RaiSystem.standard(
-            num_workers=1, seed=7,
-            worker_config=WorkerConfig(job_deadline_seconds=None,
-                                       storage_bandwidth_bps=1e6))
-        client = system.new_client(team="t")
-        client.stage_project(FILES)
-        client.project_padding_bytes = 50_000_000
-        result = system.run(client.submit())
-        assert result.status is JobStatus.SUCCEEDED

@@ -10,11 +10,13 @@ that pull and create still running.
 import pytest
 
 from repro.broker.message import message_pool, reset_message_ids
+from repro.container.pool import CREATE_SECONDS
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus, reset_job_ids
 from repro.core.system import RaiSystem
 from repro.obs.context import reset_obs_ids
 from repro.obs.waterfall import critical_path_report
+from tests.golden import deployment
 
 pytestmark = pytest.mark.sched
 
@@ -31,7 +33,7 @@ commands:
     - echo ok
 """}
 RESET = WorkerConfig().container_reset_seconds
-CREATE = WorkerConfig().container_create_seconds
+CREATE = CREATE_SECONDS
 
 
 def acquire_event(system, result):
@@ -79,7 +81,7 @@ def test_resubmission_after_think_time_waits_for_no_reset():
 
 def back_to_back(seed=7, teams=("a", "b"), files=FILES):
     """``teams`` submit at once to a one-slot worker."""
-    system = RaiSystem.standard(
+    system = deployment(
         num_workers=1, seed=seed,
         worker_config=WorkerConfig(max_concurrent_jobs=1))
     clients = [system.new_client(team=team) for team in teams]

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.obs.alerts import Alert, AlertManager
+from repro.obs import scrape
+from repro.obs.alerts import MAX_HISTORY, Alert, AlertManager
 from repro.obs.events import EventLog, EventType
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.scrape import MetricsScraper
+from repro.obs.scrape import INTERVAL_SECONDS, MetricsScraper
 from repro.obs.slo import SloEngine, SloSpec
 
 pytestmark = [pytest.mark.obs, pytest.mark.slo]
@@ -32,6 +33,11 @@ def events(clock):
 @pytest.fixture
 def manager(clock, events):
     return AlertManager(clock, events=events)
+
+
+def incidents(manager, name):
+    """``manager``'s incidents of alert ``name``, oldest first."""
+    return [a for a in manager.incidents() if a.name == name]
 
 
 class TestIncidentLifecycle:
@@ -61,7 +67,7 @@ class TestIncidentLifecycle:
         assert first.fired_at == 0.0     # original fire time kept
         assert first.fields["burn"] == 3.0  # latest context wins
         assert manager.total_fired == 1
-        assert len(manager.incidents("x")) == 1
+        assert len(incidents(manager, "x")) == 1
 
     def test_resolve_rearms_for_a_new_incident(self, manager, clock):
         manager.fire("x", summary="s")
@@ -71,7 +77,7 @@ class TestIncidentLifecycle:
         second = manager.fire("x", summary="again")
         assert second.fired_at == 20.0
         assert second.active
-        assert len(manager.incidents("x")) == 2
+        assert len(incidents(manager, "x")) == 2
         assert manager.total_fired == 2
         assert manager.total_resolved == 1
 
@@ -80,13 +86,13 @@ class TestIncidentLifecycle:
         assert manager.total_resolved == 0
 
     def test_history_is_bounded(self, clock):
-        manager = AlertManager(clock, max_history=3)
-        for i in range(5):
+        manager = AlertManager(clock)
+        for i in range(MAX_HISTORY + 2):
             manager.fire(f"a{i}", summary="s")
             manager.resolve(f"a{i}")
-        assert len(manager.history) == 3
-        assert [a.name for a in manager.history] == ["a2", "a3", "a4"]
-        assert manager.total_fired == 5
+        assert len(manager.history) == MAX_HISTORY
+        assert [a.name for a in manager.history][:2] == ["a2", "a3"]
+        assert manager.total_fired == MAX_HISTORY + 2
 
     def test_active_sorted_by_fire_time(self, manager, clock):
         clock.now = 5.0
@@ -145,11 +151,10 @@ class TestHeartbeatWatchdog:
 class TestSloAlerting:
     def _wired(self, clock, events):
         registry = MetricsRegistry()
-        scraper = MetricsScraper(registry, clock, interval=30.0)
+        scraper = MetricsScraper(registry, clock)
         spec = SloSpec(name="lat", kind="latency", target=0.5,
                        metric="lat", threshold=10.0)
-        engine = SloEngine(scraper, specs=[spec], fast_window=60.0,
-                           slow_window=120.0)
+        engine = SloEngine(scraper, specs=[spec])
         manager = AlertManager(clock, events=events)
         manager.attach_slo_engine(engine)
         return registry, scraper, manager
@@ -184,7 +189,7 @@ class TestSloAlerting:
         clock.now = 60.0
         assert manager.check(scrape=True) == []
         assert not any(a.name == "slo:lat" for a in manager.active())
-        incident = manager.incidents("slo:lat")[0]
+        incident = incidents(manager, "slo:lat")[0]
         assert incident.resolved_at == 60.0
 
 
@@ -192,37 +197,38 @@ class TestSamplerAlertDedup:
     """The stuck-scraper warning is one incident, not a reprint per
     health_report / alerts.check call."""
 
-    def _stuck_system(self):
+    @pytest.fixture
+    def stuck_system(self, monkeypatch):
         from repro.core.system import RaiSystem
 
         system = RaiSystem.standard(num_workers=1, seed=3)
-        system.scraper.interval = 10.0
         system.start_observability()
-        system.run(until=20.0)
-        system.scraper.interval = 1e9  # scraped twice, then wedged
+        system.run(until=2.5 * INTERVAL_SECONDS)
+        # Scraped twice; the tick already pending is the last.
+        monkeypatch.setattr(scrape, "INTERVAL_SECONDS", 1e9)
 
         def advance(sim):
-            yield sim.timeout(100.0)
+            yield sim.timeout(10 * INTERVAL_SECONDS)
 
         system.run(advance(system.sim))
         return system
 
-    def test_health_report_dedupes_stuck_alert(self):
+    def test_health_report_dedupes_stuck_alert(self, stuck_system):
         from repro.core.telemetry import health_report
 
-        system = self._stuck_system()
+        system = stuck_system
         first = health_report(system)
         assert "ALERT stuck:metrics-scraper" in first
         health_report(system)
         system.alerts.check()
         health_report(system)
         assert system.alerts.total_fired == 1
-        assert len(system.alerts.incidents("stuck:metrics-scraper")) == 1
+        assert len(incidents(system.alerts, "stuck:metrics-scraper")) == 1
 
-    def test_recovery_resolves_the_incident(self):
+    def test_recovery_resolves_the_incident(self, stuck_system):
         from repro.core.telemetry import health_report
 
-        system = self._stuck_system()
+        system = stuck_system
         health_report(system)
         system.scraper.scrape_now()  # scraping resumes
         report = health_report(system)
@@ -230,31 +236,28 @@ class TestSamplerAlertDedup:
         assert "alerts resolved" in report
         assert system.alerts.total_fired == 1
         assert system.alerts.total_resolved == 1
-        incident, = system.alerts.incidents("stuck:metrics-scraper")
+        incident, = incidents(system.alerts, "stuck:metrics-scraper")
         assert incident.resolved_at == system.sim.now
 
 
 @pytest.mark.chaos
 class TestAvailabilityAlertChaos:
-    """Satellite: an injected worker crash burns the availability SLO,
-    fires an alert, and recovery resolves it."""
+    """An injected worker crash burns the availability SLO, fires an
+    alert, and recovery resolves it."""
 
     def test_crash_fires_then_resolves_availability_alert(self):
-        from repro.core.config import SystemConfig
         from repro.core.system import RaiSystem
         from repro.faults import FaultPlan, WorkerCrashFault
 
-        config = SystemConfig(scrape_interval_seconds=30.0,
-                              slo_fast_window_seconds=120.0,
-                              slo_slow_window_seconds=600.0)
-        system = RaiSystem.standard(num_workers=2, seed=21, config=config)
+        system = RaiSystem.standard(num_workers=2, seed=21)
         system.slo_engine.specs.append(SloSpec(
-            name="worker-availability", kind="gauge",
-            metric="workers_running", threshold=2, op=">=", target=0.75,
-            description="full fleet up 75% of the time"))
+            name="worker-availability", kind="ratio",
+            good=("workers_started",), bad=("faults_worker_crash",),
+            target=0.75, description="crashes under a quarter of starts"))
         system.start_observability()
+        # After the first scrape, so the crash lands inside the windows.
         plan = FaultPlan(worker_crashes=[
-            WorkerCrashFault(window=(40.0, 50.0), restart_after=300.0)])
+            WorkerCrashFault(window=(100.0, 110.0), restart_after=300.0)])
         system.start_fault_plan(plan)
 
         system.sim.run(until=200.0)
@@ -263,15 +266,14 @@ class TestAvailabilityAlertChaos:
                    for a in system.alerts.active())
         assert len(system.running_workers) == 1
 
-        # Replacement capacity lands ~t=350; good samples then push the
-        # fast window back under budget and the alert resolves.
+        # Replacement capacity lands ~t=400; once the crash leaves the
+        # fast window the alert resolves.
         system.sim.run(until=900.0)
         assert len(system.running_workers) == 2
         assert not any(a.name == "slo:worker-availability"
                        for a in system.alerts.active())
-        incidents = system.alerts.incidents("slo:worker-availability")
-        assert len(incidents) == 1
-        assert incidents[0].resolved_at is not None
+        incident, = incidents(system.alerts, "slo:worker-availability")
+        assert incident.resolved_at is not None
         # Both transitions are in the event log, after the fault.
         fired = system.events.query(type=EventType.ALERT_FIRED)
         cleared = system.events.query(type=EventType.ALERT_RESOLVED)

@@ -10,10 +10,11 @@ so).
 
 import pytest
 
-from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
 from repro.core.telemetry import health_report
+from repro.obs import scrape, store as store_module
+from repro.obs.scrape import INTERVAL_SECONDS
 from repro.obs.span import SpanStatus
 
 pytestmark = [pytest.mark.obs, pytest.mark.chaos]
@@ -101,9 +102,9 @@ class TestCrashRedeliveryTrace:
 
 
 class TestRingEvictionInSystem:
-    def test_resubmission_storm_keeps_latest_traces(self):
-        config = SystemConfig(trace_max_traces=2)
-        system = RaiSystem.standard(num_workers=1, seed=7, config=config)
+    def test_resubmission_storm_keeps_latest_traces(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_TRACES", 2)
+        system = RaiSystem.standard(num_workers=1, seed=7)
         results = [_submit_one(system, f"team-{i}") for i in range(5)]
         store = system.tracer.store
         assert len(store) == 2
@@ -117,10 +118,10 @@ class TestRingEvictionInSystem:
         for result in results[:3]:
             assert system.tracer.store.trace_for_job(result.job_id) is None
 
-    def test_eviction_never_orphans_running_job(self):
+    def test_eviction_never_orphans_running_job(self, monkeypatch):
         """A live trace survives a storm of finished ones around it."""
-        config = SystemConfig(trace_max_traces=2)
-        system = RaiSystem.standard(num_workers=2, seed=7, config=config)
+        monkeypatch.setattr(store_module, "MAX_TRACES", 2)
+        system = RaiSystem.standard(num_workers=2, seed=7)
 
         slow_client = system.new_client(team="slow")
         slow_client.stage_project({
@@ -159,17 +160,16 @@ class TestStuckSamplerAlert:
 
     def _observed(self):
         system = RaiSystem.standard(num_workers=1, seed=3)
-        system.scraper.interval = 10.0
         system.start_observability()
         return system
 
-    def test_stalled_sampler_flags_in_report(self):
+    def test_stalled_sampler_flags_in_report(self, monkeypatch):
         system = self._observed()
-        _advance(system, 30.0)
+        _advance(system, 3 * INTERVAL_SECONDS)
         assert system.scraper.total_scrapes == 3
         # Wedge the scrape loop: its next wake-up is far in the future.
-        system.scraper.interval = 1e9
-        _advance(system, 100.0)
+        monkeypatch.setattr(scrape, "INTERVAL_SECONDS", 1e9)
+        _advance(system, 10 * INTERVAL_SECONDS)
         assert system.scraper.total_scrapes == 4
         report = health_report(system)
         assert "ALERT stuck:metrics-scraper" in report

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
-from repro.obs.events import Event, EventLog, EventType
+from repro.obs.events import MAX_EVENTS, Event, EventLog, EventType
 
 pytestmark = [pytest.mark.obs, pytest.mark.slo]
 
@@ -32,7 +32,7 @@ def clock():
 
 @pytest.fixture
 def log(clock):
-    return EventLog(clock=clock, max_events=100)
+    return EventLog(clock=clock)
 
 
 def _submit_one(system, team):
@@ -78,55 +78,35 @@ class TestEventLogUnit:
         assert log.total_emitted == 0
 
     def test_ring_overflow_tracks_drops(self, clock):
-        log = EventLog(clock=clock, max_events=3)
-        for i in range(5):
+        log = EventLog(clock=clock)
+        for i in range(MAX_EVENTS + 2):
             log.emit("x", i=i)
-        assert len(log) == 3
-        assert log.total_emitted == 5
+        assert len(log) == MAX_EVENTS
+        assert log.total_emitted == MAX_EVENTS + 2
         assert log.dropped == 2
-        assert [e.fields["i"] for e in log] == [2, 3, 4]
+        assert [e.fields["i"] for e in log][:2] == [2, 3]
         # Per-type tallies survive truncation.
-        assert log.counts["x"] == 5
-        assert log.stats()["by_type"] == {"x": 5}
-
-    def test_ring_sampling_thins_window_not_counts(self, clock):
-        log = EventLog(clock=clock, max_events=100,
-                       sample={"job.state_change": 4})
-        kept = [log.emit("job.state_change", i=i) for i in range(16)]
-        # Exact tallies: sampling never touches rates.
-        assert log.total_emitted == 16
-        assert log.counts["job.state_change"] == 16
-        # The ring holds one in four, starting with the first.
-        assert len(log) == 4
-        assert [e.fields["i"] for e in log] == [0, 4, 8, 12]
-        # Sampled-out emissions return None, retained ones the record.
-        assert [e.fields["i"] for e in kept if e is not None] == \
-            [0, 4, 8, 12]
-        assert log.dropped == 12
-        # Unlisted types are always retained alongside.
-        log.emit("alert.fired", i=99)
-        assert [e.fields["i"] for e in log] == [0, 4, 8, 12, 99]
-
-    def test_sample_rate_must_be_positive(self, clock):
-        with pytest.raises(ValueError):
-            EventLog(clock=clock, sample={"x": 0})
+        assert log.counts["x"] == MAX_EVENTS + 2
+        assert log.stats()["by_type"] == {"x": MAX_EVENTS + 2}
 
     def test_recycled_ring_reuses_event_objects(self, clock):
         # At capacity the evicted record's carcass (object and fields
         # dict) is reused in place — steady-state emission allocates
         # nothing beyond the caller's kwargs.
-        log = EventLog(clock=clock, max_events=2)
+        log = EventLog(clock=clock)
         first = log.emit("x", i=0)
         first_fields = first.fields
-        log.emit("x", i=1)
-        recycled = log.emit("y", i=2)
+        for i in range(1, MAX_EVENTS):
+            log.emit("x", i=i)
+        recycled = log.emit("y", i=MAX_EVENTS)
         assert recycled is first
         assert recycled.fields is first_fields
         assert recycled.type == "y"
-        assert recycled.fields == {"i": 2}
-        assert [e.fields["i"] for e in log] == [1, 2]
+        assert recycled.fields == {"i": MAX_EVENTS}
+        assert [e.fields["i"] for e in log][-2:] == [MAX_EVENTS - 1,
+                                                     MAX_EVENTS]
 
-    def test_query_filters_and_limit(self, log, clock):
+    def test_query_filters(self, log, clock):
         clock.now = 1.0
         log.emit("job.state_change", job_id="j1", team="a", status="queued")
         clock.now = 2.0
@@ -140,10 +120,7 @@ class TestEventLogUnit:
         assert len(log.query(type="pool.hit")) == 1
         assert len(log.query(prefix="pool.")) == 2
         assert len(log.query(job_id="j1")) == 1
-        assert len(log.query(trace_id="tr-2")) == 1
-        assert len(log.query(since=2.0, until=3.0)) == 2
-        assert [e.type for e in log.query(limit=2)] == \
-            ["pool.miss", "job.state_change"]
+        assert len(log.query(prefix="job.", job_id="j2")) == 1
         assert log.events_for_job("j2")[0].fields["status"] == "succeeded"
 
     def test_tail(self, log):
@@ -227,9 +204,10 @@ class TestEventsThroughTheStack:
         injected = system.events.query(type=EventType.FAULT_INJECTED)
         assert injected
         assert injected[0].fields["kind"] == "worker_crash"
-        # Legacy monitor log preserved alongside.
-        assert any(kind == "fault_injected"
-                   for _, kind, _ in system.monitor.events)
+        # The replacement worker is in the log too.
+        replaced = system.events.query(type="fault.replacement_worker")
+        assert [e.fields["worker"] for e in replaced] == \
+            [system.workers[-1].id]
 
     def test_disabled_event_log_changes_no_timeline(self):
         quiet = SystemConfig(event_log_enabled=False)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.context import TraceContext
 from repro.obs.span import NOOP_SPAN, SpanStatus
+from repro.obs import store as store_module
 from repro.obs.store import TraceStore
 from repro.obs.tracer import Tracer
 
@@ -121,8 +122,9 @@ class TestTraceStore:
         assert trace.trace_id == span.trace_id
         assert trace.job_ids == ["job-42"]
 
-    def test_ring_evicts_oldest_finished(self, clock):
-        tracer = Tracer(clock=clock, store=TraceStore(max_traces=2))
+    def test_ring_evicts_oldest_finished(self, clock, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_TRACES", 2)
+        tracer = Tracer(clock=clock, store=TraceStore())
         first = tracer.start_span("t1", job_id="j1")
         first.end()
         second = tracer.start_span("t2", job_id="j2")
@@ -136,8 +138,9 @@ class TestTraceStore:
         assert store.trace_for_job("j3") is not None
         assert store.total_evicted == 1
 
-    def test_ring_never_evicts_live_traces(self, clock):
-        tracer = Tracer(clock=clock, store=TraceStore(max_traces=2))
+    def test_ring_never_evicts_live_traces(self, clock, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_TRACES", 2)
+        tracer = Tracer(clock=clock, store=TraceStore())
         live = tracer.start_span("live", job_id="j-live")  # stays open
         for i in range(5):
             tracer.start_span(f"t{i}", job_id=f"j{i}").end()
@@ -148,8 +151,9 @@ class TestTraceStore:
         # Capacity holds for the finished traces around the live one.
         assert len(store) <= 3
 
-    def test_all_live_overflows_capacity(self, clock):
-        tracer = Tracer(clock=clock, store=TraceStore(max_traces=2))
+    def test_all_live_overflows_capacity(self, clock, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_TRACES", 2)
+        tracer = Tracer(clock=clock, store=TraceStore())
         spans = [tracer.start_span(f"t{i}") for i in range(4)]
         assert len(tracer.store) == 4  # nothing evictable
         for s in spans:
@@ -167,14 +171,15 @@ class TestTraceStore:
         assert stats["spans_total"] == 2
         open_span.end()
 
-    def test_eviction_cleans_every_job_binding(self, clock):
+    def test_eviction_cleans_every_job_binding(self, clock, monkeypatch):
         """A trace bound to several job ids drops ALL of them on evict.
 
         Redelivered jobs (and batch traces) can bind one trace to more
         than one id; eviction must leave no dangling index entries, or a
         later ``trace_for_job`` would return a reaped trace.
         """
-        tracer = Tracer(clock=clock, store=TraceStore(max_traces=1))
+        monkeypatch.setattr(store_module, "MAX_TRACES", 1)
+        tracer = Tracer(clock=clock, store=TraceStore())
         multi = tracer.start_span("multi", job_id="j-a")
         tracer.store.bind_job("j-b", multi.trace_id)
         multi.end()

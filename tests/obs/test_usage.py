@@ -13,6 +13,7 @@ from repro.cluster import Provisioner
 from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
+from repro.obs import usage as usage_module
 from repro.obs.events import EventLog, EventType
 from repro.obs.usage import (
     UNATTRIBUTED,
@@ -56,10 +57,17 @@ def clock():
 
 
 @pytest.fixture
-def meter(clock):
-    return UsageMeter(clock, course="ece408", window_seconds=100.0)
+def short_windows(monkeypatch):
+    """100 s billing windows, so a test closes several."""
+    monkeypatch.setattr(usage_module, "WINDOW_SECONDS", 100.0)
 
 
+@pytest.fixture
+def meter(clock, short_windows):
+    return UsageMeter(clock)
+
+
+@pytest.mark.usefixtures("short_windows")
 class TestUsageMeter:
     def test_record_accumulates_three_rollups(self, meter, clock):
         clock.now = 10.0
@@ -107,13 +115,14 @@ class TestUsageMeter:
         assert exemplar.tenant == "team-a"
         assert exemplar.trace_id == "tr-1"
 
-    def test_exemplars_bounded_keep_most_expensive(self, clock):
-        meter = UsageMeter(clock, max_jobs=3)
+    def test_exemplars_bounded_keep_most_expensive(self, clock, monkeypatch):
+        monkeypatch.setattr(usage_module, "MAX_JOBS", 3)
+        meter = UsageMeter(clock)
         for i, seconds in enumerate([5.0, 1.0, 3.0, 4.0, 0.5]):
             meter.record_job("t", job_id=f"job-{i}",
                              container_seconds=seconds)
         assert len(meter.jobs) == 3
-        kept = {j.job_id for j in meter.top_jobs(3)}
+        kept = {j.job_id for j in meter.top_jobs()}
         assert kept == {"job-0", "job-3", "job-2"}  # 5.0, 4.0, 3.0
 
     def test_snapshot_round_trip(self, meter, clock):
@@ -131,12 +140,13 @@ class TestUsageMeter:
         assert restored.total_records == meter.total_records
 
 
+@pytest.mark.usefixtures("short_windows")
 class TestCostAllocator:
-    def _harness(self, clock, window=100.0, rate=3600.0, slots=1,
-                 metrics=None, events=None):
-        meter = UsageMeter(clock, window_seconds=window)
-        allocator = CostAllocator(meter, clock, window_seconds=window,
-                                  metrics=metrics, events=events)
+    def _harness(self, clock, rate=3600.0, slots=1, metrics=None,
+                 events=None):
+        meter = UsageMeter(clock)
+        allocator = CostAllocator(meter, clock, metrics=metrics,
+                                  events=events)
         provider = FakeProvider(rate_per_hour=rate, slots=slots)
         allocator.attach_provisioner(provider)
         return meter, allocator, provider
@@ -193,8 +203,8 @@ class TestCostAllocator:
         assert allocator.closed[0].idle_cost == pytest.approx(0.0)
 
     def test_no_provider_means_no_cost_but_books_balance(self, clock):
-        meter = UsageMeter(clock, window_seconds=100.0)
-        allocator = CostAllocator(meter, clock, window_seconds=100.0)
+        meter = UsageMeter(clock)
+        allocator = CostAllocator(meter, clock)
         meter.record("container_seconds", 10.0, tenant="team-a", at=5.0)
         clock.now = 250.0
         allocator.refresh()
@@ -228,9 +238,9 @@ class TestCostAllocator:
         fleet_before = allocator.fleet_cost
         snap = allocator.to_snapshot()
 
-        meter2 = UsageMeter(clock, window_seconds=100.0)
+        meter2 = UsageMeter(clock)
         meter2.install_snapshot(meter.to_snapshot())
-        restored = CostAllocator(meter2, clock, window_seconds=100.0)
+        restored = CostAllocator(meter2, clock)
         restored.install_snapshot(snap)
         # Books balance without any provider: the settled fleet cost is
         # carried, and attributed + idle still equals it exactly.
@@ -252,8 +262,7 @@ def _submit(system, client):
 
 
 def _provisioned_system(seed=11, teams=("team-a", "team-b")):
-    config = SystemConfig(usage_window_seconds=600.0)
-    system = RaiSystem(seed=seed, config=config)
+    system = RaiSystem(seed=seed)
     provisioner = Provisioner(system)
     provisioner.launch_many(2, instance_type="p2.xlarge",
                             max_concurrent_jobs=2, boot_delay=1.0)

@@ -64,7 +64,7 @@ def graded_lines(result):
 def forget():
     hdf5sim._parse.cache_clear()
     cnn._logits_memo.clear()
-    kernels._default_job_time.cache_clear()
+    kernels._job_time.cache_clear()
     kernels._default_kernel_rows.cache_clear()
 
 
@@ -84,7 +84,7 @@ def test_26_resubmissions_enter_the_convolution_twice(monkeypatch):
     parses = hdf5sim._parse.cache_info()
     assert parses.misses == 2                       # test10.hdf5, model.hdf5
     assert parses.hits == ROUNDS * 2 * 2 - 2
-    assert kernels._default_job_time.cache_info().misses == 1
+    assert kernels._job_time.cache_info().misses == 1
     assert kernels._default_kernel_rows.cache_info().misses == 1
 
     last = graded_lines(results[-1])
@@ -103,7 +103,7 @@ def test_memos_are_bounded_by_a_small_entry_count():
     """A student's 100 MB "dataset" is let go after a few other inputs."""
     assert 0 < hdf5sim.PARSE_MEMO_SIZE <= 16
     assert 0 < cnn.INFER_MEMO_SIZE <= 64
-    for fn in (kernels._default_job_time, kernels._default_kernel_rows):
+    for fn in (kernels._job_time, kernels._default_kernel_rows):
         assert 0 < fn.cache_info().maxsize <= 2048
     weights = cnn.generate_model_weights()
     for i in range(cnn.INFER_MEMO_SIZE + 3):

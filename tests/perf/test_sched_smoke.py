@@ -2,12 +2,15 @@
 
 A deadline-week storm — the course deadline hours away, a loose rate
 limit, and one team flooding the queue — runs once with each worker's
-warm pool and once with ``warm_pool_size=0``, so a regression in the
+warm pool and once with a pool of depth 0, so a regression in the
 warm pool, the fair-share scheduler, or their worker wiring fails fast.
 """
 
+from unittest import mock
+
 import pytest
 
+from repro.core import worker
 from repro.core.config import SystemConfig, WorkerConfig
 from tests.golden import resubmission_storm
 
@@ -18,14 +21,12 @@ def _deadline_week(warm_pool_size: int):
     # Every job rides the deadline boost band, so fairness comes entirely
     # from DRR within it; arrivals outrun the fleet's service rate.
     config = SystemConfig(rate_limit_seconds=0.25,
-                          course_deadline_at=6 * 3600.0,
-                          deadline_boost_window_seconds=24 * 3600.0)
+                          course_deadline_at=6 * 3600.0)
     worker_config = WorkerConfig(max_concurrent_jobs=2,
-                                 warm_pool_size=warm_pool_size,
-                                 container_create_seconds=2.5,
                                  container_reset_seconds=0.25)
-    return resubmission_storm(config=config, worker_config=worker_config,
-                              flood_clients=3, flood_submissions=2)
+    with mock.patch.object(worker, "WARM_POOL_SIZE", warm_pool_size):
+        return resubmission_storm(config=config, worker_config=worker_config,
+                                  flood_clients=3, flood_submissions=2)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
-from repro.obs.usage import UsageMeter
+from repro.obs.usage import MAX_JOBS, UsageMeter
 from tests.golden import resubmission_storm
 
 pytestmark = [pytest.mark.perf, pytest.mark.usage]
@@ -73,12 +73,12 @@ def test_exemplar_comparisons_per_job_are_logarithmic_with_the_table_full():
     pop and a push — not a scan of the table (256 comparisons a job)."""
     meter = UsageMeter(lambda: 0.0)
     rng = random.Random(408)
-    for number in range(meter.max_jobs):
+    for number in range(MAX_JOBS):
         meter.record_job("team", job_id=f"kept-{number}",
                          container_seconds=CountedSeconds(rng.uniform(1, 9)))
-    assert len(meter.jobs) == meter.max_jobs
+    assert len(meter.jobs) == MAX_JOBS
     # pop + push + the floor check, each at most one heap height
-    budget = 3 * math.ceil(math.log2(meter.max_jobs)) + 2
+    budget = 3 * math.ceil(math.log2(MAX_JOBS)) + 2
     worst = evicted = 0
     for number in range(1200):
         before = CountedSeconds.comparisons
@@ -87,7 +87,7 @@ def test_exemplar_comparisons_per_job_are_logarithmic_with_the_table_full():
         worst = max(worst, CountedSeconds.comparisons - before)
         evicted += f"new-{number}" in meter.jobs
     assert 0 < evicted < 1200            # both outcomes were exercised
-    assert len(meter.jobs) == meter.max_jobs
+    assert len(meter.jobs) == MAX_JOBS
     assert worst <= budget
 
 

@@ -85,7 +85,7 @@ class TestDeliveryInvariants:
     def test_requeued_messages_not_lost(self, values, requeue_mask):
         """ack-or-requeue: everything is eventually acked exactly once."""
         sim = Simulator()
-        broker = MessageBroker(sim, default_max_attempts=10)
+        broker = MessageBroker(sim)
         consumer = Consumer(broker, "rai/tasks")
         acked = []
 

@@ -10,12 +10,14 @@ miss), the same counters and the same LRU order.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VfsError
+from repro.storage import buildcache
 from repro.storage.buildcache import BuildCache, primary_key, shape_of
 from repro.vfs import VirtualFileSystem, file_digest, tree_signature
 
@@ -123,8 +125,18 @@ def check_invariants(cache):
 @settings(max_examples=150)
 @given(history=st.lists(ops, min_size=20, max_size=60))
 def test_indexed_lookup_equals_linear_mru_scan(history):
+    with small_budgets():
+        indexed_lookup_equals_linear_mru_scan(history)
+
+
+def small_budgets():
+    """A byte budget and TTL the generated histories reach."""
+    return mock.patch.multiple(buildcache, MAX_BYTES=200, TTL_SECONDS=100.0)
+
+
+def indexed_lookup_equals_linear_mru_scan(history):
     clock = Clock()
-    cache = BuildCache(clock, max_bytes=200, ttl_seconds=100.0)
+    cache = BuildCache(clock)
     fs = VirtualFileSystem()
     fs.import_mapping({"/src/a.cu": b"0", "/src/sub/c.h": b"0"})
     fs.makedirs(CWD)
@@ -211,12 +223,11 @@ class LinearTtlCache(BuildCache):
 
     def _evict(self, job_id=None):
         now = self._clock()
-        if self.ttl_seconds > 0:
-            expired = [k for k, e in self._entries.items()
-                       if now - e.last_used_at > self.ttl_seconds]
-            for key in expired:
-                self._evict_one(key, "ttl", job_id=job_id)
-        while self.total_blob_bytes > self.max_bytes and self._entries:
+        expired = [k for k, e in self._entries.items()
+                   if now - e.last_used_at > buildcache.TTL_SECONDS]
+        for key in expired:
+            self._evict_one(key, "ttl", job_id=job_id)
+        while self.total_blob_bytes > buildcache.MAX_BYTES and self._entries:
             self._evict_one(next(iter(self._entries)), "lru", job_id=job_id)
 
 
@@ -226,11 +237,16 @@ def test_ttl_sweep_stopping_at_the_first_live_entry_equals_linear_scan(
         history):
     """Entries sit in last-use order, so the expired ones are a prefix:
     the same evictions, in the same order, with the same events."""
+    with small_budgets():
+        ttl_sweep_equals_linear_scan(history)
+
+
+def ttl_sweep_equals_linear_scan(history):
     clock = Clock()
     sides = []
     for cls in (BuildCache, LinearTtlCache):
         events = Recorder()
-        cache = cls(clock, max_bytes=200, ttl_seconds=100.0, events=events)
+        cache = cls(clock, events=events)
         fs = VirtualFileSystem()
         fs.import_mapping({"/src/a.cu": b"0", "/src/sub/c.h": b"0"})
         fs.makedirs(CWD)

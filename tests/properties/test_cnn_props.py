@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import bin_runtimes
+from repro.analysis.histogram import BIN_WIDTH
 from repro.gpu.cnn import _conv2d_im2col, _conv2d_reference
 from repro.gpu.hdf5sim import read_h5s, write_h5s
 
@@ -70,11 +71,9 @@ class TestH5SimProperties:
 class TestHistogramProperties:
     @settings(max_examples=40)
     @given(times=st.lists(st.floats(min_value=0, max_value=200,
-                                    allow_nan=False), max_size=40),
-           width=st.floats(min_value=0.05, max_value=5.0,
-                           allow_nan=False))
-    def test_counts_conserve_mass(self, times, width):
-        _, counts = bin_runtimes(times, width)
+                                    allow_nan=False), max_size=40))
+    def test_counts_conserve_mass(self, times):
+        _, counts = bin_runtimes(times)
         assert counts.sum() == len(times)
 
     @settings(max_examples=40)
@@ -82,9 +81,9 @@ class TestHistogramProperties:
                                     allow_nan=False),
                           min_size=1, max_size=40))
     def test_every_value_falls_in_its_bin(self, times):
-        edges, counts = bin_runtimes(times, 0.5)
+        edges, counts = bin_runtimes(times)
         for t in times:
-            idx = min(int(t / 0.5), len(counts) - 1)
+            idx = min(int(t / BIN_WIDTH), len(counts) - 1)
             assert counts[idx] > 0 or any(
                 counts[j] > 0 for j in (max(0, idx - 1),
                                         min(len(counts) - 1, idx + 1)))

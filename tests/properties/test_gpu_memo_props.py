@@ -174,7 +174,8 @@ class TestInferMemo:
     def test_equals_the_layer_by_layer_forward(self, n, image_seed,
                                                weight_seed, impl, parsed):
         images = images_of(n, image_seed)
-        plain = generate_model_weights(seed=weight_seed)
+        plain = {name: w * (1 + weight_seed)
+                 for name, w in generate_model_weights().items()}
         weights = read_h5s(write_h5s(plain)) if parsed else plain
         want = oracle_infer(images, plain, impl)
         got = infer(images, weights, impl=impl)

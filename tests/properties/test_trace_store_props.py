@@ -10,9 +10,12 @@ trace ids must leave both stores holding the same traces in the same
 order, with the same job index and eviction count.
 """
 
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.obs import store as store_module
 from repro.obs.store import TraceStore
 
 
@@ -20,7 +23,7 @@ class ScanStore(TraceStore):
     """The replaced eviction: a linear walk past every live trace."""
 
     def _evict_over_capacity(self) -> None:
-        while len(self._traces) > self.max_traces:
+        while len(self._traces) > store_module.MAX_TRACES:
             victim_id = None
             for trace_id, trace in self._traces.items():
                 if not trace.is_live:
@@ -61,7 +64,12 @@ ops = st.one_of(
     ("end", 1), ("new",), ("end", 0), ("span", 1), ("end", 0), ("end", 0),
     ("new",)])
 def test_heap_eviction_picks_the_scans_victim(capacity, schedule):
-    stores = (TraceStore(max_traces=capacity), ScanStore(max_traces=capacity))
+    with mock.patch.object(store_module, "MAX_TRACES", capacity):
+        heap_eviction_picks_the_scans_victim(schedule)
+
+
+def heap_eviction_picks_the_scans_victim(schedule):
+    stores = (TraceStore(), ScanStore())
     ids = []            # every trace id ever used, evicted ones included
     open_spans = []
 

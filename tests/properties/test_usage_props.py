@@ -11,11 +11,13 @@ same totals.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import usage
 from repro.obs.usage import UsageMeter
 
 pytestmark = pytest.mark.usage
@@ -43,7 +45,12 @@ def linear_note(table, max_jobs, job_id, seconds, gpu):
 @settings(max_examples=200)
 @given(max_jobs=st.integers(1, 5), stream=st.lists(ops, max_size=80))
 def test_heap_retains_what_the_linear_scan_retained(max_jobs, stream):
-    meter = UsageMeter(lambda: 0.0, max_jobs=max_jobs)
+    with mock.patch.object(usage, "MAX_JOBS", max_jobs):
+        heap_retains_what_the_linear_scan_retained(max_jobs, stream)
+
+
+def heap_retains_what_the_linear_scan_retained(max_jobs, stream):
+    meter = UsageMeter(lambda: 0.0)
     table = {}
     for op, *args in stream:
         if op == "job":
@@ -53,7 +60,7 @@ def test_heap_retains_what_the_linear_scan_retained(max_jobs, stream):
             linear_note(table, max_jobs, f"job-{number}", seconds, gpu)
         else:
             snap = json.loads(json.dumps(meter.to_snapshot()))
-            meter = UsageMeter(lambda: 0.0, max_jobs=max_jobs)
+            meter = UsageMeter(lambda: 0.0)
             meter.install_snapshot(snap)
         assert [(j.job_id, j.container_seconds, j.gpu_seconds)
                 for j in meter.jobs.values()] == \

@@ -61,7 +61,7 @@ class TestFilesystemProperties:
         fs = VirtualFileSystem()
         fs.import_mapping(tree, "/p")
         assert fs.export_mapping("/p") == tree
-        assert fs.file_count("/p") == len(tree)
+        assert fs.file_count() == len(tree)
         assert fs.tree_size("/p") == sum(len(v) for v in tree.values())
 
     @settings(max_examples=40)

@@ -39,23 +39,25 @@ the comparisons can be ``==`` and ``<=`` rather than approximate.
 """
 
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.container import ContainerRuntime, WarmContainerPool
+from repro.container import pool as pool_module
 from repro.container.container import ContainerState
 from repro.container.image import Image, ImageLayer, ImageRegistry
 from repro.core.config import WorkerConfig
 from repro.core.system import RaiSystem
-from repro.core.worker import COURSE_IMAGE
+from repro.core.worker import COURSE_IMAGE, WARM_POOL_SIZE
 from repro.obs.usage import UNATTRIBUTED, UsageMeter
 
 pytestmark = pytest.mark.sched
 
 TICK = 1 / 64
-CREATE, RESET, TTL, PER_IMAGE = 2.0, 0.25, 4.0, 2
+CREATE, RESET, TTL, PER_IMAGE = pool_module.CREATE_SECONDS, 0.25, 4.0, 2
 BANDWIDTH = 1 / TICK            # bytes per second: a byte is one tick
 #: Layers are shared as a common base, as Docker's are.  Every image pulls
 #: in well under ``TTL - CREATE``, so a filled container can be taken.
@@ -199,12 +201,16 @@ def registry_of(n_images):
 @settings(max_examples=200)
 @given(n_images=st.integers(1, 3), schedule=st.lists(ops, max_size=60))
 def test_background_reset_against_the_flat_charge(n_images, schedule):
+    with mock.patch.object(pool_module, "TTL_SECONDS", TTL):
+        background_reset_against_the_flat_charge(n_images, schedule)
+
+
+def background_reset_against_the_flat_charge(n_images, schedule):
     clock = Clock()
     runtime = ContainerRuntime(registry=registry_of(n_images),
                                pull_bandwidth_bps=BANDWIDTH, clock=clock)
     usage = UsageMeter(clock)
     pool = WarmContainerPool(runtime, clock, max_per_image=PER_IMAGE,
-                             ttl_seconds=TTL, create_seconds=CREATE,
                              reset_seconds=RESET, usage=usage)
     oracle, layers = FlatChargePool(), LayerCache()
     held = []                       # (container, image) a job is using
@@ -308,7 +314,7 @@ def test_background_reset_against_the_flat_charge(n_images, schedule):
 PULL_BPS = 2 ** 26
 PULLED = 64.0
 #: Containers a slot: one its job runs on, one resetting.
-DEPTH = WorkerConfig().warm_pool_size
+DEPTH = WARM_POOL_SIZE
 
 gaps = st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 3000))
 lengths = st.one_of(st.integers(0, 15), st.integers(16, 400))  # vs RESET
@@ -326,7 +332,7 @@ def run_slots(jobs):
     system = RaiSystem(seed=5)
     worker = system.add_worker(WorkerConfig(
         max_concurrent_jobs=len(jobs), pull_bandwidth_bps=PULL_BPS,
-        container_create_seconds=CREATE, container_reset_seconds=RESET))
+        container_reset_seconds=RESET))
     sim, pool = system.sim, worker.pool
     model = []          # [container, ready_at, filled], in parked order
     fills = [PULLED + CREATE] * (DEPTH * len(jobs))  # ready_at, not parked

@@ -3,25 +3,31 @@
 A *root* is something the system is for: a benchmark workload, an example,
 the paper set's probes, a ``rai`` verb, the instructor's audit.  Running
 the roots under ``sys.setprofile`` (stdlib only) records every
-``src/repro`` code object they call; :func:`public_defs` lists, with
-``ast``, every public def (a module function, class or method whose
-qualified name has no ``_``-prefixed part).  ``tests/core/test_reachability.py`` fails on a public def that is
-neither reached nor kept with a reason.
+``src/repro`` code object they call, and whether any call passes a
+defaulted parameter a value other than its default; :func:`public_defs`
+lists, with ``ast``, every public def (a module function, class or method
+whose qualified name has no ``_``-prefixed part).
+``tests/core/test_reachability.py`` fails on a public def that is neither
+reached nor kept with a reason, and on a defaulted parameter of a reached
+def (``__init__`` included) that is neither varied nor kept.
 
-    python tests/reachability_roots.py            # reached defs, as JSON
+    python tests/reachability_roots.py            # the census, as JSON
     python tests/reachability_roots.py --report   # full census, by module
 
 ``--report`` adds the slow roots (the paper set at
 ``REPRO_COURSE_SCALE=small`` and ``examples/mini_course_replay.py``) and
-prints what is still unreached, by module with line counts, and what the
-fast roots miss that the full census reaches.
+prints what is still unreached, by module with line counts, the defaulted
+parameters no root varies, by module, and what the fast roots miss that
+the full census reaches.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dis
 import enum
+import functools
 import importlib
 import inspect
 import io
@@ -103,14 +109,19 @@ def _stub(node: ast.FunctionDef) -> bool:
     return False
 
 
-def _walk(body, prefix: str, module: str, path: str, found: Dict[str, Def]):
+def _walk(body, prefix: str, module: str, path: str, found: Dict[str, Def],
+          inits: Dict[Tuple[str, int], str]):
     for node in body:
         if isinstance(node, (ast.If, ast.Try)):
-            _walk(node.body, prefix, module, path, found)
+            _walk(node.body, prefix, module, path, found, inits)
             continue
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
             continue
+        if node.name == "__init__" and prefix:
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            inits[(path, first)] = f"{module}:{prefix}__init__"
         if node.name.startswith("_"):
             continue
         first = min([node.lineno]
@@ -122,19 +133,28 @@ def _walk(body, prefix: str, module: str, path: str, found: Dict[str, Def]):
         found[name] = Def(name, path, first, node.end_lineno, is_class,
                           stub=bool(prefix) and not is_class and _stub(node))
         if is_class:
-            _walk(node.body, qualname + ".", module, path, found)
+            _walk(node.body, qualname + ".", module, path, found, inits)
 
 
 def public_defs() -> Dict[str, Def]:
     """Every public def under ``src/repro``, by qualified name."""
+    return _surface()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _surface() -> Tuple[Dict[str, Def], Dict[Tuple[str, int], str]]:
+    """The public defs, and the ``(path, first line)`` of each public
+    class's hand-written ``__init__`` mapped to its qualified name."""
     found: Dict[str, Def] = {}
+    inits: Dict[Tuple[str, int], str] = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = _module_name(path)
         if any(part.startswith("_") for part in module.split(".")):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        _walk(tree.body, "", module, str(path.relative_to(ROOT)), found)
-    return found
+        _walk(tree.body, "", module, str(path.relative_to(ROOT)), found,
+              inits)
+    return found, inits
 
 
 # -- the census ---------------------------------------------------------------
@@ -145,7 +165,8 @@ _NEW = {"__new__": ("cls",), "<lambda>": ("_cls",)}
 
 
 class Census:
-    """Every code object called, and every class instantiated, while open.
+    """Every code object called, every class instantiated, and every
+    defaulted parameter passed a value other than its default, while open.
 
     A function or method counts as reached when its code runs.  A class
     counts as reached when a method of its own runs, when an instance is
@@ -156,21 +177,52 @@ class Census:
     ``raise`` or ``except``, a member read).  An abstract stub (a body of
     only a docstring, ``pass``, ``...`` or ``raise NotImplementedError``)
     counts as reached when an override of it on a subclass does.
+
+    A defaulted parameter of a ``src/repro`` function counts as *varied*
+    once a call binds it to a value that is not its default (not the same
+    object, and not equal to it with the same type); a generator's
+    parameters are read on its first entry only.
     """
 
     def __init__(self):
         self.codes: Dict[int, tuple] = {}      # id -> (code, its globals)
         self.made: Set[type] = set()
+        # id -> [(parameter, default)] no call has varied yet
+        self.unvaried: Dict[int, List[Tuple[str, object]]] = {}
+        # id -> (every defaulted parameter, the generator's entry offset)
+        self.defaulted: Dict[int, Tuple[Tuple[Tuple[str, object], ...],
+                                        int]] = {}
 
     @contextlib.contextmanager
     def recording(self):
         codes, made = self.codes, self.made
+        unvaried, defaulted = self.unvaried, self.defaulted
+        # Package code whose function is not (yet) where its name says: a
+        # wrapper stands in for it while the benchmark's tracer is on.
+        unresolved = set()
+        package = str(PACKAGE) + os.sep
 
         def profile(frame, event, arg):
             if event == "call":
                 code = frame.f_code
-                if id(code) not in codes:
-                    codes[id(code)] = (code, frame.f_globals)
+                key = id(code)
+                if key not in codes:
+                    codes[key] = (code, frame.f_globals)
+                    if code.co_filename.startswith(package):
+                        unresolved.add(key)
+                if key in unresolved:
+                    params = _defaulted(code, frame.f_globals)
+                    if params is not None:
+                        unresolved.discard(key)
+                        if params:
+                            defaulted[key] = (params, _entry(code))
+                            unvaried[key] = list(params)
+                todo = unvaried.get(key)
+                if todo and frame.f_lasti <= defaulted[key][1]:
+                    bound = frame.f_locals
+                    todo[:] = [(name, default) for name, default in todo
+                               if not _varies(bound.get(name, default),
+                                              default)]
                 name = code.co_name
                 if name == "__init__" and code.co_argcount:
                     made.add(type(frame.f_locals[code.co_varnames[0]]))
@@ -208,6 +260,71 @@ class Census:
         reached.update(d.name for d in defs.values()
                        if d.stub and _overridden(d.name, reached))
         return reached
+
+    def parameters(self) -> Tuple[Dict[str, str], Set[str]]:
+        """The defaulted parameters of the public defs (and public classes'
+        ``__init__``) that ran, as ``"module:Qual.name(parameter)"``: those
+        no call varied, each with its default's type name, and the rest."""
+        defs, inits = _surface()
+        where = dict(inits)
+        where.update(((d.path, d.first), d.name) for d in defs.values()
+                     if not d.is_class)
+        unvaried: Dict[str, str] = {}
+        varied: Set[str] = set()
+        for key, (params, _) in self.defaulted.items():
+            code = self.codes[key][0]
+            path = str(Path(code.co_filename).relative_to(ROOT))
+            owner = where.get((path, code.co_firstlineno))
+            if owner is None:
+                continue
+            left = {name for name, _ in self.unvaried[key]}
+            for name, default in params:
+                param = f"{owner}({name})"
+                if name in left:
+                    unvaried[param] = type(default).__name__
+                else:
+                    varied.add(param)
+        return unvaried, varied
+
+
+def _defaulted(code, namespace) -> Optional[Tuple[Tuple[str, object], ...]]:
+    """``code``'s defaulted parameters with their defaults, found through
+    its function (a module function or a class's method, by qualified
+    name); nothing for a nested function or a lambda, None while the name
+    leads elsewhere."""
+    if "<" in code.co_qualname:
+        return ()
+    target = namespace.get(code.co_qualname.partition(".")[0])
+    for part in code.co_qualname.split(".")[1:]:
+        target = vars(target).get(part) if isinstance(target, type) else None
+    target = getattr(target, "__func__", target)
+    with contextlib.suppress(ValueError):
+        target = inspect.unwrap(target) if callable(target) else None
+    if getattr(target, "__code__", None) is not code:
+        return None
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = target.__defaults__ or ()
+    return (tuple(zip(positional[len(positional) - len(defaults):],
+                      defaults))
+            + tuple((target.__kwdefaults__ or {}).items()))
+
+
+def _entry(code) -> int:
+    """The offset a frame of ``code`` starts its body at: a generator's
+    later resumptions are past it, and its parameters may have changed."""
+    return next(i.offset for i in dis.get_instructions(code)
+                if i.opname == "RESUME")
+
+
+def _varies(value, default) -> bool:
+    if value is default:
+        return False
+    if type(value) is not type(default):
+        return True
+    try:
+        return bool(value != default)
+    except Exception:           # an array's elementwise comparison
+        return True
 
 
 def _named_is_used(value) -> bool:
@@ -325,6 +442,7 @@ def cli_tour() -> None:
     and ``rai cost`` comes an hour later, once a billing window closed."""
     from repro.core.cli import RaiCLI
     from repro.core.system import RaiSystem
+    from repro.obs.scrape import INTERVAL_SECONDS
 
     system = RaiSystem.standard(num_workers=1, seed=SEED)
     system.start_observability()
@@ -333,7 +451,7 @@ def cli_tour() -> None:
     cli = RaiCLI(system, client)
 
     def burst() -> None:
-        system.run(until=system.sim.now + 2 * system.scraper.interval)
+        system.run(until=system.sim.now + 2 * INTERVAL_SECONDS)
         teams = [system.new_client(team=f"burst-{i}") for i in range(40)]
         for i, team in enumerate(teams):
             team.stage_project(_project(0.1 + i / 50))
@@ -410,8 +528,9 @@ def report() -> None:
     defs = public_defs()
     running = census(FAST_ROOTS)
     fast = running.reached(defs)
+    fast_unvaried = set(running.parameters()[0])
     full = census(SLOW_ROOTS, into=running).reached(defs)
-    from tests.core.test_reachability import _kept
+    from tests.core.test_reachability import KEPT_PARAMS, _kept
 
     unreached = [d for d in defs.values() if d.name not in full]
     names = {d.name for d in unreached}
@@ -437,6 +556,23 @@ def report() -> None:
     print("fast roots miss, full census reaches: "
           + (", ".join(missed) if missed else "nothing"))
 
+    unvaried, varied = running.parameters()
+    print("\ndefaulted parameters no root varies (full census)")
+    by_module = {}
+    for name in sorted(unvaried):
+        by_module.setdefault(name.partition(":")[0], []).append(name)
+    for module, names in sorted(by_module.items()):
+        print(f"\n{module}  ({len(names)})")
+        for name in names:
+            print(f"  {name.partition(':')[2]}  = {unvaried[name]}"
+                  + ("  [kept]" if name in KEPT_PARAMS else ""))
+    print(f"\ntotal: {len(unvaried)} of {len(unvaried) + len(varied)} "
+          f"defaulted parameters unvaried; "
+          f"{len(set(unvaried) & set(KEPT_PARAMS))} of them kept")
+    slow_only = sorted(fast_unvaried - set(unvaried))
+    print("fast roots leave unvaried, slow roots vary: "
+          + (", ".join(slow_only) if slow_only else "nothing"))
+
 
 def main(argv: List[str]) -> int:
     sys.path[:0] = [str(ROOT), str(SRC)]
@@ -446,7 +582,10 @@ def main(argv: List[str]) -> int:
     if argv:
         print(__doc__, file=sys.stderr)
         return 2
-    print(json.dumps(sorted(census(FAST_ROOTS).reached(public_defs()))))
+    running = census(FAST_ROOTS)
+    unvaried, varied = running.parameters()
+    print(json.dumps({"reached": sorted(running.reached(public_defs())),
+                      "unvaried": unvaried, "varied": sorted(varied)}))
     return 0
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the build/delivery pipeline (§VII, Figure 3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ReleaseError
@@ -126,8 +128,9 @@ class TestDownloadPage:
 
 class TestRegressionBisect:
     def test_finds_first_bad_commit(self, builder):
-        commits = [builder.devel.commit(f"c{i}", introduces_bug=(i == 6))
-                   for i in range(10)]
+        commits = [builder.devel.commit(f"c{i}") for i in range(10)]
+        commits[6] = builder.devel.commits[6] = dataclasses.replace(
+            commits[6], introduces_bug=True)
         bad = find_regression(builder.devel.commits,
                               lambda c: any(
                                   x.introduces_bug

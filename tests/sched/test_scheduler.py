@@ -5,6 +5,7 @@ import pytest
 from repro.broker.message import Message
 from repro.errors import InvalidQuery
 from repro.sched import JobScheduler, RuntimeEstimator, SchedulerPolicy
+from repro.sched.estimator import ALPHA, DEFAULT_SECONDS
 
 pytestmark = pytest.mark.sched
 
@@ -128,7 +129,7 @@ class TestDeadlineBand:
 
 class TestShortestJobFirst:
     def test_faster_team_wins_ties(self, clock):
-        estimator = RuntimeEstimator(default_seconds=30.0)
+        estimator = RuntimeEstimator()
         estimator.observe("slow", 60.0)
         estimator.observe("fast", 5.0)
         sched = JobScheduler(clock, estimator=estimator)
@@ -193,9 +194,8 @@ class TestEstimator:
             def explode(key, error=error):
                 raise error
 
-            estimator = RuntimeEstimator(history_fn=explode,
-                                         default_seconds=42.0)
-            assert estimator.expected("x") == 42.0
+            estimator = RuntimeEstimator(history_fn=explode)
+            assert estimator.expected("x") == DEFAULT_SECONDS
 
     def test_an_unexpected_history_error_is_not_swallowed(self):
         def explode(key):
@@ -211,12 +211,13 @@ class TestEstimator:
         assert estimator.expected("x") == pytest.approx(8.0)
 
     def test_observation_ewma(self):
-        estimator = RuntimeEstimator(alpha=0.5)
+        estimator = RuntimeEstimator()
         estimator.observe("t", 10.0)
         estimator.observe("t", 20.0)
-        assert estimator.expected("t") == pytest.approx(15.0)
+        assert estimator.expected("t") == \
+            pytest.approx(10.0 + ALPHA * (20.0 - 10.0))
 
     def test_negative_observation_ignored(self):
         estimator = RuntimeEstimator()
         estimator.observe("t", -1.0)
-        assert estimator.expected("t") == estimator.default_seconds
+        assert estimator.expected("t") == DEFAULT_SECONDS

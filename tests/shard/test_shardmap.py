@@ -1,4 +1,4 @@
-"""ShardMap/Router: stable seeded hashing, naming, key precedence."""
+"""ShardMap/Router: stable hashing, naming, key precedence."""
 
 import pytest
 
@@ -15,12 +15,6 @@ class TestShardMap:
         keys = [f"team{i:03d}" for i in range(300)]
         assert [a.partition(k) for k in keys] == \
                [b.partition(k) for k in keys]
-
-    def test_seed_rekeys_the_map(self):
-        keys = [f"team{i:03d}" for i in range(300)]
-        a = [ShardMap(8, seed=0).partition(k) for k in keys]
-        b = [ShardMap(8, seed=1).partition(k) for k in keys]
-        assert a != b
 
     def test_partition_range_and_rough_balance(self):
         smap = ShardMap(8)
@@ -49,17 +43,13 @@ class TestShardMap:
             smap.topic(4)
 
     def test_identity(self):
-        assert ShardMap(4, seed=2) == ShardMap(4, seed=2)
+        assert ShardMap(4) == ShardMap(4)
         assert ShardMap(4) != ShardMap(8)
-        assert ShardMap(4, seed=0) != ShardMap(4, seed=1)
-        assert ShardMap(4, seed=2).to_dict() == \
-               {"n_partitions": 4, "seed": 2}
+        assert ShardMap(4).to_dict() == {"n_partitions": 4}
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardMap(0)
-        with pytest.raises(ValueError):
-            ShardMap(4, seed=-1)
 
 
 class TestRouter:

@@ -12,9 +12,6 @@ class TestSimulatorClock:
     def test_starts_at_zero(self, sim):
         assert sim.now == 0.0
 
-    def test_custom_initial_time(self):
-        assert Simulator(initial_time=100.0).now == 100.0
-
     def test_time_advances_only_with_events(self, sim):
         sim.timeout(7.5)
         sim.run()

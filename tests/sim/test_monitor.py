@@ -4,14 +4,6 @@ from repro.sim import Monitor, Simulator
 
 
 class TestMonitor:
-    def test_log_uses_sim_clock(self):
-        sim = Simulator()
-        mon = Monitor(sim)
-        sim.timeout(5)
-        sim.run()
-        mon.log("depth_probe", depth=3)
-        assert mon.events == [(5.0, "depth_probe", {"depth": 3})]
-
     def test_counters(self):
         mon = Monitor(Simulator())
         mon.incr("jobs")

@@ -99,18 +99,6 @@ class TestStore:
         sim.run(until=sim.process(getter(sim)))
         assert out == [0, 1, 2, 3, 4]
 
-    def test_filtered_get_skips_nonmatching(self, sim):
-        store = Store(sim)
-        for i in range(5):
-            store.put(i)
-
-        def getter(sim):
-            item = yield store.get(filter=lambda x: x % 2 == 1)
-            return item
-
-        assert sim.run(until=sim.process(getter(sim))) == 1
-        assert list(store.items) == [0, 2, 3, 4]
-
     def test_none_is_a_valid_item(self, sim):
         store = Store(sim)
         store.put(None)

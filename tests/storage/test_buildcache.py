@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.storage import buildcache
 from repro.storage.buildcache import (
+    TTL_SECONDS,
     BuildCache,
     content_key,
     primary_key,
@@ -184,29 +186,30 @@ class TestBlobSharingAndEviction:
 
     def test_evicting_one_sharer_keeps_the_blob(self):
         clock = FakeClock()
-        cache = BuildCache(clock, ttl_seconds=100.0)
+        cache = BuildCache(clock)
         blob = b"shared"
         fs1 = make_fs({"/src/a.cu": "a"})
         run_command(cache, fs1, command="make a", reads=["/src/a.cu"],
                     writes={"/build/out": blob})
-        clock.now = 60.0
+        clock.now = 0.6 * TTL_SECONDS
         fs2 = make_fs({"/src/b.cu": "b"})
         run_command(cache, fs2, command="make b", reads=["/src/b.cu"],
                     writes={"/build/out": blob})
-        clock.now = 150.0  # first entry idle 150s > ttl; second only 90s
+        clock.now = 1.5 * TTL_SECONDS  # first idle 1.5 ttl; second 0.9
         cache._evict()
         stats = cache.stats()
         assert stats["entries"] == 1
         assert stats["blobs"] == 1
         assert cache.verify() == []
-        clock.now = 250.0
+        clock.now = 2.5 * TTL_SECONDS
         cache._evict()
         assert cache.stats() == dict(cache.stats(), entries=0, blobs=0,
                                      blob_bytes=0)
 
-    def test_lru_byte_budget_evicts_oldest(self):
+    def test_lru_byte_budget_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(buildcache, "MAX_BYTES", 100)
         clock = FakeClock()
-        cache = BuildCache(clock, max_bytes=100)
+        cache = BuildCache(clock)
         for i in range(5):
             clock.now = float(i)
             fs = make_fs({"/src/main.cu": f"v{i}"})
@@ -233,7 +236,7 @@ class TestBlobSharingAndEviction:
 
 class TestSnapshotRestore:
     def _populated(self):
-        cache = BuildCache(FakeClock(), max_bytes=1 << 20)
+        cache = BuildCache(FakeClock())
         blob = b"shared artifact"
         for i, cmd in enumerate(("cmake /src", "make")):
             fs = make_fs({"/src/main.cu": "same"})

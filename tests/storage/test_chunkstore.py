@@ -11,18 +11,19 @@ from repro.storage import (
     ObjectStore,
     split_chunks,
 )
+from repro.storage.chunkstore import CHUNK_BYTES as C
 from repro.errors import StorageError
 
 
 @pytest.fixture
 def store():
-    return ObjectStore(Simulator(), chunk_size=64)
+    return ObjectStore(Simulator())
 
 
 class TestManifest:
     def test_round_trip_and_digest_stability(self):
-        data = bytes(range(256)) * 3
-        m = Manifest.from_bytes(data, chunk_size=100)
+        data = bytes(range(256)) * (3 * C // 256)
+        m = Manifest.from_bytes(data)
         again = Manifest.from_doc(m.to_doc())
         assert again.digest == m.digest
         assert again.total_size == len(data)
@@ -30,8 +31,8 @@ class TestManifest:
             [c.digest for c in m.chunks]
 
     def test_delta_identifies_changed_chunks_only(self):
-        base = Manifest.from_bytes(b"a" * 100 + b"b" * 100, chunk_size=100)
-        edit = Manifest.from_bytes(b"a" * 100 + b"c" * 100, chunk_size=100)
+        base = Manifest.from_bytes(b"a" * C + b"b" * C)
+        edit = Manifest.from_bytes(b"a" * C + b"c" * C)
         delta = edit.delta(base)
         assert len(delta) == 1
         assert edit.delta(None) == list(edit.chunks)
@@ -68,7 +69,7 @@ class TestDedupEdgeCases:
         first = bytes(range(256)).ljust(256, b"\0")
         second = bytes(reversed(range(256)))
         store.put_object("b", "v1", first, dedup=True)
-        m2 = Manifest.from_bytes(second, store.chunk_store.chunk_size)
+        m2 = Manifest.from_bytes(second)
         assert store.chunk_store.missing_bytes(m2) == len(second)
         _, new_bytes = store.chunk_store.store(second)
         assert new_bytes == len(second)
@@ -79,30 +80,30 @@ class TestDedupEdgeCases:
         bucket = store.create_bucket("uploads")
         bucket.add_lifecycle_rule(LifecycleRule(expire_after=100.0,
                                                 since="creation"))
-        shared = b"S" * 64 + b"T" * 64   # two distinct shared chunks
-        old = store.put_object("uploads", "old", shared + b"X" * 64,
+        shared = b"S" * C + b"T" * C     # two distinct shared chunks
+        old = store.put_object("uploads", "old", shared + b"X" * C,
                                dedup=True)
         store.sim.run(until=60.0)
-        live = store.put_object("uploads", "live", shared + b"Y" * 64,
+        live = store.put_object("uploads", "live", shared + b"Y" * C,
                                 dedup=True)
         store.sim.run(until=120.0)   # 'old' past expiry, 'live' not
         removed = store.run_lifecycle_sweep()
         assert removed == ["uploads/old"]
         # The live object still assembles, including the shared prefix.
         assert store.get_object("uploads", "live").data == \
-            shared + b"Y" * 64
+            shared + b"Y" * C
         # The old object's unshared chunk was actually freed.
-        assert store.chunk_store.unique_bytes == 128 + 64
+        assert store.chunk_store.unique_bytes == 2 * C + C
         with pytest.raises(StorageError):
             store.chunk_store.assemble(old.manifest)
         assert live is not None
 
     def test_overwrite_releases_previous_manifest(self, store):
         store.create_bucket("b")
-        store.put_object("b", "k", b"A" * 64, dedup=True)
-        store.put_object("b", "k", b"B" * 64, dedup=True)
-        assert store.chunk_store.unique_bytes == 64
-        assert store.get_object("b", "k").data == b"B" * 64
+        store.put_object("b", "k", b"A" * C, dedup=True)
+        store.put_object("b", "k", b"B" * C, dedup=True)
+        assert store.chunk_store.unique_bytes == C
+        assert store.get_object("b", "k").data == b"B" * C
 
     def test_delete_object_releases_chunks(self, store):
         store.create_bucket("b")
@@ -130,17 +131,17 @@ class TestDedupEdgeCases:
 
 class TestChunkStoreRefcounts:
     def test_release_is_per_reference_not_per_chunk(self):
-        cs = ChunkStore(chunk_size=50)
-        m1, _ = cs.store(b"a" * 50)
-        m2, new = cs.store(b"a" * 50)
+        cs = ChunkStore()
+        m1, _ = cs.store(b"a" * C)
+        m2, new = cs.store(b"a" * C)
         assert new == 0
         assert cs.release(m1) == 0       # still referenced by m2
-        assert cs.assemble(m2) == b"a" * 50
-        assert cs.release(m2) == 50      # last reference frees
+        assert cs.assemble(m2) == b"a" * C
+        assert cs.release(m2) == C       # last reference frees
         assert cs.unique_chunks == 0
 
     def test_dedup_ratio_tracks_live_sharing(self):
-        cs = ChunkStore(chunk_size=10)
+        cs = ChunkStore()
         cs.store(bytes(range(30)))
         cs.store(bytes(range(30)))
         cs.store(bytes(range(30)))

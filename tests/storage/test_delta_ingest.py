@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.system import RaiSystem
-from repro.storage.chunkstore import Manifest, digest_file_map
+from repro.storage.chunkstore import CHUNK_BYTES, Manifest, digest_file_map
 
 pytestmark = pytest.mark.buildcache
 
@@ -31,9 +31,9 @@ def _submit_after_gap(system, client):
 
 class TestManifestFileMap:
     def test_delta_doc_encodes_shared_chunks_by_index(self):
-        blocks = [bytes([i]) * 100 for i in range(10)]
-        base = Manifest.from_bytes(b"".join(blocks), 100)
-        new = Manifest.from_bytes(b"".join(blocks[:9]) + b"z" * 100, 100)
+        blocks = [bytes([i]) * CHUNK_BYTES for i in range(10)]
+        base = Manifest.from_bytes(b"".join(blocks))
+        new = Manifest.from_bytes(b"".join(blocks[:9]) + b"z" * CHUNK_BYTES)
         doc = new.delta_doc(base)
         assert doc["base"] == base.digest
         # Nine shared chunks → back-reference integers; last one literal.
@@ -48,8 +48,7 @@ class TestManifestFileMap:
         assert a != digest_file_map({"/a": "1", "/b": "3"})
 
     def test_manifest_doc_round_trips_file_map(self):
-        m = Manifest.from_bytes(b"payload", 4,
-                                files={"/main.cu": "d" * 64})
+        m = Manifest.from_bytes(b"payload", files={"/main.cu": "d" * 64})
         again = Manifest.from_doc(m.to_doc())
         assert again.files == m.files
         assert again.tree_digest() == m.tree_digest()
@@ -99,35 +98,3 @@ class TestBaseNegotiation:
         assert rebuilt >= 1
         after = system.storage.negotiate_base(bucket, "carol")
         assert after is not None and after.digest == before.digest
-
-
-class TestChunkSizeMismatch:
-    def test_stale_base_invalidated_on_chunk_size_change(self):
-        """A manifest chunked at the old size is a bogus delta base; the
-        client must drop it and re-upload full."""
-        system = RaiSystem.standard(num_workers=1, seed=34)
-        client = system.new_client(username="dave")
-        client.stage_project(FILES)
-        _submit(system, client)
-        old = client._last_manifest
-        assert old is not None
-        system.storage.chunk_store.chunk_size = old.chunk_size * 2
-        negotiations = []
-        orig = system.storage.negotiate_base
-
-        def spying(*args):
-            negotiations.append(args)
-            return orig(*args)
-
-        system.storage.negotiate_base = spying
-        r2 = _submit_after_gap(system, client)
-        # The stale local manifest was dropped — the client fell back to
-        # server negotiation (whose base is also at the old size and is
-        # likewise rejected), so the upload carried every chunk.
-        assert negotiations
-        new_manifest = client._last_manifest
-        assert new_manifest.chunk_size == old.chunk_size * 2
-        # The content-bearing chunk re-shipped in full; only genuinely
-        # content-identical chunks (the zero-padding tail, whose bytes
-        # are the same at any chunk size) may still dedup.
-        assert r2.upload_bytes >= max(c.size for c in new_manifest.chunks)

@@ -6,7 +6,6 @@ from repro.errors import (
     BucketAlreadyExists,
     NoSuchBucket,
     NoSuchKey,
-    PreconditionFailed,
 )
 from repro.storage import ObjectStore
 
@@ -57,11 +56,6 @@ class TestObjects:
         store.put_object("b", "k", b"v2")
         assert store.get_object("b", "k").data == b"v2"
 
-    def test_if_none_match(self, store):
-        store.put_object("b", "k", b"v1")
-        with pytest.raises(PreconditionFailed):
-            store.put_object("b", "k", b"v2", if_none_match=True)
-
     def test_head_has_no_body(self, store):
         store.put_object("b", "k", b"12345")
         head = store.head_object("b", "k")
@@ -76,7 +70,8 @@ class TestObjects:
             store.delete_object("b", "k", missing_ok=False)
 
     def test_padding_counts_in_size(self, store, sim):
-        obj = store.put_object("b", "k", b"xx", padding_bytes=1000)
+        obj = store.put_object("b", "k", b"xx", padding_bytes=1000,
+                               dedup=True)
         assert obj.size == 1002
         assert store.bucket("b").total_bytes == 1002
         assert len(store.get_object("b", "k").data) == 2

@@ -46,7 +46,8 @@ class TestPresign:
             store.presign_get("builds", "ghost")
 
     def test_different_stores_tokens_dont_cross(self, sim, store):
-        other = ObjectStore(sim, secret=b"other-secret")
+        other = ObjectStore(sim)
+        other._signer = PresignSigner(b"other-secret", clock=lambda: sim.now)
         other.create_bucket("builds")
         other.put_object("builds", "job-1/build.tar.bz2", b"x")
         token = other.presign_get("builds", "job-1/build.tar.bz2")

@@ -62,7 +62,7 @@ class TestRoundTrip:
     def test_uncompressed_mode(self, project_fs):
         blob = pack_tree(project_fs, "/", compression="none")
         out = VirtualFileSystem()
-        unpack_tree(blob, out, "/", compression="none")
+        unpack_tree(blob, out, "/")
         assert out.read_text("/USAGE") == "how to run"
 
 

@@ -27,10 +27,6 @@ class TestBasicIO:
         fs.write_file("/deep/nested/file", b"x")
         assert fs.isdir("/deep/nested")
 
-    def test_write_without_parents_fails(self, fs):
-        with pytest.raises(FileNotFound):
-            fs.write_file("/no/parent", b"x", create_parents=False)
-
     def test_overwrite_replaces(self, fs):
         fs.write_file("/f", "one")
         fs.write_file("/f", "two")
@@ -105,7 +101,7 @@ class TestDirectories:
         fs.write_file("/a", b"12345")
         fs.write_file("/d/b", b"123")
         assert fs.tree_size("/") == 8
-        assert fs.file_count("/") == 2
+        assert fs.file_count() == 2
 
 
 class TestRemoval:
@@ -131,7 +127,7 @@ class TestRemoval:
     def test_rmtree_root_resets(self, fs):
         fs.write_file("/x", b"")
         fs.rmtree("/")
-        assert fs.file_count("/") == 0
+        assert fs.file_count() == 0
 
 
 class TestCopyMove:

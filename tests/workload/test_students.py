@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workload import make_class
+from repro.workload import students as students_module
 
 
 class TestMakeClass:
@@ -38,9 +39,9 @@ class TestMakeClass:
         assert max(skills) > 0.75      # there are strong teams
         assert min(skills) < 0.6       # and struggling ones
 
-    def test_struggling_fraction_zero(self):
-        _, teams = make_class(40, 12, rng=np.random.default_rng(3),
-                              struggling_fraction=0.0)
+    def test_struggling_fraction_zero(self, monkeypatch):
+        monkeypatch.setattr(students_module, "STRUGGLING_FRACTION", 0.0)
+        _, teams = make_class(40, 12, rng=np.random.default_rng(3))
         assert min(t.skill for t in teams) >= 0.6
 
     def test_deterministic_under_seed(self):
