@@ -18,13 +18,16 @@ from repro.analysis import ascii_histogram, runtime_histogram
 def test_fig2_top30_runtime_histogram(benchmark, course_result):
     simulation, result = course_result
 
+    # Top 30, or every team when a small course has fewer.
+    n = min(30, len(simulation.teams))
+
     def regenerate():
-        times = result.top_runtimes(30)
+        times = result.top_runtimes(n)
         return times, runtime_histogram(times)
 
     times, rows = benchmark.pedantic(regenerate, rounds=1, iterations=1)
 
-    print_banner("Figure 2 — top-30 team final runtimes "
+    print_banner(f"Figure 2 — top-{n} team final runtimes "
                  "(0.1 s bins)")
     print(ascii_histogram(times))
     print("\nbins (lo, hi, teams):")
@@ -32,15 +35,15 @@ def test_fig2_top30_runtime_histogram(benchmark, course_result):
         print(f"  {row['lo']:5.1f}-{row['hi']:4.1f}s : {row['teams']}")
 
     all_finals = simulation.system.ranking.top_runtimes(10 ** 6)
-    print(f"\ntop-30 range: {min(times):.2f}s .. {max(times):.2f}s")
+    print(f"\ntop-{n} range: {min(times):.2f}s .. {max(times):.2f}s")
     print(f"class slowest final: {max(all_finals):.1f}s "
           f"(paper: ~120 s)")
     under_1s = sum(1 for t in times if t < 1.0)
-    print(f"top-30 under 1 s: {under_1s}/30 (paper: 'most teams')")
+    print(f"top-{n} under 1 s: {under_1s}/{n} (paper: 'most teams')")
 
     # --- shape assertions -------------------------------------------------
-    assert len(times) == 30
-    assert under_1s >= 15                      # "most teams within 1 second"
+    assert len(times) == n
+    assert 2 * under_1s >= n                   # "most teams within 1 second"
     assert min(times) >= 0.1                   # physical floor
     assert min(times) < 0.6                    # a fast leading cluster
     assert max(all_finals) > 30.0              # a slow tail exists

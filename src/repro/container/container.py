@@ -186,7 +186,6 @@ class Container:
         self.on_output = on_output
         self.peak_memory = 0.0
         self.lifetime_used = 0.0
-        self.exit_reason: Optional[str] = None
         #: Optional zero-arg callable returning a runtime multiplier;
         #: workers wire this to their contention-noise model.
         self.time_dilation: Optional[Callable[[], float]] = None
@@ -246,13 +245,10 @@ class Container:
             exit_code = self._shell.run_line(line)
         except MemoryLimitExceeded as exc:
             self.state = ContainerState.OOM_KILLED
-            self.exit_reason = str(exc)
             exit_code, error = 137, f"oom-killed: {exc}"
         except ContainerTimeout as exc:
-            self.exit_reason = str(exc)
             exit_code, error = 124, f"timed-out: {exc}"
         except NetworkDisabled as exc:
-            self.exit_reason = str(exc)
             exit_code, error = 101, f"network-denied: {exc}"
         return ExecResult(
             command=line,
@@ -286,7 +282,6 @@ class Container:
         self.on_output = None
         self.time_dilation = None
         self.env = {}
-        self.exit_reason = None
         self.peak_memory = 0.0
         self.lifetime_used = 0.0
 

@@ -51,10 +51,11 @@ STORAGE_RETRY = RetryPolicy()
 
 #: Validity of the presigned build-output URL a job publishes.
 BUILD_URL_EXPIRY_SECONDS = 7 * 24 * 3600.0
-#: Fixed per-hit build-cache replay latency (cache probe + bookkeeping);
-#: the artifact transfer itself is charged from bytes over the worker's
-#: storage bandwidth.
-BUILDCACHE_REPLAY_SECONDS = 0.05
+#: One build-cache round trip: the batched fetch of every cacheable
+#: command's candidate entries (BuildKit's ``--cache-from`` manifest).
+#: A delivery pays it once, on its first hit; each hit also pays its own
+#: artifact bytes over the worker's storage bandwidth, and a miss is free.
+BUILDCACHE_PROBE_SECONDS = 0.05
 
 
 class JobRun:
@@ -83,6 +84,7 @@ class JobRun:
         # Usage tallies, folded into ONE meter call when the job finishes
         # (metering must stay off the per-command path).
         self.exec_seconds = self.saved_seconds = 0.0
+        self.probed = False     # paid BUILDCACHE_PROBE_SECONDS yet?
         self.fetch_bytes = self.upload_bytes = 0
         # Picked here, once: no stage asks what kind of job it serves.
         self.stages, self.write_record = STAGES, record_submission
@@ -280,16 +282,18 @@ def _replay(run: JobRun, entry, span):
     """Cache hit: replay the recorded artifact tree, streams and exit code
     instead of executing.  Burns the timing-noise draws the real execution
     would have taken, so every downstream RNG consumer sees the exact same
-    sequence and run output stays byte-identical cache on or off."""
+    sequence and run output stays byte-identical cache on or off.  The
+    delivery's first hit pays the one probe; every hit pays its bytes."""
     worker = run.worker
     for _ in range(entry.rng_draws):
         worker._timing_noise()
     artifact_bytes = worker.system.build_cache.apply(entry, run.container.fs)
-    seconds = (BUILDCACHE_REPLAY_SECONDS
-               + artifact_bytes / worker.config.storage_bandwidth_bps)
+    probe = 0.0 if run.probed else BUILDCACHE_PROBE_SECONDS
+    run.probed = True
+    seconds = probe + artifact_bytes / worker.config.storage_bandwidth_bps
     span.set_attribute("cache", "hit")
     span.add_event("buildcache.replay", key=entry.key[:16],
-                   artifact_bytes=artifact_bytes,
+                   probe_seconds=probe, artifact_bytes=artifact_bytes,
                    saved_seconds=round(entry.charged_seconds - seconds, 6))
     run.exec_seconds += seconds
     run.saved_seconds += max(0.0, entry.charged_seconds - seconds)

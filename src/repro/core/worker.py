@@ -136,7 +136,6 @@ class RaiWorker:
         self.jobs_failed = 0
         self.busy_seconds = 0.0
         self.started_at = self.sim.now
-        self.stopped_at: Optional[float] = None
         # Per-slot live-time accounting: utilization's denominator counts
         # only seconds each concurrency slot actually existed, so slots
         # retired mid-run do not skew the busy fraction the autoscaler
@@ -216,7 +215,6 @@ class RaiWorker:
         if self._stopped:
             return
         self._stopped = True
-        self.stopped_at = self.sim.now
         self.pool.close()
         for slot in list(self._slot_open):
             self._close_slot(slot)

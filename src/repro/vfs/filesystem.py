@@ -55,7 +55,8 @@ class AccessTrace:
             self.inputs[path] = descriptor
         elif existing == "dir" and descriptor.startswith(("tree:", "list:")):
             self.inputs[path] = descriptor
-        elif existing == "list:" and descriptor.startswith("tree:"):
+        elif descriptor_kind(existing) == "list:" \
+                and descriptor.startswith("tree:"):
             self.inputs[path] = descriptor
 
     def note_write(self, path: str) -> None:

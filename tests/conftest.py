@@ -28,7 +28,12 @@ def _build_unicode_tables(_):
     ``HealthCheck.too_slow``.  Draw once here, outside every test."""
 
 
-_build_unicode_tables()
+@pytest.hookimpl(trylast=True)
+def pytest_sessionstart(session):
+    """Warm the tables after Hypothesis's plugin has closed its
+    initialization window (in its own ``pytest_sessionstart``), so the
+    draw raises no ``HypothesisSideeffectWarning``, and before any test."""
+    _build_unicode_tables()
 
 
 @pytest.fixture(autouse=True)

@@ -1,9 +1,12 @@
 """Worker-level build cache integration: capture, replay, invalidation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buildspec import CACHEABLE_PROGRAMS, command_cacheable
 from repro.core.job import JobStatus
+from repro.core.pipeline import BUILDCACHE_PROBE_SECONDS
 from repro.core.system import RaiSystem
 
 pytestmark = pytest.mark.buildcache
@@ -192,3 +195,61 @@ commands:
         assert r1.correctness == r2.correctness == 1.0
         assert r1.internal_time is not None
         assert r2.internal_time is not None
+
+
+class TestProbeCharge:
+    """A delivery fetches every cacheable command's candidates in one
+    round trip: its first hit pays the probe, every hit its artifact
+    bytes over storage bandwidth, and misses and uncacheable commands
+    pay nothing for the cache."""
+
+    @settings(max_examples=30)
+    @given(commands=st.lists(st.sampled_from(
+               ["cmake /src/a", "cmake /src/b", "cmake /src/c", "echo ok"]),
+               min_size=1, max_size=6),
+           edited=st.sets(st.sampled_from("abc")))
+    def test_one_probe_per_delivery_plus_artifact_bytes(self, commands,
+                                                        edited):
+        system = RaiSystem.standard(num_workers=1, seed=50)
+        client = system.new_client(team="t")
+        client.set_build_file(
+            "rai:\n  version: 0.1\n  image: webgpu/rai:root\n"
+            "commands:\n  build:\n"
+            + "".join(f"    - {command}\n" for command in commands))
+        first = {f"{d}/CMakeLists.txt": f"add_executable({d} main.cu)\n"
+                 for d in "abc"}
+        second = dict(first, **{f"{d}/CMakeLists.txt":
+                                f"add_executable({d}2 main.cu)\n"
+                                for d in edited})
+        client.stage_project(first)
+        results = _course(system, client, [None, second])
+        bandwidth = system.workers[0].config.storage_bandwidth_bps
+
+        # A cmake hits when an earlier run of it read the same lists file.
+        seen = set()
+        for result, files in zip(results, (first, second)):
+            assert result.status is JobStatus.SUCCEEDED
+            expected_hits = []
+            for command in commands:
+                if command_cacheable(command):
+                    directory = command.rsplit("/", 1)[1]
+                    key = (command, files[directory + "/CMakeLists.txt"])
+                    if key in seen:
+                        expected_hits.append(command)
+                    seen.add(key)
+            trace = system.tracer.store.trace_for_job(result.job_id)
+            hits = [span for span in trace.spans
+                    if span.name == "container.exec"
+                    and span.attributes.get("cache") == "hit"]
+            assert [span.attributes["command"] for span in hits] \
+                == expected_hits
+            replays = [fields for span in hits
+                       for _, name, fields in span.events
+                       if name == "buildcache.replay"]
+            assert [r["probe_seconds"] for r in replays] == [
+                0.0 if i else BUILDCACHE_PROBE_SECONDS
+                for i in range(len(replays))]
+            replay_seconds = sum(s.end_time - s.start_time for s in hits)
+            assert replay_seconds == pytest.approx(
+                (BUILDCACHE_PROBE_SECONDS if hits else 0.0)
+                + sum(r["artifact_bytes"] for r in replays) / bandwidth)

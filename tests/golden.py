@@ -43,7 +43,7 @@ def deployment(num_workers: int = 1, seed: int = 0,
 #: on ``SystemConfig(shards=1)``: both build the one-partition control
 #: plane.  Captured when the unsharded control plane was a separate code
 #: path and held, without re-capture, when that path was replaced by the
-#: one-partition plane.  Re-captured four times, each time for a model
+#: one-partition plane.  Re-captured five times, each time for a model
 #: change made on purpose.  When the build artifact cache
 #: landed: cached resubmission builds re-time and re-place downstream
 #: work (before it,
@@ -59,8 +59,12 @@ def deployment(num_workers: int = 1, seed: int = 0,
 #: takes the one it returned a job ago instead of waiting out the reset
 #: of the one it just returned: queued jobs start sooner (before it,
 #: 7fb5b6a803c430a6c32076aa582ef688efa58feb0d80df5cb53e003be9803dff).
+#: When a job's build-cache hits began sharing one probe round trip, so
+#: a resubmission's second hit pays only its artifact bytes: cached
+#: builds finish 0.05 s sooner (before it,
+#: 434e099d2298b20043ad97d9abd43cc83eebdfa2374ae568d1ce6de7f51d0ad1).
 GOLDEN_DIGEST = \
-    "434e099d2298b20043ad97d9abd43cc83eebdfa2374ae568d1ce6de7f51d0ad1"
+    "c282724e2946a4312476a866ea89e4e3d0f4761d905551c407bc56dfd964268c"
 
 
 def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,

@@ -80,15 +80,23 @@ def test_resubmission_after_think_time_waits_for_no_reset():
 
 
 def back_to_back(seed=7, teams=("a", "b"), files=FILES):
-    """``teams`` submit at once to a one-slot worker."""
+    """``teams`` submit at once to a one-slot worker; ``files`` is every
+    team's project, or a function from team to its project."""
     system = deployment(
         num_workers=1, seed=seed,
         worker_config=WorkerConfig(max_concurrent_jobs=1))
     clients = [system.new_client(team=team) for team in teams]
     for client in clients:
-        client.stage_project(files)
+        client.stage_project(files(client.team) if callable(files)
+                             else files)
     results = system.run_all(c.submit() for c in clients)
     return system, sorted(results, key=lambda r: r.finished_at)
+
+
+def own_source(team):
+    """``FILES`` with a ``main.cu`` of the team's own, so ``make`` misses
+    the build cache and really compiles."""
+    return dict(FILES, **{"main.cu": FILES["main.cu"] + f"// {team}\n"})
 
 
 def test_back_to_back_on_one_slot_pays_the_remainder():
@@ -97,7 +105,8 @@ def test_back_to_back_on_one_slot_pays_the_remainder():
     not, so it waits out ``RESET - d``, ``d`` the second job's length.
     The pool used to hold one container per slot, and every queued job
     waited out the whole reset of the one just returned."""
-    system, (first, second, third) = back_to_back(teams=("a", "b", "c"))
+    system, (first, second, third) = back_to_back(teams=("a", "b", "c"),
+                                                  files=own_source)
     assert third.status is JobStatus.SUCCEEDED
     _, filled, first_span = acquire_event(system, first)
     _, _, second_span = acquire_event(system, second)

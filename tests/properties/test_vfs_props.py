@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vfs import VirtualFileSystem, pack_tree, unpack_tree
+from repro.vfs import AccessTrace, VirtualFileSystem, pack_tree, unpack_tree
 from repro.vfs.path import is_within, join, normalize, split_parts
 
 path_segments = st.text(
@@ -71,6 +71,24 @@ class TestFilesystemProperties:
         fs.import_mapping(tree, "/src")
         fs.copy("/src", "/dst")
         assert fs.export_mapping("/dst") == fs.export_mapping("/src")
+
+
+class TestAccessTraceProperties:
+    @settings(max_examples=100)
+    @given(seen=st.lists(st.sampled_from(
+        ["dir", "list:1", "list:2", "tree:1", "tree:2"]), max_size=8))
+    def test_tree_supersedes_list_and_is_never_replaced(self, seen):
+        """Observations of one directory in one window, in any order: a
+        walk (``tree:``) outranks a listing (``list:``), so once one is
+        seen the input is the first walk, whatever comes after."""
+        trace = AccessTrace()
+        walks = []
+        for descriptor in seen:
+            trace.note_input("/src", descriptor)
+            if descriptor.startswith("tree:"):
+                walks.append(descriptor)
+            if walks:
+                assert trace.inputs["/src"] == walks[0]
 
 
 class TestArchiveProperties:

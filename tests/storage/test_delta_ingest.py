@@ -41,6 +41,21 @@ class TestManifestFileMap:
         assert kinds[:9] == [int] * 9 and kinds[9] is not int
         assert new.delta_wire_size(base) < new.delta_wire_size(None)
 
+    @pytest.mark.parametrize("files, expected", [
+        ({"/main.cu": "e", "/CMakeLists.txt": "c"},
+         {"changed": {"/main.cu": "e"}}),
+        ({"/main.cu": "m", "/CMakeLists.txt": "c", "/new.cfg": "n"},
+         {"changed": {"/new.cfg": "n"}}),
+        ({"/main.cu": "m"}, {"removed": ["/CMakeLists.txt"]}),
+        ({"/main.cu": "m", "/CMakeLists.txt": "c"}, None),
+    ], ids=["edited", "added", "removed", "unchanged"])
+    def test_delta_doc_ships_only_the_file_map_difference(self, files,
+                                                         expected):
+        base = Manifest.from_bytes(
+            b"payload", files={"/main.cu": "m", "/CMakeLists.txt": "c"})
+        doc = Manifest.from_bytes(b"payload", files=files).delta_doc(base)
+        assert doc.get("files") == expected
+
     def test_tree_digest_stable_under_file_order(self):
         a = digest_file_map({"/a": "1", "/b": "2"})
         b = digest_file_map({"/b": "2", "/a": "1"})
