@@ -13,12 +13,14 @@ from repro.errors import InvalidCredentials
 #: base62ish with '-'); we stick to unambiguous base62.
 _KEY_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 KEY_LENGTH = 26
+#: The alphabet as bytes, so a key is one fancy-indexing gather.
+_KEY_BYTES = np.frombuffer(_KEY_ALPHABET.encode("ascii"), dtype=np.uint8)
 
 
 def generate_key(rng: np.random.Generator) -> str:
     """One random key string (deterministic under a seeded generator)."""
     idx = rng.integers(0, len(_KEY_ALPHABET), size=KEY_LENGTH)
-    return "".join(_KEY_ALPHABET[i] for i in idx)
+    return _KEY_BYTES[idx].tobytes().decode("ascii")
 
 
 @dataclass

@@ -116,12 +116,9 @@ class WarmContainerPool:
         self.misses = 0
         #: Containers :meth:`fill` parked.
         self.filled = 0
-        #: Hits handed out before ``ready_at``, and the seconds they waited.
+        #: Hits handed out before ``ready_at`` (``pool.hit`` events carry
+        #: what each waited).
         self.hits_waited = 0
-        self.hit_wait_seconds = 0.0
-        self.evicted_ttl = 0
-        self.evicted_overflow = 0
-        self.rejected_tainted = 0
 
     # -- state ----------------------------------------------------------
 
@@ -172,7 +169,6 @@ class WarmContainerPool:
             self.hits += 1
             if cost > 0:
                 self.hits_waited += 1
-                self.hit_wait_seconds += cost
             self._emit("pool.hit", image=image_name, cost=cost)
             return container, True, cost
         container = self.runtime.create_container(
@@ -193,7 +189,6 @@ class WarmContainerPool:
         """
         if container.state not in _REUSABLE_STATES:
             if container.state is not ContainerState.DESTROYED:
-                self.rejected_tainted += 1
                 self.runtime.destroy_container(container)
             return False
         now = self.clock()
@@ -234,7 +229,6 @@ class WarmContainerPool:
             return False
         queue = self._parked.setdefault(image_name, deque())
         if len(queue) >= self.max_per_image:
-            self.evicted_overflow += 1
             self.runtime.destroy_container(container)
             return False
         container.scrub()
@@ -253,7 +247,6 @@ class WarmContainerPool:
             while queue and now - queue[0].parked_at >= TTL_SECONDS:
                 entry = queue.popleft()
                 self._destroy_unclaimed(entry, now)
-                self.evicted_ttl += 1
                 evicted += 1
                 self._emit("pool.evict", image=image_name, reason="ttl",
                            idle=now - entry.parked_at)
@@ -287,5 +280,3 @@ class WarmContainerPool:
         containers instead of leaking them into a dead worker's pool."""
         self._closed = True
         return self.drain()
-
-    # -- observability --------------------------------------------------

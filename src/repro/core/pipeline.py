@@ -32,7 +32,7 @@ from repro.errors import (
     SessionLost, SignatureMismatch, StorageError, TransientStorageError,
     VfsError)
 from repro.faults.retry import RetryPolicy
-from repro.storage.buildcache import image_cache_key
+from repro.storage.buildcache import image_cache_key, primary_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
 
@@ -52,9 +52,11 @@ STORAGE_RETRY = RetryPolicy()
 #: Validity of the presigned build-output URL a job publishes.
 BUILD_URL_EXPIRY_SECONDS = 7 * 24 * 3600.0
 #: One build-cache round trip: the batched fetch of every cacheable
-#: command's candidate entries (BuildKit's ``--cache-from`` manifest).
-#: A delivery pays it once, on its first hit; each hit also pays its own
-#: artifact bytes over the worker's storage bandwidth, and a miss is free.
+#: command's candidate entries (BuildKit's ``--cache-from`` manifest) into
+#: the worker's index.  A delivery pays it at most once, at its first
+#: cacheable command the index could not answer (a miss, or a hit on a key
+#: the worker never saw); each hit also pays its own artifact bytes over
+#: the worker's storage bandwidth.
 BUILDCACHE_PROBE_SECONDS = 0.05
 
 
@@ -238,11 +240,16 @@ def build(run: JobRun):
             "container.exec", parent=run_span, kind="container",
             attributes={"command": command})
         cacheable = image_key is not None and command_cacheable(command)
-        entry = cache.lookup(image_key, container.workdir, command,
-                             container.fs, job_id=job.id) \
-            if cacheable else None
+        entry, indexed = None, False
+        if cacheable:
+            entry = cache.lookup(image_key, container.workdir, command,
+                                 container.fs, job_id=job.id)
+            indexed = entry is not None and entry.key in \
+                worker.buildcache_index.get(entry.primary, ())
+            if not (indexed or run.probed):
+                yield from _probe(run, image_key, span)
         if entry is not None:
-            code, error = yield from _replay(run, entry, span)
+            code, error = yield from _replay(run, entry, span, indexed)
         else:
             result = yield from _exec(
                 run, command, span, image_key if cacheable else None)
@@ -278,22 +285,39 @@ def _start_container(run: JobRun) -> None:
                  team=job.team, status="running", container=container.id)
 
 
-def _replay(run: JobRun, entry, span):
+def _probe(run: JobRun, image_key: str, span):
+    """The delivery's one round trip to the shared cache: refresh the
+    worker's index with a copy of the bucket of every cacheable command of
+    the job, as the cache holds them now."""
+    worker, container = run.worker, run.container
+    cache = worker.system.build_cache
+    primaries = {primary_key(image_key, container.workdir, command)
+                 for command in run.spec.build_commands
+                 if command_cacheable(command)}
+    for primary in primaries:
+        worker.buildcache_index[primary] = cache.bucket(primary)
+    run.probed = True
+    run.exec_seconds += BUILDCACHE_PROBE_SECONDS
+    span.add_event("buildcache.probe", seconds=BUILDCACHE_PROBE_SECONDS,
+                   primaries=len(primaries))
+    yield worker.sim.timeout(BUILDCACHE_PROBE_SECONDS)
+
+
+def _replay(run: JobRun, entry, span, indexed: bool):
     """Cache hit: replay the recorded artifact tree, streams and exit code
     instead of executing.  Burns the timing-noise draws the real execution
     would have taken, so every downstream RNG consumer sees the exact same
-    sequence and run output stays byte-identical cache on or off.  The
-    delivery's first hit pays the one probe; every hit pays its bytes."""
+    sequence and run output stays byte-identical cache on or off.  A hit
+    pays its artifact bytes; ``indexed`` says its key was in the worker's
+    index, so it asked the shared cache nothing."""
     worker = run.worker
     for _ in range(entry.rng_draws):
         worker._timing_noise()
     artifact_bytes = worker.system.build_cache.apply(entry, run.container.fs)
-    probe = 0.0 if run.probed else BUILDCACHE_PROBE_SECONDS
-    run.probed = True
-    seconds = probe + artifact_bytes / worker.config.storage_bandwidth_bps
+    seconds = artifact_bytes / worker.config.storage_bandwidth_bps
     span.set_attribute("cache", "hit")
-    span.add_event("buildcache.replay", key=entry.key[:16],
-                   probe_seconds=probe, artifact_bytes=artifact_bytes,
+    span.add_event("buildcache.replay", key=entry.key[:16], indexed=indexed,
+                   artifact_bytes=artifact_bytes,
                    saved_seconds=round(entry.charged_seconds - seconds, 6))
     run.exec_seconds += seconds
     run.saved_seconds += max(0.0, entry.charged_seconds - seconds)
@@ -339,11 +363,13 @@ def _exec(run: JobRun, command: str, span, image_key):
         # generator before the entry exists, so no partial artifact can
         # ever be observed.  Non-zero exits are cached too — a
         # deterministic compile error replays as cheaply as a success.
-        worker.system.build_cache.capture(
+        entry = worker.system.build_cache.capture(
             image_key, container.workdir, command, trace, container.fs,
             result.stdout, result.stderr, result.exit_code,
             result.sim_duration, draws, source_digest=run.source_digest,
             job_id=run.job.id)
+        worker.buildcache_index.setdefault(entry.primary, set()).add(
+            entry.key)
         span.set_attribute("cache", "miss")
     return result
 

@@ -27,17 +27,18 @@ each became — and, in brackets, what an interactive session (§VIII,
    then ``_finish`` [no archive; ``record`` writes the transcript].
 
 This module is the node: slots, executor loops, lifecycle, the chunk
-fetch cache.  A worker runs ``max_concurrent_jobs`` executor loops.  Near
-deadlines the course set this to 1 because exclusive use "makes the
-performance timing more accurate and repeatable" — reproduced here as
-contention jitter that scales with the number of co-running jobs.
+fetch cache, the build-cache index.  A worker runs ``max_concurrent_jobs``
+executor loops.  Near deadlines the course set this to 1 because exclusive
+use "makes the performance timing more accurate and repeatable" —
+reproduced here as contention jitter that scales with the number of
+co-running jobs.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.broker.client import Consumer
 from repro.buildspec.defaults import default_build_spec
@@ -127,6 +128,12 @@ class RaiWorker:
         self.fetch_cache_hit_bytes = 0
         self.fetch_cache_miss_bytes = 0
         self.fetch_cache_evictions = 0
+        # Build-cache index: primary key → content keys this worker knows
+        # the shared cache holds — a copy of each bucket its probes
+        # fetched, plus the entries it captured.  An entry never changes
+        # (its key hashes its inputs), so a hit on a key held here needs
+        # no round trip.  Soft state like the fetch cache.
+        self.buildcache_index: Dict[str, Set[str]] = {}
         #: Open worker.job spans (one per in-flight job) so a crash can
         #: annotate and close them — the interrupted generators never
         #: reach their own finally blocks' span bookkeeping in time.

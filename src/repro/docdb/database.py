@@ -76,9 +76,6 @@ class Collection:
         #: Next auto-generated ``oid-``; a plain int (not itertools.count)
         #: so snapshots can capture it and recovery can advance it.
         self._next_oid = 1
-        #: Access-path plan of the most recent find/update/delete/count —
-        #: the write-path equivalent of ``Cursor.explain()``.
-        self.last_plan: Optional[dict] = None
         #: Cumulative planner activity (index hits vs scans, docs
         #: examined) — a dict-shaped view over registry gauges.
         self.planner_stats = PlannerStats(db.metrics, name)
@@ -200,7 +197,6 @@ class Collection:
         else:
             self.planner_stats["index_hits"] += 1
         self.planner_stats["docs_examined"] += len(ids)
-        self.last_plan = plan
         usage = self.db.usage
         if usage is not None:
             # Every read and write plans here, so one hook meters them all.

@@ -90,7 +90,6 @@ class ShardedCollection:
         self.shard_map = shard_map
         self.shards = [db.collection(shard_map.collection(name, p))
                        for p in shard_map.partitions()]
-        self.last_plan: Optional[dict] = None
 
     # -- routing ------------------------------------------------------------
 
@@ -153,7 +152,6 @@ class ShardedCollection:
             cursor = self.shards[partition].find(filter, projection)
             cursor._plan = dict(cursor._plan or {}, sharded=True,
                                 shard=partition)
-            self.last_plan = dict(cursor._plan)
             return cursor
         chunks, shard_plans = [], []
         examined = total = matched = 0
@@ -169,7 +167,6 @@ class ShardedCollection:
                 "index": None, "index_kind": None, "shards": shard_plans,
                 "docs_examined": examined, "docs_total": total,
                 "docs_matched": matched}
-        self.last_plan = dict(plan)
         return ShardedCursor(chunks, projection, plan)
 
     def find_one(self, filter: Optional[dict] = None) -> Optional[dict]:

@@ -46,7 +46,7 @@ import base64
 import hashlib
 import json
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.events import EventType
 from repro.vfs.filesystem import (
@@ -177,9 +177,9 @@ class BuildCache:
         self.events = events
         #: content key → entry, LRU order (oldest first).
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        #: primary key → {observation shape → entries recorded with it}.
-        #: Derived state like the blob refcounts: never snapshotted.
-        self._shapes: Dict[str, Dict[tuple, int]] = {}
+        #: primary key → {observation shape → content keys recorded with
+        #: it}.  Derived state like the blob refcounts: never snapshotted.
+        self._shapes: Dict[str, Dict[tuple, Set[str]]] = {}
         self._use_tick = 0
         #: blob digest → payload, shared across entries.
         self._blobs: Dict[str, bytes] = {}
@@ -248,6 +248,11 @@ class BuildCache:
                              key=best.key[:16], artifact_bytes=best.bytes)
         return best
 
+    def bucket(self, primary: str) -> Set[str]:
+        """A copy of the content keys cached under ``primary`` — what one
+        probe of the shared cache fetches for it."""
+        return set().union(*self._shapes.get(primary, {}).values())
+
     def _touch(self, entry: CacheEntry) -> None:
         self._use_tick += 1
         entry.used = self._use_tick
@@ -255,8 +260,8 @@ class BuildCache:
     def _link_entry(self, entry: CacheEntry) -> None:
         """Publish ``entry`` as the most recently used one."""
         self._entries[entry.key] = entry
-        shapes = self._shapes.setdefault(entry.primary, {})
-        shapes[entry.shape] = shapes.get(entry.shape, 0) + 1
+        self._shapes.setdefault(entry.primary, {}).setdefault(
+            entry.shape, set()).add(entry.key)
         self._touch(entry)
 
     # -- capture -------------------------------------------------------------
@@ -388,7 +393,7 @@ class BuildCache:
 
     def _unlink_entry(self, entry: CacheEntry) -> None:
         shapes = self._shapes[entry.primary]
-        shapes[entry.shape] -= 1
+        shapes[entry.shape].discard(entry.key)
         if not shapes[entry.shape]:
             del shapes[entry.shape]
             if not shapes:
@@ -469,10 +474,10 @@ class BuildCache:
         orphans = [d for d in self._blobs if d not in expected_refs]
         if orphans:
             problems.append(f"{len(orphans)} orphaned blobs")
-        shapes: Dict[str, Dict[tuple, int]] = {}
+        shapes: Dict[str, Dict[tuple, Set[str]]] = {}
         for entry in self._entries.values():
-            counts = shapes.setdefault(entry.primary, {})
-            counts[entry.shape] = counts.get(entry.shape, 0) + 1
+            shapes.setdefault(entry.primary, {}).setdefault(
+                entry.shape, set()).add(entry.key)
         if shapes != self._shapes:
             problems.append("shape index diverges from the entry table")
         return problems

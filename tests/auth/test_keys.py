@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.auth import KeyStore, generate_key
+from repro.auth.keys import _KEY_ALPHABET, KEY_LENGTH
 from repro.errors import InvalidCredentials
 
 
@@ -17,6 +20,17 @@ class TestGenerateKey:
         a = generate_key(np.random.default_rng(5))
         b = generate_key(np.random.default_rng(5))
         assert a == b
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 4))
+    def test_same_draws_as_a_per_character_join(self, seed, draws):
+        """The gather is byte-identical to joining one character per draw,
+        and consumes the generator exactly as that did."""
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            idx = slow.integers(0, len(_KEY_ALPHABET), size=KEY_LENGTH)
+            assert generate_key(fast) == "".join(_KEY_ALPHABET[i]
+                                                 for i in idx)
 
 
 class TestKeyStore:

@@ -7,6 +7,7 @@ from repro.container import ContainerRuntime, WarmContainerPool
 from repro.container.pool import CREATE_SECONDS, TTL_SECONDS
 from repro.container.container import ContainerState
 from repro.container.volumes import VolumeMount
+from repro.obs.events import EventLog
 from repro.obs.usage import UNATTRIBUTED, UsageMeter
 from repro.vfs import VirtualFileSystem
 
@@ -27,6 +28,11 @@ def ready_and_resetting(pool):
     return ready, len(parked) - ready
 
 
+def events(pool, type):
+    """The fields of the pool's ``type`` events, in order."""
+    return [event.fields for event in pool.events.query(type=type)]
+
+
 @pytest.fixture
 def clock():
     return FakeClock()
@@ -40,7 +46,7 @@ def runtime():
 @pytest.fixture
 def pool(runtime, clock):
     return WarmContainerPool(runtime, clock, max_per_image=2,
-                             reset_seconds=0.2)
+                             reset_seconds=0.2, events=EventLog(clock=clock))
 
 
 def _mounts(label: str):
@@ -77,7 +83,8 @@ class TestAcquireRelease:
         _, hit, cost = pool.acquire("webgpu/rai:root")
         assert hit and cost == 0.0
         assert (pool.hits, pool.hits_waited) == (3, 2)
-        assert pool.hit_wait_seconds == pytest.approx(0.35)
+        assert sum(hit["cost"] for hit in events(pool, "pool.hit")) == \
+            pytest.approx(0.35)
 
     def test_a_hit_never_costs_more_than_a_reset(self, pool, clock):
         clock.now = 0.1
@@ -148,7 +155,7 @@ class TestSanitization:
             assert not pool.release(container)
             assert container.state is ContainerState.DESTROYED
         assert pool.pooled_count == 0
-        assert pool.rejected_tainted == 2
+        assert runtime.total_destroyed == 2
         assert runtime.live_count == 0
 
     def test_already_destroyed_release_is_a_noop(self, pool, runtime):
@@ -156,8 +163,7 @@ class TestSanitization:
         runtime.destroy_container(container)
         destroyed_before = runtime.total_destroyed
         assert not pool.release(container)
-        assert runtime.total_destroyed == destroyed_before
-        assert pool.rejected_tainted == 0
+        assert runtime.total_destroyed == destroyed_before == 1
 
 
 class TestBoundsAndTTL:
@@ -167,7 +173,7 @@ class TestBoundsAndTTL:
         assert pool.release(containers[1])
         assert not pool.release(containers[2])
         assert pool.pooled_count == 2
-        assert pool.evicted_overflow == 1
+        assert runtime.total_destroyed == 1
         assert runtime.live_count == 2
 
     def test_ttl_evicts_idle_containers(self, pool, runtime, clock):
@@ -178,7 +184,7 @@ class TestBoundsAndTTL:
         clock.now = TTL_SECONDS
         assert pool.evict_expired() == 1
         assert pool.pooled_count == 0
-        assert pool.evicted_ttl == 1
+        assert [e["reason"] for e in events(pool, "pool.evict")] == ["ttl"]
         assert runtime.live_count == 0
 
     def test_acquire_runs_eviction_first(self, pool, clock):
@@ -187,7 +193,7 @@ class TestBoundsAndTTL:
         clock.now = 5 * TTL_SECONDS
         _, hit, _ = pool.acquire("webgpu/rai:root")
         assert not hit             # the parked one expired, not reused
-        assert pool.evicted_ttl == 1
+        assert [e["reason"] for e in events(pool, "pool.evict")] == ["ttl"]
 
     def test_disabled_pool_never_parks(self, runtime, clock):
         pool = WarmContainerPool(runtime, clock, max_per_image=0)
@@ -239,7 +245,7 @@ class TestShutdown:
         assert pool.pooled_count == 1
         assert ready_and_resetting(pool) == (0, 1)
         assert pool.hits == 0 and pool.misses == 1
-        assert pool.hits_waited == 0 and pool.hit_wait_seconds == 0.0
+        assert pool.hits_waited == 0 and events(pool, "pool.hit") == []
 
 
 class TestFill:

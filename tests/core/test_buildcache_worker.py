@@ -198,18 +198,21 @@ commands:
 
 
 class TestProbeCharge:
-    """A delivery fetches every cacheable command's candidates in one
-    round trip: its first hit pays the probe, every hit its artifact
-    bytes over storage bandwidth, and misses and uncacheable commands
-    pay nothing for the cache."""
+    """A delivery asks the shared cache at most once: at its first
+    cacheable command its worker's index cannot answer — a miss, or a hit
+    on a key the worker neither captured nor fetched — and that probe
+    refreshes the index for every cacheable command of the job.  Every
+    hit pays its artifact bytes over storage bandwidth; a hit on an
+    indexed key pays nothing else."""
 
     @settings(max_examples=30)
     @given(commands=st.lists(st.sampled_from(
                ["cmake /src/a", "cmake /src/b", "cmake /src/c", "echo ok"]),
                min_size=1, max_size=6),
-           edited=st.sets(st.sampled_from("abc")))
-    def test_one_probe_per_delivery_plus_artifact_bytes(self, commands,
-                                                        edited):
+           edited=st.sets(st.sampled_from("abc")),
+           replaced=st.booleans())
+    def test_one_probe_per_delivery_plus_artifact_bytes(
+            self, commands, edited, replaced):
         system = RaiSystem.standard(num_workers=1, seed=50)
         client = system.new_client(team="t")
         client.set_build_file(
@@ -221,35 +224,64 @@ class TestProbeCharge:
         second = dict(first, **{f"{d}/CMakeLists.txt":
                                 f"add_executable({d}2 main.cu)\n"
                                 for d in edited})
-        client.stage_project(first)
-        results = _course(system, client, [None, second])
-        bandwidth = system.workers[0].config.storage_bandwidth_bps
+        results = []
 
-        # A cmake hits when an earlier run of it read the same lists file.
-        seen = set()
+        def driver():
+            client.stage_project(first)
+            results.append((yield from client.submit()))
+            if replaced:        # the resubmission lands on a fresh worker
+                system.remove_worker(system.workers[0])
+                system.add_worker()
+            yield system.sim.timeout(system.config.rate_limit_seconds + 1)
+            client.stage_project(second)
+            results.append((yield from client.submit()))
+
+        system.run(driver())
+        bandwidth = system.workers[-1].config.storage_bandwidth_bps
+        cacheable = [c for c in commands if command_cacheable(c)]
+
+        # A cmake's answer is its (command, lists file) pair: a hit when an
+        # earlier run captured it, indexed when the worker holds it.
+        cached, index = set(), set()
         for result, files in zip(results, (first, second)):
             assert result.status is JobStatus.SUCCEEDED
-            expected_hits = []
-            for command in commands:
-                if command_cacheable(command):
-                    directory = command.rsplit("/", 1)[1]
-                    key = (command, files[directory + "/CMakeLists.txt"])
-                    if key in seen:
-                        expected_hits.append(command)
-                    seen.add(key)
+            if replaced and files is second:
+                index = set()
+            answers = [(c, files[c.rsplit("/", 1)[1] + "/CMakeLists.txt"])
+                       for c in cacheable]
+            expected, probed = [], False
+            for answer in answers:
+                hit = answer in cached
+                indexed = hit and answer in index
+                probe = not (indexed or probed)
+                if probe:
+                    probed = True
+                    index |= {a for a in cached if a[0] in cacheable}
+                if not hit:
+                    cached.add(answer)
+                    index.add(answer)
+                expected.append(("hit" if hit else "miss", probe,
+                                 indexed if hit else None))
             trace = system.tracer.store.trace_for_job(result.job_id)
-            hits = [span for span in trace.spans
-                    if span.name == "container.exec"
-                    and span.attributes.get("cache") == "hit"]
-            assert [span.attributes["command"] for span in hits] \
-                == expected_hits
-            replays = [fields for span in hits
-                       for _, name, fields in span.events
-                       if name == "buildcache.replay"]
-            assert [r["probe_seconds"] for r in replays] == [
-                0.0 if i else BUILDCACHE_PROBE_SECONDS
-                for i in range(len(replays))]
-            replay_seconds = sum(s.end_time - s.start_time for s in hits)
-            assert replay_seconds == pytest.approx(
-                (BUILDCACHE_PROBE_SECONDS if hits else 0.0)
-                + sum(r["artifact_bytes"] for r in replays) / bandwidth)
+            spans = [span for span in trace.spans
+                     if span.name == "container.exec"
+                     and "cache" in span.attributes]
+            seen = []
+            for span in spans:
+                events = {name: fields for _, name, fields in span.events}
+                replay = events.get("buildcache.replay")
+                seen.append((span.attributes["cache"],
+                             "buildcache.probe" in events,
+                             None if replay is None else replay["indexed"]))
+                if replay is not None:
+                    assert span.end_time - span.start_time == \
+                        pytest.approx(replay["artifact_bytes"] / bandwidth
+                                      + BUILDCACHE_PROBE_SECONDS
+                                      * ("buildcache.probe" in events))
+            assert seen == expected
+            probes = [fields for span in spans
+                      for _, name, fields in span.events
+                      if name == "buildcache.probe"]
+            assert probes == [{"seconds": BUILDCACHE_PROBE_SECONDS,
+                               "primaries": len(set(cacheable))}
+                              ] * any(probe for _, probe, _ in expected)

@@ -43,7 +43,7 @@ def deployment(num_workers: int = 1, seed: int = 0,
 #: on ``SystemConfig(shards=1)``: both build the one-partition control
 #: plane.  Captured when the unsharded control plane was a separate code
 #: path and held, without re-capture, when that path was replaced by the
-#: one-partition plane.  Re-captured five times, each time for a model
+#: one-partition plane.  Re-captured six times, each time for a model
 #: change made on purpose.  When the build artifact cache
 #: landed: cached resubmission builds re-time and re-place downstream
 #: work (before it,
@@ -63,8 +63,13 @@ def deployment(num_workers: int = 1, seed: int = 0,
 #: a resubmission's second hit pays only its artifact bytes: cached
 #: builds finish 0.05 s sooner (before it,
 #: 434e099d2298b20043ad97d9abd43cc83eebdfa2374ae568d1ce6de7f51d0ad1).
+#: When workers began keeping an index of the cache entries they fetched
+#: or captured, so a hit on a known entry skips the probe and a delivery
+#: that only misses pays it: resubmissions finish 0.05 s sooner, first
+#: builds 0.05 s later (before it,
+#: c282724e2946a4312476a866ea89e4e3d0f4761d905551c407bc56dfd964268c).
 GOLDEN_DIGEST = \
-    "c282724e2946a4312476a866ea89e4e3d0f4761d905551c407bc56dfd964268c"
+    "0c9be705653ebc6c523c2359ce3c5dba420c533ef5caffca18f97aabb7ffca20"
 
 
 def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,

@@ -46,6 +46,12 @@ def acquire_event(system, result):
     return at, fields, job_span
 
 
+def hit_costs(system):
+    """What each pool hit waited, in order (its ``pool.hit`` event)."""
+    return [event.fields["cost"]
+            for event in system.events.query(type="pool.hit")]
+
+
 def test_resubmission_after_think_time_waits_for_no_reset():
     system = RaiSystem.standard(num_workers=1, seed=7)
     client = system.new_client(team="t")
@@ -73,7 +79,7 @@ def test_resubmission_after_think_time_waits_for_no_reset():
     assert report["dominant"]["name"] != "worker.job"
     pool = system.workers[0].pool
     assert (pool.misses, pool.hits, pool.hits_waited) == (0, 2, 1)
-    assert pool.hit_wait_seconds == filled["seconds"]
+    assert hit_costs(system) == [filled["seconds"], 0.0]
     warm_hist = system.metrics.histogram("container_acquire_seconds",
                                          outcome="warm")
     assert warm_hist.buckets[0] == 0.0 and warm_hist.bucket_counts[0] == 1
@@ -116,7 +122,7 @@ def test_back_to_back_on_one_slot_pays_the_remainder():
     pool = system.workers[0].pool
     # Three hits, and only the first waited: for the boot fill.
     assert (pool.misses, pool.hits, pool.hits_waited) == (0, 3, 1)
-    assert pool.hit_wait_seconds == filled["seconds"]
+    assert hit_costs(system) == [filled["seconds"], 0.0, 0.0]
 
     system, (first, second, third) = back_to_back(teams=("a", "b", "c"),
                                                   files=dict(FILES, **ECHO))
@@ -134,10 +140,7 @@ def test_back_to_back_on_one_slot_pays_the_remainder():
     assert at == pytest.approx(first_span.end_time + RESET)
     pool = system.workers[0].pool
     assert (pool.misses, pool.hits, pool.hits_waited) == (0, 3, 2)
-    assert pool.hit_wait_seconds == filled["seconds"] + warm["seconds"]
-    fill_hit, spare_hit, hit = system.events.query(type="pool.hit")
-    assert (fill_hit.fields["cost"], spare_hit.fields["cost"],
-            hit.fields["cost"]) == (filled["seconds"], 0.0, warm["seconds"])
+    assert hit_costs(system) == [filled["seconds"], 0.0, warm["seconds"]]
     warm_hist = system.metrics.histogram("container_acquire_seconds",
                                          outcome="warm")
     assert warm_hist.bucket_counts[0] == 1 and warm_hist.count == 3

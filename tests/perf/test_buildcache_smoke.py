@@ -118,7 +118,8 @@ def test_lookup_observations_do_not_grow_with_cached_builds():
         for version in range(len(cache._entries), size):
             build(version)
         (shapes,) = cache._shapes.values()          # one primary ...
-        assert len(cache._entries) == size and list(shapes.values()) == [size]
+        assert len(cache._entries) == size
+        assert [len(keys) for keys in shapes.values()] == [size]
         fs.write_file("/src/main.cu", b"v0")        # oldest entry: a hit
         hit = observations(expect_hit=True)
         fs.write_file("/src/main.cu", b"never built")

@@ -112,10 +112,16 @@ def check_invariants(cache):
     assert cache.verify() == []
     rebuilt = {}
     for entry in cache._entries.values():
-        counts = rebuilt.setdefault(entry.primary, {})
-        shape = shape_of(entry.inputs)
-        counts[shape] = counts.get(shape, 0) + 1
+        rebuilt.setdefault(entry.primary, {}).setdefault(
+            shape_of(entry.inputs), set()).add(entry.key)
     assert cache._shapes == rebuilt
+    # A bucket is every key under its primary, and a copy: a probe that
+    # keeps it must not see later captures.
+    for primary, shapes in rebuilt.items():
+        bucket = cache.bucket(primary)
+        assert bucket == set().union(*shapes.values())
+        bucket.add("not captured")
+        assert "not captured" not in cache.bucket(primary)
     # The MRU tie-break reads ``used``; it must order entries exactly as
     # the LRU table does.
     ticks = [entry.used for entry in cache._entries.values()]

@@ -9,7 +9,7 @@ once the course image's pull and a create are done; and
 fetching them again.  The oracles below are kept here only as a
 specification:
 
-- the pool it replaced: the same TTL / overflow / taint bookkeeping,
+- the pool it replaced: the same TTL / overflow / taint rules,
   every hit on a returned container charged the whole reset, no fill,
   and the oldest-first hand-out;
 - the pull rule it replaced, for a job's whole acquire stage: every layer
@@ -52,6 +52,7 @@ from repro.container.image import Image, ImageLayer, ImageRegistry
 from repro.core.config import WorkerConfig
 from repro.core.system import RaiSystem
 from repro.core.worker import COURSE_IMAGE, WARM_POOL_SIZE
+from repro.obs.events import EventLog
 from repro.obs.usage import UNATTRIBUTED, UsageMeter
 
 pytestmark = pytest.mark.sched
@@ -123,8 +124,7 @@ class FlatChargePool:
         self.parked = {}        # image -> deque of [container, parked_at,
         #                         ready_at (filled) or None (returned)]
         self.closed = False
-        self.hits = self.misses = 0
-        self.evicted_ttl = self.evicted_overflow = self.rejected_tainted = 0
+        self.hits = self.misses = self.evicted_ttl = 0
         self.idle_seconds = 0.0     # parked time of every entry that left
         self.team_seconds = 0.0     # ... of returned entries a hit took
 
@@ -154,17 +154,11 @@ class FlatChargePool:
         return None, CREATE
 
     def release(self, container, image, tainted, now):
-        if tainted:
-            self.rejected_tainted += 1
-        elif self.closed:
-            pass
-        elif len(self.parked.get(image, ())) >= PER_IMAGE:
-            self.evicted_overflow += 1
-        else:
-            self.parked.setdefault(image, deque()).append(
-                [container, now, None])
-            return True
-        return False
+        if tainted or self.closed \
+                or len(self.parked.get(image, ())) >= PER_IMAGE:
+            return False
+        self.parked.setdefault(image, deque()).append([container, now, None])
+        return True
 
     def fill(self, image, count, now, ready_at):
         """Park up to ``count`` placeholders; return how many."""
@@ -211,7 +205,8 @@ def background_reset_against_the_flat_charge(n_images, schedule):
                                pull_bandwidth_bps=BANDWIDTH, clock=clock)
     usage = UsageMeter(clock)
     pool = WarmContainerPool(runtime, clock, max_per_image=PER_IMAGE,
-                             reset_seconds=RESET, usage=usage)
+                             reset_seconds=RESET, usage=usage,
+                             events=EventLog(clock=clock))
     oracle, layers = FlatChargePool(), LayerCache()
     held = []                       # (container, image) a job is using
     waited = wait_seconds = filled = pulled = 0
@@ -245,7 +240,10 @@ def background_reset_against_the_flat_charge(n_images, schedule):
             if op == "taint":
                 container.state = ContainerState.OOM_KILLED
             parked = oracle.release(container, image, op == "taint", now)
+            destroyed = runtime.total_destroyed
             assert pool.release(container) == parked
+            # Tainted, overflowing or closed: destroyed, never parked.
+            assert runtime.total_destroyed - destroyed == (not parked)
             if not parked:
                 assert container.state is ContainerState.DESTROYED
         elif op == "fill":
@@ -289,10 +287,10 @@ def background_reset_against_the_flat_charge(n_images, schedule):
     assert runtime.live_count == 0
     assert (pool.hits, pool.misses, pool.filled) == \
         (oracle.hits, oracle.misses, filled)
-    assert (pool.evicted_ttl, pool.evicted_overflow, pool.rejected_tainted) \
-        == (oracle.evicted_ttl, oracle.evicted_overflow,
-            oracle.rejected_tainted)
-    assert (pool.hits_waited, pool.hit_wait_seconds) == (waited, wait_seconds)
+    evicted = [e.fields["reason"] for e in pool.events.query(type="pool.evict")]
+    assert evicted == ["ttl"] * oracle.evicted_ttl
+    hit_costs = [e.fields["cost"] for e in pool.events.query(type="pool.hit")]
+    assert (pool.hits_waited, sum(hit_costs)) == (waited, wait_seconds)
     # Every layer byte is counted once, by the request that started it.
     sizes = {l.digest: l.size_bytes for name in IMAGES for l in LAYERS[name]}
     assert runtime.stats()["bytes_pulled"] == pulled == \
@@ -370,7 +368,8 @@ def run_slots(jobs):
     adopt()
     assert fills == []
     assert pool.filled == DEPTH * worker.slot_count
-    assert (pool.hits, pool.misses, pool.evicted_overflow) == (len(log), 0, 0)
+    assert (pool.hits, pool.misses) == (len(log), 0)
+    assert worker.runtime.total_destroyed == 0  # no overflow, taint or TTL
     worker.stop()
     assert pool.pooled_count == 0 and worker.runtime.live_count == 0
     return log

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.system import RaiSystem
+from repro.durability.snapshot import capture, install
 from repro.sim import Simulator
 from repro.storage import (
     ChunkStore,
@@ -146,3 +148,20 @@ class TestChunkStoreRefcounts:
         cs.store(bytes(range(30)))
         cs.store(bytes(range(30)))
         assert cs.dedup_ratio() == pytest.approx(3.0)
+
+
+class TestDedupedBytes:
+    def test_shared_chunks_count_once_and_survive_a_snapshot(self):
+        """``deduped_bytes`` is the shared bytes a second upload did not
+        store, and a restored deployment keeps the figure."""
+        system = RaiSystem(seed=9)
+        system.storage.create_bucket("b")
+        shared = b"A" * C + b"B" * C
+        system.storage.put_object("b", "one", shared + b"C" * C, dedup=True)
+        system.storage.put_object("b", "two", shared + b"D" * C, dedup=True)
+        assert system.storage.chunk_store.stats()["deduped_bytes"] == \
+            len(shared)
+        restored = RaiSystem(seed=9)
+        install(restored, capture(system))
+        assert restored.storage.chunk_store.stats()["deduped_bytes"] == \
+            len(shared)
