@@ -25,8 +25,8 @@ class MessageBroker:
         The simulation kernel the broker lives on.
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`.  The broker's
-        tallies live there under a ``broker_`` prefix; :attr:`counters`
-        remains the legacy accessor as a thin view.
+        two tallies, messages and bytes published, live there under a
+        ``broker_`` prefix; :attr:`counters` is their view.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  Messages published
         with trace headers get a ``broker.deliver`` span per delivery
@@ -73,7 +73,6 @@ class MessageBroker:
                       on_empty=self._reap_topic)
             t.broker = self
             self.topics[name] = t
-            self.counters.incr("topics_created")
         return t
 
     def channel(self, route: str) -> Channel:
@@ -84,7 +83,6 @@ class MessageBroker:
     def _reap_topic(self, topic: Topic) -> None:
         if topic.name in self.topics and topic.depth == 0:
             del self.topics[topic.name]
-            self.counters.incr("topics_reaped")
 
     # -- data plane ------------------------------------------------------------
 
@@ -128,7 +126,7 @@ class MessageBroker:
 
     @property
     def total_bytes_published(self) -> int:
-        """Legacy accessor — now a view over the metrics registry."""
+        """Bytes of every message body published, read off the registry."""
         return int(self.counters.get("bytes_published"))
 
     # -- resiliency ------------------------------------------------------------
@@ -139,8 +137,6 @@ class MessageBroker:
         for topic in list(self.topics.values()):
             for channel in topic.channels.values():
                 total += channel.requeue_stale(in_flight_timeout)
-        if total:
-            self.counters.incr("stale_requeued", total)
         return total
 
     def dead_letter_count(self) -> int:
@@ -160,8 +156,6 @@ class MessageBroker:
             for channel in topic.channels.values():
                 for message in channel.drain_dead_letters():
                     drained.append((f"{topic.name}/{channel.name}", message))
-        if drained:
-            self.counters.incr("dead_letters_drained", len(drained))
         return drained
 
     def caretaker(self, interval: float = 60.0,

@@ -63,8 +63,7 @@ class Provisioner:
         self.system = system
         self.sim = system.sim
         self.instances: List[ProvisionedInstance] = []
-        # Register with the system's metering/metrics plane.
-        system.provisioners.append(self)
+        # The cost books price the fleet this provisioner leases.
         system.cost_allocator.attach_provisioner(self)
 
     # -- scale out ------------------------------------------------------------
@@ -92,7 +91,6 @@ class Provisioner:
 
         inst.boot_process = self.sim.process(boot())
         self.instances.append(inst)
-        self._register_type_gauges(itype.name)
         return inst
 
     def launch_many(self, count: int, **kwargs) -> List[ProvisionedInstance]:
@@ -131,43 +129,7 @@ class Provisioner:
         now = self.sim.now if now is None else now
         return sum(i.cost_until(now) for i in self.instances)
 
-    def total_instance_hours(self) -> float:
-        now = self.sim.now
-        seconds = sum(
-            max(0.0, (i.terminated_at if i.terminated_at is not None
-                      else now) - i.launched_at)
-            for i in self.instances)
-        return seconds / 3600.0
-
     def capacity_slot_seconds(self, start: float, end: float) -> float:
         """Provisioned worker-slot capacity inside ``[start, end)``."""
         return sum(i.overlap_seconds(start, end) * i.slots
                    for i in self.instances)
-
-    def _register_type_gauges(self, type_name: str) -> None:
-        """Per-instance-type cost/occupancy gauges (satellite of PR 10).
-
-        Labelled *callback* gauges: the periodic sampler skips them (by
-        design — see scrape.py), but `rai stats`, exports, and tests
-        read them through the registry, which is what "CostReport is no
-        longer CLI-only" requires.  The closures sum over every
-        provisioner attached to the system so repeated registration
-        keeps the first (equivalent) callback.
-        """
-        metrics = self.system.metrics
-        fleet = self.system.provisioners
-        sim = self.sim
-
-        def type_cost():
-            return sum(i.cost_until(sim.now)
-                       for p in fleet for i in p.instances
-                       if i.instance_type.name == type_name)
-
-        def type_live():
-            return sum(1 for p in fleet for i in p.instances
-                       if i.instance_type.name == type_name and i.is_live)
-
-        metrics.gauge("cluster_cost_usd", fn=type_cost,
-                      instance_type=type_name)
-        metrics.gauge("cluster_instances_live", fn=type_live,
-                      instance_type=type_name)

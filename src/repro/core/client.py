@@ -154,8 +154,6 @@ class RaiClient:
             return reject(exc)
         result.status = JobStatus.QUEUED
         result.queued_at = self.sim.now
-        self.system.monitor.incr("jobs_submitted")
-        self.system.monitor.record_submission(self.sim.now, kind)
         events = self.system.events
         events.emit("shard.route", span=publish_span, job_id=job_id,
                     team=self.team, username=self.username,
@@ -185,7 +183,6 @@ class RaiClient:
                             f"timed out after {wait_timeout:.0f}s waiting "
                             f"for job completion")
                         result.finished_at = self.sim.now
-                        self.system.monitor.incr("client_wait_timeouts")
                         span.add_event("wait.timeout", seconds=wait_timeout)
                         break
                     message = get_event.value
@@ -221,11 +218,6 @@ class RaiClient:
                                    message=result.error)
             else:
                 tracer.end_subtree(span)
-            # Queue→End latency, bucketed for the operator report; the
-            # trace id pins an exemplar so a slow bucket names its job.
-            self.system.metrics.histogram("job_turnaround_seconds").observe(
-                (result.finished_at or self.sim.now) - job.submitted_at,
-                trace_id=span.trace_id, at=self.sim.now)
             if result.status in (JobStatus.TIMEOUT, JobStatus.REJECTED):
                 self.system.events.emit(
                     "job.state_change", span=span, job_id=job_id,
@@ -275,7 +267,6 @@ class RaiClient:
         # (and re-adds any the server has since expired) — the
         # negotiation is ground truth for the wire.
         delta = manifest.delta(base)
-        self.system.monitor.incr("client_delta_chunks", len(delta))
         wire_bytes = (self.system.storage.chunk_store.missing_bytes(manifest)
                       + manifest.delta_wire_size(base))
         full_bytes = len(archive) + self.project_padding_bytes
@@ -302,7 +293,6 @@ class RaiClient:
                 padding_bytes=self.project_padding_bytes, dedup=True,
                 file_digests=file_digests)
         except StorageError as exc:
-            self.system.monitor.incr("client_upload_failures")
             upload_span.end(status="error", message=str(exc))
             raise SubmissionRejected(
                 f"project upload failed: {exc}") from exc
@@ -311,10 +301,6 @@ class RaiClient:
         result.upload_bytes = upload_bytes
         result.upload_bytes_full = full_bytes
         self.system.monitor.incr("bytes_uploaded", upload_bytes)
-        self.system.monitor.incr("bytes_uploaded_logical", full_bytes)
-        if full_bytes > upload_bytes:
-            self.system.monitor.incr("bytes_upload_deduped",
-                                     full_bytes - upload_bytes)
         usage = self.system.usage
         tenant = self.team or self.username
         usage.record("storage_bytes_uploaded", float(upload_bytes),
@@ -351,7 +337,6 @@ class RaiClient:
             # The job never reached the queue; release the log subscription
             # (otherwise the ephemeral log topic is pinned forever).
             consumer.close()
-            self.system.monitor.incr("client_publish_rejected")
             publish_span.end(status="error", message=str(exc))
             raise SubmissionRejected(
                 f"job request rejected by the broker: {exc}") from exc

@@ -58,17 +58,15 @@ class SystemConfig:
     build_bucket: str = "rai-builds"
     #: Submission rate-limit window (30 s in the course).
     rate_limit_seconds: float = 30.0
-    #: End-to-end distributed tracing (``repro.obs``).  Spans are passive
-    #: — they never schedule simulator events — so disabling changes only
-    #: bookkeeping, never the simulated timeline.
-    tracing_enabled: bool = True
+    #: The observers of ``repro.obs``: tracing, the structured event log
+    #: and per-tenant usage metering.  Each is passive bookkeeping — none
+    #: schedules a simulator event — so turning them off changes no
+    #: simulated timing; the objects still exist and short-circuit.
+    observers_enabled: bool = True
     #: Course deadline on the sim clock; jobs submitted within the boost
     #: window before it jump the queue (§VI deadline policy).  ``None``
     #: disables the boost (fair share still applies).
     course_deadline_at: Optional[float] = None
-    #: Structured event log (``repro.obs.events``).  Like tracing it is
-    #: passive bookkeeping — disabling changes no simulated timing.
-    event_log_enabled: bool = True
     #: Control-plane partitions (``repro.shard``): the task topic, the
     #: submissions collection and the scheduler, hash-partitioned by team
     #: key (``tasks.pK`` / ``submissions.pK`` / one scheduler instance per
@@ -81,11 +79,6 @@ class SystemConfig:
     #: re-executing when the command's observed inputs are unchanged.
     #: Disable to reproduce the always-rebuild path.
     buildcache_enabled: bool = True
-    #: Per-tenant usage metering (``repro.obs.usage``).  Disable to
-    #: measure the metering overhead itself or reproduce pre-metering
-    #: behaviour; the meter object still exists, every record call
-    #: short-circuits.
-    usage_metering_enabled: bool = True
     #: Course every tenant in this deployment is metered under.
     course_name: str = "ece408"
 

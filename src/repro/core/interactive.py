@@ -144,7 +144,6 @@ class InteractiveSession:
                          "max_duration": SESSION_SECONDS})
         except (InvalidCredentials, RateLimited, SubmissionRejected) as exc:
             return self._rejected(str(exc), span)
-        self.system.monitor.incr("interactive_sessions_requested")
 
         refusal: List[str] = []      # the worker's stderr before any attach
         while True:

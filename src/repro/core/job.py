@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 _next_job_id = 1
 
@@ -138,6 +138,29 @@ _CORRECTNESS_RE = re.compile(r"Correctness:\s*([0-9.eE+-]+)")
 _TIME_RE = re.compile(r"([0-9.]+)real\s+([0-9.]+)user\s+([0-9.]+)sys")
 
 
+class RunReadings(NamedTuple):
+    """The figures a run prints: the student-visible internal timer
+    (``Elapsed time: ... s``), the last ``Correctness:`` line, and the
+    instructor-only ``/usr/bin/time`` figures from stderr."""
+
+    internal_time: Optional[float]
+    correctness: Optional[float]
+    time_command: Optional[dict]
+
+
+def read_run_output(stdout: str, stderr: str) -> RunReadings:
+    """One reading of a run's output, for the client's result and the
+    worker's submission record alike."""
+    elapsed = _ELAPSED_RE.findall(stdout)
+    correctness = _CORRECTNESS_RE.findall(stdout)
+    match = _TIME_RE.search(stderr)
+    return RunReadings(
+        float(elapsed[-1]) if elapsed else None,
+        float(correctness[-1]) if correctness else None,
+        {"real": float(match.group(1)), "user": float(match.group(2)),
+         "sys": float(match.group(3))} if match else None)
+
+
 @dataclass
 class JobResult:
     """What the client assembles from the ``log_${job_id}`` stream."""
@@ -185,22 +208,19 @@ class JobResult:
         return "".join(text for _, stream, text in self.log
                        if stream == "stderr")
 
+    def _readings(self) -> RunReadings:
+        return read_run_output(self.stdout_text(), self.stderr_text())
+
     @property
     def internal_time(self) -> Optional[float]:
         """The student-visible internal timer (``Elapsed time: ... s``)."""
-        matches = _ELAPSED_RE.findall(self.stdout_text())
-        return float(matches[-1]) if matches else None
+        return self._readings().internal_time
 
     @property
     def correctness(self) -> Optional[float]:
-        matches = _CORRECTNESS_RE.findall(self.stdout_text())
-        return float(matches[-1]) if matches else None
+        return self._readings().correctness
 
     @property
     def time_command_output(self) -> Optional[dict]:
         """Instructor-only ``/usr/bin/time`` figures from stderr."""
-        match = _TIME_RE.search(self.stderr_text())
-        if match is None:
-            return None
-        return {"real": float(match.group(1)), "user": float(match.group(2)),
-                "sys": float(match.group(3))}
+        return self._readings().time_command

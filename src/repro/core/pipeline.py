@@ -25,8 +25,7 @@ from repro.container.container import ContainerState
 from repro.container.volumes import VolumeMount, cuda_volume
 from repro.core.interactive import DEFAULT_IDLE_SECONDS, input_topic
 from repro.core.job import (
-    Job, JobKind, JobStatus, log_message, _CORRECTNESS_RE, _ELAPSED_RE,
-    _TIME_RE)
+    Job, JobKind, JobStatus, log_message, read_run_output)
 from repro.errors import (
     BuildSpecError, ContainerError, InvalidCredentials, JobDeadlineExceeded,
     SessionLost, SignatureMismatch, StorageError, TransientStorageError,
@@ -35,12 +34,6 @@ from repro.faults.retry import RetryPolicy
 from repro.storage.buildcache import image_cache_key, primary_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
-
-#: ``container_acquire_seconds`` bounds, fine below a second: a returned
-#: container's charge is 0, part of a reset, or (0.2 s by default) a whole
-#: one, and the three should not share a bucket with each other or with a
-#: create (a cold one, or what is left of a filled container's).
-ACQUIRE_BUCKETS = (0.0, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
 
 #: Whole-job wall-clock deadline (fetch + pull + build + upload).  The
 #: container lifetime cap only meters *charged* guest time; this closes
@@ -191,8 +184,6 @@ def acquire(run: JobRun):
     warm from the pool or create one cold."""
     worker, job, spec = run.worker, run.job, run.spec
     pull = worker.runtime.pull(spec.image)
-    if pull.bytes:
-        worker.system.monitor.incr("image_bytes_pulled", pull.bytes)
     if pull.seconds > 0:
         run.log("stdout", f"Pulling image {spec.image} ...\n")
         run.span.add_event("image.pull", image=spec.image,
@@ -213,9 +204,6 @@ def acquire(run: JobRun):
     run.span.add_event("container.acquire", pool_hit=run.pool_hit,
                        seconds=cost, container=run.container.id,
                        generation=run.container.generation)
-    worker.system.metrics.histogram(
-        "container_acquire_seconds", buckets=ACQUIRE_BUCKETS,
-        outcome="warm" if run.pool_hit else "cold").observe(cost)
     run.check_deadline()
 
 
@@ -400,7 +388,6 @@ def upload(run: JobRun):
         # artifact is lost.
         run.log("stderr", f"⚠ build upload failed after retries: {exc}\n")
         span.end(status="error", message=str(exc))
-        system.monitor.incr("build_upload_failures")
         return
     span.end()
     run.upload_bytes = len(blob)
@@ -435,7 +422,6 @@ def serve(run: JobRun):
     worker, job, container = run.worker, run.job, run.container
     sim, system = worker.sim, worker.system
     _start_container(run)
-    system.monitor.incr("interactive_sessions_served")
     deadline = sim.now + min(job.session["max_duration"],
                              worker.config.limits.max_lifetime_seconds)
     inbox = Consumer(system.broker, f"{input_topic(job.id)}/#in")
@@ -461,7 +447,6 @@ def serve(run: JobRun):
             if kind == "detach":
                 run.reason = "detached"
             elif not isinstance(command, str):
-                system.monitor.incr("malformed_session_messages")
                 run.log("stderr", f"✗ ignored malformed session message "
                                   f"{str(body)[:80]!r}\n")
             else:
@@ -594,11 +579,10 @@ def record_submission(run: JobRun) -> None:
         return
     stdout = "".join(t for s, t in run.outputs if s == "stdout")
     stderr = "".join(t for s, t in run.outputs if s == "stderr")
-    elapsed = _ELAPSED_RE.findall(stdout)
-    correctness = _CORRECTNESS_RE.findall(stdout)
-    time_match = _TIME_RE.search(stderr)
-    internal_time = float(elapsed[-1]) if elapsed else None
-    instructor_time = float(time_match.group(1)) if time_match else None
+    readings = read_run_output(stdout, stderr)
+    internal_time, correctness = readings.internal_time, readings.correctness
+    instructor_time = (readings.time_command["real"]
+                       if readings.time_command else None)
     # Worker-side service time (fetch + acquire + build + upload): the
     # scheduler's runtime estimator seeds SJF from this.
     service_seconds = now - run.started_at
@@ -617,13 +601,12 @@ def record_submission(run: JobRun) -> None:
         "pool_hit": run.pool_hit,
         "internal_time": internal_time,
         "instructor_time": instructor_time,
-        "correctness": float(correctness[-1]) if correctness else None,
+        "correctness": correctness,
         "build_url": run.build_url,
         "log_bytes": sum(len(t) for _, t in run.outputs),
         "stdout_tail": stdout[-2000:],
         "stderr_tail": stderr[-2000:],
     })
-    system.monitor.incr("jobs_recorded")
     # Feed the fair-share estimator of the partition that owns this job's key.
     system.shards.note_completion(job.team or job.username, service_seconds)
     if job.kind is JobKind.SUBMIT and run.status is JobStatus.SUCCEEDED \
@@ -631,7 +614,7 @@ def record_submission(run: JobRun) -> None:
         system.ranking.record_final(
             team=job.team, internal_time=internal_time,
             instructor_time=instructor_time or internal_time,
-            correctness=float(correctness[-1]) if correctness else 0.0,
+            correctness=correctness if correctness is not None else 0.0,
             username=job.username, job_id=job.id, at=now)
         span.add_event("ranking.recorded", team=job.team)
     span.set_attribute("duplicate", False)

@@ -19,15 +19,15 @@ from repro.broker.broker import MessageBroker
 from repro.container.image import ImageRegistry, default_registry
 from repro.core.client import RaiClient
 from repro.core.config import SystemConfig, WorkerConfig
-from repro.core.job import JobKind, JobStatus, log_message
+from repro.core.job import JobStatus, log_message
 from repro.core.ranking import RankingService
 from repro.core.ratelimit import RateLimiter
 from repro.core.worker import RaiWorker
 from repro.docdb.database import DocumentDB
+from repro.obs import scrape
 from repro.obs.alerts import AlertManager
 from repro.obs.events import EventLog
-from repro.obs.metrics import CounterGroup, MetricsRegistry
-from repro.obs.scrape import INTERVAL_SECONDS as SCRAPE_INTERVAL_SECONDS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import MetricsScraper
 from repro.obs.slo import SloEngine, default_slos
 from repro.obs.usage import CostAllocator, UsageMeter
@@ -48,30 +48,6 @@ UPLOAD_LIFETIME_SECONDS = 30 * 24 * 3600.0
 BUILD_LIFETIME_SECONDS = 90 * 24 * 3600.0
 
 
-class SystemMonitor(Monitor):
-    """Deployment monitor: adds the submission event log Figure 4 uses.
-
-    When handed a :class:`~repro.obs.metrics.MetricsRegistry` its counters
-    live there (unprefixed) so every tally in the deployment — monitor,
-    broker, planner — shares one queryable store; ``monitor.counters``
-    keeps the legacy ``incr``/``get``/``as_dict`` surface as a thin view.
-    """
-
-    def __init__(self, sim, metrics: Optional[MetricsRegistry] = None):
-        super().__init__(sim)
-        if metrics is not None:
-            self.counters = CounterGroup(metrics)
-        #: (sim time, JobKind) per accepted submission.
-        self.submission_events: List[tuple] = []
-
-    def record_submission(self, time: float, kind: JobKind) -> None:
-        self.submission_events.append((time, kind))
-        self.incr("submissions_total")
-
-    def submission_times(self) -> List[float]:
-        return [t for t, _ in self.submission_events]
-
-
 class RaiSystem:
     """A complete RAI deployment on one simulation kernel."""
 
@@ -87,23 +63,22 @@ class RaiSystem:
         self.sim = Simulator()
         self.rng = RandomStreams(seed)
         #: The deployment-wide metrics registry: every counter, gauge, and
-        #: histogram in the system lives here (§ the unified side of
-        #: ``repro.obs``); legacy accessors are views over it.
+        #: histogram in the system lives here, and each one has a reader
+        #: (the health report, the SLOs, ``rai top``, the benchmark).
         self.metrics = MetricsRegistry()
-        self.monitor = SystemMonitor(self.sim, metrics=self.metrics)
+        self.monitor = Monitor(self.metrics)
         #: The deployment tracer; one submission = one trace spanning
         #: client → broker → worker → container → storage → docdb.
         self.tracer = Tracer(
             clock=lambda: self.sim.now,
             store=TraceStore(),
-            enabled=self.config.tracing_enabled,
-            metrics=self.metrics)
+            enabled=self.config.observers_enabled)
         #: The deployment-wide structured event log: state changes, slot
         #: churn, redeliveries, faults, pool traffic, scaling decisions,
         #: alert transitions — one queryable, trace-linked stream.
         self.events = EventLog(
             clock=lambda: self.sim.now,
-            enabled=self.config.event_log_enabled)
+            enabled=self.config.observers_enabled)
         #: Per-tenant usage metering + fleet-cost attribution
         #: (``repro.obs.usage``).  Every layer below meters into
         #: ``self.usage``; the allocator prices it against whatever
@@ -111,13 +86,9 @@ class RaiSystem:
         self.usage = UsageMeter(
             clock=lambda: self.sim.now,
             course=self.config.course_name,
-            enabled=self.config.usage_metering_enabled)
+            enabled=self.config.observers_enabled)
         self.cost_allocator = CostAllocator(
-            self.usage, clock=lambda: self.sim.now,
-            metrics=self.metrics, events=self.events)
-        #: Provisioners currently attached (``repro.cluster``); the
-        #: cluster_* gauges below sum over this list.
-        self.provisioners: list = []
+            self.usage, clock=lambda: self.sim.now, events=self.events)
 
         self.broker = MessageBroker(self.sim, metrics=self.metrics,
                                     tracer=self.tracer, events=self.events)
@@ -130,9 +101,8 @@ class RaiSystem:
         self.build_cache: Optional[BuildCache] = None
         if self.config.buildcache_enabled:
             self.build_cache = BuildCache(
-                clock=lambda: self.sim.now,
-                metrics=self.metrics, events=self.events)
-        self.db = DocumentDB(self.sim, metrics=self.metrics)
+                clock=lambda: self.sim.now, events=self.events)
+        self.db = DocumentDB(self.sim)
         self.db.usage = self.usage
 
         #: The control plane (``repro.shard``): task topics, one fair-share
@@ -170,50 +140,18 @@ class RaiSystem:
         builds.add_lifecycle_rule(LifecycleRule(
             expire_after=BUILD_LIFETIME_SECONDS, since="creation"))
 
-        # Callback gauges: live deployment signals readable straight off
-        # the registry (and sampled on the sim clock by the scraper).
+        # Callback gauges: live deployment signals the health report
+        # averages over the scraper's samples; ``in_flight`` is for
+        # ``rai top`` and the benchmark's leak check.
         self.metrics.gauge("queue_depth", fn=self.queue_depth)
         self.metrics.gauge("workers_running",
                            fn=lambda: len(self.running_workers))
         self.metrics.gauge("jobs_active", fn=lambda: sum(
             w.active_jobs for w in self.running_workers))
-        self.metrics.gauge("storage_bytes",
-                           fn=lambda: self.storage.total_bytes)
         self.metrics.gauge("in_flight", fn=lambda: sum(
             len(channel.in_flight)
             for topic in self.broker.topics.values()
             for channel in topic.channels.values()))
-        self.metrics.gauge("dead_letters", fn=self.broker.dead_letter_count)
-        # The worst partition's queue-wait EWMA: the autoscaler's signal.
-        self.metrics.gauge("sched_wait_ewma", fn=self.shards.max_wait_ewma)
-        self.metrics.gauge("fleet_slot_utilization",
-                           fn=self.fleet_slot_utilization)
-        self.metrics.gauge("warm_pool_hit_rate", fn=self.fleet_pool_hit_rate)
-        self.metrics.gauge("buildcache_hit_rate",
-                           fn=lambda: (self.build_cache.hit_rate()
-                                       if self.build_cache else 0.0))
-        self.metrics.gauge("buildcache_bytes",
-                           fn=lambda: (self.build_cache.total_blob_bytes
-                                       if self.build_cache else 0))
-        # Fleet economics off the registry, not just `rai`/CostReport:
-        # totals are unlabelled callback gauges (the sampler scrapes
-        # them); per-instance-type splits are registered per type by the
-        # provisioner itself.
-        self.metrics.gauge("cluster_cost_usd_total",
-                           fn=lambda: sum(p.total_cost()
-                                          for p in self.provisioners))
-        self.metrics.gauge("cluster_instances_live",
-                           fn=lambda: sum(len(p.live_instances)
-                                          for p in self.provisioners))
-        self.metrics.gauge("cluster_instance_hours",
-                           fn=lambda: sum(p.total_instance_hours()
-                                          for p in self.provisioners))
-        self.metrics.gauge("usage_attributed_cost_usd",
-                           fn=self.cost_allocator.attributed_total)
-        self.metrics.gauge("usage_idle_cost_usd",
-                           fn=lambda: self.cost_allocator.idle_cost)
-        self.metrics.gauge("usage_metered_tenants",
-                           fn=self.usage.tenant_count)
 
         # The SLO loop: scraper (registry snapshots on the sim clock) →
         # engine (multi-window burn rates over the default objectives) →
@@ -255,7 +193,6 @@ class RaiSystem:
             config=WorkerConfig(**vars(config)) if config is not None else None,
             partition=self.shards.assign_partition())
         self.workers.append(worker)
-        self.monitor.incr("workers_started")
         return worker
 
     def remove_worker(self, worker: Optional[RaiWorker] = None) -> None:
@@ -266,7 +203,6 @@ class RaiSystem:
                 return
             worker = running[-1]
         worker.stop()
-        self.monitor.incr("workers_stopped")
 
     @property
     def running_workers(self) -> List[RaiWorker]:
@@ -305,19 +241,21 @@ class RaiSystem:
         alert.  Without this, ``rai slo`` / ``rai alerts`` still work by
         scraping on demand — they just lack between-call history.
         """
+        interval = scrape.INTERVAL_SECONDS
         self.alerts.watch_heartbeat(
             "metrics-scraper", lambda: self.scraper.last_scrape_at,
-            grace=3 * SCRAPE_INTERVAL_SECONDS,
+            grace=3 * interval,
             summary="metrics scraper has stopped taking snapshots")
 
-        def _on_scrape(snapshot):
-            # Settle billing windows and push the per-team cost gauges,
-            # then judge SLOs against the fresh sample.
-            self.cost_allocator.refresh(snapshot.time)
-            self.alerts.check(now=snapshot.time, scrape=False)
+        def scrape_then_judge():
+            # Sample the registry, settle billing windows, then judge
+            # SLOs against the fresh sample.
+            now = self.scraper.scrape_now().time
+            self.cost_allocator.refresh(now)
+            self.alerts.check(now=now, scrape=False)
 
         return self.sim.process(
-            self.scraper.process(self.sim, on_scrape=_on_scrape))
+            self.sim.every(interval, scrape_then_judge))
 
     # -- failure recovery ------------------------------------------------------
 
@@ -447,10 +385,7 @@ class RaiSystem:
         fresh compacting checkpoint.
         Workers are added last, so recovery itself executes nothing.
         """
-        from repro.durability.manager import (
-            RECOVERY_TIME_BUCKETS,
-            DurabilityManager,
-        )
+        from repro.durability.manager import DurabilityManager
         from repro.durability.snapshot import load_snapshot
         from repro.obs.events import EventType
 
@@ -475,8 +410,6 @@ class RaiSystem:
         for _ in range(num_workers):
             system.add_worker()
         elapsed = _wallclock.perf_counter() - started
-        system.metrics.histogram(
-            "recovery.time", buckets=RECOVERY_TIME_BUCKETS).observe(elapsed)
         system.events.emit(
             EventType.DURABILITY_REPLAY,
             duration_s=round(elapsed, 6),
@@ -485,7 +418,6 @@ class RaiSystem:
             discarded=counts["discarded"], requeued=counts["requeued"],
             fenced=counts["fenced"], anomalies=counts["anomalies"],
             dropped_config=dropped)
-        system.monitor.incr("restores")
         return system
 
     # -- running ------------------------------------------------------------

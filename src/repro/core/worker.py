@@ -178,8 +178,6 @@ class RaiWorker:
             pull = self.pool.fill(COURSE_IMAGE, self.pool.max_per_image)
         except ContainerError:          # a course that does not offer it
             return
-        if pull.bytes:
-            self.system.monitor.incr("image_bytes_pulled", pull.bytes)
         yield from ()       # a process, with nothing of its own to wait for
 
     def _spawn_slot(self) -> int:
@@ -273,9 +271,7 @@ class RaiWorker:
                 # try_deliver never steals from another executor's pending
                 # blocking get, so idle slots still wake fairly.
                 message = consumer.try_get()
-                if message is not None:
-                    self.system.monitor.incr("worker_prefetch_claims")
-                else:
+                if message is None:
                     get_event = consumer.get()
                     try:
                         message = yield get_event
@@ -306,9 +302,7 @@ class RaiWorker:
                     # budget routes it to the dead-letter list, where the
                     # system dead-letter consumer picks it up.
                     # Its broker.dead_letter event is the audit record.
-                    if not consumer.requeue(message):
-                        self.system.monitor.incr(
-                            "task_messages_dead_lettered")
+                    consumer.requeue(message)
                 else:
                     # The job was parsed out of the body long ago and the
                     # envelope is never touched again: recycle it.
@@ -332,7 +326,6 @@ class RaiWorker:
             # A malformed task message (version skew, junk on the queue)
             # must not crash the worker; count it once, on first sight.
             if message.attempts <= 1:
-                self.system.monitor.incr("malformed_job_messages")
                 self.jobs_failed += 1
             self._emit("worker.malformed_message", message_id=message.id,
                        attempts=message.attempts,
@@ -440,9 +433,6 @@ class RaiWorker:
             self.fetch_cache_evictions += 1
         self.fetch_cache_hit_bytes += saved
         self.fetch_cache_miss_bytes += transferred
-        self.system.monitor.incr("worker_fetch_bytes", transferred)
-        if saved:
-            self.system.monitor.incr("worker_fetch_bytes_saved", saved)
         return transferred
 
     def fetch_cache_stats(self) -> dict:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import re
-from collections.abc import MutableMapping
 from typing import Any, Dict, List, Optional
 
 from repro.docdb.aggregate import run_pipeline
@@ -13,53 +12,11 @@ from repro.docdb.index import Index
 from repro.docdb.query import match_document
 from repro.docdb.update import apply_update
 from repro.errors import DocDbError, DuplicateKeyError
-from repro.obs.metrics import MetricsRegistry
 
 
-class PlannerStats(MutableMapping):
-    """Dict-shaped view of one collection's planner counters.
-
-    The numbers live in the shared metrics registry as ``planner_<stat>``
-    gauges labelled by collection, so the operator surface (snapshots,
-    the telemetry report) sees them alongside everything else; existing
-    code keeps reading and writing ``coll.planner_stats`` like the plain
-    dict it used to be (including resetting entries to zero — hence
-    gauges, not counters).
-    """
-
-    #: ``range_hits`` stays 0 (there is no range index); the benchmark
-    #: reads it (bench/harness.py:306).
-    KEYS = ("index_hits", "range_hits", "scans", "docs_examined")
-
-    def __init__(self, metrics: MetricsRegistry, collection: str):
-        self._metrics = metrics
-        self._collection = collection
-        for key in self.KEYS:
-            self._gauge(key)
-
-    def _gauge(self, key: str):
-        if key not in self.KEYS:
-            raise KeyError(key)
-        return self._metrics.gauge(f"planner_{key}",
-                                   collection=self._collection)
-
-    def __getitem__(self, key: str) -> int:
-        return int(self._gauge(key).value)
-
-    def __setitem__(self, key: str, value) -> None:
-        self._gauge(key).set(value)
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("planner stats keys are fixed")
-
-    def __iter__(self):
-        return iter(self.KEYS)
-
-    def __len__(self) -> int:
-        return len(self.KEYS)
-
-    def __repr__(self):
-        return f"PlannerStats({dict(self)!r})"
+#: A collection's planner counts.  ``range_hits`` stays 0 (there is no
+#: range index); the benchmark reads it (bench/harness.py:306).
+PLANNER_KEYS = ("index_hits", "range_hits", "scans", "docs_examined")
 
 
 _OID_RE = re.compile(r"^oid-(\d+)$")
@@ -76,9 +33,8 @@ class Collection:
         #: Next auto-generated ``oid-``; a plain int (not itertools.count)
         #: so snapshots can capture it and recovery can advance it.
         self._next_oid = 1
-        #: Cumulative planner activity (index hits vs scans, docs
-        #: examined) — a dict-shaped view over registry gauges.
-        self.planner_stats = PlannerStats(db.metrics, name)
+        #: Cumulative planner activity: index hits vs scans, docs examined.
+        self.planner_stats = dict.fromkeys(PLANNER_KEYS, 0)
 
     # -- indexes ------------------------------------------------------------
 
@@ -247,11 +203,8 @@ class Collection:
 class DocumentDB:
     """The database: a namespace of collections (paper's MongoDB role)."""
 
-    def __init__(self, sim=None, metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim=None):
         self.sim = sim
-        #: Registry backing the planner gauges (private when standalone,
-        #: the deployment-wide one when created by :class:`RaiSystem`).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._collections: Dict[str, Collection] = {}
         #: Routing facades by base name: ``collection("submissions")``
         #: returns the facade when that base is sharded, while the
@@ -310,8 +263,7 @@ class DocumentDB:
 
     def planner_stats(self) -> dict:
         """Aggregated access-path counters across every collection."""
-        totals = {"index_hits": 0, "range_hits": 0, "scans": 0,
-                  "docs_examined": 0}
+        totals = dict.fromkeys(PLANNER_KEYS, 0)
         for coll in self._collections.values():
             for key, value in coll.planner_stats.items():
                 totals[key] += value

@@ -17,7 +17,7 @@ Entry points live on :class:`~repro.core.system.RaiSystem`:
 ``RaiSystem.restore(path)`` classmethod.
 """
 
-from repro.durability.manager import RECOVERY_TIME_BUCKETS, DurabilityManager
+from repro.durability.manager import DurabilityManager
 from repro.durability.snapshot import (
     SNAPSHOT_VERSION,
     capture,
@@ -35,7 +35,6 @@ from repro.durability.wal import (
 __all__ = [
     "DurabilityManager",
     "HEADER",
-    "RECOVERY_TIME_BUCKETS",
     "SNAPSHOT_VERSION",
     "WriteAheadLog",
     "capture",

@@ -40,10 +40,6 @@ from repro.errors import ReproError
 from repro.obs.events import EventType
 from repro.storage.lifecycle import LifecycleRule
 
-#: ``recovery.time`` histogram buckets — real seconds, far below the
-#: simulated-latency defaults (recovery replays in-memory state).
-RECOVERY_TIME_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
-
 _MSG_ID_RE = re.compile(r"^msg-(\d+)$")
 _JOB_ID_RE = re.compile(r"^job-(\d+)$")
 
@@ -175,7 +171,6 @@ class DurabilityManager:
             "messages": messages,
             "duration_s": round(duration, 6),
         }
-        self.system.metrics.counter("durability_checkpoints").inc()
         self.system.events.emit(EventType.DURABILITY_SNAPSHOT, **info)
         return info
 

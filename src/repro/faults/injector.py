@@ -42,7 +42,6 @@ class FaultInjector:
         shard_map = system.shards.shard_map
         self._task_topics = frozenset(
             shard_map.topic(p) for p in shard_map.partitions())
-        self.injected = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -91,10 +90,7 @@ class FaultInjector:
     # -- bookkeeping ----------------------------------------------------------
 
     def _fire(self, kind: str, **fields) -> None:
-        self.injected += 1
-        monitor = self.system.monitor
-        monitor.incr("faults_injected")
-        monitor.incr(f"faults_{kind}")
+        self.system.monitor.incr("faults_injected")
         self.system.events.emit("fault.injected", kind=kind, **fields)
 
     @staticmethod

@@ -6,9 +6,9 @@ The third leg of the roadmap after robustness (PR 1) and performance
 publish through broker delivery, worker claim, buildspec parse,
 container commands, storage transfers, and docdb writes to the result
 publish; retries and injected faults land as span events, so a chaos
-run is explainable job by job.  The metrics registry is the single home
-for what used to be ad-hoc counter islands, and callback-backed gauges
-feed the metrics scraper and operator report from one definition.
+run is explainable job by job.  The metrics registry is the one home of
+the deployment's counts, and callback-backed gauges feed the metrics
+scraper and operator report from one definition.
 
 The loop closes with :mod:`repro.obs.events` (the deployment-wide
 structured event stream), :mod:`repro.obs.scrape` (windowed registry

@@ -1,19 +1,17 @@
 """A unified metrics registry: counters, gauges, histograms, labels.
 
-Before this module the repro's operational counters were islands —
-``Collection.planner_stats`` dicts, broker ``Counter`` objects, monitor
-counters — with no shared namespace, no labels, and no export path.  The
-registry is the single home: every series is ``(name, labels)``-keyed,
-snapshotable as JSON, and readable through thin legacy views
-(:class:`CounterGroup`, the planner-stats mapping) so existing accessors
-keep working unchanged.
+The registry is the one home of the deployment's counts: every series is
+``(name, labels)``-keyed, and :class:`CounterGroup` is its one name-keyed
+view (the monitor's unprefixed counters, the broker's ``broker_`` ones).
+Every series written has a reader outside the tests — the health report,
+the SLOs, ``rai top`` or the benchmark; a tier-1 guard holds it so.
 
 Three instrument kinds, Prometheus-shaped:
 
 - :class:`Counter` — monotonically increasing (``inc`` only);
-- :class:`Gauge` — settable up/down, optionally *callback-backed* so the
-  metrics scraper and the operator report read live system state
-  (queue depth, in-flight messages) from one definition;
+- :class:`Gauge` — *callback-backed*, so the metrics scraper and the
+  operator report read live system state (queue depth, in-flight
+  messages) from one definition;
 - :class:`Histogram` — bucketed observations with count/sum/min/max and
   an interpolated percentile estimate (latency distributions).
 """
@@ -24,9 +22,9 @@ import math
 from bisect import bisect_left
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-#: Default latency buckets (simulated seconds): sub-second client work up
-#: to the 1-hour job deadline.
-DEFAULT_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0,
+#: Every histogram's bucket bounds (simulated seconds): sub-second client
+#: work up to the 1-hour job deadline.
+BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0,
                    600.0, 1800.0, 3600.0)
 
 LabelsKey = Tuple[Tuple[str, str], ...]
@@ -81,24 +79,18 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """Settable value, optionally computed by a callback."""
+    """A value computed by a callback (0.0 until one is registered)."""
 
-    __slots__ = ("_value", "fn")
+    __slots__ = ("fn",)
 
     def __init__(self, name: str, labels: dict,
                  fn: Optional[Callable[[], float]] = None):
         super().__init__(name, labels)
-        self._value = 0.0
         self.fn = fn
-
-    def set(self, value: float) -> None:
-        if self.fn is not None:
-            raise ValueError(f"gauge {self.name!r} is callback-backed")
-        self._value = float(value)
 
     @property
     def value(self) -> float:
-        return float(self.fn()) if self.fn is not None else self._value
+        return float(self.fn()) if self.fn is not None else 0.0
 
     def _describe(self) -> str:
         return f"{self.value:g}"
@@ -132,13 +124,9 @@ class Histogram(Metric):
     __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max",
                  "exemplars")
 
-    def __init__(self, name: str, labels: dict,
-                 buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
+    def __init__(self, name: str, labels: dict):
         super().__init__(name, labels)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.buckets = bounds + (math.inf,)
+        self.buckets = BUCKETS + (math.inf,)
         self.bucket_counts = [0] * len(self.buckets)
         #: Latest :class:`Exemplar` per bucket (None until a traced
         #: observation lands there).
@@ -230,11 +218,8 @@ class MetricsRegistry:
             gauge.fn = fn
         return gauge
 
-    def histogram(self, name: str,
-                  buckets: Optional[Tuple[float, ...]] = None,
-                  **labels) -> Histogram:
-        return self._get_or_create(Histogram, name, labels,
-                                   buckets=buckets or DEFAULT_BUCKETS)
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get_or_create(Histogram, name, labels)
 
     def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
         key = (name, _labels_key(labels))
@@ -270,11 +255,10 @@ class MetricsRegistry:
 
 
 class CounterGroup:
-    """Legacy ``sim.monitor.Counter``-shaped view over a registry.
+    """A name-keyed view of a registry's counters under ``prefix + name``.
 
-    Components that historically owned a private ``Counter`` (the broker,
-    the system monitor) keep their ``incr``/``get``/``as_dict`` surface;
-    the data now lives in the shared registry under ``prefix + name``.
+    The monitor (no prefix) and the broker (``broker_``) count through
+    one each: ``incr`` on the job path, ``get`` / ``as_dict`` for readers.
     """
 
     __slots__ = ("registry", "prefix", "_cache")
@@ -294,9 +278,7 @@ class CounterGroup:
         if counter is None:
             counter = self._cache[name] = \
                 self.registry.counter(self.prefix + name)
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        counter._value += amount
+        counter.inc(amount)
 
     def get(self, name: str) -> float:
         return self.registry.value(self.prefix + name)

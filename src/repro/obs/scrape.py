@@ -10,9 +10,9 @@ and gauge sample series (fraction-of-time style SLIs).
 
 Snapshots are compact (plain floats and tuples, no Metric objects) and
 ring-buffered, so a week-long simulated course holds a bounded history.
-The scrape loop is an opt-in perpetual process like the broker caretaker
-— ``RaiSystem.start_observability`` drives it — but :meth:`scrape_now`
-also works on demand (``rai slo`` takes a fresh snapshot per report).
+``RaiSystem.start_observability`` calls :meth:`scrape_now` every
+:data:`INTERVAL_SECONDS` on the sim clock, and it also works on demand
+(``rai slo`` takes a fresh snapshot per report).
 """
 
 from __future__ import annotations
@@ -101,9 +101,8 @@ class MetricsScraper:
                     metric.count, metric.sum,
                     tuple(metric.bucket_counts), metric.buckets)
             elif isinstance(metric, Gauge):
-                # Labelled callback gauges (per-worker utilisation) are
-                # skipped: they are fleet-sized, and the SLO layer and the
-                # health report read deployment-level signals.
+                # Labelled callback gauges are skipped: the SLO layer and
+                # the health report read deployment-level signals.
                 if metric.labels and metric.fn is not None:
                     continue
                 snap.gauges[key] = metric.value
@@ -111,22 +110,6 @@ class MetricsScraper:
         self.total_scrapes += 1
         self.last_scrape_at = snap.time
         return snap
-
-    def process(self, sim, on_scrape: Optional[Callable] = None):
-        """Kernel process: scrape every :data:`INTERVAL_SECONDS`.
-
-        Start with ``sim.process(scraper.process(sim))``.  It is a
-        perpetual process (like the broker caretaker), so drive the
-        simulation with ``run(until=...)`` or a terminating process set.
-        ``on_scrape(snapshot)`` runs after each capture — the system
-        wires the alert manager's check here so SLO burn rates are
-        judged on every fresh sample.
-        """
-        while True:
-            yield sim.timeout(INTERVAL_SECONDS)
-            snap = self.scrape_now()
-            if on_scrape is not None:
-                on_scrape(snap)
 
     # -- history access ------------------------------------------------------
 

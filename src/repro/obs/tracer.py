@@ -22,22 +22,11 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float],
                  store: Optional[TraceStore] = None,
-                 enabled: bool = True,
-                 metrics=None):
+                 enabled: bool = True):
         self.clock = clock
         # Explicit None check: an *empty* TraceStore is falsy (__len__).
         self.store = store if store is not None else TraceStore()
         self.enabled = enabled
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
-        #: span/trace creation counts land beside the system's metrics so
-        #: the operator report and traces share one data source.
-        self.metrics = metrics
-        # Resolved once: start_span runs per simulated operation, and a
-        # registry lookup per span is measurable at benchmark scale.
-        self._span_counter = (metrics.counter("obs_spans_started")
-                              if metrics is not None else None)
-        self._trace_counter = (metrics.counter("obs_traces_started")
-                               if metrics is not None else None)
 
     def start_span(self, name: str, parent: ParentLike = None,
                    kind: str = "internal",
@@ -54,8 +43,7 @@ class Tracer:
         if not self.enabled:
             return NOOP_SPAN
         trace_id, parent_id = self._resolve_parent(parent)
-        new_trace = trace_id is None
-        if new_trace:
+        if trace_id is None:
             trace_id = new_trace_id()
         span = Span(name, trace_id=trace_id, parent_id=parent_id, kind=kind,
                     start_time=self.clock() if start_time is None
@@ -64,10 +52,6 @@ class Tracer:
         self.store.add_span(span)
         if job_id is not None:
             span.set_attribute("job_id", job_id)
-        if self._span_counter is not None:
-            self._span_counter.inc()
-            if new_trace:
-                self._trace_counter.inc()
         return span
 
     @staticmethod

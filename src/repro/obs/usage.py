@@ -305,10 +305,9 @@ class CostAllocator:
     """
 
     def __init__(self, meter: UsageMeter, clock: Callable[[], float],
-                 metrics=None, events=None):
+                 events=None):
         self.meter = meter
         self.clock = clock
-        self.metrics = metrics
         self.events = events
         self.providers: List[object] = []
         #: provider id -> fleet cost already settled into the books
@@ -412,14 +411,13 @@ class CostAllocator:
     # -- public surface -----------------------------------------------------
 
     def refresh(self, now: Optional[float] = None) -> None:
-        """Close every complete window and push the per-team gauges."""
+        """Close every complete window."""
         if now is None:
             now = self.clock()
         last = int(now // WINDOW_SECONDS)
         while self.next_window < last:
             self._close_window(self.next_window)
             self.next_window += 1
-        self._update_gauges(now)
 
     def preview(self, now: Optional[float] = None) -> dict:
         """Settled books plus the open span, conservation-exact at ``now``."""
@@ -472,16 +470,6 @@ class CostAllocator:
             "idle_cost": view["idle_cost"],
             "windows_closed": view["windows_closed"],
         }
-
-    def _update_gauges(self, now: float) -> None:
-        if self.metrics is None:
-            return
-        view = self.preview(now)
-        for tenant, cost in view["attributed"].items():
-            self.metrics.gauge("usage_cost_usd", team=tenant).set(cost)
-
-    def attributed_total(self) -> float:
-        return sum(self.attributed.values())
 
     def stats(self) -> dict:
         view = self.preview()

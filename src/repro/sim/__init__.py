@@ -32,7 +32,7 @@ from repro.sim.events import (
 from repro.sim.kernel import Simulator, Process, PRIORITY_URGENT, PRIORITY_NORMAL
 from repro.sim.resources import Resource, Store
 from repro.sim.random import RandomStreams
-from repro.sim.monitor import Monitor, Counter
+from repro.sim.monitor import Monitor
 from repro.errors import Interrupt, StopSimulation, SimulationError
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "Store",
     "RandomStreams",
     "Monitor",
-    "Counter",
     "Interrupt",
     "StopSimulation",
     "SimulationError",

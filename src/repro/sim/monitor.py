@@ -1,39 +1,27 @@
-"""Measurement instruments for simulations.
+"""The deployment monitor: named counts in the metrics registry.
 
 The paper reports aggregate operational data (submissions/hour, storage
-footprint, queue behaviour).  These instruments collect the equivalents:
-
-- :class:`Counter` — monotonically increasing named counts;
-- :class:`Monitor` — named counters attached to a simulator.
-
-Sampled time series and latency distributions live in ``repro.obs``
+footprint, queue behaviour).  Counts live in one place, the
+:class:`~repro.obs.metrics.MetricsRegistry`; :class:`Monitor` is the
+unprefixed name-keyed view the job path increments.  Sampled time series
+and latency distributions live in ``repro.obs`` as well
 (:class:`~repro.obs.scrape.MetricsScraper`, histograms).
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-
-class Counter:
-    """Named monotonically increasing counts."""
-
-    def __init__(self):
-        self._counts: Dict[str, float] = {}
-
-    def incr(self, name: str, amount: float = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._counts)
+from repro.obs.metrics import CounterGroup, MetricsRegistry
 
 
 class Monitor:
-    """Counters bound to one simulator."""
+    """Unprefixed counters in one deployment's registry.
 
-    def __init__(self, sim):
-        self.sim = sim
-        self.counters = Counter()
+    ``incr`` is defined here, not inherited: the benchmark's tracer
+    swaps ``Monitor.__dict__["incr"]`` (bench/tracing.py:47).
+    """
+
+    def __init__(self, metrics: MetricsRegistry):
+        self.counters = CounterGroup(metrics)
 
     def incr(self, name: str, amount: float = 1) -> None:
         self.counters.incr(name, amount)

@@ -171,9 +171,8 @@ class CacheEntry:
 class BuildCache:
     """Refcounted, LRU/TTL-evicted store of cached build commands."""
 
-    def __init__(self, clock: Callable[[], float], metrics=None, events=None):
+    def __init__(self, clock: Callable[[], float], events=None):
         self._clock = clock
-        self.metrics = metrics
         self.events = events
         #: content key → entry, LRU order (oldest first).
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
@@ -224,13 +223,8 @@ class BuildCache:
                         and (best is None or entry.used > best.used)):
                     best = entry
         self.observation_count += len(observed)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "buildcache_lookup_observations_total").inc(len(observed))
         if best is None:
             self.miss_count += 1
-            if self.metrics is not None:
-                self.metrics.counter("buildcache_misses_total").inc()
             if self.events is not None:
                 self.events.emit(EventType.BUILDCACHE_MISS,
                                  job_id=job_id, command=command)
@@ -240,8 +234,6 @@ class BuildCache:
         self._entries.move_to_end(best.key)
         self._touch(best)
         self.hit_count += 1
-        if self.metrics is not None:
-            self.metrics.counter("buildcache_hits_total").inc()
         if self.events is not None:
             self.events.emit(EventType.BUILDCACHE_HIT,
                              job_id=job_id, command=command,
@@ -413,9 +405,6 @@ class BuildCache:
         entry = self._entries.pop(key)
         self._unlink_entry(entry)
         self.evict_count += 1
-        if self.metrics is not None:
-            self.metrics.counter("buildcache_evictions_total",
-                                 reason=reason).inc()
         if self.events is not None:
             self.events.emit(EventType.BUILDCACHE_EVICT,
                              job_id=job_id, command=entry.command,

@@ -9,7 +9,6 @@ from repro.errors import (
     NoSuchBucket,
     NoSuchKey,
 )
-from repro.sim.monitor import Counter
 from repro.storage.chunkstore import ChunkedObject, ChunkStore
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.objects import StoredObject, compute_etag
@@ -54,7 +53,6 @@ class ObjectStore:
     def __init__(self, sim):
         self.sim = sim
         self.buckets: Dict[str, Bucket] = {}
-        self.counters = Counter()
         #: Content-addressed dedup backing for ``put_object(dedup=True)``.
         #: Shared across all buckets: identical chunks are held once.
         self.chunk_store = ChunkStore()
@@ -128,16 +126,11 @@ class ObjectStore:
             owner = (metadata or {}).get("username")
             if owner:
                 self._upload_bases[(bucket_name, owner)] = key
-            self.counters.incr("dedup_puts")
-            self.counters.incr("bytes_in_unique", new_bytes)
-            self.counters.incr("bytes_deduped", len(data) - new_bytes)
         else:
             obj = StoredObject(key, data, created_at=self.sim.now,
                                metadata=metadata)
         self._drop_object(bucket, key)  # release chunks of any overwrite
         bucket.objects[key] = obj
-        self.counters.incr("puts")
-        self.counters.incr("bytes_in", obj.size)
         if self.usage is not None:
             meta = metadata or {}
             tenant = meta.get("team") or meta.get("username")
@@ -165,8 +158,7 @@ class ObjectStore:
         if obj is None:
             return False
         if isinstance(obj, ChunkedObject):
-            self.counters.incr("chunk_bytes_freed",
-                               self.chunk_store.release(obj.manifest))
+            self.chunk_store.release(obj.manifest)
             owner = obj.metadata.get("username")
             if owner and self._upload_bases.get((bucket.name, owner)) == key:
                 del self._upload_bases[(bucket.name, owner)]
@@ -183,8 +175,6 @@ class ObjectStore:
         except KeyError:
             raise NoSuchKey(f"{bucket_name}/{key}") from None
         obj.last_used_at = self.sim.now
-        self.counters.incr("gets")
-        self.counters.incr("bytes_out", obj.size)
         return obj
 
     def head_object(self, bucket_name: str, key: str) -> dict:
@@ -201,7 +191,6 @@ class ObjectStore:
             if missing_ok:
                 return False
             raise NoSuchKey(f"{bucket_name}/{key}")
-        self.counters.incr("deletes")
         return True
 
     # -- base negotiation ----------------------------------------------------
@@ -266,7 +255,6 @@ class ObjectStore:
             for key in doomed:
                 self._drop_object(bucket, key)
                 removed.append(f"{bucket.name}/{key}")
-        self.counters.incr("lifecycle_expired", len(removed))
         return removed
 
     def lifecycle_sweeper(self, interval: float = 24 * 3600.0):
@@ -301,5 +289,4 @@ class ObjectStore:
             "total_bytes": self.total_bytes,
             "total_objects": self.total_objects,
             "chunk_store": self.chunk_store.stats(),
-            "counters": self.counters.as_dict(),
         }

@@ -247,6 +247,8 @@ class CourseSimulation:
         if not done.triggered:
             sim.run(until=done)
 
-        self.result.submission_times = list(
-            self.system.monitor.submission_times())
+        # Every accepted submission's queue instant, in time order.
+        self.result.submission_times = sorted(
+            r.queued_at for results in self.result.team_results.values()
+            for r in results if r.queued_at is not None)
         return self.result

@@ -108,4 +108,4 @@ class TestAutoscaler:
         results = system.run_all(client.submit() for client in clients)
         assert all(result.succeeded for result in results)
         wait = scaler.signals()["wait_ewma"]
-        assert wait == system.metrics.value("sched_wait_ewma") > 0
+        assert wait == system.shards.max_wait_ewma() > 0

@@ -35,9 +35,7 @@ KEPT = {
     "pull_bandwidth_bps": "deployment setting: the worker host's registry "
                           "link (the boot pull's length)",
     # Invariant references: the off switch is what a promise is stated over.
-    "tracing_enabled": "invariant: observers off => GOLDEN_DIGEST",
-    "event_log_enabled": "invariant: observers off => GOLDEN_DIGEST",
-    "usage_metering_enabled": "invariant: observers off => GOLDEN_DIGEST",
+    "observers_enabled": "invariant: observers off => GOLDEN_DIGEST",
     "buildcache_enabled": "invariant: cache on/off => byte-identical grading",
 }
 
@@ -58,6 +56,8 @@ RETIRED = (
     "slo_slow_window_seconds", "shard_seed", "usage_window_seconds",
     "job_deadline_seconds", "storage_retry", "fetch_cache_bytes",
     "warm_pool_size", "container_create_seconds",
+    # One switch turns every observer off: ``observers_enabled``.
+    "tracing_enabled", "event_log_enabled", "usage_metering_enabled",
 )
 
 
@@ -114,4 +114,4 @@ def test_kept_names_only_fields():
 
 def test_retired_fields_stay_retired():
     assert not set(RETIRED) & set(FIELDS)
-    assert len(FIELDS) <= 17, "the surface only shrinks"
+    assert len(FIELDS) <= 15, "the surface only shrinks"

@@ -271,7 +271,6 @@ class TestSessionIsAJob:
         assert system.ranking.team_rank("t") is None
         assert not any(m.name == "jobs_finished" and m.value
                        for m in system.metrics)
-        assert system.monitor.counters.get("jobs_recorded") == 0
         row, = system.db.collection("interactive_sessions").find({}).to_list()
         assert row["status"] == "succeeded" and row["job_id"]
 

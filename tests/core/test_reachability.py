@@ -101,7 +101,7 @@ KEPT = {
     "repro.sim.events:Event.fail":
         "safety: a failed child event fails the condition waiting on it",
     "repro.obs.span:NoopSpan":
-        "safety: the observers-off path (tracing_enabled=False) the "
+        "safety: the observers-off path (observers_enabled=False) the "
         "GOLDEN_DIGEST invariant is stated over",
     # Safety: every state change under a WAL is journaled, and replay
     # rebuilds it; the roots make these changes before durability attaches.

@@ -36,11 +36,11 @@ class TestSampler:
         procs = [system.sim.process(c.submit()) for c in clients]
         system.sim.run(until=system.sim.all_of(procs))
         for signal in ("queue_depth", "workers_running", "jobs_active",
-                       "storage_bytes", "in_flight"):
+                       "in_flight"):
             assert len(samples(system, signal)) > 0
         assert max(samples(system, "workers_running")) == 2
         assert max(samples(system, "jobs_active")) >= 1
-        assert max(samples(system, "storage_bytes")) > 0
+        assert system.storage.total_bytes > 0
 
 
 class TestHealthReport:

@@ -23,7 +23,9 @@ class TestMalformedMessages:
         client.stage_project(FILES)
         result = system.run(client.submit())
         assert result.status is JobStatus.SUCCEEDED
-        assert system.monitor.counters.get("malformed_job_messages") == 2
+        first_sight = [e for e in system.events.query(
+            type="worker.malformed_message") if e.fields["attempts"] == 1]
+        assert len(first_sight) == 2
 
     def test_unparseable_spec_rejected_not_crash(self):
         system = RaiSystem.standard(num_workers=1, seed=2)

@@ -53,7 +53,8 @@ def test_a_job_claimed_mid_pull_waits_only_for_the_rest(warm_pool_size,
     assert second.finished_at <= \
         first.finished_at + CREATE_SECONDS + 0.1
     image = system.registry.get("webgpu/rai:root").size_bytes
-    assert system.monitor.counters.get("image_bytes_pulled") == image
+    assert sum(w.runtime.stats()["bytes_pulled"]
+               for w in system.workers) == image
     assert system.workers[0].runtime.stats()["bytes_pulled"] == image
     # Each job's trace says who started the bytes and who waited on them.
     pulls = [pull_event(system, result) for result in (first, second)]

