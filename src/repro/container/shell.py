@@ -3,7 +3,9 @@
 A deliberately small POSIX-flavoured subset, enough to run the paper's
 Listings 1 and 2 and realistic variations of them:
 
-- tokenisation with quoting (``shlex`` rules);
+- tokenisation with quoting (``shlex`` rules), once per distinct line:
+  :func:`split_sequence` and :func:`tokenize` remember their last
+  :data:`PARSE_MEMO_SIZE` inputs (expansion and redirection run per call);
 - ``&&`` / ``;`` sequencing within one line (``&&`` short-circuits);
 - ``$VAR`` / ``${VAR}`` environment expansion;
 - ``> file`` and ``>> file`` stdout redirection;
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import re
 import shlex
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.vfs.path import join as path_join
@@ -34,10 +37,16 @@ def expand_variables(token: str, env: dict) -> str:
     return _VAR_RE.sub(repl, token)
 
 
-def split_sequence(line: str) -> List[Tuple[str, str]]:
+#: Distinct command lines (and their segments) whose parse is remembered.
+#: A course runs a handful, byte-identical across submissions.
+PARSE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def split_sequence(line: str) -> Tuple[Tuple[str, str], ...]:
     """Split a command line on ``&&`` and ``;`` (quote-aware).
 
-    Returns ``[(connector, segment), ...]`` where the connector is how the
+    Returns ``((connector, segment), ...)`` where the connector is how the
     segment chains onto the previous one (``""`` for the first).
     """
     segments: List[Tuple[str, str]] = []
@@ -67,7 +76,14 @@ def split_sequence(line: str) -> List[Tuple[str, str]]:
         current.append(ch)
         i += 1
     segments.append((connector, "".join(current).strip()))
-    return [(c, s) for c, s in segments if s]
+    return tuple((c, s) for c, s in segments if s)
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def tokenize(segment: str) -> Tuple[str, ...]:
+    """``segment``'s words by ``shlex`` rules; raises ``ValueError`` (not
+    remembered) on unbalanced quotes."""
+    return tuple(shlex.split(segment, posix=True))
 
 
 class Shell:
@@ -93,7 +109,7 @@ class Shell:
     def _run_simple(self, segment: str) -> int:
         ctx = self.container._context
         try:
-            tokens = shlex.split(segment, posix=True)
+            tokens = tokenize(segment)
         except ValueError as exc:
             ctx.write_err(f"sh: parse error: {exc}\n")
             return 2

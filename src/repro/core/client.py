@@ -192,11 +192,14 @@ class RaiClient:
                 consumer.ack(message)
                 mtype = payload.get("type")
                 if mtype == "log":
-                    result.log.append((payload["t"], payload["stream"],
-                                       payload["text"]))
-                    self._emit(payload["stream"], payload["text"])
-                elif mtype == "command":
-                    self._emit("stdout", f"$ {payload['command']}\n")
+                    # One command's announcement and all it wrote, or a
+                    # line written between commands.
+                    if "command" in payload:
+                        self._emit("stdout", f"$ {payload['command']}\n")
+                    t = payload["t"]
+                    for stream, text in payload["lines"]:
+                        result.log.append((t, stream, text))
+                        self._emit(stream, text)
                 elif mtype == "status":
                     if payload.get("status") == "running":
                         result.status = JobStatus.RUNNING

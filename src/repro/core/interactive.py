@@ -19,8 +19,8 @@ end of it.  On the wire, all over ordinary broker topics:
 - requests:  ``rai-interactive/sessions`` (competing consumers = workers
   with ``enable_interactive``);
 - outputs:   ``log_${job_id}`` — the job vocabulary (``status`` accepted /
-  running, ``log``, ``end`` with the session's ``reason``) plus one
-  ``result`` per command;
+  running; ``log``, one per command with all it wrote; ``end`` with the
+  session's ``reason``) plus one ``result`` per command;
 - inputs:    ``log_${job_id}_in/#in`` — ``exec`` / ``detach``.
 """
 
@@ -154,8 +154,9 @@ class InteractiveSession:
                 self.transcript.worker_id = payload.get("worker")
                 tracer.end_subtree(span)
                 return self.transcript
-            if kind == "log" and payload["stream"] == "stderr":
-                refusal.append(payload["text"])
+            if kind == "log":
+                refusal += [text for stream, text in payload["lines"]
+                            if stream == "stderr"]
             elif kind == "end":
                 return self._rejected(
                     "".join(refusal).strip() or payload.get("reason")
@@ -172,9 +173,10 @@ class InteractiveSession:
             payload = yield from self._receive()
             kind = payload.get("type")
             if kind == "log":
-                parts[payload["stream"]].append(payload["text"])
-                if self.client.on_line is not None:
-                    self.client.on_line(payload["stream"], payload["text"])
+                for stream, text in payload["lines"]:
+                    parts[stream].append(text)
+                    if self.client.on_line is not None:
+                        self.client.on_line(stream, text)
             elif kind == "result" and payload.get("seq") == seq:
                 outcome = CommandOutcome(
                     command=command,

@@ -129,7 +129,9 @@ class Job:
 
 
 def log_message(kind: str, t: float, worker, payload: dict) -> dict:
-    """One message on a job's ``log_${job_id}`` topic, whoever sends it."""
+    """One message on a job's ``log_${job_id}`` topic, whoever sends it.
+    A ``log`` one carries ``lines``, the ``(stream, text)`` writes made at
+    ``t``, and ``command`` when a command made them."""
     return {"type": kind, "t": t, "worker": worker, **payload}
 
 

@@ -28,8 +28,8 @@ from repro.core.job import (
     Job, JobKind, JobStatus, log_message, read_run_output)
 from repro.errors import (
     BuildSpecError, ContainerError, InvalidCredentials, JobDeadlineExceeded,
-    SessionLost, SignatureMismatch, StorageError, TransientStorageError,
-    VfsError)
+    MessageTooLarge, SessionLost, SignatureMismatch, StorageError,
+    TransientStorageError, VfsError)
 from repro.faults.retry import RetryPolicy
 from repro.storage.buildcache import image_cache_key, primary_key
 from repro.storage.chunkstore import digest_file_map
@@ -71,6 +71,9 @@ class JobRun:
             job_id=job.id)
         self.producer = Producer(worker.system.broker, f"log_{job.id}")
         self.outputs: List[tuple] = []
+        #: The running command's (stream, text) writes, None between
+        #: commands.
+        self.batch: Optional[List[tuple]] = None
         self.stage: Optional[str] = None
         self.status = JobStatus.FAILED
         self.exit_code: Optional[int] = None
@@ -97,8 +100,37 @@ class JobRun:
             headers=_headers)
 
     def log(self, stream: str, text: str) -> None:
+        """One write: held while a command runs (it goes out with the
+        command), else published at once, so it reaches the client at the
+        instant it was written."""
         self.outputs.append((stream, text))
-        self.publish("log", stream=stream, text=text)
+        if self.batch is None:
+            self.send([(stream, text)])
+        else:
+            self.batch.append((stream, text))
+
+    def command_done(self, command: str) -> None:
+        """Publish the command's announcement and everything it wrote."""
+        lines, self.batch = self.batch, None
+        self.send(lines, command=command)
+
+    def send(self, lines: list, **command) -> None:
+        """``lines`` as one ``log`` message; past the broker's size limit,
+        halved (a lone line by its text) until every part fits, the
+        command's announcement riding the first."""
+        try:
+            self.publish("log", lines=lines, **command)
+            return
+        except MessageTooLarge:
+            if len(lines) == 1 and len(lines[0][1]) > 1:
+                stream, text = lines[0]
+                half = len(text) // 2
+                lines = [(stream, text[:half]), (stream, text[half:])]
+            elif len(lines) < 2:
+                raise       # the announcement alone is too big
+        half = len(lines) // 2
+        self.send(lines[:half], **command)
+        self.send(lines[half:])
 
     def check_deadline(self) -> None:
         """Raise once the paper's 1-hour cap, applied wall-clock, has
@@ -223,7 +255,6 @@ def build(run: JobRun):
     run.exit_code = 0
     for command in spec.build_commands:
         run.check_deadline()
-        run.publish("command", command=command)
         span = tracer.start_span(
             "container.exec", parent=run_span, kind="container",
             attributes={"command": command})
@@ -310,10 +341,12 @@ def _replay(run: JobRun, entry, span, indexed: bool):
     run.exec_seconds += seconds
     run.saved_seconds += max(0.0, entry.charged_seconds - seconds)
     yield worker.sim.timeout(seconds)
+    run.batch = []
     if entry.stdout:
         run.log("stdout", entry.stdout)
     if entry.stderr:
         run.log("stderr", entry.stderr)
+    run.command_done(entry.command)
     span.set_attribute("exit_code", entry.exit_code)
     return entry.exit_code, None
 
@@ -333,6 +366,7 @@ def _exec(run: JobRun, command: str, span, image_key):
             return worker._timing_noise()
 
         container.time_dilation = counted_noise
+    run.batch = []
     try:
         result = container.exec_line(command)
     finally:
@@ -340,6 +374,9 @@ def _exec(run: JobRun, command: str, span, image_key):
             if container.fs is not None:
                 container.fs.stop_tracking()
             container.time_dilation = worker._timing_noise
+    # Its output was written at this instant: it goes out now, not after
+    # the command's simulated duration.
+    run.command_done(command)
     # sim_duration already includes contention dilation (applied at
     # charge time inside the container).
     run.exec_seconds += result.sim_duration

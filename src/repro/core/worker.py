@@ -12,10 +12,12 @@ each became — and, in brackets, what an interactive session (§VIII,
    a redelivered session died with its worker and is ended, not re-run];
 3. start a Docker container from the job's base image (pulling on a cache
    miss), with limited RAM, no network, the CUDA volume mounted, and all
-   stdout/stderr piped to the ``log_${job_id}`` topic — ``acquire``, which
-   waits only for what is still missing: the worker began pulling the
-   course image, and parked :data:`WARM_POOL_SIZE` containers per slot, when
-   it started (``_fill_pool``);
+   stdout/stderr piped to the ``log_${job_id}`` topic — one message per
+   command, each line keeping the instant it was written, split at the
+   broker's message limit (``JobRun.log``) — ``acquire``, which waits
+   only for what is still missing: the worker began pulling the course
+   image, and parked :data:`WARM_POOL_SIZE` containers per slot, when it
+   started (``_fill_pool``);
 4. download the client's project archive and mount it at ``/src``
    (read-only), with a writable ``/build`` working directory — ``fetch``
    (which also unpacks), run before 3 so a bad upload costs no container

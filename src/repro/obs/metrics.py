@@ -201,10 +201,16 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """All metric series of one deployment, keyed by (name, labels)."""
+    """All metric series of one deployment, keyed by (name, labels).  A
+    name's series share one kind and one set of label keys; any other
+    raises ``TypeError``."""
 
     def __init__(self):
         self._metrics: "Dict[Tuple[str, LabelsKey], Metric]" = {}
+        #: name → the kind and label keys its first series was registered
+        #: with: a retired or misspelt keyword must not mint a parallel
+        #: series.
+        self._shapes: Dict[str, tuple] = {}
 
     # -- instrument factories ------------------------------------------------
 
@@ -224,12 +230,17 @@ class MetricsRegistry:
     def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
         key = (name, _labels_key(labels))
         metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = cls(name, labels, **kwargs)
-        elif type(metric) is not cls:
+        if metric is not None and type(metric) is cls:
+            return metric
+        kind, names = self._shapes.setdefault(name, (cls, frozenset(labels)))
+        if kind is not cls:
             raise TypeError(
                 f"metric {name!r}{labels or ''} is a "
-                f"{type(metric).__name__}, not a {cls.__name__}")
+                f"{kind.__name__}, not a {cls.__name__}")
+        if names != labels.keys():
+            raise TypeError(f"metric {name!r} takes labels {sorted(names)}, "
+                            f"not {sorted(labels)}")
+        metric = self._metrics[key] = cls(name, labels, **kwargs)
         return metric
 
     # -- queries ------------------------------------------------------------

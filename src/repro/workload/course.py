@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.auth.email import KeyMailer
 from repro.auth.profile import RaiProfile
-from repro.cluster.elasticity import ManualSchedule, SchedulePhase
+from repro.cluster.elasticity import ManualSchedule
 from repro.cluster.provisioner import Provisioner
 from repro.core.client import RaiClient
 from repro.core.job import JobKind, JobStatus
 from repro.core.system import RaiSystem
-from repro.workload.behavior import DAY, HOUR, sample_think_time
+from repro.workload.behavior import DAY, sample_think_time
 from repro.workload.students import Team, make_class
 from repro.workload.trajectory import TeamTrajectory, team_project_files
 

@@ -16,21 +16,21 @@ def container():
 
 class TestSplitSequence:
     def test_single_command(self):
-        assert split_sequence("echo hi") == [("", "echo hi")]
+        assert split_sequence("echo hi") == (("", "echo hi"),)
 
     def test_and_chain(self):
         assert split_sequence("a && b && c") == \
-            [("", "a"), ("&&", "b"), ("&&", "c")]
+            (("", "a"), ("&&", "b"), ("&&", "c"))
 
     def test_semicolon(self):
-        assert split_sequence("a ; b") == [("", "a"), (";", "b")]
+        assert split_sequence("a ; b") == (("", "a"), (";", "b"))
 
     def test_quoted_separators_ignored(self):
-        assert split_sequence('echo "a && b"') == [("", 'echo "a && b"')]
-        assert split_sequence("echo 'x;y'") == [("", "echo 'x;y'")]
+        assert split_sequence('echo "a && b"') == (("", 'echo "a && b"'),)
+        assert split_sequence("echo 'x;y'") == (("", "echo 'x;y'"),)
 
     def test_empty_segments_dropped(self):
-        assert split_sequence("a && ") == [("", "a")]
+        assert split_sequence("a && ") == (("", "a"),)
 
 
 class TestExpandVariables:

@@ -126,6 +126,27 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.histogram("thing")
 
+    def test_retired_keyword_is_not_a_label(self):
+        """``histogram("lat", buckets=...)`` once meant per-series bounds;
+        as a label it would silently mint a second ``lat`` series."""
+        registry = MetricsRegistry()
+        registry.histogram("lat").observe(1.0)
+        with pytest.raises(TypeError, match="takes labels"):
+            registry.histogram("lat", buckets=(1.0, 2.0))
+        assert sum(m.name == "lat" for m in registry) == 1
+
+    def test_label_keys_are_fixed_by_the_first_series(self):
+        registry = MetricsRegistry()
+        registry.counter("jobs_finished", status="succeeded").inc()
+        registry.counter("jobs_finished", status="failed").inc()
+        for labels in ({}, {"stauts": "failed"},
+                       {"status": "failed", "worker": "w1"}):
+            with pytest.raises(TypeError):
+                registry.counter("jobs_finished", **labels)
+        with pytest.raises(TypeError):
+            registry.gauge("jobs_finished", status="queued")
+        assert sum(m.name == "jobs_finished" for m in registry) == 2
+
     def test_get_missing_returns_none_and_zero(self):
         registry = MetricsRegistry()
         assert registry.get("nope") is None
