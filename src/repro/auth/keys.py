@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -50,18 +50,12 @@ class KeyStore:
         Re-issuing for an existing username revokes the old credential
         (lost-key recovery).
         """
-        old = self._by_user.get(username)
-        if old is not None:
-            old.revoked = True
-        cred = Credential(
+        return self._register(Credential(
             username=username,
             access_key=generate_key(self._rng),
             secret_key=generate_key(self._rng),
             team=team,
-        )
-        self._by_access[cred.access_key] = cred
-        self._by_user[username] = cred
-        return cred
+        ))
 
     def restore_credential(self, doc: dict) -> Credential:
         """Re-register a credential from its snapshot/journal document.
@@ -70,7 +64,7 @@ class KeyStore:
         drawn from the RNG — the restored deployment accepts exactly the
         keys students already have in their ``.rai.profile`` files.
         """
-        cred = Credential(
+        return self._register(Credential(
             username=doc["username"],
             access_key=doc["access_key"],
             secret_key=doc["secret_key"],
@@ -78,7 +72,14 @@ class KeyStore:
             role=doc.get("role", "student"),
             revoked=bool(doc.get("revoked", False)),
             metadata=dict(doc.get("metadata", {})),
-        )
+        ))
+
+    def _register(self, cred: Credential) -> Credential:
+        """The state change of an issue (live and replay): ``cred``
+        supersedes, and revokes, its username's previous credential."""
+        old = self._by_user.get(cred.username)
+        if old is not None and old.access_key != cred.access_key:
+            old.revoked = True
         self._by_access[cred.access_key] = cred
         self._by_user[cred.username] = cred
         return cred
@@ -98,6 +99,14 @@ class KeyStore:
 
     def credentials(self) -> List[Credential]:
         return [self._by_user[u] for u in sorted(self._by_user)]
+
+    def to_snapshot(self) -> List[dict]:
+        return [asdict(cred) for cred in self.credentials()]
+
+    def install_snapshot(self, snap: List[dict]) -> int:
+        for doc in snap:
+            self.restore_credential(doc)
+        return len(snap)
 
     def __len__(self) -> int:
         return len(self._by_user)

@@ -168,4 +168,15 @@ class MessageBroker:
         return self.sim.every(
             interval, lambda: self.requeue_stale(in_flight_timeout))
 
-    # -- observability ------------------------------------------------------------
+    # -- snapshot ------------------------------------------------------------
+
+    def to_snapshot(self) -> dict:
+        """The durable topics (``log_*`` streams die with the process)."""
+        return {"topics": [topic.to_snapshot()
+                           for topic in self.topics.values()
+                           if not topic.ephemeral]}
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Load :meth:`to_snapshot` output; returns the messages restored."""
+        return sum(self.topic(t["name"], ephemeral=False).install_snapshot(t)
+                   for t in snap.get("topics", []))

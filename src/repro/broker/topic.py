@@ -3,13 +3,34 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.broker.message import Message
+from repro.errors import BrokerError
 from repro.sim.resources import Store
 
 #: Deliveries a message gets before it is dead-lettered.
 MAX_ATTEMPTS = 5
+
+
+def _message_doc(msg: Message) -> dict:
+    return {
+        "id": msg.id,
+        "topic": msg.topic,
+        "body": msg.body,
+        "timestamp": msg.timestamp,
+        "attempts": msg.attempts,
+        "delivered_at": msg.delivered_at,
+        "headers": msg.headers,
+    }
+
+
+def _message_from_doc(doc: dict) -> Message:
+    msg = Message(doc["topic"], doc["body"], doc["timestamp"],
+                  message_id=doc["id"], headers=doc.get("headers"))
+    msg.attempts = int(doc.get("attempts", 0))
+    msg.delivered_at = doc.get("delivered_at")
+    return msg
 
 
 class Channel(Store):
@@ -19,12 +40,16 @@ class Channel(Store):
     bookkeeping: in-flight tracking, acknowledgement, requeueing with an
     attempt budget, and a dead-letter list (messages are never silently
     lost — resilience is one of the broker's two stated jobs, §IV).
+
+    Each durable state change — claim, settle, unclaim, dead-letter
+    removal — is one method that both the live verb and WAL replay call;
+    the live verb adds the journal record, spans, events and wake-ups.
     """
 
     __slots__ = ("topic", "name", "in_flight",
                  "dead_letters", "subscriber_count", "total_delivered",
                  "total_acked", "total_requeued", "total_dead_lettered",
-                 "total_prefetched", "scheduler", "on_queued")
+                 "scheduler", "on_queued")
 
     def __init__(self, sim, topic: "Topic", name: str):
         super().__init__(sim)
@@ -37,7 +62,6 @@ class Channel(Store):
         self.total_acked = 0
         self.total_requeued = 0
         self.total_dead_lettered = 0
-        self.total_prefetched = 0
         #: Optional dequeue policy (e.g. :class:`repro.sched.JobScheduler`):
         #: ``select(items) -> index`` reorders the queue on dequeue,
         #: ``note_dispatch(msg)`` observes every claimed message.
@@ -46,8 +70,10 @@ class Channel(Store):
         #: message queued with no get parked here to take it.
         self.on_queued = None
 
-    def put(self, message: Message) -> None:
-        super().put(message)
+    def _wake(self) -> None:
+        """Also tell ``on_queued`` when a message is left queued with no
+        get here to take it."""
+        super()._wake()
         if self.on_queued is not None and self.items and not self._gets:
             self.on_queued(self)
 
@@ -104,7 +130,6 @@ class Channel(Store):
         if not self.items or self._gets:
             return None
         msg = self._pop_next()
-        self.total_prefetched += 1
         self._mark_delivered(msg)
         return msg
 
@@ -117,11 +142,7 @@ class Channel(Store):
         self._mark_delivered(msg)
 
     def _mark_delivered(self, msg: Message) -> None:
-        msg.attempts += 1
-        msg.delivered_at = self.sim.now
-        msg._channel = self
-        self.in_flight[msg.id] = msg
-        self.total_delivered += 1
+        self._claim(msg, self.sim.now)
         journal = self._journal()
         if journal is not None:
             journal.broker_deliver(self.route, msg.id)
@@ -130,6 +151,23 @@ class Channel(Store):
             self.scheduler.note_dispatch(msg)
         if msg.attempts > 1:
             self._emit_event("broker.redeliver", msg)
+
+    def _claim(self, msg: Message, at: float) -> None:
+        """The state change of a delivery: ``msg`` goes in flight."""
+        msg.attempts += 1
+        msg.delivered_at = at
+        msg._channel = self
+        self.in_flight[msg.id] = msg
+        self.total_delivered += 1
+
+    def claim(self, message_id: str, at: float) -> Message:
+        """Replay a delivery: the queued ``message_id`` goes in flight."""
+        for i, msg in enumerate(self.items):
+            if msg.id == message_id:
+                del self.items[i]
+                self._claim(msg, at)
+                return msg
+        raise BrokerError(f"{message_id} is not queued on {self.route}")
 
     def _emit_event(self, type: str, msg: Message, **fields) -> None:
         """Record a delivery anomaly in the deployment event log.
@@ -175,12 +213,17 @@ class Channel(Store):
         msg.headers = span.headers()
 
     def ack(self, message: Message) -> None:
-        self.in_flight.pop(message.id, None)
-        self.total_acked += 1
+        self.settle(message.id)
         journal = self._journal()
         if journal is not None:
             journal.broker_ack(self.route, message.id)
         self.topic._maybe_reap()
+
+    def settle(self, message_id: str) -> None:
+        """The state change of an ack.  Every ack counts, in flight or not
+        (one a stale sweep already requeued)."""
+        self.in_flight.pop(message_id, None)
+        self.total_acked += 1
 
     def ack_release(self, message: Message) -> None:
         """Ack and recycle the delivery copy into the message freelist.
@@ -199,35 +242,70 @@ class Channel(Store):
 
         Returns True if requeued, False if dead-lettered.
         """
-        self.in_flight.pop(message.id, None)
+        dead = message.attempts >= MAX_ATTEMPTS
+        self.unclaim(message, dead)
+        # Journal before waking a get: the consumer it hands the message
+        # to journals its deliver record after this requeue record.
         journal = self._journal()
-        if message.attempts >= MAX_ATTEMPTS:
-            self.dead_letters.append(message)
-            self.total_dead_lettered += 1
-            if journal is not None:
-                journal.broker_requeue(self.route, message.id,
-                                       dead_lettered=True)
-            self._emit_event("broker.dead_letter", message)
-            return False
-        self.total_requeued += 1
-        # Journal before put(): a blocked consumer claims the message
-        # synchronously inside put(), and its deliver record must land
-        # after this requeue record for replay to make sense.
         if journal is not None:
             journal.broker_requeue(self.route, message.id,
-                                   dead_lettered=False)
-        self.put(message)
+                                   dead_lettered=dead)
+        if dead:
+            self._emit_event("broker.dead_letter", message)
+            return False
+        self._wake()
         return True
+
+    def unclaim(self, message: Message, dead_lettered: bool) -> None:
+        """The state change of a requeue: out of flight, onto the back of
+        the queue or into the dead letters."""
+        self.in_flight.pop(message.id, None)
+        if dead_lettered:
+            self.dead_letters.append(message)
+            self.total_dead_lettered += 1
+        else:
+            self.items.append(message)
+            self.total_requeued += 1
+
+    def requeue_orphans(self, finished: Callable[[Message], bool]
+                        ) -> Tuple[int, int]:
+        """Recovery: the consumers holding in-flight messages died.
+
+        A message whose job is ``finished`` settles as acked (fenced);
+        the rest go to the front of the queue in delivery order, or to
+        the dead letters when out of attempts.  Returns
+        ``(requeued, fenced)``.
+        """
+        requeued = fenced = 0
+        for msg in list(self.in_flight.values()):
+            if finished(msg):
+                self.settle(msg.id)
+                fenced += 1
+                continue
+            msg.delivered_at = None
+            dead = msg.attempts >= MAX_ATTEMPTS
+            self.unclaim(msg, dead)
+            if not dead:
+                requeued += 1
+        self.items.rotate(requeued)
+        return requeued, fenced
 
     def drain_dead_letters(self) -> List[Message]:
         """Remove and return every dead-lettered message (for a consumer
         that routes poison messages somewhere durable)."""
-        drained, self.dead_letters = self.dead_letters, []
+        drained = self.remove_dead_letters({m.id for m in self.dead_letters})
         if drained:
             journal = self._journal()
             if journal is not None:
                 journal.broker_dl_drain(self.route,
                                         [m.id for m in drained])
+        return drained
+
+    def remove_dead_letters(self, message_ids) -> List[Message]:
+        """The state change of a drain: the named dead letters leave."""
+        drained = [m for m in self.dead_letters if m.id in message_ids]
+        self.dead_letters = [m for m in self.dead_letters
+                             if m.id not in message_ids]
         return drained
 
     def requeue_stale(self, in_flight_timeout: float) -> int:
@@ -243,8 +321,46 @@ class Channel(Store):
                  if msg.delivered_at is not None
                  and now - msg.delivered_at >= in_flight_timeout]
         for msg in stale:
-            self.requeue(msg)
+            # Its consumer still holds ``msg`` and may recycle it on ack
+            # (``ack_release``): requeue a copy only the channel holds.
+            copy = msg.copy_for_channel()
+            copy.attempts, copy.delivered_at = msg.attempts, msg.delivered_at
+            self.requeue(copy)
         return len(stale)
+
+    # -- snapshot ------------------------------------------------------------
+
+    def to_snapshot(self) -> dict:
+        return {
+            "name": self.name,
+            "items": [_message_doc(m) for m in self.items],
+            "in_flight": [_message_doc(m) for m in self.in_flight.values()],
+            "dead_letters": [_message_doc(m) for m in self.dead_letters],
+            "totals": {
+                "delivered": self.total_delivered,
+                "acked": self.total_acked,
+                "requeued": self.total_requeued,
+                "dead_lettered": self.total_dead_lettered,
+            },
+        }
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Replace this channel's state; returns the messages it holds."""
+        self.items.clear()
+        self.items.extend(_message_from_doc(d) for d in snap.get("items", []))
+        self.in_flight.clear()
+        for doc in snap.get("in_flight", []):
+            msg = _message_from_doc(doc)
+            msg._channel = self
+            self.in_flight[msg.id] = msg
+        self.dead_letters = [_message_from_doc(d)
+                             for d in snap.get("dead_letters", [])]
+        totals = snap.get("totals", {})
+        self.total_delivered = int(totals.get("delivered", 0))
+        self.total_acked = int(totals.get("acked", 0))
+        self.total_requeued = int(totals.get("requeued", 0))
+        self.total_dead_lettered = int(totals.get("dead_lettered", 0))
+        return len(self.items) + len(self.in_flight) + len(self.dead_letters)
 
 
 class Topic:
@@ -302,6 +418,25 @@ class Topic:
     @property
     def depth(self) -> int:
         return len(self.backlog) + sum(c.depth for c in self.channels.values())
+
+    def to_snapshot(self) -> dict:
+        return {
+            "name": self.name,
+            "total_published": self.total_published,
+            "backlog": [_message_doc(m) for m in self.backlog],
+            "channels": [c.to_snapshot() for c in self.channels.values()],
+        }
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Replace this topic's state; returns the messages it holds."""
+        self.total_published = int(snap.get("total_published", 0))
+        messages = sum(self.channel(c["name"]).install_snapshot(c)
+                       for c in snap.get("channels", []))
+        # Backlog last: creating the first channel above would otherwise
+        # flush a just-restored backlog into it.
+        self.backlog = deque(_message_from_doc(d)
+                             for d in snap.get("backlog", []))
+        return messages + len(self.backlog)
 
     def is_garbage(self) -> bool:
         """True when an ephemeral topic can be reaped (paper §V: "both the

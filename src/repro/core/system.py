@@ -401,9 +401,12 @@ class RaiSystem:
             config = SystemConfig(**{k: v for k, v in snap["config"].items()
                                      if k in known})
         system = cls(config=config)
-        manager = DurabilityManager(system, path, replaying=True)
+        manager = DurabilityManager(system, path)
+        # Recovery meters nothing: the books are the snapshot's.
+        system.db.usage = system.broker.usage = system.storage.usage = None
         counts = manager.recover(snap)
-        manager._replaying = False
+        system.db.usage = system.broker.usage = system.storage.usage = \
+            system.usage
         system.durability = manager
         system._set_journal(manager)
         manager.checkpoint()

@@ -71,15 +71,9 @@ class Collection:
         doc = copy.deepcopy(document)
         doc_id = doc.get("_id")
         if doc_id is None:
-            doc_id = f"oid-{self._next_oid:08d}"
+            doc_id = doc["_id"] = f"oid-{self._next_oid:08d}"
             self._next_oid += 1
-            doc["_id"] = doc_id
-        else:
-            self._note_oid(doc_id)
-        if doc_id in self._docs:
-            raise DuplicateKeyError(f"_id {doc_id!r} already exists")
-        self._index_add(doc_id, doc)
-        self._docs[doc_id] = doc
+        self.add_document(doc)
         journal = self.db.journal
         if journal is not None:
             journal.docdb_insert(self.name, doc)
@@ -90,8 +84,14 @@ class Collection:
                          tenant=tenant if isinstance(tenant, str) else None)
         return doc_id
 
-    def _note_oid(self, doc_id) -> None:
-        """Keep the oid counter ahead of any explicitly supplied oid."""
+    def add_document(self, doc: dict) -> None:
+        """The state change of an insert (live and replay): index upkeep,
+        store, and the oid counter kept ahead of ``doc``'s ``_id``."""
+        doc_id = doc["_id"]
+        if doc_id in self._docs:
+            raise DuplicateKeyError(f"_id {doc_id!r} already exists")
+        self._index_add(doc_id, doc)
+        self._docs[doc_id] = doc
         match = _OID_RE.match(doc_id) if isinstance(doc_id, str) else None
         if match:
             self._next_oid = max(self._next_oid, int(match.group(1)) + 1)
@@ -124,16 +124,25 @@ class Collection:
         new["_id"] = doc_id
         if new == old:
             return 0
-        self._index_remove(doc_id, old)
-        try:
-            self._index_add(doc_id, new)
-        except DuplicateKeyError:
-            self._index_add(doc_id, old)  # restore
-            raise
-        self._docs[doc_id] = new
+        self.replace_document(new)
         if self.db.journal is not None:
             self.db.journal.docdb_update(self.name, new)
         return 1
+
+    def replace_document(self, doc: dict) -> None:
+        """The state change of an update (live and replay): ``doc`` is the
+        post-image; the indexes move with it, or not at all."""
+        doc_id = doc["_id"]
+        old = self._docs.get(doc_id)
+        if old is not None:
+            self._index_remove(doc_id, old)
+        try:
+            self._index_add(doc_id, doc)
+        except DuplicateKeyError:
+            if old is not None:
+                self._index_add(doc_id, old)  # restore
+            raise
+        self._docs[doc_id] = doc
 
     # -- reads ------------------------------------------------------------
 
@@ -192,6 +201,25 @@ class Collection:
         return run_pipeline(docs, pipeline)
 
     def __len__(self) -> int:
+        return len(self._docs)
+
+    def to_snapshot(self) -> dict:
+        return {
+            "next_oid": self._next_oid,
+            "indexes": [{"field": field, "unique": index.unique}
+                        for field, index in self._indexes.items()],
+            "docs": [copy.deepcopy(doc) for doc in self._docs.values()],
+        }
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Replace this collection's state; returns its document count."""
+        self._docs.clear()
+        self._indexes.clear()
+        for spec in snap.get("indexes", []):
+            self.create_index(spec["field"], unique=spec.get("unique", False))
+        for doc in snap.get("docs", []):
+            self.add_document(doc)
+        self._next_oid = int(snap.get("next_oid", 1))
         return len(self._docs)
 
     def estimated_size_bytes(self) -> int:
@@ -253,6 +281,16 @@ class DocumentDB:
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
+
+    def to_snapshot(self) -> dict:
+        """Every physical collection (shards, never their facades)."""
+        return {name: coll.to_snapshot()
+                for name, coll in self._collections.items()}
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Load :meth:`to_snapshot` output; returns the documents restored."""
+        return sum(self.collection(name).install_snapshot(coll_snap)
+                   for name, coll_snap in snap.items())
 
     def total_documents(self) -> int:
         return sum(len(c) for c in self._collections.values())

@@ -6,9 +6,12 @@ two files: ``snapshot.json`` (the last checkpoint) and ``wal.log`` (the
 mutations since).  The subsystems do not know about files — docdb,
 broker, object store, and keystore each call one thin ``journal.*``
 method after applying a mutation, and the manager frames it into the
-WAL.  Recovery inverts the flow: install the snapshot, replay the WAL
-suffix in order, then repair the soft state (requeue orphaned in-flight
-deliveries, rebuild chunk refcounts, advance id watermarks).
+WAL.  Recovery inverts the flow: install the snapshot (its id
+watermarks included), replay the WAL suffix in order, noting every id it
+names, then requeue orphaned in-flight deliveries.  Each state change — live or replayed — has one
+implementation, in the service that owns the state: replay calls it
+with the record's fields and sim time, and nothing else (no spans,
+events, usage, dispatch or wake-ups).
 
 Two invariants keep recovery exactly-once:
 
@@ -32,7 +35,6 @@ import time
 from typing import Optional
 
 from repro.broker.message import Message, advance_message_ids
-from repro.broker.topic import MAX_ATTEMPTS
 from repro.core.job import advance_job_ids
 from repro.durability import snapshot as snapshot_codec
 from repro.durability.wal import WriteAheadLog
@@ -50,14 +52,11 @@ class DurabilityManager:
     SNAPSHOT_FILE = "snapshot.json"
     WAL_FILE = "wal.log"
 
-    def __init__(self, system, path, replaying: bool = False):
+    def __init__(self, system, path):
         self.system = system
         self.path = str(path)
         os.makedirs(self.path, exist_ok=True)
         self.wal = WriteAheadLog(os.path.join(self.path, self.WAL_FILE))
-        #: True while recovery installs/replays state: journal calls made
-        #: by the very subsystems being rebuilt must not re-log history.
-        self._replaying = replaying
         self.records_logged = 0
         self._records_since_checkpoint = 0
         self.checkpoints_taken = 0
@@ -70,7 +69,7 @@ class DurabilityManager:
 
     @property
     def active(self) -> bool:
-        return not self._replaying and not self.wal.closed
+        return not self.wal.closed
 
     def close(self) -> None:
         """Crash semantics: stop journaling, leave files exactly as-is."""
@@ -125,10 +124,12 @@ class DurabilityManager:
         self._append("st_bucket", bucket=name)
 
     def storage_put(self, bucket: str, key: str, data: bytes,
-                    metadata, padding_bytes: int, dedup: bool) -> None:
+                    metadata, padding_bytes: int, dedup: bool,
+                    file_digests) -> None:
         self._append("st_put", bucket=bucket, key=key,
                      data=base64.b64encode(data).decode("ascii"),
-                     metadata=metadata, padding=padding_bytes, dedup=dedup)
+                     metadata=metadata, padding=padding_bytes, dedup=dedup,
+                     file_digests=file_digests)
 
     def storage_delete(self, bucket: str, key: str) -> None:
         self._append("st_delete", bucket=bucket, key=key)
@@ -179,10 +180,10 @@ class DurabilityManager:
     def recover(self, snap: Optional[dict]) -> dict:
         """Install ``snap`` (if any), replay the WAL, repair soft state.
 
-        Runs with journaling suppressed; the caller flips it on and takes
-        the post-recovery checkpoint.
+        Runs before any worker exists, with no journal or usage meter
+        wired to the services it rebuilds; the caller wires them and
+        takes the post-recovery checkpoint.
         """
-        assert self._replaying, "recover() requires replaying mode"
         counts = {"snapshot": None, "replayed": 0, "torn": 0,
                   "discarded": 0, "requeued": 0, "fenced": 0,
                   "anomalies": 0}
@@ -197,173 +198,102 @@ class DurabilityManager:
             except (ReproError, KeyError, TypeError, ValueError):
                 # A record naming a route or collection that is gone, or
                 # missing a field: count it and keep replaying.  Anything
-                # else is a bug in a replay handler; let it out.
+                # else is a bug in the owner's state change; let it out.
                 self.replay_anomalies += 1
             clock_target = max(clock_target, float(record.get("t", 0.0)))
         counts["replayed"] = wal_stats["records"]
         counts["torn"] = wal_stats["torn"]
         counts["discarded"] = wal_stats["discarded"]
         counts["anomalies"] = self.replay_anomalies
-        requeued, fenced = self._requeue_in_flight()
-        counts["requeued"] = requeued
-        counts["fenced"] = fenced
-        counts["chunk_store"] = \
-            self.system.storage.rebuild_chunk_refcounts()
-        counts["upload_bases"] = \
-            self.system.storage.rebuild_upload_bases()
-        self._advance_watermarks()
+        counts["requeued"], counts["fenced"] = self._requeue_in_flight()
         sim = self.system.sim
         if clock_target > sim.now:
             sim.run(until=clock_target)
         return counts
 
     def _apply(self, record: dict) -> None:
-        handler = getattr(self, "_replay_" + record["op"], None)
-        if handler is None:
-            self.replay_anomalies += 1
-            return
-        handler(record)
-
-    # docdb replay: physical post-image application, straight into the
-    # collection internals (the public verbs would re-plan and re-journal).
-    def _replay_db_insert(self, record: dict) -> None:
-        coll = self.system.db.collection(record["c"])
-        doc = record["doc"]
-        coll._index_add(doc["_id"], doc)
-        coll._docs[doc["_id"]] = doc
-        coll._note_oid(doc["_id"])
-        self._note_job_id(doc.get("job_id"))
-
-    def _replay_db_update(self, record: dict) -> None:
-        coll = self.system.db.collection(record["c"])
-        doc = record["doc"]
-        old = coll._docs.get(doc["_id"])
-        if old is not None:
-            coll._index_remove(doc["_id"], old)
-        coll._index_add(doc["_id"], doc)
-        coll._docs[doc["_id"]] = doc
-
-    def _replay_db_index(self, record: dict) -> None:
-        self.system.db.collection(record["c"]).create_index(
-            record["field"], unique=record["unique"])
-
-    # broker replay: reconstruct queue/in-flight/dead-letter membership.
-    def _replay_mb_publish(self, record: dict) -> None:
-        msg = Message(record["topic"], record["body"], record["ts"],
-                      message_id=record["id"], headers=record.get("headers"))
-        self.system.broker.topic(record["topic"],
-                                 ephemeral=False).publish(msg)
-        self._note_message_id(record["id"])
-        body = record["body"]
-        if isinstance(body, dict):
-            self._note_job_id(body.get("job_id"))
-
-    def _replay_mb_channel(self, record: dict) -> None:
-        self.system.broker.topic(record["topic"],
-                                 ephemeral=False).channel(record["channel"])
-
-    def _channel(self, route: str):
-        return self.system.broker.channel(route)
-
-    def _replay_mb_deliver(self, record: dict) -> None:
-        channel = self._channel(record["route"])
-        for i, msg in enumerate(channel.items):
-            if msg.id == record["id"]:
-                del channel.items[i]
-                msg.attempts += 1
-                msg.delivered_at = record.get("t")
-                msg._channel = channel
-                channel.in_flight[msg.id] = msg
-                channel.total_delivered += 1
-                return
-        self.replay_anomalies += 1
-
-    def _replay_mb_ack(self, record: dict) -> None:
-        channel = self._channel(record["route"])
-        if channel.in_flight.pop(record["id"], None) is not None:
-            channel.total_acked += 1
-
-    def _replay_mb_requeue(self, record: dict) -> None:
-        channel = self._channel(record["route"])
-        msg = channel.in_flight.pop(record["id"], None)
-        if msg is None:
-            self.replay_anomalies += 1
-            return
-        if record.get("dl"):
-            channel.dead_letters.append(msg)
-            channel.total_dead_lettered += 1
+        """Replay one record through the service that owns its state:
+        the state change only, as of the record's sim time."""
+        db, broker, storage = \
+            self.system.db, self.system.broker, self.system.storage
+        op = record["op"]
+        if op == "db_insert":
+            db.collection(record["c"]).add_document(record["doc"])
+            self._note_job_id(record["doc"].get("job_id"))
+        elif op == "db_update":
+            db.collection(record["c"]).replace_document(record["doc"])
+        elif op == "db_index":
+            db.collection(record["c"]).create_index(
+                record["field"], unique=record["unique"])
+        elif op == "mb_publish":
+            broker.topic(record["topic"], ephemeral=False).publish(
+                Message(record["topic"], record["body"], record["ts"],
+                        message_id=record["id"],
+                        headers=record.get("headers")))
+            self._note_message_id(record["id"])
+            if isinstance(record["body"], dict):
+                self._note_job_id(record["body"].get("job_id"))
+        elif op == "mb_channel":
+            broker.topic(record["topic"],
+                         ephemeral=False).channel(record["channel"])
+        elif op == "mb_deliver":
+            broker.channel(record["route"]).claim(record["id"], record["t"])
+        elif op == "mb_ack":
+            broker.channel(record["route"]).settle(record["id"])
+        elif op == "mb_requeue":
+            channel = broker.channel(record["route"])
+            channel.unclaim(channel.in_flight[record["id"]],
+                            bool(record.get("dl")))
+        elif op == "mb_dl_drain":
+            broker.channel(record["route"]).remove_dead_letters(
+                set(record.get("ids", [])))
+        elif op == "st_bucket":
+            storage.create_bucket(record["bucket"], exist_ok=True)
+        elif op == "st_put":
+            storage.place_object(
+                record["bucket"], record["key"],
+                base64.b64decode(record["data"]), record.get("metadata"),
+                record.get("padding", 0), record.get("dedup", False),
+                record.get("file_digests"), record["t"])
+        elif op == "st_delete":
+            storage.delete_object(record["bucket"], record["key"],
+                                  missing_ok=True)
+        elif op == "st_rule":
+            storage.bucket(record["bucket"]).add_lifecycle_rule(
+                LifecycleRule(prefix=record.get("prefix", ""),
+                              expire_after=record["expire_after"],
+                              since=record.get("since", "creation")))
+        elif op == "auth_issue":
+            self.system.keystore.restore_credential(record["cred"])
         else:
-            channel.items.append(msg)
-            channel.total_requeued += 1
-
-    def _replay_mb_dl_drain(self, record: dict) -> None:
-        channel = self._channel(record["route"])
-        drained = set(record.get("ids", []))
-        channel.dead_letters[:] = [m for m in channel.dead_letters
-                                   if m.id not in drained]
-
-    # object store replay: through the public verbs (journaling is off).
-    def _replay_st_bucket(self, record: dict) -> None:
-        self.system.storage.create_bucket(record["bucket"], exist_ok=True)
-
-    def _replay_st_put(self, record: dict) -> None:
-        self.system.storage.put_object(
-            record["bucket"], record["key"],
-            base64.b64decode(record["data"].encode("ascii")),
-            metadata=record.get("metadata"),
-            padding_bytes=record.get("padding", 0),
-            dedup=record.get("dedup", False))
-
-    def _replay_st_delete(self, record: dict) -> None:
-        self.system.storage.delete_object(record["bucket"], record["key"],
-                                          missing_ok=True)
-
-    def _replay_st_rule(self, record: dict) -> None:
-        self.system.storage.bucket(record["bucket"]).add_lifecycle_rule(
-            LifecycleRule(prefix=record.get("prefix", ""),
-                          expire_after=record["expire_after"],
-                          since=record.get("since", "creation")))
-
-    def _replay_auth_issue(self, record: dict) -> None:
-        self.system.keystore.restore_credential(record["cred"])
+            raise KeyError(op)
 
     # -- soft-state repair ---------------------------------------------------
 
     def _requeue_in_flight(self):
         """Return orphaned in-flight deliveries to their queues.
 
-        The consumers that claimed them died with the old process.  Each
-        message goes back to the front of the line with its attempt count
-        preserved — unless its job already has a terminal ``submissions``
-        record (finished pre-crash, or dead-lettered and drained), in
-        which case redelivery would double-execute: those are completed
-        in place.  Out-of-budget messages park in the dead-letter list
-        exactly as a live requeue would.
+        The consumers that claimed them died with the old process.  The
+        fence: a message whose job already has a terminal ``submissions``
+        record (finished pre-crash, or dead-lettered and drained) settles
+        as acked instead — redelivery would run it twice.  Returns
+        ``(requeued, fenced)`` over every channel (recovery builds no
+        ephemeral one).
         """
         submissions = self.system.db.collection("submissions")
+
+        def finished(msg) -> bool:
+            job_id = msg.body.get("job_id") \
+                if isinstance(msg.body, dict) else None
+            return job_id is not None and \
+                submissions.find_one({"job_id": job_id}) is not None
+
         requeued = fenced = 0
         for topic in self.system.broker.topics.values():
-            if topic.ephemeral:
-                continue
             for channel in topic.channels.values():
-                for msg in list(channel.in_flight.values()):
-                    channel.in_flight.pop(msg.id, None)
-                    body = msg.body if isinstance(msg.body, dict) else {}
-                    job_id = body.get("job_id")
-                    if job_id is not None and \
-                            submissions.find_one({"job_id": job_id}) \
-                            is not None:
-                        channel.total_acked += 1
-                        fenced += 1
-                        continue
-                    msg.delivered_at = None
-                    if msg.attempts >= MAX_ATTEMPTS:
-                        channel.dead_letters.append(msg)
-                        channel.total_dead_lettered += 1
-                    else:
-                        channel.items.appendleft(msg)
-                        channel.total_requeued += 1
-                        requeued += 1
+                r, f = channel.requeue_orphans(finished)
+                requeued += r
+                fenced += f
         return requeued, fenced
 
     def _note_message_id(self, message_id) -> None:
@@ -375,21 +305,6 @@ class DurabilityManager:
         match = _JOB_ID_RE.match(job_id if isinstance(job_id, str) else "")
         if match:
             advance_job_ids(int(match.group(1)) + 1)
-
-    def _advance_watermarks(self) -> None:
-        """Never mint an id a pre-crash epoch already used: a colliding
-        job id would trip the worker's dedup fence and silently swallow
-        a brand-new submission."""
-        for doc in self.system.db.collection("submissions").find({}):
-            self._note_job_id(doc.get("job_id"))
-        for topic in self.system.broker.topics.values():
-            for channel in topic.channels.values():
-                for msg in list(channel.items) \
-                        + list(channel.in_flight.values()) \
-                        + channel.dead_letters:
-                    self._note_message_id(msg.id)
-                    body = msg.body if isinstance(msg.body, dict) else {}
-                    self._note_job_id(body.get("job_id"))
 
     # -- observability -------------------------------------------------------
 

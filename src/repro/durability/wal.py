@@ -122,13 +122,6 @@ class WriteAheadLog:
         self._fh.flush()
         self.records_appended += 1
 
-    def sync(self) -> None:
-        """Flush and fsync on demand.  Checkpoints fsync through the
-        snapshot write and :meth:`reset` instead."""
-        if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
     def reset(self) -> None:
         """Truncate back to an empty log (after a snapshot subsumed it)."""
         if self._fh is not None:

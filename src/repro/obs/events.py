@@ -202,6 +202,25 @@ class EventLog:
 
     # -- export ------------------------------------------------------------
 
+    def to_snapshot(self) -> dict:
+        return {
+            "records": [event.to_dict() for event in self._events],
+            "counts": dict(self.counts),
+            "total_emitted": self.total_emitted,
+        }
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Append the snapshot's ring to this log; returns its length."""
+        records = snap.get("records", [])
+        for doc in records:
+            self._events.append(Event(doc["t"], doc["type"],
+                                      trace_id=doc.get("trace_id"),
+                                      span_id=doc.get("span_id"),
+                                      fields=dict(doc.get("fields", {}))))
+        self.total_emitted = int(snap.get("total_emitted", len(records)))
+        self.counts.update(snap.get("counts", {}))
+        return len(records)
+
     def stats(self) -> dict:
         return {
             "enabled": self.enabled,

@@ -99,6 +99,10 @@ class Store:
     def put(self, item: Any) -> None:
         """Enqueue ``item``; a waiting get takes it at once."""
         self.items.append(item)
+        self._wake()
+
+    def _wake(self) -> None:
+        """Hand queued items to waiting gets."""
         if self._gets:
             self._dispatch()
 

@@ -20,6 +20,7 @@ archives cost roughly one archive of real memory.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass
@@ -272,7 +273,24 @@ class ChunkStore:
             parts.append(chunk)
         return b"".join(parts)
 
-    # -- recovery ------------------------------------------------------------
+    # -- snapshot / recovery -------------------------------------------------
+
+    def to_snapshot(self) -> dict:
+        return {
+            "chunks": {digest: base64.b64encode(blob).decode("ascii")
+                       for digest, blob in self._chunks.items()},
+            "chunk_totals": {"ingested": self.total_ingested_bytes,
+                             "deduped": self.total_deduped_bytes},
+        }
+
+    def install_snapshot(self, snap: dict) -> None:
+        """Load the chunks; refcounts wait for :meth:`rebuild_refcounts`."""
+        self._chunks = {digest: base64.b64decode(blob)
+                        for digest, blob in snap.get("chunks", {}).items()}
+        self._refs = {}
+        totals = snap.get("chunk_totals", {})
+        self.total_ingested_bytes = int(totals.get("ingested", 0))
+        self.total_deduped_bytes = int(totals.get("deduped", 0))
 
     def rebuild_refcounts(self, manifests: List[Manifest]) -> dict:
         """Recompute ``_refs`` from the live manifests after a restore.

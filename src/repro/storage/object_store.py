@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 from typing import Dict, List, Optional
 
 from repro.errors import (
@@ -9,13 +10,47 @@ from repro.errors import (
     NoSuchBucket,
     NoSuchKey,
 )
-from repro.storage.chunkstore import ChunkedObject, ChunkStore
+from repro.storage.chunkstore import ChunkedObject, ChunkStore, Manifest
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.objects import StoredObject, compute_etag
 from repro.storage.presign import PresignSigner
 
 #: The key presigned URLs are signed with.
 SECRET = b"repro-object-store"
+
+
+def _object_doc(obj: StoredObject) -> dict:
+    doc = {
+        "key": obj.key,
+        "etag": obj.etag,
+        "metadata": dict(obj.metadata),
+        "created_at": obj.created_at,
+        "last_used_at": obj.last_used_at,
+        "padding_bytes": obj.padding_bytes,
+    }
+    if isinstance(obj, ChunkedObject):
+        doc["kind"] = "chunked"
+        doc["manifest"] = obj.manifest.to_doc()
+    else:
+        doc["kind"] = "plain"
+        doc["data"] = base64.b64encode(obj.data).decode("ascii")
+    return doc
+
+
+def _object_from_doc(doc: dict, chunk_store: ChunkStore) -> StoredObject:
+    if doc["kind"] == "chunked":
+        obj = ChunkedObject(doc["key"], Manifest.from_doc(doc["manifest"]),
+                            chunk_store, created_at=doc["created_at"],
+                            metadata=doc.get("metadata"),
+                            etag=doc.get("etag"),
+                            padding_bytes=doc.get("padding_bytes", 0))
+    else:
+        obj = StoredObject(doc["key"], base64.b64decode(doc["data"]),
+                           created_at=doc["created_at"],
+                           metadata=doc.get("metadata"),
+                           etag=doc.get("etag"))
+    obj.last_used_at = float(doc.get("last_used_at", doc["created_at"]))
+    return obj
 
 
 class Bucket:
@@ -114,23 +149,9 @@ class ObjectStore:
         """
         if self.fault_hook is not None:
             self.fault_hook("put", bucket_name, key)
-        bucket = self.bucket(bucket_name)
-        if dedup:
-            manifest, new_bytes = self.chunk_store.store(data)
-            if file_digests:
-                manifest.files = dict(file_digests)
-            obj = ChunkedObject(key, manifest, self.chunk_store,
-                                created_at=self.sim.now, metadata=metadata,
-                                etag=compute_etag(data),
-                                padding_bytes=padding_bytes)
-            owner = (metadata or {}).get("username")
-            if owner:
-                self._upload_bases[(bucket_name, owner)] = key
-        else:
-            obj = StoredObject(key, data, created_at=self.sim.now,
-                               metadata=metadata)
-        self._drop_object(bucket, key)  # release chunks of any overwrite
-        bucket.objects[key] = obj
+        obj, new_bytes = self.place_object(bucket_name, key, data, metadata,
+                                           padding_bytes, dedup,
+                                           file_digests, self.sim.now)
         if self.usage is not None:
             meta = metadata or {}
             tenant = meta.get("team") or meta.get("username")
@@ -144,8 +165,33 @@ class ObjectStore:
                                   tenant=tenant)
         if self.journal is not None:
             self.journal.storage_put(bucket_name, key, data, metadata,
-                                     padding_bytes, dedup)
+                                     padding_bytes, dedup, file_digests)
         return obj
+
+    def place_object(self, bucket_name: str, key: str, data: bytes,
+                     metadata: Optional[dict], padding_bytes: int,
+                     dedup: bool, file_digests: Optional[Dict[str, str]],
+                     at: float):
+        """The state change of a put (live and replay), stored as of sim
+        time ``at``.  Returns ``(object, bytes new to the store)``."""
+        bucket = self.bucket(bucket_name)
+        if dedup:
+            manifest, new_bytes = self.chunk_store.store(data)
+            if file_digests:
+                manifest.files = dict(file_digests)
+            obj = ChunkedObject(key, manifest, self.chunk_store,
+                                created_at=at, metadata=metadata,
+                                etag=compute_etag(data),
+                                padding_bytes=padding_bytes)
+            owner = (metadata or {}).get("username")
+            if owner:
+                self._upload_bases[(bucket_name, owner)] = key
+        else:
+            new_bytes = len(data)
+            obj = StoredObject(key, data, created_at=at, metadata=metadata)
+        self._drop_object(bucket, key)  # release chunks of any overwrite
+        bucket.objects[key] = obj
+        return obj, new_bytes
 
     def _drop_object(self, bucket: Bucket, key: str) -> bool:
         """Remove ``key`` from ``bucket``, releasing chunk references.
@@ -261,7 +307,41 @@ class ObjectStore:
         """A kernel process running sweeps every ``interval`` seconds."""
         return self.sim.every(interval, self.run_lifecycle_sweep)
 
-    # -- recovery ------------------------------------------------------------
+    # -- snapshot ------------------------------------------------------------
+
+    def to_snapshot(self) -> dict:
+        snap = self.chunk_store.to_snapshot()
+        snap["buckets"] = [{
+            "name": bucket.name,
+            "rules": [{"prefix": rule.prefix,
+                       "expire_after": rule.expire_after,
+                       "since": rule.since}
+                      for rule in bucket.lifecycle_rules],
+            "objects": [_object_doc(o) for o in bucket.objects.values()],
+        } for bucket in self.buckets.values()]
+        return snap
+
+    def install_snapshot(self, snap: dict) -> int:
+        """Load :meth:`to_snapshot` output and rebuild the soft state
+        derived from it (chunk refcounts, upload bases); returns the
+        objects restored."""
+        self.chunk_store.install_snapshot(snap)
+        objects = 0
+        for bucket_snap in snap.get("buckets", []):
+            bucket = self.create_bucket(bucket_snap["name"], exist_ok=True)
+            bucket.lifecycle_rules = [
+                LifecycleRule(prefix=r.get("prefix", ""),
+                              expire_after=r["expire_after"],
+                              since=r.get("since", "creation"))
+                for r in bucket_snap.get("rules", [])]
+            bucket.objects.clear()
+            for doc in bucket_snap.get("objects", []):
+                bucket.objects[doc["key"]] = _object_from_doc(
+                    doc, self.chunk_store)
+                objects += 1
+        self.rebuild_chunk_refcounts()
+        self.rebuild_upload_bases()
+        return objects
 
     def rebuild_chunk_refcounts(self) -> dict:
         """Recompute chunk refcounts from the manifests still live in

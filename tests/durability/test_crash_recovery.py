@@ -183,12 +183,13 @@ class TestReplayAnomalies:
 
     def test_an_unexpected_error_in_a_handler_is_not_swallowed(
             self, tmp_path, monkeypatch):
-        from repro.durability.manager import DurabilityManager
+        from repro.docdb.database import Collection
 
-        def buggy(self, record):
+        def buggy(self, doc):
             raise RuntimeError("a bug, not a bad record")
 
+        # The replayed db_insert reaches the collection's own insert.
         path = self._crashed(tmp_path)
-        monkeypatch.setattr(DurabilityManager, "_replay_db_insert", buggy)
+        monkeypatch.setattr(Collection, "add_document", buggy)
         with pytest.raises(RuntimeError, match="a bug"):
             RaiSystem.restore(path, num_workers=0)

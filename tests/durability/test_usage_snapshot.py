@@ -56,7 +56,7 @@ class TestUsageSnapshot:
 
         target = RaiSystem(seed=81)
         counts = install(target, snap)
-        assert counts["usage_tenants"] >= 2
+        assert counts["usage"] >= 2
         assert {t: dict(r) for t, r in target.usage.tenants.items()} == \
             usage_before
         # Conservation against the PRE-CRASH fleet total.

@@ -79,7 +79,8 @@ class TestPrefetch:
         consumer = Consumer(broker, "rai/tasks")
         msg = consumer.try_get()
         assert msg is not None and msg.body["team"] == "a"
-        assert channel.total_prefetched == 1
+        # Claimed in the caller's own step: no kernel event ran.
+        assert channel.total_delivered == 1 and channel.depth == 0
         assert msg.id in channel.in_flight
         consumer.ack(msg)
         assert channel.total_acked == 1
@@ -121,6 +122,9 @@ class TestPrefetch:
         assert channel.ready_count == 1
 
     def test_stats_count_prefetches(self, broker, channel):
+        # A prefetch is a delivery like any other: counted, and seen by
+        # the scheduler.
         publish(broker, "a")
         Consumer(broker, "rai/tasks").try_get()
-        assert channel.total_prefetched == 1
+        assert channel.total_delivered == 1
+        assert channel.scheduler.total_dispatched == 1
