@@ -7,6 +7,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.broker.message import Message
 from repro.errors import BrokerError
+from repro.obs.events import EventType
 from repro.sim.resources import Store
 
 #: Deliveries a message gets before it is dead-lettered.
@@ -150,7 +151,7 @@ class Channel(Store):
         if self.scheduler is not None:
             self.scheduler.note_dispatch(msg)
         if msg.attempts > 1:
-            self._emit_event("broker.redeliver", msg)
+            self._emit_event(EventType.BROKER_REDELIVER, msg)
 
     def _claim(self, msg: Message, at: float) -> None:
         """The state change of a delivery: ``msg`` goes in flight."""
@@ -251,7 +252,7 @@ class Channel(Store):
             journal.broker_requeue(self.route, message.id,
                                    dead_lettered=dead)
         if dead:
-            self._emit_event("broker.dead_letter", message)
+            self._emit_event(EventType.BROKER_DEAD_LETTER, message)
             return False
         self._wake()
         return True

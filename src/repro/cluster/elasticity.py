@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cluster.provisioner import Provisioner
+from repro.obs.events import EventType
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ class Autoscaler:
             "wait_ewma": signals["wait_ewma"],
         })
         self.system.events.emit(
-            "autoscale.decision", action=action, count=count,
+            EventType.AUTOSCALE_DECISION, action=action, count=count,
             queue_depth=signals["depth"], live_before=signals["n_live"],
             occupancy=round(signals["occupancy"], 4),
             wait_ewma=round(signals["wait_ewma"], 4))

@@ -60,6 +60,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.container.container import Container, ContainerState
 from repro.container.runtime import Pull
+from repro.obs.events import EventType
 
 #: Engine cost of creating a fresh container (namespace + cgroup + mount
 #: setup): what a pool miss pays at acquire time.
@@ -116,8 +117,8 @@ class WarmContainerPool:
         self.misses = 0
         #: Containers :meth:`fill` parked.
         self.filled = 0
-        #: Hits handed out before ``ready_at`` (``pool.hit`` events carry
-        #: what each waited).
+        #: Hits handed out before ``ready_at`` (the job's ``acquire`` span
+        #: carries what each waited).
         self.hits_waited = 0
 
     # -- state ----------------------------------------------------------
@@ -169,13 +170,11 @@ class WarmContainerPool:
             self.hits += 1
             if cost > 0:
                 self.hits_waited += 1
-            self._emit("pool.hit", image=image_name, cost=cost)
             return container, True, cost
         container = self.runtime.create_container(
             image_name, limits=limits, mounts=mounts,
             gpu_device=gpu_device, on_output=on_output)
         self.misses += 1
-        self._emit("pool.miss", image=image_name, cost=CREATE_SECONDS)
         return container, False, CREATE_SECONDS
 
     def _emit(self, type: str, **fields) -> None:
@@ -212,7 +211,7 @@ class WarmContainerPool:
             self._park(self.runtime.create_container(image_name), ready_at,
                        charge, filled=True)
         self.filled += count
-        self._emit("pool.fill", image=image_name, count=count,
+        self._emit(EventType.POOL_FILL, image=image_name, count=count,
                    ready_at=ready_at)
         return pull
 
@@ -248,8 +247,8 @@ class WarmContainerPool:
                 entry = queue.popleft()
                 self._destroy_unclaimed(entry, now)
                 evicted += 1
-                self._emit("pool.evict", image=image_name, reason="ttl",
-                           idle=now - entry.parked_at)
+                self._emit(EventType.POOL_EVICT, image=image_name,
+                           reason="ttl", idle=now - entry.parked_at)
             if not queue:
                 del self._parked[image_name]
         return evicted

@@ -34,6 +34,7 @@ from repro.errors import (
     StorageError,
     SubmissionRejected,
 )
+from repro.obs.events import EventType
 from repro.storage.chunkstore import Manifest
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree
 
@@ -125,7 +126,7 @@ class RaiClient:
         spec_yaml = self.build_file_text()
         if spec_yaml is None:
             spec_yaml = DEFAULT_BUILD_YAML
-            self._emit("stdout", "• no rai-build.yml found; using the "
+            self._show("stdout", "• no rai-build.yml found; using the "
                                  "course default\n")
         if kind is JobKind.SUBMIT:
             # The student's build file is ignored for finals (Listing 2).
@@ -155,10 +156,10 @@ class RaiClient:
         result.status = JobStatus.QUEUED
         result.queued_at = self.sim.now
         events = self.system.events
-        events.emit("shard.route", span=publish_span, job_id=job_id,
+        events.emit(EventType.SHARD_ROUTE, span=publish_span, job_id=job_id,
                     team=self.team, username=self.username,
                     topic=task_topic, partition=partition)
-        events.emit("job.state_change", span=span, job_id=job_id,
+        events.emit(EventType.JOB_STATE_CHANGE, span=span, job_id=job_id,
                     team=self.team, status="queued",
                     username=self.username, kind=kind.value)
 
@@ -195,11 +196,11 @@ class RaiClient:
                     # One command's announcement and all it wrote, or a
                     # line written between commands.
                     if "command" in payload:
-                        self._emit("stdout", f"$ {payload['command']}\n")
+                        self._show("stdout", f"$ {payload['command']}\n")
                     t = payload["t"]
                     for stream, text in payload["lines"]:
                         result.log.append((t, stream, text))
-                        self._emit(stream, text)
+                        self._show(stream, text)
                 elif mtype == "status":
                     if payload.get("status") == "running":
                         result.status = JobStatus.RUNNING
@@ -223,7 +224,7 @@ class RaiClient:
                 tracer.end_subtree(span)
             if result.status in (JobStatus.TIMEOUT, JobStatus.REJECTED):
                 self.system.events.emit(
-                    "job.state_change", span=span, job_id=job_id,
+                    EventType.JOB_STATE_CHANGE, span=span, job_id=job_id,
                     team=self.team, status=result.status.value,
                     client_final=True)
 
@@ -358,6 +359,6 @@ class RaiClient:
             return None
         return self.system.storage.redeem_get(result.build_url).data
 
-    def _emit(self, stream: str, text: str) -> None:
+    def _show(self, stream: str, text: str) -> None:
         if self.on_line is not None:
             self.on_line(stream, text)

@@ -69,6 +69,10 @@ class JobRun:
             "worker.job", parent=message.headers, kind="worker",
             attributes={"worker": worker.id, "attempt": message.attempts},
             job_id=job.id)
+        #: The running stage's span (the stage loop opens it), else
+        #: ``worker.job``: what a stage, or a record written from ``fail``
+        #: or the interrupt path, annotates.
+        self.stage_span = self.span
         self.producer = Producer(worker.system.broker, f"log_{job.id}")
         self.outputs: List[tuple] = []
         #: The running command's (stream, text) writes, None between
@@ -139,10 +143,6 @@ class JobRun:
         if worker.sim.now < self.deadline:
             return
         worker.system.monitor.incr("jobs_deadline_exceeded")
-        worker.system.events.emit("job.deadline_exceeded", span=self.span,
-                                  job_id=self.job.id, worker=worker.id)
-        self.span.add_event("deadline_exceeded",
-                            deadline_s=JOB_DEADLINE_SECONDS)
         raise JobDeadlineExceeded(
             f"job exceeded its {JOB_DEADLINE_SECONDS:.0f}s deadline")
 
@@ -157,45 +157,30 @@ class JobRun:
 
 def admit(run: JobRun):
     """Announce the job, check its credentials, parse and validate its spec."""
-    worker, job = run.worker, run.job
-    system = worker.system
+    job, system = run.job, run.worker.system
     run.publish("status", status="accepted")
-    worker._emit("job.state_change", span=run.span, job_id=job.id,
-                 team=job.team, status="accepted", attempt=run.attempt)
-    with system.tracer.start_span("buildspec.parse", parent=run.span,
-                                  kind="worker"):
-        credential = system.keystore.lookup(job.access_key)
-        body = job.to_message()
-        signature = body.pop("signature")
-        verify_request(credential.secret_key, body, job.submitted_at,
-                       signature)
-        run.spec = parse_build_spec(job.spec_yaml)
-        run.spec.validate(image_whitelist=system.registry.whitelist or None)
+    credential = system.keystore.lookup(job.access_key)
+    body = job.to_message()
+    signature = body.pop("signature")
+    verify_request(credential.secret_key, body, job.submitted_at, signature)
+    run.spec = parse_build_spec(job.spec_yaml)
+    run.spec.validate(image_whitelist=system.registry.whitelist or None)
 
 
 def fetch(run: JobRun):
     """Download the project archive (transient errors retried with
     backoff, only the bytes the worker's fetch cache lacks charged), unpack
     it into the tree mounted at ``/src`` and derive its content identity."""
-    worker, job = run.worker, run.job
+    worker, job, span = run.worker, run.job, run.stage_span
     storage = worker.system.storage
-    span = worker.system.tracer.start_span(
-        "storage.get", parent=run.span, kind="storage",
-        attributes={"bucket": job.upload_bucket, "key": job.upload_key})
-    try:
-        archive = yield from _storage_call(
-            "project fetch",
-            lambda: storage.get_object(job.upload_bucket, job.upload_key),
-            run, span)
-    except StorageError as exc:
-        span.end(status="error", message=str(exc))
-        raise
+    archive = yield from _storage_call(
+        "project fetch",
+        lambda: storage.get_object(job.upload_bucket, job.upload_key), run)
     run.fetch_bytes = worker._fetch_transfer_bytes(archive)
     span.set_attribute("transfer_bytes", run.fetch_bytes)
     span.set_attribute("object_bytes", archive.size)
     yield worker.sim.timeout(
         run.fetch_bytes / worker.config.storage_bandwidth_bps)
-    span.end()
     run.check_deadline()
     run.project_fs = VirtualFileSystem(clock=lambda: worker.sim.now)
     unpack_tree(archive.data, run.project_fs, "/")
@@ -218,9 +203,9 @@ def acquire(run: JobRun):
     pull = worker.runtime.pull(spec.image)
     if pull.seconds > 0:
         run.log("stdout", f"Pulling image {spec.image} ...\n")
-        run.span.add_event("image.pull", image=spec.image,
-                           seconds=pull.seconds, started_bytes=pull.bytes,
-                           joined=pull.joined)
+        run.stage_span.add_event("image.pull", image=spec.image,
+                                 seconds=pull.seconds,
+                                 started_bytes=pull.bytes, joined=pull.joined)
         yield worker.sim.timeout(pull.seconds)
         run.check_deadline()
     mounts = [cuda_volume()]
@@ -233,21 +218,18 @@ def acquire(run: JobRun):
         usage_key=job.team or job.username)
     if cost > 0:
         yield worker.sim.timeout(cost)
-    run.span.add_event("container.acquire", pool_hit=run.pool_hit,
-                       seconds=cost, container=run.container.id,
-                       generation=run.container.generation)
+    run.stage_span.add_event("container.acquire", image=spec.image,
+                             pool_hit=run.pool_hit, seconds=cost,
+                             container=run.container.id,
+                             generation=run.container.generation)
     run.check_deadline()
 
 
 def build(run: JobRun):
     """Start the container and run the build commands, each either
     replayed from the build cache or executed (and captured)."""
-    worker, job, spec, container = run.worker, run.job, run.spec, run.container
-    tracer = worker.system.tracer
+    worker, spec, container = run.worker, run.spec, run.container
     _start_container(run)
-    run_span = tracer.start_span(
-        "container.run", parent=run.span, kind="container",
-        attributes={"image": spec.image, "container": container.id})
     cache = worker.system.build_cache
     image_key = None
     if cache is not None and spec.cache_enabled:
@@ -255,53 +237,50 @@ def build(run: JobRun):
     run.exit_code = 0
     for command in spec.build_commands:
         run.check_deadline()
-        span = tracer.start_span(
-            "container.exec", parent=run_span, kind="container",
-            attributes={"command": command})
-        cacheable = image_key is not None and command_cacheable(command)
-        entry, indexed = None, False
-        if cacheable:
-            entry = cache.lookup(image_key, container.workdir, command,
-                                 container.fs, job_id=job.id)
-            indexed = entry is not None and entry.key in \
-                worker.buildcache_index.get(entry.primary, ())
-            if not (indexed or run.probed):
-                yield from _probe(run, image_key, span)
-        if entry is not None:
-            code, error = yield from _replay(run, entry, span, indexed)
-        else:
-            result = yield from _exec(
-                run, command, span, image_key if cacheable else None)
-            code, error = result.exit_code, result.error
-        if error is not None:
-            run.log("stderr", f"✗ {error}\n")
-            span.add_event("error", error=error)
-            span.end(status="error", message=error)
-        elif code != 0:
-            run.log("stderr", f"✗ command exited with status {code}\n")
-            span.end(status="error", message=f"exit {code}")
-        else:
-            span.end()
-            continue
+        with worker.system.tracer.start_span(
+                "container.exec", parent=run.stage_span, kind="container",
+                attributes={"command": command}) as span:
+            cacheable = image_key is not None and command_cacheable(command)
+            entry, indexed = None, False
+            if cacheable:
+                entry = cache.lookup(image_key, container.workdir, command,
+                                     container.fs)
+                indexed = entry is not None and entry.key in \
+                    worker.buildcache_index.get(entry.primary, ())
+                if not (indexed or run.probed):
+                    yield from _probe(run, image_key, span)
+            if entry is not None:
+                code, error = yield from _replay(run, entry, span, indexed)
+            else:
+                result = yield from _exec(
+                    run, command, span, image_key if cacheable else None)
+                code, error = result.exit_code, result.error
+            if error is not None:
+                run.log("stderr", f"✗ {error}\n")
+                span.add_event("error", error=error)
+                span.end(status="error", message=error)
+            elif code != 0:
+                run.log("stderr", f"✗ command exited with status {code}\n")
+                span.end(status="error", message=f"exit {code}")
+            else:
+                continue
         run.exit_code = code
         break
     ok = run.exit_code == 0
     run.status = JobStatus.SUCCEEDED if ok else JobStatus.FAILED
-    run_span.set_attribute("exit_code", run.exit_code)
-    run_span.end(status=None if ok else "error")
+    run.stage_span.set_attribute("exit_code", run.exit_code)
+    run.stage_span.end(status=None if ok else "error")
 
 
 def _start_container(run: JobRun) -> None:
     """Start the acquired container and say so."""
-    worker, job, container = run.worker, run.job, run.container
+    worker, container = run.worker, run.container
     # Contention noise flows into the container's measured times: alone on
     # a worker it is ~SOLO_JITTER; with co-running jobs it grows — the
     # single-job-mode ablation's mechanism.
     container.time_dilation = worker._timing_noise
     container.start()
     run.publish("status", status="running", container=container.id)
-    worker._emit("job.state_change", span=run.span, job_id=job.id,
-                 team=job.team, status="running", container=container.id)
 
 
 def _probe(run: JobRun, image_key: str, span):
@@ -408,9 +387,7 @@ def upload(run: JobRun):
         return
     blob = pack_tree(fs, "/build")
     bucket, key = system.config.build_bucket, f"{job.id}/build.tar.bz2"
-    span = system.tracer.start_span(
-        "storage.put", parent=run.span, kind="storage",
-        attributes={"bucket": bucket, "key": key, "bytes": len(blob)})
+    run.stage_span.set_attribute("bytes", len(blob))
     yield worker.sim.timeout(len(blob) / worker.config.storage_bandwidth_bps)
     try:
         yield from _storage_call(
@@ -419,14 +396,13 @@ def upload(run: JobRun):
                 bucket, key, blob,
                 metadata={"job_id": job.id, "username": job.username,
                           "team": job.team or "", "kind": job.kind.value}),
-            run, span)
+            run)
     except TransientStorageError as exc:
         # Degrade rather than fail the whole job: the build ran; only its
         # artifact is lost.
         run.log("stderr", f"⚠ build upload failed after retries: {exc}\n")
-        span.end(status="error", message=str(exc))
+        run.stage_span.end(status="error", message=str(exc))
         return
-    span.end()
     run.upload_bytes = len(blob)
     run.build_url = system.storage.presign_get(
         bucket, key, expires_in=BUILD_URL_EXPIRY_SECONDS)
@@ -487,11 +463,13 @@ def serve(run: JobRun):
                 run.log("stderr", f"✗ ignored malformed session message "
                                   f"{str(body)[:80]!r}\n")
             else:
-                span = system.tracer.start_span(
-                    "container.exec", parent=run.span, kind="container",
-                    attributes={"command": command})
-                result = yield from _exec(run, command, span, None)
-                span.end(status=None if result.exit_code == 0 else "error")
+                with system.tracer.start_span(
+                        "container.exec", parent=run.stage_span,
+                        kind="container",
+                        attributes={"command": command}) as span:
+                    result = yield from _exec(run, command, span, None)
+                    if result.exit_code != 0:
+                        span.end(status="error")
                 run.commands.append({"command": command,
                                      "exit_code": result.exit_code,
                                      "duration": result.sim_duration})
@@ -566,9 +544,10 @@ def fail(run: JobRun, exc: Exception) -> bool:
     return True
 
 
-def _storage_call(label: str, fn, run: JobRun, span):
+def _storage_call(label: str, fn, run: JobRun):
     """Run a storage operation under the worker's retry policy (backoff
-    sleeps in simulated time, a ``retry`` event on ``span`` per attempt).
+    sleeps in simulated time, a ``retry`` event on the stage's span per
+    attempt).
     Only :class:`TransientStorageError` is retried; permanent errors and
     the final transient failure propagate unaltered."""
     worker = run.worker
@@ -577,8 +556,8 @@ def _storage_call(label: str, fn, run: JobRun, span):
     def on_retry(attempt, exc):
         run.check_deadline()
         worker.system.monitor.incr("storage_retries")
-        span.add_event("retry", attempt=attempt,
-                       error=f"{type(exc).__name__}: {exc}")
+        run.stage_span.add_event("retry", attempt=attempt,
+                                 error=f"{type(exc).__name__}: {exc}")
         run.log("stderr", f"⚠ {label} failed ({exc}); "
                           f"retry {attempt}/{policy.max_attempts - 1}\n")
 
@@ -596,11 +575,8 @@ def record_submission(run: JobRun) -> None:
     records first wins; later ones are suppressed so the submissions
     collection and the ranking never double-count.
     """
-    worker, job = run.worker, run.job
+    worker, job, span = run.worker, run.job, run.stage_span
     system, now = worker.system, worker.sim.now
-    span = system.tracer.start_span(
-        "docdb.record", parent=run.span, kind="docdb",
-        attributes={"collection": "submissions"})
     submissions = system.db.collection("submissions")
     # A job's record carries the job's own team and username, so naming
     # them matches the same document and lets a sharded collection route
@@ -608,11 +584,7 @@ def record_submission(run: JobRun) -> None:
     if submissions.find_one({"job_id": job.id, "team": job.team,
                              "username": job.username}) is not None:
         system.monitor.incr("duplicate_records_suppressed")
-        system.events.emit("job.duplicate_suppressed", span=span,
-                           job_id=job.id, worker=worker.id,
-                           attempts=run.attempt)
         span.set_attribute("duplicate", True)
-        span.end()
         return
     stdout = "".join(t for s, t in run.outputs if s == "stdout")
     stderr = "".join(t for s, t in run.outputs if s == "stderr")
@@ -655,7 +627,6 @@ def record_submission(run: JobRun) -> None:
             username=job.username, job_id=job.id, at=now)
         span.add_event("ranking.recorded", team=job.team)
     span.set_attribute("duplicate", False)
-    span.end()
 
 
 def record_session(run: JobRun) -> None:

@@ -26,7 +26,7 @@ from repro.core.worker import RaiWorker
 from repro.docdb.database import DocumentDB
 from repro.obs import scrape
 from repro.obs.alerts import AlertManager
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, EventType
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import MetricsScraper
 from repro.obs.slo import SloEngine, default_slos
@@ -298,7 +298,7 @@ class RaiSystem:
             drained += 1
             self.monitor.incr("dead_letters_drained")
             headers = message.headers or {}
-            self.events.emit("job.state_change",
+            self.events.emit(EventType.JOB_STATE_CHANGE,
                              trace_id=headers.get("trace_id"),
                              span_id=headers.get("span_id"),
                              job_id=job_id, team=body.get("team"),
@@ -387,7 +387,6 @@ class RaiSystem:
         """
         from repro.durability.manager import DurabilityManager
         from repro.durability.snapshot import load_snapshot
-        from repro.obs.events import EventType
 
         started = _wallclock.perf_counter()
         snap = load_snapshot(

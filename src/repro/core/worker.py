@@ -52,6 +52,7 @@ from repro.core.job import Job, JobKind, JobStatus
 from repro.core.pipeline import FAILURE_ERRORS, JobRun, fail
 from repro.errors import ContainerError, Interrupt
 from repro.gpu.device import get_device
+from repro.obs.events import EventType
 from repro.vfs import pack_tree  # noqa: F401  (bench/tests pins this copy)
 
 #: The image a worker pulls and fills its pool with from boot: the one
@@ -185,7 +186,7 @@ class RaiWorker:
     def _spawn_slot(self) -> int:
         slot = next(self._slot_counter)
         self._slot_open[slot] = self.sim.now
-        self._emit("worker.slot", action="open", slot=slot)
+        self._emit(EventType.WORKER_SLOT, action="open", slot=slot)
         proc = self.sim.process(self._executor_loop(slot))
         # A stop() interrupt can land before an executor's generator has
         # even started, in which case the Interrupt escapes the loop's try
@@ -198,7 +199,7 @@ class RaiWorker:
         opened_at = self._slot_open.pop(slot, None)
         if opened_at is not None:
             self._slot_seconds_closed += self.sim.now - opened_at
-            self._emit("worker.slot", action="close", slot=slot)
+            self._emit(EventType.WORKER_SLOT, action="close", slot=slot)
 
     @property
     def slot_count(self) -> int:
@@ -239,7 +240,7 @@ class RaiWorker:
         be robust to failures").
         """
         self._crashed = True
-        self._emit("worker.crash", active_jobs=self.active_jobs)
+        self._emit(EventType.WORKER_CRASH, active_jobs=self.active_jobs)
         tracer = self.system.tracer
         for span in list(self._active_spans):
             span.add_event("fault.worker_crash", worker=self.id)
@@ -329,18 +330,28 @@ class RaiWorker:
             # must not crash the worker; count it once, on first sight.
             if message.attempts <= 1:
                 self.jobs_failed += 1
-            self._emit("worker.malformed_message", message_id=message.id,
-                       attempts=message.attempts,
+            self._emit(EventType.WORKER_MALFORMED_MESSAGE,
+                       message_id=message.id, attempts=message.attempts,
                        error=f"{type(exc).__name__}: {exc}")
             return False
         run = JobRun(self, job, message)
         self.active_jobs += 1
         self._active_spans.append(run.span)
+        tracer, abandoned = self.system.tracer, False
         try:
             for stage in run.stages:
                 run.stage = stage.__name__
-                yield from stage(run) or ()     # plain function: no waits
+                # The stage's one span; an error raised through it ends
+                # it with error status.
+                with tracer.start_span(run.stage, parent=run.span,
+                                       kind="worker") as run.stage_span:
+                    yield from stage(run) or ()  # plain function: no waits
+        except GeneratorExit:
+            # Closed by the collector: the deployment was abandoned.
+            abandoned = True
+            raise
         except Interrupt:
+            run.stage_span = run.span
             run.release_container()
             if not self._crashed:
                 run.log("stderr", "✗ worker shutting down mid-job\n")
@@ -348,10 +359,14 @@ class RaiWorker:
                 run.write_record(run)
             raise
         except FAILURE_ERRORS as exc:
+            run.stage_span = run.span
             if not fail(run, exc):
                 raise
         finally:
-            self._finish(run)
+            if abandoned:       # finishes nothing: no End, no message ids
+                run.producer.close()
+            else:
+                self._finish(run)
 
     def _finish(self, run: JobRun) -> None:
         """The one terminal reply, however the stages ended."""
@@ -379,7 +394,7 @@ class RaiWorker:
                 # The success-ratio SLO judges graded work only.
                 self.system.metrics.counter(
                     "jobs_finished", status=status.value).inc()
-            self._emit("job.state_change", span=wspan, job_id=job.id,
+            self._emit(EventType.JOB_STATE_CHANGE, span=wspan, job_id=job.id,
                        team=job.team, status=status.value,
                        exit_code=run.exit_code, worker_final=True)
             # The End message carries the publish span's context so the
@@ -393,10 +408,9 @@ class RaiWorker:
                            else {"reason": run.reason}))
             end_span.end()
         wspan.set_attribute("status", status.value)
-        # Safety net: ends whatever children an exceptional unwind
-        # (deadline, interrupt) left open, then the job span itself.
-        # A crash already ended the subtree with an error status.
-        self.system.tracer.end_subtree(wspan)
+        # Every child is closed: a stage's span and a command's end with
+        # their ``with`` blocks; a crash already ended the subtree.
+        wspan.end()
         if wspan in self._active_spans:
             self._active_spans.remove(wspan)
         run.producer.close()

@@ -19,6 +19,7 @@ from typing import List, Optional
 from repro.container.container import ExecResult
 from repro.errors import TransientStorageError
 from repro.faults.plan import FaultPlan
+from repro.obs.events import EventType
 
 
 class FaultInjector:
@@ -91,7 +92,7 @@ class FaultInjector:
 
     def _fire(self, kind: str, **fields) -> None:
         self.system.monitor.incr("faults_injected")
-        self.system.events.emit("fault.injected", kind=kind, **fields)
+        self.system.events.emit(EventType.FAULT_INJECTED, kind=kind, **fields)
 
     @staticmethod
     def _in_window(window, now: float) -> bool:
@@ -118,7 +119,7 @@ class FaultInjector:
             yield self.sim.timeout(fault.restart_after)
             if not self._stopped:
                 replacement = self.system.add_worker()
-                self.system.events.emit("fault.replacement_worker",
+                self.system.events.emit(EventType.FAULT_REPLACEMENT_WORKER,
                                         worker=replacement.id)
 
     def _pick_victim(self, fault, rng) -> Optional[object]:

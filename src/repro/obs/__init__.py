@@ -1,14 +1,13 @@
 """``repro.obs`` — end-to-end distributed tracing + a unified metrics
 registry.
 
-The third leg of the roadmap after robustness (PR 1) and performance
-(PR 2): per-job provenance.  One trace follows a submission from client
-publish through broker delivery, worker claim, buildspec parse,
-container commands, storage transfers, and docdb writes to the result
-publish; retries and injected faults land as span events, so a chaos
-run is explainable job by job.  The metrics registry is the one home of
-the deployment's counts, and callback-backed gauges feed the metrics
-scraper and operator report from one definition.
+Per-job provenance: one trace follows a submission from client publish
+through broker delivery and one span per worker stage (its commands
+under ``build``) to the result publish; retries and injected faults land
+as span events, so a chaos run is explainable job by job.  The metrics
+registry is the one home of the deployment's counts, and
+callback-backed gauges feed the metrics scraper and operator report
+from one definition.
 
 The loop closes with :mod:`repro.obs.events` (the deployment-wide
 structured event stream), :mod:`repro.obs.scrape` (windowed registry

@@ -2,12 +2,13 @@
 
 Traces answer "what happened inside *this* job"; metrics answer "how
 much, in aggregate".  The event log sits between them: a single
-time-ordered stream of typed, labelled records — state changes, slot
-churn, redeliveries, fault injections, pool hits, scaling decisions,
-alert transitions — that an operator can query by job, by team, by type,
-or by time window (Ray's event-log/dashboard design applied to a
-submission system).  Every event may carry a ``trace_id``/``span_id``,
-so any log line links straight to its waterfall (``rai trace``).
+time-ordered stream of typed, labelled records — a job's queued and
+terminal states, slot churn, redeliveries, fault injections, pool fills,
+scheduling and scaling decisions, alert transitions — that an operator
+can query by job, by team, by type, or by time window (Ray's
+event-log/dashboard design applied to a submission system).  Every
+event may carry a ``trace_id``/``span_id``, so any log line links
+straight to its waterfall (``rai trace``).
 
 The log is a ring buffer: a course-length run emits far more events than
 an operator will ever page through, so only the most recent
@@ -26,25 +27,22 @@ MAX_EVENTS = 4096
 
 
 class EventType:
-    """Well-known event types (plain strings; emitters may add more).
-
-    Dotted namespaces group related records: everything under ``job.``
-    concerns one submission's lifecycle, ``broker.`` the message plane,
-    and so on.  The constants exist for greppability — the log itself
-    accepts any string.
+    """The event vocabulary: every ``emit`` names one of these, and each
+    has an emitter.  Dotted namespaces group related records; what a
+    job's trace holds (its stages, pool and cache outcomes) is not
+    restated here.
     """
 
     JOB_STATE_CHANGE = "job.state_change"
     WORKER_SLOT = "worker.slot"
     WORKER_CRASH = "worker.crash"
+    WORKER_MALFORMED_MESSAGE = "worker.malformed_message"
     BROKER_REDELIVER = "broker.redeliver"
     BROKER_DEAD_LETTER = "broker.dead_letter"
     FAULT_INJECTED = "fault.injected"
-    POOL_HIT = "pool.hit"
-    POOL_MISS = "pool.miss"
+    FAULT_REPLACEMENT_WORKER = "fault.replacement_worker"
+    POOL_FILL = "pool.fill"
     POOL_EVICT = "pool.evict"
-    BUILDCACHE_HIT = "buildcache.hit"
-    BUILDCACHE_MISS = "buildcache.miss"
     BUILDCACHE_EVICT = "buildcache.evict"
     AUTOSCALE_DECISION = "autoscale.decision"
     SCHED_DISPATCH = "sched.dispatch"

@@ -141,7 +141,6 @@ class NoopSpan:
     attributes: dict = {}
     events: list = []
     is_open = False
-    duration = 0.0
     context = None
 
     def headers(self) -> None:

@@ -71,26 +71,28 @@ def _subtree_extents(trace: Trace, trace_end: float) -> Dict[str, list]:
 
 
 def critical_path(trace: Trace) -> List[Span]:
-    """Root-to-leaf chain of latest-finishing spans.
+    """The spans end-to-end latency waited on, parents before children.
 
-    In a fork-join trace the parent's end time is determined by whichever
-    child (subtree) finishes last; following that child recursively
-    yields the chain of spans end-to-end latency actually waited on.
+    Under each span on the path: its latest-finishing child (subtree),
+    then, walking back, each child that finished by the time the one
+    after it started — a job's stages run one after another, so every
+    one of them is waited on, not only the last.
     """
     root = trace.root()
     if root is None:
         return []
     extents = _subtree_extents(trace, trace.end_time())
-    path = [root]
-    cursor = root
-    while True:
-        children = trace.children_of(cursor)
-        if not children:
-            break
-        cursor = max(children,
-                     key=lambda s: (extents[s.span_id][1], s.span_id))
-        path.append(cursor)
-    return path
+
+    def walk(span: Span) -> List[Span]:
+        path, cursor = [], float("inf")
+        for child in sorted(trace.children_of(span), reverse=True,
+                            key=lambda s: (extents[s.span_id][1], s.span_id)):
+            if extents[child.span_id][1] <= cursor:
+                path[:0] = walk(child)
+                cursor = extents[child.span_id][0]
+        return [span] + path
+
+    return walk(root)
 
 
 def exclusive_times(trace: Trace) -> Dict[str, float]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.events import EventType
 from repro.sched.estimator import RuntimeEstimator
 
 #: SJF cost multiplier of a job expected to hit the build cache.
@@ -199,7 +200,7 @@ class JobScheduler:
         if self.events is not None:
             body = getattr(msg, "body", None)
             body = body if isinstance(body, dict) else {}
-            self.events.emit("sched.dispatch", at=now,
+            self.events.emit(EventType.SCHED_DISPATCH, at=now,
                              trace_id=trace_id,
                              span_id=headers.get("span_id"),
                              job_id=body.get("job_id"), team=key or None,

@@ -115,7 +115,7 @@ class ShardedControlPlane:
             body = message.body if isinstance(message.body, dict) else {}
             self.events.emit(EventType.SHARD_STEAL, mode="pull",
                              victim=victim, thief=thief,
-                             job_id=body.get("job_id") or body.get("j"),
+                             job_id=body.get("job_id"),
                              team=body.get("team"),
                              victim_depth=depth)
         return message

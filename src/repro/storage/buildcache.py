@@ -36,8 +36,9 @@ Three properties matter:
   and the shape index — are derived state: snapshot/restore rebuilds
   them from the surviving entries.
 
-Entries are bounded by an LRU byte budget and a TTL; hit/miss/evict
-events and counters flow through the obs layer when wired.
+Entries are bounded by an LRU byte budget and a TTL.  Hits and misses
+are counted here and traced on the job's ``container.exec`` spans;
+evictions land in the event log when wired.
 """
 
 from __future__ import annotations
@@ -196,8 +197,7 @@ class BuildCache:
     # -- lookup --------------------------------------------------------------
 
     def lookup(self, image_key: str, cwd: str, command: str,
-               fs: VirtualFileSystem,
-               job_id: Optional[str] = None) -> Optional[CacheEntry]:
+               fs: VirtualFileSystem) -> Optional[CacheEntry]:
         """Return the most recently used entry whose observations all hold.
 
         Each shape recorded under the primary is observed once against
@@ -225,19 +225,12 @@ class BuildCache:
         self.observation_count += len(observed)
         if best is None:
             self.miss_count += 1
-            if self.events is not None:
-                self.events.emit(EventType.BUILDCACHE_MISS,
-                                 job_id=job_id, command=command)
             return None
         best.hits += 1
         best.last_used_at = self._clock()
         self._entries.move_to_end(best.key)
         self._touch(best)
         self.hit_count += 1
-        if self.events is not None:
-            self.events.emit(EventType.BUILDCACHE_HIT,
-                             job_id=job_id, command=command,
-                             key=best.key[:16], artifact_bytes=best.bytes)
         return best
 
     def bucket(self, primary: str) -> Set[str]:

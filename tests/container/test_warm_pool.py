@@ -83,8 +83,6 @@ class TestAcquireRelease:
         _, hit, cost = pool.acquire("webgpu/rai:root")
         assert hit and cost == 0.0
         assert (pool.hits, pool.hits_waited) == (3, 2)
-        assert sum(hit["cost"] for hit in events(pool, "pool.hit")) == \
-            pytest.approx(0.35)
 
     def test_a_hit_never_costs_more_than_a_reset(self, pool, clock):
         clock.now = 0.1
@@ -245,7 +243,7 @@ class TestShutdown:
         assert pool.pooled_count == 1
         assert ready_and_resetting(pool) == (0, 1)
         assert pool.hits == 0 and pool.misses == 1
-        assert pool.hits_waited == 0 and events(pool, "pool.hit") == []
+        assert pool.hits_waited == 0
 
 
 class TestFill:

@@ -36,8 +36,23 @@ def _course(system, client, stagings):
     return results
 
 
-def _cache_events(system, kind):
-    return system.events.query(type=f"buildcache.{kind}")
+def _cache(system, *results):
+    """``{job_id: {command: "hit" | "miss"}}``: how the build cache
+    answered each job's cacheable commands, read off its trace's
+    ``container.exec`` spans."""
+    out = {}
+    for result in results:
+        trace = system.tracer.store.trace_for_job(result.job_id)
+        out[result.job_id] = {
+            span.attributes["command"]: span.attributes["cache"]
+            for span in trace.spans
+            if span.name == "container.exec" and "cache" in span.attributes}
+    return out
+
+
+BOTH = ("cmake /src", "make")
+MISSED = dict.fromkeys(BOTH, "miss")
+HIT = dict.fromkeys(BOTH, "hit")
 
 
 def _build_lines(result):
@@ -63,11 +78,8 @@ class TestCacheability:
         assert not command_cacheable("")
 
     def test_run_commands_never_cached(self, system, client):
-        system.run(client.submit())
-        commands = {e.fields.get("command")
-                    for kind in ("hit", "miss")
-                    for e in _cache_events(system, kind)}
-        assert commands <= {"cmake /src", "make"}
+        result = system.run(client.submit())
+        assert set(_cache(system, result)[result.job_id]) <= set(BOTH)
 
 
 class TestReplay:
@@ -78,9 +90,7 @@ class TestReplay:
         r1, r2 = _course(system, client, [None, None])
         assert r1.status is JobStatus.SUCCEEDED
         assert r2.status is JobStatus.SUCCEEDED
-        hits = _cache_events(system, "hit")
-        assert {e.fields["job_id"] for e in hits} == {r2.job_id}
-        assert {e.fields["command"] for e in hits} == {"cmake /src", "make"}
+        assert _cache(system, r1, r2) == {r1.job_id: MISSED, r2.job_id: HIT}
         # Replayed build output is byte-identical to the recorded run.
         assert _build_lines(r1) == _build_lines(r2)
         assert r1.stderr_text() == r2.stderr_text()
@@ -93,10 +103,9 @@ class TestReplay:
         system = RaiSystem.standard(num_workers=1, seed=42)
         client = system.new_client(team="t")
         client.stage_project(FILES)
-        _, r2 = _course(system, client, [
+        r1, r2 = _course(system, client, [
             None, {"zz_tuning.cfg": "#define BLOCK_DIM 16\n"}])
-        hits = _cache_events(system, "hit")
-        assert {e.fields["job_id"] for e in hits} == {r2.job_id}
+        assert _cache(system, r1, r2) == {r1.job_id: MISSED, r2.job_id: HIT}
 
     def test_source_edit_invalidates_make_not_cmake(self):
         system = RaiSystem.standard(num_workers=1, seed=43)
@@ -106,10 +115,7 @@ class TestReplay:
             None,
             {"main.cu": "// @rai-sim quality=0.9 impl=analytic\n"
                         "int main(){return 0;}\n"}])
-        second = {e.fields["command"]: kind
-                  for kind in ("hit", "miss")
-                  for e in _cache_events(system, kind)
-                  if e.fields.get("job_id") == r2.job_id}
+        second = _cache(system, r2)[r2.job_id]
         assert second["cmake /src"] == "hit"    # cmake never read main.cu
         assert second["make"] == "miss"
 
@@ -119,10 +125,7 @@ class TestReplay:
         client.stage_project(FILES)
         _, r2 = _course(system, client, [
             None, {"extra.cu": "// more kernels\n"}])
-        second_misses = {e.fields["command"]
-                         for e in _cache_events(system, "miss")
-                         if e.fields.get("job_id") == r2.job_id}
-        assert "make" in second_misses
+        assert _cache(system, r2)[r2.job_id]["make"] == "miss"
 
     def test_compile_error_replays_identically(self):
         system = RaiSystem.standard(num_workers=1, seed=45)
@@ -134,8 +137,7 @@ class TestReplay:
         assert r2.status is JobStatus.FAILED
         assert r1.exit_code == r2.exit_code == 2
         assert r1.stderr_text() == r2.stderr_text()
-        hits = _cache_events(system, "hit")
-        assert {e.fields["job_id"] for e in hits} == {r2.job_id}
+        assert _cache(system, r1, r2) == {r1.job_id: MISSED, r2.job_id: HIT}
 
     def test_cache_disabled_in_build_file_skips_lookup(self):
         system = RaiSystem.standard(num_workers=1, seed=46)
@@ -154,8 +156,9 @@ commands:
         r1, r2 = _course(system, client, [None, None])
         assert r1.status is JobStatus.SUCCEEDED
         assert r2.status is JobStatus.SUCCEEDED
-        assert not _cache_events(system, "hit")
-        assert not _cache_events(system, "miss")
+        assert _cache(system, r1, r2) == {r1.job_id: {}, r2.job_id: {}}
+        assert system.build_cache.hit_count == \
+            system.build_cache.miss_count == 0
 
     def test_cache_disabled_in_config(self):
         from repro.core.config import SystemConfig
@@ -169,7 +172,7 @@ commands:
         r1, r2 = _course(system, client, [None, None])
         assert r1.status is JobStatus.SUCCEEDED
         assert r2.status is JobStatus.SUCCEEDED
-        assert not _cache_events(system, "miss")
+        assert _cache(system, r1, r2) == {r1.job_id: {}, r2.job_id: {}}
 
     def test_cross_user_sharing(self):
         """Two students with identical projects share cached builds —
@@ -181,8 +184,7 @@ commands:
         b.stage_project(FILES)
         ra = system.run(a.submit())
         rb = system.run(b.submit())
-        hits = _cache_events(system, "hit")
-        assert {e.fields["job_id"] for e in hits} == {rb.job_id}
+        assert _cache(system, ra, rb) == {ra.job_id: MISSED, rb.job_id: HIT}
         assert _build_lines(ra) == _build_lines(rb)
 
     def test_downstream_run_unaffected_by_replay(self):

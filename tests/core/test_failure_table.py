@@ -4,9 +4,9 @@ Each case injects its row's exception at its stage by monkeypatching what
 the stage calls, then checks the terminal contract from outside the
 worker: status, exit code, the exact stderr line, record present/absent,
 exactly one ``End``, the container released exactly once, no span left
-open, and a live worker.  The ``(span, parent, status)`` shapes were
-captured at the commit *before* the stage list existed, so the refactor
-(and later edits) cannot silently drop or re-parent a span.
+open, and a live worker.  The ``(span, parent, status)`` shapes pin one
+span per stage reached, so an edit cannot silently drop, add or
+re-parent a span.
 
 An interactive session is a job on ``SESSION_STAGES``, so its failures are
 cases here too (``session=True``): the same contract, read off the
@@ -145,20 +145,20 @@ CASES = {
         only_bucket(ObjectStore.get_object, uploads,
                     TransientStorageError("link down")),
         "✗ cannot fetch project after retries: link down\n",
-        status=JobStatus.FAILED, recorded=True, shape="fetch-transient"),
+        status=JobStatus.FAILED, recorded=True, shape="fetch"),
     "fetch-gone": Case(
         ("fetch", ("StorageError",)), (ObjectStore, "get_object"),
         only_bucket(ObjectStore.get_object, uploads, NoSuchKey("expired")),
-        "✗ cannot fetch project: expired\n", shape="fetch-gone"),
+        "✗ cannot fetch project: expired\n", shape="fetch"),
     "fetch-unpack": Case(
         ("fetch", ("VfsError",)), (pipeline, "unpack_tree"),
         lambda system: raiser(VfsError("invalid archive: cut short")),
         "✗ cannot unpack project: invalid archive: cut short\n",
-        shape="fetch-unpack"),
+        shape="fetch"),
     "acquire-engine": Case(
         ("acquire", ("ContainerError",)), (WarmContainerPool, "acquire"),
         lambda system: raiser(ContainerError("engine down")),
-        "✗ job rejected: engine down\n", shape="fetch-unpack"),
+        "✗ job rejected: engine down\n", shape="acquire"),
     "deadline-build": Case(
         (None, ("JobDeadlineExceeded",)), (Container, "exec_line"),
         slow_exec, f"✗ job exceeded its {DEADLINE:.0f}s deadline\n",
@@ -192,12 +192,12 @@ CASES = {
                     TransientStorageError("link down")),
         "✗ cannot fetch project after retries: link down\n",
         status=JobStatus.FAILED, recorded=True, session=True,
-        reason="failed", shape="session-fetch-transient"),
+        reason="failed", shape="session-fetch"),
     "session-fetch-missing": Case(
         ("fetch", ("StorageError",)), (ObjectStore, "get_object"),
         only_bucket(ObjectStore.get_object, uploads, NoSuchKey("expired")),
         "✗ cannot fetch project: expired\n", session=True,
-        shape="session-fetch-missing"),
+        shape="session-fetch"),
     "session-acquire-unknown-image": Case(
         ("acquire", ("ContainerError",)), (WarmContainerPool, "acquire"),
         lambda system: raiser(ImageNotFound("nosuch/image:1")),
@@ -210,8 +210,10 @@ CASES = {
         reason="worker-lost", shape="session-redelivered"),
 }
 
-# (span name, parent span name, status) in creation order, captured at the
-# parent commit (the 414-line ``_process_job``) with ``capture_shape``.
+# (span name, parent span name, status) in creation order: one span per
+# stage the job reached, under ``worker.job``, the commands under
+# ``build`` / ``serve``.  A record written from a ``FAILURES`` row has no
+# stage of its own: it annotates ``worker.job``.
 _CLIENT = [
     ("client.submit", None, "ok"),
     ("client.upload", "client.submit", "ok"),
@@ -220,57 +222,56 @@ _CLIENT = [
     ("worker.job", "broker.deliver", "ok"),
 ]
 _BUILD = [
-    ("buildspec.parse", "worker.job", "ok"),
-    ("storage.get", "worker.job", "ok"),
-    ("container.run", "worker.job", "ok"),
-] + [("container.exec", "container.run", "ok")] * 5
+    ("admit", "worker.job", "ok"),
+    ("fetch", "worker.job", "ok"),
+    ("acquire", "worker.job", "ok"),
+    ("build", "worker.job", "ok"),
+] + [("container.exec", "build", "ok")] * 5
 _END = [
     ("result.publish", "worker.job", "ok"),
     ("broker.deliver", "result.publish", "ok"),
 ]
-_RECORD = [("docdb.record", "worker.job", "ok")]
+_RECORD = [("record", "worker.job", "ok")]
+_ADMITTED = [("admit", "worker.job", "ok")]
 SHAPES = {
     "succeeded": _CLIENT + _BUILD
-    + [("storage.put", "worker.job", "ok")] + _RECORD + _END,
-    "admit": _CLIENT + [("buildspec.parse", "worker.job", "error")] + _END,
-    "fetch-transient": _CLIENT + [
-        ("buildspec.parse", "worker.job", "ok"),
-        ("storage.get", "worker.job", "error")] + _RECORD + _END,
-    "fetch-gone": _CLIENT + [
-        ("buildspec.parse", "worker.job", "ok"),
-        ("storage.get", "worker.job", "error")] + _END,
-    "fetch-unpack": _CLIENT + [
-        ("buildspec.parse", "worker.job", "ok"),
-        ("storage.get", "worker.job", "ok")] + _END,
-    "deadline-build": _CLIENT + _BUILD[:4] + _RECORD + _END,
+    + [("upload", "worker.job", "ok")] + _RECORD + _END,
+    "admit": _CLIENT + [("admit", "worker.job", "error")] + _END,
+    "fetch": _CLIENT + _ADMITTED + [("fetch", "worker.job", "error")] + _END,
+    "acquire": _CLIENT + _BUILD[:2] + [("acquire", "worker.job", "error")]
+    + _END,
+    "deadline-build": _CLIENT + _BUILD[:3]
+    + [("build", "worker.job", "error"), ("container.exec", "build", "ok")]
+    + _END,
     "deadline-upload": _CLIENT + _BUILD
-    + [("storage.put", "worker.job", "ok")] + _RECORD + _END,
+    + [("upload", "worker.job", "error")] + _END,
     "upload-degraded": _CLIENT + _BUILD
-    + [("storage.put", "worker.job", "error")] + _RECORD + _END,
+    + [("upload", "worker.job", "error")] + _RECORD + _END,
 }
 
 
 def _session(*worker_spans, status="error"):
     """A session's trace: the job's, under ``client.session`` (in error
-    when no worker ever attached), with no ``container.run`` level."""
+    when no worker ever attached), its commands under ``serve``."""
     return [("client.session", None, status)] + [
         (name, parent and parent.replace("submit", "session"), state)
         for name, parent, state in _CLIENT[1:]] + [
-        (name, "worker.job", state) for name, state in worker_spans] + _END
+        (name, "serve" if name == "container.exec" else "worker.job", state)
+        for name, state in worker_spans] + _END
 
 
 SHAPES.update({
     "session": _session(
-        ("buildspec.parse", "ok"), ("storage.get", "ok"),
-        ("container.exec", "ok"), status="ok"),
-    "session-admit": _session(("buildspec.parse", "error")),
-    "session-fetch-transient": _session(
-        ("buildspec.parse", "ok"), ("storage.get", "error")),
-    "session-fetch-missing": _session(
-        ("buildspec.parse", "ok"), ("storage.get", "error")),
+        ("admit", "ok"), ("resume", "ok"), ("fetch", "ok"),
+        ("acquire", "ok"), ("serve", "ok"), ("container.exec", "ok"),
+        ("record", "ok"), status="ok"),
+    "session-admit": _session(("admit", "error")),
+    "session-fetch": _session(
+        ("admit", "ok"), ("resume", "ok"), ("fetch", "error")),
     "session-acquire": _session(
-        ("buildspec.parse", "ok"), ("storage.get", "ok")),
-    "session-redelivered": _session(("buildspec.parse", "ok")),
+        ("admit", "ok"), ("resume", "ok"), ("fetch", "ok"),
+        ("acquire", "error")),
+    "session-redelivered": _session(("admit", "ok"), ("resume", "error")),
 })
 
 

@@ -137,9 +137,9 @@ def one_session(system, client, commands=("pwd",)):
 
 
 def acquire_seconds(system, session):
-    job_span, = [s for s in system.tracer.store.trace_for_job(
-        session.job_id).spans if s.name == "worker.job"]
-    fields, = [fields for _, name, fields in job_span.events
+    acquire, = [s for s in system.tracer.store.trace_for_job(
+        session.job_id).spans if s.name == "acquire"]
+    fields, = [fields for _, name, fields in acquire.events
                if name == "container.acquire"]
     assert fields["pool_hit"] is True
     return fields["seconds"]
@@ -168,7 +168,7 @@ class TestSessionIsAJob:
         assert session.transcript.end_reason == "detached"
         assert system.monitor.counters.get("storage_retries") == 1
         trace = system.tracer.store.trace_for_job(session.job_id)
-        fetch, = [s for s in trace.spans if s.name == "storage.get"]
+        fetch, = [s for s in trace.spans if s.name == "fetch"]
         assert [name for _, name, _ in fetch.events] == ["retry"]
 
     def test_second_session_is_a_warm_pool_hit(self, system):
@@ -236,13 +236,19 @@ class TestSessionIsAJob:
         trace = system.tracer.store.trace_for_job(session.job_id)
         assert [s.name for s in trace.spans if s.is_open] == []
         job_span, = [s for s in trace.spans if s.name == "worker.job"]
-        children = [s.name for s in trace.children_of(job_span)]
-        assert children.count("container.exec") == 3
-        assert children.count("storage.get") == 1
-        assert "container.acquire" in [name for _, name, _ in job_span.events]
+        stages = trace.children_of(job_span)
+        assert [s.name for s in stages] == [
+            "admit", "resume", "fetch", "acquire", "serve", "record",
+            "result.publish"]
+        acquire, serve = stages[3], stages[4]
+        assert [s.name for s in trace.children_of(serve)] == \
+            ["container.exec"] * 3
+        assert "container.acquire" in [name for _, name, _ in acquire.events]
+        # Accepted and running are its stages; the event log keeps the
+        # terminal state only.
         statuses = [e.fields["status"] for e in system.events.query(
             type="job.state_change", job_id=session.job_id)]
-        assert statuses == ["accepted", "running", "succeeded"]
+        assert statuses == ["succeeded"]
         exemplar, = system.usage.jobs.values()
         assert (exemplar.job_id, exemplar.tenant) == \
             (session.job_id, "debuggers")

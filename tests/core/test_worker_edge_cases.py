@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.broker.broker import MessageBroker
+from repro.broker.message import message_id_watermark
 from repro.buildspec.parser import render_build_spec
 from repro.buildspec.spec import RaiBuildSpec, ResourceRequest
 from repro.core.config import WorkerConfig
@@ -87,6 +89,30 @@ class TestShutdownRaces:
         worker.stop()
         worker.stop()
         assert not worker.is_running
+
+    def test_a_collected_job_finishes_nothing(self, monkeypatch):
+        """Closing a job's generator mid-stage (what the garbage collector
+        does to an abandoned deployment) publishes no ``End`` and mints no
+        message id."""
+        system = RaiSystem.standard(num_workers=1, seed=2)
+        client = system.new_client(team="t")
+        client.stage_project(FILES)
+        system.sim.process(client.submit())
+        system.run(until=46.0)      # past the boot pull, mid-build
+        worker = system.workers[0]
+        assert worker.active_jobs == 1
+        trace, = system.tracer.store._traces.values()
+        assert [s.name for s in trace.spans if s.is_open][-2:] == \
+            ["build", "container.exec"]
+        published = []
+        monkeypatch.setattr(MessageBroker, "publish",
+                            lambda broker, *args, **kw: published.append(args))
+        watermark = message_id_watermark()
+        for proc in worker._executors:
+            proc._generator.close()
+        assert published == []
+        assert message_id_watermark() == watermark
+        assert worker.jobs_completed == worker.jobs_failed == 0
 
     def test_worker_stats_accumulate(self):
         system = RaiSystem.standard(num_workers=1, seed=2)

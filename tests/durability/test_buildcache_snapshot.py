@@ -83,9 +83,9 @@ class TestFullRestore:
 
         r2 = restored.run(resubmit())
         assert r2.status is JobStatus.SUCCEEDED
-        hits = {e.fields["command"]
-                for e in restored.events.query(type="buildcache.hit")
-                if e.fields.get("job_id") == r2.job_id}
+        trace = restored.tracer.store.trace_for_job(r2.job_id)
+        hits = {span.attributes["command"] for span in trace.spans
+                if span.attributes.get("cache") == "hit"}
         assert hits == {"cmake /src", "make"}
         assert cache.verify() == []
 

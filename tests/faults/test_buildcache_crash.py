@@ -74,7 +74,7 @@ class TestCrashMidBuild:
 
         r2 = system.run(resubmit())
         assert r2.status is JobStatus.SUCCEEDED
-        hits = {e.fields["command"]
-                for e in system.events.query(type="buildcache.hit")
-                if e.fields.get("job_id") == r2.job_id}
+        trace = system.tracer.store.trace_for_job(r2.job_id)
+        hits = {span.attributes["command"] for span in trace.spans
+                if span.attributes.get("cache") == "hit"}
         assert hits == {"cmake /src", "make"}

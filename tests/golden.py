@@ -1,8 +1,9 @@
 """The scenarios tier-1's goldens and system-level pins run on.
 
-- :func:`control_plane_digest` folds a small full-system storm into a
-  SHA-256 digest; the default config and ``shards=1`` — the same
-  one-partition plane — must reproduce :data:`GOLDEN_DIGEST`.
+- :func:`control_plane_digest` folds a small full-system storm
+  (:func:`control_plane_storm`) into a SHA-256 digest; the default
+  config and ``shards=1`` — the same one-partition plane — must
+  reproduce :data:`GOLDEN_DIGEST`.
 - :func:`grading_digest` folds everything a student sees and grading
   records of a tiny sequential course; it must not change with the build
   cache on or off.
@@ -72,16 +73,12 @@ GOLDEN_DIGEST = \
     "0c9be705653ebc6c523c2359ce3c5dba420c533ef5caffca18f97aabb7ffca20"
 
 
-def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,
-                         num_workers: int = 3, seed: int = 11,
-                         config=None):
-    """Run a small full-system storm; digest the per-job outcomes.
-
-    Returns ``(hexdigest, sorted statuses, n_results)``.  The digest
-    covers job id, final status, worker id, and queue/finish timestamps
-    for every submission, sorted by job id — any reordering, re-timing,
-    or re-placement of work under a config change shows up here.
-    """
+def control_plane_storm(n_teams: int = 6, jobs_per_team: int = 3,
+                        num_workers: int = 3, seed: int = 11,
+                        config=None):
+    """Run a small full-system storm from fresh ids: ``n_teams`` teams,
+    2 s apart, each submitting ``jobs_per_team`` Listing 1 jobs one rate
+    limit (+5 s) apart.  Returns ``(system, results)``."""
     reset_message_ids()
     reset_job_ids()
     reset_obs_ids()
@@ -107,14 +104,33 @@ def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,
             results.append(result)
 
     system.run_all([student(i) for i in range(n_teams)])
+    return system, results
 
+
+def outcome_digest(results) -> str:
+    """SHA-256 over job id, final status, worker id, and queue/finish
+    timestamps of every result, sorted by job id."""
     digest = hashlib.sha256()
     for r in sorted(results, key=lambda x: x.job_id):
         digest.update(("%s;%s;%s;%r;%r"
                        % (r.job_id, r.status.value, r.worker_id,
                           r.queued_at, r.finished_at)).encode())
+    return digest.hexdigest()
+
+
+def control_plane_digest(n_teams: int = 6, jobs_per_team: int = 3,
+                         num_workers: int = 3, seed: int = 11,
+                         config=None):
+    """Run :func:`control_plane_storm`; digest the per-job outcomes.
+
+    Returns ``(hexdigest, sorted statuses, n_results)``.  Any reordering,
+    re-timing, or re-placement of work under a config change shows up in
+    the digest.
+    """
+    _, results = control_plane_storm(n_teams, jobs_per_team, num_workers,
+                                     seed, config)
     statuses = sorted(set(r.status.value for r in results))
-    return digest.hexdigest(), statuses, len(results)
+    return outcome_digest(results), statuses, len(results)
 
 
 #: Course scaffolding every student's project shares verbatim — the

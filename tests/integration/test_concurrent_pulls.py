@@ -65,7 +65,7 @@ def test_a_job_claimed_mid_pull_waits_only_for_the_rest(warm_pool_size,
 
 
 def pull_event(system, result):
-    job_span, = [s for s in system.tracer.store.trace_for_job(
-        result.job_id).spans if s.name == "worker.job"]
-    fields, = [f for _, name, f in job_span.events if name == "image.pull"]
+    acquire, = [s for s in system.tracer.store.trace_for_job(
+        result.job_id).spans if s.name == "acquire"]
+    fields, = [f for _, name, f in acquire.events if name == "image.pull"]
     return fields["started_bytes"], fields["joined"]

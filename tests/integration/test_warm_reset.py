@@ -37,19 +37,22 @@ CREATE = CREATE_SECONDS
 
 
 def acquire_event(system, result):
-    """``(time, fields)`` of the job's ``container.acquire`` span event,
-    plus its ``worker.job`` span."""
+    """``(time, fields)`` of the ``container.acquire`` event on the job's
+    ``acquire`` span, plus its ``worker.job`` span."""
     trace = system.tracer.store.trace_for_job(result.job_id)
     job_span, = [s for s in trace.spans if s.name == "worker.job"]
-    (at, _, fields), = [e for e in job_span.events
+    acquire, = [s for s in trace.spans if s.name == "acquire"]
+    (at, _, fields), = [e for e in acquire.events
                         if e[1] == "container.acquire"]
     return at, fields, job_span
 
 
-def hit_costs(system):
-    """What each pool hit waited, in order (its ``pool.hit`` event)."""
-    return [event.fields["cost"]
-            for event in system.events.query(type="pool.hit")]
+def hit_costs(system, results):
+    """What each of ``results`` (in acquire order) waited for a pool hit,
+    read off its ``acquire`` span."""
+    return [fields["seconds"] for _, fields, _ in
+            (acquire_event(system, result) for result in results)
+            if fields["pool_hit"]]
 
 
 def test_resubmission_after_think_time_waits_for_no_reset():
@@ -79,9 +82,7 @@ def test_resubmission_after_think_time_waits_for_no_reset():
     assert report["dominant"]["name"] != "worker.job"
     pool = system.workers[0].pool
     assert (pool.misses, pool.hits, pool.hits_waited) == (0, 2, 1)
-    assert hit_costs(system) == [filled["seconds"], 0.0]
-    # One warm acquire cost nothing.
-    assert hit_costs(system).count(0.0) == 1
+    assert hit_costs(system, (first, second)) == [filled["seconds"], 0.0]
 
 
 def back_to_back(seed=7, teams=("a", "b"), files=FILES):
@@ -121,7 +122,8 @@ def test_back_to_back_on_one_slot_pays_the_remainder():
     pool = system.workers[0].pool
     # Three hits, and only the first waited: for the boot fill.
     assert (pool.misses, pool.hits, pool.hits_waited) == (0, 3, 1)
-    assert hit_costs(system) == [filled["seconds"], 0.0, 0.0]
+    assert hit_costs(system, (first, second, third)) == \
+        [filled["seconds"], 0.0, 0.0]
 
     system, (first, second, third) = back_to_back(teams=("a", "b", "c"),
                                                   files=dict(FILES, **ECHO))
@@ -139,9 +141,9 @@ def test_back_to_back_on_one_slot_pays_the_remainder():
     assert at == pytest.approx(first_span.end_time + RESET)
     pool = system.workers[0].pool
     assert (pool.misses, pool.hits, pool.hits_waited) == (0, 3, 2)
-    assert hit_costs(system) == [filled["seconds"], 0.0, warm["seconds"]]
-    costs = hit_costs(system)
-    assert len(costs) == 3 and costs.count(0.0) == 1
+    assert hit_costs(system, (first, second, third)) == \
+        [filled["seconds"], 0.0, warm["seconds"]]
+    assert warm["seconds"] > 0.0
 
 
 def test_same_seed_twice_is_the_same_run():

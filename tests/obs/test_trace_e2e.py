@@ -36,11 +36,10 @@ class TestSingleSubmissionTrace:
         trace = system.tracer.store.trace_for_job(result.job_id)
         assert trace is not None
         names = {s.name for s in trace.spans}
-        # client → broker → worker → container → storage → docdb.
+        # client → broker → worker (one span per stage) → container.
         assert {"client.submit", "client.upload", "client.publish",
-                "broker.deliver", "worker.job", "buildspec.parse",
-                "storage.get", "container.run", "container.exec",
-                "storage.put", "docdb.record",
+                "broker.deliver", "worker.job", "admit", "fetch",
+                "acquire", "build", "container.exec", "upload", "record",
                 "result.publish"} <= names
         # Exactly one trace for the whole submission.
         assert len({s.trace_id for s in trace.spans}) == 1
@@ -65,14 +64,13 @@ class TestSingleSubmissionTrace:
         worker_job = [s for s in trace.spans if s.name == "worker.job"][0]
         assert parent_of(worker_job) is deliver
 
-        for name in ("buildspec.parse", "storage.get", "container.run",
-                     "storage.put", "docdb.record", "result.publish"):
-            span = next(s for s in trace.spans if s.name == name)
-            assert parent_of(span) is worker_job, name
+        assert [s.name for s in trace.children_of(worker_job)] == [
+            "admit", "fetch", "acquire", "build", "upload", "record",
+            "result.publish"]
 
         for exec_span in (s for s in trace.spans
                           if s.name == "container.exec"):
-            assert parent_of(exec_span).name == "container.run"
+            assert parent_of(exec_span).name == "build"
 
     def test_sim_clock_timestamps(self, traced_run):
         system, result = traced_run
@@ -102,13 +100,15 @@ class TestSingleSubmissionTrace:
     def test_critical_path_identifies_dominant_stage(self, traced_run):
         system, result = traced_run
         trace = system.tracer.store.trace_for_job(result.job_id)
-        path = critical_path(trace)
-        assert path[0].name == "client.submit"
-        assert "worker.job" in [s.name for s in path]
+        path = [s.name for s in critical_path(trace)]
+        assert path[0] == "client.submit"
+        # The job's stages run one after another: each is waited on.
+        job = path.index("worker.job")
+        assert path[job + 1:job + 5] == ["admit", "fetch", "acquire", "build"]
         report = critical_path_report(trace)
-        # The cold image pull dominates this run, and it is worker time —
-        # not mis-attributed to the waiting client.
-        assert report["dominant"]["name"] == "worker.job"
+        # The boot image pull this job joined dominates the run, and it is
+        # the acquire stage's — not the job's or the waiting client's.
+        assert report["dominant"]["name"] == "acquire"
         assert report["total_s"] == pytest.approx(
             trace.end_time() - trace.start_time())
 

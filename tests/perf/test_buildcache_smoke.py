@@ -80,11 +80,11 @@ def test_grading_digest_identical_cache_on_vs_off():
 
 def test_resubmissions_hit_at_smoke_scale():
     storm = resubmission_storm()
-    resubmitted = {r.job_id for r in storm.resubmissions}
-    hits, misses = (
-        sum(e.fields.get("job_id") in resubmitted
-            for e in storm.system.events.query(type=f"buildcache.{kind}"))
-        for kind in ("hit", "miss"))
+    answers = [span.attributes.get("cache")
+               for r in storm.resubmissions
+               for span in storm.system.tracer.store.trace_for_job(
+                   r.job_id).spans]
+    hits, misses = answers.count("hit"), answers.count("miss")
     assert hits >= 0.8 * (hits + misses) > 0
     latencies = sorted(r.finished_at - r.queued_at
                        for r in storm.resubmissions)

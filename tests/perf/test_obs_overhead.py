@@ -19,12 +19,12 @@ FILES = {
 }
 
 #: Per job: client submit / upload / publish, two broker deliveries, the
-#: worker job, buildspec parse, storage get / put, container run, five
-#: container execs, the docdb record and the result publish.
-SPANS_PER_JOB = 17
-#: Per job: four state changes, two build-cache lookups, the warm-pool
-#: acquire, the shard route and the scheduler dispatch.
-EVENTS_PER_JOB = 9
+#: worker job, its six stages, five container execs and the result
+#: publish.
+SPANS_PER_JOB = 18
+#: Per job: the queued and the terminal state change, the shard route and
+#: the scheduler dispatch — what the job's trace does not hold.
+EVENTS_PER_JOB = 4
 
 
 def test_spans_and_events_per_resubmitted_job_are_a_fixed_count():

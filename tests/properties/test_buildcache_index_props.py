@@ -105,6 +105,7 @@ def test_index_matches_its_model_and_decides_the_probe(job_list, data,
     stop_at = data.draw(st.integers(1, len(job_list) - 1), label="stop_at")
     seq = itertools.count()
     owner = {}                  # job id -> the worker delivering it
+    runs = []                   # every delivery, in order
     cached = defaultdict(set)   # primary -> keys the cache holds
     captures = defaultdict(list)  # key -> [(worker, seq)]
     model = defaultdict(lambda: defaultdict(set))   # worker -> its index
@@ -120,9 +121,13 @@ def test_index_matches_its_model_and_decides_the_probe(job_list, data,
     def spy_init(run, worker, job, message):
         job_run_init(run, worker, job, message)
         owner[job.id] = worker
+        runs.append(run)
 
-    def spy_lookup(cache, *args, job_id=None):
-        entry = lookup(cache, *args, job_id=job_id)
+    def spy_lookup(cache, image_key, cwd, command, fs):
+        entry = lookup(cache, image_key, cwd, command, fs)
+        # The asking job: the latest delivery holding the container.
+        job_id = [run.job.id for run in runs if run.container is not None
+                  and run.container.fs is fs][-1]
         worker = owner[job_id]
         index = model[worker]
         assert worker.buildcache_index == index
