@@ -9,14 +9,35 @@ access the timeline.nvprof file and view it using the nvvp viewer" (§V).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import List
 
 from repro.container.commands import register_command
 from repro.container.commands.base import GuestCommand
-from repro.gpu.kernels import kernel_timeline
+from repro.gpu.kernels import TIMING_MEMO_SIZE, kernel_timeline
 from repro.vfs.path import join as path_join
 
 PROFILER_OVERHEAD_FACTOR = 1.15  # instrumented runs are a little slower
+
+
+@lru_cache(maxsize=TIMING_MEMO_SIZE)
+def _kernels_head(compact: str) -> str:
+    """``{"kernels": rows}`` as ``json.dumps(..., indent=1)`` writes it,
+    short of the closing ``"\n}"``, from the rows' compact encoding."""
+    return json.dumps({"kernels": json.loads(compact)}, indent=1)[:-2]
+
+
+def export_profile(rows: List[dict], wall: float) -> str:
+    """The ``--export-profile`` file:
+    ``json.dumps({"kernels": rows, "wall": wall}, indent=1)``.
+
+    ``indent`` selects the pure-Python encoder, while the compact
+    encoding runs in C; so the compact text keys a memo of the indented
+    kernel table — the same for every job of one (device, batch,
+    quality) — and only the job's ``wall`` is encoded per job.
+    """
+    head = _kernels_head(json.dumps(rows))
+    return f'{head},\n "wall": {json.dumps(wall)}\n}}'
 
 
 class Nvprof(GuestCommand):
@@ -64,8 +85,7 @@ class Nvprof(GuestCommand):
         rows = kernel_timeline(ctx.gpu, batch, quality)
         if export_path is not None:
             target = path_join(ctx.cwd, export_path)
-            ctx.fs.write_file(target, json.dumps(
-                {"kernels": rows, "wall": wall}, indent=1))
+            ctx.fs.write_file(target, export_profile(rows, wall))
             ctx.write_err(f"==42== Generated result file: {target}\n")
         else:
             ctx.write_err("==42== Profiling result:\n")

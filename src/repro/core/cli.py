@@ -192,24 +192,22 @@ class RaiCLI:
     def _cmd_slo(self, args: List[str]) -> str:
         """``rai slo`` — judge every objective now and print burn rates.
 
-        For a burning latency objective the exemplar trace ids of jobs
-        that individually blew the threshold are listed; each resolves
-        with ``rai trace <trace_id>`` (or via its job id).
+        For a burning queue-wait objective the exemplar trace ids of jobs
+        that individually blew the bound are listed; each resolves with
+        ``rai trace <trace_id>`` (or via its job id).
         """
         from repro.analysis.report import render_table
+        from repro.obs.alerts import QUEUE_WAIT_P95_SECONDS
 
         system = self.system
-        statuses = system.slo_engine.evaluate()
-        if not statuses:
-            return "No SLOs configured on this deployment.\n"
+        system.scraper.scrape_now()
         rows = []
         exemplar_lines: List[str] = []
-        for status in statuses:
-            spec = status.spec
+        for status in system.alerts.statuses(system.sim.now):
             rows.append([
-                spec.name,
+                status.name,
                 status.state,
-                f"{spec.target:.0%}",
+                f"{status.target:.0%}",
                 f"{status.fast.burn_rate:.2f}x",
                 f"{status.slow.burn_rate:.2f}x",
                 int(status.fast.total),
@@ -219,9 +217,9 @@ class RaiCLI:
                 jobs = ",".join(trace.job_ids) if trace is not None \
                     and trace.job_ids else "?"
                 exemplar_lines.append(
-                    f"  {spec.name}: {exemplar.value:.1f}s over "
-                    f"{spec.threshold:g}s — trace {exemplar.trace_id} "
-                    f"(job {jobs})")
+                    f"  {status.name}: {exemplar.value:.1f}s over "
+                    f"{QUEUE_WAIT_P95_SECONDS:g}s — trace "
+                    f"{exemplar.trace_id} (job {jobs})")
         text = render_table(
             ["objective", "state", "target", "burn(fast)", "burn(slow)",
              "events"],

@@ -29,7 +29,6 @@ from repro.obs.alerts import AlertManager
 from repro.obs.events import EventLog, EventType
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import MetricsScraper
-from repro.obs.slo import SloEngine, default_slos
 from repro.obs.usage import CostAllocator, UsageMeter
 from repro.obs.store import TraceStore
 from repro.obs.tracer import Tracer
@@ -154,16 +153,13 @@ class RaiSystem:
             for channel in topic.channels.values()))
 
         # The SLO loop: scraper (registry snapshots on the sim clock) →
-        # engine (multi-window burn rates over the default objectives) →
-        # alert manager (fire/resolve, recorded back into the event log).
-        # All three are always constructed — `rai slo`/`rai alerts` work
-        # on demand; :meth:`start_observability` adds the periodic loop.
+        # alert manager (multi-window burn rates over the two objectives,
+        # fire/resolve recorded back into the event log).  Both are always
+        # constructed — `rai slo`/`rai alerts` work on demand;
+        # :meth:`start_observability` adds the periodic loop.
         self.scraper = MetricsScraper(self.metrics,
                                       clock=lambda: self.sim.now)
-        self.slo_engine = SloEngine(self.scraper, specs=default_slos())
-        self.alerts = AlertManager(clock=lambda: self.sim.now,
-                                   events=self.events)
-        self.alerts.attach_slo_engine(self.slo_engine)
+        self.alerts = AlertManager(self.scraper, events=self.events)
 
         #: :class:`~repro.durability.DurabilityManager` once
         #: :meth:`attach_durability` (or :meth:`restore`) wires one in;
@@ -237,15 +233,12 @@ class RaiSystem:
         """Start the periodic scrape → SLO-judge → alert loop.
 
         Opt-in like the caretaker (a perpetual process); also arms the
-        scraper's own heartbeat watchdog, so a wedged loop is itself an
+        alert manager's scraper watchdog, so a wedged loop is itself an
         alert.  Without this, ``rai slo`` / ``rai alerts`` still work by
         scraping on demand — they just lack between-call history.
         """
         interval = scrape.INTERVAL_SECONDS
-        self.alerts.watch_heartbeat(
-            "metrics-scraper", lambda: self.scraper.last_scrape_at,
-            grace=3 * interval,
-            summary="metrics scraper has stopped taking snapshots")
+        self.alerts.arm_watchdog(grace=3 * interval)
 
         def scrape_then_judge():
             # Sample the registry, settle billing windows, then judge

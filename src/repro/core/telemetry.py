@@ -55,7 +55,7 @@ def health_report(system) -> str:
             rows.append([f"{signal} (peak)", f"{max(values):.0f}"])
     # Active alerts, one row per *incident* however often this report
     # runs: the pass below judges SLO burn on the samples already held and
-    # the heartbeat watchdogs (a wedged scrape loop is itself an alert).
+    # the scraper watchdog (a wedged scrape loop is itself an alert).
     for alert in system.alerts.check(scrape=False):
         rows.append([f"⚠ ALERT {alert.name}",
                      f"{alert.summary} "

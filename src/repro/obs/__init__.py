@@ -11,14 +11,14 @@ from one definition.
 
 The loop closes with :mod:`repro.obs.events` (the deployment-wide
 structured event stream), :mod:`repro.obs.scrape` (windowed registry
-snapshots), :mod:`repro.obs.slo` (declarative objectives with
-multi-window burn rates), and :mod:`repro.obs.alerts` (fire/resolve
+snapshots) and :mod:`repro.obs.alerts` (the two stock objectives judged
+by multi-window burn rates, a scraper watchdog, and fire/resolve
 incident management) — metrics judge themselves, alerts land back in
 the event log, and histogram exemplars link a burned objective to the
 exact traces that burned it.
 """
 
-from repro.obs.alerts import Alert, AlertManager
+from repro.obs.alerts import Alert, AlertManager, SloStatus
 from repro.obs.context import (
     TraceContext,
     new_span_id,
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.scrape import MetricsScraper, MetricsSnapshot
-from repro.obs.slo import SloEngine, SloSpec, SloStatus, default_slos
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanStatus
 from repro.obs.store import Trace, TraceStore
 from repro.obs.usage import (
@@ -62,8 +61,7 @@ __all__ = [
     "Exemplar",
     "Event", "EventLog", "EventType",
     "MetricsScraper", "MetricsSnapshot",
-    "SloSpec", "SloEngine", "SloStatus", "default_slos",
-    "Alert", "AlertManager",
+    "Alert", "AlertManager", "SloStatus",
     "UsageMeter", "CostAllocator", "CostWindow",
     "USAGE_RESOURCES", "UNATTRIBUTED",
     "critical_path", "critical_path_report", "render_waterfall",

@@ -1,32 +1,63 @@
-"""Alert lifecycle management: fire once per incident, resolve, re-arm.
+"""The deployment's two service-level objectives and its alerts.
 
-Two alert sources feed one manager:
+The paper's staff answered two questions by watching the deployment —
+"is the queue backed up?" and "are submissions succeeding?" (§VII).
+The :class:`AlertManager` answers both from its
+:class:`~repro.obs.scrape.MetricsScraper`'s history:
 
-- **SLO burn rates** — every attached :class:`~repro.obs.slo.SloEngine`
-  spec that is burning on both windows fires ``slo:<name>``; when the
-  burn clears, the alert resolves and re-arms for the next incident.
-- **Heartbeat watchdogs** — components that should make regular
-  progress (the metrics scraper) register a heartbeat; when the last
-  beat is older than ``grace`` the manager fires ``stuck:<name>``, once
-  per stall, resolving when beats resume.
+- **queue-wait-p95** — the share of windowed ``sched_queue_wait_seconds``
+  observations in buckets bounded at or under 30 s must reach 95 %
+  (a p95 objective; students polling ``rai`` expect interactive
+  turnaround);
+- **submission-success** — succeeded jobs over succeeded + failed +
+  drained dead letters must reach 99 % (a system that loses or fails
+  jobs burns instructor trust fastest).
 
-The "once per incident" contract means a report that runs often (every
-``health_report`` call judges the watchdogs) never re-prints the same
-stuck warning: an :class:`Alert` here transitions
-``firing → resolved`` exactly once per incident, the full history is
-retained for reports, and each transition is also recorded in the event
-log (``alert.fired`` / ``alert.resolved``) so alerts interleave with the
-faults and state changes that caused them.
+Each judgment computes the **burn rate** on two sliding windows (fast
+and slow — the standard multi-window error-budget method): burn rate =
+bad fraction / error budget, where budget = 1 - target.  Burning 1.0
+means eating the budget exactly as fast as allowed; an objective burns
+only when *both* windows are at or over 1.0, so a single bad scrape
+(fast spike, slow still clean) cannot page, and a long-resolved
+incident (slow still polluted, fast clean) auto-resolves.  A burning
+queue-wait objective also names its **exemplars**: the histogram's
+captured trace ids from buckets above 30 s — the exact jobs that blew
+the objective, one ``rai trace`` away from their waterfalls.
+
+A burning objective fires ``slo:<name>``; once
+:meth:`AlertManager.arm_watchdog` runs, a scraper that has taken no
+snapshot for longer than the grace fires ``stuck:metrics-scraper``.
+Each incident transitions ``firing → resolved`` exactly once (a report
+that judges often never re-prints the same alert), the history is
+retained for reports, and each transition is also recorded in the
+event log (``alert.fired`` / ``alert.resolved``) so alerts interleave
+with the faults and state changes that caused them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import EventLog, EventType
+from repro.obs.metrics import Exemplar, Histogram
+from repro.obs.scrape import MetricsScraper
 
-#: Alert severities (informational ordering only).
-SEVERITIES = ("info", "warning", "critical")
+#: The burn-rate windows: the standard fast (page on a spike) and slow
+#: (confirm it is sustained) pair.
+FAST_WINDOW_SECONDS = 300.0
+SLOW_WINDOW_SECONDS = 3600.0
+#: Burn rate both windows must reach for an objective to count as burning.
+BURN_RATE_THRESHOLD = 1.0
+#: Exemplar trace ids a burning queue-wait objective surfaces.
+MAX_EXEMPLARS = 5
+
+#: The queue-wait objective: p95 under 30 s.  The bound sits on a
+#: default histogram bucket bound, so the good/bad split is exact.
+QUEUE_WAIT_P95_SECONDS = 30.0
+QUEUE_WAIT_TARGET = 0.95
+#: The submission-success objective.
+SUCCESS_TARGET = 0.99
+
 #: Incidents the history keeps, oldest dropped first.
 MAX_HISTORY = 256
 
@@ -59,32 +90,68 @@ class Alert:
                 f"fired_at={self.fired_at:g}>")
 
 
-class _Heartbeat:
-    """One registered liveness watchdog."""
+class WindowBurn:
+    """One objective's good/bad split and burn rate over one window."""
 
-    __slots__ = ("name", "last_beat", "grace", "summary")
+    __slots__ = ("good", "bad", "burn_rate")
 
-    def __init__(self, name: str, last_beat: Callable[[], Optional[float]],
-                 grace: float, summary: str):
+    def __init__(self, good: float, bad: float, target: float):
+        self.good = good
+        self.bad = bad
+        total = good + bad
+        #: bad fraction / error budget; 0.0 with no data.
+        self.burn_rate = (bad / total) / (1.0 - target) if total > 0 else 0.0
+
+    @property
+    def total(self) -> float:
+        return self.good + self.bad
+
+    @property
+    def has_data(self) -> bool:
+        return self.total > 0
+
+
+class SloStatus:
+    """One objective's judgment at one instant."""
+
+    __slots__ = ("name", "target", "fast", "slow", "burning", "exemplars")
+
+    def __init__(self, name: str, target: float, fast: WindowBurn,
+                 slow: WindowBurn):
         self.name = name
-        self.last_beat = last_beat
-        self.grace = grace
-        self.summary = summary
+        self.target = target
+        self.fast = fast
+        self.slow = slow
+        #: True when BOTH windows have data and burn at/over the threshold.
+        self.burning = (fast.has_data and slow.has_data
+                        and fast.burn_rate >= BURN_RATE_THRESHOLD
+                        and slow.burn_rate >= BURN_RATE_THRESHOLD)
+        #: Queue wait only: traced observations above the bound, while
+        #: burning.
+        self.exemplars: List[Exemplar] = []
+
+    @property
+    def state(self) -> str:
+        if not (self.fast.has_data or self.slow.has_data):
+            return "no-data"
+        return "burning" if self.burning else "ok"
 
 
 class AlertManager:
-    """Fires and resolves alerts; deduplicates within an incident."""
+    """Judges the objectives and the scraper watchdog; fires and resolves
+    alerts, deduplicated within an incident."""
 
-    def __init__(self, clock: Callable[[], float],
+    def __init__(self, scraper: MetricsScraper,
                  events: Optional[EventLog] = None):
-        self.clock = clock
+        self.scraper = scraper
+        self.clock = scraper.clock
         self.events = events
         #: Currently-firing alerts by name (one active incident max).
         self._active: Dict[str, Alert] = {}
         #: Full incident history, oldest first (bounded).
         self.history: List[Alert] = []
-        self._heartbeats: List[_Heartbeat] = []
-        self._slo_engines: list = []
+        #: (armed at, grace) of the scraper watchdog; None until armed.
+        self._watchdog: Optional[Tuple[float, float]] = None
         self.total_fired = 0
         self.total_resolved = 0
 
@@ -129,34 +196,66 @@ class AlertManager:
                              duration=alert.resolved_at - alert.fired_at)
         return alert
 
-    # -- sources ------------------------------------------------------------
+    # -- the objectives -------------------------------------------------------
 
-    def attach_slo_engine(self, engine) -> None:
-        """Judge this engine's specs on every :meth:`check`."""
-        self._slo_engines.append(engine)
+    def statuses(self, now: float) -> List[SloStatus]:
+        """Both objectives judged at ``now`` on the scraper's history."""
+        queue = SloStatus("queue-wait-p95", QUEUE_WAIT_TARGET,
+                          self._queue_wait(now, FAST_WINDOW_SECONDS),
+                          self._queue_wait(now, SLOW_WINDOW_SECONDS))
+        if queue.burning:
+            queue.exemplars = self._queue_wait_exemplars(now)
+        return [queue, SloStatus("submission-success", SUCCESS_TARGET,
+                                 self._success(now, FAST_WINDOW_SECONDS),
+                                 self._success(now, SLOW_WINDOW_SECONDS))]
 
-    def watch_heartbeat(self, name: str,
-                        last_beat: Callable[[], Optional[float]],
-                        grace: float, summary: Optional[str] = None) -> None:
-        """Fire a ``stuck:<name>`` warning when the beat is older than
-        ``grace``.
+    def _queue_wait(self, now: float, window: float) -> WindowBurn:
+        """Good = observations in buckets whose bound is at or under the
+        30 s bound; any other bucket may hold a longer wait, so it is bad."""
+        delta = self.scraper.histogram_delta("sched_queue_wait_seconds",
+                                             now, window)
+        if delta is None or delta.count <= 0:
+            return WindowBurn(0.0, 0.0, QUEUE_WAIT_TARGET)
+        good = 0
+        for bound, count in zip(delta.bounds, delta.bucket_counts):
+            if bound > QUEUE_WAIT_P95_SECONDS:
+                break
+            good += count
+        return WindowBurn(float(good), float(delta.count - good),
+                          QUEUE_WAIT_TARGET)
 
-        ``last_beat`` returns the sim time of the component's most
-        recent sign of life, or None before its first beat (never-beat
-        components only trip the watchdog once the run is older than
-        ``grace``, so construction order can't page).
-        """
-        if grace <= 0:
-            raise ValueError("grace must be positive")
-        self._heartbeats.append(_Heartbeat(
-            name, last_beat, grace,
-            summary or f"{name} has stopped making progress"))
+    def _success(self, now: float, window: float) -> WindowBurn:
+        scraper = self.scraper
+        good = scraper.counter_delta("jobs_finished", now, window,
+                                     label="status=succeeded")
+        bad = (scraper.counter_delta("jobs_finished", now, window,
+                                     label="status=failed")
+               + scraper.counter_delta("dead_letters_drained", now, window))
+        return WindowBurn(good, bad, SUCCESS_TARGET)
+
+    def _queue_wait_exemplars(self, now: float) -> List[Exemplar]:
+        """The newest traced waits above the bound in the slow window."""
+        metric = self.scraper.registry.get("sched_queue_wait_seconds")
+        if not isinstance(metric, Histogram):
+            return []
+        exemplars = metric.exemplars_above(
+            QUEUE_WAIT_P95_SECONDS, since=now - SLOW_WINDOW_SECONDS)
+        exemplars.sort(key=lambda e: e.time, reverse=True)
+        return exemplars[:MAX_EXEMPLARS]
 
     # -- evaluation ----------------------------------------------------------
 
+    def arm_watchdog(self, grace: float) -> None:
+        """From now on, fire ``stuck:metrics-scraper`` whenever the
+        scraper's newest snapshot is more than ``grace`` seconds old.  A
+        snapshot taken before arming counts as taken at the arming
+        instant, so arming late cannot page."""
+        self._watchdog = (self.clock(), grace)
+
     def check(self, now: Optional[float] = None,
               scrape: bool = False) -> List[Alert]:
-        """One evaluation pass over every source; returns active alerts.
+        """One evaluation pass over the objectives and the watchdog;
+        returns active alerts.
 
         The scrape loop calls this after each snapshot (``scrape=False``
         — the sample is already fresh); ``rai alerts`` calls it with
@@ -164,33 +263,36 @@ class AlertManager:
         """
         if now is None:
             now = self.clock()
-        for engine in self._slo_engines:
-            for status in engine.evaluate(now=now, scrape=scrape):
-                name = f"slo:{status.spec.name}"
-                if status.burning:
-                    self.fire(
-                        name,
-                        summary=(f"SLO {status.spec.name} burning: "
-                                 f"fast {status.fast.burn_rate:.1f}x / "
-                                 f"slow {status.slow.burn_rate:.1f}x budget"),
-                        severity="critical", at=now,
-                        slo=status.spec.name,
-                        fast_burn=round(status.fast.burn_rate, 4),
-                        slow_burn=round(status.slow.burn_rate, 4),
-                        exemplars=[e.trace_id for e in status.exemplars],
-                    )
-                else:
-                    self.resolve(name, at=now)
-        for hb in self._heartbeats:
-            name = f"stuck:{hb.name}"
-            last = hb.last_beat()
-            stalled = ((last is None and now > hb.grace)
-                       or (last is not None and now - last > hb.grace))
-            if stalled:
-                self.fire(name, summary=hb.summary, at=now, component=hb.name,
-                          last_beat=last, grace=hb.grace)
+        if scrape:
+            self.scraper.scrape_now()
+        for status in self.statuses(now):
+            name = f"slo:{status.name}"
+            if status.burning:
+                self.fire(
+                    name,
+                    summary=(f"SLO {status.name} burning: "
+                             f"fast {status.fast.burn_rate:.1f}x / "
+                             f"slow {status.slow.burn_rate:.1f}x budget"),
+                    severity="critical", at=now,
+                    slo=status.name,
+                    fast_burn=round(status.fast.burn_rate, 4),
+                    slow_burn=round(status.slow.burn_rate, 4),
+                    exemplars=[e.trace_id for e in status.exemplars],
+                )
             else:
                 self.resolve(name, at=now)
+        if self._watchdog is not None:
+            armed_at, grace = self._watchdog
+            last = self.scraper.last_scrape_at
+            beat = armed_at if last is None else max(last, armed_at)
+            if now - beat > grace:
+                self.fire("stuck:metrics-scraper",
+                          summary="metrics scraper has stopped taking "
+                                  "snapshots",
+                          at=now, component="metrics-scraper",
+                          last_beat=last, grace=grace)
+            else:
+                self.resolve("stuck:metrics-scraper", at=now)
         return self.active()
 
     # -- queries ------------------------------------------------------------
@@ -207,6 +309,4 @@ class AlertManager:
             "active": len(self._active),
             "total_fired": self.total_fired,
             "total_resolved": self.total_resolved,
-            "heartbeats": len(self._heartbeats),
-            "slo_engines": len(self._slo_engines),
         }

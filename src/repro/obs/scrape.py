@@ -2,11 +2,11 @@
 
 Counters and histograms in :class:`~repro.obs.metrics.MetricsRegistry`
 are *cumulative*: they answer "how many ever", never "how many in the
-last five minutes".  SLO burn rates need the latter, so the scraper
-takes sim-clock snapshots of every series and exposes window-delta
-queries: counter increase over a window, histogram bucket deltas over a
-window (from which a windowed percentile or a good/bad split falls out),
-and gauge sample series (fraction-of-time style SLIs).
+last five minutes".  The alert manager's SLO burn rates need the
+latter, so the scraper takes sim-clock snapshots of every series and
+exposes window-delta queries: counter increase over a window, histogram
+bucket deltas over a window (from which a good/bad split falls out), and
+gauge sample series (the health report's averages and peaks).
 
 Snapshots are compact (plain floats and tuples, no Metric objects) and
 ring-buffered, so a week-long simulated course holds a bounded history.
@@ -24,7 +24,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 SeriesKey = Tuple[str, str]        # (metric name, label text)
 
-#: Snapshot cadence on the sim clock (the SLO engine's time-series
+#: Snapshot cadence on the sim clock (the SLO judge's time-series
 #: resolution once ``RaiSystem.start_observability`` runs the loop).
 INTERVAL_SECONDS = 60.0
 #: Snapshots retained.
@@ -63,9 +63,6 @@ class MetricsSnapshot:
     def counter(self, name: str, label: str = "") -> float:
         return self.counters.get((name, label), 0.0)
 
-    def counter_total(self, name: str) -> float:
-        return sum(v for (n, _), v in self.counters.items() if n == name)
-
     def gauge(self, name: str) -> Optional[float]:
         """The unlabelled gauge ``name``'s value, if sampled."""
         return self.gauges.get((name, ""))
@@ -84,7 +81,8 @@ class MetricsScraper:
         self.clock = clock
         self._samples: Deque[MetricsSnapshot] = deque(maxlen=MAX_SAMPLES)
         self.total_scrapes = 0
-        #: Sim time of the most recent scrape (heartbeat for watchdogs).
+        #: Sim time of the most recent scrape (the alert manager's
+        #: watchdog reads it).
         self.last_scrape_at: Optional[float] = None
 
     # -- capture ------------------------------------------------------------
@@ -101,8 +99,8 @@ class MetricsScraper:
                     metric.count, metric.sum,
                     tuple(metric.bucket_counts), metric.buckets)
             elif isinstance(metric, Gauge):
-                # Labelled callback gauges are skipped: the SLO layer and
-                # the health report read deployment-level signals.
+                # Labelled callback gauges are skipped: the health report
+                # reads deployment-level signals.
                 if metric.labels and metric.fn is not None:
                     continue
                 snap.gauges[key] = metric.value
@@ -137,11 +135,6 @@ class MetricsScraper:
         if best is None and self._samples:
             best = self._samples[0]
         return best
-
-    def in_window(self, now: float, window: float) -> List[MetricsSnapshot]:
-        """Snapshots with ``now - window < time <= now``."""
-        cutoff = now - window
-        return [s for s in self._samples if cutoff < s.time <= now]
 
     # -- window deltas -------------------------------------------------------
 
@@ -179,11 +172,12 @@ class MetricsScraper:
 
     def gauge_samples(self, name: str, now: float, window: float
                       ) -> List[Tuple[float, float]]:
-        """(time, value) samples of the unlabelled gauge ``name`` inside
-        the window."""
+        """(time, value) samples of the unlabelled gauge ``name`` taken in
+        ``now - window < time <= now``."""
+        cutoff = now - window
         out = []
-        for snap in self.in_window(now, window):
+        for snap in self._samples:
             value = snap.gauge(name)
-            if value is not None:
+            if value is not None and cutoff < snap.time <= now:
                 out.append((snap.time, value))
         return out

@@ -3,9 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.container import ContainerRuntime, VolumeMount, cuda_volume
+from repro.container.commands.nvprof import export_profile
 from repro.gpu import get_device
+from repro.gpu.kernels import kernel_timeline
 from repro.vfs import VirtualFileSystem
 
 
@@ -98,3 +102,35 @@ class TestTimeCommand:
 
     def test_missing_command(self, container):
         assert container.exec_line("/usr/bin/time").exit_code == 125
+
+
+class TestExportProfile:
+    """The memoised kernel table changes no byte of the exported file."""
+
+    @settings(max_examples=200, database=None)
+    @given(rows=st.lists(st.dictionaries(
+        st.text(max_size=8),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.integers(), st.text(max_size=8)),
+        max_size=5), max_size=4),
+        wall=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.integers()))
+    def test_matches_json_dumps(self, rows, wall):
+        expected = json.dumps({"kernels": rows, "wall": wall}, indent=1)
+        assert export_profile(rows, wall) == expected
+        # A second encoding of an equal table, from the memo.
+        assert export_profile([dict(row) for row in rows], wall) == expected
+
+    def test_equal_tables_encoded_apart(self):
+        """Tables that compare equal but encode differently never share a
+        memo entry."""
+        for value in (1, 1.0, True, 0.0, -0.0, 0, False):
+            rows = [{"start": value}]
+            assert export_profile(rows, 0.5) == json.dumps(
+                {"kernels": rows, "wall": 0.5}, indent=1)
+
+    def test_listing1_timeline_matches_json_dumps(self):
+        rows = kernel_timeline(get_device("K80"), 10, 0.8)
+        for wall in (0.0, 1.25, 1e-7):
+            assert export_profile(rows, wall) == json.dumps(
+                {"kernels": rows, "wall": wall}, indent=1)

@@ -9,9 +9,10 @@ or the monitor (the view's prefix resolved from the class that builds it),
 A *read* is the same series named, in non-test code under ``src``,
 ``bench``, ``benchmarks`` or ``examples``, in the shape of a read:
 ``<view>.get(name)``, ``metrics.value(name)`` / ``metrics.get(name)``,
-``gauge_samples(name, ...)``, an SLO's ``metric`` / ``good`` / ``bad``
-selector (``name`` or ``name{labels}``), or ``metrics.histogram(name)`` /
-``metrics.gauge(name)`` with no write after it.  A dict key spelled like
+the scraper's ``gauge_samples(name, ...)``, ``counter_delta(name, ...)``
+or ``histogram_delta(name, ...)`` (the SLO judge's reads), or
+``metrics.histogram(name)`` / ``metrics.gauge(name)`` with no write
+after it.  A dict key spelled like
 a series is not a read.  A name built at run time fails unless
 :data:`DYNAMIC_KEPT` keeps its site with a reason from the closed set
 ``tests/core/test_reachability.py`` uses.
@@ -54,7 +55,8 @@ SERIES = {
 DYNAMIC_KEPT: Dict[str, str] = {}
 
 INSTRUMENTS = ("counter", "gauge", "histogram")
-SLO_FIELDS = ("metric", "good", "bad")
+#: The scraper's window queries: each names the series it reads.
+SCRAPER_READS = ("gauge_samples", "counter_delta", "histogram_delta")
 
 
 def _sources(dirs: Iterable[str]) -> Dict[str, str]:
@@ -251,20 +253,11 @@ class Census:
 
     def _collect_reads(self, module: _Module) -> None:
         for call in module.calls:
-            if _terminal(call.func) == "SloSpec":
-                for keyword in call.keywords:
-                    if keyword.arg in SLO_FIELDS:
-                        selectors = (keyword.value.elts
-                                     if isinstance(keyword.value, ast.Tuple)
-                                     else [keyword.value])
-                        for selector in filter(None, map(_str, selectors)):
-                            self.reads.add(selector.partition("{")[0])
-                continue
             if not (call.args and isinstance(call.func, ast.Attribute)):
                 continue
             method, receiver = call.func.attr, call.func.value
             names = self._names(call.args[0])
-            if method == "gauge_samples":
+            if method in SCRAPER_READS:
                 self.reads.update(names)
             elif method in ("value", "get") and \
                     _terminal(receiver) in ("metrics", "registry"):
@@ -339,6 +332,13 @@ class System:
 '''
 
 
+SLO_WRITER = '''
+    def record(self, wait, status):
+        self.metrics.histogram("sched_queue_wait_seconds").observe(wait)
+        self.metrics.counter("jobs_finished", status=status).inc()
+'''
+
+
 def _probe(writer: str, reader: str) -> Census:
     return Census({"src/repro/probe.py": MONITOR + writer},
                   {"src/repro/report.py": reader})
@@ -388,6 +388,31 @@ def report(system):
 ''')
     assert c.writes.keys() == {"broker_published", "depth", "retries"}
     assert not _failures(c)
+
+
+def test_guard_counts_the_slo_judges_reads():
+    c = _probe(SLO_WRITER, '''
+def judge(scraper, now):
+    wait = scraper.histogram_delta("sched_queue_wait_seconds", now, 300.0)
+    good = scraper.counter_delta("jobs_finished", now, 300.0,
+                                 label="status=succeeded")
+    return wait, good
+''')
+    assert not _failures(c)
+
+
+def test_guard_fails_on_an_objective_naming_a_misspelt_series():
+    c = _probe(SLO_WRITER, '''
+def judge(scraper, now):
+    wait = scraper.histogram_delta("sched_queue_wiat_seconds", now, 300.0)
+    good = scraper.counter_delta("jobs_finished", now, 300.0,
+                                 label="status=succeeded")
+    return wait, good
+''')
+    assert list(c.write_only()) == ["sched_queue_wait_seconds"]
+    (message,) = _failures(c)
+    assert message.startswith("write-only series 'sched_queue_wait_seconds' "
+                              "written at src/repro/probe.py:")
 
 
 def test_guard_fails_on_a_name_built_at_run_time():

@@ -1,4 +1,5 @@
-"""Alert manager tests: incident lifecycle, watchdogs, SLO wiring."""
+"""Alert manager tests: incident lifecycle, the scraper watchdog, SLO
+alerting."""
 
 import pytest
 
@@ -6,7 +7,6 @@ from repro.obs.alerts import MAX_HISTORY, Alert, AlertManager
 from repro.obs.events import EventLog, EventType
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import INTERVAL_SECONDS, MetricsScraper
-from repro.obs.slo import SloEngine, SloSpec
 
 pytestmark = [pytest.mark.obs, pytest.mark.slo]
 
@@ -30,8 +30,13 @@ def events(clock):
 
 
 @pytest.fixture
-def manager(clock, events):
-    return AlertManager(clock, events=events)
+def scraper(clock):
+    return MetricsScraper(MetricsRegistry(), clock)
+
+
+@pytest.fixture
+def manager(scraper, events):
+    return AlertManager(scraper, events=events)
 
 
 def incidents(manager, name):
@@ -84,8 +89,8 @@ class TestIncidentLifecycle:
         assert manager.resolve("never-fired") is None
         assert manager.total_resolved == 0
 
-    def test_history_is_bounded(self, clock):
-        manager = AlertManager(clock)
+    def test_history_is_bounded(self, scraper):
+        manager = AlertManager(scraper)
         for i in range(MAX_HISTORY + 2):
             manager.fire(f"a{i}", summary="s")
             manager.resolve(f"a{i}")
@@ -114,81 +119,98 @@ class TestIncidentLifecycle:
 
 
 class TestHeartbeatWatchdog:
-    def test_grace_must_be_positive(self, manager):
-        with pytest.raises(ValueError):
-            manager.watch_heartbeat("x", lambda: 0.0, grace=0)
+    """The scraper's heartbeat is its newest snapshot."""
 
-    def test_stall_fires_once_then_resolves(self, manager, clock):
-        beat = {"at": 0.0}
-        manager.watch_heartbeat("pump", lambda: beat["at"], grace=30.0)
+    def test_unarmed_never_fires(self, manager, clock):
+        clock.now = 1e6
+        assert manager.check() == []
+
+    def test_stall_fires_once_then_resolves(self, manager, scraper, clock):
+        manager.arm_watchdog(grace=30.0)
+        scraper.scrape_now()
         clock.now = 20.0
         assert manager.check() == []
-        clock.now = 60.0  # 60s since last beat > 30s grace
+        clock.now = 60.0  # 60s since last snapshot > 30s grace
         (alert,) = manager.check()
-        assert alert.name == "stuck:pump"
+        assert alert.name == "stuck:metrics-scraper"
+        assert alert.severity == "warning"
+        assert alert.summary == "metrics scraper has stopped taking snapshots"
+        assert alert.fields == {"component": "metrics-scraper",
+                                "last_beat": 0.0, "grace": 30.0}
         # Re-checking during the same stall does not open a new incident.
         clock.now = 90.0
         manager.check()
         assert manager.total_fired == 1
-        # The beat resumes; the incident resolves and re-arms.
-        beat["at"] = 95.0
+        # Snapshots resume; the incident resolves and re-arms.
+        clock.now = 95.0
+        scraper.scrape_now()
         clock.now = 100.0
         assert manager.check() == []
-        assert not any(a.name == "stuck:pump" for a in manager.active())
+        assert not any(a.name == "stuck:metrics-scraper"
+                       for a in manager.active())
         assert manager.total_resolved == 1
 
     def test_never_beat_trips_only_after_grace(self, manager, clock):
-        manager.watch_heartbeat("slow-start", lambda: None, grace=100.0)
+        manager.arm_watchdog(grace=100.0)
         clock.now = 50.0
         assert manager.check() == []   # still within startup grace
         clock.now = 150.0
         (alert,) = manager.check()
-        assert alert.name == "stuck:slow-start"
+        assert alert.name == "stuck:metrics-scraper"
         assert alert.fields["last_beat"] is None
+
+    def test_grace_runs_from_arming(self, manager, scraper, clock):
+        """Arming late pages neither for a never-taken snapshot nor for
+        one taken long before the watchdog was armed."""
+        clock.now = 10.0
+        scraper.scrape_now()
+        clock.now = 1000.0
+        manager.arm_watchdog(grace=180.0)
+        assert manager.check() == []
+        clock.now = 1180.0
+        assert manager.check() == []
+        clock.now = 1181.0
+        (alert,) = manager.check()
+        assert alert.name == "stuck:metrics-scraper"
+        assert alert.fields["last_beat"] == 10.0
 
 
 class TestSloAlerting:
-    def _wired(self, clock, events):
-        registry = MetricsRegistry()
-        scraper = MetricsScraper(registry, clock)
-        spec = SloSpec(name="lat", kind="latency", target=0.5,
-                       metric="lat", threshold=10.0)
-        engine = SloEngine(scraper, specs=[spec])
-        manager = AlertManager(clock, events=events)
-        manager.attach_slo_engine(engine)
-        return registry, scraper, manager
+    """The stock queue-wait objective, alerting."""
 
-    def test_burn_fires_critical_with_exemplars(self, clock, events):
-        registry, scraper, manager = self._wired(clock, events)
-        h = registry.histogram("lat")
+    @pytest.fixture
+    def wait(self, scraper):
+        return scraper.registry.histogram("sched_queue_wait_seconds")
+
+    def test_burn_fires_critical_with_exemplars(self, manager, scraper,
+                                                wait, clock, events):
         scraper.scrape_now()  # empty baseline at t=0
-        h.observe(45.0, trace_id="tr-slow", at=5.0)
-        h.observe(45.0, trace_id="tr-slower", at=6.0)
+        wait.observe(45.0, trace_id="tr-slow", at=5.0)
+        wait.observe(45.0, trace_id="tr-slower", at=6.0)
         clock.now = 30.0
         (alert,) = manager.check(scrape=True)
-        assert alert.name == "slo:lat"
+        assert alert.name == "slo:queue-wait-p95"
         assert alert.severity == "critical"
-        assert alert.fields["exemplars"] == ["tr-slower"]
-        assert alert.fields["fast_burn"] >= 1.0
-        assert "burning" in alert.summary
+        assert alert.summary == ("SLO queue-wait-p95 burning: "
+                                 "fast 20.0x / slow 20.0x budget")
+        assert alert.fields == {"slo": "queue-wait-p95", "fast_burn": 20.0,
+                                "slow_burn": 20.0,
+                                "exemplars": ["tr-slower"]}
         assert events.query(type=EventType.ALERT_FIRED)
 
-    def test_burn_clearing_resolves(self, clock, events):
-        registry, scraper, manager = self._wired(clock, events)
-        h = registry.histogram("lat")
+    def test_burn_clearing_resolves(self, manager, scraper, wait, clock):
         scraper.scrape_now()
-        h.observe(45.0)
+        wait.observe(45.0)
         clock.now = 30.0
         manager.check(scrape=True)
-        assert any(a.name == "slo:lat" for a in manager.active())
+        assert any(a.name == "slo:queue-wait-p95" for a in manager.active())
         # A flood of good observations pushes both windows back under
-        # budget on the next judgment.
+        # budget (1 bad in 21) on the next judgment.
         for _ in range(20):
-            h.observe(1.0)
+            wait.observe(1.0)
         clock.now = 60.0
         assert manager.check(scrape=True) == []
-        assert not any(a.name == "slo:lat" for a in manager.active())
-        incident = incidents(manager, "slo:lat")[0]
+        incident = incidents(manager, "slo:queue-wait-p95")[0]
         assert incident.resolved_at == 60.0
 
 
@@ -242,55 +264,80 @@ class TestSamplerAlertDedup:
         assert incident.resolved_at == system.sim.now
 
 
-@pytest.mark.chaos
-class TestAvailabilityAlertChaos:
-    """An injected worker crash burns the availability SLO, fires an
-    alert, and recovery resolves it."""
+class TestLateObservability:
+    """A deployment that starts its scrape loop late is not stuck."""
 
-    def test_crash_fires_then_resolves_availability_alert(self):
+    def test_arming_late_does_not_page(self):
         from repro.core.system import RaiSystem
-        from repro.faults import FaultPlan, WorkerCrashFault
+        from repro.core.telemetry import health_report
 
-        system = RaiSystem.standard(num_workers=2, seed=21)
-        # Starts are counted here; the plan injects only worker crashes,
-        # which the monitor counts as ``faults_injected``.
-        started = system.metrics.counter("workers_started")
-        started.inc(len(system.workers))
-        add_worker = system.add_worker
+        system = RaiSystem.standard(num_workers=1, seed=3)
 
-        def counted_add_worker(config=None):
-            started.inc()
-            return add_worker(config)
+        def idle(sim):
+            yield sim.timeout(1000.0)
 
-        system.add_worker = counted_add_worker
-        system.slo_engine.specs.append(SloSpec(
-            name="worker-availability", kind="ratio",
-            good=("workers_started",), bad=("faults_injected",),
-            target=0.75, description="crashes under a quarter of starts"))
+        system.run(idle(system.sim))
         system.start_observability()
-        # After the first scrape, so the crash lands inside the windows.
-        plan = FaultPlan(worker_crashes=[
-            WorkerCrashFault(window=(100.0, 110.0), restart_after=300.0)])
-        system.start_fault_plan(plan)
+        assert "ALERT stuck:metrics-scraper" not in health_report(system)
+        system.run(until=system.sim.now + 10 * INTERVAL_SECONDS)
+        assert "ALERT" not in health_report(system)
+        assert system.alerts.total_fired == 0
+        assert system.alerts.incidents() == []
 
-        system.sim.run(until=200.0)
+
+@pytest.mark.chaos
+class TestSuccessAlertChaos:
+    """Injected storage faults fail jobs, burn the submission-success
+    objective and fire its alert; once the failures leave the fast
+    window the alert resolves."""
+
+    def test_storage_faults_fire_then_resolve_success_alert(self):
+        from repro.core.job import JobStatus
+        from repro.core.system import RaiSystem
+        from repro.faults import FaultPlan, StorageFault
+
+        system = RaiSystem.standard(num_workers=1, seed=21)
+        system.start_observability()
+        # Every upload fetch fails from t=100 to t=200, so the jobs the
+        # worker takes then end FAILED once their retries run out.
+        system.start_fault_plan(FaultPlan(storage_faults=[
+            StorageFault(op="get", rate=1.0, window=(100.0, 200.0))]))
+        client = system.new_client(team="steady")
+        client.stage_project({
+            "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
+            "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
+        })
+        statuses = []
+
+        def student(sim):
+            yield sim.timeout(70.0)
+            for _ in range(10):
+                result = yield from client.submit()
+                statuses.append(result.status)
+                yield sim.timeout(30.0)
+
+        system.sim.process(student(system.sim))
+        system.sim.run(until=300.0)
+        assert JobStatus.FAILED in statuses
         assert system.events.query(type=EventType.FAULT_INJECTED)
-        assert any(a.name == "slo:worker-availability"
+        assert any(a.name == "slo:submission-success"
                    for a in system.alerts.active())
-        assert len(system.running_workers) == 1
 
-        # Replacement capacity lands ~t=400; once the crash leaves the
-        # fast window the alert resolves.
+        # Later jobs succeed; once the failures leave the fast window the
+        # alert resolves.
         system.sim.run(until=900.0)
-        assert len(system.running_workers) == 2
-        assert not any(a.name == "slo:worker-availability"
-                       for a in system.alerts.active())
-        incident, = incidents(system.alerts, "slo:worker-availability")
+        assert statuses[-1] is JobStatus.SUCCEEDED
+        assert system.alerts.active() == []
+        incident, = incidents(system.alerts, "slo:submission-success")
+        assert incident.severity == "critical"
         assert incident.resolved_at is not None
-        # Both transitions are in the event log, after the fault.
-        fired = system.events.query(type=EventType.ALERT_FIRED)
-        cleared = system.events.query(type=EventType.ALERT_RESOLVED)
-        assert any(e.fields["alert"] == "slo:worker-availability"
-                   for e in fired)
-        assert any(e.fields["alert"] == "slo:worker-availability"
-                   for e in cleared)
+        # Both transitions are in the event log, after the first fault.
+        first_fault = system.events.query(
+            type=EventType.FAULT_INJECTED)[0].time
+        fired = [e for e in system.events.query(type=EventType.ALERT_FIRED)
+                 if e.fields["alert"] == "slo:submission-success"]
+        cleared = [e for e in system.events.query(
+            type=EventType.ALERT_RESOLVED)
+            if e.fields["alert"] == "slo:submission-success"]
+        assert len(fired) == len(cleared) == 1
+        assert first_fault < fired[0].time < cleared[0].time

@@ -1,18 +1,18 @@
-"""Unit tests for the metrics scraper and the SLO burn-rate engine."""
+"""Unit tests for the metrics scraper and the two stock objectives'
+burn-rate arithmetic."""
 
 import math
 
 import pytest
 
+from repro.obs.alerts import (
+    FAST_WINDOW_SECONDS,
+    MAX_EXEMPLARS,
+    QUEUE_WAIT_P95_SECONDS,
+    AlertManager,
+)
 from repro.obs.metrics import BUCKETS, MetricsRegistry
 from repro.obs.scrape import INTERVAL_SECONDS, MAX_SAMPLES, MetricsScraper
-from repro.obs.slo import (
-    FAST_WINDOW_SECONDS,
-    SloEngine,
-    SloSpec,
-    _parse_selector,
-    default_slos,
-)
 
 pytestmark = [pytest.mark.obs, pytest.mark.slo]
 
@@ -49,7 +49,6 @@ class TestScraper:
         snap = scraper.scrape_now()
         assert snap.time == 60.0
         assert snap.counter("jobs", "status=ok") == 3
-        assert snap.counter_total("jobs") == 3
         assert snap.gauge("depth") == 5
         hist = snap.histogram("lat")
         assert hist.count == 1
@@ -132,95 +131,83 @@ class TestScraper:
         system.start_observability()
         system.run(until=3.5 * INTERVAL_SECONDS)
         scraper = system.scraper
-        seen = scraper.in_window(system.sim.now, math.inf)
-        assert [s.time for s in seen] == [INTERVAL_SECONDS * k
-                                          for k in (1, 2, 3)]
+        seen = scraper.gauge_samples("queue_depth", system.sim.now, math.inf)
+        assert [t for t, _ in seen] == [INTERVAL_SECONDS * k
+                                        for k in (1, 2, 3)]
         assert scraper.total_scrapes == 3
 
 
-class TestSloSpec:
-    def test_budget(self):
-        spec = SloSpec(name="s", kind="latency", target=0.95,
-                       metric="lat", threshold=30.0)
-        assert spec.budget == pytest.approx(0.05)
+QUEUE_WAIT = "sched_queue_wait_seconds"
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(kind="nope", target=0.9, metric="m", threshold=1.0),
-        dict(kind="latency", target=0.0, metric="m", threshold=1.0),
-        dict(kind="latency", target=1.0, metric="m", threshold=1.0),
-        dict(kind="latency", target=0.9),               # missing metric
-        dict(kind="latency", target=0.9, metric="m"),   # missing threshold
-        dict(kind="ratio", target=0.9, bad=("b",)),     # missing good
-        dict(kind="ratio", target=0.9, good=("g",)),    # missing bad
-    ])
-    def test_validation_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            SloSpec(name="bad", **kwargs)
 
-    def test_parse_selector(self):
-        assert _parse_selector("jobs") == ("jobs", None)
-        assert _parse_selector("jobs{status=ok}") == ("jobs", "status=ok")
-        assert _parse_selector("jobs{}") == ("jobs", "")
+@pytest.fixture
+def judge(scraper):
+    return AlertManager(scraper)
+
+
+def judged(judge, clock):
+    """The two stock objectives judged now, by name."""
+    return {status.name: status for status in judge.statuses(clock.now)}
+
+
+class TestDefaultSlos:
+    def test_stock_objectives(self, judge, clock):
+        assert [(s.name, s.target) for s in judge.statuses(clock.now)] == \
+            [("queue-wait-p95", 0.95), ("submission-success", 0.99)]
+
+    def test_threshold_aligns_with_default_buckets(self):
+        # The queue-wait bound must sit ON a default histogram bucket
+        # bound, or the conservative split would miscount.
+        assert QUEUE_WAIT_P95_SECONDS in BUCKETS
 
 
 class TestSloEngine:
-    def _engine(self, scraper, spec):
-        return SloEngine(scraper, specs=[spec])
+    """The alert manager's burn arithmetic over the stock objectives."""
 
-    def test_no_data_state(self, scraper, clock):
-        spec = SloSpec(name="lat", kind="latency", target=0.9,
-                       metric="lat", threshold=10.0)
-        engine = self._engine(scraper, spec)
-        (status,) = engine.evaluate()
-        assert status.state == "no-data"
-        assert not status.burning
-        assert status.fast.burn_rate == 0.0
+    def test_no_data_state(self, judge, clock):
+        for status in judge.statuses(clock.now):
+            assert status.state == "no-data"
+            assert not status.burning
+            assert status.fast.burn_rate == 0.0
 
-    def test_latency_burn_math(self, registry, scraper, clock):
-        h = registry.histogram("lat")
-        spec = SloSpec(name="lat", kind="latency", target=0.9,
-                       metric="lat", threshold=30.0)
-        engine = self._engine(scraper, spec)
+    def test_latency_burn_math(self, registry, scraper, judge, clock):
+        h = registry.histogram(QUEUE_WAIT)
         clock.now = 10.0
         scraper.scrape_now()
-        # 8 good (<= 30s), 2 bad (> 30s): bad fraction 0.2, budget 0.1.
-        for _ in range(8):
+        # 18 good (<= 30s), 2 bad (> 30s): bad fraction 0.1, budget 0.05.
+        for _ in range(18):
             h.observe(5.0)
         h.observe(45.0)
         h.observe(45.0)
         clock.now = 70.0
-        (status,) = engine.evaluate()
-        assert status.fast.good == 8
+        scraper.scrape_now()
+        status = judged(judge, clock)["queue-wait-p95"]
+        assert status.fast.good == 18
         assert status.fast.bad == 2
-        assert status.fast.bad_fraction == pytest.approx(0.2)
         assert status.fast.burn_rate == pytest.approx(2.0)
         assert status.slow.burn_rate == pytest.approx(2.0)
         assert status.burning
         assert status.state == "burning"
 
-    def test_threshold_inside_bucket_counts_bad(self, registry, scraper,
-                                                clock):
-        # Bounds 15/30: threshold 20 falls inside the (15, 30] bucket, so
-        # a 17s observation cannot be proven good — conservative bad.
-        h = registry.histogram("lat")
-        spec = SloSpec(name="lat", kind="latency", target=0.5,
-                       metric="lat", threshold=20.0)
-        engine = self._engine(scraper, spec)
+    def test_bound_bucket_counts_good(self, registry, scraper, judge,
+                                      clock):
+        # 30s lands in the (15, 30] bucket, provably under the bound; a
+        # wait just over it lands in (30, 60] and counts bad.
+        h = registry.histogram(QUEUE_WAIT)
         scraper.scrape_now()  # empty baseline at t=0
-        h.observe(17.0)
+        h.observe(30.0)
+        h.observe(30.5)
         clock.now = 10.0
-        (status,) = engine.evaluate()
-        assert status.fast.good == 0
-        assert status.fast.bad == 1
+        scraper.scrape_now()
+        status = judged(judge, clock)["queue-wait-p95"]
+        assert (status.fast.good, status.fast.bad) == (1, 1)
 
-    def test_burning_needs_both_windows(self, registry, scraper, clock):
-        h = registry.histogram("lat")
-        spec = SloSpec(name="lat", kind="latency", target=0.5,
-                       metric="lat", threshold=10.0)
-        engine = self._engine(scraper, spec)
+    def test_burning_needs_both_windows(self, registry, scraper, judge,
+                                        clock):
+        h = registry.histogram(QUEUE_WAIT)
         scraper.scrape_now()  # empty baseline at t=0
-        # Slow history is clean: 20 good observations, long ago.
-        for _ in range(20):
+        # Slow history is clean: 100 good observations, long ago.
+        for _ in range(100):
             h.observe(1.0)
         clock.now = 10.0
         scraper.scrape_now()
@@ -230,88 +217,66 @@ class TestSloEngine:
         h.observe(50.0)
         h.observe(50.0)
         clock.now = FAST_WINDOW_SECONDS + 130.0
-        (status,) = engine.evaluate()
-        # ...fast burns (2 bad / 2 total) but slow holds (2 bad / 22).
+        scraper.scrape_now()
+        status = judged(judge, clock)["queue-wait-p95"]
+        # ...fast burns (2 bad / 2 total) but slow holds (2 bad / 102).
         assert status.fast.burn_rate >= 1.0
         assert status.slow.burn_rate < 1.0
         assert not status.burning
         assert status.state == "ok"
 
-    def test_ratio_kind_with_selectors(self, registry, scraper, clock):
+    def test_success_ratio_math(self, registry, scraper, judge, clock):
         ok = registry.counter("jobs_finished", status="succeeded")
         failed = registry.counter("jobs_finished", status="failed")
         dead = registry.counter("dead_letters_drained")
-        spec = SloSpec(
-            name="success", kind="ratio", target=0.9,
-            good=("jobs_finished{status=succeeded}",),
-            bad=("jobs_finished{status=failed}", "dead_letters_drained"))
-        engine = self._engine(scraper, spec)
         scraper.scrape_now()  # empty baseline at t=0
-        ok.inc(6)
+        ok.inc(98)
         failed.inc(1)
         dead.inc(1)
         clock.now = 30.0
-        (status,) = engine.evaluate()
-        assert status.fast.good == 6
+        scraper.scrape_now()
+        status = judged(judge, clock)["submission-success"]
+        assert status.fast.good == 98
         assert status.fast.bad == 2
-        assert status.fast.bad_fraction == pytest.approx(0.25)
-        assert status.burning  # 0.25 / 0.1 = 2.5x
-
-    def test_bare_selector_sums_all_labels(self, registry, scraper, clock):
-        scraper.scrape_now()  # empty baseline at t=0
-        registry.counter("good_things", kind="a").inc(2)
-        registry.counter("good_things", kind="b").inc(3)
-        registry.counter("bad_things").inc(5)
-        spec = SloSpec(name="r", kind="ratio", target=0.5,
-                       good=("good_things",), bad=("bad_things",))
-        engine = self._engine(scraper, spec)
-        clock.now = 30.0
-        (status,) = engine.evaluate()
-        assert status.fast.good == 5
-        assert status.fast.bad == 5
+        assert status.fast.burn_rate == pytest.approx(2.0)
+        assert status.burning
+        assert status.exemplars == []
 
     def test_exemplars_surface_only_when_burning(self, registry, scraper,
-                                                 clock):
-        h = registry.histogram("lat")
-        spec = SloSpec(name="lat", kind="latency", target=0.9,
-                       metric="lat", threshold=30.0)
-        engine = self._engine(scraper, spec)
+                                                 judge, clock):
+        h = registry.histogram(QUEUE_WAIT)
         clock.now = 5.0
         scraper.scrape_now()
         h.observe(5.0, trace_id="tr-good", at=6.0)
         clock.now = 50.0
-        (ok_status,) = engine.evaluate()
+        scraper.scrape_now()
+        ok_status = judged(judge, clock)["queue-wait-p95"]
         assert ok_status.state == "ok"
         assert ok_status.exemplars == []
-        # Three slow jobs blow the threshold.  Each bucket keeps its
-        # latest exemplar, so the two at 45s collapse to tr-slow-1 and
-        # the 100s one survives in the overflow bucket.
+        # Three slow jobs blow the bound.  Each bucket keeps its latest
+        # exemplar, so the two at 45s collapse to tr-slow-1 and the 100s
+        # one survives in the (60, 120] bucket.
         h.observe(45.0, trace_id="tr-slow-0", at=51.0)
         h.observe(45.0, trace_id="tr-slow-1", at=52.0)
         h.observe(100.0, trace_id="tr-slow-2", at=53.0)
         clock.now = 60.0
-        (burn_status,) = engine.evaluate()
+        scraper.scrape_now()
+        burn_status = judged(judge, clock)["queue-wait-p95"]
         assert burn_status.burning
         ids = [e.trace_id for e in burn_status.exemplars]
         assert ids == ["tr-slow-2", "tr-slow-1"]
 
-
-class TestDefaultSlos:
-    def test_stock_objectives(self):
-        specs = default_slos()
-        names = [s.name for s in specs]
-        assert names == ["queue-wait-p95", "submission-success"]
-        by_name = {s.name: s for s in specs}
-        queue = by_name["queue-wait-p95"]
-        assert queue.kind == "latency"
-        assert queue.metric == "sched_queue_wait_seconds"
-        assert queue.threshold == 30.0
-        success = by_name["submission-success"]
-        assert success.kind == "ratio"
-        assert success.target == pytest.approx(0.99)
-
-    def test_threshold_aligns_with_default_buckets(self):
-        # The stock queue-wait threshold must sit ON a default histogram
-        # bucket bound, or the conservative split would miscount.
-        (queue, _) = default_slos()
-        assert queue.threshold in BUCKETS
+    def test_exemplars_newest_first_and_capped(self, registry, scraper,
+                                               judge, clock):
+        h = registry.histogram(QUEUE_WAIT)
+        scraper.scrape_now()  # empty baseline at t=0
+        # One slow wait in each of the seven buckets above 30s.
+        waits = [b for b in BUCKETS if b > QUEUE_WAIT_P95_SECONDS]
+        waits.append(7200.0)
+        for i, wait in enumerate(waits):
+            h.observe(wait, trace_id=f"tr-{i}", at=float(i))
+        clock.now = 10.0
+        scraper.scrape_now()
+        status = judged(judge, clock)["queue-wait-p95"]
+        assert [e.trace_id for e in status.exemplars] == \
+            [f"tr-{i}" for i in range(6, 6 - MAX_EXEMPLARS, -1)]
