@@ -200,7 +200,7 @@ class RaiCLI:
         from repro.obs.alerts import QUEUE_WAIT_P95_SECONDS
 
         system = self.system
-        system.scraper.scrape_now()
+        system.scraper.sample()
         rows = []
         exemplar_lines: List[str] = []
         for status in system.alerts.statuses(system.sim.now):

@@ -38,9 +38,11 @@ from repro.broker.message import Message, advance_message_ids
 from repro.core.job import advance_job_ids
 from repro.durability import snapshot as snapshot_codec
 from repro.durability.wal import WriteAheadLog
-from repro.errors import ReproError
+from repro.errors import DurabilityError, ReproError
 from repro.obs.events import EventType
+from repro.storage.chunkstore import CHUNK_BYTES, ChunkRef, Manifest
 from repro.storage.lifecycle import LifecycleRule
+from repro.storage.objects import compute_etag
 
 _MSG_ID_RE = re.compile(r"^msg-(\d+)$")
 _JOB_ID_RE = re.compile(r"^job-(\d+)$")
@@ -123,11 +125,21 @@ class DurabilityManager:
     def storage_bucket(self, name: str) -> None:
         self._append("st_bucket", bucket=name)
 
-    def storage_put(self, bucket: str, key: str, data: bytes,
-                    metadata, padding_bytes: int, dedup: bool,
-                    file_digests) -> None:
-        self._append("st_put", bucket=bucket, key=key,
-                     data=base64.b64encode(data).decode("ascii"),
+    def storage_put(self, bucket: str, obj, fresh, metadata,
+                    padding_bytes: int, dedup: bool, file_digests) -> None:
+        """A plain put journals its bytes whole.  A dedup put journals
+        its manifest (digests and sizes), its etag, and only the chunks
+        ``fresh`` names as new to the store: replay takes the rest from
+        the chunk store, so each chunk's bytes are journaled once."""
+        if dedup:
+            body = {"manifest": [[ref.digest, ref.size]
+                                 for ref in obj.manifest.chunks],
+                    "etag": obj.etag,
+                    "chunks": {digest: base64.b64encode(chunk).decode("ascii")
+                               for digest, chunk in fresh.items()}}
+        else:
+            body = {"data": base64.b64encode(obj.data).decode("ascii")}
+        self._append("st_put", bucket=bucket, key=obj.key, **body,
                      metadata=metadata, padding=padding_bytes, dedup=dedup,
                      file_digests=file_digests)
 
@@ -146,7 +158,11 @@ class DurabilityManager:
     # -- checkpoint ----------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        """Snapshot the deployment and truncate the WAL (compaction)."""
+        """Snapshot the deployment and truncate the WAL (compaction).
+
+        A write that fails raises with the previous snapshot and the WAL
+        untouched, and journaling goes on.
+        """
         start = time.perf_counter()
         snap = snapshot_codec.capture(self.system)
         bytes_written = snapshot_codec.write_snapshot(self.snapshot_path,
@@ -251,10 +267,10 @@ class DurabilityManager:
             storage.create_bucket(record["bucket"], exist_ok=True)
         elif op == "st_put":
             storage.place_object(
-                record["bucket"], record["key"],
-                base64.b64decode(record["data"]), record.get("metadata"),
-                record.get("padding", 0), record.get("dedup", False),
-                record.get("file_digests"), record["t"])
+                record["bucket"], record["key"], self._put_payload(record),
+                record.get("metadata"), record.get("padding", 0),
+                record.get("dedup", False), record.get("file_digests"),
+                record["t"])
         elif op == "st_delete":
             storage.delete_object(record["bucket"], record["key"],
                                   missing_ok=True)
@@ -267,6 +283,24 @@ class DurabilityManager:
             self.system.keystore.restore_credential(record["cred"])
         else:
             raise KeyError(op)
+
+    def _put_payload(self, record: dict) -> bytes:
+        """The bytes an ``st_put`` stored: whole in ``data`` (a plain
+        put, or any put journaled before dedup puts carried chunks), or
+        assembled from the chunk store plus the chunks it carries."""
+        if "data" in record:
+            return base64.b64decode(record["data"])
+        manifest = Manifest(CHUNK_BYTES, [ChunkRef(digest, size)
+                                          for digest, size
+                                          in record["manifest"]])
+        carried = {digest: base64.b64decode(text)
+                   for digest, text in record["chunks"].items()}
+        data = self.system.storage.chunk_store.assemble(manifest, carried)
+        if compute_etag(data) != record["etag"]:
+            raise DurabilityError(
+                f"st_put {record['key']!r}: assembled payload does not "
+                f"match etag {record['etag']}")
+        return data
 
     # -- soft-state repair ---------------------------------------------------
 

@@ -10,12 +10,16 @@ Deliberately *not* captured: scheduler fair-share ledgers (re-seeded
 from submission history), worker pools and fetch caches, rate-limiter
 windows.
 
-Writes are atomic (temp file + rename) so a crash during checkpoint
-leaves the previous snapshot intact.
+The chunk map is written one chunk at a time, so a checkpoint never
+holds the chunk store's bytes a second time; the file is byte-identical
+to the compact ``json.dumps`` of :func:`capture` with base64 chunks.
+Writes are atomic (temp file + rename) so a crash or a failed write
+during checkpoint leaves the previous snapshot intact.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from typing import Optional
@@ -42,7 +46,9 @@ def _owners(system) -> dict:
 
 
 def capture(system) -> dict:
-    """Serialise the durable state of a live deployment."""
+    """Serialise the durable state of a live deployment.  The chunk
+    store's section holds its chunks as bytes (not copies); the writer
+    encodes them one at a time."""
     snap = {
         "version": SNAPSHOT_VERSION,
         "now": system.sim.now,
@@ -78,16 +84,44 @@ def install(system, snap: dict) -> dict:
 # -- files ------------------------------------------------------------------
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _write_value(write, value) -> int:
+    """Write ``value`` as :func:`_dumps` would, descending into dicts so
+    that no more than one entry is encoded at a time; bytes (the chunk
+    store's chunks) go as base64 text.  Returns the characters written."""
+    if isinstance(value, bytes):
+        return write('"' + base64.b64encode(value).decode("ascii") + '"')
+    if not isinstance(value, dict) \
+            or not all(isinstance(key, str) for key in value):
+        return write(_dumps(value))
+    written = write("{")
+    for i, (key, item) in enumerate(value.items()):
+        written += write(("," if i else "") + _dumps(key) + ":")
+        written += _write_value(write, item)
+    return written + write("}")
+
+
 def write_snapshot(path: str, snap: dict) -> int:
-    """Atomically write ``snap`` to ``path``; returns bytes written."""
-    text = json.dumps(snap, separators=(",", ":"))
+    """Atomically write ``snap`` to ``path``, one chunk at a time;
+    returns bytes written.
+
+    The file equals ``_dumps`` of ``snap`` with base64 chunks.  A write
+    that fails removes the temp file and leaves ``path`` as it was.
+    """
     tmp_path = path + ".tmp"
-    with open(tmp_path, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
-    return len(text)
+    try:
+        with open(tmp_path, "w") as fh:
+            written = _write_value(fh.write, snap)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):  # the write failed part way
+            os.remove(tmp_path)
+    return written
 
 
 def load_snapshot(path: str) -> Optional[dict]:

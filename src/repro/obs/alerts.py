@@ -25,8 +25,9 @@ captured trace ids from buckets above 30 s — the exact jobs that blew
 the objective, one ``rai trace`` away from their waterfalls.
 
 A burning objective fires ``slo:<name>``; once
-:meth:`AlertManager.arm_watchdog` runs, a scraper that has taken no
-snapshot for longer than the grace fires ``stuck:metrics-scraper``.
+:meth:`AlertManager.arm_watchdog` runs, a scrape loop that has taken no
+snapshot for longer than the grace fires ``stuck:metrics-scraper`` (an
+on-demand scrape is no heartbeat).
 Each incident transitions ``firing → resolved`` exactly once (a report
 that judges often never re-prints the same alert), the history is
 retained for reports, and each transition is also recorded in the
@@ -264,7 +265,7 @@ class AlertManager:
         if now is None:
             now = self.clock()
         if scrape:
-            self.scraper.scrape_now()
+            self.scraper.sample()
         for status in self.statuses(now):
             name = f"slo:{status.name}"
             if status.burning:

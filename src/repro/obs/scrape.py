@@ -11,8 +11,9 @@ gauge sample series (the health report's averages and peaks).
 Snapshots are compact (plain floats and tuples, no Metric objects) and
 ring-buffered, so a week-long simulated course holds a bounded history.
 ``RaiSystem.start_observability`` calls :meth:`scrape_now` every
-:data:`INTERVAL_SECONDS` on the sim clock, and it also works on demand
-(``rai slo`` takes a fresh snapshot per report).
+:data:`INTERVAL_SECONDS` on the sim clock, and :meth:`sample` works on
+demand (``rai slo`` takes a fresh snapshot per report) without beating
+the loop's heartbeat.
 """
 
 from __future__ import annotations
@@ -81,14 +82,23 @@ class MetricsScraper:
         self.clock = clock
         self._samples: Deque[MetricsSnapshot] = deque(maxlen=MAX_SAMPLES)
         self.total_scrapes = 0
-        #: Sim time of the most recent scrape (the alert manager's
-        #: watchdog reads it).
+        #: Sim time of the scrape loop's most recent snapshot (the alert
+        #: manager's watchdog reads it); on-demand samples leave it be.
         self.last_scrape_at: Optional[float] = None
 
     # -- capture ------------------------------------------------------------
 
     def scrape_now(self) -> MetricsSnapshot:
-        """Take one snapshot of every series and append it."""
+        """The scrape loop's tick: :meth:`sample`, then stamp
+        :attr:`last_scrape_at`, the loop's heartbeat."""
+        snap = self.sample()
+        self.last_scrape_at = snap.time
+        return snap
+
+    def sample(self) -> MetricsSnapshot:
+        """Take one snapshot of every series and append it.  On its own,
+        an on-demand scrape (``rai slo``, ``rai alerts``): it does not
+        beat the watchdog, so polling cannot hide a dead loop."""
         snap = MetricsSnapshot(self.clock())
         for metric in self.registry:
             key = (metric.name, _label_text(metric.labels))
@@ -106,7 +116,6 @@ class MetricsScraper:
                 snap.gauges[key] = metric.value
         self._samples.append(snap)
         self.total_scrapes += 1
-        self.last_scrape_at = snap.time
         return snap
 
     # -- history access ------------------------------------------------------

@@ -224,27 +224,29 @@ class ChunkStore:
 
     # -- ingest / release ----------------------------------------------------
 
-    def store(self, data: bytes) -> Tuple[Manifest, int]:
-        """Ingest a payload; returns ``(manifest, new_unique_bytes)``.
+    def store(self, data: bytes) -> Tuple[Manifest, Dict[str, bytes]]:
+        """Ingest a payload; returns ``(manifest, fresh)``, where
+        ``fresh`` maps digest to bytes for each chunk the store did not
+        hold before this call.
 
-        Only chunks the store has never seen cost memory; every chunk of
-        the manifest (new or shared) gains a reference.
+        Only fresh chunks cost memory; every chunk of the manifest (fresh
+        or shared) gains a reference.
         """
         manifest = Manifest.from_bytes(data)
-        new_bytes = 0
+        fresh: Dict[str, bytes] = {}
         offset = 0
         for ref in manifest.chunks:
             if ref.digest not in self._chunks:
-                self._chunks[ref.digest] = data[offset:offset + ref.size]
+                chunk = data[offset:offset + ref.size]
+                self._chunks[ref.digest] = fresh[ref.digest] = chunk
                 self._refs[ref.digest] = 0
-                new_bytes += ref.size
+                self.total_ingested_bytes += ref.size
             else:
                 self.total_deduped_bytes += ref.size
             self._refs[ref.digest] += 1
             offset += ref.size
         self.total_logical_bytes += manifest.total_size
-        self.total_ingested_bytes += new_bytes
-        return manifest, new_bytes
+        return manifest, fresh
 
     def release(self, manifest: Manifest) -> int:
         """Drop one reference per chunk; returns bytes actually freed."""
@@ -261,11 +263,15 @@ class ChunkStore:
         self.total_logical_bytes -= manifest.total_size
         return freed
 
-    def assemble(self, manifest: Manifest) -> bytes:
-        """Rebuild the payload bytes a manifest describes."""
+    def assemble(self, manifest: Manifest,
+                 carried: Optional[Dict[str, bytes]] = None) -> bytes:
+        """Rebuild the payload bytes a manifest describes, taking a chunk
+        from ``carried`` (digest to bytes) before the store."""
         parts = []
         for ref in manifest.chunks:
-            chunk = self._chunks.get(ref.digest)
+            chunk = carried.get(ref.digest) if carried else None
+            if chunk is None:
+                chunk = self._chunks.get(ref.digest)
             if chunk is None:
                 raise StorageError(
                     f"chunk {ref.digest[:12]} missing from store "
@@ -276,17 +282,21 @@ class ChunkStore:
     # -- snapshot / recovery -------------------------------------------------
 
     def to_snapshot(self) -> dict:
+        """The chunks as held (bytes, not copies) plus the totals.  The
+        snapshot writer base64-encodes one chunk at a time."""
         return {
-            "chunks": {digest: base64.b64encode(blob).decode("ascii")
-                       for digest, blob in self._chunks.items()},
+            "chunks": dict(self._chunks),
             "chunk_totals": {"ingested": self.total_ingested_bytes,
                              "deduped": self.total_deduped_bytes},
         }
 
     def install_snapshot(self, snap: dict) -> None:
-        """Load the chunks; refcounts wait for :meth:`rebuild_refcounts`."""
-        self._chunks = {digest: base64.b64decode(blob)
-                        for digest, blob in snap.get("chunks", {}).items()}
+        """Load the chunks (bytes, or the base64 text a snapshot file
+        holds); refcounts wait for :meth:`rebuild_refcounts`."""
+        self._chunks = {
+            digest: blob if isinstance(blob, bytes)
+            else base64.b64decode(blob)
+            for digest, blob in snap.get("chunks", {}).items()}
         self._refs = {}
         totals = snap.get("chunk_totals", {})
         self.total_ingested_bytes = int(totals.get("ingested", 0))

@@ -149,22 +149,22 @@ class ObjectStore:
         """
         if self.fault_hook is not None:
             self.fault_hook("put", bucket_name, key)
-        obj, new_bytes = self.place_object(bucket_name, key, data, metadata,
-                                           padding_bytes, dedup,
-                                           file_digests, self.sim.now)
+        obj, fresh = self.place_object(bucket_name, key, data, metadata,
+                                       padding_bytes, dedup, file_digests,
+                                       self.sim.now)
         if self.usage is not None:
             meta = metadata or {}
             tenant = meta.get("team") or meta.get("username")
             self.usage.record("storage_bytes_stored", float(len(data)),
                               tenant=tenant)
-            if dedup and len(data) > new_bytes:
+            saved = len(data) - sum(map(len, fresh.values()))
+            if dedup and saved > 0:
                 # Chunks already resident cost no new storage: credit
                 # the dedup win separately instead of hiding it.
                 self.usage.record("storage_bytes_saved_dedup",
-                                  float(len(data) - new_bytes),
-                                  tenant=tenant)
+                                  float(saved), tenant=tenant)
         if self.journal is not None:
-            self.journal.storage_put(bucket_name, key, data, metadata,
+            self.journal.storage_put(bucket_name, obj, fresh, metadata,
                                      padding_bytes, dedup, file_digests)
         return obj
 
@@ -173,10 +173,13 @@ class ObjectStore:
                      dedup: bool, file_digests: Optional[Dict[str, str]],
                      at: float):
         """The state change of a put (live and replay), stored as of sim
-        time ``at``.  Returns ``(object, bytes new to the store)``."""
+        time ``at``.  Returns ``(object, fresh)``: the chunks, by digest,
+        that a dedup put added to the chunk store (empty for a plain
+        put)."""
         bucket = self.bucket(bucket_name)
+        fresh: Dict[str, bytes] = {}
         if dedup:
-            manifest, new_bytes = self.chunk_store.store(data)
+            manifest, fresh = self.chunk_store.store(data)
             if file_digests:
                 manifest.files = dict(file_digests)
             obj = ChunkedObject(key, manifest, self.chunk_store,
@@ -187,11 +190,10 @@ class ObjectStore:
             if owner:
                 self._upload_bases[(bucket_name, owner)] = key
         else:
-            new_bytes = len(data)
             obj = StoredObject(key, data, created_at=at, metadata=metadata)
         self._drop_object(bucket, key)  # release chunks of any overwrite
         bucket.objects[key] = obj
-        return obj, new_bytes
+        return obj, fresh
 
     def _drop_object(self, bucket: Bucket, key: str) -> bool:
         """Remove ``key`` from ``bucket``, releasing chunk references.

@@ -175,6 +175,50 @@ class TestHeartbeatWatchdog:
         assert alert.fields["last_beat"] == 10.0
 
 
+class TestOnDemandScrapesAreNoHeartbeat:
+    """Only the periodic loop beats the watchdog: an operator polling
+    ``rai alerts`` (which scrapes on demand) more often than the grace
+    must still see a dead scrape loop."""
+
+    def test_polling_rai_alerts_cannot_hide_a_dead_loop(self):
+        from repro.core.cli import RaiCLI
+        from repro.core.system import RaiSystem
+        from repro.errors import Interrupt
+
+        system = RaiSystem.standard(num_workers=1, seed=3)
+        loop = system.start_observability()
+        cli = RaiCLI(system, system.new_client(team="operator"))
+        stuck_at = {}
+
+        def stop_loop():
+            # The loop dies right after its t = 300 tick.
+            yield system.sim.timeout(5 * INTERVAL_SECONDS + 1.0)
+            loop.interrupt("scrape loop died")
+            try:
+                yield loop
+            except Interrupt:
+                pass
+
+        def operator():
+            for poll in range(1, 13):
+                yield system.sim.timeout(100.0 * poll - system.sim.now)
+                text = cli.run_command("rai alerts")
+                stuck_at[system.sim.now] = \
+                    "stuck:metrics-scraper | firing" in text
+
+        system.sim.process(stop_loop())
+        system.run(operator())
+        assert system.scraper.last_scrape_at == 300.0
+        # Grace is 3 intervals (180 s): the polls up to t = 400 are
+        # within it; from t = 500 the alert fires and stays firing.
+        assert [t for t, stuck in stuck_at.items() if stuck] == \
+            [100.0 * poll for poll in range(5, 13)]
+        assert stuck_at[600.0]
+        (incident,) = incidents(system.alerts, "stuck:metrics-scraper")
+        assert incident.active
+        assert incident.fields["last_beat"] == 300.0
+
+
 class TestSloAlerting:
     """The stock queue-wait objective, alerting."""
 

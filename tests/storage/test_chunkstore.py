@@ -73,8 +73,8 @@ class TestDedupEdgeCases:
         store.put_object("b", "v1", first, dedup=True)
         m2 = Manifest.from_bytes(second)
         assert store.chunk_store.missing_bytes(m2) == len(second)
-        _, new_bytes = store.chunk_store.store(second)
-        assert new_bytes == len(second)
+        _, fresh = store.chunk_store.store(second)
+        assert b"".join(fresh.values()) == second
 
     def test_lifecycle_expiry_keeps_shared_chunks_alive(self, store):
         """Expiring one manifest must not break a live one sharing
@@ -135,8 +135,8 @@ class TestChunkStoreRefcounts:
     def test_release_is_per_reference_not_per_chunk(self):
         cs = ChunkStore()
         m1, _ = cs.store(b"a" * C)
-        m2, new = cs.store(b"a" * C)
-        assert new == 0
+        m2, fresh = cs.store(b"a" * C)
+        assert fresh == {}
         assert cs.release(m1) == 0       # still referenced by m2
         assert cs.assemble(m2) == b"a" * C
         assert cs.release(m2) == C       # last reference frees
