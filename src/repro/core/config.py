@@ -67,12 +67,12 @@ class SystemConfig:
     #: window before it jump the queue (§VI deadline policy).  ``None``
     #: disables the boost (fair share still applies).
     course_deadline_at: Optional[float] = None
-    #: Control-plane partitions (``repro.shard``): the task topic, the
-    #: submissions collection and the scheduler, hash-partitioned by team
-    #: key (``tasks.pK`` / ``submissions.pK`` / one scheduler instance per
-    #: partition, with work-conserving stealing between them).
+    #: Control-plane partitions (``repro.shard``): the task topic and the
+    #: scheduler, hash-partitioned by team key (``tasks.pK`` / one
+    #: scheduler instance per partition, with work-conserving stealing
+    #: between them).  ``submissions`` stays one collection.
     #: 1 — the default — is the one-partition plane, named as the paper
-    #: names it: topic ``rai``, route ``rai/tasks``, ``submissions``.
+    #: names it: topic ``rai``, route ``rai/tasks``.
     shards: int = 1
     #: Content-keyed build-artifact cache (``repro.storage.buildcache``):
     #: workers replay recorded ``cmake``/``make`` results instead of

@@ -578,11 +578,7 @@ def record_submission(run: JobRun) -> None:
     worker, job, span = run.worker, run.job, run.stage_span
     system, now = worker.system, worker.sim.now
     submissions = system.db.collection("submissions")
-    # A job's record carries the job's own team and username, so naming
-    # them matches the same document and lets a sharded collection route
-    # the probe to one partition instead of scattering it.
-    if submissions.find_one({"job_id": job.id, "team": job.team,
-                             "username": job.username}) is not None:
+    if submissions.find_one({"job_id": job.id}) is not None:
         system.monitor.incr("duplicate_records_suppressed")
         span.set_attribute("duplicate", True)
         return

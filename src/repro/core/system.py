@@ -112,9 +112,6 @@ class RaiSystem:
             ShardMap(self.config.shards), events=self.events,
             scheduler_factory=self._partition_scheduler,
             workers_fn=lambda: self.workers)
-        # Submissions shard by the same map as the task topics, so a
-        # team's records and its queue traffic share a partition.
-        self.db.shard_collection("submissions", self.shards.shard_map)
         # The per-job dedup probe (worker._record, dead-letter drain) runs
         # once per submission; an index keeps it O(1) instead of a scan
         # over every submission the course has ever recorded.
@@ -345,11 +342,16 @@ class RaiSystem:
 
     def start_checkpointer(self, interval: float = 3600.0):
         """Periodic checkpointing (opt-in perpetual process, like the
-        caretaker)."""
+        caretaker).  A write that fails (a full disk) is counted as
+        ``checkpoints_failed``; the WAL keeps journaling and the next
+        tick tries again."""
 
         def checkpoint_if_journaling():
             if self.durability is not None and self.durability.active:
-                self.durability.checkpoint()
+                try:
+                    self.durability.checkpoint()
+                except OSError:
+                    self.monitor.incr("checkpoints_failed")
 
         return self.sim.process(
             self.sim.every(interval, checkpoint_if_journaling))

@@ -40,6 +40,7 @@ def health_report(system) -> str:
         ("duplicate records suppressed",
          counters.get("duplicate_records_suppressed")),
         ("jobs past deadline", counters.get("jobs_deadline_exceeded")),
+        ("checkpoints failed", counters.get("checkpoints_failed")),
     ]
     for label, value in recovery:
         if value:

@@ -113,25 +113,11 @@ class Cursor:
     """A lazily-sorted, sliceable view over matched documents."""
 
     def __init__(self, documents: List[dict],
-                 projection: Optional[dict] = None,
-                 plan: Optional[dict] = None):
+                 projection: Optional[dict] = None):
         self._docs = documents
         self._projection = projection
-        self._plan = plan
         self._sort: Optional[List[Tuple[str, int]]] = None
         self._limit: Optional[int] = None
-
-    def explain(self) -> dict:
-        """The access-path plan that produced this cursor.
-
-        Keys: ``path`` (``"index"`` | ``"scan"``), ``index`` (field name
-        or None), ``index_kind`` (``"equality"`` | ``"range"`` | None),
-        ``docs_examined``, ``docs_total``, ``docs_matched``.  Cursors not
-        produced by a planned ``find`` report an ``"unplanned"`` path.
-        """
-        if self._plan is None:
-            return {"path": "unplanned"}
-        return dict(self._plan)
 
     def sort(self, spec: SortSpec) -> "Cursor":
         self._sort = normalize_sort(spec)

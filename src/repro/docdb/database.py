@@ -102,8 +102,7 @@ class Collection:
     def update_one(self, filter: dict, update: dict,
                    upsert: bool = False) -> int:
         """Apply ``update`` to the first match; returns modified count."""
-        candidate_ids, _ = self._candidates(filter)
-        matched_ids = [doc_id for doc_id in candidate_ids
+        matched_ids = [doc_id for doc_id in self._candidates(filter)
                        if match_document(self._docs[doc_id], filter)]
         if not matched_ids:
             if upsert:
@@ -146,22 +145,26 @@ class Collection:
 
     # -- reads ------------------------------------------------------------
 
-    def _candidates(self, filter: dict):
-        """Plan the access path for ``filter``.
+    def _candidates(self, filter: dict) -> List[Any]:
+        """The candidate ids for ``filter``, in insertion order.
 
-        Returns ``(candidate_ids, plan)``.  The planner tries an equality
-        fast path on an indexed top-level field, then the full collection
-        scan; candidates preserve insertion order either way.  ``find``
-        and ``update_one`` both plan here.
+        The planner tries an equality fast path on an indexed top-level
+        field, then the full collection scan.  ``find`` and
+        ``update_one`` both plan here.
         """
-        ids, plan = self._plan(filter)
-        plan["docs_examined"] = len(ids)
-        plan["docs_total"] = len(self._docs)
-        if plan["path"] == "scan":
-            self.planner_stats["scans"] += 1
+        stats = self.planner_stats
+        for field, condition in filter.items():
+            if field.startswith("$") or isinstance(condition, (list, dict)):
+                continue
+            index = self._indexes.get(field)
+            if index is not None:
+                ids = [i for i in index.lookup(condition) if i in self._docs]
+                stats["index_hits"] += 1
+                break
         else:
-            self.planner_stats["index_hits"] += 1
-        self.planner_stats["docs_examined"] += len(ids)
+            ids = list(self._docs)
+            stats["scans"] += 1
+        stats["docs_examined"] += len(ids)
         usage = self.db.usage
         if usage is not None:
             # Every read and write plans here, so one hook meters them all.
@@ -170,28 +173,15 @@ class Collection:
             tenant = filter.get("team") or filter.get("username")
             usage.record("docdb_ops", 1.0,
                          tenant=tenant if isinstance(tenant, str) else None)
-        return ids, plan
-
-    def _plan(self, filter: dict):
-        for field, condition in filter.items():
-            if field.startswith("$") or isinstance(condition, (list, dict)):
-                continue
-            index = self._indexes.get(field)
-            if index is not None:
-                ids = [i for i in index.lookup(condition) if i in self._docs]
-                return ids, {"collection": self.name, "path": "index",
-                             "index": field, "index_kind": "equality"}
-        return list(self._docs), {"collection": self.name, "path": "scan",
-                                  "index": None, "index_kind": None}
+        return ids
 
     def find(self, filter: Optional[dict] = None,
              projection: Optional[dict] = None) -> Cursor:
         filter = filter or {}
-        candidate_ids, plan = self._candidates(filter)
-        matched = [self._docs[i] for i in candidate_ids
-                   if match_document(self._docs[i], filter)]
-        plan = dict(plan, docs_matched=len(matched))
-        return Cursor(matched, projection=projection, plan=plan)
+        docs = self._docs
+        matched = [docs[i] for i in self._candidates(filter)
+                   if match_document(docs[i], filter)]
+        return Cursor(matched, projection=projection)
 
     def find_one(self, filter: Optional[dict] = None) -> Optional[dict]:
         return self.find(filter).first()
@@ -234,12 +224,6 @@ class DocumentDB:
     def __init__(self, sim=None):
         self.sim = sim
         self._collections: Dict[str, Collection] = {}
-        #: Routing facades by base name: ``collection("submissions")``
-        #: returns the facade when that base is sharded, while the
-        #: physical ``submissions.pK`` shards stay ordinary collections
-        #: in ``_collections`` (journaling and snapshots see partitions,
-        #: never the facade).
-        self._sharded: Dict[str, Any] = {}
         #: Optional :class:`~repro.durability.DurabilityManager` journal.
         #: When set, every write (insert/update/delete/index/drop) is
         #: appended to the write-ahead log after it is applied.
@@ -248,42 +232,17 @@ class DocumentDB:
         #: RaiSystem so document traffic bills the owning tenant.
         self.usage = None
 
-    def collection(self, name: str):
-        sharded = self._sharded.get(name)
-        if sharded is not None:
-            return sharded
+    def collection(self, name: str) -> Collection:
         coll = self._collections.get(name)
         if coll is None:
             coll = self._collections[name] = Collection(self, name)
         return coll
 
-    def shard_collection(self, name: str, shard_map):
-        """Register ``name`` as a sharded base routed by ``shard_map``.
-
-        Must happen before any document lands under the plain name — a
-        facade cannot adopt an already-populated unsharded collection
-        (that is a data migration, not a registration).  A one-partition
-        map needs no routing: its only shard *is* the plain collection,
-        which is returned as is.
-        """
-        from repro.docdb.sharded import ShardedCollection
-
-        if shard_map.n_partitions == 1:
-            return self.collection(name)
-        existing = self._collections.get(name)
-        if existing is not None and len(existing) > 0:
-            raise DocDbError(
-                f"cannot shard non-empty collection {name!r}")
-        self._collections.pop(name, None)
-        sharded = ShardedCollection(self, name, shard_map)
-        self._sharded[name] = sharded
-        return sharded
-
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
 
     def to_snapshot(self) -> dict:
-        """Every physical collection (shards, never their facades)."""
+        """Every collection, by name."""
         return {name: coll.to_snapshot()
                 for name, coll in self._collections.items()}
 

@@ -198,16 +198,20 @@ class DurabilityManager:
 
         Runs before any worker exists, with no journal or usage meter
         wired to the services it rebuilds; the caller wires them and
-        takes the post-recovery checkpoint.
+        takes the post-recovery checkpoint.  A directory that splits
+        ``submissions`` by partition is refused before anything is
+        installed.
         """
         counts = {"snapshot": None, "replayed": 0, "torn": 0,
                   "discarded": 0, "requeued": 0, "fenced": 0,
                   "anomalies": 0}
+        records, wal_stats = self.wal.replay()
+        _refuse_partitioned_submissions(
+            [*(snap or {}).get("db", {}), *(r.get("c") for r in records)])
         clock_target = 0.0
         if snap is not None:
             counts["snapshot"] = snapshot_codec.install(self.system, snap)
             clock_target = float(snap.get("now", 0.0))
-        records, wal_stats = self.wal.replay()
         for record in records:
             try:
                 self._apply(record)
@@ -352,3 +356,15 @@ class DurabilityManager:
             "last_checkpoint_at": self.last_checkpoint_at,
             "replay_anomalies": self.replay_anomalies,
         }
+
+
+def _refuse_partitioned_submissions(collections) -> None:
+    """Refuse a directory written when ``submissions`` was split into
+    ``submissions.p0`` .. ``submissions.pN`` collections: restored as is,
+    ``submissions`` would be empty and the terminal-record fence would
+    re-run every finished job."""
+    for name in collections:
+        if isinstance(name, str) and name.startswith("submissions.p"):
+            raise DurabilityError(
+                f"cannot restore collection {name!r}: submissions is one "
+                f"collection, not one per partition")

@@ -1,15 +1,15 @@
-"""Control-plane sharding: partitioned broker + routed docdb + schedulers.
+"""Control-plane sharding: partitioned task topics + schedulers.
 
-One broker topic, one docdb collection, and one scheduler instance is the
-single-instance ceiling the ROADMAP names: every submission funnels through
-the same queue, every dequeue scans the same backlog, and a deadline storm
-in one course stalls everyone (the RAI paper's ECE408 saturation).  This
-package applies Ray's sharded-GCS shape to the submission control plane:
+One broker topic and one scheduler instance is the single-instance
+ceiling the ROADMAP names: every submission funnels through the same
+queue, every dequeue scans the same backlog, and a deadline storm in one
+course stalls everyone (the RAI paper's ECE408 saturation).  This
+package partitions what shapes time — the task topics, the schedulers
+and stealing between them; ``submissions`` stays one docdb collection,
+whose operations take no sim time:
 
 - :class:`~repro.shard.shardmap.ShardMap` — a stable, seeded hash
-  partitioning of team keys into N partitions, shared by the message
-  plane and the document store so a team's queue traffic and its
-  submission records land on the *same* partition;
+  partitioning of team keys into N partitions;
 - :class:`~repro.shard.shardmap.Router` — publish-time routing (key →
   partition → ``tasks.pK`` topic) so no partition ever sees another's
   traffic;
@@ -24,9 +24,9 @@ package applies Ray's sharded-GCS shape to the submission control plane:
 Every :class:`~repro.core.system.RaiSystem` runs this plane; ``shards=1``
 (the :class:`~repro.core.config.SystemConfig` default) is its
 one-partition case.  The map names a lone partition with the paper's
-unsharded names — topic ``rai``, route ``rai/tasks``, collection
-``submissions`` — so a one-partition deployment's queue names, WAL
-records and snapshots are the paper's.
+unsharded names — topic ``rai``, route ``rai/tasks`` — so a
+one-partition deployment's queue names, WAL records and snapshots are
+the paper's.
 """
 
 from repro.shard.plane import ShardedControlPlane

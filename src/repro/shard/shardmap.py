@@ -1,11 +1,8 @@
 """The shard map: stable, keyed hash partitioning of team keys.
 
-Both planes route through the same map — a team's task messages go to
-broker topic ``tasks.p{K}`` and its submission records to docdb collection
-``{base}.p{K}`` for the same ``K`` (``rai`` and ``{base}`` when the map
-has one partition) — so the single-shard fast path holds end to end:
-claim a team's job, record its submission, and query its history without
-ever crossing a partition boundary.
+A team's task messages go to broker topic ``tasks.p{K}`` (``rai`` when
+the map has one partition), and the partition's scheduler and its
+stealing consumers serve them there.
 
 The hash must be *stable*: the same key maps to the same partition in
 every process, every session, and after every restore — partition
@@ -30,7 +27,7 @@ class ShardMap:
     #: Partitioned task topics are ``tasks.p0 .. tasks.p{N-1}``, each with
     #: one competing-consumer channel ``tasks``.  A one-partition map names
     #: its partition as the paper does (§IV): topic ``rai``, route
-    #: ``rai/tasks``, and the plain base collection name.
+    #: ``rai/tasks``.
     TOPIC_PREFIX = "tasks"
     CHANNEL = "tasks"
     SINGLE_TOPIC = "rai"
@@ -63,14 +60,6 @@ class ShardMap:
     def route(self, partition: int) -> str:
         """Full broker route for ``partition`` (``tasks.p3/tasks``)."""
         return f"{self.topic(partition)}/{self.CHANNEL}"
-
-    def collection(self, base: str, partition: int) -> str:
-        """Physical docdb collection name (``submissions.p3``; ``base``
-        itself when there is one partition)."""
-        self._check(partition)
-        if self.n_partitions == 1:
-            return base
-        return f"{base}.p{partition}"
 
     def partitions(self) -> range:
         return range(self.n_partitions)

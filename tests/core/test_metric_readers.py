@@ -38,6 +38,7 @@ SERIES = {
     "duplicate_records_suppressed": "the health report",
     "faults_injected": "the health report",
     "jobs_deadline_exceeded": "the health report",
+    "checkpoints_failed": "the health report",
     "storage_retries": "the health report, bench storage.retries",
     "broker_messages_published": "bench broker.msgs_per_sub, Figure 1",
     "broker_bytes_published": "MessageBroker.total_bytes_published",

@@ -1,4 +1,5 @@
-"""Query planner: indexed access paths, explain(), ordering pins."""
+"""Query planner: indexed access paths (read off ``planner_stats``),
+ordering pins."""
 
 import pytest
 
@@ -16,25 +17,40 @@ def jobs():
     return coll
 
 
-class TestExplain:
+def _delta(coll, query) -> tuple:
+    """``(index_hits, scans, docs_examined)`` that ``query()`` adds to
+    ``coll``'s planner counts."""
+    before = dict(coll.planner_stats)
+    query()
+    after = coll.planner_stats
+    return tuple(after[key] - before[key]
+                 for key in ("index_hits", "scans", "docs_examined"))
+
+
+class TestAccessPath:
     def test_equality_on_indexed_field(self, jobs):
-        plan = jobs.find({"job_id": "job-007"}).explain()
-        assert plan["path"] == "index"
-        assert plan["index"] == "job_id"
-        assert plan["index_kind"] == "equality"
-        assert plan["docs_examined"] == 1
-        assert plan["docs_total"] == 20
+        assert _delta(jobs, lambda: jobs.find({"job_id": "job-007"})) == \
+            (1, 0, 1)
+
+    def test_indexed_read_returns_its_match(self, jobs):
+        found = []
+        assert _delta(jobs, lambda: found.extend(
+            jobs.find({"job_id": "job-003"}))) == (1, 0, 1)
+        assert [d["_id"] for d in found] == ["doc-3"]
 
     def test_unindexed_field_scans(self, jobs):
-        plan = jobs.find({"status": "queued"}).explain()
-        assert plan["path"] == "scan"
-        assert plan["docs_examined"] == 20
+        assert _delta(jobs, lambda: jobs.find({"status": "queued"})) == \
+            (0, 1, 20)
 
-    def test_cursor_explain_includes_match_count(self, jobs):
-        cursor = jobs.find({"job_id": "job-003"})
-        plan = cursor.explain()
-        assert plan["docs_matched"] == 1
-        assert plan["path"] == "index"
+    def test_first_indexed_field_plans_a_mixed_filter(self, jobs):
+        query = {"status": "queued", "job_id": "job-003"}
+        assert _delta(jobs, lambda: jobs.find(query)) == (1, 0, 1)
+        assert jobs.find(query).count() == 1
+
+    def test_operator_condition_scans(self, jobs):
+        query = {"job_id": {"$in": ["job-001", "job-002"]}}
+        assert _delta(jobs, lambda: jobs.find(query)) == (0, 1, 20)
+        assert jobs.find(query).count() == 2
 
     def test_planner_stats_accumulate(self, jobs):
         before = dict(jobs.planner_stats)
@@ -42,6 +58,7 @@ class TestExplain:
         jobs.find({"status": "queued"})
         assert jobs.planner_stats["index_hits"] == before["index_hits"] + 1
         assert jobs.planner_stats["scans"] == before["scans"] + 1
+        assert jobs.planner_stats["range_hits"] == 0
 
 
 class TestWritePathUsesIndex:
@@ -104,6 +121,5 @@ class TestSubmissionsAutoIndex:
         from repro.core.system import RaiSystem
         system = RaiSystem.standard(num_workers=1, seed=1)
         submissions = system.db.collection("submissions")
-        plan = submissions.find({"job_id": "job-000001"}).explain()
-        assert plan["path"] == "index"
-        assert plan["index"] == "job_id"
+        assert _delta(submissions, lambda: submissions.find(
+            {"job_id": "job-000001"})) == (1, 0, 0)

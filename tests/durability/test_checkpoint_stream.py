@@ -5,7 +5,8 @@ checkpoint never holds the chunk store's bytes a second time (as a
 base64 dict, a JSON string, or its encoding).  The file stays
 byte-identical to the compact ``json.dumps`` of the base64 form, so
 every snapshot written before streaming still loads.  A write that
-fails leaves the previous checkpoint and the WAL as they were.
+fails leaves the previous checkpoint and the WAL as they were; a
+periodic checkpoint that fails is counted and the next tick runs.
 """
 
 import base64
@@ -19,6 +20,7 @@ import tracemalloc
 import pytest
 
 from repro.core.system import RaiSystem
+from repro.core.telemetry import health_report
 from repro.durability import snapshot as snapshot_codec
 from repro.durability.snapshot import capture, load_snapshot, write_snapshot
 from repro.obs.events import EventType
@@ -208,3 +210,46 @@ def _etags(snap: dict) -> dict:
     return {(bucket["name"], obj["key"]): obj["etag"]
             for bucket in snap["storage"]["buckets"]
             for obj in bucket["objects"]}
+
+
+class TestPeriodicCheckpointFailure:
+    def test_a_failed_tick_is_counted_and_the_next_one_runs(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "dur"
+        system = RaiSystem.standard(num_workers=1, seed=5)
+        system.attach_durability(str(path))
+        real_open = open
+
+        def full_at_100(file, mode="r"):
+            if system.sim.now == 100.0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(file, mode)
+
+        monkeypatch.setattr(snapshot_codec, "open", full_at_100,
+                            raising=False)
+        system.start_checkpointer(interval=100.0)
+
+        def student(i):
+            client = system.new_client(team=f"team{i}")
+            client.stage_project(dict(FILES, **{
+                "main.cu": FILES["main.cu"] + f"// team {i}\n"}))
+            yield system.sim.timeout(60.0 * i)
+            yield from client.submit()
+
+        for i in range(4):
+            system.sim.process(student(i))
+        system.run(until=250.0)
+
+        manager = system.durability
+        assert system.monitor.counters.get("checkpoints_failed") == 1
+        assert manager.checkpoints_taken == 2   # attach's and t=200's
+        assert manager.last_checkpoint_at == 200.0
+        assert "checkpoints failed" in health_report(system)
+        live = capture(system)
+        assert len(live["db"]["submissions"]["docs"]) == 4
+        system.crash_stop()
+        monkeypatch.undo()
+
+        restored = capture(RaiSystem.restore(str(path), num_workers=0))
+        for section in set(live) - {"events", "now"}:
+            assert restored[section] == live[section], section

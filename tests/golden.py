@@ -3,7 +3,8 @@
 - :func:`control_plane_digest` folds a small full-system storm
   (:func:`control_plane_storm`) into a SHA-256 digest; the default
   config and ``shards=1`` — the same one-partition plane — must
-  reproduce :data:`GOLDEN_DIGEST`.
+  reproduce :data:`GOLDEN_DIGEST`, and ``shards=4``
+  :data:`SHARDED_GOLDEN_DIGEST`.
 - :func:`grading_digest` folds everything a student sees and grading
   records of a tiny sequential course; it must not change with the build
   cache on or off.
@@ -71,6 +72,14 @@ def deployment(num_workers: int = 1, seed: int = 0,
 #: c282724e2946a4312476a866ea89e4e3d0f4761d905551c407bc56dfd964268c).
 GOLDEN_DIGEST = \
     "0c9be705653ebc6c523c2359ce3c5dba420c533ef5caffca18f97aabb7ffca20"
+
+#: ``control_plane_digest(config=SystemConfig(shards=4))``: the same storm
+#: on four partitions (task topics, schedulers and stealing), 18 jobs,
+#: all succeeded.  Captured while ``submissions`` was still split into
+#: per-partition collections, and held without re-capture when it became
+#: one collection: docdb operations take no sim time.
+SHARDED_GOLDEN_DIGEST = \
+    "73ffc49c6e5bdc36a3e998ca6d75c9e9d43c84257bd7222b6d0e28204844b21e"
 
 
 def control_plane_storm(n_teams: int = 6, jobs_per_team: int = 3,

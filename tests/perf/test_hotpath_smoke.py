@@ -38,11 +38,14 @@ def test_indexed_submission_lookup_beats_scan(storm):
     """The per-job probe runs on the submissions.job_id index and
     examines one document, not the collection."""
     submissions = storm.system.db.collection("submissions")
-    probe = submissions.find({"job_id": storm.first[0].job_id}).explain()
-    assert probe["path"] == "index"
-    assert probe["index"] == "job_id"
-    assert probe["docs_examined"] == 1 < probe["docs_total"]
     assert storm.system.db.planner_stats()["scans"] == 0
+    before = dict(submissions.planner_stats)
+    assert submissions.find({"job_id": storm.first[0].job_id}).count() == 1
+    after = submissions.planner_stats
+    assert (after["index_hits"] - before["index_hits"],
+            after["scans"] - before["scans"],
+            after["docs_examined"] - before["docs_examined"]) == (1, 0, 1)
+    assert len(submissions) > 1
 
 
 def test_worker_fetch_cache_saves_bytes(storm):

@@ -7,14 +7,17 @@ per submission (one route to partition 0, no steals, one ``shard.route``
 event), so a change to the one-partition path fails on a count, not on
 a wall-clock ratio.  The same digest is the determinism oracle: a seed
 fixes it, and the passive observers (tracing, event log, metering) do
-not move it.
+not move it.  The same storm on four partitions is held to its own
+digest, so a change to routing, stealing or the per-partition
+schedulers fails here too.
 """
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
-from tests.golden import GOLDEN_DIGEST, control_plane_digest
+from tests.golden import (GOLDEN_DIGEST, SHARDED_GOLDEN_DIGEST,
+                          control_plane_digest)
 
 pytestmark = [pytest.mark.perf, pytest.mark.shard]
 
@@ -28,6 +31,14 @@ def test_shards_one_reproduces_the_golden_digest():
     digest, statuses, n = control_plane_digest(
         config=SystemConfig(shards=1))
     assert digest == GOLDEN_DIGEST
+    assert statuses == ["succeeded"]
+    assert n == 18
+
+
+def test_four_partitions_reproduce_the_sharded_golden_digest():
+    digest, statuses, n = control_plane_digest(
+        config=SystemConfig(shards=4))
+    assert digest == SHARDED_GOLDEN_DIGEST
     assert statuses == ["succeeded"]
     assert n == 18
 

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
+from repro.durability.snapshot import capture, write_snapshot
 from repro.durability.wal import WriteAheadLog
+from repro.errors import DurabilityError
 from repro.shard import ShardMap
 
 pytestmark = [pytest.mark.shard, pytest.mark.durability]
@@ -39,26 +41,22 @@ class TestShardedRestore:
         assert restored.shards is not None
         assert restored.shards.shard_map == ShardMap(2)
 
-    def test_submissions_survive_on_their_partitions(self, tmp_path):
+    def test_restore_keeps_every_submission(self, tmp_path):
         teams = [f"team{i:02d}" for i in range(6)]
         system = RaiSystem.standard(num_workers=2, seed=7,
                                     config=SystemConfig(shards=2))
         system.attach_durability(str(tmp_path / "dur"))
         results = _storm(system, teams)
         assert all(r.status.value == "succeeded" for r in results)
-        before = system.db.collection("submissions")
-        placement = [len(shard) for shard in before.shards]
+        before = system.db.collection("submissions").find({}).to_list()
+        assert len(before) == len(teams)
         system.crash_stop()
 
         restored = RaiSystem.restore(str(tmp_path / "dur"), num_workers=2)
         coll = restored.db.collection("submissions")
-        assert coll.__class__.__name__ == "ShardedCollection"
-        assert len(coll) == len(before)
-        assert [len(shard) for shard in coll.shards] == placement
-        smap = restored.shards.shard_map
-        for team in teams:
-            physical = coll.shards[smap.partition(team)]
-            assert physical.find_one({"team": team}) is not None
+        assert coll.find({}).to_list() == before
+        assert restored.db.stats()["collections"]["submissions"] == \
+            len(teams)
 
     def test_wal_records_carry_partition_names(self, tmp_path):
         system = RaiSystem.standard(num_workers=2, seed=7,
@@ -71,12 +69,12 @@ class TestShardedRestore:
         routes = {r.get("route") for r in records if "route" in r}
         routes |= {r.get("topic") for r in records if "topic" in r}
         names = {r.get("c") for r in records if "c" in r}
-        # Broker records name the partitioned route, docdb records the
-        # physical shard collection — the partition id is in the journal.
+        # Broker records name the partitioned route; docdb records name
+        # the one submissions collection.
         assert any(route and route.startswith("tasks.p")
                    for route in routes)
-        assert any(name and name.startswith("submissions.p")
-                   for name in names)
+        assert "submissions" in names
+        assert not [n for n in names if n.startswith("submissions.")]
 
     def test_restored_system_keeps_serving(self, tmp_path):
         system = RaiSystem.standard(num_workers=2, seed=7,
@@ -127,3 +125,41 @@ class TestLegacyStealRecord:
         assert restored.shards.steals_in == [len(teams), 0]
         assert restored.queue_depth() == 0
         assert all(not c.in_flight for c in restored.shards.channels)
+
+
+class TestPartitionedSubmissionsRefused:
+    """A directory that split ``submissions`` into one collection per
+    partition is refused: restored as is, ``submissions`` would be empty
+    and the terminal-record fence would run every finished job again."""
+
+    def _journaled(self, path):
+        system = RaiSystem.standard(num_workers=2, seed=7,
+                                    config=SystemConfig(shards=2))
+        system.attach_durability(str(path))
+        _storm(system, ["team00", "team02"])
+        return system
+
+    def test_snapshot_with_partition_collections(self, tmp_path):
+        path = tmp_path / "dur"
+        system = self._journaled(path)
+        snap = capture(system)
+        smap = system.shards.shard_map
+        submissions = snap["db"].pop("submissions")
+        for partition in smap.partitions():
+            snap["db"][f"submissions.p{partition}"] = dict(
+                submissions, docs=[d for d in submissions["docs"]
+                                   if smap.partition(d["team"]) == partition])
+        system.crash_stop()
+        write_snapshot(system.durability.snapshot_path, snap)
+        with pytest.raises(DurabilityError, match=r"'submissions\.p0'"):
+            RaiSystem.restore(str(path), num_workers=0)
+
+    def test_wal_record_naming_a_partition_collection(self, tmp_path):
+        path = tmp_path / "dur"
+        system = self._journaled(path)
+        system.durability.wal.append({
+            "op": "db_insert", "t": system.sim.now, "c": "submissions.p1",
+            "doc": {"_id": "oid-99999999", "job_id": "job-999999"}})
+        system.crash_stop()
+        with pytest.raises(DurabilityError, match=r"'submissions\.p1'"):
+            RaiSystem.restore(str(path), num_workers=0)

@@ -90,11 +90,6 @@ class TestWiring:
             assert sharded_system.shards.route(team) == \
                 (partition, smap.topic(partition))
 
-    def test_submissions_collection_is_sharded(self, sharded_system):
-        coll = sharded_system.db.collection("submissions")
-        assert coll.__class__.__name__ == "ShardedCollection"
-        assert coll.shard_map == sharded_system.shards.shard_map
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SystemConfig(shards=0)
@@ -124,32 +119,47 @@ class TestShardedSubmissions:
             assert event.fields["topic"] == smap.topic(
                 smap.partition(team))
 
-    def test_submission_records_land_on_team_partition(self, sharded_system):
+    def test_submissions_is_one_collection(self, sharded_system):
+        """Partitions split the task topics and schedulers, not the
+        ``submissions`` collection."""
         system = sharded_system
         teams = [f"team{i:02d}" for i in range(6)]
         _storm(system, teams)
-        coll = system.db.collection("submissions")
-        smap = system.shards.shard_map
-        for team in teams:
-            doc = coll.find_one({"team": team})
-            assert doc is not None
-            physical = coll.shards[smap.partition(team)]
-            assert physical.find_one({"team": team}) is not None
+        names = system.db.stats()["collections"]
+        assert names["submissions"] == len(teams)
+        assert not [n for n in names if n.startswith("submissions.")]
 
-    def test_duplicate_probe_reads_one_shard(self, sharded_system,
+    def test_every_team_record_is_in_submissions(self, sharded_system):
+        """Teams homed on different partitions all record into the one
+        ``submissions`` collection."""
+        system = sharded_system
+        teams = [f"team{i:02d}" for i in range(6)]
+        _storm(system, teams)
+        assert len({system.shards.shard_map.partition(t)
+                    for t in teams}) > 1
+        coll = system.db.collection("submissions")
+        for team in teams:
+            assert coll.find_one({"team": team}) is not None
+        assert sorted(d["team"] for d in coll.find({})) == teams
+
+    def test_duplicate_probe_is_an_index_hit(self, sharded_system,
                                              monkeypatch):
-        """The effectively-once probe names the job's team and username,
-        so it routes to the team's partition instead of scattering; a
-        redelivered job's second record is still suppressed."""
+        """The effectively-once probe reads the ``job_id`` index, never a
+        scan; a redelivered job's second record is still suppressed."""
         system = sharded_system
         coll = system.db.collection("submissions")
         probes = []
-        for index, shard in enumerate(coll.shards):
-            def planned(filter, _index=index, _plan=shard._candidates):
-                if "job_id" in filter:
-                    probes.append(_index)
-                return _plan(filter)
-            monkeypatch.setattr(shard, "_candidates", planned)
+        plan = coll._candidates
+
+        def planned(filter):
+            before = dict(coll.planner_stats)
+            ids = plan(filter)
+            if "job_id" in filter:
+                probes.append(tuple(
+                    coll.planner_stats[key] - before[key]
+                    for key in ("index_hits", "scans", "docs_examined")))
+            return ids
+        monkeypatch.setattr(coll, "_candidates", planned)
         record = pipeline.record_submission
 
         def recorded_twice(run):
@@ -157,11 +167,14 @@ class TestShardedSubmissions:
             record(run)     # what a redelivery of the same job writes
         monkeypatch.setattr(pipeline, "record_submission", recorded_twice)
 
-        result, = _storm(system, ["team02"])
-        home = system.shards.shard_map.partition("team02")
-        assert probes == [home, home]
-        assert coll.find({"job_id": result.job_id}).count() == 1
-        assert system.monitor.counters.get("duplicate_records_suppressed") == 1
+        results = _storm(system, ["team00", "team02", "team03"])
+        # Each job: its probe before recording, then the redelivery's
+        # probe finding that record.
+        assert sorted(probes) == [(1, 0, 0)] * 3 + [(1, 0, 1)] * 3
+        assert coll.planner_stats["scans"] == 0
+        for result in results:
+            assert coll.find({"job_id": result.job_id}).count() == 1
+        assert system.monitor.counters.get("duplicate_records_suppressed") == 3
 
     def test_completions_feed_the_partition_estimator(self, sharded_system):
         system = sharded_system

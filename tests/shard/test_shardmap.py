@@ -37,7 +37,6 @@ class TestShardMap:
         smap = ShardMap(4)
         assert smap.topic(2) == "tasks.p2"
         assert smap.route(2) == "tasks.p2/tasks"
-        assert smap.collection("submissions", 3) == "submissions.p3"
         assert list(smap.partitions()) == [0, 1, 2, 3]
         with pytest.raises(ValueError):
             smap.topic(4)
