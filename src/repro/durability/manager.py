@@ -40,7 +40,13 @@ from repro.durability import snapshot as snapshot_codec
 from repro.durability.wal import WriteAheadLog
 from repro.errors import DurabilityError, ReproError
 from repro.obs.events import EventType
-from repro.storage.chunkstore import CHUNK_BYTES, ChunkRef, Manifest
+from repro.storage.chunkstore import (
+    CHUNK_BYTES,
+    CHUNK_CODEC,
+    ChunkRef,
+    Manifest,
+    deflate_chunk,
+)
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.objects import compute_etag
 
@@ -129,14 +135,16 @@ class DurabilityManager:
                     padding_bytes: int, dedup: bool, file_digests) -> None:
         """A plain put journals its bytes whole.  A dedup put journals
         its manifest (digests and sizes), its etag, and only the chunks
-        ``fresh`` names as new to the store: replay takes the rest from
-        the chunk store, so each chunk's bytes are journaled once."""
+        ``fresh`` names as new to the store, in the deflated form the
+        store holds: replay takes the rest from the chunk store, so each
+        chunk's bytes are journaled once."""
         if dedup:
             body = {"manifest": [[ref.digest, ref.size]
                                  for ref in obj.manifest.chunks],
                     "etag": obj.etag,
-                    "chunks": {digest: base64.b64encode(chunk).decode("ascii")
-                               for digest, chunk in fresh.items()}}
+                    "chunk_codec": CHUNK_CODEC,
+                    "chunks": {digest: base64.b64encode(blob).decode("ascii")
+                               for digest, blob in fresh.items()}}
         else:
             body = {"data": base64.b64encode(obj.data).decode("ascii")}
         self._append("st_put", bucket=bucket, key=obj.key, **body,
@@ -291,7 +299,9 @@ class DurabilityManager:
     def _put_payload(self, record: dict) -> bytes:
         """The bytes an ``st_put`` stored: whole in ``data`` (a plain
         put, or any put journaled before dedup puts carried chunks), or
-        assembled from the chunk store plus the chunks it carries."""
+        assembled from the chunk store plus the chunks it carries.
+        Chunks without a ``chunk_codec`` were journaled raw and are
+        deflated here.  A damaged chunk raises ``StorageError``."""
         if "data" in record:
             return base64.b64decode(record["data"])
         manifest = Manifest(CHUNK_BYTES, [ChunkRef(digest, size)
@@ -299,6 +309,9 @@ class DurabilityManager:
                                           in record["manifest"]])
         carried = {digest: base64.b64decode(text)
                    for digest, text in record["chunks"].items()}
+        if record.get("chunk_codec") != CHUNK_CODEC:
+            carried = {digest: deflate_chunk(chunk)
+                       for digest, chunk in carried.items()}
         data = self.system.storage.chunk_store.assemble(manifest, carried)
         if compute_etag(data) != record["etag"]:
             raise DurabilityError(

@@ -10,9 +10,15 @@ Deliberately *not* captured: scheduler fair-share ledgers (re-seeded
 from submission history), worker pools and fetch caches, rate-limiter
 windows.
 
-The chunk map is written one chunk at a time, so a checkpoint never
-holds the chunk store's bytes a second time; the file is byte-identical
-to the compact ``json.dumps`` of :func:`capture` with base64 chunks.
+The storage section holds each chunk in the deflated form the chunk
+store keeps (marked ``"chunk_codec": "zlib"``), and the chunk map is
+written one chunk at a time, so a checkpoint never holds the chunk
+store's bytes a second time; the file is byte-identical to the compact
+``json.dumps`` of :func:`capture` with base64 chunks.  A file written
+when chunks were held raw (no ``chunk_codec``) still installs: the
+chunk store deflates its chunks as it reads them.  Install inflates
+every chunk once, and a damaged one raises
+:class:`~repro.errors.DurabilityError`.
 Writes are atomic (temp file + rename) so a crash or a failed write
 during checkpoint leaves the previous snapshot intact.
 """
@@ -26,7 +32,7 @@ from typing import Optional
 
 from repro.broker.message import advance_message_ids, message_id_watermark
 from repro.core.job import advance_job_ids, job_id_watermark
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, StorageError
 
 SNAPSHOT_VERSION = 1
 
@@ -74,7 +80,11 @@ def install(system, snap: dict) -> dict:
     counts = {}
     for section, owner in _owners(system).items():
         if owner is not None and snap.get(section) is not None:
-            counts[section] = owner.install_snapshot(snap[section])
+            try:
+                counts[section] = owner.install_snapshot(snap[section])
+            except StorageError as exc:   # a damaged chunk, a bad codec
+                raise DurabilityError(
+                    f"snapshot section {section!r}: {exc}") from exc
     watermarks = snap.get("watermarks", {})
     advance_message_ids(int(watermarks.get("message", 1)))
     advance_job_ids(int(watermarks.get("job", 1)))

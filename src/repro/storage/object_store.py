@@ -157,12 +157,14 @@ class ObjectStore:
             tenant = meta.get("team") or meta.get("username")
             self.usage.record("storage_bytes_stored", float(len(data)),
                               tenant=tenant)
-            saved = len(data) - sum(map(len, fresh.values()))
-            if dedup and saved > 0:
+            if dedup:
                 # Chunks already resident cost no new storage: credit
-                # the dedup win separately instead of hiding it.
-                self.usage.record("storage_bytes_saved_dedup",
-                                  float(saved), tenant=tenant)
+                # the dedup win, in raw bytes, instead of hiding it.
+                sizes = {ref.digest: ref.size for ref in obj.manifest.chunks}
+                saved = len(data) - sum(sizes[digest] for digest in fresh)
+                if saved > 0:
+                    self.usage.record("storage_bytes_saved_dedup",
+                                      float(saved), tenant=tenant)
         if self.journal is not None:
             self.journal.storage_put(bucket_name, obj, fresh, metadata,
                                      padding_bytes, dedup, file_digests)
@@ -173,9 +175,9 @@ class ObjectStore:
                      dedup: bool, file_digests: Optional[Dict[str, str]],
                      at: float):
         """The state change of a put (live and replay), stored as of sim
-        time ``at``.  Returns ``(object, fresh)``: the chunks, by digest,
-        that a dedup put added to the chunk store (empty for a plain
-        put)."""
+        time ``at``.  Returns ``(object, fresh)``: the deflated chunks,
+        by digest, that a dedup put added to the chunk store (empty for a
+        plain put)."""
         bucket = self.bucket(bucket_name)
         fresh: Dict[str, bytes] = {}
         if dedup:
@@ -186,13 +188,16 @@ class ObjectStore:
                                 created_at=at, metadata=metadata,
                                 etag=compute_etag(data),
                                 padding_bytes=padding_bytes)
-            owner = (metadata or {}).get("username")
-            if owner:
-                self._upload_bases[(bucket_name, owner)] = key
         else:
             obj = StoredObject(key, data, created_at=at, metadata=metadata)
-        self._drop_object(bucket, key)  # release chunks of any overwrite
+        # Release the chunks of any overwrite once the new payload holds
+        # its references.  The put's own record journals the overwrite:
+        # replayed before it, a delete would free the chunks it shares.
+        self._drop_object(bucket, key)
         bucket.objects[key] = obj
+        owner = (metadata or {}).get("username")
+        if dedup and owner:
+            self._upload_bases[(bucket_name, owner)] = key
         return obj, fresh
 
     def _drop_object(self, bucket: Bucket, key: str) -> bool:
@@ -200,7 +205,8 @@ class ObjectStore:
 
         Every deletion path (DELETE, lifecycle expiry, overwrite) funnels
         through here so a manifest's chunks are refcounted down exactly
-        once — chunks shared with a live manifest survive.
+        once — chunks shared with a live manifest survive.  DELETE and
+        expiry journal the removal; an overwrite is its put's record.
         """
         obj = bucket.objects.pop(key, None)
         if obj is None:
@@ -210,8 +216,6 @@ class ObjectStore:
             owner = obj.metadata.get("username")
             if owner and self._upload_bases.get((bucket.name, owner)) == key:
                 del self._upload_bases[(bucket.name, owner)]
-        if self.journal is not None:
-            self.journal.storage_delete(bucket.name, key)
         return True
 
     def get_object(self, bucket_name: str, key: str) -> StoredObject:
@@ -239,6 +243,8 @@ class ObjectStore:
             if missing_ok:
                 return False
             raise NoSuchKey(f"{bucket_name}/{key}")
+        if self.journal is not None:
+            self.journal.storage_delete(bucket_name, key)
         return True
 
     # -- base negotiation ----------------------------------------------------
@@ -302,6 +308,8 @@ class ObjectStore:
                              for rule in bucket.lifecycle_rules)]
             for key in doomed:
                 self._drop_object(bucket, key)
+                if self.journal is not None:
+                    self.journal.storage_delete(bucket.name, key)
                 removed.append(f"{bucket.name}/{key}")
         return removed
 

@@ -1,9 +1,9 @@
 """The WAL journals a dedup put as its manifest plus its new chunks.
 
 A dedup ``st_put`` carries the manifest (digests and sizes), the etag,
-and base64 of only the chunks the store did not hold at put time; replay
-assembles the payload from the chunk store plus those chunks and calls
-``ObjectStore.place_object``.  A plain put, and any ``st_put`` in the
+and base64 of the deflated form of only the chunks the store did not
+hold at put time; replay assembles the payload from the chunk store plus
+those chunks and calls ``ObjectStore.place_object``.  A plain put, and any ``st_put`` in the
 older whole-object shape (``data``), replays from its bytes.
 """
 
@@ -70,8 +70,7 @@ class TestDedupPutRecords:
             assert "data" not in record
             new = sum(len(base64.b64decode(text))
                       for text in record["chunks"].values())
-            whole = sum(size for _, size in record["manifest"])
-            shared += new < whole
+            shared += len(record["chunks"]) < len(record["manifest"])
             assert len(encode_record(record)) <= 1.4 * new + 2048, \
                 record["key"]
         # Every resubmission shares chunks with its team's earlier upload.
@@ -134,6 +133,22 @@ class TestReplayShapes:
         etag, manifest, payload, anomalies = whole
         assert (etag, payload, anomalies) == (compute_etag(data), data, 0)
         assert manifest["files"] == self.FILE_DIGESTS
+
+    def test_an_overwrite_sharing_chunks_restores(self, tmp_path):
+        """An overwrite is journaled by its put alone: a delete replayed
+        before it would free the chunks the new payload shares."""
+        data = _payload()
+
+        def overwrite(system):
+            for payload in (data, data, data[:CHUNK_BYTES] + b"edit"):
+                system.storage.put_object("rai-uploads", "s/job.tar",
+                                          payload, metadata=self.META,
+                                          dedup=True)
+
+        etag, _, payload, anomalies = self._restored_object(tmp_path,
+                                                            overwrite)
+        edited = data[:CHUNK_BYTES] + b"edit"
+        assert (etag, payload, anomalies) == (compute_etag(edited), edited, 0)
 
     def test_a_damaged_chunk_is_an_anomaly(self, tmp_path):
         """A carried chunk that no longer matches the etag is refused with

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RaiSystem
-from repro.docdb import DocumentDB
-from repro.docdb.sharded import ShardedCollection
+from repro.docdb import Collection, DocumentDB
 from repro.grading.audit import CourseworkAuditor
 
 
@@ -116,11 +115,11 @@ class TestOnRealCourseData:
 
 class TestOnShardedDeployment:
     def test_sharded_submissions_audit_like_one_collection(self, auditor):
-        """With ``shards > 1`` the deployment's ``submissions`` is a
-        :class:`ShardedCollection`; every report reads the same."""
+        """With ``shards > 1`` the deployment's ``submissions`` is still
+        one plain :class:`Collection`; every report reads the same."""
         system = RaiSystem(config=SystemConfig(shards=4))
         submissions = system.db.collection("submissions")
-        assert isinstance(submissions, ShardedCollection)
+        assert type(submissions) is Collection
         for row in ROWS:
             submissions.insert_one(row)
         sharded = CourseworkAuditor(system.db)

@@ -13,7 +13,11 @@ from repro.storage import (
     ObjectStore,
     split_chunks,
 )
-from repro.storage.chunkstore import CHUNK_BYTES as C
+from repro.storage.chunkstore import (
+    CHUNK_BYTES as C,
+    deflate_chunk,
+    inflate_chunk,
+)
 from repro.errors import StorageError
 
 
@@ -73,8 +77,10 @@ class TestDedupEdgeCases:
         store.put_object("b", "v1", first, dedup=True)
         m2 = Manifest.from_bytes(second)
         assert store.chunk_store.missing_bytes(m2) == len(second)
-        _, fresh = store.chunk_store.store(second)
-        assert b"".join(fresh.values()) == second
+        manifest, fresh = store.chunk_store.store(second)
+        assert len(fresh) == len(manifest)
+        assert b"".join(inflate_chunk(fresh[ref.digest], ref.digest, ref.size)
+                        for ref in manifest.chunks) == second
 
     def test_lifecycle_expiry_keeps_shared_chunks_alive(self, store):
         """Expiring one manifest must not break a live one sharing
@@ -106,6 +112,14 @@ class TestDedupEdgeCases:
         store.put_object("b", "k", b"B" * C, dedup=True)
         assert store.chunk_store.unique_bytes == C
         assert store.get_object("b", "k").data == b"B" * C
+
+    def test_overwrite_keeps_the_owner_base(self, store):
+        store.create_bucket("b")
+        meta = {"username": "s"}
+        store.put_object("b", "k", b"v1" * C, metadata=meta, dedup=True)
+        obj = store.put_object("b", "k", b"v2" * C, metadata=meta,
+                               dedup=True)
+        assert store.negotiate_base("b", "s") is obj.manifest
 
     def test_delete_object_releases_chunks(self, store):
         store.create_bucket("b")
@@ -165,3 +179,34 @@ class TestDedupedBytes:
         install(restored, capture(system))
         assert restored.storage.chunk_store.stats()["deduped_bytes"] == \
             len(shared)
+
+
+class TestDeflatedChunks:
+    def test_each_chunk_is_held_deflated_and_counted_raw(self):
+        cs = ChunkStore()
+        data = b"A" * C + b"B" * C + b"tail"
+        manifest, fresh = cs.store(data)
+        assert fresh == {ref.digest: deflate_chunk(data[i * C:(i + 1) * C])
+                         for i, ref in enumerate(manifest.chunks)}
+        assert cs._chunks == fresh
+        assert sum(map(len, fresh.values())) < len(data) // 10
+        assert cs.unique_bytes == len(data)
+        assert cs.assemble(manifest) == data
+        assert cs.release(manifest) == len(data)
+        assert cs.unique_bytes == 0
+
+    @pytest.mark.parametrize("damage", [
+        b"not deflate",                  # does not inflate
+        deflate_chunk(b"short"),         # inflates to the wrong length
+    ])
+    def test_damaged_bytes_raise_storage_error(self, damage):
+        cs = ChunkStore()
+        manifest, _ = cs.store(b"A" * C + b"B" * C)
+        cs._chunks[manifest.chunks[1].digest] = damage
+        with pytest.raises(StorageError, match="damaged"):
+            cs.assemble(manifest)
+        carried = {manifest.chunks[0].digest: damage}
+        with pytest.raises(StorageError, match="damaged"):
+            cs.assemble(manifest, carried)
+        with pytest.raises(StorageError, match="damaged"):
+            cs.rebuild_refcounts([manifest])
