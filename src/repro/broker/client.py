@@ -67,7 +67,7 @@ class Consumer:
         """Claim an already-queued message without blocking, or None.
 
         The worker prefetch path: after finishing a job, a consumer drains
-        ``ready_count`` messages synchronously before parking on
+        ``depth`` messages synchronously before parking on
         :meth:`get` again.
         """
         if self._closed:

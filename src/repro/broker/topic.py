@@ -63,9 +63,8 @@ class Channel(Store):
         self.total_acked = 0
         self.total_requeued = 0
         self.total_dead_lettered = 0
-        #: Optional dequeue policy (e.g. :class:`repro.sched.JobScheduler`):
-        #: ``select(items) -> index`` reorders the queue on dequeue,
-        #: ``note_dispatch(msg)`` observes every claimed message.
+        #: Optional dequeue policy (e.g. :class:`repro.sched.JobScheduler`),
+        #: installed by :meth:`set_scheduler`.
         self.scheduler = None
         #: Optional ``on_queued(channel)``: called when a put leaves a
         #: message queued with no get parked here to take it.
@@ -78,16 +77,22 @@ class Channel(Store):
         if self.on_queued is not None and self.items and not self._gets:
             self.on_queued(self)
 
-    @property
-    def depth(self) -> int:
-        """Queued (not yet delivered) message count."""
-        return len(self.items)
+    def set_scheduler(self, scheduler) -> None:
+        """Dequeue through ``scheduler`` from now on.
+
+        The queue regroups into ``scheduler.new_queue()`` (per-team FIFOs
+        for a :class:`repro.sched.JobScheduler`); ``select(queue) -> key``
+        names the team whose head dequeues next, and ``note_dispatch(msg)``
+        observes every claimed message.  A plain channel holds one FIFO
+        ``deque``.
+        """
+        self.items = scheduler.new_queue(self.items)
+        self.scheduler = scheduler
 
     @property
-    def ready_count(self) -> int:
-        """Messages claimable *right now* without blocking — the prefetch
-        signal: a worker finishing a job can drain this many more before
-        going back to sleep on ``deliver()``."""
+    def depth(self) -> int:
+        """Queued (not yet delivered) message count: what a consumer can
+        claim right now without blocking."""
         return len(self.items)
 
     def _journal(self):
@@ -106,13 +111,12 @@ class Channel(Store):
         return f"{self.topic.name}/{self.name}"
 
     def _pop_next(self) -> Message:
-        if self.scheduler is not None and len(self.items) > 1:
-            index = self.scheduler.select(self.items)
-            if 0 < index < len(self.items):
-                item = self.items[index]
-                del self.items[index]
-                return item
-        return self.items.popleft()
+        items = self.items
+        scheduler = self.scheduler
+        if scheduler is None:
+            return items.popleft()
+        return items.pop(scheduler.select(items) if len(items) > 1
+                         else None)
 
     def deliver(self) -> "StoreGetWrapper":
         """Event yielding the next message; marks it in-flight on fire."""
@@ -162,13 +166,22 @@ class Channel(Store):
         self.total_delivered += 1
 
     def claim(self, message_id: str, at: float) -> Message:
-        """Replay a delivery: the queued ``message_id`` goes in flight."""
-        for i, msg in enumerate(self.items):
-            if msg.id == message_id:
-                del self.items[i]
-                self._claim(msg, at)
-                return msg
-        raise BrokerError(f"{message_id} is not queued on {self.route}")
+        """Replay a delivery: the queued ``message_id`` goes in flight.
+
+        A scheduled queue finds it through its id map; a plain FIFO
+        finds it at its head, where every replayed delivery sits.
+        """
+        items = self.items
+        if self.scheduler is not None:
+            msg = items.remove(message_id)
+        else:
+            msg = next((m for m in items if m.id == message_id), None)
+            if msg is not None:
+                items.remove(msg)
+        if msg is None:
+            raise BrokerError(f"{message_id} is not queued on {self.route}")
+        self._claim(msg, at)
+        return msg
 
     def _emit_event(self, type: str, msg: Message, **fields) -> None:
         """Record a delivery anomaly in the deployment event log.
@@ -288,7 +301,11 @@ class Channel(Store):
             self.unclaim(msg, dead)
             if not dead:
                 requeued += 1
-        self.items.rotate(requeued)
+        if requeued:
+            # ``unclaim`` queued them at the back: rotate them to the front.
+            queued = list(self.items)
+            self.items.clear()
+            self.items.extend(queued[-requeued:] + queued[:-requeued])
         return requeued, fenced
 
     def drain_dead_letters(self) -> List[Message]:

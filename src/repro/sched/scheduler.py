@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from heapq import merge
+from typing import Callable, Deque, Dict, Iterable, Iterator, Optional, \
+    Tuple
 
 from repro.obs.events import EventType
 from repro.sched.estimator import RuntimeEstimator
@@ -12,9 +15,13 @@ from repro.sched.estimator import RuntimeEstimator
 HIT_COST_FACTOR = 0.35
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerPolicy:
-    """Knobs for :class:`JobScheduler`."""
+    """Knobs for :class:`JobScheduler`.
+
+    Frozen: a queued message's band is decided at enqueue, so a deadline
+    moved under a queued message would silently mis-band it.
+    """
 
     #: Executor-seconds credited to every queued team per DRR round.
     quantum_seconds: float = 5.0
@@ -44,11 +51,120 @@ class SchedulerPolicy:
             raise ValueError("wait_ewma_half_life must be > 0")
 
 
+#: One queued message: its place in the channel's global order, and it.
+Entry = Tuple[int, object]
+
+
+class TeamQueues:
+    """A scheduled channel's queued messages, grouped the way
+    :meth:`JobScheduler.select` reads them.
+
+    Two bands — messages submitted inside the deadline window, and the
+    rest — each map a fair-share key to that team's FIFO of
+    ``(seq, message)`` entries, and a team leaves its band when its FIFO
+    empties.  ``seq`` is the message's place in the channel's global
+    queue order, the next number at each put or requeue, so every team
+    FIFO is sorted by it and a team head's ``seq`` is the FIFO tie-break
+    across teams.  A message's key and band are computed once, at
+    enqueue.
+
+    Stands in for the ``deque`` a plain channel holds: ``append``,
+    ``len``, iteration in global order, ``clear`` and ``extend``; plus
+    :meth:`pop` of a team head and :meth:`remove` by message id.
+    """
+
+    __slots__ = ("boosted", "normal", "_key", "_is_boosted", "_where",
+                 "_len", "_seq")
+
+    def __init__(self, key: Callable[[object], str],
+                 is_boosted: Callable[[object], bool],
+                 messages: Iterable):
+        self.boosted: Dict[str, Deque[Entry]] = {}
+        self.normal: Dict[str, Deque[Entry]] = {}
+        self._key = key
+        self._is_boosted = is_boosted
+        #: message id -> (band, key) of its latest enqueue.
+        self._where: Dict[str, Tuple[Dict[str, Deque[Entry]], str]] = {}
+        self._len = self._seq = 0
+        self.extend(messages)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        """The queued messages in global queue order."""
+        for _, msg in merge(*self.boosted.values(), *self.normal.values()):
+            yield msg
+
+    def append(self, msg) -> None:
+        """Queue ``msg`` at the back."""
+        key = self._key(msg)
+        band = self.boosted if self._is_boosted(msg) else self.normal
+        team = band.get(key)
+        if team is None:
+            team = band[key] = deque()
+        self._seq += 1
+        team.append((self._seq, msg))
+        self._where[msg.id] = (band, key)
+        self._len += 1
+
+    def extend(self, messages: Iterable) -> None:
+        for msg in messages:
+            self.append(msg)
+
+    def clear(self) -> None:
+        self.boosted.clear()
+        self.normal.clear()
+        self._where.clear()
+        self._len = 0
+
+    def pop(self, key: Optional[str] = None):
+        """Remove and return the head of team ``key`` in the active band
+        (the deadline band while it holds anything); ``None`` takes the
+        band's first team, the only one when one message is queued."""
+        band = self.boosted or self.normal
+        if key is None:
+            key = next(iter(band))
+        team = band[key]
+        msg = team.popleft()[1]
+        if not team:
+            del band[key]
+        self._where.pop(msg.id, None)
+        self._len -= 1
+        return msg
+
+    def remove(self, message_id: str):
+        """Remove and return the queued message ``message_id``, or None.
+
+        The id map finds its team; a team head (every replayed live
+        delivery is one) leaves in O(1).  An id queued twice (a stale
+        sweep's copy beside its requeued original) loses its map entry
+        with the first pop and is found by a scan of every team.
+        """
+        where = self._where.get(message_id)
+        teams = [where] if where is not None else \
+            [(band, key) for band in (self.boosted, self.normal)
+             for key in band]
+        for band, key in teams:
+            team = band[key]
+            for i, (_, msg) in enumerate(team):
+                if msg.id == message_id:
+                    del team[i]
+                    if not team:
+                        del band[key]
+                    if where is not None:
+                        del self._where[message_id]
+                    self._len -= 1
+                    return msg
+        return None
+
+
 class JobScheduler:
     """Per-team fair-share dequeue policy for a broker channel.
 
-    Plugged into :attr:`repro.broker.topic.Channel.scheduler`; the channel
-    calls :meth:`select` to pick which queued message dequeues next and
+    Installed by :meth:`repro.broker.topic.Channel.set_scheduler`; the
+    channel holds its queue as this scheduler's :meth:`new_queue`, calls
+    :meth:`select` to pick which team's head dequeues next and
     :meth:`note_dispatch` as each message is claimed.
 
     Ordering, most- to least-significant:
@@ -121,56 +237,52 @@ class JobScheduler:
 
     # -- the channel-facing policy --------------------------------------
 
-    def select(self, items: Sequence) -> int:
-        """Index into ``items`` of the message to dequeue next."""
-        if len(items) <= 1:
-            return 0
+    def new_queue(self, messages: Iterable) -> TeamQueues:
+        """The queue a channel under this scheduler holds ``messages`` in
+        (the policy is frozen, so the band it computes cannot go stale)."""
+        return TeamQueues(self._key, self._boosted, messages)
 
-        # 1. Deadline band: restrict candidates to boosted messages when
-        #    any exist.  DRR still runs *within* the band, so a deadline
-        #    storm by one team cannot starve the others' deadline jobs.
-        candidates: List[int] = [i for i, msg in enumerate(items)
-                                 if self._boosted(msg)]
-        if not candidates:
-            candidates = list(range(len(items)))
+    def select(self, queue: TeamQueues) -> str:
+        """Key of the team whose head dequeues next from ``queue``.
 
-        # First queued index per team, in FIFO discovery order.
-        first_index: Dict[str, int] = {}
-        for i in candidates:
-            key = self._key(items[i])
-            if key not in first_index:
-                first_index[key] = i
-        if len(first_index) == 1:
-            return next(iter(first_index.values()))
+        Reads only the team heads of the active band, so it costs
+        O(teams), not O(backlog).  DRR still runs *within* the band, so a
+        deadline storm by one team cannot starve the others' deadline
+        jobs.
+        """
+        # 1. Deadline band: the boosted teams while there are any.
+        band = queue.boosted or queue.normal
+        if len(queue) <= 1 or len(band) == 1:
+            return next(iter(band))
 
         # 2. DRR: accrue quantum until some team's credit covers its
         #    expected cost.  Bounded: every round raises all deficits.
-        teams = list(first_index)
+        #    Costs stay live: the estimator and the hit predictor move.
         deficits = self._deficits
         cap = self.policy.deficit_cap_seconds
-        costs = {key: self._cost(key, items[first_index[key]])
-                 for key in teams}
-        eligible = [k for k in teams if deficits.get(k, 0.0) >= costs[k]]
+        costs = {key: self._cost(key, team[0][1])
+                 for key, team in band.items()}
+        eligible = [k for k in band if deficits.get(k, 0.0) >= costs[k]]
         while not eligible:
-            for key in teams:
+            for key in band:
                 deficits[key] = min(cap,
                                     deficits.get(key, 0.0)
                                     + self.policy.quantum_seconds)
-            eligible = [k for k in teams if deficits[k] >= costs[k]]
+            eligible = [k for k in band if deficits[k] >= costs[k]]
 
-        # 3./4. SJF among eligible teams, FIFO tie-break, then FIFO
-        #       within the winning team.
-        winner = min(eligible, key=lambda k: (costs[k], first_index[k]))
+        # 3./4. SJF among eligible teams, FIFO tie-break on the heads'
+        #       queue order, then FIFO within the winning team.
+        winner = min(eligible, key=lambda k: (costs[k], band[k][0][0]))
         deficits[winner] = deficits.get(winner, 0.0) - costs[winner]
 
         # Forget teams no longer queued at all (not merely outside the
         # band) so a finished team's stale credit does not linger.
-        queued_keys = {self._key(msg) for msg in items}
+        boosted, normal = queue.boosted, queue.normal
         for key in list(deficits):
-            if key not in queued_keys:
+            if key not in boosted and key not in normal:
                 del deficits[key]
 
-        return first_index[winner]
+        return winner
 
     # -- dispatch/completion observation --------------------------------
 

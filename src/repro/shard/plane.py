@@ -53,7 +53,8 @@ class ShardedControlPlane:
         self.schedulers: List[object] = []
         for partition in shard_map.partitions():
             channel = broker.channel(shard_map.route(partition))
-            scheduler = channel.scheduler = scheduler_factory(partition)
+            scheduler = scheduler_factory(partition)
+            channel.set_scheduler(scheduler)
             channel.on_queued = self._wake_sibling
             self.channels.append(channel)
             self.schedulers.append(scheduler)
@@ -102,8 +103,8 @@ class ShardedControlPlane:
         """
         victim, depth = -1, 0
         for partition, channel in enumerate(self.channels):
-            if partition != thief and channel.ready_count > depth:
-                victim, depth = partition, channel.ready_count
+            if partition != thief and channel.depth > depth:
+                victim, depth = partition, channel.depth
         if victim < 0:
             return None
         message = self.channels[victim].try_deliver()

@@ -314,7 +314,7 @@ class TestInFlightFencing:
         restored = RaiSystem.restore(str(tmp_path / "dur"), num_workers=0)
         rchannel = restored.broker.channel("rai/tasks")
         assert rchannel.depth == 1 and len(rchannel.in_flight) == 0
-        requeued = rchannel.items[0]
+        requeued = next(iter(rchannel.items))
         assert requeued.id == msg.id
         assert requeued.attempts == 1  # attempt budget preserved
 

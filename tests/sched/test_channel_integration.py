@@ -16,7 +16,7 @@ def broker(sim):
 @pytest.fixture
 def channel(sim, broker):
     channel = broker.channel("rai/tasks")
-    channel.scheduler = JobScheduler(lambda: sim.now)
+    channel.set_scheduler(JobScheduler(lambda: sim.now))
     return channel
 
 
@@ -112,14 +112,14 @@ class TestPrefetch:
         sim.run()
         assert len(got) == 1
 
-    def test_ready_count_tracks_depth(self, broker, channel):
-        assert channel.ready_count == 0
+    def test_depth_tracks_prefetch(self, broker, channel):
+        assert channel.depth == 0
         publish(broker, "a")
         publish(broker, "b")
         consumer = Consumer(broker, "rai/tasks")
-        assert channel.ready_count == 2
+        assert channel.depth == 2
         consumer.try_get()
-        assert channel.ready_count == 1
+        assert channel.depth == 1
 
     def test_stats_count_prefetches(self, broker, channel):
         # A prefetch is a delivery like any other: counted, and seen by

@@ -1,5 +1,7 @@
 """Fair-share scheduler policy: DRR, deadline band, SJF, wait EWMA."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.broker.message import Message
@@ -27,13 +29,17 @@ def clock():
     return FakeClock()
 
 
+def pick(sched: JobScheduler, queue) -> Message:
+    """Dequeue one message as a channel does: select() names the team."""
+    return queue.pop(sched.select(queue))
+
+
 def drain(sched: JobScheduler, items: list) -> list:
     """Dequeue everything through select(), returning the team order."""
     order = []
-    queue = list(items)
+    queue = sched.new_queue(items)
     while queue:
-        index = sched.select(queue)
-        picked = queue.pop(index)
+        picked = pick(sched, queue)
         sched.note_dispatch(picked)
         order.append(picked.body["team"])
     return order
@@ -49,6 +55,15 @@ class TestPolicyValidation:
             SchedulerPolicy(wait_ewma_alpha=0.0)
         with pytest.raises(ValueError):
             SchedulerPolicy(wait_ewma_half_life=0)
+
+    def test_policy_is_frozen(self):
+        # A queued message's band is decided at enqueue: a deadline moved
+        # under it would silently mis-band it.
+        policy = SchedulerPolicy(deadline_at=1000.0)
+        with pytest.raises(FrozenInstanceError):
+            policy.deadline_at = 2000.0
+        with pytest.raises(FrozenInstanceError):
+            policy.deadline_window_seconds = 1.0
 
 
 class TestDeficitRoundRobin:
@@ -69,7 +84,7 @@ class TestDeficitRoundRobin:
         sched = JobScheduler(clock)
         items = [msg("only", t=float(i)) for i in range(4)]
         first = items[0]
-        assert items[sched.select(items)] is first
+        assert pick(sched, sched.new_queue(items)) is first
 
     def test_round_robin_across_equal_teams(self, clock):
         sched = JobScheduler(clock)
@@ -82,14 +97,14 @@ class TestDeficitRoundRobin:
         sched = JobScheduler(clock)
         items = [Message("rai", "not-a-dict", timestamp=0.0),
                  Message("rai", {"n": 1}, timestamp=0.0)]
-        index = sched.select(items)
-        assert index == 0          # FIFO within the anonymous bucket
+        # FIFO within the anonymous bucket.
+        assert pick(sched, sched.new_queue(items)) is items[0]
 
     def test_departed_team_deficit_pruned(self, clock):
         sched = JobScheduler(clock)
         drain(sched, [msg("a"), msg("b")])
         # Both teams have left the queue entirely.
-        sched.select([msg("c"), msg("c"), msg("d")])
+        sched.select(sched.new_queue([msg("c"), msg("c"), msg("d")]))
         assert "a" not in sched._deficits
         assert "b" not in sched._deficits
 
@@ -103,7 +118,7 @@ class TestDeadlineBand:
         sched = JobScheduler(clock, policy=self.policy())
         early = msg("early", t=10.0)          # outside the window
         boosted = msg("cramming", t=950.0)    # inside [900, 1000]
-        assert sched.select([early, boosted]) == 1
+        assert pick(sched, sched.new_queue([early, boosted])) is boosted
 
     def test_drr_applies_within_the_band(self, clock):
         sched = JobScheduler(clock, policy=self.policy())
@@ -117,7 +132,7 @@ class TestDeadlineBand:
         late = msg("late", t=1500.0)          # past the deadline
         early = msg("early", t=10.0)
         # Neither is in the band: plain FIFO order.
-        assert sched.select([early, late]) == 0
+        assert pick(sched, sched.new_queue([early, late])) is early
 
     def test_boost_counted(self, clock):
         sched = JobScheduler(clock, policy=self.policy())
@@ -127,6 +142,46 @@ class TestDeadlineBand:
         assert sched.total_dispatched == 2
 
 
+class TestTeamQueues:
+    def policy(self):
+        return SchedulerPolicy(deadline_at=1000.0,
+                               deadline_window_seconds=100.0)
+
+    def test_bands_and_teams_iterate_in_global_order(self, clock):
+        sched = JobScheduler(clock, policy=self.policy())
+        items = [msg("a", t=10.0), msg("b", t=950.0), msg("a", t=960.0),
+                 msg("b", t=20.0), msg("c", t=30.0)]
+        queue = sched.new_queue(items)
+        assert list(queue) == items and len(queue) == 5
+        assert sorted(queue.boosted) == ["a", "b"]
+        assert sorted(queue.normal) == ["a", "b", "c"]
+        # The deadline band dequeues first; its first team is the sole
+        # pick when no key is named.
+        assert queue.pop() is items[1]
+        assert list(queue) == items[:1] + items[2:]
+
+    def test_remove_takes_any_queued_message(self, clock):
+        sched = JobScheduler(clock, policy=self.policy())
+        items = [msg("a"), msg("a"), msg("b")]
+        queue = sched.new_queue(items)
+        assert queue.remove(items[1].id) is items[1]    # not a team head
+        assert queue.remove("msg-missing") is None
+        assert list(queue) == [items[0], items[2]]
+        assert queue.remove(items[2].id) is items[2]    # its team empties
+        assert list(queue.normal) == ["a"]
+
+    def test_an_id_queued_twice_is_still_found(self, clock):
+        # A stale sweep's copy can sit queued beside its requeued
+        # original: one id, two entries.
+        sched = JobScheduler(clock)
+        original = msg("a")
+        copy = original.copy_for_channel()
+        queue = sched.new_queue([original, copy])
+        assert queue.pop() is original
+        assert queue.remove(original.id) is copy
+        assert len(queue) == 0 and not queue.normal
+
+
 class TestShortestJobFirst:
     def test_faster_team_wins_ties(self, clock):
         estimator = RuntimeEstimator()
@@ -134,13 +189,14 @@ class TestShortestJobFirst:
         estimator.observe("fast", 5.0)
         sched = JobScheduler(clock, estimator=estimator)
         items = [msg("slow"), msg("fast")]
-        assert sched.select(items) == 1
+        assert pick(sched, sched.new_queue(items)) is items[1]
 
     def test_completion_feedback_reorders(self, clock):
         sched = JobScheduler(clock)
         sched.note_completion("a", 120.0)
         sched.note_completion("b", 2.0)
-        assert sched.select([msg("a"), msg("b")]) == 1
+        items = [msg("a"), msg("b")]
+        assert pick(sched, sched.new_queue(items)) is items[1]
 
     def test_cost_clamped_by_deficit_cap(self, clock):
         policy = SchedulerPolicy(deficit_cap_seconds=50.0)

@@ -111,7 +111,7 @@ class TestLegacyStealRecord:
         system.durability.wal.append({
             "op": "mb_steal", "t": system.sim.now,
             "route": smap.route(1), "to": smap.route(0),
-            "id": victim.items[0].id})
+            "id": next(iter(victim.items)).id})
         system.crash_stop()
 
         restored = RaiSystem.restore(str(tmp_path / "dur"), num_workers=1)
