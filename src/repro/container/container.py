@@ -198,14 +198,16 @@ class Container:
         }
         self.gpu_device = gpu_device
 
+        # Base image content: one stamped copy of the image's frozen tree,
+        # under a root that predates the container (mtime 0.0).
+        now = self._clock() if self._clock is not None else 0.0
         self.fs = VirtualFileSystem(clock=self._clock)
-        # Base image content.
-        if self.image is not None and self.image.fs_template:
-            self.fs.import_mapping(self.image.fs_template, "/")
+        if self.image is not None:
+            self.fs.root.children = self.image.tree().stamped(now).children
         self.fs.makedirs("/build")
         self.fs.makedirs("/tmp")
         for mount in mounts:
-            mount.materialize(self.fs)
+            mount.attach(self.fs, now)
             if mount.is_cuda and gpu_device is not None:
                 self.env["CUDA_VISIBLE_DEVICES"] = "0"
 

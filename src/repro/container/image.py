@@ -16,6 +16,7 @@ from repro.errors import ImageNotFound, ImageNotWhitelisted
 from repro.gpu.cnn import generate_dataset, generate_model_weights
 from repro.gpu.hdf5sim import write_h5s
 from repro.gpu.kernels import FULL_DATASET_SIZE, SMALL_DATASET_SIZE
+from repro.vfs import DirNode, tree_of
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,15 @@ class Image:
     name: str                      # e.g. "webgpu/rai:root"
     size_bytes: int                # governs pull time on a cache miss
     packages: List[str] = field(default_factory=list)
-    #: Files materialised into every container created from this image.
+    #: Files materialised into every container created from this image
+    #: (read once, into :meth:`tree`).
     fs_template: Dict[str, bytes] = field(default_factory=dict)
     #: Declared layer manifest.  Empty means "one opaque layer of
     #: ``size_bytes``" (the pre-layer-cache behaviour); declared layers
     #: should sum to ``size_bytes`` so pull accounting stays honest.
     layers: List[ImageLayer] = field(default_factory=list)
+    _tree: Optional[DirNode] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def effective_layers(self) -> List[ImageLayer]:
         """The layer manifest, synthesising a single whole-image layer
@@ -56,6 +60,14 @@ class Image:
             return list(self.layers)
         return [ImageLayer(digest=f"sha256:whole:{self.name}",
                            size_bytes=self.size_bytes)]
+
+    def tree(self) -> DirNode:
+        """``fs_template`` as one frozen tree, built on first use: every
+        container of this image starts from a stamped copy of it, as
+        Docker containers share an image's read-only layers."""
+        if self._tree is None:
+            self._tree = tree_of(self.fs_template)
+        return self._tree
 
 
 class ImageRegistry:

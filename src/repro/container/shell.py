@@ -23,6 +23,7 @@ import shlex
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+from repro.errors import VfsError
 from repro.vfs.path import join as path_join
 
 _VAR_RE = re.compile(r"\$(\w+|\{\w+\})")
@@ -172,15 +173,21 @@ class Shell:
         if redirect_path is not None:
             capture = ctx.push_stdout_capture()
         try:
-            code = self._dispatch(ctx, name, args)
-        finally:
-            if capture is not None:
-                data = ctx.pop_stdout_capture()
-                target = path_join(ctx.cwd, redirect_path)
-                if redirect_append:
-                    ctx.fs.append_file(target, data)
-                else:
-                    ctx.fs.write_file(target, data)
+            try:
+                code = self._dispatch(ctx, name, args)
+            finally:
+                if capture is not None:
+                    data = ctx.pop_stdout_capture()
+                    target = path_join(ctx.cwd, redirect_path)
+                    if redirect_append:
+                        ctx.fs.append_file(target, data)
+                    else:
+                        ctx.fs.write_file(target, data)
+        except VfsError as exc:
+            # A refusal no command reported itself (``touch`` or a ``>``
+            # under the read-only /src) fails the command, not the worker.
+            ctx.write_err(f"{name}: {exc}\n")
+            return 1
         return code
 
     def _builtin_cd(self, ctx, args) -> int:

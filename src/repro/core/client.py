@@ -36,7 +36,7 @@ from repro.errors import (
 )
 from repro.obs.events import EventType
 from repro.storage.chunkstore import Manifest
-from repro.vfs import VirtualFileSystem, file_digest, pack_tree
+from repro.vfs import VirtualFileSystem, pack_tree
 
 #: Files a final submission must contain (§V, Student Final Submission):
 #: USAGE (how to reproduce the profile results) and report.pdf.
@@ -80,7 +80,7 @@ class RaiClient:
         """Write files into the local project directory."""
         if clear:
             self.project_fs.rmtree("/")
-        self.project_fs.import_mapping(files, "/")
+        self.project_fs.import_mapping(files)
 
     def set_build_file(self, yaml_text: str) -> None:
         self.project_fs.write_file("/rai-build.yml", yaml_text)
@@ -252,10 +252,8 @@ class RaiClient:
         only unseen chunks and the manifest itself."""
         tracer = self.system.tracer
         archive = pack_tree(self.project_fs, "/", compression="none")
-        file_digests = {
-            path: file_digest(self.project_fs.read_file(path))
-            for path in self.project_fs.iter_files("/")}
-        manifest = Manifest.from_bytes(archive, files=file_digests)
+        manifest = Manifest.from_bytes(
+            archive, files=self.project_fs.file_digests())
         # The base the delta is encoded against: this client's last
         # upload when it has one, else whatever the server still holds
         # for this user (git-style negotiation — a fresh client instance
@@ -295,7 +293,7 @@ class RaiClient:
                 metadata={"username": self.username, "team": self.team or "",
                           "kind": kind.value, "job_id": job_id},
                 padding_bytes=self.project_padding_bytes, dedup=True,
-                file_digests=file_digests)
+                manifest=manifest)
         except StorageError as exc:
             upload_span.end(status="error", message=str(exc))
             raise SubmissionRejected(

@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.faults.retry import RetryPolicy
 from repro.storage.buildcache import image_cache_key, primary_key
 from repro.storage.chunkstore import digest_file_map
-from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
+from repro.vfs import VirtualFileSystem, pack_tree, unpack_tree
 
 #: Whole-job wall-clock deadline (fetch + pull + build + upload).  The
 #: container lifetime cap only meters *charged* guest time; this closes
@@ -170,7 +170,8 @@ def admit(run: JobRun):
 def fetch(run: JobRun):
     """Download the project archive (transient errors retried with
     backoff, only the bytes the worker's fetch cache lacks charged), unpack
-    it into the tree mounted at ``/src`` and derive its content identity."""
+    it into a tree this delivery owns (``acquire`` hands it to the
+    container as ``/src``) and derive its content identity."""
     worker, job, span = run.worker, run.job, run.stage_span
     storage = worker.system.storage
     archive = yield from _storage_call(
@@ -190,8 +191,7 @@ def fetch(run: JobRun):
     if manifest is not None and manifest.files:
         run.source_digest = manifest.tree_digest()
     else:
-        files = {path: file_digest(run.project_fs.read_file(path))
-                 for path in run.project_fs.iter_files("/")}
+        files = run.project_fs.file_digests()
         run.source_digest = digest_file_map(files) if files else None
 
 
@@ -210,8 +210,11 @@ def acquire(run: JobRun):
         run.check_deadline()
     mounts = [cuda_volume()]
     if run.project_fs is not None:      # a session may bring no project
+        # Handed over, not copied: the container's fs becomes the tree's
+        # one holder, its read-only prefix the tree's one guard.
         mounts.insert(0, VolumeMount("/src", read_only=True,
-                                     source_fs=run.project_fs))
+                                     tree=run.project_fs.root))
+        run.project_fs = None
     run.container, run.pool_hit, cost = worker.pool.acquire(
         spec.image, limits=worker.config.limits, mounts=mounts,
         gpu_device=worker.gpu, on_output=run.log,

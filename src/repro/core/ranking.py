@@ -15,6 +15,9 @@ from repro.docdb import DocumentDB
 
 RANKING_COLLECTION = "rankings"
 SUBMISSIONS_COLLECTION = "submissions"
+#: What a rank or the student-facing view reads of a row: a read copies
+#: these, not the whole row.
+_RANK_FIELDS = {"team": 1, "internal_time": 1, "recorded_at": 1}
 
 
 class RankingService:
@@ -49,8 +52,13 @@ class RankingService:
 
     def leaderboard(self, limit: Optional[int] = None) -> List[dict]:
         """Teams ordered by internal time ascending (fastest first)."""
-        cursor = self.rankings.find({}).sort([("internal_time", 1),
-                                              ("recorded_at", 1)])
+        return self._ranked(limit, None)
+
+    def _ranked(self, limit: Optional[int],
+                projection: Optional[dict]) -> List[dict]:
+        """The leaderboard's rows, each copied through ``projection``."""
+        cursor = self.rankings.find({}, projection).sort(
+            [("internal_time", 1), ("recorded_at", 1)])
         if limit is not None:
             cursor = cursor.limit(limit)
         rows = cursor.to_list()
@@ -59,7 +67,7 @@ class RankingService:
         return rows
 
     def team_rank(self, team: str) -> Optional[int]:
-        for row in self.leaderboard():
+        for row in self._ranked(None, _RANK_FIELDS):
             if row["team"] == team:
                 return row["rank"]
         return None
@@ -71,7 +79,7 @@ class RankingService:
         Other teams appear under a stable opaque label so students can
         watch relative movement without identifying competitors (§VI).
         """
-        rows = self.leaderboard(limit)
+        rows = self._ranked(limit, _RANK_FIELDS)
         out = []
         for row in rows:
             is_self = row["team"] == viewer_team

@@ -454,12 +454,13 @@ class RaiSystem:
         Purely advisory — a wrong guess only perturbs queue ordering by
         the cost factor, never correctness.
         """
-        if self.build_cache is None:
-            return False
+        cache = self.build_cache
+        if cache is None or not cache.sources_seen:
+            return False        # nothing has built here: nothing can hit
         body = getattr(msg, "body", None)
         if not isinstance(body, dict):
             return False
-        return self.build_cache.seen_source(body.get("source_digest"))
+        return cache.seen_source(body.get("source_digest"))
 
     # -- observability ------------------------------------------------------
 

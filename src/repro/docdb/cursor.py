@@ -65,9 +65,11 @@ def normalize_sort(sort: SortSpec) -> List[Tuple[str, int]]:
 
 
 def apply_projection(doc: dict, projection: Optional[dict]) -> dict:
-    """Include/exclude-style projection (no mixing, except ``_id``)."""
+    """A private copy of ``doc`` under an include/exclude-style projection
+    (no mixing, except ``_id``).  An include projection copies only the
+    fields it keeps."""
     if projection is None:
-        return doc
+        return copy.deepcopy(doc)
     include_keys = [k for k, v in projection.items() if v and k != "_id"]
     exclude_keys = [k for k, v in projection.items() if not v and k != "_id"]
     if include_keys and exclude_keys:
@@ -138,8 +140,7 @@ class Cursor:
                           reverse=(direction == -1))
         if self._limit is not None:
             docs = docs[: self._limit]
-        return [apply_projection(copy.deepcopy(d), self._projection)
-                for d in docs]
+        return [apply_projection(d, self._projection) for d in docs]
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self._materialize())

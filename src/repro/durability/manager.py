@@ -132,12 +132,13 @@ class DurabilityManager:
         self._append("st_bucket", bucket=name)
 
     def storage_put(self, bucket: str, obj, fresh, metadata,
-                    padding_bytes: int, dedup: bool, file_digests) -> None:
+                    padding_bytes: int, dedup: bool) -> None:
         """A plain put journals its bytes whole.  A dedup put journals
         its manifest (digests and sizes), its etag, and only the chunks
         ``fresh`` names as new to the store, in the deflated form the
         store holds: replay takes the rest from the chunk store, so each
         chunk's bytes are journaled once."""
+        file_digests = None
         if dedup:
             body = {"manifest": [[ref.digest, ref.size]
                                  for ref in obj.manifest.chunks],
@@ -145,6 +146,7 @@ class DurabilityManager:
                     "chunk_codec": CHUNK_CODEC,
                     "chunks": {digest: base64.b64encode(blob).decode("ascii")
                                for digest, blob in fresh.items()}}
+            file_digests = obj.manifest.files or None
         else:
             body = {"data": base64.b64encode(obj.data).decode("ascii")}
         self._append("st_put", bucket=bucket, key=obj.key, **body,
@@ -278,11 +280,17 @@ class DurabilityManager:
         elif op == "st_bucket":
             storage.create_bucket(record["bucket"], exist_ok=True)
         elif op == "st_put":
+            # The manifest is derived from the replayed bytes, as the
+            # store would derive it, then given the journaled file map.
+            data = self._put_payload(record)
+            manifest = None
+            if record.get("dedup", False):
+                manifest = Manifest.from_bytes(
+                    data, files=record.get("file_digests"))
             storage.place_object(
-                record["bucket"], record["key"], self._put_payload(record),
+                record["bucket"], record["key"], data,
                 record.get("metadata"), record.get("padding", 0),
-                record.get("dedup", False), record.get("file_digests"),
-                record["t"])
+                record.get("dedup", False), manifest, record["t"])
         elif op == "st_delete":
             storage.delete_object(record["bucket"], record["key"],
                                   missing_ok=True)

@@ -76,7 +76,7 @@ class GradingEvaluator:
         result = EvaluationResult(team=submission.team)
         sources = submission.source_files()
         project = VirtualFileSystem()
-        project.import_mapping(sources, "/")
+        project.import_mapping(sources)
         spec = final_submission_spec()
         for _ in range(max(1, repetitions)):
             result.runs.append(self._run_once(project, spec))

@@ -425,6 +425,11 @@ class BuildCache:
         while len(self._seen_sources) > SEEN_SOURCES_LIMIT:
             self._seen_sources.popitem(last=False)
 
+    @property
+    def sources_seen(self) -> int:
+        """How many source trees the predictor remembers as built."""
+        return len(self._seen_sources)
+
     def seen_source(self, source_digest: Optional[str]) -> bool:
         """Has a build of this exact source tree completed before?"""
         return (source_digest is not None
@@ -488,7 +493,7 @@ class BuildCache:
             "evictions": self.evict_count,
             "hit_rate": round(self.hit_rate(), 4),
             "observations": self.observation_count,
-            "seen_sources": len(self._seen_sources),
+            "seen_sources": self.sources_seen,
         }
 
     # -- snapshot / restore --------------------------------------------------

@@ -264,29 +264,57 @@ class ChunkStore:
 
     # -- ingest / release ----------------------------------------------------
 
-    def store(self, data: bytes) -> Tuple[Manifest, Dict[str, bytes]]:
+    def store(self, data: bytes, manifest: Optional[Manifest] = None
+              ) -> Tuple[Manifest, Dict[str, bytes]]:
         """Ingest a payload; returns ``(manifest, fresh)``, where
         ``fresh`` maps digest to the deflated form of each chunk the
         store did not hold before this call.
+
+        ``manifest`` is the uploader's chunking of ``data``; without one
+        the store chunks and hashes ``data`` itself.  An uploader's
+        manifest is trusted for the chunks the store already holds and
+        checked for the rest, the bytes that cross the wire (git's and
+        restic's protocol): each must hash to its digest, and the chunk
+        sizes must be positive and add up to ``len(data)``; otherwise
+        ``StorageError``, and nothing is stored.
 
         A new chunk is deflated here, once.  Only fresh chunks cost
         memory; every chunk of the manifest (fresh or shared) gains a
         reference.
         """
-        manifest = Manifest.from_bytes(data)
-        fresh: Dict[str, bytes] = {}
+        claimed = manifest is not None
+        if not claimed:
+            manifest = Manifest.from_bytes(data)
+        elif manifest.total_size != len(data):
+            raise StorageError(
+                f"manifest {manifest.digest[:12]} describes "
+                f"{manifest.total_size} B, the upload is {len(data)} B")
+        new: Dict[str, bytes] = {}
         offset = 0
         for ref in manifest.chunks:
-            if ref.digest not in self._chunks:
-                blob = deflate_chunk(data[offset:offset + ref.size])
-                self._chunks[ref.digest] = fresh[ref.digest] = blob
+            if ref.size < 1:
+                raise StorageError(
+                    f"manifest {manifest.digest[:12]} lists a chunk of "
+                    f"{ref.size} B")
+            if ref.digest not in self._chunks and ref.digest not in new:
+                new[ref.digest] = data[offset:offset + ref.size]
+            offset += ref.size
+        if claimed:
+            for digest, chunk in new.items():
+                if hash_chunk(chunk) != digest:
+                    raise StorageError(
+                        f"chunk {digest[:12]} of manifest "
+                        f"{manifest.digest[:12]} does not match its bytes")
+        fresh = {digest: deflate_chunk(chunk) for digest, chunk in new.items()}
+        for ref in manifest.chunks:
+            if ref.digest in fresh and ref.digest not in self._chunks:
+                self._chunks[ref.digest] = fresh[ref.digest]
                 self._refs[ref.digest] = 0
                 self._unique_bytes += ref.size
                 self.total_ingested_bytes += ref.size
             else:
                 self.total_deduped_bytes += ref.size
             self._refs[ref.digest] += 1
-            offset += ref.size
         self.total_logical_bytes += manifest.total_size
         return manifest, fresh
 

@@ -135,22 +135,25 @@ class ObjectStore:
                    metadata: Optional[dict] = None,
                    padding_bytes: int = 0,
                    dedup: bool = False,
-                   file_digests: Optional[Dict[str, str]] = None) -> StoredObject:
+                   manifest: Optional[Manifest] = None) -> StoredObject:
         """Store an object.
 
         With ``dedup=True`` the payload is content-addressed through the
         chunk store: only chunks never seen before cost memory, and the
         stored object assembles its bytes from shared chunks on demand.
         Sizes, etags, and bucket accounting are identical either way.
-        ``file_digests`` (path → sha256 of the archived tree) rides on
-        the dedup manifest so downstream readers can address the
-        *content* without unpacking the archive.  ``padding_bytes`` (the
-        declared size a real upload would carry) applies to dedup puts.
+        ``manifest`` is the uploader's own chunking of ``data`` (with its
+        file map, path → sha256, so downstream readers can address the
+        *content* without unpacking the archive): the store then hashes
+        only the chunks it lacks, and refuses the put with
+        ``StorageError`` when one of them, or the size, does not match.
+        ``padding_bytes`` (the declared size a real upload would carry)
+        applies to dedup puts.
         """
         if self.fault_hook is not None:
             self.fault_hook("put", bucket_name, key)
         obj, fresh = self.place_object(bucket_name, key, data, metadata,
-                                       padding_bytes, dedup, file_digests,
+                                       padding_bytes, dedup, manifest,
                                        self.sim.now)
         if self.usage is not None:
             meta = metadata or {}
@@ -167,12 +170,12 @@ class ObjectStore:
                                       float(saved), tenant=tenant)
         if self.journal is not None:
             self.journal.storage_put(bucket_name, obj, fresh, metadata,
-                                     padding_bytes, dedup, file_digests)
+                                     padding_bytes, dedup)
         return obj
 
     def place_object(self, bucket_name: str, key: str, data: bytes,
                      metadata: Optional[dict], padding_bytes: int,
-                     dedup: bool, file_digests: Optional[Dict[str, str]],
+                     dedup: bool, manifest: Optional[Manifest],
                      at: float):
         """The state change of a put (live and replay), stored as of sim
         time ``at``.  Returns ``(object, fresh)``: the deflated chunks,
@@ -181,9 +184,7 @@ class ObjectStore:
         bucket = self.bucket(bucket_name)
         fresh: Dict[str, bytes] = {}
         if dedup:
-            manifest, fresh = self.chunk_store.store(data)
-            if file_digests:
-                manifest.files = dict(file_digests)
+            manifest, fresh = self.chunk_store.store(data, manifest)
             obj = ChunkedObject(key, manifest, self.chunk_store,
                                 created_at=at, metadata=metadata,
                                 etag=compute_etag(data),

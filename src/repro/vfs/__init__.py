@@ -15,6 +15,7 @@ from repro.vfs.filesystem import (
     AccessTrace,
     VirtualFileSystem,
     file_digest,
+    tree_of,
     tree_signature,
 )
 from repro.vfs.archive import pack_tree, unpack_tree, archive_member_names
@@ -29,6 +30,7 @@ __all__ = [
     "AccessTrace",
     "VirtualFileSystem",
     "file_digest",
+    "tree_of",
     "tree_signature",
     "pack_tree",
     "unpack_tree",

@@ -41,12 +41,12 @@ import re
 import struct
 import sys
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import VfsError
 from repro.vfs.filesystem import VirtualFileSystem
 from repro.vfs.node import DirNode
-from repro.vfs.path import normalize, split_parts
+from repro.vfs.path import normalize
 
 BLOCK = 512
 RECORD = 20 * BLOCK
@@ -376,25 +376,28 @@ def unpack_tree(blob: bytes, fs: VirtualFileSystem,
     components cannot escape ``dest`` (no tar-slip).  Compression is
     detected: project uploads are plain tars (chunks dedup poorly through
     bz2's positional coding) while build outputs stay ``.tar.bz2``, and
-    the consumer should not care.
+    the consumer should not care.  The tree is built in one pass
+    (:meth:`~repro.vfs.filesystem.VirtualFileSystem.extract`).
     """
-    base = normalize(dest).rstrip("/")
     raw, members = _read_archive(blob)
-    written: List[str] = []
+    return fs.extract(normalize(dest).rstrip("/"), _entries(raw, members))
+
+
+def _entries(raw: bytes, members: List[_Member]
+             ) -> Iterator[Tuple[str, Optional[bytes], bool]]:
+    """``(name, data, executable)`` per directory (``data`` None) and
+    regular file, in archive order."""
     for member in members:
-        target = base + "/" + "/".join(split_parts(member.name))
         if member.kind == _DIR:
-            fs.makedirs(target)
+            yield member.name, None, False
         elif member.kind in _REGULAR:
             data = raw[member.offset_data:member.offset_data + member.size]
             if len(data) != member.size:
                 raise VfsError(
                     f"invalid archive: member {member.name!r} is cut short")
-            fs.write_file(target, data, executable=bool(member.mode & 0o100))
-            written.append(target)
+            yield member.name, data, bool(member.mode & 0o100)
         # links, devices and unknown types are silently dropped: they have
         # no meaning in the sandbox and are a classic container-escape vector.
-    return written
 
 
 def archive_member_names(blob: bytes) -> List[str]:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union)
 
 from repro.errors import (
     FileExists,
@@ -12,7 +12,7 @@ from repro.errors import (
     NotADirectory,
     ReadOnlyFilesystem,
 )
-from repro.vfs.node import DirNode, FileNode
+from repro.vfs.node import DirNode, FileNode, file_digest
 from repro.vfs.path import is_within, normalize, parent_of, split_parts
 
 Node = Union[FileNode, DirNode]
@@ -68,11 +68,6 @@ def descriptor_kind(descriptor: str) -> str:
     the colon (``"file:"``, ``"tree:"``, ``"list:"``), or the whole bare
     descriptor (``"absent"``, ``"dir"``, ``"file"``)."""
     return descriptor[:descriptor.find(":") + 1] or descriptor
-
-
-def file_digest(data: bytes) -> str:
-    """SHA-256 content digest used by access tracking and build caching."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def tree_signature(top: str, node: DirNode) -> str:
@@ -230,7 +225,7 @@ class VirtualFileSystem:
             if kind == "file":
                 return "file"
             if kind == "file:":
-                return "file:" + file_digest(node.data)
+                return "file:" + node.digest
         elif kind == "dir":
             return "dir"
         elif kind == "tree:":
@@ -275,15 +270,15 @@ class VirtualFileSystem:
             return self._resolve_file(path).data
         npath = normalize(path)
         try:
-            data = self._resolve_file(npath).data
+            node = self._resolve_file(npath)
         except (FileNotFound, NotADirectory):
             self._trace.note_input(npath, "absent")
             raise
         except IsADirectory:
             self._trace.note_input(npath, "dir")
             raise
-        self._trace.note_input(npath, "file:" + file_digest(data))
-        return data
+        self._trace.note_input(npath, "file:" + node.digest)
+        return node.data
 
     def read_text(self, path: str) -> str:
         return self.read_file(path).decode("utf-8")
@@ -325,8 +320,18 @@ class VirtualFileSystem:
         for path, node in _members(top.rstrip("/"), self._resolve_dir(top)):
             if trace is not None:
                 trace.note_input(path, "dir" if isinstance(node, DirNode)
-                                 else "file:" + file_digest(node.data))
+                                 else "file:" + node.digest)
             yield path, node
+
+    def file_digests(self) -> Dict[str, str]:
+        """``{path: SHA-256}`` of every file, in :meth:`iter_files` order.
+
+        Each node hashes its content at most once in its life, so a tree
+        whose files were hashed before (a resubmission's unchanged files)
+        costs a walk.  Tracked as :meth:`iter_members` is.
+        """
+        return {path: node.digest for path, node in self.iter_members("/")
+                if isinstance(node, FileNode)}
 
     def iter_files(self, top: str = "/") -> Iterator[str]:
         """Yield every file path under ``top`` in sorted order."""
@@ -462,16 +467,13 @@ class VirtualFileSystem:
 
     # -- tree import/export ----------------------------------------------------
 
-    def import_mapping(self, mapping: dict, base: str = "/") -> None:
-        """Write ``{relative_path: content}`` under ``base``.
+    def import_mapping(self, mapping: dict) -> None:
+        """Write ``{path: content}`` (paths from ``/``).
 
         A trailing ``/`` in a key creates an empty directory.
         """
-        base = normalize(base)
-        self.makedirs(base)
         for rel, content in mapping.items():
-            target = base.rstrip("/") + "/" + rel.lstrip("/") if base != "/" \
-                else "/" + rel.lstrip("/")
+            target = "/" + rel.lstrip("/")
             if rel.endswith("/"):
                 self.makedirs(target)
             else:
@@ -489,19 +491,86 @@ class VirtualFileSystem:
     def graft(self, other: "VirtualFileSystem", src: str, dst: str) -> None:
         """Mount ``other:src`` under ``self:dst`` by copy: directories are
         copied, the immutable file nodes shared."""
-        node = other._resolve(normalize(src))
-        self._check_writable(normalize(dst))
-        self.makedirs(parent_of(normalize(dst)))
-        parts = split_parts(dst)
+        self.mount(dst, other._resolve(normalize(src)).clone())
+
+    def mount(self, path: str, node: Node) -> None:
+        """Install ``node`` at ``path`` as it is: no copy.  The caller
+        hands the node over and keeps no reference to it.  Missing parents
+        are created; what was at ``path`` is shadowed, as a Docker mount
+        shadows the image's directory."""
+        path = normalize(path)
+        self._check_writable(path)
+        parts = split_parts(path)
         if not parts:
-            if not isinstance(node, DirNode):
-                raise NotADirectory(dst)
-            self.root = node.clone()
-            self._note_write("/")
-            return
-        parent = self._resolve_dir(parent_of(normalize(dst)))
-        parent.children[parts[-1]] = node.clone()
-        self._note_write(normalize(dst))
+            raise FileExists("cannot mount over /")
+        self.makedirs(parent_of(path))
+        self._resolve_dir(parent_of(path)).children[parts[-1]] = node
+        self._note_write(path)
+
+    def extract(self, base: str,
+                members: Iterable[Tuple[str, Optional[bytes], bool]]
+                ) -> List[str]:
+        """Write archive members ``(name, data, executable)`` under the
+        normalised ``base`` in one pass; ``data`` is ``None`` for a
+        directory.  Returns the file paths written.
+
+        Each member lands where ``makedirs`` / ``write_file`` would put it,
+        with their checks and errors, but a directory is resolved once per
+        call rather than once per member.  Names go through the path
+        algebra, so ``..`` cannot climb out of ``base`` (no tar-slip).
+        """
+        now = float(self._clock())
+        base_parts = split_parts(base)
+        dirs: Dict[Tuple[str, ...], DirNode] = {}
+        written: List[str] = []
+        for name, data, executable in members:
+            rel = split_parts(name)
+            parts = base_parts + rel
+            path = "/" + "/".join(parts)
+            self._check_writable(path)
+            if data is None:
+                self._directory(parts, dirs, now)
+                continue
+            if not parts:
+                raise IsADirectory(path)
+            parent = self._directory(parts[:-1], dirs, now)
+            if isinstance(parent.children.get(parts[-1]), DirNode):
+                raise IsADirectory(path)
+            parent.children[parts[-1]] = FileNode(data, now, executable)
+            self._note_write(path)
+            written.append(base + "/" + "/".join(rel))
+        return written
+
+    def _directory(self, parts: Tuple[str, ...],
+                   dirs: Dict[Tuple[str, ...], DirNode],
+                   now: float) -> DirNode:
+        """The directory at ``parts``, made as ``makedirs`` makes it;
+        ``dirs`` remembers every directory this walk resolved."""
+        node = dirs.get(parts)
+        if node is not None:
+            return node
+        node = self.root
+        for i, part in enumerate(parts):
+            child = node.children.get(part)
+            if child is None:
+                child = node.children[part] = DirNode(now)
+                self._note_write("/" + "/".join(parts[:i + 1]))
+            elif isinstance(child, FileNode):
+                path = "/" + "/".join(parts[:i + 1])
+                raise (FileExists if i == len(parts) - 1
+                       else NotADirectory)(path)
+            node = child
+            dirs[parts[:i + 1]] = node
+        return node
 
     def __repr__(self):
         return f"<VirtualFileSystem {self.file_count()} files, {self.tree_size()}B>"
+
+
+def tree_of(mapping: dict) -> DirNode:
+    """``mapping`` as a detached tree, every mtime 0.0: the tree
+    :meth:`VirtualFileSystem.import_mapping` builds in an empty
+    filesystem.  Callers keep it frozen and mount stamped copies."""
+    fs = VirtualFileSystem()
+    fs.import_mapping(mapping)
+    return fs.root

@@ -11,7 +11,7 @@ from repro.vfs import VirtualFileSystem
 def make_container(files, gpu=True):
     rt = ContainerRuntime()
     project = VirtualFileSystem()
-    project.import_mapping(files, "/")
+    project.import_mapping(files)
     mounts = [VolumeMount("/src", read_only=True, source_fs=project)]
     if gpu:
         mounts.append(cuda_volume())

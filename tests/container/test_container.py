@@ -23,7 +23,7 @@ def project(marker="// @rai-sim quality=0.5"):
     fs.import_mapping({
         "main.cu": marker + "\nint main(){}\n",
         "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
-    }, "/")
+    })
     return fs
 
 

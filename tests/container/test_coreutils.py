@@ -10,7 +10,7 @@ from repro.vfs import VirtualFileSystem
 def container():
     rt = ContainerRuntime()
     project = VirtualFileSystem()
-    project.import_mapping({"main.cu": "code", "sub/extra.h": "hdr"}, "/")
+    project.import_mapping({"main.cu": "code", "sub/extra.h": "hdr"})
     c = rt.create_container(
         "webgpu/rai:root",
         mounts=[VolumeMount("/src", read_only=True, source_fs=project)])

@@ -39,7 +39,7 @@ class TestCharge:
             project.import_mapping({
                 "main.cu": "// @rai-sim quality=0.5 impl=analytic\n",
                 "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
-            }, "/")
+            })
             c = rt.create_container(
                 "webgpu/rai:root",
                 mounts=[VolumeMount("/src", read_only=True,

@@ -20,7 +20,7 @@ def container():
     project.import_mapping({
         "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
         "CMakeLists.txt": "add_executable(ece408 main.cu)\n",
-    }, "/")
+    })
     c = rt.create_container(
         "webgpu/rai:root",
         mounts=[VolumeMount("/src", read_only=True, source_fs=project),

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.system import RaiSystem
 from repro.durability.wal import encode_record
-from repro.storage.chunkstore import CHUNK_BYTES
+from repro.storage.chunkstore import CHUNK_BYTES, Manifest
 from repro.storage.objects import compute_etag
 
 pytestmark = pytest.mark.durability
@@ -116,7 +116,8 @@ class TestReplayShapes:
         def live_put(system):
             system.storage.put_object(
                 "rai-uploads", "s/job.tar", data, metadata=self.META,
-                dedup=True, file_digests=self.FILE_DIGESTS)
+                dedup=True,
+                manifest=Manifest.from_bytes(data, files=self.FILE_DIGESTS))
 
         def whole_object_record(system):
             system.durability.wal.append({

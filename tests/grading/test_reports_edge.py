@@ -15,7 +15,7 @@ def make_submission(files: dict):
     from repro.grading.download import DownloadedSubmission
 
     fs = VirtualFileSystem()
-    fs.import_mapping(files, "/")
+    fs.import_mapping(files)
     return DownloadedSubmission(
         team="t", job_id="j", username="u", internal_time=1.0,
         instructor_time=1.1, correctness=1.0, fs=fs, archive_bytes=100)

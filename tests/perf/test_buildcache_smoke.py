@@ -11,6 +11,7 @@ import pytest
 
 import repro.storage.buildcache as buildcache_module
 import repro.vfs.filesystem as filesystem_module
+import repro.vfs.node as node_module
 from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
@@ -36,7 +37,9 @@ def _first_build(monkeypatch, cache_enabled: bool):
         hashed.append(len(data))
         return digest(data)
 
-    # The two places a build's tracked reads and captured writes hash.
+    # The places a build's tracked reads and captured writes hash: a file
+    # node hashes its content (once), the tracker its listings.
+    monkeypatch.setattr(node_module, "file_digest", counting)
     monkeypatch.setattr(filesystem_module, "file_digest", counting)
     monkeypatch.setattr(buildcache_module, "file_digest", counting)
     config = SystemConfig()
@@ -44,7 +47,9 @@ def _first_build(monkeypatch, cache_enabled: bool):
     system = RaiSystem.standard(num_workers=1, seed=7, config=config)
     client = system.new_client(team="t")
     client.stage_project(FILES)
-    hashed.clear()                  # staging hashed nothing we count
+    # The upload hashes the client's files (each node once); not counted.
+    client.project_fs.file_digests()
+    hashed.clear()
     result = system.run(client.submit())
     assert result.status is JobStatus.SUCCEEDED
     return system, len(hashed)

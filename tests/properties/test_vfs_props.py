@@ -16,6 +16,12 @@ file_bodies = st.binary(max_size=200)
 trees = st.dictionaries(rel_paths, file_bodies, min_size=0, max_size=8)
 
 
+def import_under(fs, tree: dict, top: str) -> None:
+    """``tree`` written below the directory ``top``."""
+    fs.makedirs(top)
+    fs.import_mapping({top + "/" + rel: body for rel, body in tree.items()})
+
+
 class TestPathProperties:
     @given(raw=st.text(max_size=40))
     def test_normalize_is_idempotent(self, raw):
@@ -52,14 +58,14 @@ class TestFilesystemProperties:
     @given(tree=trees.filter(_prefix_free))
     def test_import_export_roundtrip(self, tree):
         fs = VirtualFileSystem()
-        fs.import_mapping(tree, "/proj")
+        import_under(fs, tree, "/proj")
         assert fs.export_mapping("/proj") == tree
 
     @settings(max_examples=40)
     @given(tree=st.dictionaries(path_segments, file_bodies, max_size=8))
     def test_flat_tree_exact_roundtrip(self, tree):
         fs = VirtualFileSystem()
-        fs.import_mapping(tree, "/p")
+        import_under(fs, tree, "/p")
         assert fs.export_mapping("/p") == tree
         assert fs.file_count() == len(tree)
         assert fs.tree_size("/p") == sum(len(v) for v in tree.values())
@@ -68,7 +74,7 @@ class TestFilesystemProperties:
     @given(tree=st.dictionaries(path_segments, file_bodies, max_size=8))
     def test_copy_preserves_content(self, tree):
         fs = VirtualFileSystem()
-        fs.import_mapping(tree, "/src")
+        import_under(fs, tree, "/src")
         fs.copy("/src", "/dst")
         assert fs.export_mapping("/dst") == fs.export_mapping("/src")
 
@@ -96,7 +102,7 @@ class TestArchiveProperties:
     @given(tree=st.dictionaries(path_segments, file_bodies, max_size=6))
     def test_pack_unpack_roundtrip(self, tree):
         fs = VirtualFileSystem()
-        fs.import_mapping(tree, "/")
+        fs.import_mapping(tree)
         blob = pack_tree(fs, "/")
         out = VirtualFileSystem()
         unpack_tree(blob, out, "/")
@@ -107,5 +113,5 @@ class TestArchiveProperties:
                                 min_size=1, max_size=6))
     def test_pack_deterministic(self, tree):
         fs = VirtualFileSystem()
-        fs.import_mapping(tree, "/")
+        fs.import_mapping(tree)
         assert pack_tree(fs, "/") == pack_tree(fs, "/")

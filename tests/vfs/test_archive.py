@@ -24,7 +24,7 @@ def project_fs():
         "data/weights.bin": bytes(range(256)),
         "empty/": "",
         "USAGE": "how to run",
-    }, "/")
+    })
     return fs
 
 

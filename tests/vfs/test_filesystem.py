@@ -87,14 +87,14 @@ class TestDirectories:
             fs.listdir("/f")
 
     def test_walk_order(self, fs):
-        fs.import_mapping({"b/x": "1", "a/y": "2", "top": "3"}, "/")
+        fs.import_mapping({"b/x": "1", "a/y": "2", "top": "3"})
         walked = list(fs.walk("/"))
         assert walked[0] == ("/", ["a", "b"], ["top"])
         assert walked[1][0] == "/a"
         assert walked[2][0] == "/b"
 
     def test_iter_files(self, fs):
-        fs.import_mapping({"a/1": "x", "b/2": "y"}, "/")
+        fs.import_mapping({"a/1": "x", "b/2": "y"})
         assert list(fs.iter_files("/")) == ["/a/1", "/b/2"]
 
     def test_tree_size_and_count(self, fs):
@@ -120,7 +120,7 @@ class TestRemoval:
             fs.remove("/d")
 
     def test_rmtree(self, fs):
-        fs.import_mapping({"d/a": "1", "d/sub/b": "2"}, "/")
+        fs.import_mapping({"d/a": "1", "d/sub/b": "2"})
         fs.rmtree("/d")
         assert not fs.exists("/d")
 
@@ -138,20 +138,20 @@ class TestCopyMove:
         assert fs.exists("/src.txt")
 
     def test_copy_tree(self, fs):
-        fs.import_mapping({"src/a": "1", "src/sub/b": "2"}, "/")
+        fs.import_mapping({"src/a": "1", "src/sub/b": "2"})
         fs.copy("/src", "/dst")
         assert fs.read_text("/dst/a") == "1"
         assert fs.read_text("/dst/sub/b") == "2"
 
     def test_copy_into_existing_dir_uses_basename(self, fs):
         """cp -r /src /build puts it at /build/src (coreutils rule)."""
-        fs.import_mapping({"src/a": "1"}, "/")
+        fs.import_mapping({"src/a": "1"})
         fs.makedirs("/build")
         fs.copy("/src", "/build")
         assert fs.read_text("/build/src/a") == "1"
 
     def test_copy_dir_into_itself_rejected(self, fs):
-        fs.import_mapping({"d/a": "1"}, "/")
+        fs.import_mapping({"d/a": "1"})
         with pytest.raises(FileExists):
             fs.copy("/d", "/d/inner")
 
@@ -170,7 +170,7 @@ class TestCopyMove:
 
 class TestReadOnly:
     def test_readonly_blocks_writes(self, fs):
-        fs.import_mapping({"src/main.cu": "code"}, "/")
+        fs.import_mapping({"src/main.cu": "code"})
         fs.set_readonly("/src")
         with pytest.raises(ReadOnlyFilesystem):
             fs.write_file("/src/other", b"x")
@@ -180,7 +180,7 @@ class TestReadOnly:
             fs.rmtree("/src")
 
     def test_readonly_allows_reads(self, fs):
-        fs.import_mapping({"src/main.cu": "code"}, "/")
+        fs.import_mapping({"src/main.cu": "code"})
         fs.set_readonly("/src")
         assert fs.read_text("/src/main.cu") == "code"
 
@@ -192,16 +192,17 @@ class TestReadOnly:
 class TestImportExport:
     def test_mapping_roundtrip(self, fs):
         mapping = {"a.txt": b"1", "d/b.txt": b"2"}
-        fs.import_mapping(mapping, "/proj")
+        fs.import_mapping({"proj/" + rel: data
+                           for rel, data in mapping.items()})
         assert fs.export_mapping("/proj") == mapping
 
     def test_trailing_slash_creates_dir(self, fs):
-        fs.import_mapping({"empty/": ""}, "/")
+        fs.import_mapping({"empty/": ""})
         assert fs.isdir("/empty")
 
     def test_graft_between_filesystems(self, fs):
         other = VirtualFileSystem()
-        other.import_mapping({"x/y": "deep"}, "/")
+        other.import_mapping({"x/y": "deep"})
         fs.graft(other, "/x", "/mounted")
         assert fs.read_text("/mounted/y") == "deep"
         # deep copy: mutating the source does not affect the graft

@@ -1,6 +1,6 @@
 """Copies share immutable file nodes and nothing else.
 
-``graft`` (the per-job ``/src`` mount), ``copy`` and ``DirNode.clone``
+``graft`` (the grader's copied-in ``/src``), ``copy`` and ``DirNode.clone``
 copy directories and hand out the *same* ``FileNode`` objects.  That is
 safe only while no operation changes a file node in place, so both halves
 are pinned here: identity of the shared nodes, and independence of the two
@@ -40,7 +40,7 @@ def assert_shares_files_only(a, b):
 class TestIdentity:
     def test_graft_shares_file_nodes_and_copies_directories(self):
         project = VirtualFileSystem()
-        project.import_mapping(TREE, "/")
+        project.import_mapping(TREE)
         sandbox = VirtualFileSystem()
         sandbox.graft(project, "/", "/src")
         assert_shares_files_only(nodes(project, "/"), nodes(sandbox, "/src"))
@@ -48,7 +48,7 @@ class TestIdentity:
 
     def test_copy_shares_file_nodes_and_copies_directories(self):
         fs = VirtualFileSystem()
-        fs.import_mapping(TREE, "/a")
+        fs.import_mapping({"a/" + rel: data for rel, data in TREE.items()})
         fs.copy("/a", "/b")
         assert_shares_files_only(nodes(fs, "/a"), nodes(fs, "/b"))
 
@@ -89,7 +89,7 @@ class TestIndependence:
            on_copy=st.booleans())
     def test_graft_sides_do_not_see_each_other(self, script, on_copy):
         project = VirtualFileSystem()
-        project.import_mapping(TREE, "/")
+        project.import_mapping(TREE)
         sandbox = VirtualFileSystem()
         sandbox.graft(project, "/", "/src")
         before = project.export_mapping("/")
@@ -105,7 +105,7 @@ class TestIndependence:
            on_copy=st.booleans())
     def test_copy_sides_do_not_see_each_other(self, script, on_copy):
         fs = VirtualFileSystem()
-        fs.import_mapping(TREE, "/a")
+        fs.import_mapping({"a/" + rel: data for rel, data in TREE.items()})
         fs.copy("/a", "/b")
         before = fs.export_mapping("/a")
         touched, other = ("/b", "/a") if on_copy else ("/a", "/b")

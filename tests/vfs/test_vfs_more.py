@@ -9,8 +9,7 @@ from repro.vfs import VirtualFileSystem
 @pytest.fixture
 def fs():
     f = VirtualFileSystem()
-    f.import_mapping({"d/a.txt": "A", "d/sub/b.txt": "B", "top.txt": "T"},
-                     "/")
+    f.import_mapping({"d/a.txt": "A", "d/sub/b.txt": "B", "top.txt": "T"})
     return f
 
 
